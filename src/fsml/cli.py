@@ -9,7 +9,8 @@ config hash and seed; reruns with identical (config, seed) are byte-identical.
 Output layout: ``<out>/<config_hash>/<seed>/{checkpoints,traces,reports}``
 plus ``<out>/<config_hash>/results.csv`` for sweep summaries.
 
-``FSML_THREADS`` caps how many seeds run as parallel worker processes.
+``FSML_THREADS`` (an integer >= 1) caps how many seeds run as parallel
+worker processes.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -67,28 +68,22 @@ _MODE_KEYS = {
     "tune": ({"dataset", "tune"}, {"dataset", "model", "tune"}),
 }
 
-_MODEL_KEYS = {
-    "embed_dim", "num_heads", "hidden_dim",
-    "encoder_blocks", "decoder_blocks", "max_seq_len",
-}
+
+def _field_names(cls):
+    return {f.name for f in fields(cls)}
+
+
+# The ssl block passes these straight to SSLConfig; its variant and plan come
+# from CLI-only keys, which also build the encoding regime and token spec.
+_SSL_CONFIG_KEYS = _field_names(SSLConfig) - {"variant", "plan"}
 
 _BLOCK_KEYS = {
-    "synth": {
-        "regions", "finetune_region", "n_level3", "n_level4", "n_classes",
-        "samples_per_class", "finetune_samples_per_class", "majority_boost",
-        "groups", "obs_count", "noise_sigma", "separability",
-        "region_phase_days", "k_max",
-    },
-    "transfer": {"learning_rate", "batch_size", "max_epochs", "patience", "cosine_cycles"},
-    "meta": {
-        "algorithm", "inner_lr", "outer_lr", "encoder_lr", "inner_steps",
-        "n_way", "k_support", "k_query", "tasks_per_batch", "total_tasks",
-        "validate_every", "validation_tasks",
-    },
-    "ssl": {
-        "regime", "position_source", "max_timesteps", "location_token",
-        "strategy", "decoder", "learning_rate", "batch_size",
-        "validate_every", "patience", "max_batches",
+    "model": _field_names(TransformerConfig),
+    "synth": _field_names(SynthConfig),
+    "transfer": _field_names(TransferConfig),
+    "meta": _field_names(MetaConfig),
+    "ssl": _SSL_CONFIG_KEYS | {
+        "regime", "position_source", "max_timesteps", "location_token", "strategy", "decoder",
     },
     "finetune": {
         "source", "checkpoint", "regime", "lr_head", "lr_backbone",
@@ -97,6 +92,7 @@ _BLOCK_KEYS = {
     "tune": {"finetune", "space", "trials", "k", "regime", "max_epochs"},
     "evaluate": {"runs", "out_csv", "plots"},
 }
+_REQUIRED_BLOCK_KEYS = {"meta": {"algorithm"}, "tune": {"space"}, "evaluate": {"runs"}}
 
 
 def config_hash(config):
@@ -123,26 +119,44 @@ def validate_config(config):
         problems.append(f"{unknown}: unknown key for mode {mode}")
     if "seeds" in config:
         seeds = config["seeds"]
-        if not seeds or len(set(seeds)) != len(seeds):
+        if not isinstance(seeds, list) or not all(
+            isinstance(s, int) and not isinstance(s, bool) for s in seeds
+        ):
+            problems.append("seeds: must be a list of integers")
+        elif not seeds or len(set(seeds)) != len(seeds):
             problems.append("seeds: must be non-empty and distinct")
-    if "model" in config:
-        for unknown in sorted(set(config["model"]) - _MODEL_KEYS):
-            problems.append(f"model.{unknown}: unknown key")
     for block, allowed_keys in _BLOCK_KEYS.items():
-        if block in config and isinstance(config[block], dict):
-            for unknown in sorted(set(config[block]) - allowed_keys):
-                problems.append(f"{block}.{unknown}: unknown key")
+        if block not in config:
+            continue
+        if not isinstance(config[block], dict):
+            problems.append(f"{block}: must be an object")
+            continue
+        for unknown in sorted(set(config[block]) - allowed_keys):
+            problems.append(f"{block}.{unknown}: unknown key")
+        for missing in sorted(_REQUIRED_BLOCK_KEYS.get(block, set()) - set(config[block])):
+            problems.append(f"{block}.{missing}: required")
     return problems
 
 
 def _model_config(config):
-    block = dict(config.get("model", {}))
-    base = dict(
-        embed_dim=16, num_heads=2, hidden_dim=32,
-        encoder_blocks=1, decoder_blocks=0, max_seq_len=366,
-    )
-    base.update(block)
-    return TransformerConfig(**base)
+    return nn.small_config(**config.get("model", {}))
+
+
+def _checkpoint_meta(chash, seed, **extra):
+    """Checkpoint metadata: config hash, seed and ``extra``, every value a string."""
+    meta = {"config_hash": chash, "seed": seed, **extra}
+    return {key: str(value) for key, value in meta.items()}
+
+
+def _worker_count():
+    raw = os.environ.get("FSML_THREADS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ContractError(f"FSML_THREADS: expected an integer >= 1, got {raw!r}")
+    return workers
 
 
 def _seed_dir(out, chash, seed):
@@ -182,14 +196,7 @@ def _mode_synth_data(config, chash, seeds, out):
 def _mode_pretrain_transfer(config, chash, seeds, out):
     corpus = load_corpus(config["dataset"])
     model_config = _model_config(config)
-    block = config.get("transfer", {})
-    t_config = TransferConfig(
-        learning_rate=block.get("learning_rate", 1e-3),
-        batch_size=block.get("batch_size", train_mod.PRETRAIN_BATCH_SIZE),
-        max_epochs=block.get("max_epochs", train_mod.PRETRAIN_MAX_EPOCHS),
-        patience=block.get("patience", train_mod.PRETRAIN_PATIENCE),
-        cosine_cycles=block.get("cosine_cycles", 0),
-    )
+    t_config = TransferConfig(**config.get("transfer", {}))
     groups = tuple(corpus.manifest.group_order())
     model = RawSeriesModel(model_config, _dynamic_channels(corpus.manifest), groups)
     artifacts = []
@@ -200,12 +207,10 @@ def _mode_pretrain_transfer(config, chash, seeds, out):
         save_checkpoint(
             ckpt,
             nn.params_to_arrays(params),
-            meta={
-                "kind": "raw", "algorithm": "transfer",
-                "model": json.dumps(asdict(model_config)),
-                "in_channels": str(model.in_channels),
-                "config_hash": chash, "seed": str(seed),
-            },
+            meta=_checkpoint_meta(
+                chash, seed, kind="raw", algorithm="transfer",
+                model=json.dumps(asdict(model_config)), in_channels=model.in_channels,
+            ),
         )
         trace = root / "traces" / "transfer.csv"
         train_mod.write_trace_csv(
@@ -219,15 +224,7 @@ def _mode_pretrain_transfer(config, chash, seeds, out):
 def _mode_pretrain_meta(config, chash, seeds, out):
     corpus = load_corpus(config["dataset"])
     model_config = _model_config(config)
-    block = dict(config["meta"])
-    m_config = MetaConfig(
-        algorithm=block.pop("algorithm"),
-        **{k: block[k] for k in block if k in (
-            "inner_lr", "outer_lr", "encoder_lr", "inner_steps", "n_way",
-            "k_support", "k_query", "tasks_per_batch", "total_tasks",
-            "validate_every", "validation_tasks",
-        )},
-    )
+    m_config = MetaConfig(**config["meta"])
     artifacts = []
     for seed in seeds:
         root = _seed_dir(out, chash, seed)
@@ -239,12 +236,10 @@ def _mode_pretrain_meta(config, chash, seeds, out):
             in_channels += 3
         save_checkpoint(
             ckpt, arrays,
-            meta={
-                "kind": "raw", "algorithm": m_config.algorithm,
-                "model": json.dumps(asdict(model_config)),
-                "in_channels": str(in_channels),
-                "config_hash": chash, "seed": str(seed),
-            },
+            meta=_checkpoint_meta(
+                chash, seed, kind="raw", algorithm=m_config.algorithm,
+                model=json.dumps(asdict(model_config)), in_channels=in_channels,
+            ),
         )
         trace = root / "traces" / f"meta_{m_config.algorithm}.csv"
         train_mod.write_trace_csv(
@@ -257,7 +252,7 @@ def _mode_pretrain_meta(config, chash, seeds, out):
 
 
 def _ssl_pieces(config, corpus, model_config):
-    block = dict(config["ssl"])
+    block = config["ssl"]
     regime = EncodingRegime(
         variant=block.get("regime", "xts"),
         d_emb=model_config.embed_dim,
@@ -270,15 +265,11 @@ def _ssl_pieces(config, corpus, model_config):
         if regime.variant == "xts"
         else ssl_mod.base_plan(block.get("strategy", "mixed"))
     )
-    autoencoder = MaskedAutoencoder(model_config, spec, regime, block.get("decoder", "self_attention"))
+    decoder = block.get("decoder", "self_attention")
+    autoencoder = MaskedAutoencoder(model_config, spec, regime, decoder)
     s_config = SSLConfig(
-        variant=block.get("decoder", "self_attention"),
-        plan=plan,
-        learning_rate=block.get("learning_rate", 1e-3),
-        batch_size=block.get("batch_size", ssl_mod.SSL_BATCH_SIZE),
-        validate_every=block.get("validate_every", 50),
-        patience=block.get("patience", ssl_mod.SSL_PATIENCE),
-        max_batches=block.get("max_batches", 10_000),
+        variant=decoder, plan=plan,
+        **{k: v for k, v in block.items() if k in _SSL_CONFIG_KEYS},
     )
     return autoencoder, s_config, regime, spec
 
@@ -287,10 +278,7 @@ def _mode_pretrain_ssl(config, chash, seeds, out):
     corpus = load_corpus(config["dataset"])
     model_config = _model_config(config)
     if model_config.decoder_blocks < 1:
-        model_config = TransformerConfig(
-            model_config.embed_dim, model_config.num_heads, model_config.hidden_dim,
-            model_config.encoder_blocks, 1, model_config.max_seq_len,
-        )
+        model_config = replace(model_config, decoder_blocks=1)
     autoencoder, s_config, regime, spec = _ssl_pieces(config, corpus, model_config)
     artifacts = []
     for seed in seeds:
@@ -303,17 +291,12 @@ def _mode_pretrain_ssl(config, chash, seeds, out):
         ckpt = root / "checkpoints" / f"ssl_{s_config.variant}.fsml"
         save_checkpoint(
             ckpt, arrays,
-            meta={
-                "kind": "tokens", "algorithm": f"ssl_{s_config.variant}",
-                "model": json.dumps(asdict(model_config)),
-                "regime": json.dumps({
-                    "variant": regime.variant, "d_emb": regime.d_emb,
-                    "position_source": regime.position_source,
-                    "max_timesteps": regime.max_timesteps,
-                }),
-                "spec": json.dumps([asdict(g) for g in spec.groups]),
-                "config_hash": chash, "seed": str(seed),
-            },
+            meta=_checkpoint_meta(
+                chash, seed, kind="tokens", algorithm=f"ssl_{s_config.variant}",
+                model=json.dumps(asdict(model_config)),
+                regime=json.dumps(asdict(regime)),
+                spec=json.dumps([asdict(g) for g in spec.groups]),
+            ),
         )
         trace = root / "traces" / f"ssl_{s_config.variant}.csv"
         train_mod.write_trace_csv(
@@ -396,14 +379,14 @@ def _finetune_one_seed(args):
         ckpt = root / "checkpoints" / f"{label}_k{k}.fsml"
         save_checkpoint(
             ckpt, nn.params_to_arrays(params),
-            meta={"config_hash": chash, "seed": str(seed), "k": str(k), "label": label},
+            meta=_checkpoint_meta(chash, seed, k=k, label=label),
         )
         results[k] = report
     return seed, label, {k: r.metric_map() for k, r in results.items()}
 
 
 def _mode_finetune(config, chash, seeds, out):
-    workers = int(os.environ.get("FSML_THREADS", "1"))
+    workers = _worker_count()
     jobs = [(config, chash, seed, out) for seed in seeds]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -256,7 +256,11 @@ def load_corpus(path):
     manifest.validate()
 
     samples, breaches = [], []
-    with open(path, encoding="utf-8") as fh:
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as err:
+        raise ContractError(f"corpus: cannot open {str(path)!r}: {err.strerror}") from None
+    with fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

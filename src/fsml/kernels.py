@@ -1,159 +1,45 @@
-"""Hot numeric forward kernels, numba-accelerated with a pure-NumPy fallback.
+"""Hot numeric forward kernels: gelu, softmax and layer norm over f64 arrays.
 
 The tape engine funnels its fused rowwise/elementwise forward evaluations
-(gelu, softmax, layer norm) through this module; matrix products stay on
-NumPy/BLAS where numba has nothing to add.  The backend is picked at import
-time from the ``FSML_KERNELS`` environment variable (``numba`` or ``numpy``,
-default: numba when importable) and can be switched at runtime with
-:func:`set_backend`, used by the test suite and by ``benchmarks/``.
-
-Both backends compute the same formulas in double precision; they may differ
-in the last few ulps because numba reductions are sequential while NumPy uses
-pairwise summation.
+through this module; matrix products stay on NumPy/BLAS.  ``fsml.tensor``
+calls these functions through the module attribute, so a profiler can
+rebind them in one place.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-_GELU_CUBIC = 0.044715
-
-
-def _np_gelu(x):
-    inner = _SQRT_2_OVER_PI * (x + _GELU_CUBIC * x * x * x)
-    return 0.5 * x * (1.0 + np.tanh(inner))
-
-
-def _np_softmax_rows(x):
-    shifted = x - x.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _np_layer_norm_rows(x, eps):
-    mu = x.mean(axis=1, keepdims=True)
-    var = np.mean((x - mu) ** 2, axis=1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps)
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _nb_gelu(x):
-        out = np.empty_like(x)
-        for i in range(x.size):
-            v = x[i]
-            inner = 0.7978845608028654 * (v + 0.044715 * v * v * v)
-            out[i] = 0.5 * v * (1.0 + math.tanh(inner))
-        return out
-
-    @njit(cache=True)
-    def _nb_softmax_rows(x):
-        out = np.empty_like(x)
-        rows, cols = x.shape
-        for i in range(rows):
-            m = x[i, 0]
-            for j in range(1, cols):
-                if x[i, j] > m:
-                    m = x[i, j]
-            s = 0.0
-            for j in range(cols):
-                e = math.exp(x[i, j] - m)
-                out[i, j] = e
-                s += e
-            inv = 1.0 / s
-            for j in range(cols):
-                out[i, j] *= inv
-        return out
-
-    @njit(cache=True)
-    def _nb_layer_norm_rows(x, eps):
-        out = np.empty_like(x)
-        rows, cols = x.shape
-        for i in range(rows):
-            mu = 0.0
-            for j in range(cols):
-                mu += x[i, j]
-            mu /= cols
-            var = 0.0
-            for j in range(cols):
-                d = x[i, j] - mu
-                var += d * d
-            var /= cols
-            inv = 1.0 / math.sqrt(var + eps)
-            for j in range(cols):
-                out[i, j] = (x[i, j] - mu) * inv
-        return out
-
-
-def _resolve_backend():
-    requested = os.environ.get("FSML_KERNELS", "").strip().lower()
-    if requested == "numpy":
-        return "numpy"
-    if requested == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("FSML_KERNELS=numba but numba is not importable")
-        return "numba"
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-_BACKEND = _resolve_backend()
+SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+GELU_CUBIC = 0.044715
 
 
 def backend():
-    """Name of the active kernel backend ('numba' or 'numpy')."""
-    return _BACKEND
-
-
-def set_backend(name):
-    """Switch kernel backend at runtime; returns the previous backend name."""
-    global _BACKEND
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown kernel backend {name!r}")
-    if name == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    previous = _BACKEND
-    _BACKEND = name
-    return previous
-
-
-# Above this size NumPy's SIMD tanh beats numba's scalar libm loop; the numba
-# lane routes large gelu calls back to NumPy (measured crossover ~512).
-_GELU_NUMBA_CUTOFF = 512
+    """Name of the kernel implementation."""
+    return "numpy"
 
 
 def gelu(x):
     """Elementwise tanh-approximation GELU over an arbitrary-shape f64 array."""
-    if _BACKEND == "numba" and x.size <= _GELU_NUMBA_CUTOFF:
-        flat = np.ascontiguousarray(x, dtype=np.float64).reshape(-1)
-        return _nb_gelu(flat).reshape(x.shape)
-    return _np_gelu(np.asarray(x, dtype=np.float64))
+    x = np.asarray(x, dtype=np.float64)
+    inner = SQRT_2_OVER_PI * (x + GELU_CUBIC * x * x * x)
+    return 0.5 * x * (1.0 + np.tanh(inner))
 
 
 def softmax_rows(x):
     """Max-stabilized softmax over the last axis of an f64 array."""
     arr = np.ascontiguousarray(x, dtype=np.float64)
     rows = arr.reshape(-1, arr.shape[-1])
-    if _BACKEND == "numba":
-        return _nb_softmax_rows(rows).reshape(arr.shape)
-    return _np_softmax_rows(rows).reshape(arr.shape)
+    e = np.exp(rows - rows.max(axis=1, keepdims=True))
+    return (e / e.sum(axis=1, keepdims=True)).reshape(arr.shape)
 
 
 def layer_norm_rows(x, eps):
     """Zero-mean unit-variance normalization over the last axis."""
     arr = np.ascontiguousarray(x, dtype=np.float64)
     rows = arr.reshape(-1, arr.shape[-1])
-    if _BACKEND == "numba":
-        return _nb_layer_norm_rows(rows, eps).reshape(arr.shape)
-    return _np_layer_norm_rows(rows, eps).reshape(arr.shape)
+    mu = rows.mean(axis=1, keepdims=True)
+    var = np.mean((rows - mu) ** 2, axis=1, keepdims=True)
+    return ((rows - mu) / np.sqrt(var + eps)).reshape(arr.shape)

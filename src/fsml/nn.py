@@ -394,7 +394,11 @@ def save_checkpoint(path, arrays, meta=None):
 
 def load_checkpoint(path):
     """Read the container back as (arrays, meta) dictionaries."""
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as err:
+        raise ContractError(f"checkpoint: cannot open {str(path)!r}: {err.strerror}") from None
+    with fh:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise ContractError(f"checkpoint: bad magic {magic!r}")

@@ -21,6 +21,7 @@ from contextlib import contextmanager, nullcontext
 import numpy as np
 
 from . import kernels
+from .kernels import GELU_CUBIC, SQRT_2_OVER_PI
 from .errors import ContractError, DomainError, ShapeError
 
 _STATE = threading.local()
@@ -497,10 +498,6 @@ def relu(a):
     return _record(out, (a,), vjp)
 
 
-_SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
-_GELU_CUBIC = 0.044715
-
-
 def _tanh_expr(x):
     # tanh(z) = 1 - 2 / (exp(2z) + 1), built from primitives only
     return sub(1.0, div(2.0, add(exp(mul(x, 2.0)), 1.0)))
@@ -513,10 +510,10 @@ def gelu(a):
 
     def vjp(g):
         x2 = mul(a, a)
-        inner = mul(add(a, mul(mul(x2, a), _GELU_CUBIC)), _SQRT_2_OVER_PI)
+        inner = mul(add(a, mul(mul(x2, a), GELU_CUBIC)), SQRT_2_OVER_PI)
         t = _tanh_expr(inner)
         sech2 = sub(1.0, mul(t, t))
-        dinner = mul(add(mul(x2, 3.0 * _GELU_CUBIC), 1.0), _SQRT_2_OVER_PI)
+        dinner = mul(add(mul(x2, 3.0 * GELU_CUBIC), 1.0), SQRT_2_OVER_PI)
         slope = add(
             mul(add(t, 1.0), 0.5),
             mul(mul(mul(a, 0.5), sech2), dinner),

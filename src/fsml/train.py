@@ -53,15 +53,6 @@ LR_RANGE_BACKBONE = (1e-6, 1e-3)
 IMPROVEMENT_EPS = 1e-12
 
 
-class SGD:
-    def __init__(self, lr):
-        self.lr = lr
-
-    def step(self, params, grads):
-        for name, g in grads.items():
-            params[name].values -= self.lr * g
-
-
 class Adam:
     """Standard Adam with bias correction; step count increments once per apply."""
 

@@ -1,10 +1,16 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from fsml.cli import config_hash, emit_plots, main, run, validate_config
-from fsml.errors import ParseError
+from fsml.data import SynthConfig
+from fsml.errors import ContractError, ParseError
+from fsml.meta import MetaConfig
+from fsml.nn import TransformerConfig
+from fsml.ssl import SSLConfig
+from fsml.train import TransferConfig
 
 
 SYNTH_BLOCK = {
@@ -50,6 +56,91 @@ def test_validate_rejects_unknown_mode_and_keys():
     problems = validate_config({"schema_version": 2, "mode": "synth-data",
                                 "dataset": "x", "synth": {}})
     assert any("schema_version" in p for p in problems)
+
+
+def _names(cls, drop=()):
+    return [f.name for f in fields(cls) if f.name not in drop]
+
+
+def _main_on(tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return main(["--config", str(path)])
+
+
+def test_every_config_field_is_accepted_and_typos_are_rejected():
+    ssl_cli_keys = [
+        "regime", "position_source", "max_timesteps", "location_token", "strategy", "decoder",
+    ]
+    cases = [
+        ("synth-data", "synth", _names(SynthConfig)),
+        ("pretrain-transfer", "transfer", _names(TransferConfig)),
+        ("pretrain-meta", "meta", _names(MetaConfig)),
+        ("pretrain-ssl", "ssl", _names(SSLConfig, drop=("variant", "plan")) + ssl_cli_keys),
+    ]
+    for mode, block, names in cases:
+        config = {"schema_version": 1, "mode": mode, "dataset": "x",
+                  block: dict.fromkeys(names, 1)}
+        blocks = [(block, names)]
+        if mode != "synth-data":
+            config["model"] = dict.fromkeys(_names(TransformerConfig), 1)
+            blocks.append(("model", _names(TransformerConfig)))
+        assert validate_config(config) == [], mode
+        for target, keys in blocks:
+            for key in keys:
+                typo = key[:-1]
+                bad = dict(config, **{target: {
+                    (typo if k == key else k): v for k, v in config[target].items()
+                }})
+                assert f"{target}.{typo}: unknown key" in validate_config(bad)
+
+
+@pytest.mark.parametrize("mode, blocks, problem", [
+    ("pretrain-meta", {"meta": {"n_way": 2}}, "meta.algorithm: required"),
+    ("pretrain-meta", {"meta": 5}, "meta: must be an object"),
+    ("pretrain-meta", {"meta": {"algorithm": "maml"}, "model": [16]}, "model: must be an object"),
+    ("pretrain-meta", {"meta": {"algorithm": "maml"}, "seeds": 5},
+     "seeds: must be a list of integers"),
+    ("pretrain-meta", {"meta": {"algorithm": "maml"}, "seeds": [0, "1"]},
+     "seeds: must be a list of integers"),
+    ("tune", {"tune": {"k": 2}}, "tune.space: required"),
+    ("evaluate", {"evaluate": {}}, "evaluate.runs: required"),
+])
+def test_bad_config_shapes_exit_with_contract_error(tmp_path, capsys, mode, blocks, problem):
+    config = {"schema_version": 1, "mode": mode, "dataset": "x",
+              "out": str(tmp_path / "runs"), **blocks}
+    assert problem in validate_config(config)
+    assert _main_on(tmp_path, config) == 1
+    err = capsys.readouterr().err
+    assert "ContractError" in err and problem in err
+
+
+@pytest.mark.parametrize("value", ["two", "0"])
+def test_bad_fsml_threads_is_a_contract_error(tmp_path, monkeypatch, value):
+    monkeypatch.setenv("FSML_THREADS", value)
+    config = {"schema_version": 1, "mode": "finetune", "dataset": str(tmp_path / "x.jsonl"),
+              "out": str(tmp_path / "runs"), "seeds": [0], "finetune": {}}
+    with pytest.raises(ContractError, match="FSML_THREADS"):
+        run(config)
+
+
+def test_missing_dataset_exits_with_its_path(tmp_path, capsys):
+    dataset = tmp_path / "absent.jsonl"
+    config = {"schema_version": 1, "mode": "pretrain-transfer", "dataset": str(dataset),
+              "out": str(tmp_path / "runs"), "seeds": [0]}
+    assert _main_on(tmp_path, config) == 1
+    assert str(dataset) in capsys.readouterr().err
+
+
+def test_missing_checkpoint_exits_with_its_path(tmp_path, capsys):
+    dataset = tmp_path / "corpus.jsonl"
+    run(synth_config(dataset, tmp_path / "runs"))
+    checkpoint = tmp_path / "absent.fsml"
+    config = {"schema_version": 1, "mode": "finetune", "dataset": str(dataset),
+              "out": str(tmp_path / "runs"), "seeds": [0],
+              "finetune": {"source": "checkpoint", "checkpoint": str(checkpoint)}}
+    assert _main_on(tmp_path, config) == 1
+    assert str(checkpoint) in capsys.readouterr().err
 
 
 def test_unknown_mode_exits_nonzero(tmp_path):
