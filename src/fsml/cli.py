@@ -24,6 +24,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -69,20 +70,34 @@ _MODE_KEYS = {
 }
 
 
-def _field_names(cls):
-    return {f.name for f in fields(cls)}
+def _field_types(cls, drop=()):
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls) if f.name not in drop}
 
 
-# The ssl block passes these straight to SSLConfig; its variant and plan come
-# from CLI-only keys, which also build the encoding regime and token spec.
-_SSL_CONFIG_KEYS = _field_names(SSLConfig) - {"variant", "plan"}
+# Blocks that pass their keys straight to a config dataclass: the accepted
+# keys and their value types are the dataclass fields.  The ssl block's
+# variant and plan come from CLI-only keys, which also build the encoding
+# regime and token spec.
+_FIELD_TYPES = {
+    "model": _field_types(TransformerConfig),
+    "synth": _field_types(SynthConfig),
+    "transfer": _field_types(TransferConfig),
+    "meta": _field_types(MetaConfig),
+    "ssl": _field_types(SSLConfig, drop={"variant", "plan"}),
+}
+# JSON values accepted for each field annotation (bools never count as numbers).
+_JSON_TYPES = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    list: ((list,), "a list"),
+    tuple: ((list,), "a list"),
+}
 
 _BLOCK_KEYS = {
-    "model": _field_names(TransformerConfig),
-    "synth": _field_names(SynthConfig),
-    "transfer": _field_names(TransferConfig),
-    "meta": _field_names(MetaConfig),
-    "ssl": _SSL_CONFIG_KEYS | {
+    **{block: set(types) for block, types in _FIELD_TYPES.items()},
+    "ssl": set(_FIELD_TYPES["ssl"]) | {
         "regime", "position_source", "max_timesteps", "location_token", "strategy", "decoder",
     },
     "finetune": {
@@ -135,7 +150,29 @@ def validate_config(config):
             problems.append(f"{block}.{unknown}: unknown key")
         for missing in sorted(_REQUIRED_BLOCK_KEYS.get(block, set()) - set(config[block])):
             problems.append(f"{block}.{missing}: required")
+        types = _FIELD_TYPES.get(block, {})
+        for key in sorted(set(config[block]) & set(types)):
+            accepted, name = _JSON_TYPES[types[key]]
+            value = config[block][key]
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                problems.append(f"{block}.{key}: must be {name}")
+    if isinstance(config.get("finetune"), dict):
+        problems.extend(_finetune_source_problems(config["finetune"], "finetune"))
+    if isinstance(config.get("tune"), dict) and "finetune" in config["tune"]:
+        if isinstance(config["tune"]["finetune"], dict):
+            problems.extend(_finetune_source_problems(config["tune"]["finetune"], "tune.finetune"))
+        else:
+            problems.append("tune.finetune: must be an object")
     return problems
+
+
+def _finetune_source_problems(block, path):
+    source = block.get("source", "scratch")
+    if source not in ("scratch", "checkpoint"):
+        return [f'{path}.source: must be "scratch" or "checkpoint"']
+    if source == "checkpoint" and "checkpoint" not in block:
+        return [f'{path}.checkpoint: required when source is "checkpoint"']
+    return []
 
 
 def _model_config(config):
@@ -269,7 +306,7 @@ def _ssl_pieces(config, corpus, model_config):
     autoencoder = MaskedAutoencoder(model_config, spec, regime, decoder)
     s_config = SSLConfig(
         variant=decoder, plan=plan,
-        **{k: v for k, v in block.items() if k in _SSL_CONFIG_KEYS},
+        **{k: v for k, v in block.items() if k in _FIELD_TYPES["ssl"]},
     )
     return autoencoder, s_config, regime, spec
 

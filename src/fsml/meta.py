@@ -181,13 +181,12 @@ class TaskAwareRawModel:
         return samples
 
     def logits(self, backbone, head, samples):
-        pad_to = self.base.config.max_seq_len if self.algorithm == "timl_enc" else None
         film, cart = None, None
         if self.algorithm in ("timl_enc", "timl_noenc"):
             cart = task_info(samples)
         if self.algorithm == "timl_enc":
             film = film_modulation(backbone, cart, self.base.config.embed_dim)
-        values, days, mask = nn.pack_batch(samples, list(self.groups), max_len=pad_to)
+        values, days, mask = nn.pack_batch(samples, list(self.groups))
         if self.algorithm == "timl_noenc":
             values = append_task_channels(values, cart)
         return self.base.logits(backbone, head, (values, days, mask), film=film)

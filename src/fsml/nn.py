@@ -9,6 +9,7 @@ Blocks are pre-norm residual; dropout is omitted for determinism.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -18,6 +19,7 @@ from . import tensor as T
 from .errors import (
     ContractError,
     DegenerateInputError,
+    ParseError,
     SequenceLengthError,
     ShapeError,
 )
@@ -113,7 +115,28 @@ def sinusoidal_encoding(position, dim):
 
 
 def sinusoidal_table(max_len, dim):
-    return np.stack([sinusoidal_encoding(p, dim) for p in range(max_len)])
+    """Rows 0..max_len-1 of ``sinusoidal_encoding``, built as one outer product."""
+    if dim <= 0 or dim % 2 != 0:
+        raise ContractError(f"sinusoidal_table: dim must be positive even, got {dim}")
+    i = np.arange(dim // 2)
+    angle = np.arange(max_len)[:, None] / np.power(10000.0, 2.0 * i / dim)
+    out = np.empty((max_len, dim))
+    out[:, 0::2] = np.sin(angle)
+    out[:, 1::2] = np.cos(angle)
+    return out
+
+
+_POSITIONAL_TABLES = {}  # (max_len, dim) -> read-only sinusoidal_table
+
+
+def positional_table(max_len, dim):
+    """Read-only ``sinusoidal_table(max_len, dim)``, built once per process."""
+    table = _POSITIONAL_TABLES.get((max_len, dim))
+    if table is None:
+        table = sinusoidal_table(max_len, dim)
+        table.flags.writeable = False
+        _POSITIONAL_TABLES[(max_len, dim)] = table
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +328,7 @@ class RawSeriesModel:
         )
 
     def _positions(self, days):
-        table = sinusoidal_table(self.config.max_seq_len, self.config.embed_dim)
+        table = positional_table(self.config.max_seq_len, self.config.embed_dim)
         clipped = np.clip(np.asarray(days, dtype=np.intp) - 1, 0, None)
         if np.any(clipped >= self.config.max_seq_len):
             raise SequenceLengthError(
@@ -340,18 +363,16 @@ def _expand_mid(x):
     return T.reshape(x, (x.shape[0], 1, x.shape[1]))
 
 
-def pack_batch(samples, groups, max_len=None):
+def pack_batch(samples, groups):
     """Assemble (values [B,T,C], days [B,T], mask [B,T]) for the raw model.
 
-    Dynamic group channels are concatenated in the given group order; short
-    sequences are zero-padded with day 1 and a False mask.
+    T is the longest observation count in the batch.  Dynamic group channels
+    are concatenated in the given group order; short sequences are
+    zero-padded with day 1 and a False mask.
     """
     if not samples:
         raise ContractError("pack_batch: empty sample list")
-    lengths = [len(s.observations) for s in samples]
-    t_max = max(lengths) if max_len is None else max_len
-    if any(l > t_max for l in lengths):
-        raise SequenceLengthError(f"observation count exceeds pad length {t_max}")
+    t_max = max(len(s.observations) for s in samples)
     channels = sum(len(samples[0].observations[0].channels[g]) for g in groups)
     values = np.zeros((len(samples), t_max, channels))
     days = np.ones((len(samples), t_max), dtype=np.intp)
@@ -393,32 +414,56 @@ def save_checkpoint(path, arrays, meta=None):
 
 
 def load_checkpoint(path):
-    """Read the container back as (arrays, meta) dictionaries."""
+    """Read the container back as (arrays, meta) dictionaries.
+
+    A truncated or corrupt container raises ``ParseError``: nothing is
+    returned unless every record decodes and the file ends after the last.
+    """
     try:
-        fh = open(path, "rb")
+        with open(path, "rb") as fh:
+            blob = fh.read()
     except OSError as err:
         raise ContractError(f"checkpoint: cannot open {str(path)!r}: {err.strerror}") from None
-    with fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise ContractError(f"checkpoint: bad magic {magic!r}")
-        version, count = struct.unpack("<II", fh.read(8))
-        if version != CHECKPOINT_VERSION:
-            raise ContractError(f"checkpoint: unsupported version {version}")
-        arrays, meta = {}, {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim)) if ndim else ()
-            size = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(8 * size), dtype="<f8").reshape(shape)
-            if name.startswith(_META_PREFIX):
-                meta[name[len(_META_PREFIX):]] = (
-                    data.astype(np.uint8).tobytes().decode("utf-8")
-                )
-            else:
-                arrays[name] = data.copy()
+    where = f"checkpoint {str(path)!r}"
+    offset = 0
+
+    def take(size):
+        nonlocal offset
+        if offset + size > len(blob):
+            raise ParseError(f"{where}: truncated at byte {len(blob)}")
+        offset += size
+        return blob[offset - size:offset]
+
+    def u32s(count):
+        return struct.unpack(f"<{count}I", take(4 * count))
+
+    def text(raw, what):
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ParseError(f"{where}: {what} is not UTF-8") from None
+
+    magic = take(4)
+    if magic != CHECKPOINT_MAGIC:
+        raise ContractError(f"checkpoint: bad magic {magic!r}")
+    version, count = u32s(2)
+    if version != CHECKPOINT_VERSION:
+        raise ContractError(f"checkpoint: unsupported version {version}")
+    arrays, meta = {}, {}
+    for _ in range(count):
+        name = text(take(u32s(1)[0]), "a record name")
+        shape = u32s(u32s(1)[0])
+        data = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
+        if name.startswith(_META_PREFIX):
+            if not np.all((data >= 0) & (data <= 255) & (data == np.floor(data))):
+                raise ParseError(f"{where}: metadata {name!r} holds non-byte values")
+            meta[name[len(_META_PREFIX):]] = text(
+                data.astype(np.uint8).tobytes(), f"metadata {name!r}"
+            )
+        else:
+            arrays[name] = data.copy()
+    if offset != len(blob):
+        raise ParseError(f"{where}: {len(blob) - offset} bytes after the last record")
     return arrays, meta
 
 

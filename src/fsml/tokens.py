@@ -24,17 +24,18 @@ import numpy as np
 from . import tensor as T
 from .data import GroupSpec
 from .errors import ContractError, DegenerateInputError, SequenceLengthError
-from .nn import linear_params, sinusoidal_encoding, uniform_init
+from .nn import linear_params, positional_table, uniform_init
 from .tensor import Tensor
 
+_DAYS_PER_YEAR = 366
 _MONTH_LENGTHS = (31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)  # leap calendar
 _MONTH_STARTS = np.cumsum((0,) + _MONTH_LENGTHS[:-1]) + 1
 
 
 def month_of(day_of_year):
     """Calendar month (1..12) of a day under the 366-day leap-year calendar."""
-    if not 1 <= day_of_year <= 366:
-        raise ContractError(f"day_of_year {day_of_year} outside 1..366")
+    if not 1 <= day_of_year <= _DAYS_PER_YEAR:
+        raise ContractError(f"day_of_year {day_of_year} outside 1..{_DAYS_PER_YEAR}")
     return int(np.searchsorted(_MONTH_STARTS, day_of_year, side="right"))
 
 
@@ -151,29 +152,25 @@ def token_params(rng, spec, regime):
     return params
 
 
-def _positions(regime, days):
+def temporal_encoding(regime, days):
+    """Constant [T, d_sin + d_month] block: p_sin rows plus month rows."""
     days = np.asarray(days, dtype=np.intp)
-    if regime.position_source == "ordinal":
-        pos = np.arange(len(days), dtype=np.intp)
-    else:
-        pos = days - 1
     if len(days) > regime.max_timesteps:
         raise SequenceLengthError(
             f"{len(days)} time steps exceed regime maximum {regime.max_timesteps}"
         )
-    return pos
-
-
-def temporal_encoding(regime, days):
-    """Constant [T, d_sin + d_month] block: p_sin rows plus month rows."""
-    pos = _positions(regime, days)
-    sin_rows = np.stack([sinusoidal_encoding(int(p), regime.d_sin) for p in pos])
+    by_day = regime.position_source == "day_of_year"
+    outside = (days < 1) | (days > _DAYS_PER_YEAR)
+    if (by_day or regime.d_month) and outside.any():
+        raise ContractError(f"day_of_year {int(days[outside][0])} outside 1..{_DAYS_PER_YEAR}")
+    if by_day:
+        sin_rows = positional_table(_DAYS_PER_YEAR, regime.d_sin)[days - 1]
+    else:
+        sin_rows = positional_table(regime.max_timesteps, regime.d_sin)[np.arange(len(days))]
     if regime.d_month == 0:
         return sin_rows
-    month_rows = np.stack(
-        [sinusoidal_encoding(month_of(int(d)) - 1, regime.d_month) for d in days]
-    )
-    return np.concatenate([sin_rows, month_rows], axis=1)
+    months = np.searchsorted(_MONTH_STARTS, days, side="right") - 1
+    return np.concatenate([sin_rows, positional_table(12, regime.d_month)[months]], axis=1)
 
 
 def _group_context(params, regime, name):

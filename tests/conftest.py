@@ -45,3 +45,15 @@ def assert_grads_close(analytic, numeric, tol, floor=1e-6):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def pad_batch(batch, length):
+    """Pad a packed (values, days, mask) batch to ``length`` steps the way
+    ``pack_batch`` pads short series: zero values, day 1, False mask."""
+    values, days, mask = batch
+    extra = length - values.shape[1]
+    return (
+        np.pad(values, ((0, 0), (0, extra), (0, 0))),
+        np.pad(days, ((0, 0), (0, extra)), constant_values=1),
+        np.pad(mask, ((0, 0), (0, extra))),
+    )

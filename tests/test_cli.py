@@ -1,6 +1,7 @@
 import json
 from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 
@@ -62,6 +63,12 @@ def _names(cls, drop=()):
     return [f.name for f in fields(cls) if f.name not in drop]
 
 
+def _block_of(cls, names):
+    """A value of each field's type (1 for numbers and for CLI-only keys)."""
+    hints = get_type_hints(cls)
+    return {name: {str: "x", list: [], tuple: []}.get(hints.get(name), 1) for name in names}
+
+
 def _main_on(tmp_path, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -73,17 +80,18 @@ def test_every_config_field_is_accepted_and_typos_are_rejected():
         "regime", "position_source", "max_timesteps", "location_token", "strategy", "decoder",
     ]
     cases = [
-        ("synth-data", "synth", _names(SynthConfig)),
-        ("pretrain-transfer", "transfer", _names(TransferConfig)),
-        ("pretrain-meta", "meta", _names(MetaConfig)),
-        ("pretrain-ssl", "ssl", _names(SSLConfig, drop=("variant", "plan")) + ssl_cli_keys),
+        ("synth-data", "synth", SynthConfig, _names(SynthConfig)),
+        ("pretrain-transfer", "transfer", TransferConfig, _names(TransferConfig)),
+        ("pretrain-meta", "meta", MetaConfig, _names(MetaConfig)),
+        ("pretrain-ssl", "ssl", SSLConfig,
+         _names(SSLConfig, drop=("variant", "plan")) + ssl_cli_keys),
     ]
-    for mode, block, names in cases:
+    for mode, block, cls, names in cases:
         config = {"schema_version": 1, "mode": mode, "dataset": "x",
-                  block: dict.fromkeys(names, 1)}
+                  block: _block_of(cls, names)}
         blocks = [(block, names)]
         if mode != "synth-data":
-            config["model"] = dict.fromkeys(_names(TransformerConfig), 1)
+            config["model"] = _block_of(TransformerConfig, _names(TransformerConfig))
             blocks.append(("model", _names(TransformerConfig)))
         assert validate_config(config) == [], mode
         for target, keys in blocks:
@@ -105,6 +113,18 @@ def test_every_config_field_is_accepted_and_typos_are_rejected():
      "seeds: must be a list of integers"),
     ("tune", {"tune": {"k": 2}}, "tune.space: required"),
     ("evaluate", {"evaluate": {}}, "evaluate.runs: required"),
+    ("pretrain-meta", {"meta": {"algorithm": "maml", "inner_steps": "x"}},
+     "meta.inner_steps: must be an integer"),
+    ("pretrain-meta", {"meta": {"algorithm": "maml"}, "model": {"embed_dim": 16.0}},
+     "model.embed_dim: must be an integer"),
+    ("pretrain-transfer", {"transfer": {"learning_rate": True}},
+     "transfer.learning_rate: must be a number"),
+    ("finetune", {"finetune": {"source": "checkpoint"}},
+     'finetune.checkpoint: required when source is "checkpoint"'),
+    ("tune", {"tune": {"space": {}, "finetune": {"source": "checkpoint"}}},
+     'tune.finetune.checkpoint: required when source is "checkpoint"'),
+    ("finetune", {"finetune": {"source": "pretrained"}},
+     'finetune.source: must be "scratch" or "checkpoint"'),
 ])
 def test_bad_config_shapes_exit_with_contract_error(tmp_path, capsys, mode, blocks, problem):
     config = {"schema_version": 1, "mode": mode, "dataset": "x",

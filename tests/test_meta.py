@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_grads_close
+from conftest import assert_grads_close, pad_batch
 from fsml import meta, nn
 from fsml import tensor as T
 from fsml.data import (
@@ -278,6 +278,27 @@ def test_timl_noenc_zero_extra_channels_match_plain():
     a = noenc_learner.logits({**noenc_params, **head}, samples).values
     b = maml_learner.logits({**plain_params, **head}, samples).values
     np.testing.assert_allclose(a, b, atol=1e-12)
+
+
+def test_timl_enc_meta_gradient_ignores_padding(monkeypatch):
+    corpus = bump_corpus()
+    learner, config = _learner("timl_enc", corpus, inner_steps=1)
+    meta_params = learner.init_meta_params(rng_from(0, 1))
+    tasks = [(0, _one_task(corpus, config))]
+    plain, _ = learner.meta_gradient(meta_params, tasks, seed=0)
+    pack, padded_lengths = nn.pack_batch, []
+
+    def pack_padded(samples, groups):
+        batch = pad_batch(pack(samples, groups), TINY.max_seq_len)
+        padded_lengths.append(batch[0].shape[1])
+        return batch
+
+    monkeypatch.setattr(nn, "pack_batch", pack_padded)
+    padded, _ = learner.meta_gradient(meta_params, tasks, seed=0)
+    assert padded_lengths and set(padded_lengths) == {TINY.max_seq_len}
+    assert plain.keys() == padded.keys()
+    for key in plain:
+        np.testing.assert_allclose(padded[key], plain[key], rtol=0, atol=1e-12)
 
 
 def test_timl_encoder_distinguishes_centroids():

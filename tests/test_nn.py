@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from conftest import assert_grads_close, finite_diff
+from conftest import assert_grads_close, finite_diff, pad_batch
 from fsml import nn
 from fsml import tensor as T
-from fsml.errors import ContractError, DegenerateInputError, SequenceLengthError
+from fsml.errors import ContractError, DegenerateInputError, FsmlError, ParseError, SequenceLengthError
 from fsml.nn import (
     ModelParams,
     RawSeriesModel,
@@ -17,6 +19,7 @@ from fsml.nn import (
     reset_head,
     save_checkpoint,
     sinusoidal_encoding,
+    sinusoidal_table,
 )
 from fsml.tensor import Tape, Tensor, grad
 
@@ -54,6 +57,61 @@ def test_sinusoidal_pairs_have_unit_norm():
 def test_sinusoidal_rejects_odd_dim():
     with pytest.raises(ContractError, match="even"):
         sinusoidal_encoding(2, 5)
+
+
+@pytest.mark.parametrize("n, dim", [(366, 16), (366, 128), (366, 8), (12, 4), (400, 32), (1, 2)])
+def test_sinusoidal_table_equals_stacked_rows(n, dim):
+    rows = np.stack([sinusoidal_encoding(p, dim) for p in range(n)])
+    assert np.array_equal(sinusoidal_table(n, dim), rows)
+
+
+def test_positional_table_is_cached_read_only(monkeypatch):
+    monkeypatch.setattr(nn, "_POSITIONAL_TABLES", {})
+    table = nn.positional_table(30, 8)
+    assert nn.positional_table(30, 8) is table
+    assert np.array_equal(table, sinusoidal_table(30, 8))
+    with pytest.raises(ValueError):
+        table[0, 0] = 1.0
+
+
+def _raw_batch(rng, lengths, channels):
+    t_max = max(lengths)
+    values = np.zeros((len(lengths), t_max, channels))
+    days = np.ones((len(lengths), t_max), dtype=np.intp)
+    mask = np.zeros((len(lengths), t_max), dtype=bool)
+    for i, n in enumerate(lengths):
+        values[i, :n] = rng.standard_normal((n, channels))
+        days[i, :n] = np.sort(rng.choice(np.arange(1, CFG.max_seq_len + 1), size=n, replace=False))
+        mask[i, :n] = True
+    return values, days, mask
+
+
+def test_raw_model_builds_positional_table_once(rng, monkeypatch):
+    builds = []
+
+    def counting_table(max_len, dim):
+        builds.append((max_len, dim))
+        return sinusoidal_table(max_len, dim)
+
+    monkeypatch.setattr(nn, "_POSITIONAL_TABLES", {})
+    monkeypatch.setattr(nn, "sinusoidal_table", counting_table)
+    model = RawSeriesModel(CFG, 3)
+    params = model.init_params(rng, 2)
+    batch = _raw_batch(rng, [4, 2], 3)
+    first = model.logits(params.backbone, params.head, batch).values
+    second = model.logits(params.backbone, params.head, batch).values
+    assert builds == [(CFG.max_seq_len, CFG.embed_dim)]
+    np.testing.assert_array_equal(first, second)
+
+
+def test_raw_model_logits_ignore_padding(rng):
+    model = RawSeriesModel(CFG, 3)
+    params = model.init_params(rng, 4)
+    batch = _raw_batch(rng, [5, 1, 3], 3)
+    padded = pad_batch(batch, CFG.max_seq_len)
+    plain = model.logits(params.backbone, params.head, batch).values
+    full = model.logits(params.backbone, params.head, padded).values
+    np.testing.assert_allclose(full, plain, rtol=0, atol=1e-12)
 
 
 def test_encode_permutation_equivariance(rng):
@@ -267,6 +325,36 @@ def test_checkpoint_roundtrip_byte_identical(tmp_path, rng):
     save_checkpoint(second, loaded, meta=meta)
     assert first.read_bytes() == second.read_bytes()
     assert first.read_bytes()[:4] == b"FSML"
+
+
+def _small_checkpoint(path):
+    arrays = {"head/w": np.arange(6.0).reshape(2, 3), "scalar": np.array(2.5)}
+    save_checkpoint(path, arrays, meta={"seed": "7"})
+    return path.read_bytes()
+
+
+def test_every_truncated_checkpoint_raises_parse_error(tmp_path):
+    blob = _small_checkpoint(tmp_path / "full.fsml")
+    cut = tmp_path / "cut.fsml"
+    for size in range(len(blob)):
+        cut.write_bytes(blob[:size])
+        with pytest.raises(ParseError):
+            load_checkpoint(cut)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_corrupt_checkpoint_loads_or_raises_fsml_error(tmp_path, data):
+    blob = _small_checkpoint(tmp_path / "full.fsml")
+    at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+    byte = data.draw(st.integers(0, 255).filter(lambda b: b != blob[at]), label="byte")
+    flipped = tmp_path / "flipped.fsml"
+    flipped.write_bytes(blob[:at] + bytes([byte]) + blob[at + 1:])
+    try:
+        load_checkpoint(flipped)
+    except FsmlError:
+        pass
 
 
 def test_pack_batch_shapes():

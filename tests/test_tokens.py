@@ -3,6 +3,7 @@ import pytest
 
 from fsml.data import GroupSpec, Observation, ParcelSample
 from fsml.errors import ContractError, DegenerateInputError, SequenceLengthError
+from fsml.nn import sinusoidal_encoding
 from fsml.seeding import rng_from
 from fsml.tokens import (
     compute_ndvi,
@@ -10,6 +11,7 @@ from fsml.tokens import (
     group_spec,
     month_of,
     presto_regime,
+    temporal_encoding,
     token_params,
     xts_regime,
 )
@@ -102,8 +104,6 @@ def test_zero_projection_token_equals_context():
     params["proj/s2/w"].values[:] = 0.0  # bias already zero
     sample = sample_with([40, 70], spec.groups, np.random.default_rng(1))
     seq = encode_tokens(sample, spec, regime, params)
-    from fsml.tokens import temporal_encoding
-
     temporal = temporal_encoding(regime, [40, 70])
     expected = np.concatenate(
         [np.tile(params["ctx/s2"].values, (2, 1)), temporal], axis=1
@@ -153,10 +153,29 @@ def test_group_permutation_equivariance():
 
 def test_sin_positions_unique_over_year():
     regime = xts_regime(64)
-    from fsml.nn import sinusoidal_encoding
-
     table = np.stack([sinusoidal_encoding(p, regime.d_sin) for p in range(366)])
     assert len(np.unique(table.round(12), axis=0)) == 366
+
+
+@pytest.mark.parametrize("regime", [presto_regime(16), presto_regime(128), xts_regime(16), xts_regime(128)],
+                         ids=["presto16", "presto128", "xts16", "xts128"])
+def test_temporal_encoding_equals_row_formula(regime):
+    days = [1, 31, 32, 60, 61, 200, 335, 366][: regime.max_timesteps]
+    if regime.position_source == "ordinal":
+        positions = range(len(days))
+    else:
+        positions = [d - 1 for d in days]
+    rows = [sinusoidal_encoding(p, regime.d_sin) for p in positions]
+    if regime.d_month:
+        months = [sinusoidal_encoding(month_of(d) - 1, regime.d_month) for d in days]
+        rows = [np.concatenate(pair) for pair in zip(rows, months)]
+    assert np.array_equal(temporal_encoding(regime, days), np.stack(rows))
+
+
+@pytest.mark.parametrize("regime", [presto_regime(16), xts_regime(16)], ids=["presto", "xts"])
+def test_temporal_encoding_rejects_day_zero(regime):
+    with pytest.raises(ContractError, match="day_of_year 0"):
+        temporal_encoding(regime, [0, 10])
 
 
 def test_channel_count_mismatch_rejected():
@@ -195,8 +214,6 @@ def test_categorical_group_is_embedding_lookup():
     onehot = np.zeros((2, 5))
     onehot[0, 3] = onehot[1, 0] = 1.0
     expected = onehot @ params["proj/landcover/w"].values
-    from fsml.tokens import temporal_encoding
-
     ctx_block = np.concatenate(
         [np.tile(params["ctx/landcover"].values, (2, 1)), temporal_encoding(regime, [10, 40])],
         axis=1,
