@@ -26,14 +26,13 @@ from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
-import numpy as np
-
 from . import nn
 from . import ssl as ssl_mod
 from . import train as train_mod
 from .data import GroupSpec, SynthConfig, generate_synthetic, load_corpus, save_corpus
 from .errors import ContractError, FsmlError, ParseError
 from .meta import MetaConfig, TaskAwareRawModel, meta_train
+from .metrics import seed_mean_std
 from .nn import RawSeriesModel, TransformerConfig, load_checkpoint, save_checkpoint
 from .seeding import STREAM_INIT, rng_from
 from .ssl import (
@@ -159,8 +158,11 @@ def validate_config(config):
     if isinstance(config.get("finetune"), dict):
         problems.extend(_finetune_source_problems(config["finetune"], "finetune"))
     if isinstance(config.get("tune"), dict) and "finetune" in config["tune"]:
-        if isinstance(config["tune"]["finetune"], dict):
-            problems.extend(_finetune_source_problems(config["tune"]["finetune"], "tune.finetune"))
+        nested = config["tune"]["finetune"]
+        if isinstance(nested, dict):
+            for unknown in sorted(set(nested) - _BLOCK_KEYS["finetune"]):
+                problems.append(f"tune.finetune.{unknown}: unknown key")
+            problems.extend(_finetune_source_problems(nested, "tune.finetune"))
         else:
             problems.append("tune.finetune: must be an object")
     return problems
@@ -268,14 +270,12 @@ def _mode_pretrain_meta(config, chash, seeds, out):
         backbone, info = meta_train(corpus, m_config, seed, model_config=model_config)
         ckpt = root / "checkpoints" / f"meta_{m_config.algorithm}.fsml"
         arrays = {f"backbone/{k}": v.values for k, v in backbone.items()}
-        in_channels = _dynamic_channels(corpus.manifest)
-        if m_config.algorithm == "timl_noenc":
-            in_channels += 3
         save_checkpoint(
             ckpt, arrays,
             meta=_checkpoint_meta(
                 chash, seed, kind="raw", algorithm=m_config.algorithm,
-                model=json.dumps(asdict(model_config)), in_channels=in_channels,
+                model=json.dumps(asdict(model_config)),
+                in_channels=info["learner"].model.in_channels,
             ),
         )
         trace = root / "traces" / f"meta_{m_config.algorithm}.csv"
@@ -449,9 +449,7 @@ def _write_results_csv(path, rows, kshots, chash):
         for label, per_k in rows:
             cells = []
             for k in kshots:
-                values = per_k[k]
-                mean = float(np.mean(values))
-                std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+                mean, std = seed_mean_std(per_k[k])
                 cells.append(f"{mean:.6f}±{std:.6f}")
             writer.writerow([label] + cells)
     return path

@@ -12,7 +12,6 @@ generator derived from the pair, so task streams can be built concurrently.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,23 +135,3 @@ def build_meta_validation(corpus, config, count=META_VALIDATION_TASKS, seed=None
         sample_episode(pool, config, ordinal, seed=base + 1_000_000_007)
         for ordinal in range(count)
     ]
-
-
-def dump_tasks(tasks, path):
-    """Audit/replay dump: JSON Lines of sample-id rosters."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for task in tasks:
-            record = {
-                "region": task.region,
-                "classes": task.class_roster,
-                "support": [s.parcel_id for s, _ in task.support],
-                "query": [s.parcel_id for s, _ in task.query],
-            }
-            fh.write(json.dumps(record, sort_keys=True))
-            fh.write("\n")
-    return path
-
-
-def load_task_dump(path):
-    with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]

@@ -1,5 +1,6 @@
 """Evaluation metrics: overall / minority-class / subset accuracy, Cohen's
-kappa, hierarchical parent-level accuracy, and multi-seed aggregation."""
+kappa, hierarchical parent-level accuracy, and the mean and (n-1) standard
+deviation over seeds that fill each ``results.csv`` cell."""
 
 from __future__ import annotations
 
@@ -57,6 +58,14 @@ def subset_accuracy(preds, labels, subset):
     if not pairs:
         raise DegenerateInputError("subset_accuracy: no true label in subset")
     return float(np.mean([p == t for p, t in pairs]))
+
+
+def seed_mean_std(values):
+    """Mean and sample (n-1) standard deviation of one metric over seeds; the
+    deviation of a single seed is 0."""
+    mean = float(np.mean(values))
+    std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+    return mean, std
 
 
 def cohens_kappa(confusion):
@@ -144,32 +153,3 @@ def build_report(preds, labels, majority_class, hierarchy, subsets=None):
         subset_accuracy=subset_acc,
         confusion=confusion,
     )
-
-
-@dataclass
-class AggregateReport:
-    """Per-metric mean and unbiased (n-1) standard deviation over seeds."""
-
-    mean: dict
-    std: dict
-    raw: dict
-    runs: int
-
-    def to_json(self):
-        return {"runs": self.runs, "mean": self.mean, "std": self.std, "raw": self.raw}
-
-
-def aggregate_seeds(reports):
-    if len(reports) < 2:
-        raise ContractError("aggregate_seeds: need at least two reports")
-    maps = [r.metric_map() for r in reports]
-    keys = set(maps[0])
-    for m in maps[1:]:
-        if set(m) != keys:
-            raise ContractError(
-                f"aggregate_seeds: metric keys differ: {sorted(keys)} vs {sorted(m)}"
-            )
-    raw = {k: [m[k] for m in maps] for k in sorted(keys)}
-    mean = {k: float(np.mean(v)) for k, v in raw.items()}
-    std = {k: float(np.std(v, ddof=1)) for k, v in raw.items()}
-    return AggregateReport(mean=mean, std=std, raw=raw, runs=len(reports))

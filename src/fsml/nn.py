@@ -94,12 +94,6 @@ def new_head(rng, embed_dim, n_classes):
     return {"w": w, "b": b}
 
 
-def reset_head(params, rng, embed_dim, n_classes):
-    """Replace only head entries; backbone names and shapes are untouched."""
-    params.head = new_head(rng, embed_dim, n_classes)
-    return params
-
-
 def sinusoidal_encoding(position, dim):
     """entry 2i = sin(pos / 10000^(2i/dim)), entry 2i+1 = cos(same argument)."""
     if dim <= 0 or dim % 2 != 0:
@@ -329,13 +323,15 @@ class RawSeriesModel:
 
     def _positions(self, days):
         table = positional_table(self.config.max_seq_len, self.config.embed_dim)
-        clipped = np.clip(np.asarray(days, dtype=np.intp) - 1, 0, None)
-        if np.any(clipped >= self.config.max_seq_len):
+        days = np.asarray(days, dtype=np.intp)
+        below = days < 1
+        if below.any():
+            raise ContractError(f"day index {int(days[below][0])} is below 1")
+        if np.any(days > self.config.max_seq_len):
             raise SequenceLengthError(
-                f"day index {int(clipped.max()) + 1} exceeds max_seq_len "
-                f"{self.config.max_seq_len}"
+                f"day index {int(days.max())} exceeds max_seq_len {self.config.max_seq_len}"
             )
-        return table[clipped]
+        return table[days - 1]
 
     def embed(self, params, values, days):
         """Project [B, T, C] band values and add day-of-year positions."""
@@ -469,14 +465,3 @@ def load_checkpoint(path):
 
 def params_to_arrays(params):
     return {k: v.values for k, v in params.named().items()}
-
-
-def params_from_arrays(arrays):
-    params = ModelParams()
-    for name, values in arrays.items():
-        scope, _, rest = name.partition("/")
-        if scope == "backbone":
-            params.backbone[rest] = Tensor(values)
-        elif scope == "head":
-            params.head[rest] = Tensor(values)
-    return params

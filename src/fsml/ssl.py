@@ -1,5 +1,12 @@
 """Masked-autoencoder pre-training over token sequences.
 
+Batches
+    ``encode_token_batch`` encodes a whole batch with one call of
+    ``tokens.encode_tokens`` and returns a ``TokenBatch``: [B, N, d_emb]
+    tokens and contexts, the padding mask and the reconstruction targets,
+    laid out by ``tokens.token_layout``.  Masks for a batch come from one
+    strategy draw followed by one ``build_mask`` per sample, in order.
+
 Masking regimes
     base (non-strict): structured strategies select at most the target
     fraction and a random top-up brings the masked count to exactly
@@ -28,19 +35,12 @@ import numpy as np
 
 from . import nn
 from . import tensor as T
-from .data import Observation, ParcelSample, subset_by_split
+from .data import subset_by_split
 from .errors import ContractError, DegenerateInputError, DivergedError
-from .meta import polar_to_cartesian
 from .nn import TransformerConfig
 from .seeding import STREAM_BATCHING, STREAM_INIT, STREAM_MASKING, rng_from
 from .tensor import Tape, Tensor, grad
-from .tokens import (
-    ChannelGroupSpec,
-    EncodingRegime,
-    encode_tokens,
-    token_params,
-    temporal_encoding,
-)
+from .tokens import ChannelGroupSpec, EncodingRegime, encode_tokens, token_layout, token_params
 from .train import Adam, EarlyStopper
 
 STRATEGIES = ("random", "channel_groups", "contiguous_timesteps", "random_timesteps")
@@ -77,20 +77,6 @@ def resolve_strategy(plan, rng):
     return STRATEGIES[int(rng.integers(len(STRATEGIES)))]
 
 
-def _token_layout(spec, t_steps):
-    """(group_index, time_index) per token, matching encode_tokens order."""
-    group_index, time_index = [], []
-    for gi, g in enumerate(spec.groups):
-        if g.kind == "static":
-            group_index.append(gi)
-            time_index.append(-1)
-    for gi, g in enumerate(spec.groups):
-        if g.kind == "dynamic":
-            group_index.extend([gi] * t_steps)
-            time_index.extend(range(t_steps))
-    return np.asarray(group_index, dtype=np.intp), np.asarray(time_index, dtype=np.intp)
-
-
 def build_mask(plan, spec, t_steps, rng, padding=None, strategy=None):
     """Boolean reconstruction mask over the token sequence.
 
@@ -101,7 +87,7 @@ def build_mask(plan, spec, t_steps, rng, padding=None, strategy=None):
     if t_steps < 1:
         raise ContractError("build_mask: need at least one time step")
     strategy = strategy or resolve_strategy(plan, rng)
-    group_index, time_index = _token_layout(spec, t_steps)
+    _, group_index, time_index, _ = token_layout(spec, [t_steps])
     n_tokens = len(group_index)
     pad = np.zeros(n_tokens, dtype=bool) if padding is None else np.asarray(padding, dtype=bool)
     live = ~pad
@@ -164,35 +150,6 @@ def normalization_stats(samples, spec):
     return stats
 
 
-def apply_normalization(samples, stats):
-    out = []
-    for s in samples:
-        observations = [
-            Observation(
-                o.day,
-                {
-                    name: (values - stats[name][0]) / stats[name][1]
-                    if name in stats
-                    else values
-                    for name, values in o.channels.items()
-                },
-            )
-            for o in s.observations
-        ]
-        out.append(ParcelSample(s.parcel_id, observations, s.lon, s.lat, s.region, s.label, s.split))
-    return out
-
-
-def default_static_values(sample, spec):
-    values = {}
-    for g in spec.static_groups:
-        if g.name == "location":
-            values[g.name] = polar_to_cartesian(sample.lon, sample.lat)
-        else:
-            raise ContractError(f"no provider for static group {g.name!r}")
-    return values
-
-
 # ---------------------------------------------------------------------------
 # batched token assembly
 # ---------------------------------------------------------------------------
@@ -209,93 +166,14 @@ class TokenBatch:
     target_width: np.ndarray  # [N] channels per token
 
 
-def _pad_row(spec, t_here, t_max):
-    """Padding flags for one sample grown from t_here to t_max steps."""
-    static_count = len(spec.static_groups)
-    row = np.zeros(static_count + len(spec.dynamic_groups) * t_max, dtype=bool)
-    for d in range(len(spec.dynamic_groups)):
-        offset = static_count + d * t_max
-        row[offset + t_here : offset + t_max] = True
-    return row
-
-
-def _sequence_context(params, spec, regime, days):
-    """Contextual encodings [N, d_emb] matching encode_tokens token order."""
-    t_steps = len(days)
-    rows = []
-    temporal = temporal_encoding(regime, days) if t_steps else None
-    for g in spec.static_groups:
-        ctx = T.reshape(params[f"ctx/{g.name}"], (1, regime.d_channel))
-        zeros = Tensor(np.zeros((1, regime.d_emb - regime.d_channel)))
-        rows.append(T.concat([ctx, zeros], axis=1))
-    for g in spec.dynamic_groups:
-        ctx = T.reshape(params[f"ctx/{g.name}"], (1, regime.d_channel))
-        ctx_block = T.mul(ctx, Tensor(np.ones((t_steps, 1))))
-        rows.append(T.concat([ctx_block, Tensor(temporal)], axis=1))
-    return rows[0] if len(rows) == 1 else T.concat(rows, axis=0)
-
-
 def encode_token_batch(samples, spec, regime, params, stats=None):
     """Tokens, contexts, padding and reconstruction targets for a batch."""
     if not samples:
         raise ContractError("encode_token_batch: empty batch")
-    if stats:
-        samples = apply_normalization(samples, stats)
-    t_max = max(len(s.observations) for s in samples)
-    group_index, time_index = _token_layout(spec, t_max)
-    n_tokens = len(group_index)
-    widths = np.array(
-        [spec.groups[gi].channels for gi in group_index], dtype=np.intp
-    )
-    max_dc = int(widths.max())
-
-    token_rows, context_rows, pads = [], [], []
-    targets = np.zeros((len(samples), n_tokens, max_dc))
-    for b, sample in enumerate(samples):
-        t_here = len(sample.observations)
-        seq = encode_tokens(
-            sample, spec, regime, params,
-            static_values=default_static_values(sample, spec),
-        )
-        ctx = _sequence_context(params, spec, regime, [o.day for o in sample.observations])
-        pad_row = _pad_row(spec, t_here, t_max)
-        if t_here < t_max:
-            # grow each dynamic block to t_max with zero rows, flag as padding
-            aligned_tokens, aligned_ctx = [], []
-            cursor = 0
-            static_count = len(spec.static_groups)
-            if static_count:
-                aligned_tokens.append(T.slice_axis(seq.tokens, 0, 0, static_count))
-                aligned_ctx.append(T.slice_axis(ctx, 0, 0, static_count))
-                cursor = static_count
-            filler = Tensor(np.zeros((t_max - t_here, regime.d_emb)))
-            for d, g in enumerate(spec.dynamic_groups):
-                block = T.slice_axis(seq.tokens, 0, cursor, cursor + t_here)
-                ctx_block = T.slice_axis(ctx, 0, cursor, cursor + t_here)
-                aligned_tokens.extend([block, filler])
-                aligned_ctx.extend([ctx_block, filler])
-                cursor += t_here
-            tokens_b = T.concat(aligned_tokens, axis=0)
-            ctx_b = T.concat(aligned_ctx, axis=0)
-        else:
-            tokens_b, ctx_b = seq.tokens, ctx
-        token_rows.append(T.reshape(tokens_b, (1, n_tokens, regime.d_emb)))
-        context_rows.append(T.reshape(ctx_b, (1, n_tokens, regime.d_emb)))
-        pads.append(pad_row)
-
-        live_positions = np.flatnonzero(~pad_row)
-        for position, raw in zip(live_positions, seq.raw_values):
-            targets[b, position, : len(raw)] = raw
-
-    return TokenBatch(
-        tokens=T.concat(token_rows, axis=0) if len(token_rows) > 1 else token_rows[0],
-        context=T.concat(context_rows, axis=0) if len(context_rows) > 1 else context_rows[0],
-        group_index=group_index,
-        time_index=time_index,
-        pad=np.stack(pads),
-        targets=targets,
-        target_width=widths,
-    )
+    tokens, context, targets = encode_tokens(samples, spec, regime, params, stats)
+    _, group_index, time_index, pad = token_layout(spec, [len(s.observations) for s in samples])
+    widths = np.array([spec.groups[gi].channels for gi in group_index], dtype=np.intp)
+    return TokenBatch(tokens, context, group_index, time_index, pad, targets, widths)
 
 
 # ---------------------------------------------------------------------------
@@ -342,14 +220,6 @@ class MaskedAutoencoder:
         blocked = ~visible
         x = T.masked_fill(batch.tokens, blocked[:, :, None], 0.0)
         return nn.encode(params, self.config, x, visible, length_cap=self.length_cap)
-
-    def encode_visible(self, params, sample, stats=None):
-        """Single-sample API: [visible_tokens, d_emb] with nothing masked."""
-        batch = encode_token_batch([sample], self.spec, self.regime, params, stats)
-        visible = ~batch.pad
-        encoded = self.encode(params, batch, visible)
-        keep = np.flatnonzero(visible[0])
-        return T.embedding_lookup(T.reshape(encoded, encoded.shape[1:]), keep)
 
     # -- decoder ----------------------------------------------------------
 
@@ -413,22 +283,21 @@ def reconstruction_loss(recon, batch, mask):
     return T.reduce_sum(T.mul(T.mul(diff, diff), Tensor(cell_weight)))
 
 
+def _batch_masks(plan, spec, samples, rng):
+    """Masks [B, N]: one strategy draw for the batch, then one mask per sample in order."""
+    strategy = resolve_strategy(plan, rng)
+    lengths = [len(s.observations) for s in samples]
+    _, _, _, pad = token_layout(spec, lengths)
+    return np.stack([
+        build_mask(plan, spec, max(lengths), rng, padding=row, strategy=strategy) for row in pad
+    ])
+
+
 def mae_step(params, model, samples, plan, rng, stats=None):
     """One training step: batched masking, forward, loss and gradients."""
     if not samples:
         raise ContractError("mae_step: empty batch")
-    strategy = resolve_strategy(plan, rng)
-    t_max = max(len(s.observations) for s in samples)
-    masks = np.stack(
-        [
-            build_mask(
-                plan, model.spec, t_max, rng,
-                padding=_pad_row(model.spec, len(s.observations), t_max),
-                strategy=strategy,
-            )
-            for s in samples
-        ]
-    )
+    masks = _batch_masks(plan, model.spec, samples, rng)
     with Tape():
         batch = encode_token_batch(samples, model.spec, model.regime, params, stats)
         recon = model.reconstruct(params, batch, masks)
@@ -444,18 +313,8 @@ def evaluate_mae_loss(params, model, samples, plan, seed, stats=None, batch_size
     losses = []
     for start in range(0, len(samples), batch_size):
         chunk = samples[start : start + batch_size]
-        rng = rng_from(seed, STREAM_MASKING, 900_000 + start)
-        strategy = resolve_strategy(plan, rng)
+        masks = _batch_masks(plan, model.spec, chunk, rng_from(seed, STREAM_MASKING, 900_000 + start))
         batch = encode_token_batch(chunk, model.spec, model.regime, params, stats)
-        masks = np.stack(
-            [
-                build_mask(
-                    plan, model.spec, max(len(s.observations) for s in chunk),
-                    rng, padding=batch.pad[i], strategy=strategy,
-                )
-                for i in range(len(chunk))
-            ]
-        )
         recon = model.reconstruct(params, batch, masks)
         losses.append(reconstruction_loss(recon, batch, masks).item() * len(chunk))
     return sum(losses) / len(samples)

@@ -5,7 +5,9 @@ enter/exit scoping, confined to one thread).  :func:`grad` replays the
 recorded adjoint rules in reverse.  Every adjoint rule is itself composed of
 the same primitives, so gradients computed with ``create_graph=True`` are
 tape-recorded and can be differentiated again, which is what makes full
-second-order meta-gradients possible.
+second-order meta-gradients possible.  The record ends with the scope: on
+exit the tape releases its nodes, and gradients of the tensors it recorded
+can no longer be taken.
 
 The primitive set is fixed: add, sub, mul, div, matmul, transpose, reshape,
 concat, slice_axis, reduce_sum, reduce_mean, exp, log, sqrt, power, softmax
@@ -68,6 +70,12 @@ class Tape:
         popped = _tape_stack().pop()
         if popped is not self:
             raise RuntimeError("tape scopes exited out of order")
+        # Nodes, their output tensors and adjoint closures refer to each
+        # other; cut the links so the graph is freed now, not whenever the
+        # cyclic collector runs.  Recorded tensors keep a stub of their node.
+        for node in self.nodes:
+            node.out = node.inputs = node.vjp = None
+        self.nodes.clear()
         return False
 
 
@@ -611,6 +619,8 @@ def grad(output, wrt, create_graph=False):
             raise ContractError(
                 "grad: create_graph requires the output's tape to be active"
             )
+        if node.out is None:
+            raise ContractError("grad: the output's tape has been closed")
         target_ids = {id(t) for t in targets}
         # Forward pass over the tape prefix: mark nodes influenced by any target.
         reachable = set(target_ids)

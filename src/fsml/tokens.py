@@ -1,18 +1,23 @@
 """Unified token encoding for multi-source time series.
 
-Each channel group (one data source) is linearly projected into the shared
-embedding width and annotated with additive contextual encodings laid out as
-``[p_channel; p_sin; p_month]``:
+``encode_tokens`` turns a batch of parcels into [B, N, d_emb] tokens in one
+pass.  Each channel group (one data source) is packed into one array
+([B, 1, C] static, [B, T_max, C] dynamic), z-scored in place when
+statistics are given, and projected into the shared embedding width with
+one matmul (categorical groups use an embedding-matrix lookup, i.e. one-hot
+times linear).  Every token then gets additive contextual encodings laid
+out as ``[p_channel; p_sin; p_month]``:
 
-* ``p_channel``: a learned per-group embedding row (categorical groups use
-  an embedding-matrix lookup for their values, i.e. one-hot times linear);
+* ``p_channel``: a learned per-group embedding row;
 * ``p_sin``: sinusoidal temporal position (observation ordinal or
   day-of-year, a regime field);
 * ``p_month``: sinusoidal calendar-month encoding, present only in the
   base regime; the xts regime drops it and widens ``p_sin``.
 
-Static groups receive zero temporal encodings.  Token order is fixed:
-static groups in spec order, then dynamic groups group-major over time.
+Static groups receive zero temporal encodings.  ``token_layout`` alone
+defines token order: static groups in spec order, then dynamic groups
+group-major over time, each dynamic block as long as the batch's longest
+series.  Rows past a sample's own length are padding and are zero.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ import numpy as np
 
 from . import tensor as T
 from .data import GroupSpec
-from .errors import ContractError, DegenerateInputError, SequenceLengthError
+from .errors import ContractError, SequenceLengthError
+from .meta import task_info
 from .nn import linear_params, positional_table, uniform_init
 from .tensor import Tensor
 
@@ -37,14 +43,6 @@ def month_of(day_of_year):
     if not 1 <= day_of_year <= _DAYS_PER_YEAR:
         raise ContractError(f"day_of_year {day_of_year} outside 1..{_DAYS_PER_YEAR}")
     return int(np.searchsorted(_MONTH_STARTS, day_of_year, side="right"))
-
-
-def compute_ndvi(b04, b08):
-    """(b08 - b04) / (b08 + b04), clamped to [-1, 1]."""
-    denom = b08 + b04
-    if denom == 0:
-        raise DegenerateInputError("ndvi: b04 + b08 is zero")
-    return float(np.clip((b08 - b04) / denom, -1.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -128,16 +126,6 @@ def xts_regime(d_emb=128, max_timesteps=366):
     return EncodingRegime("xts", d_emb, "day_of_year", max_timesteps)
 
 
-@dataclass
-class TokenSequence:
-    tokens: Tensor  # [token_count, d_emb]
-    group_index: np.ndarray  # int per token
-    time_index: np.ndarray  # observation ordinal per token, -1 for static
-    pad: np.ndarray  # bool per token, True = padding
-    raw_values: list  # per-token raw channel vector (reconstruction targets)
-    group_names: list
-
-
 def token_params(rng, spec, regime):
     """Learned projections h^c and per-group channel embeddings."""
     params = {}
@@ -152,12 +140,33 @@ def token_params(rng, spec, regime):
     return params
 
 
+
+
+def token_layout(spec, lengths):
+    """Token order of a batch whose samples have ``lengths`` time steps.
+
+    This is the one place that defines the order: static groups come first,
+    one token each, then one block of ``max(lengths)`` steps per dynamic
+    group, both in spec order.  Returns the spec indices of the groups in
+    that order, each token's group index and time step (-1 for static
+    tokens), and the padding mask [B, N], True past a sample's own length.
+    """
+    t_max = max(lengths)
+    order = [gi for kind in ("static", "dynamic") for gi, g in enumerate(spec.groups) if g.kind == kind]
+    steps = [np.arange(t_max) if spec.groups[gi].kind == "dynamic" else np.array([-1]) for gi in order]
+    group_index = np.repeat(order, [len(s) for s in steps])
+    time_index = np.concatenate(steps)
+    pad = time_index >= np.asarray(lengths)[:, None]
+    return order, group_index, time_index, pad
+
+
 def temporal_encoding(regime, days):
-    """Constant [T, d_sin + d_month] block: p_sin rows plus month rows."""
+    """Constant [..., T, d_sin + d_month] block for days [..., T]: p_sin rows plus month rows."""
     days = np.asarray(days, dtype=np.intp)
-    if len(days) > regime.max_timesteps:
+    t_steps = days.shape[-1]
+    if t_steps > regime.max_timesteps:
         raise SequenceLengthError(
-            f"{len(days)} time steps exceed regime maximum {regime.max_timesteps}"
+            f"{t_steps} time steps exceed regime maximum {regime.max_timesteps}"
         )
     by_day = regime.position_source == "day_of_year"
     outside = (days < 1) | (days > _DAYS_PER_YEAR)
@@ -166,88 +175,85 @@ def temporal_encoding(regime, days):
     if by_day:
         sin_rows = positional_table(_DAYS_PER_YEAR, regime.d_sin)[days - 1]
     else:
-        sin_rows = positional_table(regime.max_timesteps, regime.d_sin)[np.arange(len(days))]
+        ordinal = positional_table(regime.max_timesteps, regime.d_sin)[:t_steps]
+        sin_rows = np.broadcast_to(ordinal, days.shape + (regime.d_sin,))
     if regime.d_month == 0:
         return sin_rows
     months = np.searchsorted(_MONTH_STARTS, days, side="right") - 1
-    return np.concatenate([sin_rows, positional_table(12, regime.d_month)[months]], axis=1)
+    return np.concatenate([sin_rows, positional_table(12, regime.d_month)[months]], axis=-1)
 
 
-def _group_context(params, regime, name):
-    """[1, d_emb] additive row: learned channel embedding, zero elsewhere."""
-    ctx = T.reshape(params[f"ctx/{name}"], (1, regime.d_channel))
-    zeros = Tensor(np.zeros((1, regime.d_emb - regime.d_channel)))
-    return T.concat([ctx, zeros], axis=1)
+def _pack_group(samples, g, steps, stats):
+    """One group's values: [B, 1, C] static, [B, T_max, C] dynamic.
+
+    Dynamic values are z-scored in place with ``stats`` on the live
+    ``steps`` [B, T_max] and stay zero elsewhere.  The static ``location``
+    group is each parcel's Cartesian centroid.
+    """
+    if g.kind == "static":
+        if g.name != "location":
+            raise ContractError(f"no provider for static group {g.name!r}")
+        return task_info(samples)[:, None, :]
+    width = 1 if g.categorical else g.channels
+    values = np.zeros(steps.shape + (width,))
+    for b, s in enumerate(samples):
+        if not s.observations:
+            continue
+        try:
+            rows = np.stack([o.channels[g.name] for o in s.observations])
+        except KeyError:
+            raise ContractError(f"dynamic group {g.name} missing from observations") from None
+        if rows.shape[-1] != width:
+            raise ContractError(
+                f"group {g.name}: got {rows.shape[-1]} channels, spec declares {width}"
+            )
+        values[b, : len(rows)] = rows
+    if stats and g.name in stats:
+        mean, std = stats[g.name]
+        np.subtract(values, mean, out=values, where=steps[:, :, None])
+        np.divide(values, std, out=values, where=steps[:, :, None])
+    return values
 
 
 def _project(params, g, values):
-    if getattr(g, "categorical", False):
-        idx = np.asarray(values, dtype=np.intp).reshape(-1)
-        return T.embedding_lookup(params[f"proj/{g.name}/w"], idx)
-    vals = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    if vals.shape[-1] != g.channels:
-        raise ContractError(
-            f"group {g.name}: got {vals.shape[-1]} channels, spec declares {g.channels}"
-        )
-    return T.add(T.matmul(Tensor(vals), params[f"proj/{g.name}/w"]), params[f"proj/{g.name}/b"])
+    """One matmul over a packed group (a row lookup for categorical groups)."""
+    w = params[f"proj/{g.name}/w"]
+    if g.categorical:
+        return T.embedding_lookup(w, values[..., 0].astype(np.intp))
+    return T.add(T.matmul(Tensor(values), w), params[f"proj/{g.name}/b"])
 
 
-def encode_tokens(sample, spec, regime, params, static_values=None):
-    """Encode one parcel into a TokenSequence.
+def encode_tokens(samples, spec, regime, params, stats=None):
+    """Encode a batch of parcels into tokens in one pass.
 
-    ``static_values`` maps static group names to their raw vectors; dynamic
-    groups are read from the sample's observations.
+    Returns ``(tokens, context, cells)``: the [B, N, d_emb] tokens, their
+    contextual encodings alone, and each token's input values [B, N, C_max]
+    (z-scored with ``stats``; the masked autoencoder's reconstruction
+    targets).  Rows past a sample's length are zero in all three.
     """
-    static_values = static_values or {}
-    days = [o.day for o in sample.observations]
-    t_steps = len(days)
-    pieces, group_index, time_index, raw_values = [], [], [], []
-    temporal = temporal_encoding(regime, days) if t_steps else np.zeros((0, regime.d_sin + regime.d_month))
+    lengths = [len(s.observations) for s in samples]
+    order, group_index, time_index, pad = token_layout(spec, lengths)
+    steps = np.arange(max(lengths)) < np.asarray(lengths)[:, None]
+    cells = np.zeros(pad.shape + (max(g.channels for g in spec.groups),))
+    projected = []
+    for gi in order:
+        g = spec.groups[gi]
+        values = _pack_group(samples, g, steps, stats)
+        cells[:, group_index == gi, : values.shape[-1]] = values
+        projected.append(_project(params, g, values))
 
-    for gi, g in enumerate(spec.groups):
-        if g.kind != "static":
-            continue
-        if g.name not in static_values:
-            raise ContractError(f"static group {g.name} missing from static_values")
-        raw = np.asarray(static_values[g.name], dtype=np.float64)
-        projected = _project(params, g, raw[None, :] if raw.ndim == 1 else raw)
-        pieces.append(T.add(projected, _group_context(params, regime, g.name)))
-        group_index.append(gi)
-        time_index.append(-1)
-        raw_values.append(raw.reshape(-1))
+    days = np.ones(steps.shape, dtype=np.intp)
+    days[steps] = [o.day for s in samples for o in s.observations]
+    dynamic = time_index >= 0
+    temporal = np.zeros(pad.shape + (regime.d_emb - regime.d_channel,))
+    temporal[:, dynamic] = temporal_encoding(regime, days)[:, time_index[dynamic]]
+    temporal[pad] = 0.0
 
-    for gi, g in enumerate(spec.groups):
-        if g.kind != "dynamic":
-            continue
-        series = []
-        for o in sample.observations:
-            if g.name not in o.channels:
-                raise ContractError(f"dynamic group {g.name} missing from observations")
-            series.append(np.asarray(o.channels[g.name], dtype=np.float64))
-        if not series:
-            continue
-        stacked = np.stack(series)
-        projected = _project(params, g, stacked)
-        ctx = _group_context(params, regime, g.name)
-        temporal_block = np.concatenate(
-            [np.zeros((t_steps, regime.d_channel)), temporal], axis=1
-        )
-        tokens = T.add(T.add(projected, ctx), Tensor(temporal_block))
-        pieces.append(tokens)
-        group_index.extend([gi] * t_steps)
-        time_index.extend(range(t_steps))
-        raw_values.extend(stacked)
-
-    tokens = pieces[0] if len(pieces) == 1 else T.concat(pieces, axis=0)
-    n = tokens.shape[0]
-    expected = spec.token_count(t_steps)
-    if n != expected:
-        raise ContractError(f"token count {n} != C_static + C_dynamic*T = {expected}")
-    return TokenSequence(
-        tokens=tokens,
-        group_index=np.asarray(group_index, dtype=np.intp),
-        time_index=np.asarray(time_index, dtype=np.intp),
-        pad=np.zeros(n, dtype=bool),
-        raw_values=raw_values,
-        group_names=[g.name for g in spec.groups],
+    live_f = Tensor((~pad)[:, :, None].astype(np.float64))
+    channel_table = T.concat(
+        [T.reshape(params[f"ctx/{g.name}"], (1, regime.d_channel)) for g in spec.groups], axis=0
     )
+    channel_rows = T.mul(T.embedding_lookup(channel_table, group_index), live_f)
+    context = T.concat([channel_rows, Tensor(temporal)], axis=2)
+    tokens = T.add(T.mul(T.concat(projected, axis=1), live_f), context)
+    return tokens, context, cells

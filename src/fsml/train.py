@@ -86,12 +86,6 @@ class Adam:
             params[name].values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def adam_step(state, params, grads):
-    """Apply one Adam update; returns the (mutated) state for chaining."""
-    state.step(params, grads)
-    return state
-
-
 def cosine_annealing(lr_max, cycles, epoch, total_epochs):
     """Cosine schedule with equal-length cycles; cycles=0 means constant."""
     if not 0 <= epoch < total_epochs:

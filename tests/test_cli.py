@@ -5,7 +5,7 @@ from typing import get_type_hints
 
 import pytest
 
-from fsml.cli import config_hash, emit_plots, main, run, validate_config
+from fsml.cli import _write_results_csv, config_hash, emit_plots, main, run, validate_config
 from fsml.data import SynthConfig
 from fsml.errors import ContractError, ParseError
 from fsml.meta import MetaConfig
@@ -125,6 +125,8 @@ def test_every_config_field_is_accepted_and_typos_are_rejected():
      'tune.finetune.checkpoint: required when source is "checkpoint"'),
     ("finetune", {"finetune": {"source": "pretrained"}},
      'finetune.source: must be "scratch" or "checkpoint"'),
+    ("tune", {"tune": {"space": {}, "finetune": {"sorce": "checkpoint", "validaton_limit": 3}}},
+     "tune.finetune.sorce: unknown key"),
 ])
 def test_bad_config_shapes_exit_with_contract_error(tmp_path, capsys, mode, blocks, problem):
     config = {"schema_version": 1, "mode": mode, "dataset": "x",
@@ -278,6 +280,19 @@ def test_synth_rerun_byte_identical_dataset(tmp_path):
     first = dataset.read_bytes()
     run(config)
     assert dataset.read_bytes() == first
+
+
+def test_results_csv_cells_are_mean_and_sample_std(tmp_path):
+    five = [0.21, 0.35, 0.5, 0.62, 0.93]
+    mean = sum(five) / 5
+    std = (sum((x - mean) ** 2 for x in five) / 4) ** 0.5
+    rows = [("maml", {1: [0.4, 0.6], 5: five, 20: [0.5, 0.5, 0.5], 100: [0.7]})]
+    path = _write_results_csv(tmp_path / "results.csv", rows, [1, 5, 20, 100], "abc")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[:2] == ["# config=abc", "algorithm,k1,k5,k20,k100"]
+    assert lines[2] == (
+        f"maml,0.500000±0.141421,{mean:.6f}±{std:.6f},0.500000±0.000000,0.700000±0.000000"
+    )
 
 
 def test_emit_plots_shapes_and_equality(tmp_path):

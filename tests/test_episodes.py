@@ -6,10 +6,7 @@ from fsml.data import Observation, ParcelSample, SynthConfig, generate_synthetic
 from fsml.episodes import (
     EpisodeConfig,
     build_meta_validation,
-    dump_tasks,
     episode_pool,
-    load_task_dump,
-    sample_episode,
     sample_region,
     sample_task,
 )
@@ -152,17 +149,3 @@ def test_meta_validation_different_seed_differs():
     sig = lambda ts: [[s.parcel_id for s, _ in t.query] for t in ts]
     assert sig(a) != sig(b)
 
-
-def test_task_dump_roundtrip(tmp_path):
-    corpus = _synthetic_corpus()
-    pool = episode_pool(corpus, "train")
-    config = EpisodeConfig(n_way=3, k_support=2, k_query=1, seed=9)
-    tasks = [sample_episode(pool, config, i) for i in range(5)]
-    path = dump_tasks(tasks, tmp_path / "tasks.jsonl")
-    loaded = load_task_dump(path)
-    assert len(loaded) == 5
-    for task, record in zip(tasks, loaded):
-        assert record["region"] == task.region
-        assert record["classes"] == task.class_roster
-        assert record["support"] == [s.parcel_id for s, _ in task.support]
-        assert record["query"] == [s.parcel_id for s, _ in task.query]

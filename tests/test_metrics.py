@@ -5,13 +5,12 @@ from fsml.data import build_hierarchy_codes
 from fsml.errors import ContractError, DegenerateInputError
 from fsml.metrics import (
     ConfusionTable,
-    MetricsReport,
-    aggregate_seeds,
     build_report,
     cohens_kappa,
     minority_class_accuracy,
     overall_accuracy,
     parent_level_accuracy,
+    seed_mean_std,
     subset_accuracy,
 )
 
@@ -165,46 +164,27 @@ def test_subset_partition_identity():
     assert abs(combined - overall_accuracy(preds, labels)) < 1e-12
 
 
-def _report(values):
-    return MetricsReport(
-        overall_accuracy=values[0],
-        minority_accuracy=values[1],
-        kappa=values[2],
-        parent_accuracy={3: values[3]},
-        subset_accuracy={},
-    )
-
-
 def test_aggregate_identical_reports_zero_std():
-    reports = [_report([0.5, 0.4, 0.3, 0.6])] * 3
-    agg = aggregate_seeds(reports)
-    assert agg.mean["overall_accuracy"] == 0.5
-    assert agg.std["overall_accuracy"] == 0.0
+    mean, std = seed_mean_std([0.5] * 3)
+    assert mean == 0.5
+    assert std == 0.0
 
 
 def test_aggregate_two_point_formula():
-    agg = aggregate_seeds([_report([0.4, 0.1, 0.0, 0.2]), _report([0.6, 0.3, 0.2, 0.4])])
-    assert agg.mean["overall_accuracy"] == pytest.approx(0.5)
-    assert agg.std["overall_accuracy"] == pytest.approx(np.sqrt(0.02), abs=1e-12)
-    assert agg.std["overall_accuracy"] == pytest.approx(0.1414, abs=1e-4)
+    mean, std = seed_mean_std([0.4, 0.6])
+    assert mean == pytest.approx(0.5)
+    assert std == pytest.approx(np.sqrt(0.02), abs=1e-12)
+    assert std == pytest.approx(0.1414, abs=1e-4)
 
 
 def test_aggregate_five_reports_matches_scalar_oracle():
     rng = np.random.default_rng(23)
-    vals = rng.random((5, 4))
-    agg = aggregate_seeds([_report(v) for v in vals])
-    column = vals[:, 0]
-    mean = sum(column) / 5
-    var = sum((x - mean) ** 2 for x in column) / 4
-    assert agg.mean["overall_accuracy"] == pytest.approx(mean, abs=1e-12)
-    assert agg.std["overall_accuracy"] == pytest.approx(np.sqrt(var), abs=1e-12)
-
-
-def test_aggregate_rejects_mismatched_keys():
-    a = _report([0.5, 0.4, 0.3, 0.6])
-    b = MetricsReport(0.5, None, 0.3, {4: 0.2}, {})
-    with pytest.raises(ContractError):
-        aggregate_seeds([a, b])
+    column = rng.random((5, 4))[:, 0]
+    mean, std = seed_mean_std(column)
+    oracle_mean = sum(column) / 5
+    var = sum((x - oracle_mean) ** 2 for x in column) / 4
+    assert mean == pytest.approx(oracle_mean, abs=1e-12)
+    assert std == pytest.approx(np.sqrt(var), abs=1e-12)
 
 
 def test_build_report_end_to_end():

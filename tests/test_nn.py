@@ -16,7 +16,6 @@ from fsml.nn import (
     encode,
     load_checkpoint,
     pool_sequence,
-    reset_head,
     save_checkpoint,
     sinusoidal_encoding,
     sinusoidal_table,
@@ -300,12 +299,23 @@ def test_reset_head_changes_logits_not_encoder_outputs(rng):
     mask = np.ones((1, 4), dtype=bool)
     emb_before = model.embeddings(params.backbone, (values, days, mask)).values
     logits_before = classify(params.head, Tensor(emb_before)).values
-    reset_head(params, rng, config.embed_dim, 4)
+    params.head = nn.new_head(rng, config.embed_dim, 4)
     emb_after = model.embeddings(params.backbone, (values, days, mask)).values
     logits_after = classify(params.head, Tensor(emb_after)).values
     np.testing.assert_allclose(emb_after, emb_before)
     assert not np.allclose(logits_after, logits_before)
     assert set(params.head) == {"w", "b"}
+
+
+@pytest.mark.parametrize("days, named", [([[0, 5, 9]], "0"), ([[3, -5, 0]], "-5")])
+def test_day_below_one_is_a_contract_error(rng, days, named):
+    model = RawSeriesModel(CFG, in_channels=2)
+    with pytest.raises(ContractError, match=f"day index {named} is below 1"):
+        model._positions(days)
+    params = model.init_params(rng, n_classes=2)
+    batch = (rng.standard_normal((1, 3, 2)), np.array(days), np.ones((1, 3), dtype=bool))
+    with pytest.raises(ContractError):
+        model.logits(params.backbone, params.head, batch)
 
 
 def test_checkpoint_roundtrip_byte_identical(tmp_path, rng):

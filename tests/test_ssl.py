@@ -26,8 +26,8 @@ from fsml.ssl import (
     reconstruction_loss,
     xts_plan,
 )
-from fsml.tensor import Tensor
-from fsml.tokens import group_spec, xts_regime
+from fsml.tensor import Tape, Tensor
+from fsml.tokens import group_spec, token_layout, xts_regime
 
 
 SPEC1 = group_spec(("s2", 3, "dynamic"))
@@ -79,7 +79,7 @@ def test_channel_groups_strategy_masks_whole_groups():
     spec = SPEC2
     t = 8
     mask = build_mask(plan, spec, t, rng_from(4, 0))
-    group_index, _ = ssl._token_layout(spec, t)
+    _, group_index, _, _ = token_layout(spec, [t])
     for gi in np.unique(group_index):
         cells = mask[group_index == gi]
         assert cells.all() or not cells.any()
@@ -89,7 +89,7 @@ def test_contiguous_strategy_masks_one_window():
     plan = MaskPlan("contiguous_timesteps", 0.5, strict=True)
     t = 12
     mask = build_mask(plan, SPEC2, t, rng_from(5, 1))
-    _, time_index = ssl._token_layout(SPEC2, t)
+    _, _, time_index, _ = token_layout(SPEC2, [t])
     masked_steps = sorted({int(ti) for ti, m in zip(time_index, mask) if m})
     assert masked_steps == list(range(masked_steps[0], masked_steps[-1] + 1))
     for step in masked_steps:  # all dynamic groups masked at each chosen step
@@ -238,10 +238,76 @@ def test_cross_attention_masked_queries_independent():
 def test_encoder_output_shape_is_visible_tokens():
     model = _tiny_model()
     rng = np.random.default_rng(6)
-    sample = _samples(1, rng, t=(7, 7))[0]
+    samples = _samples(1, rng, t=(7, 7))
     params = model.init_params(rng_from(8, 1))
-    out = model.encode_visible(params, sample)
-    assert out.shape == (SPEC1.token_count(7), 16)
+    batch = encode_token_batch(samples, model.spec, model.regime, params)
+    out = model.encode(params, batch, ~batch.pad)
+    assert out.shape == (1, SPEC1.token_count(7), 16)
+
+
+SPEC_LOC = group_spec(("location", 3, "static"), ("s1", 2, "dynamic"), ("s2", 3, "dynamic"))
+
+
+def _mixed_batch(rng):
+    return _samples(5, rng, spec=SPEC_LOC, t=(2, 9))
+
+
+def test_parcel_alone_matches_mixed_batch():
+    model = _tiny_model(spec=SPEC_LOC)
+    rng = np.random.default_rng(11)
+    samples = _mixed_batch(rng)
+    params = model.init_params(rng_from(11, 1))
+    stats = normalization_stats(samples, SPEC_LOC)
+    batch = encode_token_batch(samples, SPEC_LOC, model.regime, params, stats)
+    assert len({len(s.observations) for s in samples}) > 1
+    for i, sample in enumerate(samples):
+        alone = encode_token_batch([sample], SPEC_LOC, model.regime, params, stats)
+        assert not alone.pad.any()
+        live = ~batch.pad[i]
+        assert live.sum() == alone.pad.shape[1]
+        np.testing.assert_allclose(batch.tokens.values[i, live], alone.tokens.values[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(batch.context.values[i, live], alone.context.values[0], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(batch.targets[i, live], alone.targets[0])
+        np.testing.assert_array_equal(batch.group_index[live], alone.group_index)
+        np.testing.assert_array_equal(batch.time_index[live], alone.time_index)
+
+
+def test_pad_rows_are_exactly_zero():
+    model = _tiny_model(spec=SPEC_LOC)
+    samples = _mixed_batch(np.random.default_rng(12))
+    params = model.init_params(rng_from(12, 1))
+    batch = encode_token_batch(samples, SPEC_LOC, model.regime, params)
+    assert batch.pad.any()
+    assert np.all(batch.tokens.values[batch.pad] == 0.0)
+    assert np.all(batch.context.values[batch.pad] == 0.0)
+    assert np.all(batch.targets[batch.pad] == 0.0)
+
+
+def test_token_batch_tape_nodes_do_not_grow_with_batch():
+    model = _tiny_model(spec=SPEC_LOC)
+    rng = np.random.default_rng(13)
+    samples = _samples(32, rng, spec=SPEC_LOC, t=(2, 9))
+    params = model.init_params(rng_from(13, 1))
+    counts = []
+    for chunk in (samples[:2], samples):
+        with Tape() as tape:
+            encode_token_batch(chunk, SPEC_LOC, model.regime, params)
+        counts.append(len(tape.nodes))
+    assert counts[0] == counts[1]
+
+
+def test_token_classifier_logits_ignore_batch_partners():
+    spec = SPEC_LOC
+    samples = _mixed_batch(np.random.default_rng(14))
+    clf = TokenClassifier(
+        nn.TransformerConfig(16, 2, 32, 1, 0, 64), spec, xts_regime(16, max_timesteps=16),
+        stats=normalization_stats(samples, spec),
+    )
+    params = clf.init_params(rng_from(14, 1), n_classes=3)
+    together = clf.logits(params.backbone, params.head, samples).values
+    for i, sample in enumerate(samples):
+        alone = clf.logits(params.backbone, params.head, [sample]).values
+        np.testing.assert_allclose(together[i], alone[0], rtol=0, atol=1e-12)
 
 
 def test_mae_step_produces_gradients_for_all_params():

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -234,6 +236,28 @@ def test_gradient_linearity():
         gg = grad(g(t), t)
     expected = a * gf.values + b * gg.values
     assert rel_error(combined.values, expected) < 1e-12
+
+
+def test_closed_tape_releases_its_graph():
+    def record():
+        with Tape() as tape:
+            x = Tensor(np.array([1.0, 2.0]))
+            y = T.reduce_sum(T.mul(x, x))
+            g = grad(y, x, create_graph=True)
+        return tape, x, y, g
+
+    tape, x, y, g = record()
+    np.testing.assert_array_equal(g.values, [2.0, 4.0])
+    assert tape.nodes == []
+    with pytest.raises(ContractError, match="closed"):
+        grad(y, x)
+    gc.collect()
+    gc.disable()
+    try:
+        record()
+        assert gc.collect() == 0  # nothing was left for the cyclic collector
+    finally:
+        gc.enable()
 
 
 def test_detached_tensor_receives_zero_gradient():

@@ -13,7 +13,6 @@ from fsml.train import (
     EarlyStopper,
     FineTuneRegime,
     TransferConfig,
-    adam_step,
     cosine_annealing,
     finetune,
     head_only,
@@ -36,7 +35,7 @@ def test_adam_zero_gradient_keeps_params():
 def test_adam_first_step_hand_value():
     params = {"w": Tensor(np.array([0.0]))}
     opt = Adam(0.001)
-    adam_step(opt, params, {"w": np.array([2.0])})
+    opt.step(params, {"w": np.array([2.0])})
     # bias-corrected first step: -lr * g / (|g| + eps)
     expected = -0.001 * 2.0 / (2.0 + 1e-8)
     assert params["w"].values[0] == pytest.approx(expected, abs=1e-12)
