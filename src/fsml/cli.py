@@ -205,10 +205,6 @@ def _seed_dir(out, chash, seed):
     return root
 
 
-def _dynamic_channels(manifest):
-    return sum(g.channels for g in manifest.groups if g.kind == "dynamic")
-
-
 def _token_spec(manifest, include_location):
     groups = [GroupSpec(g.name, g.channels, g.kind, g.categorical) for g in manifest.groups]
     if include_location and not any(g.kind == "static" for g in groups):
@@ -237,7 +233,7 @@ def _mode_pretrain_transfer(config, chash, seeds, out):
     model_config = _model_config(config)
     t_config = TransferConfig(**config.get("transfer", {}))
     groups = tuple(corpus.manifest.group_order())
-    model = RawSeriesModel(model_config, _dynamic_channels(corpus.manifest), groups)
+    model = RawSeriesModel(model_config, corpus.manifest.dynamic_channels(), groups)
     artifacts = []
     for seed in seeds:
         root = _seed_dir(out, chash, seed)
@@ -349,7 +345,7 @@ def _load_init(finetune_block, model_config, corpus, seed):
     source = finetune_block.get("source", "scratch")
     groups = tuple(corpus.manifest.group_order())
     if source == "scratch":
-        model = RawSeriesModel(model_config, _dynamic_channels(corpus.manifest), groups)
+        model = RawSeriesModel(model_config, corpus.manifest.dynamic_channels(), groups)
         backbone = model.init_backbone(rng_from(seed, STREAM_INIT))
         return model, backbone, "no_pretraining"
     path = finetune_block["checkpoint"].replace("{seed}", str(seed))

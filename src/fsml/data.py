@@ -6,7 +6,9 @@ Dataset file format (external interface)
         {"id", "days": [int], "channels": {group: [[f64, ...], ...]},
          "lon", "lat", "region", "hcat", "split"}
     "channels" arrays are day-major.  The manifest is a single JSON object
-    stored next to the dataset as ``<dataset>.manifest.json``.
+    stored next to the dataset as ``<dataset>.manifest.json``.  In memory a
+    parcel is its record: ``ParcelSample.days`` is the [T] day array and
+    ``ParcelSample.channels`` maps each group to its [T, C] float64 table.
 
 Synthetic parcels follow per-class double-logistic seasonal profiles (the
 standard phenology curve shape), phase- and amplitude-shifted per region,
@@ -19,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,16 +44,11 @@ FINETUNE_SPLIT_FRACTIONS = {"train": 0.6, "validation": 0.2, "test": 0.2}
 FIXED_VALIDATION_POINTS = 1000
 
 
-@dataclass(frozen=True)
-class Observation:
-    day: int
-    channels: dict  # group name -> float64 vector
-
-
 @dataclass
 class ParcelSample:
     parcel_id: str
-    observations: list
+    days: np.ndarray  # [T] integer days of year, strictly increasing
+    channels: dict  # group name -> day-major float64 [T, C]
     lon: float  # radians, [-pi, pi]
     lat: float  # radians, [-pi/2, pi/2]
     region: str
@@ -76,10 +73,6 @@ class Hierarchy:
         if level not in self.level_prefix_lengths:
             raise ContractError(f"unknown hierarchy level {level}")
         return code[: self.level_prefix_lengths[level]]
-
-
-def parent_at(code, level, hierarchy):
-    return hierarchy.parent_at(code, level)
 
 
 @dataclass
@@ -110,15 +103,11 @@ class CorpusManifest:
         return Hierarchy({int(k): int(v) for k, v in self.hierarchy_levels.items()})
 
     def group_order(self):
-        return [g.name for g in self.groups]
+        """The dynamic groups' names: the raw series' channel blocks, in order."""
+        return [g.name for g in self.groups if g.kind == "dynamic"]
 
-    def validate(self):
-        breaches = []
-        for stage, fractions in self.split_fractions.items():
-            if abs(sum(fractions.values()) - 1.0) > 1e-9:
-                breaches.append(f"manifest: {stage} split fractions do not sum to 1")
-        if breaches:
-            raise ValidationError(breaches)
+    def dynamic_channels(self):
+        return sum(g.channels for g in self.groups if g.kind == "dynamic")
 
 
 @dataclass
@@ -169,21 +158,10 @@ def manifest_path(dataset_path):
     return p.with_name(p.stem + ".manifest.json")
 
 
-def _sample_record(sample):
-    groups = sorted(sample.observations[0].channels) if sample.observations else []
-    return {
-        "id": sample.parcel_id,
-        "days": [int(o.day) for o in sample.observations],
-        "channels": {
-            g: [[float(v) for v in o.channels[g]] for o in sample.observations]
-            for g in groups
-        },
-        "lon": float(sample.lon),
-        "lat": float(sample.lat),
-        "region": sample.region,
-        "hcat": sample.label,
-        "split": sample.split,
-    }
+def _sample_record(s):
+    channels = {g: rows.tolist() for g, rows in s.channels.items()}
+    return {"id": s.parcel_id, "days": s.days.tolist(), "channels": channels, "lon": float(s.lon),
+            "lat": float(s.lat), "region": s.region, "hcat": s.label, "split": s.split}
 
 
 def save_corpus(corpus, path):
@@ -192,24 +170,74 @@ def save_corpus(corpus, path):
         for sample in corpus.samples:
             fh.write(json.dumps(_sample_record(sample), sort_keys=True))
             fh.write("\n")
-    manifest = dict(
-        region_counts=corpus.manifest.region_counts,
-        class_counts=corpus.manifest.class_counts,
-        majority_class=corpus.manifest.majority_class,
-        split_fractions=corpus.manifest.split_fractions,
-        hierarchy_levels={str(k): v for k, v in corpus.manifest.hierarchy_levels.items()},
-        groups=[asdict(g) for g in corpus.manifest.groups],
-        pretrain_regions=corpus.manifest.pretrain_regions,
-        finetune_region=corpus.manifest.finetune_region,
-    )
+    manifest = asdict(corpus.manifest)
+    manifest["hierarchy_levels"] = {str(k): v for k, v in manifest["hierarchy_levels"].items()}
     with open(manifest_path(path), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=1)
         fh.write("\n")
     return path
 
 
+_STR, _NUMBER = {str}, {int, float}  # JSON types as Python types; bool is no number
+_RECORD_TYPES = {"id": _STR, "days": {list}, "channels": {dict}, "lon": _NUMBER,
+                 "lat": _NUMBER, "region": _STR, "hcat": _STR, "split": _STR}
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name}")
+
+
+def _load_manifest(mpath):
+    """The manifest beside a corpus, or the defaults.  ParseError (naming the file)
+    if it is not JSON or a field is mistyped; ValidationError for bad split fractions."""
+    default = CorpusManifest()
+    if not mpath.exists():
+        return default
+    try:
+        with open(mpath, encoding="utf-8") as fh:
+            raw = json.load(fh, parse_constant=_reject_constant)
+        values = {f.name: raw.get(f.name, getattr(default, f.name)) for f in fields(default)}
+        wrong = [k for k, v in values.items() if type(v) is not type(getattr(default, k))]
+        values["hierarchy_levels"] = {int(k): v for k, v in values["hierarchy_levels"].items()}
+        values["groups"] = [GroupSpec(**g) for g in values["groups"]]
+        manifest = CorpusManifest(**values)
+        if wrong or not (
+            {type(v) for v in manifest.hierarchy_levels.values()} <= {int}
+            and {type(r) for r in manifest.pretrain_regions} <= _STR
+            and all((type(g.name), type(g.channels), type(g.categorical)) == (str, int, bool)
+                    and g.channels > 0 and g.kind in ("dynamic", "static") for g in manifest.groups)
+        ):
+            raise TypeError(f"wrong JSON type in {wrong or 'hierarchy levels, regions or groups'}")
+        breaches = [f"manifest: {stage} split fractions do not sum to 1"
+                    for stage, fractions in manifest.split_fractions.items()
+                    if abs(sum(fractions.values()) - 1.0) > 1e-9]
+        if breaches:
+            raise ValidationError(breaches)
+    except (ValueError, TypeError, AttributeError) as err:
+        raise ParseError(f"manifest {str(mpath)!r}: {err}") from None
+    return manifest
+
+
+def _type_errors(record):
+    """The keys a decoded record lacks or holds at another JSON type."""
+    if type(record) is not dict:
+        return ["the record itself"]
+    wrong = [k for k, types in _RECORD_TYPES.items() if type(record.get(k)) not in types]
+    if "days" not in wrong and not {type(d) for d in record["days"]} <= {int}:
+        wrong.append("days")
+    tables = record["channels"].values() if "channels" not in wrong else ()
+    if not (
+        all(type(rows) is list and {type(row) for row in rows} <= {list} for rows in tables)
+        and {type(v) for rows in tables for row in rows for v in row} <= _NUMBER
+    ):
+        wrong.append("channels")
+    return wrong
+
+
 def _validate_sample(record, line_no, manifest, breaches):
     days = record["days"]
+    if not days:
+        breaches.append(f"line {line_no}: empty days")
     if any(not (1 <= d <= 366) for d in days):
         breaches.append(f"line {line_no}: day out of range 1..366")
     if any(b <= a for a, b in zip(days, days[1:])):
@@ -221,6 +249,8 @@ def _validate_sample(record, line_no, manifest, breaches):
     if record["split"] not in SPLITS:
         breaches.append(f"line {line_no}: unknown split {record['split']!r}")
     declared = {g.name: g.channels for g in manifest.groups if g.kind == "dynamic"}
+    for group in sorted(declared.keys() - record["channels"].keys()):
+        breaches.append(f"line {line_no}: missing dynamic group {group}")
     for group, series in record["channels"].items():
         if len(series) != len(days):
             breaches.append(f"line {line_no}: group {group} is not day-major")
@@ -234,30 +264,28 @@ def _validate_sample(record, line_no, manifest, breaches):
             )
 
 
-def load_corpus(path):
-    """Load and validate a corpus; all invariant breaches are reported together."""
-    path = Path(path)
-    mpath = manifest_path(path)
-    if mpath.exists():
-        with open(mpath, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        manifest = CorpusManifest(
-            region_counts=raw.get("region_counts", {}),
-            class_counts=raw.get("class_counts", {}),
-            majority_class=raw.get("majority_class", ""),
-            split_fractions=raw.get("split_fractions", CorpusManifest().split_fractions),
-            hierarchy_levels={int(k): int(v) for k, v in raw.get("hierarchy_levels", {}).items()},
-            groups=[GroupSpec(**g) for g in raw.get("groups", [])],
-            pretrain_regions=raw.get("pretrain_regions", []),
-            finetune_region=raw.get("finetune_region", ""),
-        )
-    else:
-        manifest = CorpusManifest()
-    manifest.validate()
+def _channel_tables(record):
+    """Each group's [T, C] float64 table; None if a value is not a finite float64."""
+    try:
+        tables = {g: np.array(rows, dtype=np.float64) for g, rows in record["channels"].items()}
+    except OverflowError:
+        return None
+    return tables if all(np.isfinite(t).all() for t in tables.values()) else None
 
+
+def load_corpus(path):
+    """Load and validate a corpus.
+
+    A line that is not a JSON object holding every key at its JSON type
+    raises ParseError naming the line; the invariant breaches of all
+    well-typed records are reported together in one ValidationError.  A
+    record's arrays are built only once it passes validation.
+    """
+    path = Path(path)
+    manifest = _load_manifest(manifest_path(path))
     samples, breaches = [], []
     try:
-        fh = open(path, encoding="utf-8")
+        fh = open(path, "rb")
     except OSError as err:
         raise ContractError(f"corpus: cannot open {str(path)!r}: {err.strerror}") from None
     with fh:
@@ -265,34 +293,25 @@ def load_corpus(path):
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as err:
+                record = json.loads(line.decode("utf-8"), parse_constant=_reject_constant)
+            except ValueError as err:
                 raise ParseError(f"line {line_no}: malformed record: {err}") from None
-            missing = {"id", "days", "channels", "lon", "lat", "region", "hcat", "split"} - set(record)
-            if missing:
-                raise ParseError(f"line {line_no}: missing keys {sorted(missing)}")
+            wrong = _type_errors(record)
+            if wrong:
+                raise ParseError(f"line {line_no}: missing or wrong JSON type: {wrong}")
+            before = len(breaches)
             _validate_sample(record, line_no, manifest, breaches)
-            observations = [
-                Observation(
-                    day=int(day),
-                    channels={
-                        g: np.asarray(series[i], dtype=np.float64)
-                        for g, series in record["channels"].items()
-                    },
-                )
-                for i, day in enumerate(record["days"])
-            ]
-            samples.append(
-                ParcelSample(
-                    parcel_id=record["id"],
-                    observations=observations,
-                    lon=float(record["lon"]),
-                    lat=float(record["lat"]),
-                    region=record["region"],
-                    label=record["hcat"],
-                    split=record["split"],
-                )
-            )
+            if len(breaches) > before:
+                continue
+            tables = _channel_tables(record)
+            if tables is None:
+                breaches.append(f"line {line_no}: channel value outside the finite float64 range")
+            else:
+                samples.append(ParcelSample(
+                    record["id"], np.array(record["days"], dtype=np.intp), tables,
+                    float(record["lon"]), float(record["lat"]),
+                    record["region"], record["hcat"], record["split"],
+                ))
     if breaches:
         raise ValidationError(breaches)
     return Corpus(samples, manifest)
@@ -481,28 +500,18 @@ def generate_synthetic(config, seed):
                 )
                 if config.noise_sigma > 0:
                     values = values + rng.normal(0.0, config.noise_sigma, size=values.shape)
-                observations = []
-                offset = 0
-                for i, day in enumerate(days):
-                    channels = {}
-                    offset = 0
-                    for g in dynamic_groups:
-                        channels[g.name] = values[i, offset : offset + g.channels].copy()
-                        offset += g.channels
-                    observations.append(Observation(day=int(day), channels=channels))
+                channels, offset = {}, 0
+                for g in dynamic_groups:
+                    channels[g.name] = values[:, offset : offset + g.channels].copy()
+                    offset += g.channels
                 lon = region_center[region][0] + rng.uniform(-0.05, 0.05)
                 lat = region_center[region][1] + rng.uniform(-0.05, 0.05)
-                region_samples.append(
-                    ParcelSample(
-                        parcel_id=f"p{counter:07d}",
-                        observations=observations,
-                        lon=float(np.clip(lon, -math.pi, math.pi)),
-                        lat=float(np.clip(lat, -math.pi / 2, math.pi / 2)),
-                        region=region,
-                        label=code,
-                        split="train",
-                    )
-                )
+                region_samples.append(ParcelSample(
+                    f"p{counter:07d}", days, channels,
+                    float(np.clip(lon, -math.pi, math.pi)),
+                    float(np.clip(lat, -math.pi / 2, math.pi / 2)),
+                    region, code, "train",
+                ))
                 counter += 1
         order = rng.permutation(len(region_samples))
         n = len(region_samples)

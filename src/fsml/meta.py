@@ -311,9 +311,7 @@ def meta_train(corpus, config, seed, model_config=None):
     """
     groups = corpus.manifest.group_order()
     model_config = model_config or nn.small_config()
-    in_channels = sum(
-        g.channels for g in corpus.manifest.groups if g.kind == "dynamic"
-    )
+    in_channels = corpus.manifest.dynamic_channels()
     if config.algorithm == "timl_noenc":
         in_channels += 3
     model = RawSeriesModel(model_config, in_channels)

@@ -368,16 +368,13 @@ def pack_batch(samples, groups):
     """
     if not samples:
         raise ContractError("pack_batch: empty sample list")
-    t_max = max(len(s.observations) for s in samples)
-    channels = sum(len(samples[0].observations[0].channels[g]) for g in groups)
-    values = np.zeros((len(samples), t_max, channels))
-    days = np.ones((len(samples), t_max), dtype=np.intp)
-    mask = np.zeros((len(samples), t_max), dtype=bool)
-    for i, sample in enumerate(samples):
-        for j, obs in enumerate(sample.observations):
-            values[i, j] = np.concatenate([obs.channels[g] for g in groups])
-            days[i, j] = obs.day
-            mask[i, j] = True
+    lengths = np.array([len(s.days) for s in samples])
+    mask = np.arange(lengths.max()) < lengths[:, None]
+    rows = [np.concatenate([s.channels[g] for g in groups], axis=1) for s in samples]
+    values = np.zeros(mask.shape + (rows[0].shape[1],))
+    values[mask] = np.concatenate(rows)
+    days = np.ones(mask.shape, dtype=np.intp)
+    days[mask] = np.concatenate([s.days for s in samples])
     return values, days, mask
 
 

@@ -139,11 +139,14 @@ def build_mask(plan, spec, t_steps, rng, padding=None, strategy=None):
 
 
 def normalization_stats(samples, spec):
-    """Mean/std per dynamic group channel; degenerate stds fall back to 1."""
+    """Mean/std per channel of each non-categorical dynamic group (category
+    indices are looked up, never z-scored); degenerate stds fall back to 1."""
     stats = {}
     for g in spec.dynamic_groups:
-        rows = [o.channels[g.name] for s in samples for o in s.observations]
-        arr = np.stack(rows) if rows else np.zeros((1, g.channels))
+        if g.categorical:
+            continue
+        rows = [s.channels[g.name] for s in samples]
+        arr = np.concatenate(rows) if rows else np.zeros((1, g.channels))
         std = arr.std(axis=0)
         std[std < 1e-12] = 1.0
         stats[g.name] = (arr.mean(axis=0), std)
@@ -171,7 +174,7 @@ def encode_token_batch(samples, spec, regime, params, stats=None):
     if not samples:
         raise ContractError("encode_token_batch: empty batch")
     tokens, context, targets = encode_tokens(samples, spec, regime, params, stats)
-    _, group_index, time_index, pad = token_layout(spec, [len(s.observations) for s in samples])
+    _, group_index, time_index, pad = token_layout(spec, [len(s.days) for s in samples])
     widths = np.array([spec.groups[gi].channels for gi in group_index], dtype=np.intp)
     return TokenBatch(tokens, context, group_index, time_index, pad, targets, widths)
 
@@ -286,7 +289,7 @@ def reconstruction_loss(recon, batch, mask):
 def _batch_masks(plan, spec, samples, rng):
     """Masks [B, N]: one strategy draw for the batch, then one mask per sample in order."""
     strategy = resolve_strategy(plan, rng)
-    lengths = [len(s.observations) for s in samples]
+    lengths = [len(s.days) for s in samples]
     _, _, _, pad = token_layout(spec, lengths)
     return np.stack([
         build_mask(plan, spec, max(lengths), rng, padding=row, strategy=strategy) for row in pad

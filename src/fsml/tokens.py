@@ -186,32 +186,28 @@ def temporal_encoding(regime, days):
 def _pack_group(samples, g, steps, stats):
     """One group's values: [B, 1, C] static, [B, T_max, C] dynamic.
 
-    Dynamic values are z-scored in place with ``stats`` on the live
-    ``steps`` [B, T_max] and stay zero elsewhere.  The static ``location``
-    group is each parcel's Cartesian centroid.
+    Dynamic values fill the live ``steps`` [B, T_max], z-scored with
+    ``stats``, and stay zero elsewhere.  The static ``location`` group is
+    each parcel's Cartesian centroid.
     """
     if g.kind == "static":
         if g.name != "location":
             raise ContractError(f"no provider for static group {g.name!r}")
         return task_info(samples)[:, None, :]
+    missing = [s.parcel_id for s in samples if g.name not in s.channels]
+    if missing:
+        raise ContractError(f"dynamic group {g.name} missing from parcels {missing}")
+    tables = [s.channels[g.name] for s in samples]
     width = 1 if g.categorical else g.channels
-    values = np.zeros(steps.shape + (width,))
-    for b, s in enumerate(samples):
-        if not s.observations:
-            continue
-        try:
-            rows = np.stack([o.channels[g.name] for o in s.observations])
-        except KeyError:
-            raise ContractError(f"dynamic group {g.name} missing from observations") from None
-        if rows.shape[-1] != width:
-            raise ContractError(
-                f"group {g.name}: got {rows.shape[-1]} channels, spec declares {width}"
-            )
-        values[b, : len(rows)] = rows
+    widths = {t.shape[-1] for t in tables} - {width}
+    if widths:
+        raise ContractError(f"group {g.name}: got {widths.pop()} channels, spec declares {width}")
+    live = np.concatenate(tables)
     if stats and g.name in stats:
         mean, std = stats[g.name]
-        np.subtract(values, mean, out=values, where=steps[:, :, None])
-        np.divide(values, std, out=values, where=steps[:, :, None])
+        live = (live - mean) / std
+    values = np.zeros(steps.shape + (width,))
+    values[steps] = live
     return values
 
 
@@ -231,7 +227,7 @@ def encode_tokens(samples, spec, regime, params, stats=None):
     (z-scored with ``stats``; the masked autoencoder's reconstruction
     targets).  Rows past a sample's length are zero in all three.
     """
-    lengths = [len(s.observations) for s in samples]
+    lengths = [len(s.days) for s in samples]
     order, group_index, time_index, pad = token_layout(spec, lengths)
     steps = np.arange(max(lengths)) < np.asarray(lengths)[:, None]
     cells = np.zeros(pad.shape + (max(g.channels for g in spec.groups),))
@@ -243,7 +239,7 @@ def encode_tokens(samples, spec, regime, params, stats=None):
         projected.append(_project(params, g, values))
 
     days = np.ones(steps.shape, dtype=np.intp)
-    days[steps] = [o.day for s in samples for o in s.observations]
+    days[steps] = np.concatenate([s.days for s in samples])
     dynamic = time_index >= 0
     temporal = np.zeros(pad.shape + (regime.d_emb - regime.d_channel,))
     temporal[:, dynamic] = temporal_encoding(regime, days)[:, time_index[dynamic]]

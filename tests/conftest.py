@@ -1,6 +1,20 @@
 import numpy as np
 import pytest
 
+from fsml.data import ParcelSample
+
+
+def parcel(days, channels, parcel_id="p0", lon=0.0, lat=0.0, region="R1", label="x",
+           split="train"):
+    """A ParcelSample from its days and, per group, its day-major rows (a
+    [T, C] table or a list of T rows)."""
+    return ParcelSample(
+        parcel_id,
+        np.asarray(days, dtype=np.intp),
+        {g: np.asarray(rows, dtype=np.float64) for g, rows in channels.items()},
+        lon, lat, region, label, split,
+    )
+
 
 def rel_error(approx, exact):
     """Norm-based relative error between two arrays."""

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from conftest import assert_grads_close, finite_diff
+from conftest import assert_grads_close, finite_diff, parcel
 from fsml import cli, nn, ssl as ssl_mod
 from fsml import tensor as T
 from fsml.data import (
@@ -228,13 +228,11 @@ def test_criterion_04_masking_laws():
             "cross_attention",
         )
         rng = np.random.default_rng(0)
-        from fsml.data import Observation, ParcelSample
-
         samples = []
         for i in range(3):
             days = np.sort(rng.choice(np.arange(1, 50), size=6, replace=False))
-            obs = [Observation(int(d), {"s2": rng.random(3)}) for d in days]
-            samples.append(ParcelSample(f"s{i}", obs, 0.1, 0.2, "R1", "x", "train"))
+            rows = [rng.random(3) for _ in days]
+            samples.append(parcel(days, {"s2": rows}, f"s{i}", lon=0.1, lat=0.2))
         params = model.init_params(rng_from(2, 1))
         batch = encode_token_batch(samples, model.spec, model.regime, params)
         masks = np.stack([

@@ -154,6 +154,30 @@ def test_missing_dataset_exits_with_its_path(tmp_path, capsys):
     assert str(dataset) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("corrupt, error", [
+    (lambda record: record.update(days="abc"), "ParseError"),
+    (lambda record: record.update(lon="x"), "ParseError"),
+    (lambda record: record.update(channels=[1, 2]), "ParseError"),
+    (lambda record: record["channels"].clear(), "ValidationError"),
+    (lambda record: record.update(days=[], channels={}), "ValidationError"),
+    (None, "ParseError"),  # malformed manifest
+])
+def test_corrupt_dataset_exits_with_typed_error(tmp_path, capsys, corrupt, error):
+    dataset = tmp_path / "corpus.jsonl"
+    run(synth_config(dataset, tmp_path / "runs"))
+    if corrupt is None:
+        dataset.with_name("corpus.manifest.json").write_text("{not json")
+    else:
+        first, rest = dataset.read_text().split("\n", 1)
+        record = json.loads(first)
+        corrupt(record)
+        dataset.write_text(json.dumps(record) + "\n" + rest)
+    config = {"schema_version": 1, "mode": "pretrain-transfer", "dataset": str(dataset),
+              "out": str(tmp_path / "runs"), "seeds": [0]}
+    assert _main_on(tmp_path, config) == 1
+    assert f"error [{error}]" in capsys.readouterr().err
+
+
 def test_missing_checkpoint_exits_with_its_path(tmp_path, capsys):
     dataset = tmp_path / "corpus.jsonl"
     run(synth_config(dataset, tmp_path / "runs"))

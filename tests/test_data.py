@@ -1,24 +1,30 @@
+import functools
+import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from fsml import data
+from conftest import parcel
+from fsml import data, nn
 from fsml.data import (
     Corpus,
-    Observation,
-    ParcelSample,
+    CorpusManifest,
+    GroupSpec,
     SynthConfig,
     build_hierarchy_codes,
     fixed_validation_subset,
     generate_synthetic,
     load_corpus,
     median_round_half_up,
-    parent_at,
     resample_majority,
     save_corpus,
 )
-from fsml.errors import ContractError, ParseError, ValidationError
+from fsml.errors import ContractError, FsmlError, ParseError, ValidationError
 
 
 def small_config(**overrides):
@@ -99,10 +105,10 @@ def test_roundtrip_identity_on_synthetic_corpus(tmp_path):
         assert a.parcel_id == b.parcel_id
         assert a.region == b.region and a.label == b.label and a.split == b.split
         assert a.lon == b.lon and a.lat == b.lat
-        assert [o.day for o in a.observations] == [o.day for o in b.observations]
-        for oa, ob in zip(a.observations, b.observations):
-            for g in oa.channels:
-                assert np.array_equal(oa.channels[g], ob.channels[g])
+        assert np.array_equal(a.days, b.days)
+        assert a.channels.keys() == b.channels.keys()
+        for g in a.channels:
+            assert np.array_equal(a.channels[g], b.channels[g])
 
 
 def test_roundtrip_is_byte_identical(tmp_path):
@@ -121,17 +127,7 @@ def _counted_corpus(counts):
     i = 0
     for label, n in counts.items():
         for _ in range(n):
-            samples.append(
-                ParcelSample(
-                    parcel_id=f"p{i}",
-                    observations=[Observation(5, {"s2": np.array([0.1])})],
-                    lon=0.0,
-                    lat=0.0,
-                    region="R1",
-                    label=label,
-                    split="train",
-                )
-            )
+            samples.append(parcel([5], {"s2": [[0.1]]}, f"p{i}", label=label))
             i += 1
     return samples
 
@@ -195,15 +191,14 @@ def test_generate_synthetic_deterministic():
     assert len(a) == len(b)
     for sa, sb in zip(a.samples, b.samples):
         assert sa.parcel_id == sb.parcel_id and sa.split == sb.split
-        for oa, ob in zip(sa.observations, sb.observations):
-            assert oa.day == ob.day
-            for g in oa.channels:
-                assert np.array_equal(oa.channels[g], ob.channels[g])
+        assert np.array_equal(sa.days, sb.days)
+        for g in sa.channels:
+            assert np.array_equal(sa.channels[g], sb.channels[g])
 
 
 def _interp_series(sample, grid):
-    days = np.array([o.day for o in sample.observations], dtype=float)
-    values = np.stack([o.channels["s2"] for o in sample.observations])
+    days = sample.days.astype(float)
+    values = sample.channels["s2"]
     return np.concatenate(
         [np.interp(grid, days, values[:, c]) for c in range(values.shape[1])]
     )
@@ -253,7 +248,7 @@ def test_generate_synthetic_logistic_oracle_bar():
     classes = sorted({s.label for s in pool})
     labels = np.array([classes.index(s.label) for s in pool])
     feats = np.stack([
-        np.mean([o.channels["s2"] for o in s.observations], axis=0) for s in pool
+        np.mean(s.channels["s2"], axis=0) for s in pool
     ])
     acc = _softmax_regression_accuracy(feats, labels, len(classes))
     assert acc >= 0.9
@@ -268,27 +263,27 @@ def test_parent_at_identities():
     codes, hierarchy = build_hierarchy_codes(2, 4, 8)
     leaf = hierarchy.leaf_level
     for code in codes:
-        assert parent_at(code, leaf, hierarchy) == code
+        assert hierarchy.parent_at(code, leaf) == code
     a, b = codes[0], codes[4]  # same level-4 parent by round-robin
-    assert parent_at(a, 4, hierarchy) == parent_at(b, 4, hierarchy)
-    assert parent_at(a, 3, hierarchy) == parent_at(b, 3, hierarchy)
+    assert hierarchy.parent_at(a, 4) == hierarchy.parent_at(b, 4)
+    assert hierarchy.parent_at(a, 3) == hierarchy.parent_at(b, 3)
     with pytest.raises(ContractError, match="level"):
-        parent_at(a, 5, hierarchy)
+        hierarchy.parent_at(a, 5)
 
 
 def test_hierarchy_prefix_nesting():
     codes, hierarchy = build_hierarchy_codes(3, 7, 20)
     for code in codes:
-        p3 = parent_at(code, 3, hierarchy)
-        p4 = parent_at(code, 4, hierarchy)
+        p3 = hierarchy.parent_at(code, 3)
+        p4 = hierarchy.parent_at(code, 4)
         assert p4.startswith(p3)
         assert code.startswith(p4)
 
 
 def test_hierarchy_reproduces_published_cardinalities():
     codes, hierarchy = build_hierarchy_codes(6, 33, 103)
-    assert len({parent_at(c, 3, hierarchy) for c in codes}) == 6
-    assert len({parent_at(c, 4, hierarchy) for c in codes}) == 33
+    assert len({hierarchy.parent_at(c, 3) for c in codes}) == 6
+    assert len({hierarchy.parent_at(c, 4) for c in codes}) == 33
     assert len(set(codes)) == 103
 
 
@@ -335,3 +330,143 @@ def test_paper_shaped_band_constants():
     assert data.S2_SUPERVISED_CHANNELS == 12  # B10 removed
     assert data.S2_XTS_CHANNELS == 13  # all bands retained
     assert data.S2_PRETRAINED_TOKEN_CHANNELS == 10  # B01, B09, B10 removed
+
+
+def test_raw_series_groups_leave_static_groups_out():
+    groups = [GroupSpec("location", 3, "static"), GroupSpec("s2", 4), GroupSpec("s1", 2)]
+    corpus = generate_synthetic(small_config(groups=groups), seed=0)
+    assert corpus.manifest.group_order() == ["s2", "s1"]
+    assert corpus.manifest.dynamic_channels() == 6
+    values, _, _ = nn.pack_batch(corpus.samples[:3], corpus.manifest.group_order())
+    assert values.shape[-1] == 6
+
+
+def test_dataset_format_is_pinned(tmp_path):
+    """Corpus and manifest bytes of a fixed synthetic corpus match digests
+    recorded before parcels were held as arrays; any format change shows."""
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(generate_synthetic(small_config(), seed=0), path)
+    digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (path, data.manifest_path(path))]
+    assert digests == [
+        "165b4e1545433a871c1467fe2c03835c381c4c17e8cf1a84b3fa4f543fbe7816",
+        "07a9af68f3d49f568ce2e60768c4e254204822c7ea236e86e65afde387ab94eb",
+    ]
+
+
+def _record(**overrides):
+    record = {"id": "p1", "days": [5, 9], "channels": {"s2": [[0.1], [0.2]]}, "lon": 0.0,
+              "lat": 0.0, "region": "R1", "hcat": "101010", "split": "train"}
+    record.update(overrides)
+    return record
+
+
+def _write_corpus(tmp_path, records, groups=(GroupSpec("s2", 1),)):
+    path = tmp_path / "c.jsonl"
+    save_corpus(Corpus([], CorpusManifest(groups=list(groups))), path)
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return path
+
+
+@pytest.mark.parametrize("overrides, error, match", [
+    ({"days": "abc"}, ParseError, r"line 1: missing or wrong JSON type: \['days'\]"),
+    ({"lon": "x"}, ParseError, r"line 1: missing or wrong JSON type: \['lon'\]"),
+    ({"channels": [1, 2]}, ParseError, r"line 1: missing or wrong JSON type: \['channels'\]"),
+    ({"channels": {"s2": [[0.1], ["a"]]}}, ParseError, r"\['channels'\]"),
+    ({"days": [5, True]}, ParseError, r"\['days'\]"),
+    ({"id": None}, ParseError, r"\['id'\]"),
+    ({"channels": {"s2": [[0.1], [float("nan")]]}}, ParseError, "non-finite number NaN"),
+    ({"channels": {"s1": [[0.1], [0.2]]}}, ValidationError, "line 1: missing dynamic group s2"),
+    ({"days": [], "channels": {"s2": []}}, ValidationError, "line 1: empty days"),
+    ({"channels": {"s2": [[0.1], [0.2, 0.3]]}}, ValidationError, "ragged channel rows"),
+], ids=["days-str", "lon-str", "channels-list", "value-str", "day-bool", "id-null", "nan",
+        "missing-group", "empty-days", "ragged"])
+def test_corrupt_record_raises_typed_error(tmp_path, overrides, error, match):
+    path = _write_corpus(tmp_path, [_record(**overrides)])
+    with pytest.raises(error, match=match):
+        load_corpus(path)
+
+
+@pytest.mark.parametrize("text", [
+    "{not json", "[]", '{"groups": 5}', '{"groups": [{"name": "s2"}]}',
+    '{"groups": [{"name": "s2", "channels": 1, "kind": "dinamic"}]}',
+    '{"hierarchy_levels": {"x": 2}}', '{"pretrain_regions": [["R1"]]}', "\xff",
+], ids=["not-json", "list", "groups-int", "group-keys", "group-kind", "level-key", "regions", "latin-1"])
+def test_corrupt_manifest_raises_parse_error_naming_it(tmp_path, text):
+    path = _write_corpus(tmp_path, [_record()])
+    data.manifest_path(path).write_text(text, encoding="latin-1")
+    with pytest.raises(ParseError, match="manifest.*c.manifest.json"):
+        load_corpus(path)
+
+
+@pytest.mark.parametrize("value", ["1e999", "1" + "0" * 400], ids=["float", "int"])
+def test_channel_value_overflowing_float64_is_a_breach(tmp_path, value):
+    path = _write_corpus(tmp_path, [_record()])
+    path.write_text(path.read_text().replace("0.2", value))
+    with pytest.raises(ValidationError, match="line 1: channel value outside the finite float64"):
+        load_corpus(path)
+
+
+def test_record_that_is_not_an_object_raises_parse_error(tmp_path):
+    path = _write_corpus(tmp_path, [_record(), [1, 2]])
+    with pytest.raises(ParseError, match="line 2: .*the record itself"):
+        load_corpus(path)
+
+
+def test_record_breaches_are_reported_together(tmp_path):
+    records = [_record(channels={}), _record(days=[], channels={"s2": []}), _record(lon=4.0)]
+    path = _write_corpus(tmp_path, records)
+    with pytest.raises(ValidationError) as info:
+        load_corpus(path)
+    assert info.value.breaches == [
+        "line 1: missing dynamic group s2",
+        "line 2: empty days",
+        "line 3: longitude outside [-pi, pi]",
+    ]
+
+
+@functools.lru_cache(maxsize=1)
+def _small_corpus_bytes():
+    """Corpus and manifest bytes of three synthetic parcels."""
+    corpus = generate_synthetic(small_config(), seed=0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "full.jsonl"
+        save_corpus(Corpus(corpus.samples[:3], corpus.manifest), path)
+        return path.read_bytes(), data.manifest_path(path).read_bytes()
+
+
+def test_every_truncated_corpus_or_manifest_raises_parse_error(tmp_path):
+    body, manifest = _small_corpus_bytes()
+    cut = tmp_path / "cut.jsonl"
+    data.manifest_path(cut).write_bytes(manifest)
+    whole_lines = {0} | {i + d for i, b in enumerate(body) if b == ord("\n") for d in (0, 1)}
+    for size in range(len(body)):
+        cut.write_bytes(body[:size])
+        if size in whole_lines:  # a cut at a line end leaves a shorter corpus
+            assert len(load_corpus(cut)) == len(body[:size].splitlines())
+        else:
+            with pytest.raises(ParseError):
+                load_corpus(cut)
+    cut.write_bytes(body)
+    for size in range(len(manifest.rstrip())):
+        data.manifest_path(cut).write_bytes(manifest[:size])
+        with pytest.raises(ParseError, match="manifest"):
+            load_corpus(cut)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(choice=st.data())
+def test_corrupt_corpus_loads_or_raises_fsml_error(tmp_path, choice):
+    files = dict(zip(("body", "manifest"), _small_corpus_bytes()))
+    target = choice.draw(st.sampled_from(sorted(files)), label="file")
+    blob = files[target]
+    at = choice.draw(st.integers(0, len(blob) - 1), label="offset")
+    byte = choice.draw(st.integers(0, 255).filter(lambda b: b != blob[at]), label="byte")
+    files[target] = blob[:at] + bytes([byte]) + blob[at + 1:]
+    path = tmp_path / "flipped.jsonl"
+    path.write_bytes(files["body"])
+    data.manifest_path(path).write_bytes(files["manifest"])
+    try:
+        load_corpus(path)
+    except FsmlError:
+        pass

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fsml.data import Observation, ParcelSample, SynthConfig, generate_synthetic
+from conftest import parcel
+from fsml.data import SynthConfig, generate_synthetic
 from fsml.episodes import (
     EpisodeConfig,
     build_meta_validation,
@@ -21,10 +22,7 @@ def flat_pool(region_class_counts):
         for label, n in class_counts.items():
             for _ in range(n):
                 samples.append(
-                    ParcelSample(
-                        f"p{i}", [Observation(5, {"s2": np.zeros(2)})],
-                        0.0, 0.0, region, label, "train",
-                    )
+                    parcel([5], {"s2": np.zeros((1, 2))}, f"p{i}", region=region, label=label)
                 )
                 i += 1
     return samples

@@ -3,15 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_grads_close, pad_batch
+from conftest import assert_grads_close, pad_batch, parcel
 from fsml import meta, nn
 from fsml import tensor as T
 from fsml.data import (
     Corpus,
     CorpusManifest,
     GroupSpec,
-    Observation,
-    ParcelSample,
     build_hierarchy_codes,
 )
 from fsml.episodes import episode_pool, sample_episode
@@ -165,14 +163,12 @@ def bump_corpus(n_classes=4, per_class=24, seed=0, channels=1):
                 amplitude = 0.6 + 0.55 * ci + rng.uniform(-0.18, 0.18)
                 days = np.sort(rng.choice(np.arange(1, 367), size=10, replace=False))
                 curve = np.sin(np.pi * np.clip((days - 60 - phase) / 180.0, 0, 1))
-                observations = []
-                for d, c in zip(days, curve):
-                    row = amplitude * c + rng.normal(0, 0.05, size=channels)
-                    observations.append(Observation(int(d), {"s1": row}))
+                rows = [amplitude * c + rng.normal(0, 0.05, size=channels) for c in curve]
                 samples.append(
-                    ParcelSample(
+                    parcel(
+                        days,
+                        {"s1": rows},
                         f"b{counter:05d}",
-                        observations,
                         float(rng.uniform(-0.5, 0.5)),
                         float(rng.uniform(-0.5, 0.5)),
                         region,
@@ -310,8 +306,8 @@ def test_timl_encoder_distinguishes_centroids():
     task = _one_task(corpus, config)
     samples, _ = task.support_sets()
     sample = samples[0]
-    twin = ParcelSample(
-        sample.parcel_id + "_moved", sample.observations, sample.lon + 0.3,
+    twin = parcel(
+        sample.days, sample.channels, sample.parcel_id + "_moved", sample.lon + 0.3,
         sample.lat - 0.2, sample.region, sample.label, sample.split,
     )
     head = learner.fresh_head(rng_from(7, 2))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_grads_close, finite_diff, pad_batch
+from conftest import assert_grads_close, finite_diff, pad_batch, parcel
 from fsml import nn
 from fsml import tensor as T
 from fsml.errors import ContractError, DegenerateInputError, FsmlError, ParseError, SequenceLengthError
@@ -368,22 +368,9 @@ def test_corrupt_checkpoint_loads_or_raises_fsml_error(tmp_path, data):
 
 
 def test_pack_batch_shapes():
-    from fsml.data import Observation, ParcelSample
-
     samples = [
-        ParcelSample(
-            "a",
-            [
-                Observation(3, {"s2": np.array([0.1, 0.2])}),
-                Observation(9, {"s2": np.array([0.3, 0.4])}),
-            ],
-            0.0, 0.0, "R1", "x", "train",
-        ),
-        ParcelSample(
-            "b",
-            [Observation(5, {"s2": np.array([0.5, 0.6])})],
-            0.0, 0.0, "R1", "x", "train",
-        ),
+        parcel([3, 9], {"s2": [[0.1, 0.2], [0.3, 0.4]]}, "a"),
+        parcel([5], {"s2": [[0.5, 0.6]]}, "b"),
     ]
     values, days, mask = nn.pack_batch(samples, ["s2"])
     assert values.shape == (2, 2, 2)

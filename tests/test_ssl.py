@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import parcel
 from fsml import nn, ssl
 from fsml.data import (
     GroupSpec,
-    Observation,
-    ParcelSample,
     SynthConfig,
     generate_synthetic,
 )
@@ -27,7 +26,7 @@ from fsml.ssl import (
     xts_plan,
 )
 from fsml.tensor import Tape, Tensor
-from fsml.tokens import group_spec, token_layout, xts_regime
+from fsml.tokens import encode_tokens, group_spec, token_layout, token_params, xts_regime
 
 
 SPEC1 = group_spec(("s2", 3, "dynamic"))
@@ -116,11 +115,9 @@ def _samples(n, rng, spec=SPEC1, t=(5, 9)):
     for i in range(n):
         count = int(rng.integers(t[0], t[1] + 1))
         days = np.sort(rng.choice(np.arange(1, 60), size=count, replace=False))
-        obs = [
-            Observation(int(d), {g.name: rng.random(g.channels) for g in spec.dynamic_groups})
-            for d in days
-        ]
-        out.append(ParcelSample(f"s{i}", obs, 0.1, 0.2, "R1", "101010", "train"))
+        rows = [{g.name: rng.random(g.channels) for g in spec.dynamic_groups} for _ in days]
+        channels = {g.name: [r[g.name] for r in rows] for g in spec.dynamic_groups}
+        out.append(parcel(days, channels, f"s{i}", 0.1, 0.2, label="101010"))
     return out
 
 
@@ -131,7 +128,7 @@ def test_loss_ignores_unmasked_reconstruction_cells(variant):
     samples = _samples(3, rng)
     params = model.init_params(rng_from(0, 1))
     batch = encode_token_batch(samples, model.spec, model.regime, params)
-    t_max = max(len(s.observations) for s in samples)
+    t_max = max(len(s.days) for s in samples)
     masks = np.stack([
         build_mask(base_plan("random"), model.spec, t_max, rng_from(1, i), padding=batch.pad[i])
         for i in range(3)
@@ -259,7 +256,7 @@ def test_parcel_alone_matches_mixed_batch():
     params = model.init_params(rng_from(11, 1))
     stats = normalization_stats(samples, SPEC_LOC)
     batch = encode_token_batch(samples, SPEC_LOC, model.regime, params, stats)
-    assert len({len(s.observations) for s in samples}) > 1
+    assert len({len(s.days) for s in samples}) > 1
     for i, sample in enumerate(samples):
         alone = encode_token_batch([sample], SPEC_LOC, model.regime, params, stats)
         assert not alone.pad.any()
@@ -381,3 +378,26 @@ def test_token_classifier_forward_shapes():
     chunk = corpus.finetune_pool()[:5]
     logits = clf.logits(params.backbone, params.head, chunk)
     assert logits.shape == (5, 4)
+
+
+def test_categorical_group_is_not_normalized():
+    """Category indices get no statistics, so a batch with stats encodes each
+    categorical token as the projection row of its raw index."""
+    spec = group_spec(("s2", 2, "dynamic"), GroupSpec("landcover", 5, "dynamic", categorical=True))
+    regime = xts_regime(16)
+    rng = np.random.default_rng(4)
+    samples = []
+    for i in range(6):
+        days = np.sort(rng.choice(np.arange(1, 60), size=int(rng.integers(2, 5)), replace=False))
+        channels = {"s2": rng.random((len(days), 2)), "landcover": rng.integers(0, 5, (len(days), 1))}
+        samples.append(parcel(days, channels, f"s{i}"))
+    stats = normalization_stats(samples, spec)
+    assert set(stats) == {"s2"}
+    params = token_params(rng_from(0, 5), spec, regime)
+    tokens, context, _ = encode_tokens(samples, spec, regime, params, stats)
+    _, group_index, time_index, pad = token_layout(spec, [len(s.days) for s in samples])
+    rows = params["proj/landcover/w"].values
+    for b, s in enumerate(samples):
+        for n in np.flatnonzero((group_index == 1) & ~pad[b]):
+            index = int(s.channels["landcover"][time_index[n], 0])
+            np.testing.assert_array_equal(tokens.values[b, n], rows[index] + context.values[b, n])

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fsml.data import GroupSpec, Observation, ParcelSample
+from conftest import parcel
+from fsml.data import GroupSpec
 from fsml.errors import ContractError, SequenceLengthError
 from fsml.nn import sinusoidal_encoding
 from fsml.seeding import rng_from
@@ -18,14 +19,10 @@ from fsml.tokens import (
 
 
 def sample_with(days, groups, rng, static=None):
-    observations = [
-        Observation(
-            day=int(d),
-            channels={g.name: rng.random(g.channels) for g in groups if g.kind == "dynamic"},
-        )
-        for d in days
-    ]
-    return ParcelSample("p0", observations, 0.1, 0.2, "R1", "101010", "train")
+    dynamic = [g for g in groups if g.kind == "dynamic"]
+    rows = [{g.name: rng.random(g.channels) for g in dynamic} for _ in days]
+    channels = {g.name: [r[g.name] for r in rows] for g in dynamic}
+    return parcel(days, channels, lon=0.1, lat=0.2, label="101010")
 
 
 def test_month_of_examples():
@@ -113,15 +110,14 @@ def test_batched_tokens_equal_row_formula():
     tokens, context, cells = encode_tokens(samples, spec, regime, params)
     _, group_index, time_index, pad = token_layout(spec, [2, 4, 1])
     for b, sample in enumerate(samples):
-        days = [o.day for o in sample.observations]
-        temporal = temporal_encoding(regime, days)
+        temporal = temporal_encoding(regime, sample.days)
         for n, (gi, t) in enumerate(zip(group_index, time_index)):
             g = spec.groups[gi]
             if pad[b, n]:
                 assert not tokens.values[b, n].any() and not context.values[b, n].any()
                 assert not cells[b, n].any()
                 continue
-            raw = np.array([1.0, 0.0, 0.0]) if t < 0 else sample.observations[t].channels[g.name]
+            raw = np.array([1.0, 0.0, 0.0]) if t < 0 else sample.channels[g.name][t]
             ctx = np.concatenate([params[f"ctx/{g.name}"].values,
                                   np.zeros(12) if t < 0 else temporal[t]])
             projected = raw @ params[f"proj/{g.name}/w"].values + params[f"proj/{g.name}/b"].values
@@ -153,11 +149,7 @@ def test_identical_values_differ_only_in_sin_slice():
     rng = np.random.default_rng(5)
     fixed = rng.random(3)
     # two days in the same calendar month: identical p_month rows
-    sample = ParcelSample(
-        "p0",
-        [Observation(92, {"s2": fixed}), Observation(105, {"s2": fixed})],
-        0.0, 0.0, "R1", "x", "train",
-    )
+    sample = parcel([92, 105], {"s2": [fixed, fixed]})
     tokens, _, _ = encode_tokens([sample], spec, regime, params)
     delta = tokens.values[0, 0] - tokens.values[0, 1]
     ch, sin, month = regime.slices()
@@ -220,9 +212,7 @@ def test_channel_count_mismatch_rejected():
     regime = xts_regime(16)
     params = token_params(rng_from(0, 3), spec, regime)
     good = sample_with([10], spec.groups, np.random.default_rng(0))
-    bad = ParcelSample(
-        "p0", [Observation(10, {"s2": np.zeros(3)})], 0.0, 0.0, "R1", "x", "train"
-    )
+    bad = parcel([10], {"s2": np.zeros((1, 3))})
     with pytest.raises(ContractError, match="channels"):
         encode_tokens([good, bad], spec, regime, params)
 
@@ -230,9 +220,7 @@ def test_channel_count_mismatch_rejected():
 def test_missing_dynamic_group_rejected():
     spec = group_spec(("s1", 2, "dynamic"), ("s2", 4, "dynamic"))
     params = token_params(rng_from(0, 3), spec, xts_regime(16))
-    bad = ParcelSample(
-        "p0", [Observation(10, {"s1": np.zeros(2)})], 0.0, 0.0, "R1", "x", "train"
-    )
+    bad = parcel([10], {"s1": np.zeros((1, 2))})
     with pytest.raises(ContractError, match="s2 missing"):
         encode_tokens([bad], spec, xts_regime(16), params)
 
@@ -252,13 +240,8 @@ def test_categorical_group_is_embedding_lookup():
     spec = group_spec(g)
     regime = xts_regime(16)
     params = token_params(rng_from(0, 5), spec, regime)
-    sample = ParcelSample(
-        "p0",
-        [Observation(10, {"landcover": np.array([3])}),
-         Observation(40, {"landcover": np.array([0])})],
-        0.0, 0.0, "R1", "x", "train",
-    )
-    short = ParcelSample("p1", [Observation(7, {"landcover": np.array([4])})], 0.0, 0.0, "R1", "x", "train")
+    sample = parcel([10, 40], {"landcover": [[3], [0]]})
+    short = parcel([7], {"landcover": [[4]]}, "p1")
     tokens, _, cells = encode_tokens([sample, short], spec, regime, params)
     # one-hot x matrix == direct row lookup
     onehot = np.zeros((2, 5))
