@@ -10,7 +10,8 @@ Output layout: ``<out>/<config_hash>/<seed>/{checkpoints,traces,reports}``
 plus ``<out>/<config_hash>/results.csv`` for sweep summaries.
 
 ``FSML_THREADS`` (an integer >= 1) caps how many seeds run as parallel
-worker processes.
+worker processes.  A fine-tune loads its corpus once and hands the loaded
+corpus to every seed, in process or pickled with each worker's job.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import get_type_hints
 
@@ -375,9 +377,8 @@ def _load_init(finetune_block, model_config, corpus, seed):
     return model, backbone, algorithm
 
 
-def _finetune_one_seed(args):
-    (config, chash, seed, out) = args
-    corpus = load_corpus(config["dataset"])
+def _finetune_one_seed(job, corpus):
+    (config, chash, seed, out) = job
     model_config = _model_config(config)
     block = config["finetune"]
     regime = FineTuneRegime(
@@ -420,12 +421,13 @@ def _finetune_one_seed(args):
 
 def _mode_finetune(config, chash, seeds, out):
     workers = _worker_count()
+    run_seed = partial(_finetune_one_seed, corpus=load_corpus(config["dataset"]))
     jobs = [(config, chash, seed, out) for seed in seeds]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_finetune_one_seed, jobs))
+            rows = list(pool.map(run_seed, jobs))
     else:
-        rows = [_finetune_one_seed(job) for job in jobs]
+        rows = [run_seed(job) for job in jobs]
     label = rows[0][1]
     kshots = sorted(config["finetune"].get("kshots", [20]))
     per_k = {

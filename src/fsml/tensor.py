@@ -1,13 +1,22 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 A :class:`Tape` records every primitive evaluated while it is active (explicit
-enter/exit scoping, confined to one thread).  :func:`grad` replays the
-recorded adjoint rules in reverse.  Every adjoint rule is itself composed of
-the same primitives, so gradients computed with ``create_graph=True`` are
-tape-recorded and can be differentiated again, which is what makes full
-second-order meta-gradients possible.  The record ends with the scope: on
-exit the tape releases its nodes, and gradients of the tensors it recorded
-can no longer be taken.
+enter/exit scoping).  :func:`grad` replays the recorded adjoint rules in
+reverse.  Every adjoint rule is itself composed of the same primitives, so
+gradients computed with ``create_graph=True`` are tape-recorded and can be
+differentiated again, which is what makes full second-order meta-gradients
+possible.  The record ends with the scope: on exit the tape releases its
+nodes, and gradients of the tensors it recorded can no longer be taken.
+
+Recording state is per process: ``Tape`` scopes and :func:`paused` keep one
+module-level "recording tape or ``None``" up to date, so a primitive asks one
+global whether to record.  fsml runs parallel seeds in worker processes,
+never threads, so tapes must not be entered from more than one thread.
+
+Every primitive computes its values first.  When nothing records (no open
+tape, or inside :func:`paused`, as in the replay of
+``grad(create_graph=False)``), it returns them at once, before it builds its
+adjoint closure; each adjoint rule is written once, after that check.
 
 The primitive set is fixed: add, sub, mul, div, matmul, transpose, reshape,
 concat, slice_axis, reduce_sum, reduce_mean, exp, log, sqrt, power, softmax
@@ -16,7 +25,6 @@ concat, slice_axis, reduce_sum, reduce_mean, exp, log, sqrt, power, softmax
 
 from __future__ import annotations
 
-import threading
 import warnings
 from contextlib import contextmanager, nullcontext
 
@@ -26,32 +34,27 @@ from . import kernels
 from .kernels import GELU_CUBIC, SQRT_2_OVER_PI
 from .errors import ContractError, DomainError, ShapeError
 
-_STATE = threading.local()
+_tapes = []  # open Tape scopes, innermost last
+_pause_depth = 0
+_recording = None  # the tape primitives record on, or None
 
 
-def _tape_stack():
-    if not hasattr(_STATE, "tapes"):
-        _STATE.tapes = []
-        _STATE.pause_depth = 0
-    return _STATE.tapes
-
-
-def _active_tape():
-    stack = _tape_stack()
-    if not stack or _STATE.pause_depth:
-        return None
-    return stack[-1]
+def _sync_recording():
+    global _recording
+    _recording = _tapes[-1] if _tapes and not _pause_depth else None
 
 
 @contextmanager
 def paused():
-    """Suspend tape recording on this thread for the duration of the block."""
-    _tape_stack()
-    _STATE.pause_depth += 1
+    """Suspend tape recording for the duration of the block."""
+    global _pause_depth
+    _pause_depth += 1
+    _sync_recording()
     try:
         yield
     finally:
-        _STATE.pause_depth -= 1
+        _pause_depth -= 1
+        _sync_recording()
 
 
 class Tape:
@@ -63,11 +66,13 @@ class Tape:
         self.nodes = []
 
     def __enter__(self):
-        _tape_stack().append(self)
+        _tapes.append(self)
+        _sync_recording()
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _tape_stack().pop()
+        popped = _tapes.pop()
+        _sync_recording()
         if popped is not self:
             raise RuntimeError("tape scopes exited out of order")
         # Nodes, their output tensors and adjoint closures refer to each
@@ -112,7 +117,9 @@ class Tensor:
         return self.values.size
 
     def item(self):
-        return float(self.values)
+        if self.values.size != 1:
+            raise ContractError(f"item: need a size-1 tensor, got shape {self.shape}")
+        return self.values.item()
 
     def detach(self):
         """A tape-free view of the same values; never contributes gradients."""
@@ -174,21 +181,26 @@ _lift = as_tensor
 
 
 def _record(out, inputs, vjp):
-    tape = _active_tape()
-    if tape is not None:
-        node = _Node(out, inputs, vjp, tape, len(tape.nodes))
-        tape.nodes.append(node)
-        out.node = node
+    """Append ``out``'s node to the recording tape (callers check it is set)."""
+    tape = _recording
+    node = _Node(out, inputs, vjp, tape, len(tape.nodes))
+    tape.nodes.append(node)
+    out.node = node
     return out
 
 
-def _broadcast_check(name, a, b):
-    try:
-        return np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(
-            f"{name}: shapes {a.shape} and {b.shape} are not broadcast-compatible"
-        ) from None
+def _broadcast_error(name, a, b):
+    return ShapeError(
+        f"{name}: shapes {a.shape} and {b.shape} are not broadcast-compatible"
+    )
+
+
+def _check_axis(name, axis, shape):
+    """``axis`` as an index into ``shape``; negative axes count from the end."""
+    ndim = len(shape)
+    if not -ndim <= axis < ndim:
+        raise ShapeError(f"{name}: axis {axis} is out of range for shape {shape}")
+    return axis % ndim
 
 
 def _unbroadcast(g, shape):
@@ -217,14 +229,18 @@ def _reduce_leading(g, shape):
 
 
 # ---------------------------------------------------------------------------
-# primitives
+# primitives: each returns before building its adjoint when nothing records
 # ---------------------------------------------------------------------------
 
 
 def add(a, b):
     a, b = _lift(a), _lift(b)
-    _broadcast_check("add", a, b)
-    out = Tensor(a.values + b.values)
+    try:
+        out = Tensor(a.values + b.values)
+    except ValueError:
+        raise _broadcast_error("add", a, b) from None
+    if _recording is None:
+        return out
 
     def vjp(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
@@ -234,8 +250,12 @@ def add(a, b):
 
 def sub(a, b):
     a, b = _lift(a), _lift(b)
-    _broadcast_check("sub", a, b)
-    out = Tensor(a.values - b.values)
+    try:
+        out = Tensor(a.values - b.values)
+    except ValueError:
+        raise _broadcast_error("sub", a, b) from None
+    if _recording is None:
+        return out
 
     def vjp(g):
         return _unbroadcast(g, a.shape), _unbroadcast(mul(g, -1.0), b.shape)
@@ -245,8 +265,12 @@ def sub(a, b):
 
 def mul(a, b):
     a, b = _lift(a), _lift(b)
-    _broadcast_check("mul", a, b)
-    out = Tensor(a.values * b.values)
+    try:
+        out = Tensor(a.values * b.values)
+    except ValueError:
+        raise _broadcast_error("mul", a, b) from None
+    if _recording is None:
+        return out
 
     def vjp(g):
         return _unbroadcast(mul(g, b), a.shape), _unbroadcast(mul(g, a), b.shape)
@@ -256,8 +280,12 @@ def mul(a, b):
 
 def div(a, b):
     a, b = _lift(a), _lift(b)
-    _broadcast_check("div", a, b)
-    out = Tensor(a.values / b.values)
+    try:
+        out = Tensor(a.values / b.values)
+    except ValueError:
+        raise _broadcast_error("div", a, b) from None
+    if _recording is None:
+        return out
 
     def vjp(g):
         ga = _unbroadcast(div(g, b), a.shape)
@@ -282,6 +310,8 @@ def matmul(a, b):
             f"matmul: batch dimensions differ for shapes {a.shape} and {b.shape}"
         )
     out = Tensor(a.values @ b.values)
+    if _recording is None:
+        return out
 
     def vjp(g):
         ga = _reduce_leading(matmul(g, transpose(b)), a.shape)
@@ -292,16 +322,23 @@ def matmul(a, b):
 
 
 def transpose(a, axes=None):
+    """Permute axes; by default swap the last two (its own inverse)."""
     a = _lift(a)
     if a.ndim < 2:
         return a
     if axes is None:
-        axes = tuple(range(a.ndim - 2)) + (a.ndim - 1, a.ndim - 2)
-    axes = tuple(int(ax) for ax in axes)
-    if sorted(axes) != list(range(a.ndim)):
-        raise ShapeError(f"transpose: {axes} is not a permutation for shape {a.shape}")
-    out = Tensor(np.transpose(a.values, axes))
-    inverse = tuple(np.argsort(axes))
+        out = Tensor(a.values.swapaxes(-1, -2))
+    else:
+        axes = tuple(int(ax) for ax in axes)
+        try:
+            out = Tensor(np.transpose(a.values, axes))
+        except ValueError:
+            raise ShapeError(
+                f"transpose: {axes} is not a permutation for shape {a.shape}"
+            ) from None
+    if _recording is None:
+        return out
+    inverse = None if axes is None else tuple(np.argsort([ax % a.ndim for ax in axes]))
 
     def vjp(g):
         return (transpose(g, inverse),)
@@ -317,6 +354,8 @@ def reshape(a, shape):
     except ValueError:
         raise ShapeError(f"reshape: cannot view shape {a.shape} as {shape}") from None
     out = Tensor(out_vals)
+    if _recording is None:
+        return out
     original = a.shape
 
     def vjp(g):
@@ -330,7 +369,7 @@ def concat(tensors, axis=0):
     if not tensors:
         raise ContractError("concat: need at least one tensor")
     ndim = tensors[0].ndim
-    axis = axis % ndim if ndim else 0
+    axis = _check_axis("concat", axis, tensors[0].shape)
     for t in tensors[1:]:
         if t.ndim != ndim or any(
             i != axis and t.shape[i] != tensors[0].shape[i] for i in range(ndim)
@@ -339,6 +378,8 @@ def concat(tensors, axis=0):
                 f"concat: shapes {tensors[0].shape} and {t.shape} do not align off axis {axis}"
             )
     out = Tensor(np.concatenate([t.values for t in tensors], axis=axis))
+    if _recording is None:
+        return out
     sizes = [t.shape[axis] for t in tensors]
 
     def vjp(g):
@@ -353,7 +394,7 @@ def concat(tensors, axis=0):
 
 def slice_axis(a, axis, start, stop):
     a = _lift(a)
-    axis = axis % a.ndim
+    axis = _check_axis("slice_axis", axis, a.shape)
     dim = a.shape[axis]
     if not (0 <= start < stop <= dim):
         raise ContractError(
@@ -363,6 +404,8 @@ def slice_axis(a, axis, start, stop):
         slice(start, stop) if i == axis else slice(None) for i in range(a.ndim)
     )
     out = Tensor(a.values[index])
+    if _recording is None:
+        return out
 
     def vjp(g):
         parts = []
@@ -380,18 +423,23 @@ def slice_axis(a, axis, start, stop):
     return _record(out, (a,), vjp)
 
 
-def _normalize_axis(axis, ndim):
+def _normalize_axis(name, axis, shape):
+    """Sorted non-negative reduction axes; out-of-range or repeated axes raise."""
     if axis is None:
         return None
-    if isinstance(axis, int):
-        axis = (axis,)
-    return tuple(sorted(ax % ndim for ax in axis))
+    axes = (axis,) if isinstance(axis, int) else tuple(axis)
+    normalized = tuple(sorted({_check_axis(name, ax, shape) for ax in axes}))
+    if len(normalized) != len(axes):
+        raise ShapeError(f"{name}: axis {axis} repeats an axis of shape {shape}")
+    return normalized
 
 
 def reduce_sum(a, axis=None, keepdims=False):
     a = _lift(a)
-    axes = _normalize_axis(axis, a.ndim)
+    axes = _normalize_axis("reduce_sum", axis, a.shape)
     out = Tensor(a.values.sum(axis=axes, keepdims=keepdims))
+    if _recording is None:
+        return out
     original = a.shape
 
     def vjp(g):
@@ -410,13 +458,15 @@ def reduce_sum(a, axis=None, keepdims=False):
 
 def reduce_mean(a, axis=None, keepdims=False):
     a = _lift(a)
-    axes = _normalize_axis(axis, a.ndim)
+    axes = _normalize_axis("reduce_mean", axis, a.shape)
+    out = Tensor(a.values.mean(axis=axes, keepdims=keepdims))
+    if _recording is None:
+        return out
+    original = a.shape
     if axes is None:
         count = a.size
     else:
-        count = int(np.prod([a.shape[ax] for ax in axes]))
-    out = Tensor(a.values.mean(axis=axes, keepdims=keepdims))
-    original = a.shape
+        count = int(np.prod([original[ax] for ax in axes]))
 
     def vjp(g):
         gg = g
@@ -435,6 +485,8 @@ def reduce_mean(a, axis=None, keepdims=False):
 def exp(a):
     a = _lift(a)
     out = Tensor(np.exp(a.values))
+    if _recording is None:
+        return out
 
     def vjp(g):
         return (mul(g, out),)
@@ -447,6 +499,8 @@ def log(a):
     if np.any(a.values < 0):
         raise DomainError("log of negative input")
     out = Tensor(np.log(a.values))
+    if _recording is None:
+        return out
 
     def vjp(g):
         return (div(g, a),)
@@ -459,6 +513,8 @@ def sqrt(a):
     if np.any(a.values < 0):
         raise DomainError("sqrt of negative input")
     out = Tensor(np.sqrt(a.values))
+    if _recording is None:
+        return out
 
     def vjp(g):
         return (div(g, mul(out, 2.0)),)
@@ -472,6 +528,8 @@ def power(a, exponent):
     if np.any(a.values < 0) and exponent != int(exponent):
         raise DomainError(f"power: negative base with fractional exponent {exponent}")
     out = Tensor(a.values**exponent)
+    if _recording is None:
+        return out
 
     def vjp(g):
         if exponent == 0.0:
@@ -487,6 +545,8 @@ def softmax(a):
     if a.ndim < 1 or a.shape[-1] < 1:
         raise ContractError(f"softmax: need a non-empty last axis, got shape {a.shape}")
     out = Tensor(kernels.softmax_rows(a.values))
+    if _recording is None:
+        return out
 
     def vjp(g):
         weighted = reduce_sum(mul(g, out), axis=-1, keepdims=True)
@@ -498,6 +558,8 @@ def softmax(a):
 def relu(a):
     a = _lift(a)
     out = Tensor(np.maximum(a.values, 0.0))
+    if _recording is None:
+        return out
     gate = Tensor((a.values > 0).astype(np.float64))
 
     def vjp(g):
@@ -515,6 +577,8 @@ def gelu(a):
     """GELU with the tanh approximation (recorded design decision)."""
     a = _lift(a)
     out = Tensor(kernels.gelu(a.values))
+    if _recording is None:
+        return out
 
     def vjp(g):
         x2 = mul(a, a)
@@ -537,6 +601,8 @@ def layer_norm(a, eps=1e-5):
     if a.ndim < 1 or a.shape[-1] < 1:
         raise ContractError(f"layer_norm: need a non-empty last axis, got {a.shape}")
     out = Tensor(kernels.layer_norm_rows(a.values, eps))
+    if _recording is None:
+        return out
 
     def vjp(g):
         mu = reduce_mean(a, axis=-1, keepdims=True)
@@ -561,6 +627,8 @@ def embedding_lookup(table, indices):
             f"embedding_lookup: index out of range for table with {table.shape[0]} rows"
         )
     out = Tensor(table.values[idx])
+    if _recording is None:
+        return out
     rows, dim = table.shape
 
     def vjp(g):
@@ -584,6 +652,8 @@ def masked_fill(a, mask, value):
             f"masked_fill: mask shape {mask.shape} does not broadcast to {a.shape}"
         ) from None
     out = Tensor(np.where(mask, float(value), a.values))
+    if _recording is None:
+        return out
     keep = Tensor((~mask).astype(np.float64))
 
     def vjp(g):
@@ -615,29 +685,30 @@ def grad(output, wrt, create_graph=False):
     adjoints = {}
     if node is not None:
         tape = node.tape
-        if create_graph and _active_tape() is not tape:
+        if create_graph and _recording is not tape:
             raise ContractError(
                 "grad: create_graph requires the output's tape to be active"
             )
         if node.out is None:
             raise ContractError("grad: the output's tape has been closed")
-        target_ids = {id(t) for t in targets}
-        # Forward pass over the tape prefix: mark nodes influenced by any target.
-        reachable = set(target_ids)
+        # No node before the earliest target can depend on a target, so the
+        # scan may start there when every target was recorded on this tape.
+        start = 0
+        if all(getattr(t, "node", None) is not None and t.node.tape is tape for t in targets):
+            start = min((t.node.idx for t in targets), default=0)
+        # Forward pass over the tape prefix: keep nodes influenced by any target.
+        reachable = {id(t) for t in targets}
         needed = []
-        for n in tape.nodes[: node.idx + 1]:
-            if any(id(inp) in reachable for inp in n.inputs):
-                reachable.add(id(n.out))
-                needed.append(True)
-            else:
-                needed.append(False)
+        for n in tape.nodes[start : node.idx + 1]:
+            for inp in n.inputs:
+                if id(inp) in reachable:
+                    reachable.add(id(n.out))
+                    needed.append(n)
+                    break
         scope = nullcontext() if create_graph else paused()
         with scope:
             adjoints[id(output)] = Tensor(np.ones(output.shape))
-            for i in range(node.idx, -1, -1):
-                if not needed[i]:
-                    continue
-                n = tape.nodes[i]
+            for n in reversed(needed):
                 g_out = adjoints.get(id(n.out))
                 if g_out is None:
                     continue

@@ -5,6 +5,7 @@ from typing import get_type_hints
 
 import pytest
 
+from fsml import cli as cli_mod
 from fsml.cli import _write_results_csv, config_hash, emit_plots, main, run, validate_config
 from fsml.data import SynthConfig
 from fsml.errors import ContractError, ParseError
@@ -437,6 +438,30 @@ def test_parallel_seed_fanout_matches_sequential(tmp_path, monkeypatch):
     assert snapshot.keys() == rerun.keys()
     for name, blob in snapshot.items():
         assert rerun[name] == blob, f"{name} differs between sequential and parallel runs"
+
+
+def test_finetune_loads_the_corpus_once_for_all_seeds(tmp_path, monkeypatch):
+    dataset = tmp_path / "corpus.jsonl"
+    run(synth_config(dataset, tmp_path / "unused"))
+    loads = []
+    real_load = cli_mod.load_corpus
+
+    def counting_load(path):
+        loads.append(path)
+        return real_load(path)
+
+    monkeypatch.setattr(cli_mod, "load_corpus", counting_load)
+    monkeypatch.setenv("FSML_THREADS", "1")
+    run({
+        "schema_version": 1,
+        "mode": "finetune",
+        "dataset": str(dataset),
+        "out": str(tmp_path / "runs"),
+        "seeds": [0, 1],
+        "model": MODEL_BLOCK,
+        "finetune": {"source": "scratch", "kshots": [2], "max_epochs": 1},
+    })
+    assert loads == [str(dataset)]
 
 
 def test_pipeline_ssl_checkpoint_finetunes(tmp_path):

@@ -276,6 +276,14 @@ def test_shape_mismatch_names_both_shapes():
     with pytest.raises(ShapeError) as err:
         T.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4,))))
     assert "(2, 3)" in str(err.value) and "(4,)" in str(err.value)
+    for op in (T.add, T.sub, T.mul, T.div):
+        for recording in (False, True):
+            with Tape() if recording else T.paused():
+                with pytest.raises(ShapeError) as err:
+                    op(Tensor(np.ones((2, 3))), Tensor(np.ones((4,))))
+            message = str(err.value)
+            assert op.__name__ in message
+            assert "(2, 3)" in message and "(4,)" in message
 
 
 def test_domain_errors():
@@ -304,3 +312,152 @@ def test_create_graph_requires_active_tape():
 def test_tensor_invariant_shape_matches_values():
     t = Tensor(np.arange(6.0).reshape(2, 3))
     assert int(np.prod(t.shape)) == t.size
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        pytest.param(lambda x: T.reduce_sum(x, axis=5), "axis 5", id="sum-axis-5"),
+        pytest.param(lambda x: T.reduce_sum(x, axis=-3), "axis -3", id="sum-axis-neg3"),
+        pytest.param(lambda x: T.reduce_mean(x, axis=2), "axis 2", id="mean-axis-2"),
+        pytest.param(lambda x: T.reduce_sum(x, axis=(0, 0)), "(0, 0)", id="sum-repeated"),
+        pytest.param(lambda x: T.reduce_mean(x, axis=(1, -1)), "(1, -1)", id="mean-repeated"),
+        pytest.param(lambda x: T.slice_axis(x, 3, 0, 2), "axis 3", id="slice-axis-3"),
+        pytest.param(lambda x: T.slice_axis(x, -3, 0, 1), "axis -3", id="slice-axis-neg3"),
+        pytest.param(lambda x: T.concat([x, x], axis=7), "axis 7", id="concat-axis-7"),
+        pytest.param(lambda x: T.concat([x, x], axis=-3), "axis -3", id="concat-axis-neg3"),
+        pytest.param(lambda x: T.transpose(x, (0, 0)), "(0, 0)", id="transpose-repeated"),
+        pytest.param(lambda x: T.transpose(x, (0, 2)), "(0, 2)", id="transpose-axis-2"),
+    ],
+)
+def test_bad_axis_is_a_shape_error_naming_axis_and_shape(call, named):
+    x = Tensor(np.zeros((2, 3)))
+    with pytest.raises(ShapeError) as err:
+        call(x)
+    assert named in str(err.value) and "(2, 3)" in str(err.value)
+
+
+def test_negative_axes_in_range_still_work():
+    x = np.arange(6.0).reshape(2, 3)
+    t = Tensor(x)
+    np.testing.assert_array_equal(T.reduce_sum(t, axis=-1).values, x.sum(axis=1))
+    np.testing.assert_array_equal(T.reduce_mean(t, axis=(-2, -1)).values, x.mean())
+    np.testing.assert_array_equal(T.slice_axis(t, -2, 1, 2).values, x[1:2])
+    np.testing.assert_array_equal(T.concat([t, t], axis=-2).values, np.vstack([x, x]))
+    np.testing.assert_array_equal(T.transpose(t, (-1, 0)).values, x.T)
+
+
+def test_item_returns_the_value_of_any_size_one_tensor():
+    for values in (2.0, [2.0], [[2.0]]):
+        value = Tensor(values).item()
+        assert value == 2.0 and type(value) is float
+    for values in ([1.0, 2.0], np.zeros((0,)), np.zeros((2, 1))):
+        with pytest.raises(ContractError, match="size-1"):
+            Tensor(values).item()
+
+
+def _one_of_each_primitive(x, y):
+    """One call of every primitive on (3, 4) operands; ``x`` is positive."""
+    mask = np.array([[True, False, False, True]] * 3)
+    return [
+        T.add(x, y), T.sub(x, y), T.mul(x, y), T.div(y, x),
+        T.matmul(x, T.transpose(y)), T.transpose(x), T.transpose(x, (1, 0)),
+        T.reshape(x, (4, 3)), T.concat([x, y], axis=1), T.slice_axis(y, 1, 1, 3),
+        T.reduce_sum(y, axis=0), T.reduce_mean(y), T.exp(y), T.log(x), T.sqrt(x),
+        T.power(x, 1.5), T.softmax(y), T.relu(y), T.gelu(y), T.layer_norm(y),
+        T.embedding_lookup(y, [2, 0]), T.masked_fill(y, mask, 0.5),
+    ]
+
+
+def test_paused_primitives_record_nothing_and_return_equal_bits():
+    r = np.random.default_rng(5)
+    x = Tensor(r.random((3, 4)) + 0.5)
+    y = Tensor(r.standard_normal((3, 4)))
+    with Tape() as tape:
+        recorded = _one_of_each_primitive(x, y)
+        count = len(tape.nodes)
+        with T.paused():
+            quiet = _one_of_each_primitive(x, y)
+        assert len(tape.nodes) == count
+    assert all(t.node is not None for t in recorded)
+    assert all(t.node is None for t in quiet)
+    for a, b in zip(recorded, quiet):
+        assert a.shape == b.shape and a.values.tobytes() == b.values.tobytes()
+
+
+def test_recording_resumes_after_nested_pause_and_after_an_exception():
+    x = Tensor([1.0, 2.0])
+    with Tape() as tape:
+        with T.paused():
+            with T.paused():
+                assert T.mul(x, x).node is None
+            assert T.mul(x, x).node is None
+        assert T.mul(x, x).node is not None
+        with pytest.raises(ShapeError):
+            with T.paused():
+                T.add(x, Tensor([1.0, 2.0, 3.0]))
+        with pytest.raises(RuntimeError):
+            with T.paused():
+                raise RuntimeError("inside a pause")
+        y = T.reduce_sum(T.mul(x, x))
+        assert y.node is not None and y.node.tape is tape
+        np.testing.assert_array_equal(grad(y, x).values, [2.0, 4.0])
+        assert T.mul(x, x).node is not None  # grad's own pause ended too
+    assert T.mul(x, x).node is None  # no tape is open
+
+
+def _full_prefix_grad(output, targets):
+    """grad's replay with the reachability scan started at node 0 (the reference)."""
+    node = output.node
+    reachable = {id(t) for t in targets}
+    needed = []
+    for n in node.tape.nodes[: node.idx + 1]:
+        if any(id(inp) in reachable for inp in n.inputs):
+            reachable.add(id(n.out))
+            needed.append(n)
+    adjoints = {id(output): Tensor(np.ones(output.shape))}
+    with T.paused():
+        for n in reversed(needed):
+            g_out = adjoints.get(id(n.out))
+            if g_out is None:
+                continue
+            for inp, contrib in zip(n.inputs, n.vjp(g_out)):
+                if contrib is None or id(inp) not in reachable:
+                    continue
+                held = adjoints.get(id(inp))
+                adjoints[id(inp)] = contrib if held is None else T.add(held, contrib)
+    return [adjoints[id(t)] for t in targets]
+
+
+def test_grad_of_mid_tape_targets_equals_full_prefix_scan():
+    r = np.random.default_rng(11)
+    with Tape():
+        w = Tensor(r.standard_normal((4, 3)))
+        x = Tensor(r.standard_normal((5, 4)))
+        h0 = T.gelu(T.matmul(x, w))
+        h1 = T.layer_norm(T.add(h0, 1.0))
+        h2 = T.softmax(T.mul(h1, h0))
+        loss = T.reduce_mean(T.mul(h2, h1))
+        assert 0 < h0.node.idx < h1.node.idx < h2.node.idx
+        for targets in ([h1], [h2, h1], [h1, h0], [w, h1], [h1, x, w], [h0, h2]):
+            got = grad(loss, targets)
+            want = _full_prefix_grad(loss, targets)
+            for g, ref in zip(got, want):
+                assert g.values.tobytes() == ref.values.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4), (2, 2, 3, 5)])
+def test_default_transpose_and_its_vjp_equal_explicit_axes(shape):
+    r = np.random.default_rng(4)
+    a = r.standard_normal(shape)
+    w = r.standard_normal(shape[:-2] + (shape[-1], shape[-2]))
+    ndim = len(shape)
+    explicit = tuple(range(ndim - 2)) + (ndim - 1, ndim - 2)
+    results = []
+    for axes in (None, explicit):
+        with Tape():
+            t = Tensor(a)
+            out = T.transpose(t, axes)
+            g = grad(T.reduce_sum(T.mul(out, Tensor(w))), t)
+        results.append((out.shape, out.values.tobytes(), g.shape, g.values.tobytes()))
+    assert results[0] == results[1]
