@@ -18,6 +18,18 @@ meta-updates, and the four algorithm variants.
 The classification head is reset at the start of every inner loop (fresh
 randomness from the run-seed stream), so meta-learning optimizes the
 backbone initialization (plus the task encoder for ``timl_enc``).
+
+A batch of tasks runs as one tape, in the manner of the batched inner loop
+of *higher* (arXiv:1910.01727).  The tasks are stacked on a leading task
+axis: one ``pack_batch`` call packs every support and query sample, and a
+set of each kind becomes ``[n_tasks, B, T, C]``.  The meta-parameters that
+adapt in the inner loop are repeated on the task axis by a recorded op, so
+each task adapts its own copy and their gradient sums over the tasks; each
+task's fresh head comes from its own ``STREAM_HEAD_RESET`` ordinal.  A
+fallback support set (fewer than ``n_way * k_support`` samples) is filled
+up with rows that a per-task mask keeps out of the loss, so each task's
+loss stays the mean over its own samples.  One ``grad`` of the summed task
+losses gives every task's own inner gradients.
 """
 
 from __future__ import annotations
@@ -101,9 +113,8 @@ def task_info(samples):
 
 def append_task_channels(values, cartesian):
     """Concatenate the 3-vector to every time step of [B, T, C] band values."""
-    b, t, _ = values.shape
-    tiled = np.broadcast_to(cartesian[:, None, :], (b, t, 3))
-    return np.concatenate([values, tiled], axis=2)
+    tiled = np.broadcast_to(cartesian[..., None, :], values.shape[:-1] + (3,))
+    return np.concatenate([values, tiled], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -127,11 +138,11 @@ def film_params(rng, embed_dim, hidden=FILM_HIDDEN):
 
 
 def film_modulation(params, cartesian, embed_dim):
-    """(gamma, delta) tensors of shape [B, embed_dim] from task info rows."""
-    h = T.gelu(T.add(T.matmul(Tensor(cartesian), params["film/w1"]), params["film/b1"]))
+    """(gamma, delta) tensors of shape [..., B, embed_dim] from task info rows."""
+    h = T.gelu(T.add(T.matmul(cartesian, params["film/w1"]), params["film/b1"]))
     out = T.add(T.matmul(h, params["film/w2"]), params["film/b2"])
-    gamma = T.add(T.slice_axis(out, 1, 0, embed_dim), 1.0)
-    delta = T.slice_axis(out, 1, embed_dim, 2 * embed_dim)
+    gamma = T.add(T.slice_axis(out, -1, 0, embed_dim), 1.0)
+    delta = T.slice_axis(out, -1, embed_dim, 2 * embed_dim)
     return gamma, delta
 
 
@@ -161,6 +172,23 @@ def adapt_by_gradient_descent(loss_fn, params, lr, steps, second_order, subset=N
 
 
 @dataclass(frozen=True)
+class SampleSet:
+    """Packed model inputs of a sample set, with its labels.
+
+    ``batch`` is ``nn.pack_batch``'s (values, days, mask) and ``cart`` the
+    task-information rows (``None`` when the algorithm uses none).  A
+    stacked set carries a leading task axis on every array, and ``live``
+    marks the rows that count in each task's mean loss; an unstacked set
+    has ``live=None`` and one mean over all its rows.
+    """
+
+    batch: tuple
+    cart: object
+    labels: np.ndarray
+    live: object = None
+
+
+@dataclass(frozen=True)
 class TaskAwareRawModel:
     """Raw-series model plus the algorithm's task-information injection.
 
@@ -180,16 +208,51 @@ class TaskAwareRawModel:
     def prepare(self, samples):
         return samples
 
-    def logits(self, backbone, head, samples):
-        film, cart = None, None
+    def sample_set(self, samples, labels=None):
+        """One ``pack_batch`` call over ``samples``, plus their task information."""
+        cart = None
         if self.algorithm in ("timl_enc", "timl_noenc"):
             cart = task_info(samples)
-        if self.algorithm == "timl_enc":
-            film = film_modulation(backbone, cart, self.base.config.embed_dim)
         values, days, mask = nn.pack_batch(samples, list(self.groups))
         if self.algorithm == "timl_noenc":
             values = append_task_channels(values, cart)
-        return self.base.logits(backbone, head, (values, days, mask), film=film)
+        return SampleSet((values, days, mask), cart, labels)
+
+    def stack_tasks(self, tasks):
+        """Support and query sets of ``tasks``, stacked on a leading task axis.
+
+        All samples of all tasks go through one ``pack_batch`` call, so every
+        set is padded to the batch's longest series.  A set with fewer rows
+        than the widest of its kind (a fallback support set) is filled up
+        with copies of its first sample that are not live.
+        """
+        kinds = ([t.support_sets() for t in tasks], [t.query_sets() for t in tasks])
+        packed = self.sample_set([s for sets in kinds for samples, _ in sets for s in samples])
+        stacked, offset = [], 0
+        for sets in kinds:
+            width = max(len(labels) for _, labels in sets)
+            index = np.empty((len(sets), width), dtype=np.intp)
+            labels = np.zeros(index.shape, dtype=np.intp)
+            live = np.zeros(index.shape, dtype=bool)
+            for i, (_, set_labels) in enumerate(sets):
+                count = len(set_labels)
+                index[i] = offset
+                index[i, :count] += np.arange(count)
+                labels[i, :count] = set_labels
+                live[i, :count] = True
+                offset += count
+            cart = None if packed.cart is None else packed.cart[index]
+            stacked.append(SampleSet(tuple(a[index] for a in packed.batch), cart, labels, live))
+        return stacked
+
+    def forward(self, backbone, head, inputs):
+        film = None
+        if self.algorithm == "timl_enc":
+            film = film_modulation(backbone, inputs.cart, self.base.config.embed_dim)
+        return self.base.logits(backbone, head, inputs.batch, film=film)
+
+    def logits(self, backbone, head, samples):
+        return self.forward(backbone, head, self.sample_set(samples))
 
 
 class MetaLearner:
@@ -217,13 +280,17 @@ class MetaLearner:
     # -- forward ----------------------------------------------------------
 
     def logits(self, flat, samples):
+        """Logits of a sample list, or of a (stacked) ``SampleSet``."""
         backbone = {k.split("/", 1)[1]: v for k, v in flat.items() if k.startswith("backbone/")}
         head = {k.split("/", 1)[1]: v for k, v in flat.items() if k.startswith("head/")}
-        return self.task_model.logits(backbone, head, samples)
+        if not isinstance(samples, SampleSet):
+            samples = self.task_model.sample_set(samples)
+        return self.task_model.forward(backbone, head, samples)
 
-    def _task_loss_fn(self, samples, labels):
+    def _loss_fn(self, inputs):
         def loss_fn(flat):
-            return cross_entropy(self.logits(flat, samples), labels)
+            losses = cross_entropy(self.logits(flat, inputs), inputs.labels, inputs.live)
+            return losses if inputs.live is None else T.reduce_sum(losses)
 
         return loss_fn
 
@@ -236,11 +303,16 @@ class MetaLearner:
     # -- spec operations ---------------------------------------------------
 
     def inner_adapt(self, flat, task, second_order=None):
-        """s gradient-descent steps at rate alpha on the support cross-entropy."""
-        samples, labels = task.support_sets()
-        loss_fn = self._task_loss_fn(samples, labels)
+        """s gradient-descent steps at rate alpha on the support cross-entropy.
+
+        ``task`` is an ``EpisodeTask``, or a stacked support ``SampleSet``
+        for parameters on a task axis; then the sum of the task losses is
+        descended, which takes each task's own steps.
+        """
+        if not isinstance(task, SampleSet):
+            task = self.task_model.sample_set(*task.support_sets())
         return adapt_by_gradient_descent(
-            loss_fn,
+            self._loss_fn(task),
             flat,
             lr=self.config.inner_lr,
             steps=self.config.inner_steps,
@@ -248,56 +320,68 @@ class MetaLearner:
             subset=self._inner_subset(flat),
         )
 
-    def task_query_stats(self, meta_params, task, head_rng, want_grads=True):
-        """Query loss/accuracy after adaptation; optionally the meta-gradient."""
+    def task_query_stats(self, meta_params, tasks, head_rngs, want_grads=True):
+        """Per-task query loss/accuracy after adaptation, with every task on
+        one tape; optionally the meta-gradient summed over the tasks.
+
+        Task i gets the fresh head drawn from ``head_rngs[i]``; the
+        meta-parameters that adapt in the inner loop are repeated on the task
+        axis, so each task adapts its own copy.
+        """
+        n = len(tasks)
+        support, query = self.task_model.stack_tasks(tasks)
+        heads = nn.stack_task_params([self.fresh_head(rng) for rng in head_rngs])
         with Tape():
-            flat = dict(meta_params)
-            flat.update(self.fresh_head(head_rng))
+            flat = {**meta_params, **heads}
+            for k in self._inner_subset(flat):
+                if k in meta_params:
+                    flat[k] = nn.on_task_axis(flat[k], n)
             # evaluation never differentiates through the trajectory
-            adapted = self.inner_adapt(flat, task, second_order=None if want_grads else False)
-            q_samples, q_labels = task.query_sets()
-            q_logits = self.logits(adapted, q_samples)
-            q_loss = cross_entropy(q_logits, q_labels)
-            stats = {
-                "loss": q_loss.item(),
-                "accuracy": nn.accuracy(q_logits.values, q_labels),
-            }
+            adapted = self.inner_adapt(flat, support, second_order=None if want_grads else False)
+            q_logits = self.logits(adapted, query)
+            q_losses = cross_entropy(q_logits, query.labels, query.live)
+            stats = [
+                {
+                    "loss": float(q_losses.values[i]),
+                    "accuracy": nn.accuracy(
+                        q_logits.values[i][query.live[i]], query.labels[i][query.live[i]]
+                    ),
+                }
+                for i in range(n)
+            ]
             if not want_grads:
                 return None, stats
             names = sorted(meta_params)
-            grads = grad(q_loss, [meta_params[k] for k in names])
+            grads = grad(T.reduce_sum(q_losses), [meta_params[k] for k in names])
         return {k: g.values for k, g in zip(names, grads)}, stats
 
     def meta_gradient(self, meta_params, tasks, seed):
         """Mean meta-gradient over a task batch: (ordinal, task) pairs."""
         if not tasks:
             raise ContractError("meta_gradient: empty task batch")
-        total, loss_sum, acc_sum = None, 0.0, 0.0
-        for ordinal, task in tasks:
-            head_rng = rng_from(seed, STREAM_HEAD_RESET, ordinal)
-            grads, stats = self.task_query_stats(meta_params, task, head_rng)
-            loss_sum += stats["loss"]
-            acc_sum += stats["accuracy"]
-            if total is None:
-                total = grads
-            else:
-                for k in total:
-                    total[k] = total[k] + grads[k]
+        rngs = [rng_from(seed, STREAM_HEAD_RESET, ordinal) for ordinal, _ in tasks]
+        total, stats = self.task_query_stats(meta_params, [t for _, t in tasks], rngs)
         n = len(tasks)
         return (
             {k: v / n for k, v in total.items()},
-            {"loss": loss_sum / n, "accuracy": acc_sum / n},
+            {
+                "loss": sum(s["loss"] for s in stats) / n,
+                "accuracy": sum(s["accuracy"] for s in stats) / n,
+            },
         )
 
     def evaluate_tasks(self, meta_params, tasks, seed):
-        losses, accs = [], []
-        for ordinal, task in enumerate(tasks):
-            head_rng = rng_from(seed, STREAM_HEAD_RESET, _VALIDATION_ORDINAL_BASE + ordinal)
-            _, stats = self.task_query_stats(
-                meta_params, task, head_rng, want_grads=False
-            )
-            losses.append(stats["loss"])
-            accs.append(stats["accuracy"])
+        """Mean query accuracy and loss, ``tasks_per_batch`` tasks per tape."""
+        stats, size = [], self.config.tasks_per_batch
+        for start in range(0, len(tasks), size):
+            chunk = tasks[start : start + size]
+            rngs = [
+                rng_from(seed, STREAM_HEAD_RESET, _VALIDATION_ORDINAL_BASE + start + i)
+                for i in range(len(chunk))
+            ]
+            stats += self.task_query_stats(meta_params, chunk, rngs, want_grads=False)[1]
+        accs = [s["accuracy"] for s in stats]
+        losses = [s["loss"] for s in stats]
         return float(np.mean(accs)), float(np.mean(losses))
 
 

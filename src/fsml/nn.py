@@ -5,6 +5,14 @@ loop can swap adapted values functionally.  Weights are initialized from
 Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) with zero biases, drawn from the
 run seed; layer norms carry affine (gain, bias) initialized to (1, 0).
 Blocks are pre-norm residual; dropout is omitted for determinism.
+
+Stacked tasks.  The raw-series model also runs ``n`` tasks at once, each
+with its own weights: a parameter may carry a leading task axis (a matrix
+``[n, in, out]``, a vector ``[n, 1, d]``, see :func:`on_task_axis`), the
+sequence mask is ``[n, B, T]`` and activations are ``[n, B*T, d]`` rows, so
+every linear layer is one batched matmul.  Attention folds the tasks into
+its batch axis.  Without a task axis every function computes exactly what it
+computes on a single batch.
 """
 
 from __future__ import annotations
@@ -147,16 +155,14 @@ def _linear(x, params, prefix):
     return T.add(T.matmul(x, params[f"{prefix}/w"]), params[f"{prefix}/b"])
 
 
-def _split_heads(x, num_heads):
-    b, t, e = x.shape
-    x = T.reshape(x, (b, t, num_heads, e // num_heads))
+def _split_heads(x, batch, num_heads):
+    """Rows of ``batch`` sequences as [batch, heads, T, dim / heads]."""
+    x = T.reshape(x, (batch, -1, num_heads, x.shape[-1] // num_heads))
     return T.transpose(x, (0, 2, 1, 3))
 
 
-def _merge_heads(x):
-    b, h, t, dh = x.shape
-    x = T.transpose(x, (0, 2, 1, 3))
-    return T.reshape(x, (b, t, h * dh))
+def _merge_heads(x, shape):
+    return T.reshape(T.transpose(x, (0, 2, 1, 3)), shape)
 
 
 def attention(params, prefix, config, queries, keys_values, key_mask, collect=None):
@@ -164,18 +170,21 @@ def attention(params, prefix, config, queries, keys_values, key_mask, collect=No
 
     Masked keys receive -1e30 before the softmax, so attention weights over
     unmasked keys sum to one and masked keys receive exactly zero weight.
+    Stacked tasks (mask [n, B, Tk], rows [n, B*Tk, d]) attend as n*B sequences.
     """
-    q = _split_heads(_linear(queries, params, f"{prefix}/q"), config.num_heads)
-    k = _split_heads(_linear(keys_values, params, f"{prefix}/k"), config.num_heads)
-    v = _split_heads(_linear(keys_values, params, f"{prefix}/v"), config.num_heads)
+    key_mask = np.asarray(key_mask, dtype=bool)
+    key_mask = key_mask.reshape(-1, key_mask.shape[-1])
+    batch = key_mask.shape[0]
+    q = _split_heads(_linear(queries, params, f"{prefix}/q"), batch, config.num_heads)
+    k = _split_heads(_linear(keys_values, params, f"{prefix}/k"), batch, config.num_heads)
+    v = _split_heads(_linear(keys_values, params, f"{prefix}/v"), batch, config.num_heads)
     scale = 1.0 / np.sqrt(config.embed_dim // config.num_heads)
     scores = T.mul(T.matmul(q, T.transpose(k)), scale)
-    blocked = ~np.asarray(key_mask, dtype=bool)[:, None, None, :]
-    scores = T.masked_fill(scores, blocked, NEG_INF)
+    scores = T.masked_fill(scores, ~key_mask[:, None, None, :], NEG_INF)
     weights = T.softmax(scores)
     if collect is not None:
         collect.append(weights.values)
-    context = _merge_heads(T.matmul(weights, v))
+    context = _merge_heads(T.matmul(weights, v), queries.shape)
     return _linear(context, params, f"{prefix}/out")
 
 
@@ -214,9 +223,10 @@ def _transformer_block(params, prefix, config, x, key_mask, collect=None):
 def encode(params, config, x, attention_mask, collect=None, length_cap=None):
     """Run the encoder stack over an embedded sequence.
 
-    ``x`` is [T, embed_dim] or [B, T, embed_dim]; ``attention_mask`` (bool,
-    [T] or [B, T]) marks live tokens.  Masked positions neither attend nor
-    are attended to, and row order is preserved.
+    ``x`` is [T, embed_dim], [B, T, embed_dim] or stacked [n, B*T, embed_dim];
+    ``attention_mask`` (bool, [T], [B, T] or [n, B, T]) marks live tokens.
+    Masked positions neither attend nor are attended to, and row order is
+    preserved.
     """
     x = T.as_tensor(x)
     single = x.ndim == 2
@@ -225,13 +235,14 @@ def encode(params, config, x, attention_mask, collect=None, length_cap=None):
         x = T.reshape(x, (1,) + x.shape)
         mask = mask[None, :]
     cap = config.max_seq_len if length_cap is None else length_cap
-    if x.shape[1] > cap:
+    if mask.shape[-1] > cap:
         raise SequenceLengthError(
-            f"sequence of {x.shape[1]} tokens exceeds max_seq_len {cap}"
+            f"sequence of {mask.shape[-1]} tokens exceeds max_seq_len {cap}"
         )
-    if mask.shape != x.shape[:2]:
+    rows = mask.shape if mask.ndim < 3 else (mask.shape[0], mask.shape[1] * mask.shape[2])
+    if rows != x.shape[:-1]:
         raise ShapeError(
-            f"encode: mask shape {mask.shape} does not match tokens {x.shape[:2]}"
+            f"encode: mask shape {mask.shape} does not match tokens {x.shape[:-1]}"
         )
     for i in range(config.encoder_blocks):
         x = _transformer_block(params, f"enc{i}", config, x, mask, collect)
@@ -247,11 +258,13 @@ def pool_sequence(encoder_output, attention_mask):
     if single:
         x = T.reshape(x, (1,) + x.shape)
         mask = mask[None, :]
-    counts = mask.sum(axis=1)
+    counts = mask.sum(axis=-1)
     if np.any(counts == 0):
         raise DegenerateInputError("pool_sequence: a sequence has no unmasked token")
-    weights = mask.astype(np.float64) / counts[:, None]
-    pooled = T.reduce_sum(T.mul(x, Tensor(weights[:, :, None])), axis=1)
+    weights = mask.astype(np.float64) / counts[..., None]
+    if x.shape[:-1] != mask.shape:  # stacked rows [n, B*T, d] -> [n, B, T, d]
+        x = T.reshape(x, mask.shape + x.shape[-1:])
+    pooled = T.reduce_sum(T.mul(x, weights[..., None]), axis=-2)
     return T.reshape(pooled, pooled.shape[1:]) if single else pooled
 
 
@@ -261,30 +274,35 @@ def classify(head, embedding):
     single = x.ndim == 1
     if single:
         x = T.reshape(x, (1,) + x.shape)
-    if x.shape[-1] != head["w"].shape[0]:
+    if x.shape[-1] != head["w"].shape[-2]:
         raise ContractError(
-            f"classify: embedding dim {x.shape[-1]} != head input {head['w'].shape[0]}"
+            f"classify: embedding dim {x.shape[-1]} != head input {head['w'].shape[-2]}"
         )
     logits = T.add(T.matmul(x, head["w"]), head["b"])
     return T.reshape(logits, logits.shape[1:]) if single else logits
 
 
-def cross_entropy(logits, labels):
-    """Mean softmax cross-entropy; labels are integer class indices."""
+def cross_entropy(logits, labels, live=None):
+    """Mean softmax cross-entropy; labels are integer class indices.
+
+    With ``live`` (bool, shaped like ``labels``) the mean runs over the live
+    rows of each leading index, and one loss per index is returned: for
+    stacked tasks, logits [n, B, c] give n task losses.
+    """
     logits = T.as_tensor(logits)
     labels = np.asarray(labels, dtype=np.intp)
     if logits.ndim == 1:
         logits = T.reshape(logits, (1,) + logits.shape)
         labels = labels.reshape(1)
-    n, c = logits.shape
-    shift = Tensor(logits.values.max(axis=-1, keepdims=True))  # constant shift
-    z = T.sub(logits, shift)
+    z = T.sub(logits, logits.values.max(axis=-1, keepdims=True))  # constant shift
     log_norm = T.log(T.reduce_sum(T.exp(z), axis=-1, keepdims=True))
     log_probs = T.sub(z, log_norm)
-    onehot = np.zeros((n, c))
-    onehot[np.arange(n), labels] = 1.0
-    picked = T.reduce_sum(T.mul(log_probs, Tensor(onehot)), axis=-1)
-    return T.mul(T.reduce_mean(picked), -1.0)
+    onehot = np.eye(logits.shape[-1])[labels]
+    picked = T.reduce_sum(T.mul(log_probs, onehot), axis=-1)
+    if live is None:
+        return T.mul(T.reduce_mean(picked), -1.0)
+    weights = live / np.sum(live, axis=-1, keepdims=True)
+    return T.mul(T.reduce_sum(T.mul(picked, weights), axis=-1), -1.0)
 
 
 def accuracy(logits_values, labels):
@@ -335,15 +353,17 @@ class RawSeriesModel:
 
     def embed(self, params, values, days):
         """Project [B, T, C] band values and add day-of-year positions."""
-        x = T.add(T.matmul(Tensor(values), params["in/w"]), params["in/b"])
-        return T.add(x, Tensor(self._positions(days)))
+        x = T.add(T.matmul(values, params["in/w"]), params["in/b"])
+        return T.add(x, self._positions(days))
 
     def embeddings(self, params, batch, film=None, collect=None):
         values, days, mask = batch
+        if mask.ndim == 3:  # stacked tasks: [n, B, T, C] -> [n, B*T, C] rows
+            values = values.reshape(mask.shape[0], -1, values.shape[-1])
+            days = days.reshape(mask.shape[0], -1)
         x = self.embed(params, values, days)
         if film is not None:
-            gamma, delta = film
-            x = T.add(T.mul(x, _expand_mid(gamma)), _expand_mid(delta))
+            x = _modulate_steps(x, film, mask)
         encoded = encode(params, self.config, x, mask, collect=collect)
         pooled = pool_sequence(encoded, mask)
         if film is not None:
@@ -356,7 +376,32 @@ class RawSeriesModel:
 
 
 def _expand_mid(x):
-    return T.reshape(x, (x.shape[0], 1, x.shape[1]))
+    return T.reshape(x, x.shape[:-1] + (1, x.shape[-1]))
+
+
+def _modulate_steps(x, film, mask):
+    """``x * gamma + delta`` with each sample's (gamma, delta) on all its steps."""
+    gamma, delta = film
+    steps = x if x.shape[:-1] == mask.shape else T.reshape(x, mask.shape + x.shape[-1:])
+    out = T.add(T.mul(steps, _expand_mid(gamma)), _expand_mid(delta))
+    return out if steps is x else T.reshape(out, x.shape)
+
+
+def on_task_axis(param, n_tasks):
+    """``param`` repeated for ``n_tasks`` stacked tasks by one recorded add.
+
+    A matrix becomes [n, in, out] and a vector [n, 1, d], so both meet
+    [n, rows, d] activations; the gradient of the original sums over tasks.
+    """
+    shape = (n_tasks,) + (1,) * (2 - param.ndim) + param.shape
+    return T.add(param, np.zeros(shape))
+
+
+def stack_task_params(maps):
+    """Constant tensors stacking one ``{name: Tensor}`` map per task, laid
+    out as :func:`on_task_axis` lays out a parameter."""
+    stacked = {k: np.stack([m[k].values for m in maps]) for k in maps[0]}
+    return {k: Tensor(v[:, None] if v.ndim == 2 else v) for k, v in stacked.items()}
 
 
 def pack_batch(samples, groups):

@@ -18,9 +18,19 @@ tape, or inside :func:`paused`, as in the replay of
 ``grad(create_graph=False)``), it returns them at once, before it builds its
 adjoint closure; each adjoint rule is written once, after that check.
 
+Memory.  A tape keeps only what some adjoint rule reads.  A node names its
+inputs by their nodes, never holds its own output, and shape-only rules
+(add, reshape, transpose, slicing, reductions, ...) keep shapes, so an
+intermediate array is freed with its last reader.  A number or array passed
+to a primitive in place of a Tensor is a constant: it takes no gradient, and
+no rule computes or keeps anything for it.  ``grad`` frees each adjoint as
+soon as its node's rule has consumed it, unless a target asks for it.
+
 The primitive set is fixed: add, sub, mul, div, matmul, transpose, reshape,
 concat, slice_axis, reduce_sum, reduce_mean, exp, log, sqrt, power, softmax
-(last axis), relu, gelu, layer_norm, embedding_lookup, masked_fill.
+(last axis), relu, gelu, layer_norm, embedding_lookup, masked_fill.  gelu's
+adjoint records one more op, its slope, whose own adjoint is again built
+from primitives.
 """
 
 from __future__ import annotations
@@ -75,20 +85,22 @@ class Tape:
         _sync_recording()
         if popped is not self:
             raise RuntimeError("tape scopes exited out of order")
-        # Nodes, their output tensors and adjoint closures refer to each
-        # other; cut the links so the graph is freed now, not whenever the
-        # cyclic collector runs.  Recorded tensors keep a stub of their node.
+        # A recorded tensor refers to its node, whose adjoint closure may refer
+        # back to the tensor; cut the links so the graph is freed now, not
+        # whenever the cyclic collector runs.  Tensors keep a stub node.
         for node in self.nodes:
-            node.out = node.inputs = node.vjp = None
+            node.inputs = node.vjp = None
         self.nodes.clear()
         return False
 
 
 class _Node:
-    __slots__ = ("out", "inputs", "vjp", "tape", "idx")
+    # ``inputs`` names each recorded input by its node and each other input by
+    # its tensor; a node never holds its own output, so an intermediate's
+    # array lives only as long as a caller or an adjoint rule reads it.
+    __slots__ = ("inputs", "vjp", "tape", "idx")
 
-    def __init__(self, out, inputs, vjp, tape, idx):
-        self.out = out
+    def __init__(self, inputs, vjp, tape, idx):
         self.inputs = inputs
         self.vjp = vjp
         self.tape = tape
@@ -180,10 +192,16 @@ def as_tensor(x):
 _lift = as_tensor
 
 
+def _key(t):
+    """How a node's ``inputs`` names tensor ``t``: by its node once recorded,
+    else by ``t`` itself; ``None`` stands for a constant."""
+    return t if t is None or t.node is None else t.node
+
+
 def _record(out, inputs, vjp):
     """Append ``out``'s node to the recording tape (callers check it is set)."""
     tape = _recording
-    node = _Node(out, inputs, vjp, tape, len(tape.nodes))
+    node = _Node(tuple(map(_key, inputs)), vjp, tape, len(tape.nodes))
     tape.nodes.append(node)
     out.node = node
     return out
@@ -233,70 +251,98 @@ def _reduce_leading(g, shape):
 # ---------------------------------------------------------------------------
 
 
+def _operands(a, b):
+    """Both operands as tensors, then whether each one can take a gradient.
+
+    A number or array passed in place of a Tensor is a constant: no caller
+    holds it, so no ``grad`` can ask for its gradient, and an adjoint rule
+    neither computes nor keeps anything for it.
+    """
+    return _lift(a), _lift(b), isinstance(a, Tensor), isinstance(b, Tensor)
+
+
 def add(a, b):
-    a, b = _lift(a), _lift(b)
+    a, b, da, db = _operands(a, b)
     try:
         out = Tensor(a.values + b.values)
     except ValueError:
         raise _broadcast_error("add", a, b) from None
     if _recording is None:
         return out
+    shape_a, shape_b = a.shape, b.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (
+            _unbroadcast(g, shape_a) if da else None,
+            _unbroadcast(g, shape_b) if db else None,
+        )
 
-    return _record(out, (a, b), vjp)
+    return _record(out, (a if da else None, b if db else None), vjp)
 
 
 def sub(a, b):
-    a, b = _lift(a), _lift(b)
+    a, b, da, db = _operands(a, b)
     try:
         out = Tensor(a.values - b.values)
     except ValueError:
         raise _broadcast_error("sub", a, b) from None
     if _recording is None:
         return out
+    shape_a, shape_b = a.shape, b.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(mul(g, -1.0), b.shape)
+        return (
+            _unbroadcast(g, shape_a) if da else None,
+            _unbroadcast(mul(g, -1.0), shape_b) if db else None,
+        )
 
-    return _record(out, (a, b), vjp)
+    return _record(out, (a if da else None, b if db else None), vjp)
 
 
 def mul(a, b):
-    a, b = _lift(a), _lift(b)
+    a, b, da, db = _operands(a, b)
     try:
         out = Tensor(a.values * b.values)
     except ValueError:
         raise _broadcast_error("mul", a, b) from None
     if _recording is None:
         return out
+    shape_a, shape_b = a.shape, b.shape
+    # each operand's gradient reads the other one
+    for_a, for_b = (b if da else None), (a if db else None)
 
     def vjp(g):
-        return _unbroadcast(mul(g, b), a.shape), _unbroadcast(mul(g, a), b.shape)
+        return (
+            _unbroadcast(mul(g, for_a), shape_a) if da else None,
+            _unbroadcast(mul(g, for_b), shape_b) if db else None,
+        )
 
-    return _record(out, (a, b), vjp)
+    return _record(out, (a if da else None, b if db else None), vjp)
 
 
 def div(a, b):
-    a, b = _lift(a), _lift(b)
+    a, b, da, db = _operands(a, b)
     try:
         out = Tensor(a.values / b.values)
     except ValueError:
         raise _broadcast_error("div", a, b) from None
     if _recording is None:
         return out
+    shape_a, shape_b = a.shape, b.shape
+    num = a if db else None  # only b's gradient reads a
 
     def vjp(g):
-        ga = _unbroadcast(div(g, b), a.shape)
-        gb = _unbroadcast(mul(div(mul(g, a), mul(b, b)), -1.0), b.shape)
+        ga = _unbroadcast(div(g, b), shape_a) if da else None
+        gb = None
+        if db:
+            gb = _unbroadcast(mul(div(mul(g, num), mul(b, b)), -1.0), shape_b)
         return ga, gb
 
-    return _record(out, (a, b), vjp)
+    return _record(out, (a if da else None, b if db else None), vjp)
 
 
 def matmul(a, b):
-    a, b = _lift(a), _lift(b)
+    a, b, da, db = _operands(a, b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(
             f"matmul: operands must have ndim >= 2, got shapes {a.shape} and {b.shape}"
@@ -312,30 +358,32 @@ def matmul(a, b):
     out = Tensor(a.values @ b.values)
     if _recording is None:
         return out
+    shape_a, shape_b = a.shape, b.shape
+    # each operand's gradient reads the other one
+    for_a, for_b = (b if da else None), (a if db else None)
 
     def vjp(g):
-        ga = _reduce_leading(matmul(g, transpose(b)), a.shape)
-        gb = _reduce_leading(matmul(transpose(a), g), b.shape)
+        ga = _reduce_leading(matmul(g, transpose(for_a)), shape_a) if da else None
+        gb = _reduce_leading(matmul(transpose(for_b), g), shape_b) if db else None
         return ga, gb
 
-    return _record(out, (a, b), vjp)
+    return _record(out, (a if da else None, b if db else None), vjp)
 
 
 def transpose(a, axes=None):
     """Permute axes; by default swap the last two (its own inverse)."""
     a = _lift(a)
-    if a.ndim < 2:
-        return a
-    if axes is None:
-        out = Tensor(a.values.swapaxes(-1, -2))
-    else:
+    if axes is not None:
         axes = tuple(int(ax) for ax in axes)
         try:
-            out = Tensor(np.transpose(a.values, axes))
+            permuted = np.transpose(a.values, axes)
         except ValueError:
             raise ShapeError(
                 f"transpose: {axes} is not a permutation for shape {a.shape}"
             ) from None
+    if a.ndim < 2:
+        return a  # every permutation of fewer than two axes is the identity
+    out = Tensor(a.values.swapaxes(-1, -2) if axes is None else permuted)
     if _recording is None:
         return out
     inverse = None if axes is None else tuple(np.argsort([ax % a.ndim for ax in axes]))
@@ -365,6 +413,7 @@ def reshape(a, shape):
 
 
 def concat(tensors, axis=0):
+    given = [isinstance(t, Tensor) for t in tensors]  # see _operands
     tensors = [_lift(t) for t in tensors]
     if not tensors:
         raise ContractError("concat: need at least one tensor")
@@ -384,12 +433,12 @@ def concat(tensors, axis=0):
 
     def vjp(g):
         grads, offset = [], 0
-        for size in sizes:
-            grads.append(slice_axis(g, axis, offset, offset + size))
+        for size, differentiable in zip(sizes, given):
+            grads.append(slice_axis(g, axis, offset, offset + size) if differentiable else None)
             offset += size
         return tuple(grads)
 
-    return _record(out, tuple(tensors), vjp)
+    return _record(out, tuple(t if d else None for t, d in zip(tensors, given)), vjp)
 
 
 def slice_axis(a, axis, start, stop):
@@ -406,18 +455,19 @@ def slice_axis(a, axis, start, stop):
     out = Tensor(a.values[index])
     if _recording is None:
         return out
+    shape = a.shape
 
     def vjp(g):
         parts = []
         if start > 0:
-            before = list(a.shape)
+            before = list(shape)
             before[axis] = start
-            parts.append(Tensor(np.zeros(before)))
+            parts.append(np.zeros(before))
         parts.append(g)
         if stop < dim:
-            after = list(a.shape)
+            after = list(shape)
             after[axis] = dim - stop
-            parts.append(Tensor(np.zeros(after)))
+            parts.append(np.zeros(after))
         return (concat(parts, axis) if len(parts) > 1 else g,)
 
     return _record(out, (a,), vjp)
@@ -451,7 +501,7 @@ def reduce_sum(a, axis=None, keepdims=False):
             for ax in axes:
                 kept[ax] = 1
             gg = reshape(g, kept)
-        return (mul(gg, Tensor(np.ones(original))),)
+        return (mul(gg, np.broadcast_to(1.0, original)),)
 
     return _record(out, (a,), vjp)
 
@@ -477,7 +527,7 @@ def reduce_mean(a, axis=None, keepdims=False):
             for ax in axes:
                 kept[ax] = 1
             gg = reshape(g, kept)
-        return (mul(gg, Tensor(np.full(original, 1.0 / count))),)
+        return (mul(gg, np.broadcast_to(1.0 / count, original)),)
 
     return _record(out, (a,), vjp)
 
@@ -560,7 +610,7 @@ def relu(a):
     out = Tensor(np.maximum(a.values, 0.0))
     if _recording is None:
         return out
-    gate = Tensor((a.values > 0).astype(np.float64))
+    gate = (a.values > 0).astype(np.float64)
 
     def vjp(g):
         return (mul(g, gate),)
@@ -581,16 +631,35 @@ def gelu(a):
         return out
 
     def vjp(g):
+        return (mul(g, _gelu_slope(a)),)
+
+    return _record(out, (a,), vjp)
+
+
+def _gelu_slope(a):
+    """d gelu / da, recorded as one op whose adjoint is built from primitives.
+
+    A second-order tape thus holds one slope array per gelu instead of the
+    dozen intermediates of a slope composed of primitives.
+    """
+    x = a.values
+    x2 = x * x
+    inner = (x + x2 * x * GELU_CUBIC) * SQRT_2_OVER_PI
+    t = 1.0 - 2.0 / (np.exp(inner * 2.0) + 1.0)  # tanh(inner)
+    dinner = (x2 * (3.0 * GELU_CUBIC) + 1.0) * SQRT_2_OVER_PI
+    out = Tensor((t + 1.0) * 0.5 + x * 0.5 * (1.0 - t * t) * dinner)
+    if _recording is None:
+        return out
+
+    def vjp(g):
+        # slope' = sech^2 * (u' + a/2 * (u'' - 2 tanh(u) u'^2)), u = inner
         x2 = mul(a, a)
-        inner = mul(add(a, mul(mul(x2, a), GELU_CUBIC)), SQRT_2_OVER_PI)
-        t = _tanh_expr(inner)
-        sech2 = sub(1.0, mul(t, t))
-        dinner = mul(add(mul(x2, 3.0 * GELU_CUBIC), 1.0), SQRT_2_OVER_PI)
-        slope = add(
-            mul(add(t, 1.0), 0.5),
-            mul(mul(mul(a, 0.5), sech2), dinner),
-        )
-        return (mul(g, slope),)
+        t = _tanh_expr(mul(add(a, mul(mul(x2, a), GELU_CUBIC)), SQRT_2_OVER_PI))
+        du = mul(add(mul(x2, 3.0 * GELU_CUBIC), 1.0), SQRT_2_OVER_PI)
+        ddu = mul(a, 6.0 * GELU_CUBIC * SQRT_2_OVER_PI)
+        bend = sub(ddu, mul(mul(t, 2.0), mul(du, du)))
+        curvature = mul(sub(1.0, mul(t, t)), add(du, mul(mul(a, 0.5), bend)))
+        return (mul(g, curvature),)
 
     return _record(out, (a,), vjp)
 
@@ -636,7 +705,7 @@ def embedding_lookup(table, indices):
         onehot = np.zeros((flat_idx.size, rows))
         onehot[np.arange(flat_idx.size), flat_idx] = 1.0
         g2 = reshape(g, (flat_idx.size, dim))
-        return (matmul(transpose(Tensor(onehot)), g2),)
+        return (matmul(onehot.T, g2),)
 
     return _record(out, (table,), vjp)
 
@@ -654,10 +723,11 @@ def masked_fill(a, mask, value):
     out = Tensor(np.where(mask, float(value), a.values))
     if _recording is None:
         return out
-    keep = Tensor((~mask).astype(np.float64))
+    keep = (~mask).astype(np.float64)
+    shape = a.shape
 
     def vjp(g):
-        return (_unbroadcast(mul(g, keep), a.shape),)
+        return (_unbroadcast(mul(g, keep), shape),)
 
     return _record(out, (a,), vjp)
 
@@ -689,7 +759,7 @@ def grad(output, wrt, create_graph=False):
             raise ContractError(
                 "grad: create_graph requires the output's tape to be active"
             )
-        if node.out is None:
+        if node.vjp is None:
             raise ContractError("grad: the output's tape has been closed")
         # No node before the earliest target can depend on a target, so the
         # scan may start there when every target was recorded on this tape.
@@ -697,34 +767,37 @@ def grad(output, wrt, create_graph=False):
         if all(getattr(t, "node", None) is not None and t.node.tape is tape for t in targets):
             start = min((t.node.idx for t in targets), default=0)
         # Forward pass over the tape prefix: keep nodes influenced by any target.
-        reachable = {id(t) for t in targets}
+        wanted = set(map(_key, targets))
+        reachable = set(wanted)
         needed = []
         for n in tape.nodes[start : node.idx + 1]:
             for inp in n.inputs:
-                if id(inp) in reachable:
-                    reachable.add(id(n.out))
+                if inp in reachable:
+                    reachable.add(n)
                     needed.append(n)
                     break
+        # Nodes are topological, so once a node's VJP has read its adjoint no
+        # later step adds to it: drop it then, unless a target asks for it.
         scope = nullcontext() if create_graph else paused()
         with scope:
-            adjoints[id(output)] = Tensor(np.ones(output.shape))
+            adjoints[node] = Tensor(np.ones(output.shape))
             for n in reversed(needed):
-                g_out = adjoints.get(id(n.out))
+                g_out = adjoints.get(n) if n in wanted else adjoints.pop(n, None)
                 if g_out is None:
                     continue
                 contributions = n.vjp(g_out)
                 for inp, contrib in zip(n.inputs, contributions):
-                    if contrib is None or id(inp) not in reachable:
+                    if contrib is None or inp not in reachable:
                         continue
-                    held = adjoints.get(id(inp))
-                    adjoints[id(inp)] = contrib if held is None else add(held, contrib)
+                    held = adjoints.get(inp)
+                    adjoints[inp] = contrib if held is None else add(held, contrib)
 
     results = []
     for t in targets:
         if t is output:
             results.append(Tensor(np.ones(t.shape)))
             continue
-        g = adjoints.get(id(t))
+        g = adjoints.get(_key(t))
         if g is None:
             warnings.warn(
                 f"grad: unreached leaf of shape {t.shape}; returning zero gradient",

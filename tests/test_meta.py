@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from fsml.data import (
     Corpus,
     CorpusManifest,
     GroupSpec,
+    SynthConfig,
     build_hierarchy_codes,
+    generate_synthetic,
 )
-from fsml.episodes import episode_pool, sample_episode
+from fsml.episodes import EpisodeTask, episode_pool, sample_episode
 from fsml.errors import ContractError, DivergedError
 from fsml.meta import (
     MetaConfig,
@@ -24,7 +27,7 @@ from fsml.meta import (
     task_info,
 )
 from fsml.nn import RawSeriesModel
-from fsml.seeding import rng_from
+from fsml.seeding import STREAM_HEAD_RESET, rng_from
 from fsml.tensor import Tape, Tensor, grad
 
 
@@ -151,8 +154,11 @@ def test_mlp_meta_gradient_matches_finite_differences():
 # --- corpus-level fixtures --------------------------------------------------
 
 
-def bump_corpus(n_classes=4, per_class=24, seed=0, channels=1):
-    """Amplitude-banded seasonal bumps: class = thresholded latent amplitude."""
+def bump_corpus(n_classes=4, per_class=24, seed=0, channels=1, lengths=None):
+    """Amplitude-banded seasonal bumps: class = thresholded latent amplitude.
+
+    Every series has 10 days, or a length drawn from ``lengths`` (lo, hi).
+    """
     rng = np.random.default_rng(seed)
     codes, hierarchy = build_hierarchy_codes(2, 4, n_classes)
     samples = []
@@ -161,7 +167,8 @@ def bump_corpus(n_classes=4, per_class=24, seed=0, channels=1):
         for ci, code in enumerate(codes):
             for _ in range(per_class):
                 amplitude = 0.6 + 0.55 * ci + rng.uniform(-0.18, 0.18)
-                days = np.sort(rng.choice(np.arange(1, 367), size=10, replace=False))
+                size = 10 if lengths is None else int(rng.integers(lengths[0], lengths[1] + 1))
+                days = np.sort(rng.choice(np.arange(1, 367), size=size, replace=False))
                 curve = np.sin(np.pi * np.clip((days - 60 - phase) / 180.0, 0, 1))
                 rows = [amplitude * c + rng.normal(0, 0.05, size=channels) for c in curve]
                 samples.append(
@@ -238,6 +245,114 @@ def test_batch_meta_gradient_is_mean_of_per_task_gradients():
     for key in batch_grads:
         mean = (singles[0][key] + singles[1][key] + singles[2][key]) / 3
         np.testing.assert_allclose(batch_grads[key], mean, atol=1e-12)
+
+
+def _uneven_tasks(corpus, config, count=3):
+    """(ordinal, task) pairs of unequal series lengths; task 1 has a fallback
+    support set, one sample short of n_way * k_support."""
+    tasks = [_one_task(corpus, config, i) for i in range(count)]
+    short = tasks[1]
+    tasks[1] = EpisodeTask(
+        support=short.support[1:], query=short.query,
+        class_roster=short.class_roster, region=short.region,
+    )
+    return list(enumerate(tasks))
+
+
+def _per_task_reference(learner, meta_params, task, head_rng, want_grads=True):
+    """One task on its own tape with unstacked parameters: the query
+    (loss, accuracy) after adaptation and, optionally, the meta-gradient."""
+    with Tape():
+        flat = {**meta_params, **learner.fresh_head(head_rng)}
+        adapted = learner.inner_adapt(flat, task, second_order=None if want_grads else False)
+        q_samples, q_labels = task.query_sets()
+        logits = learner.logits(adapted, q_samples)
+        loss = nn.cross_entropy(logits, q_labels)
+        stats = (loss.item(), nn.accuracy(logits.values, q_labels))
+        if not want_grads:
+            return None, stats
+        names = sorted(meta_params)
+        grads = grad(loss, [meta_params[k] for k in names])
+    return {k: g.values for k, g in zip(names, grads)}, stats
+
+
+@pytest.mark.parametrize("algorithm", meta.ALGORITHMS)
+def test_stacked_meta_gradient_equals_per_task_gradients(algorithm):
+    corpus = bump_corpus(lengths=(5, 12))
+    learner, config = _learner(algorithm, corpus)
+    meta_params = learner.init_meta_params(rng_from(0, 1))
+    tasks = _uneven_tasks(corpus, config)
+    assert len(tasks[1][1].support) < config.n_way * config.k_support
+    lengths = {len(s.days) for _, t in tasks for s, _ in t.support + t.query}
+    assert len(lengths) > 1
+
+    batch_grads, batch_stats = learner.meta_gradient(meta_params, tasks, seed=5)
+    singles = [learner.meta_gradient(meta_params, [t], seed=5) for t in tasks]
+    references = [
+        _per_task_reference(learner, meta_params, task, rng_from(5, STREAM_HEAD_RESET, i))
+        for i, task in tasks
+    ]
+    assert batch_grads.keys() == singles[0][0].keys() == references[0][0].keys()
+    for key in batch_grads:
+        single_mean = sum(g[key] for g, _ in singles) / len(tasks)
+        reference_mean = sum(g[key] for g, _ in references) / len(tasks)
+        np.testing.assert_allclose(batch_grads[key], single_mean, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(batch_grads[key], reference_mean, rtol=0, atol=1e-12)
+    assert batch_stats["accuracy"] == sum(st["accuracy"] for _, st in singles) / len(tasks)
+    assert batch_stats["accuracy"] == sum(acc for _, (_, acc) in references) / len(tasks)
+    assert math.isclose(
+        batch_stats["loss"], sum(loss for _, (loss, _) in references) / len(tasks),
+        rel_tol=0, abs_tol=1e-12,
+    )
+
+
+@pytest.mark.parametrize("algorithm", meta.ALGORITHMS)
+def test_evaluate_tasks_in_stacked_chunks_equals_per_task_evaluation(algorithm):
+    corpus = bump_corpus(lengths=(5, 12))
+    learner, config = _learner(algorithm, corpus, tasks_per_batch=3)
+    meta_params = learner.init_meta_params(rng_from(0, 1))
+    tasks = [t for _, t in _uneven_tasks(corpus, config, count=7)]  # chunks of 3, 3, 1
+    acc, loss = learner.evaluate_tasks(meta_params, tasks, seed=4)
+    stats = [
+        _per_task_reference(
+            learner, meta_params, task,
+            rng_from(4, STREAM_HEAD_RESET, meta._VALIDATION_ORDINAL_BASE + i), want_grads=False,
+        )[1]
+        for i, task in enumerate(tasks)
+    ]
+    assert acc == float(np.mean([a for _, a in stats]))
+    assert math.isclose(loss, float(np.mean([q for q, _ in stats])), rel_tol=0, abs_tol=1e-12)
+
+
+def test_stacked_maml_meta_gradient_peak_memory():
+    # the meta-maml benchmark's corpus and batch: 4-way, 1 support, 2 queries,
+    # 4 inner steps, 4 tasks; one task's own tape used to peak at 9.5 MB
+    corpus = generate_synthetic(
+        SynthConfig(
+            regions=["R1", "R2"], finetune_region="T1", n_classes=6, n_level4=4, n_level3=2,
+            samples_per_class=40, finetune_samples_per_class=60,
+            groups=[GroupSpec("s2", 4, "dynamic")], obs_count=(8, 12),
+            noise_sigma=0.15, separability=0.8, k_max=10,
+        ),
+        seed=1,
+    )
+    config = MetaConfig(
+        algorithm="maml", inner_lr=0.5, inner_steps=4, n_way=4, k_support=1, k_query=2,
+        tasks_per_batch=4,
+    )
+    model = RawSeriesModel(nn.small_config(embed_dim=16, num_heads=2, hidden_dim=32), 4)
+    learner = MetaLearner(config, model, corpus.manifest.group_order())
+    meta_params = learner.init_meta_params(rng_from(1, 1))
+    pool = episode_pool(corpus, "train")
+    tasks = [(i, sample_episode(pool, config.episode_config(1), i)) for i in range(4)]
+    learner.meta_gradient(meta_params, tasks, seed=1)
+    tracemalloc.start()
+    try:
+        learner.meta_gradient(meta_params, tasks, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9.5e6, f"one 4-task maml meta-gradient peaked at {peak / 1e6:.2f} MB"
 
 
 def test_timl_encoder_identity_init_matches_plain_maml():

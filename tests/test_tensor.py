@@ -1,3 +1,4 @@
+import contextlib
 import gc
 
 import numpy as np
@@ -406,44 +407,51 @@ def test_recording_resumes_after_nested_pause_and_after_an_exception():
     assert T.mul(x, x).node is None  # no tape is open
 
 
-def _full_prefix_grad(output, targets):
-    """grad's replay with the reachability scan started at node 0 (the reference)."""
+def _full_prefix_grad(output, targets, create_graph=False):
+    """grad's replay with the reachability scan started at node 0 and every
+    adjoint kept until the end (the reference)."""
     node = output.node
-    reachable = {id(t) for t in targets}
+    reachable = {T._key(t) for t in targets}
     needed = []
     for n in node.tape.nodes[: node.idx + 1]:
-        if any(id(inp) in reachable for inp in n.inputs):
-            reachable.add(id(n.out))
+        if any(inp in reachable for inp in n.inputs):
+            reachable.add(n)
             needed.append(n)
-    adjoints = {id(output): Tensor(np.ones(output.shape))}
-    with T.paused():
+    adjoints = {node: Tensor(np.ones(output.shape))}
+    with contextlib.nullcontext() if create_graph else T.paused():
         for n in reversed(needed):
-            g_out = adjoints.get(id(n.out))
+            g_out = adjoints.get(n)
             if g_out is None:
                 continue
             for inp, contrib in zip(n.inputs, n.vjp(g_out)):
-                if contrib is None or id(inp) not in reachable:
+                if contrib is None or inp not in reachable:
                     continue
-                held = adjoints.get(id(inp))
-                adjoints[id(inp)] = contrib if held is None else T.add(held, contrib)
-    return [adjoints[id(t)] for t in targets]
+                held = adjoints.get(inp)
+                adjoints[inp] = contrib if held is None else T.add(held, contrib)
+    return [adjoints[T._key(t)] for t in targets]
+
+
+def _small_net(r):
+    w = Tensor(r.standard_normal((4, 3)))
+    x = Tensor(r.standard_normal((5, 4)))
+    h0 = T.gelu(T.matmul(x, w))
+    h1 = T.layer_norm(T.add(h0, 1.0))
+    h2 = T.softmax(T.mul(h1, h0))
+    return w, x, h0, h1, h2, T.reduce_mean(T.mul(h2, h1))
+
+
+def _bits(tensors):
+    return [t.values.tobytes() for t in tensors]
 
 
 def test_grad_of_mid_tape_targets_equals_full_prefix_scan():
-    r = np.random.default_rng(11)
+    # also the adjoint release: h1 and h0 are read by other targets' nodes,
+    # and the output itself may be a target
     with Tape():
-        w = Tensor(r.standard_normal((4, 3)))
-        x = Tensor(r.standard_normal((5, 4)))
-        h0 = T.gelu(T.matmul(x, w))
-        h1 = T.layer_norm(T.add(h0, 1.0))
-        h2 = T.softmax(T.mul(h1, h0))
-        loss = T.reduce_mean(T.mul(h2, h1))
+        w, x, h0, h1, h2, loss = _small_net(np.random.default_rng(11))
         assert 0 < h0.node.idx < h1.node.idx < h2.node.idx
-        for targets in ([h1], [h2, h1], [h1, h0], [w, h1], [h1, x, w], [h0, h2]):
-            got = grad(loss, targets)
-            want = _full_prefix_grad(loss, targets)
-            for g, ref in zip(got, want):
-                assert g.values.tobytes() == ref.values.tobytes()
+        for targets in ([h1], [h2, h1], [h1, h0], [w, h1], [h1, x, w], [h0, h2], [h1, loss, w]):
+            assert _bits(grad(loss, targets)) == _bits(_full_prefix_grad(loss, targets))
 
 
 @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4), (2, 2, 3, 5)])
@@ -461,3 +469,50 @@ def test_default_transpose_and_its_vjp_equal_explicit_axes(shape):
             g = grad(T.reduce_sum(T.mul(out, Tensor(w))), t)
         results.append((out.shape, out.values.tobytes(), g.shape, g.values.tobytes()))
     assert results[0] == results[1]
+
+
+def test_adjoint_release_keeps_recorded_intermediate_targets():
+    # as in inner step 2 or later: the targets are outputs of earlier steps
+    r = np.random.default_rng(21)
+    with Tape():
+        w = Tensor(r.standard_normal((4, 3)))
+        x = Tensor(r.standard_normal((5, 4)))
+        w1 = T.sub(w, T.mul(grad(T.reduce_sum(T.gelu(T.matmul(x, w))), w, create_graph=True), 0.1))
+        w2 = T.sub(w1, T.mul(grad(T.reduce_sum(T.gelu(T.matmul(x, w1))), w1, create_graph=True), 0.1))
+        loss = T.reduce_mean(T.gelu(T.matmul(x, w2)))
+        assert w1.node is not None and w2.node is not None
+        for targets in ([w2], [w1, w2], [w2, w1, w]):
+            assert _bits(grad(loss, targets)) == _bits(_full_prefix_grad(loss, targets))
+
+
+def test_adjoint_release_under_create_graph_then_a_second_grad():
+    results = []
+    for reference in (False, True):
+        with Tape():
+            w, x, h0, h1, h2, loss = _small_net(np.random.default_rng(24))
+            if reference:
+                gw, gh = _full_prefix_grad(loss, [w, h0], create_graph=True)
+            else:
+                gw, gh = grad(loss, [w, h0], create_graph=True)
+            second = grad(T.add(T.reduce_sum(T.mul(gw, gw)), T.reduce_sum(gh)), [w, x])
+        results.append(_bits([gw, gh] + second))
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize(
+    "values, axes",
+    [([1.0, 2.0], (3,)), ([1.0, 2.0], (0, 0)), ([1.0, 2.0], (0, 1)), (3.0, (0, 1, 2)), (3.0, (0,))],
+    ids=["1d-axis-3", "1d-repeated", "1d-two-axes", "0d-three-axes", "0d-one-axis"],
+)
+def test_transpose_below_2d_rejects_bad_axes(values, axes):
+    with pytest.raises(ShapeError, match="not a permutation"):
+        T.transpose(Tensor(values), axes)
+
+
+@pytest.mark.parametrize(
+    "values, axes",
+    [([1.0, 2.0], None), ([1.0, 2.0], (0,)), ([1.0, 2.0], (-1,)), (3.0, None), (3.0, ())],
+)
+def test_transpose_below_2d_identity_axes_return_the_input(values, axes):
+    t = Tensor(values)
+    assert T.transpose(t, axes) is t
