@@ -31,7 +31,14 @@ from typing import get_type_hints
 from . import nn
 from . import ssl as ssl_mod
 from . import train as train_mod
-from .data import GroupSpec, SynthConfig, generate_synthetic, load_corpus, save_corpus
+from .data import (
+    GroupSpec,
+    SynthConfig,
+    generate_synthetic,
+    group_from_record,
+    load_corpus,
+    save_corpus,
+)
 from .errors import ContractError, FsmlError, ParseError
 from .meta import MetaConfig, TaskAwareRawModel, meta_train
 from .metrics import seed_mean_std
@@ -87,28 +94,38 @@ _FIELD_TYPES = {
     "meta": _field_types(MetaConfig),
     "ssl": _field_types(SSLConfig, drop={"variant", "plan"}),
 }
-# JSON values accepted for each field annotation (bools never count as numbers).
+# Every accepted key of each block, with the type of its value.
+_BLOCK_TYPES = {
+    **_FIELD_TYPES,
+    "ssl": {
+        **_FIELD_TYPES["ssl"], "regime": str, "position_source": str, "max_timesteps": int,
+        "location_token": bool, "strategy": str, "decoder": str,
+    },
+    "finetune": {
+        "source": str, "checkpoint": str, "regime": str, "lr_head": float, "lr_backbone": float,
+        "kshots": list, "max_epochs": int, "batch_size": int, "validation_limit": int,
+    },
+    "tune": {
+        "finetune": dict, "space": dict, "trials": int, "k": int, "regime": str, "max_epochs": int,
+    },
+    "evaluate": {"runs": list, "out_csv": str, "plots": str},
+}
+_REQUIRED_BLOCK_KEYS = {"meta": {"algorithm"}, "tune": {"space"}, "evaluate": {"runs"}}
+# tune fine-tunes with its own regime and budget; it reads only these keys.
+_TUNE_FINETUNE_TYPES = {
+    k: _BLOCK_TYPES["finetune"][k] for k in ("source", "checkpoint", "validation_limit")
+}
+_GROUP_TYPES = _field_types(GroupSpec)
+# JSON values accepted for each type (bools count only as booleans).
 _JSON_TYPES = {
     int: ((int,), "an integer"),
     float: ((int, float), "a number"),
     str: ((str,), "a string"),
+    bool: ((bool,), "a boolean"),
     list: ((list,), "a list"),
     tuple: ((list,), "a list"),
+    dict: ((dict,), "an object"),
 }
-
-_BLOCK_KEYS = {
-    **{block: set(types) for block, types in _FIELD_TYPES.items()},
-    "ssl": set(_FIELD_TYPES["ssl"]) | {
-        "regime", "position_source", "max_timesteps", "location_token", "strategy", "decoder",
-    },
-    "finetune": {
-        "source", "checkpoint", "regime", "lr_head", "lr_backbone",
-        "kshots", "max_epochs", "batch_size", "validation_limit",
-    },
-    "tune": {"finetune", "space", "trials", "k", "regime", "max_epochs"},
-    "evaluate": {"runs", "out_csv", "plots"},
-}
-_REQUIRED_BLOCK_KEYS = {"meta": {"algorithm"}, "tune": {"space"}, "evaluate": {"runs"}}
 
 
 def config_hash(config):
@@ -141,33 +158,46 @@ def validate_config(config):
             problems.append("seeds: must be a list of integers")
         elif not seeds or len(set(seeds)) != len(seeds):
             problems.append("seeds: must be non-empty and distinct")
-    for block, allowed_keys in _BLOCK_KEYS.items():
-        if block not in config:
-            continue
-        if not isinstance(config[block], dict):
-            problems.append(f"{block}: must be an object")
-            continue
-        for unknown in sorted(set(config[block]) - allowed_keys):
-            problems.append(f"{block}.{unknown}: unknown key")
-        for missing in sorted(_REQUIRED_BLOCK_KEYS.get(block, set()) - set(config[block])):
-            problems.append(f"{block}.{missing}: required")
-        types = _FIELD_TYPES.get(block, {})
-        for key in sorted(set(config[block]) & set(types)):
-            accepted, name = _JSON_TYPES[types[key]]
-            value = config[block][key]
-            if isinstance(value, bool) or not isinstance(value, accepted):
-                problems.append(f"{block}.{key}: must be {name}")
-    if isinstance(config.get("finetune"), dict):
-        problems.extend(_finetune_source_problems(config["finetune"], "finetune"))
-    if isinstance(config.get("tune"), dict) and "finetune" in config["tune"]:
-        nested = config["tune"]["finetune"]
-        if isinstance(nested, dict):
-            for unknown in sorted(set(nested) - _BLOCK_KEYS["finetune"]):
-                problems.append(f"tune.finetune.{unknown}: unknown key")
-            problems.extend(_finetune_source_problems(nested, "tune.finetune"))
-        else:
-            problems.append("tune.finetune: must be an object")
+    blocks = {}  # path -> well-typed object, for the checks of its entries
+    for block, types in _BLOCK_TYPES.items():
+        if block in config:
+            required = _REQUIRED_BLOCK_KEYS.get(block, set())
+            if _object_problems(config[block], block, types, required, problems):
+                blocks[block] = config[block]
+    nested = blocks.get("tune", {}).get("finetune")
+    if nested is not None and _object_problems(
+        nested, "tune.finetune", _TUNE_FINETUNE_TYPES, set(), problems
+    ):
+        blocks["tune.finetune"] = nested
+    for path in ("finetune", "tune.finetune"):
+        if path in blocks:
+            problems.extend(_finetune_source_problems(blocks[path], path))
+    kshots = blocks.get("finetune", {}).get("kshots")
+    if kshots is not None and not (kshots and all(type(k) is int and k > 0 for k in kshots)):
+        problems.append("finetune.kshots: must be a non-empty list of positive integers")
+    runs = blocks.get("evaluate", {}).get("runs", [])
+    if not all(isinstance(r, str) for r in runs):
+        problems.append("evaluate.runs: must be a list of strings")
+    for i, group in enumerate(blocks.get("synth", {}).get("groups", [])):
+        _object_problems(group, f"synth.groups[{i}]", _GROUP_TYPES, {"name", "channels"}, problems)
     return problems
+
+
+def _object_problems(obj, path, types, required, problems):
+    """Append the problems of a JSON object whose keys map to ``types``;
+    return whether it is well-formed."""
+    if not isinstance(obj, dict):
+        problems.append(f"{path}: must be an object")
+        return False
+    found = [f"{path}.{key}: unknown key" for key in sorted(set(obj) - set(types))]
+    found += [f"{path}.{key}: required" for key in sorted(required - set(obj))]
+    for key in sorted(set(obj) & set(types)):
+        accepted, name = _JSON_TYPES[types[key]]
+        value = obj[key]
+        if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in accepted):
+            found.append(f"{path}.{key}: must be {name}")
+    problems.extend(found)
+    return not found
 
 
 def _finetune_source_problems(block, path):
@@ -208,7 +238,7 @@ def _seed_dir(out, chash, seed):
 
 
 def _token_spec(manifest, include_location):
-    groups = [GroupSpec(g.name, g.channels, g.kind, g.categorical) for g in manifest.groups]
+    groups = list(manifest.groups)
     if include_location and not any(g.kind == "static" for g in groups):
         groups.insert(0, GroupSpec("location", 3, "static"))
     return ChannelGroupSpec(tuple(groups))
@@ -352,11 +382,20 @@ def _load_init(finetune_block, model_config, corpus, seed):
         return model, backbone, "no_pretraining"
     path = finetune_block["checkpoint"].replace("{seed}", str(seed))
     arrays, meta_info = load_checkpoint(path)
+    kind_keys = ("in_channels",) if meta_info.get("kind") == "raw" else ("regime", "spec")
+    missing = [k for k in ("model", "kind") + kind_keys if k not in meta_info]
+    if missing:
+        raise ContractError(
+            f"checkpoint {path!r} lacks the pre-training metadata {missing}; "
+            "fine-tune from a pretrain-* checkpoint"
+        )
     saved_config = TransformerConfig(**json.loads(meta_info["model"]))
+    # Checkpoints written before attention keys lost their bias still carry
+    # ``*/attn/k/b``; no model reads it.
     backbone = {
         k.split("/", 1)[1]: nn.Tensor(v)
         for k, v in arrays.items()
-        if k.startswith("backbone/")
+        if k.startswith("backbone/") and not k.endswith("/attn/k/b")
     }
     algorithm = meta_info.get("algorithm", "transfer")
     if meta_info["kind"] == "raw":
@@ -367,7 +406,10 @@ def _load_init(finetune_block, model_config, corpus, seed):
             model = base
     else:
         regime = EncodingRegime(**json.loads(meta_info["regime"]))
-        spec = ChannelGroupSpec(tuple(GroupSpec(**g) for g in json.loads(meta_info["spec"])))
+        try:
+            spec = ChannelGroupSpec(tuple(group_from_record(g) for g in json.loads(meta_info["spec"])))
+        except ValueError as err:
+            raise ParseError(f"checkpoint {path!r}: {err}") from None
         stats = {
             g.name: (arrays[f"norm/{g.name}/mean"], arrays[f"norm/{g.name}/std"])
             for g in spec.dynamic_groups

@@ -80,7 +80,16 @@ class GroupSpec:
     name: str
     channels: int
     kind: str = "dynamic"  # dynamic | static
-    categorical: bool = False  # values are category indices; projected by lookup
+
+
+def group_from_record(record):
+    """A ``GroupSpec`` from its JSON object.  Records written before
+    categorical groups were removed carry ``"categorical": false``, which is
+    dropped; ``true`` raises ``ValueError`` naming the group."""
+    record = dict(record)
+    if record.pop("categorical", False) is not False:
+        raise ValueError(f"group {record.get('name')!r} is categorical, which is not supported")
+    return GroupSpec(**record)
 
 
 @dataclass
@@ -115,14 +124,8 @@ class Corpus:
     samples: list
     manifest: CorpusManifest
 
-    def __iter__(self):
-        return iter(self.samples)
-
     def __len__(self):
         return len(self.samples)
-
-    def classes(self):
-        return sorted({s.label for s in self.samples})
 
     def pretrain_pool(self):
         keep = set(self.manifest.pretrain_regions)
@@ -199,12 +202,12 @@ def _load_manifest(mpath):
         values = {f.name: raw.get(f.name, getattr(default, f.name)) for f in fields(default)}
         wrong = [k for k, v in values.items() if type(v) is not type(getattr(default, k))]
         values["hierarchy_levels"] = {int(k): v for k, v in values["hierarchy_levels"].items()}
-        values["groups"] = [GroupSpec(**g) for g in values["groups"]]
+        values["groups"] = [group_from_record(g) for g in values["groups"]]
         manifest = CorpusManifest(**values)
         if wrong or not (
             {type(v) for v in manifest.hierarchy_levels.values()} <= {int}
             and {type(r) for r in manifest.pretrain_regions} <= _STR
-            and all((type(g.name), type(g.channels), type(g.categorical)) == (str, int, bool)
+            and all((type(g.name), type(g.channels)) == (str, int)
                     and g.channels > 0 and g.kind in ("dynamic", "static") for g in manifest.groups)
         ):
             raise TypeError(f"wrong JSON type in {wrong or 'hierarchy levels, regions or groups'}")

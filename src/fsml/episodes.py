@@ -27,7 +27,6 @@ class EpisodeConfig:
     n_way: int
     k_support: int
     k_query: int
-    regions: tuple = ()
     seed: int = 0
 
     def __post_init__(self):
@@ -56,15 +55,6 @@ def episode_pool(corpus, split):
     return [s for s in corpus.pretrain_pool() if s.split == split]
 
 
-def _by_region(samples, config):
-    pools = {}
-    for s in samples:
-        if config.regions and s.region not in config.regions:
-            continue
-        pools.setdefault(s.region, []).append(s)
-    return pools
-
-
 def _eligible_classes(pool, config):
     counts = {}
     for s in pool:
@@ -75,7 +65,9 @@ def _eligible_classes(pool, config):
 
 def sample_region(samples, config, rng):
     """Draw a region with probability proportional to its data-point count."""
-    pools = _by_region(samples, config)
+    pools = {}
+    for s in samples:
+        pools.setdefault(s.region, []).append(s)
     eligible = {
         region: pool
         for region, pool in pools.items()

@@ -165,25 +165,25 @@ def _merge_heads(x, shape):
     return T.reshape(T.transpose(x, (0, 2, 1, 3)), shape)
 
 
-def attention(params, prefix, config, queries, keys_values, key_mask, collect=None):
+def attention(params, prefix, config, queries, keys_values, key_mask):
     """Multi-head attention; ``key_mask`` (bool [B, Tk]) marks attendable keys.
 
     Masked keys receive -1e30 before the softmax, so attention weights over
     unmasked keys sum to one and masked keys receive exactly zero weight.
-    Stacked tasks (mask [n, B, Tk], rows [n, B*Tk, d]) attend as n*B sequences.
+    Keys carry no bias: softmax is shift-invariant per query, so a key bias
+    would never get a gradient.  Stacked tasks (mask [n, B, Tk], rows
+    [n, B*Tk, d]) attend as n*B sequences.
     """
     key_mask = np.asarray(key_mask, dtype=bool)
     key_mask = key_mask.reshape(-1, key_mask.shape[-1])
     batch = key_mask.shape[0]
     q = _split_heads(_linear(queries, params, f"{prefix}/q"), batch, config.num_heads)
-    k = _split_heads(_linear(keys_values, params, f"{prefix}/k"), batch, config.num_heads)
+    k = _split_heads(T.matmul(keys_values, params[f"{prefix}/k/w"]), batch, config.num_heads)
     v = _split_heads(_linear(keys_values, params, f"{prefix}/v"), batch, config.num_heads)
     scale = 1.0 / np.sqrt(config.embed_dim // config.num_heads)
     scores = T.mul(T.matmul(q, T.transpose(k)), scale)
     scores = T.masked_fill(scores, ~key_mask[:, None, None, :], NEG_INF)
     weights = T.softmax(scores)
-    if collect is not None:
-        collect.append(weights.values)
     context = _merge_heads(T.matmul(weights, v), queries.shape)
     return _linear(context, params, f"{prefix}/out")
 
@@ -193,7 +193,8 @@ def _block_params(rng, config, prefix, params):
     for name in ("q", "k", "v", "out"):
         w, b = linear_params(rng, e, e)
         params[f"{prefix}/attn/{name}/w"] = w
-        params[f"{prefix}/attn/{name}/b"] = b
+        if name != "k":
+            params[f"{prefix}/attn/{name}/b"] = b
     for name, (fi, fo) in (("mlp/up", (e, h)), ("mlp/down", (h, e))):
         w, b = linear_params(rng, fi, fo)
         params[f"{prefix}/{name}/w"] = w
@@ -212,28 +213,27 @@ def encoder_params(rng, config, params=None):
     return params
 
 
-def _transformer_block(params, prefix, config, x, key_mask, collect=None):
+def _transformer_block(params, prefix, config, x, key_mask, memory=None):
+    """Pre-norm residual block.  Its attention reads keys and values from the
+    normed ``x`` itself, or from ``memory`` when given (cross-attention);
+    ``key_mask`` marks the attendable key rows."""
     h = _affine_ln(x, params, f"{prefix}/ln1")
-    x = T.add(x, attention(params, f"{prefix}/attn", config, h, h, key_mask, collect))
+    kv = h if memory is None else memory
+    x = T.add(x, attention(params, f"{prefix}/attn", config, h, kv, key_mask))
     h = _affine_ln(x, params, f"{prefix}/ln2")
     h = _linear(T.gelu(_linear(h, params, f"{prefix}/mlp/up")), params, f"{prefix}/mlp/down")
     return T.add(x, h)
 
 
-def encode(params, config, x, attention_mask, collect=None, length_cap=None):
+def encode(params, config, x, attention_mask, length_cap=None):
     """Run the encoder stack over an embedded sequence.
 
-    ``x`` is [T, embed_dim], [B, T, embed_dim] or stacked [n, B*T, embed_dim];
-    ``attention_mask`` (bool, [T], [B, T] or [n, B, T]) marks live tokens.
+    ``x`` is [B, T, embed_dim] or stacked [n, B*T, embed_dim];
+    ``attention_mask`` (bool, [B, T] or [n, B, T]) marks live tokens.
     Masked positions neither attend nor are attended to, and row order is
     preserved.
     """
-    x = T.as_tensor(x)
-    single = x.ndim == 2
     mask = np.asarray(attention_mask, dtype=bool)
-    if single:
-        x = T.reshape(x, (1,) + x.shape)
-        mask = mask[None, :]
     cap = config.max_seq_len if length_cap is None else length_cap
     if mask.shape[-1] > cap:
         raise SequenceLengthError(
@@ -245,41 +245,29 @@ def encode(params, config, x, attention_mask, collect=None, length_cap=None):
             f"encode: mask shape {mask.shape} does not match tokens {x.shape[:-1]}"
         )
     for i in range(config.encoder_blocks):
-        x = _transformer_block(params, f"enc{i}", config, x, mask, collect)
-    x = _affine_ln(x, params, "enc_out/ln")
-    return T.reshape(x, x.shape[1:]) if single else x
+        x = _transformer_block(params, f"enc{i}", config, x, mask)
+    return _affine_ln(x, params, "enc_out/ln")
 
 
-def pool_sequence(encoder_output, attention_mask):
+def pool_sequence(x, attention_mask):
     """Mean over unmasked token embeddings (recorded pooling decision)."""
-    x = T.as_tensor(encoder_output)
     mask = np.asarray(attention_mask, dtype=bool)
-    single = x.ndim == 2
-    if single:
-        x = T.reshape(x, (1,) + x.shape)
-        mask = mask[None, :]
     counts = mask.sum(axis=-1)
     if np.any(counts == 0):
         raise DegenerateInputError("pool_sequence: a sequence has no unmasked token")
     weights = mask.astype(np.float64) / counts[..., None]
     if x.shape[:-1] != mask.shape:  # stacked rows [n, B*T, d] -> [n, B, T, d]
         x = T.reshape(x, mask.shape + x.shape[-1:])
-    pooled = T.reduce_sum(T.mul(x, weights[..., None]), axis=-2)
-    return T.reshape(pooled, pooled.shape[1:]) if single else pooled
+    return T.reduce_sum(T.mul(x, weights[..., None]), axis=-2)
 
 
 def classify(head, embedding):
-    """logits = embedding @ W + b for a single embedding or a batch."""
-    x = T.as_tensor(embedding)
-    single = x.ndim == 1
-    if single:
-        x = T.reshape(x, (1,) + x.shape)
-    if x.shape[-1] != head["w"].shape[-2]:
+    """logits [..., B, classes] = embedding @ W + b for a batch of embeddings."""
+    if embedding.shape[-1] != head["w"].shape[-2]:
         raise ContractError(
-            f"classify: embedding dim {x.shape[-1]} != head input {head['w'].shape[-2]}"
+            f"classify: embedding dim {embedding.shape[-1]} != head input {head['w'].shape[-2]}"
         )
-    logits = T.add(T.matmul(x, head["w"]), head["b"])
-    return T.reshape(logits, logits.shape[1:]) if single else logits
+    return T.add(T.matmul(embedding, head["w"]), head["b"])
 
 
 def cross_entropy(logits, labels, live=None):
@@ -289,11 +277,7 @@ def cross_entropy(logits, labels, live=None):
     rows of each leading index, and one loss per index is returned: for
     stacked tasks, logits [n, B, c] give n task losses.
     """
-    logits = T.as_tensor(logits)
     labels = np.asarray(labels, dtype=np.intp)
-    if logits.ndim == 1:
-        logits = T.reshape(logits, (1,) + logits.shape)
-        labels = labels.reshape(1)
     z = T.sub(logits, logits.values.max(axis=-1, keepdims=True))  # constant shift
     log_norm = T.log(T.reduce_sum(T.exp(z), axis=-1, keepdims=True))
     log_probs = T.sub(z, log_norm)
@@ -356,7 +340,7 @@ class RawSeriesModel:
         x = T.add(T.matmul(values, params["in/w"]), params["in/b"])
         return T.add(x, self._positions(days))
 
-    def embeddings(self, params, batch, film=None, collect=None):
+    def embeddings(self, params, batch, film=None):
         values, days, mask = batch
         if mask.ndim == 3:  # stacked tasks: [n, B, T, C] -> [n, B*T, C] rows
             values = values.reshape(mask.shape[0], -1, values.shape[-1])
@@ -364,15 +348,15 @@ class RawSeriesModel:
         x = self.embed(params, values, days)
         if film is not None:
             x = _modulate_steps(x, film, mask)
-        encoded = encode(params, self.config, x, mask, collect=collect)
+        encoded = encode(params, self.config, x, mask)
         pooled = pool_sequence(encoded, mask)
         if film is not None:
             gamma, delta = film
             pooled = T.add(T.mul(pooled, gamma), delta)
         return pooled
 
-    def logits(self, params, head, batch, film=None, collect=None):
-        return classify(head, self.embeddings(params, batch, film, collect))
+    def logits(self, params, head, batch, film=None):
+        return classify(head, self.embeddings(params, batch, film))
 
 
 def _expand_mid(x):

@@ -15,11 +15,13 @@ Masking regimes
     topped up).
 
 Decoders
+    Both run the encoder's transformer block.
     self_attention: visible encodings and mask tokens (a learned vector
     plus each position's contextual encoding) are reassembled in order and
     run through self-attention decoder blocks.
-    cross_attention: mask-token queries attend only to visible-token
-    keys/values; masked queries never interact with each other.
+    cross_attention: the blocks take the visible encodings as their
+    ``memory``, so mask-token queries attend only to visible-token
+    keys/values and masked queries never interact with each other.
 
 The reconstruction loss is mean squared error over masked, non-padding
 cells only, computed in per-channel z-scored raw-value space (statistics
@@ -139,12 +141,9 @@ def build_mask(plan, spec, t_steps, rng, padding=None, strategy=None):
 
 
 def normalization_stats(samples, spec):
-    """Mean/std per channel of each non-categorical dynamic group (category
-    indices are looked up, never z-scored); degenerate stds fall back to 1."""
+    """Mean/std per channel of each dynamic group; degenerate stds fall back to 1."""
     stats = {}
     for g in spec.dynamic_groups:
-        if g.categorical:
-            continue
         rows = [s.channels[g.name] for s in samples]
         arr = np.concatenate(rows) if rows else np.zeros((1, g.channels))
         std = arr.std(axis=0)
@@ -237,14 +236,9 @@ class MaskedAutoencoder:
         return nn._affine_ln(x, params, "dec_out/ln")
 
     def _decode_cross_attention(self, params, batch, encoded, mask, visible):
-        queries = T.add(batch.context, params["dec/mask_token"])
-        x = queries
+        x = T.add(batch.context, params["dec/mask_token"])
         for i in range(self.config.decoder_blocks):
-            h = nn._affine_ln(x, params, f"dec{i}/ln1")
-            x = T.add(x, nn.attention(params, f"dec{i}/attn", self.config, h, encoded, visible))
-            h = nn._affine_ln(x, params, f"dec{i}/ln2")
-            h = nn._linear(T.gelu(nn._linear(h, params, f"dec{i}/mlp/up")), params, f"dec{i}/mlp/down")
-            x = T.add(x, h)
+            x = nn._transformer_block(params, f"dec{i}", self.config, x, visible, memory=encoded)
         return nn._affine_ln(x, params, "dec_out/ln")
 
     def reconstruct(self, params, batch, mask):

@@ -30,7 +30,8 @@ The primitive set is fixed: add, sub, mul, div, matmul, transpose, reshape,
 concat, slice_axis, reduce_sum, reduce_mean, exp, log, sqrt, power, softmax
 (last axis), relu, gelu, layer_norm, embedding_lookup, masked_fill.  gelu's
 adjoint records one more op, its slope, whose own adjoint is again built
-from primitives.
+from primitives.  A :class:`Tensor` has no arithmetic operators or methods:
+every computation calls these functions by name.
 """
 
 from __future__ import annotations
@@ -140,56 +141,9 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, on_tape={self.node is not None})"
 
-    # Arithmetic sugar; scalars and arrays are lifted to constant tensors.
-    def __add__(self, other):
-        return add(self, other)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None, keepdims=False):
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return reduce_mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    def transpose(self, axes=None):
-        return transpose(self, axes)
-
-
-def as_tensor(x):
+def _lift(x):
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-_lift = as_tensor
 
 
 def _key(t):

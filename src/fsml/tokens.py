@@ -4,9 +4,8 @@
 pass.  Each channel group (one data source) is packed into one array
 ([B, 1, C] static, [B, T_max, C] dynamic), z-scored in place when
 statistics are given, and projected into the shared embedding width with
-one matmul (categorical groups use an embedding-matrix lookup, i.e. one-hot
-times linear).  Every token then gets additive contextual encodings laid
-out as ``[p_channel; p_sin; p_month]``:
+one matmul.  Every token then gets additive contextual encodings laid out
+as ``[p_channel; p_sin; p_month]``:
 
 * ``p_channel``: a learned per-group embedding row;
 * ``p_sin``: sinusoidal temporal position (observation ordinal or
@@ -55,10 +54,6 @@ class ChannelGroupSpec:
         names = [g.name for g in self.groups]
         if len(set(names)) != len(names):
             raise ContractError(f"duplicate group names in {names}")
-
-    @property
-    def total_channels(self):
-        return sum(g.channels for g in self.groups)
 
     @property
     def static_groups(self):
@@ -130,16 +125,11 @@ def token_params(rng, spec, regime):
     """Learned projections h^c and per-group channel embeddings."""
     params = {}
     for g in spec.groups:
-        if getattr(g, "categorical", False):
-            params[f"proj/{g.name}/w"] = uniform_init(rng, g.channels, (g.channels, regime.d_emb))
-        else:
-            w, b = linear_params(rng, g.channels, regime.d_emb)
-            params[f"proj/{g.name}/w"] = w
-            params[f"proj/{g.name}/b"] = b
+        w, b = linear_params(rng, g.channels, regime.d_emb)
+        params[f"proj/{g.name}/w"] = w
+        params[f"proj/{g.name}/b"] = b
         params[f"ctx/{g.name}"] = uniform_init(rng, regime.d_channel, (regime.d_channel,))
     return params
-
-
 
 
 def token_layout(spec, lengths):
@@ -198,25 +188,21 @@ def _pack_group(samples, g, steps, stats):
     if missing:
         raise ContractError(f"dynamic group {g.name} missing from parcels {missing}")
     tables = [s.channels[g.name] for s in samples]
-    width = 1 if g.categorical else g.channels
-    widths = {t.shape[-1] for t in tables} - {width}
+    widths = {t.shape[-1] for t in tables} - {g.channels}
     if widths:
-        raise ContractError(f"group {g.name}: got {widths.pop()} channels, spec declares {width}")
+        raise ContractError(f"group {g.name}: got {widths.pop()} channels, spec declares {g.channels}")
     live = np.concatenate(tables)
     if stats and g.name in stats:
         mean, std = stats[g.name]
         live = (live - mean) / std
-    values = np.zeros(steps.shape + (width,))
+    values = np.zeros(steps.shape + (g.channels,))
     values[steps] = live
     return values
 
 
 def _project(params, g, values):
-    """One matmul over a packed group (a row lookup for categorical groups)."""
-    w = params[f"proj/{g.name}/w"]
-    if g.categorical:
-        return T.embedding_lookup(w, values[..., 0].astype(np.intp))
-    return T.add(T.matmul(Tensor(values), w), params[f"proj/{g.name}/b"])
+    """One matmul over a packed group."""
+    return T.add(T.matmul(Tensor(values), params[f"proj/{g.name}/w"]), params[f"proj/{g.name}/b"])
 
 
 def encode_tokens(samples, spec, regime, params, stats=None):

@@ -1,16 +1,18 @@
 import json
+import warnings
 from dataclasses import fields
 from pathlib import Path
 from typing import get_type_hints
 
+import numpy as np
 import pytest
 
 from fsml import cli as cli_mod
 from fsml.cli import _write_results_csv, config_hash, emit_plots, main, run, validate_config
-from fsml.data import SynthConfig
+from fsml.data import SynthConfig, load_corpus
 from fsml.errors import ContractError, ParseError
 from fsml.meta import MetaConfig
-from fsml.nn import TransformerConfig
+from fsml.nn import TransformerConfig, load_checkpoint, save_checkpoint
 from fsml.ssl import SSLConfig
 from fsml.train import TransferConfig
 
@@ -64,10 +66,21 @@ def _names(cls, drop=()):
     return [f.name for f in fields(cls) if f.name not in drop]
 
 
+SSL_CLI_KEYS = {
+    "regime": "xts", "position_source": "day_of_year", "max_timesteps": 16,
+    "location_token": True, "strategy": "mixed", "decoder": "self_attention",
+}
+
+
 def _block_of(cls, names):
-    """A value of each field's type (1 for numbers and for CLI-only keys)."""
+    """A value of each field's type (1 for numbers), and a valid value of each
+    CLI-only key."""
     hints = get_type_hints(cls)
-    return {name: {str: "x", list: [], tuple: []}.get(hints.get(name), 1) for name in names}
+    return {
+        name: SSL_CLI_KEYS[name] if name in SSL_CLI_KEYS
+        else {str: "x", list: [], tuple: []}.get(hints.get(name), 1)
+        for name in names
+    }
 
 
 def _main_on(tmp_path, config):
@@ -77,15 +90,12 @@ def _main_on(tmp_path, config):
 
 
 def test_every_config_field_is_accepted_and_typos_are_rejected():
-    ssl_cli_keys = [
-        "regime", "position_source", "max_timesteps", "location_token", "strategy", "decoder",
-    ]
     cases = [
         ("synth-data", "synth", SynthConfig, _names(SynthConfig)),
         ("pretrain-transfer", "transfer", TransferConfig, _names(TransferConfig)),
         ("pretrain-meta", "meta", MetaConfig, _names(MetaConfig)),
         ("pretrain-ssl", "ssl", SSLConfig,
-         _names(SSLConfig, drop=("variant", "plan")) + ssl_cli_keys),
+         _names(SSLConfig, drop=("variant", "plan")) + list(SSL_CLI_KEYS)),
     ]
     for mode, block, cls, names in cases:
         config = {"schema_version": 1, "mode": mode, "dataset": "x",
@@ -128,6 +138,40 @@ def test_every_config_field_is_accepted_and_typos_are_rejected():
      'finetune.source: must be "scratch" or "checkpoint"'),
     ("tune", {"tune": {"space": {}, "finetune": {"sorce": "checkpoint", "validaton_limit": 3}}},
      "tune.finetune.sorce: unknown key"),
+    # tune fine-tunes with its own regime and budget, so these keys would be ignored
+    *[("tune", {"tune": {"space": {}, "finetune": {key: value}}}, f"tune.finetune.{key}: unknown key")
+      for key, value in [("regime", "same_lr"), ("lr_head", 0.1), ("lr_backbone", 0.1),
+                         ("kshots", [1]), ("max_epochs", 2), ("batch_size", 8)]],
+    ("tune", {"tune": {"space": {}, "finetune": {"validation_limit": "3"}}},
+     "tune.finetune.validation_limit: must be an integer"),
+    ("tune", {"tune": {"space": {}, "trials": 2.5}}, "tune.trials: must be an integer"),
+    ("tune", {"tune": {"space": [], "k": 2}}, "tune.space: must be an object"),
+    ("tune", {"tune": {"space": {}, "finetune": 3}}, "tune.finetune: must be an object"),
+    ("finetune", {"finetune": {"kshots": "1"}}, "finetune.kshots: must be a list"),
+    ("finetune", {"finetune": {"kshots": ["1"]}},
+     "finetune.kshots: must be a non-empty list of positive integers"),
+    ("finetune", {"finetune": {"kshots": []}},
+     "finetune.kshots: must be a non-empty list of positive integers"),
+    ("finetune", {"finetune": {"kshots": [0, 2]}},
+     "finetune.kshots: must be a non-empty list of positive integers"),
+    ("finetune", {"finetune": {"max_epochs": "2"}}, "finetune.max_epochs: must be an integer"),
+    ("finetune", {"finetune": {"lr_head": "0.1"}}, "finetune.lr_head: must be a number"),
+    ("finetune", {"finetune": {"source": "checkpoint", "checkpoint": 3}},
+     "finetune.checkpoint: must be a string"),
+    ("evaluate", {"evaluate": {"runs": "runs"}}, "evaluate.runs: must be a list"),
+    ("evaluate", {"evaluate": {"runs": [3]}}, "evaluate.runs: must be a list of strings"),
+    ("evaluate", {"evaluate": {"runs": [], "plots": True}}, "evaluate.plots: must be a string"),
+    ("pretrain-ssl", {"ssl": {"location_token": 1}}, "ssl.location_token: must be a boolean"),
+    ("pretrain-ssl", {"ssl": {"max_timesteps": True}}, "ssl.max_timesteps: must be an integer"),
+    ("pretrain-ssl", {"ssl": {"decoder": 2}}, "ssl.decoder: must be a string"),
+    ("synth-data", {"synth": {"groups": [{"name": "s2", "channels": 3, "bogus": 1}]}},
+     "synth.groups[0].bogus: unknown key"),
+    ("synth-data", {"synth": {"groups": [{"name": "s2", "channels": "3"}]}},
+     "synth.groups[0].channels: must be an integer"),
+    ("synth-data", {"synth": {"groups": [{"name": "s2"}]}}, "synth.groups[0].channels: required"),
+    ("synth-data", {"synth": {"groups": ["s2"]}}, "synth.groups[0]: must be an object"),
+    ("synth-data", {"synth": {"groups": [{"name": "lc", "channels": 5, "categorical": True}]}},
+     "synth.groups[0].categorical: unknown key"),
 ])
 def test_bad_config_shapes_exit_with_contract_error(tmp_path, capsys, mode, blocks, problem):
     config = {"schema_version": 1, "mode": mode, "dataset": "x",
@@ -188,6 +232,73 @@ def test_missing_checkpoint_exits_with_its_path(tmp_path, capsys):
               "finetune": {"source": "checkpoint", "checkpoint": str(checkpoint)}}
     assert _main_on(tmp_path, config) == 1
     assert str(checkpoint) in capsys.readouterr().err
+
+
+def _finetune_config(dataset, out, **finetune):
+    return {"schema_version": 1, "mode": "finetune", "dataset": str(dataset), "out": str(out),
+            "seeds": [0], "model": MODEL_BLOCK,
+            "finetune": {"kshots": [1], "max_epochs": 1, **finetune}}
+
+
+def test_checkpoint_without_pretraining_metadata_is_a_contract_error(tmp_path, capsys):
+    """A fine-tune output holds no model metadata, so it cannot seed a fine-tune."""
+    dataset, out = tmp_path / "corpus.jsonl", tmp_path / "runs"
+    run(synth_config(dataset, out))
+    scratch = _finetune_config(dataset, out)
+    run(scratch)
+    checkpoint = out / config_hash(scratch) / "0" / "checkpoints" / "no_pretraining_k1.fsml"
+    config = _finetune_config(dataset, out, source="checkpoint", checkpoint=str(checkpoint))
+    assert _main_on(tmp_path, config) == 1
+    err = capsys.readouterr().err
+    assert "error [ContractError]" in err and str(checkpoint) in err
+    assert "'model'" in err and "'kind'" in err
+
+
+def test_checkpoint_with_attention_key_bias_finetunes_the_same(tmp_path):
+    """Checkpoints written while attention keys had a bias carry ``*/attn/k/b``;
+    fine-tuning drops it and reports what it reports without it."""
+    dataset, out = tmp_path / "corpus.jsonl", tmp_path / "runs"
+    run(synth_config(dataset, out))
+    transfer = {"schema_version": 1, "mode": "pretrain-transfer", "dataset": str(dataset),
+                "out": str(out), "seeds": [0], "model": MODEL_BLOCK,
+                "transfer": {"batch_size": 64, "max_epochs": 1}}
+    checkpoint = next(a for a in run(transfer) if a.endswith(".fsml"))
+    arrays, meta = load_checkpoint(checkpoint)
+    assert not [k for k in arrays if k.endswith("/attn/k/b")]
+    legacy = tmp_path / "legacy.fsml"
+    bias = np.random.default_rng(0).standard_normal(MODEL_BLOCK["embed_dim"])
+    save_checkpoint(legacy, {**arrays, "backbone/enc0/attn/k/b": bias}, meta)
+    reports = []
+    for path in (checkpoint, legacy):
+        config = _finetune_config(dataset, out, source="checkpoint", checkpoint=str(path))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run(config)
+        assert not [w for w in caught if "unreached leaf" in str(w.message)]
+        report = out / config_hash(config) / "0" / "reports" / "transfer_k1.json"
+        reports.append(json.loads(report.read_text()))
+        del reports[-1]["config_hash"]
+    assert reports[0] == reports[1]
+
+
+def test_manifest_categorical_key_loads_only_when_false(tmp_path, capsys):
+    """Manifests written before categorical groups were removed say
+    ``"categorical": false`` and still load; ``true`` is a ParseError."""
+    dataset = tmp_path / "corpus.jsonl"
+    run(synth_config(dataset, tmp_path / "runs"))
+    expected = load_corpus(dataset)
+    mpath = dataset.with_name("corpus.manifest.json")
+    manifest = json.loads(mpath.read_text())
+    manifest["groups"][0]["categorical"] = False
+    mpath.write_text(json.dumps(manifest))
+    assert load_corpus(dataset).manifest == expected.manifest
+    manifest["groups"][0]["categorical"] = True
+    mpath.write_text(json.dumps(manifest))
+    config = {"schema_version": 1, "mode": "pretrain-transfer", "dataset": str(dataset),
+              "out": str(tmp_path / "runs"), "seeds": [0]}
+    assert _main_on(tmp_path, config) == 1
+    err = capsys.readouterr().err
+    assert "error [ParseError]" in err and str(mpath) in err and "'s2'" in err
 
 
 def test_unknown_mode_exits_nonzero(tmp_path):

@@ -343,13 +343,14 @@ def test_raw_series_groups_leave_static_groups_out():
 
 def test_dataset_format_is_pinned(tmp_path):
     """Corpus and manifest bytes of a fixed synthetic corpus match digests
-    recorded before parcels were held as arrays; any format change shows."""
+    recorded before parcels were held as arrays (the manifest's since groups
+    lost their ``categorical`` key); any format change shows."""
     path = tmp_path / "corpus.jsonl"
     save_corpus(generate_synthetic(small_config(), seed=0), path)
     digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (path, data.manifest_path(path))]
     assert digests == [
         "165b4e1545433a871c1467fe2c03835c381c4c17e8cf1a84b3fa4f543fbe7816",
-        "07a9af68f3d49f568ce2e60768c4e254204822c7ea236e86e65afde387ab94eb",
+        "75ba4cce706ca48d01870e09767d2bf609d5a403c2772f713c90b7e8cae1ddf9",
     ]
 
 

@@ -148,40 +148,48 @@ def test_zero_weights_single_token_reduces_to_final_layer_norm(rng):
 
 
 def test_attention_weights_sum_to_one_over_unmasked_keys(rng):
+    """Seen through outputs: when every unmasked key row is the same row r,
+    each query's output is r's value projection, whatever the masked rows
+    hold.  So weights sum to one over unmasked keys and masked keys get none."""
     params = tiny_params(rng)
-    x = rng.standard_normal((2, 7, CFG.embed_dim))
+    for name, t in params.items():  # nonzero biases, so each one shows
+        if name.endswith("/b"):
+            params[name] = Tensor(rng.standard_normal(t.shape))
+    queries = rng.standard_normal((2, 7, CFG.embed_dim))
     mask = np.ones((2, 7), dtype=bool)
     mask[0, 4:] = False
-    collected = []
-    encode(params, CFG, Tensor(x), mask, collect=collected)
-    for weights in collected:
-        np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-9)
-        # masked keys receive exactly zero attention
-        assert np.all(weights[0, :, :, 4:] == 0.0)
+    row = rng.standard_normal(CFG.embed_dim)
+    keys_values = np.tile(row, (2, 7, 1))
+    keys_values[0, 4:] = 1e3 * rng.standard_normal((3, CFG.embed_dim))
+    out = nn.attention(params, "enc0/attn", CFG, Tensor(queries), Tensor(keys_values), mask)
+    p = {k: v.values for k, v in params.items()}
+    value = (row @ p["enc0/attn/v/w"] + p["enc0/attn/v/b"]) @ p["enc0/attn/out/w"]
+    expected = np.broadcast_to(value + p["enc0/attn/out/b"], out.shape)
+    np.testing.assert_allclose(out.values, expected, rtol=0, atol=1e-12)
 
 
 def test_classify_examples():
     head = {"w": Tensor(np.zeros((4, 3))), "b": Tensor(np.zeros(3))}
-    logits = classify(head, Tensor(np.ones(4)))
+    logits = classify(head, Tensor(np.ones((1, 4))))
     assert np.all(logits.values == 0.0)
-    np.testing.assert_allclose(T.softmax(logits).values, np.full(3, 1 / 3))
+    np.testing.assert_allclose(T.softmax(logits).values, np.full((1, 3), 1 / 3))
 
     head = {"w": Tensor(np.eye(4)), "b": Tensor(np.zeros(4))}
-    emb = np.array([0.3, -1.0, 2.0, 0.1])
+    emb = np.array([[0.3, -1.0, 2.0, 0.1]])
     np.testing.assert_allclose(classify(head, Tensor(emb)).values, emb)
 
     head = {"w": Tensor(np.eye(2)), "b": Tensor(np.zeros(2))}
-    logits = classify(head, Tensor([2.0, 1.0]))
-    np.testing.assert_allclose(logits.values, [2.0, 1.0])
+    logits = classify(head, Tensor([[2.0, 1.0]]))
+    np.testing.assert_allclose(logits.values, [[2.0, 1.0]])
     np.testing.assert_allclose(
-        T.softmax(logits).values, [0.7311, 0.2689], atol=1e-4
+        T.softmax(logits).values, [[0.7311, 0.2689]], atol=1e-4
     )
 
 
 def test_classify_dimension_mismatch():
     head = {"w": Tensor(np.zeros((4, 3))), "b": Tensor(np.zeros(3))}
     with pytest.raises(ContractError, match="dim"):
-        classify(head, Tensor(np.ones(5)))
+        classify(head, Tensor(np.ones((1, 5))))
 
 
 def test_pool_sequence_examples():

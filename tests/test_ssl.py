@@ -25,8 +25,8 @@ from fsml.ssl import (
     reconstruction_loss,
     xts_plan,
 )
-from fsml.tensor import Tape, Tensor
-from fsml.tokens import encode_tokens, group_spec, token_layout, token_params, xts_regime
+from fsml.tensor import Tape, Tensor, grad
+from fsml.tokens import group_spec, token_layout, xts_regime
 
 
 SPEC1 = group_spec(("s2", 3, "dynamic"))
@@ -318,6 +318,40 @@ def test_mae_step_produces_gradients_for_all_params():
     assert any(np.abs(g).max() > 0 for g in grads.values())
 
 
+def _assert_every_parameter_learns(grads):
+    """Each parameter's max |grad| is above 1e-12 times the largest one."""
+    top = {k: float(np.abs(g).max()) for k, g in grads.items()}
+    largest = max(top.values())
+    dead = [k for k, v in top.items() if v <= 1e-12 * largest]
+    assert not dead, f"no gradient reaches {dead}"
+
+
+def test_every_parameter_gets_a_gradient():
+    """One batch through the raw-series model (transfer), the token
+    classifier and the masked autoencoder with each decoder reaches every
+    parameter.  The masking strategy is fixed: under channel_groups a batch
+    can mask the whole location group, whose projection then gets none."""
+    samples = _ssl_corpus().pretrain_pool()[:16]
+    labels = np.arange(len(samples)) % 4
+    config = nn.TransformerConfig(16, 2, 32, 1, 1, 366)
+    spec = group_spec(("location", 3, "static"), ("s1", 2, "dynamic"), ("s2", 3, "dynamic"))
+    regime = xts_regime(16, max_timesteps=16)
+    stats = normalization_stats(samples, spec)
+    raw = nn.RawSeriesModel(config, 5, ("s1", "s2"))
+    for model in (raw, TokenClassifier(config, spec, regime, stats)):
+        params = model.init_params(rng_from(3, 1), n_classes=4)
+        named = params.named()
+        with Tape():
+            logits = model.logits(params.backbone, params.head, model.prepare(samples))
+            grads = grad(nn.cross_entropy(logits, labels), list(named.values()))
+        _assert_every_parameter_learns({k: g.values for k, g in zip(named, grads)})
+    for variant in ("self_attention", "cross_attention"):
+        model = MaskedAutoencoder(config, spec, regime, variant)
+        params = model.init_params(rng_from(3, 2))
+        _, grads = mae_step(params, model, samples, base_plan("random_timesteps"), rng_from(3, 3), stats)
+        _assert_every_parameter_learns(grads)
+
+
 def _ssl_corpus(seed=0):
     cfg = SynthConfig(
         regions=["R1", "R2"],
@@ -378,26 +412,3 @@ def test_token_classifier_forward_shapes():
     chunk = corpus.finetune_pool()[:5]
     logits = clf.logits(params.backbone, params.head, chunk)
     assert logits.shape == (5, 4)
-
-
-def test_categorical_group_is_not_normalized():
-    """Category indices get no statistics, so a batch with stats encodes each
-    categorical token as the projection row of its raw index."""
-    spec = group_spec(("s2", 2, "dynamic"), GroupSpec("landcover", 5, "dynamic", categorical=True))
-    regime = xts_regime(16)
-    rng = np.random.default_rng(4)
-    samples = []
-    for i in range(6):
-        days = np.sort(rng.choice(np.arange(1, 60), size=int(rng.integers(2, 5)), replace=False))
-        channels = {"s2": rng.random((len(days), 2)), "landcover": rng.integers(0, 5, (len(days), 1))}
-        samples.append(parcel(days, channels, f"s{i}"))
-    stats = normalization_stats(samples, spec)
-    assert set(stats) == {"s2"}
-    params = token_params(rng_from(0, 5), spec, regime)
-    tokens, context, _ = encode_tokens(samples, spec, regime, params, stats)
-    _, group_index, time_index, pad = token_layout(spec, [len(s.days) for s in samples])
-    rows = params["proj/landcover/w"].values
-    for b, s in enumerate(samples):
-        for n in np.flatnonzero((group_index == 1) & ~pad[b]):
-            index = int(s.channels["landcover"][time_index[n], 0])
-            np.testing.assert_array_equal(tokens.values[b, n], rows[index] + context.values[b, n])

@@ -32,14 +32,14 @@ def test_layer_norm_direct_evaluation():
 def test_first_derivative_quadratic():
     with Tape():
         x = Tensor(3.0)
-        g = grad(x * x, x)
+        g = grad(T.mul(x, x), x)
     assert g.values == 6.0
 
 
 def test_second_derivative_cubic():
     with Tape():
         x = Tensor(2.0)
-        y = x * x * x
+        y = T.mul(T.mul(x, x), x)
         g1 = grad(y, x, create_graph=True)
         g2 = grad(g1, x)
     assert abs(g2.values - 12.0) < 1e-12
@@ -305,7 +305,7 @@ def test_grad_requires_scalar_output():
 def test_create_graph_requires_active_tape():
     with Tape():
         x = Tensor(1.0)
-        y = x * x
+        y = T.mul(x, x)
     with pytest.raises(ContractError):
         grad(y, x, create_graph=True)
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from conftest import parcel
-from fsml.data import GroupSpec
 from fsml.errors import ContractError, SequenceLengthError
 from fsml.nn import sinusoidal_encoding
 from fsml.seeding import rng_from
@@ -233,27 +232,6 @@ def test_timestep_overflow_rejected():
     samples = [sample_with([1, 2], spec.groups, rng), sample_with([1, 2, 3, 4, 5], spec.groups, rng)]
     with pytest.raises(SequenceLengthError):
         encode_tokens(samples, spec, regime, params)
-
-
-def test_categorical_group_is_embedding_lookup():
-    g = GroupSpec("landcover", 5, "dynamic", categorical=True)
-    spec = group_spec(g)
-    regime = xts_regime(16)
-    params = token_params(rng_from(0, 5), spec, regime)
-    sample = parcel([10, 40], {"landcover": [[3], [0]]})
-    short = parcel([7], {"landcover": [[4]]}, "p1")
-    tokens, _, cells = encode_tokens([sample, short], spec, regime, params)
-    # one-hot x matrix == direct row lookup
-    onehot = np.zeros((2, 5))
-    onehot[0, 3] = onehot[1, 0] = 1.0
-    expected = onehot @ params["proj/landcover/w"].values
-    ctx_block = np.concatenate(
-        [np.tile(params["ctx/landcover"].values, (2, 1)), temporal_encoding(regime, [10, 40])],
-        axis=1,
-    )
-    np.testing.assert_allclose(tokens.values[0], expected + ctx_block, atol=1e-15)
-    assert not tokens.values[1, 1].any()
-    assert cells[:, :, 0].tolist() == [[3.0, 0.0], [4.0, 0.0]]
 
 
 def test_static_group_has_zero_temporal_encoding():
