@@ -23,10 +23,11 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, fields, replace
-from functools import partial
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from functools import cache, partial
 from pathlib import Path
-from typing import get_type_hints
+from types import UnionType
+from typing import Annotated, Literal, get_args, get_origin, get_type_hints
 
 from . import nn
 from . import ssl as ssl_mod
@@ -40,7 +41,7 @@ from .data import (
     save_corpus,
 )
 from .errors import ContractError, FsmlError, ParseError
-from .meta import MetaConfig, TaskAwareRawModel, meta_train
+from .meta import ALGORITHMS, MetaConfig, TaskAwareRawModel, meta_train
 from .metrics import seed_mean_std
 from .nn import RawSeriesModel, TransformerConfig, load_checkpoint, save_checkpoint
 from .seeding import STREAM_INIT, rng_from
@@ -55,18 +56,10 @@ from .tokens import ChannelGroupSpec, EncodingRegime
 from .train import FineTuneRegime, TransferConfig, finetune, pretrain_transfer
 
 SCHEMA_VERSION = 1
-MODES = (
-    "synth-data",
-    "pretrain-transfer",
-    "pretrain-meta",
-    "pretrain-ssl",
-    "finetune",
-    "evaluate",
-    "tune",
-)
 DEFAULT_SEEDS = [0, 1, 42, 123, 1234]
 
 _COMMON_KEYS = {"schema_version", "mode", "out", "seeds", "label"}
+# Each mode with its required and its allowed keys besides the common ones.
 _MODE_KEYS = {
     "synth-data": ({"synth", "dataset"}, {"synth", "dataset"}),
     "pretrain-transfer": ({"dataset"}, {"dataset", "model", "transfer"}),
@@ -78,54 +71,171 @@ _MODE_KEYS = {
 }
 
 
-def _field_types(cls, drop=()):
-    hints = get_type_hints(cls)
-    return {f.name: hints[f.name] for f in fields(cls) if f.name not in drop}
+# ---------------------------------------------------------------------------
+# config blocks: each is read into one dataclass whose init fields are its
+# keys; a field without a default is required
+# ---------------------------------------------------------------------------
 
 
-# Blocks that pass their keys straight to a config dataclass: the accepted
-# keys and their value types are the dataclass fields.  The ssl block's
-# variant and plan come from CLI-only keys, which also build the encoding
-# regime and token spec.
-_FIELD_TYPES = {
-    "model": _field_types(TransformerConfig),
-    "synth": _field_types(SynthConfig),
-    "transfer": _field_types(TransferConfig),
-    "meta": _field_types(MetaConfig),
-    "ssl": _field_types(SSLConfig, drop={"variant", "plan"}),
+@dataclass
+class SourceBlock:
+    """Where a fine-tune's backbone comes from.  ``tune.finetune`` reads only
+    these keys: tune sets its own regime and budget."""
+
+    source: Literal["scratch", "checkpoint"] = "scratch"
+    checkpoint: str | None = None  # "{seed}" is replaced by the run seed
+    validation_limit: int | None = None
+
+    def __post_init__(self):
+        if self.source == "checkpoint" and self.checkpoint is None:
+            raise ContractError('checkpoint: required when source is "checkpoint"')
+
+
+@dataclass
+class FinetuneBlock(SourceBlock):
+    regime: Literal[train_mod.FINETUNE_MODES] = "same_lr"
+    lr_head: float = 1e-3
+    lr_backbone: float | None = None  # 0 for head_only, else lr_head
+    kshots: list = field(default_factory=lambda: [20])
+    max_epochs: Annotated[int, 1] = train_mod.FINETUNE_MAX_EPOCHS
+    batch_size: Annotated[int, 1] = train_mod.FINETUNE_BATCH_SIZE
+    fine_tune: FineTuneRegime = field(init=False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not (self.kshots and all(type(k) is int and k > 0 for k in self.kshots)):
+            raise ContractError("kshots: must be a non-empty list of positive integers")
+        self.fine_tune = _finetune_regime(self.regime, self.lr_head, self.lr_backbone)
+
+
+@dataclass
+class TuneBlock:
+    space: dict[str, list[float]]  # see train.random_search
+    finetune: SourceBlock = field(default_factory=SourceBlock)
+    trials: int = 8
+    k: int = 20
+    regime: Literal[train_mod.FINETUNE_MODES] = "split_lr"
+    max_epochs: int = 20
+
+
+@dataclass
+class EvaluateBlock:
+    runs: list[str]  # <out>/<config_hash> directories
+    out_csv: str | None = None
+    plots: str | None = None
+
+
+@dataclass
+class SSLBlock(SSLConfig):
+    """SSLConfig's keys plus the ones that build the encoding regime, token
+    spec, mask plan and decoder; the decoder is the variant."""
+
+    variant: str = field(init=False)
+    plan: ssl_mod.MaskPlan = field(init=False)
+    regime: str = "xts"
+    position_source: str = "day_of_year"
+    max_timesteps: int = 366
+    location_token: bool = True
+    strategy: str = "mixed"
+    decoder: str = "self_attention"
+
+    def __post_init__(self):
+        self.variant = self.decoder
+        self.plan = (ssl_mod.xts_plan if self.regime == "xts" else ssl_mod.base_plan)(self.strategy)
+
+
+_BLOCKS = {
+    "model": TransformerConfig, "synth": SynthConfig, "transfer": TransferConfig,
+    "meta": MetaConfig, "ssl": SSLBlock, "finetune": FinetuneBlock, "tune": TuneBlock,
+    "evaluate": EvaluateBlock,
 }
-# Every accepted key of each block, with the type of its value.
-_BLOCK_TYPES = {
-    **_FIELD_TYPES,
-    "ssl": {
-        **_FIELD_TYPES["ssl"], "regime": str, "position_source": str, "max_timesteps": int,
-        "location_token": bool, "strategy": str, "decoder": str,
-    },
-    "finetune": {
-        "source": str, "checkpoint": str, "regime": str, "lr_head": float, "lr_backbone": float,
-        "kshots": list, "max_epochs": int, "batch_size": int, "validation_limit": int,
-    },
-    "tune": {
-        "finetune": dict, "space": dict, "trials": int, "k": int, "regime": str, "max_epochs": int,
-    },
-    "evaluate": {"runs": list, "out_csv": str, "plots": str},
-}
-_REQUIRED_BLOCK_KEYS = {"meta": {"algorithm"}, "tune": {"space"}, "evaluate": {"runs"}}
-# tune fine-tunes with its own regime and budget; it reads only these keys.
-_TUNE_FINETUNE_TYPES = {
-    k: _BLOCK_TYPES["finetune"][k] for k in ("source", "checkpoint", "validation_limit")
-}
-_GROUP_TYPES = _field_types(GroupSpec)
-# JSON values accepted for each type (bools count only as booleans).
-_JSON_TYPES = {
-    int: ((int,), "an integer"),
-    float: ((int, float), "a number"),
-    str: ((str,), "a string"),
-    bool: ((bool,), "a boolean"),
-    list: ((list,), "a list"),
-    tuple: ((list,), "a list"),
+# The JSON values accepted for each type, by exact type: a bool is no number.
+_JSON = {
+    int: ((int,), "an integer"), float: ((int, float), "a number"), str: ((str,), "a string"),
+    bool: ((bool,), "a boolean"), list: ((list,), "a list"), tuple: ((list,), "a list"),
     dict: ((dict,), "an object"),
 }
+_BAD = object()  # what a value that has a problem reads as
+
+
+def _finetune_regime(mode, lr_head, lr_backbone=None):
+    """The fine-tune regime; the backbone's rate defaults to 0 for head_only, else lr_head."""
+    if lr_backbone is None:
+        lr_backbone = 0.0 if mode == "head_only" else lr_head
+    return FineTuneRegime(mode, lr_head, lr_backbone)
+
+
+@cache
+def _fields_of(cls):
+    """Each key of dataclass ``cls``: its annotation and whether it is required."""
+    hints = get_type_hints(cls, include_extras=True)
+    return {f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+            for f in fields(cls) if f.init}
+
+
+def _read(value, kind, path, problems):
+    """``value`` read as the annotation ``kind``: a dataclass, a JSON type,
+    ``list[X]``, ``tuple[X, ...]``, ``dict[str, X]``, ``X | None``, ``Literal``
+    or ``Annotated[X, low]``.  Appends each problem under ``path`` and returns
+    ``_BAD`` if there is one."""
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is Annotated:
+        value = _read(value, args[0], path, problems)
+        if value is not _BAD and value < args[1]:
+            problems.append(f"{path}: must be {_JSON[args[0]][1]} >= {args[1]}")
+            return _BAD
+        return value
+    if origin is UnionType:  # X | None: None is only the default of an absent key
+        return _read(value, args[0], path, problems)
+    if origin is Literal:  # a value of the choices' type, then one of them
+        value = _read(value, type(args[0]), path, problems)
+        if value is not _BAD and value not in args:
+            problems.append(f"{path}: must be " + " or ".join(json.dumps(a) for a in args))
+            return _BAD
+        return value
+    if is_dataclass(kind):
+        return _read_object(value, kind, path, problems)
+    accepted, name = _JSON[origin or kind]
+    if type(value) not in accepted:
+        problems.append(f"{path}: must be {name}")
+        return _BAD
+    if not args:
+        return value
+    if origin is dict:
+        items = {key: _read(v, args[1], f"{path}.{key}", problems) for key, v in value.items()}
+        return _BAD if _BAD in items.values() else items
+    element = args[0]
+    if element in _JSON:  # one problem for a list of JSON values
+        count = f"{len(args)} " if origin is tuple else ""
+        if (count and len(value) != len(args)) or any(type(v) not in _JSON[element][0] for v in value):
+            problems.append(f"{path}: must be a list of {count}{_JSON[element][1].split()[-1]}s")
+            return _BAD
+        return origin(value)
+    items = [_read(item, element, f"{path}[{i}]", problems) for i, item in enumerate(value)]
+    return _BAD if _BAD in items else origin(items)
+
+
+def _read_object(obj, cls, path, problems):
+    """A JSON object read into dataclass ``cls``; a ContractError from the
+    dataclass is a problem under ``path``."""
+    if not isinstance(obj, dict):
+        problems.append(f"{path}: must be an object")
+        return _BAD
+    keys = _fields_of(cls)
+    found = [f"{path}.{key}: unknown key" for key in sorted(set(obj) - set(keys))]
+    found += [f"{path}.{key}: required" for key, (_, required) in keys.items()
+              if required and key not in obj]
+    values = {key: _read(value, keys[key][0], f"{path}.{key}", found)
+              for key, value in obj.items() if key in keys}
+    problems.extend(found)
+    if found:
+        return _BAD
+    try:
+        return cls(**values)
+    except ContractError as err:
+        named = str(err).partition(":")[0] in keys
+        problems.append(f"{path}{'.' if named else ': '}{err}")
+        return _BAD
 
 
 def config_hash(config):
@@ -135,15 +245,21 @@ def config_hash(config):
 
 def validate_config(config):
     """Collect field-level problems; return the list (empty when valid)."""
-    problems = []
+    return _read_config(config)[0]
+
+
+def _read_config(config):
+    """The config's problems, and each block of its mode read into its
+    dataclass (an absent optional block takes the defaults)."""
     if not isinstance(config, dict):
-        return ["config root must be a JSON object"]
+        return ["config root must be a JSON object"], {}
+    problems = []
     if config.get("schema_version") != SCHEMA_VERSION:
         problems.append(f"schema_version: expected {SCHEMA_VERSION}")
     mode = config.get("mode")
-    if mode not in MODES:
-        problems.append(f"mode: expected one of {MODES}, got {mode!r}")
-        return problems
+    if mode not in _MODE_KEYS:
+        problems.append(f"mode: expected one of {tuple(_MODE_KEYS)}, got {mode!r}")
+        return problems, {}
     required, allowed = _MODE_KEYS[mode]
     keys = set(config) - _COMMON_KEYS
     for missing in sorted(required - keys):
@@ -152,65 +268,17 @@ def validate_config(config):
         problems.append(f"{unknown}: unknown key for mode {mode}")
     if "seeds" in config:
         seeds = config["seeds"]
-        if not isinstance(seeds, list) or not all(
-            isinstance(s, int) and not isinstance(s, bool) for s in seeds
-        ):
+        if type(seeds) is not list or not all(type(s) is int for s in seeds):
             problems.append("seeds: must be a list of integers")
         elif not seeds or len(set(seeds)) != len(seeds):
             problems.append("seeds: must be non-empty and distinct")
-    blocks = {}  # path -> well-typed object, for the checks of its entries
-    for block, types in _BLOCK_TYPES.items():
-        if block in config:
-            required = _REQUIRED_BLOCK_KEYS.get(block, set())
-            if _object_problems(config[block], block, types, required, problems):
-                blocks[block] = config[block]
-    nested = blocks.get("tune", {}).get("finetune")
-    if nested is not None and _object_problems(
-        nested, "tune.finetune", _TUNE_FINETUNE_TYPES, set(), problems
-    ):
-        blocks["tune.finetune"] = nested
-    for path in ("finetune", "tune.finetune"):
-        if path in blocks:
-            problems.extend(_finetune_source_problems(blocks[path], path))
-    kshots = blocks.get("finetune", {}).get("kshots")
-    if kshots is not None and not (kshots and all(type(k) is int and k > 0 for k in kshots)):
-        problems.append("finetune.kshots: must be a non-empty list of positive integers")
-    runs = blocks.get("evaluate", {}).get("runs", [])
-    if not all(isinstance(r, str) for r in runs):
-        problems.append("evaluate.runs: must be a list of strings")
-    for i, group in enumerate(blocks.get("synth", {}).get("groups", [])):
-        _object_problems(group, f"synth.groups[{i}]", _GROUP_TYPES, {"name", "channels"}, problems)
-    return problems
-
-
-def _object_problems(obj, path, types, required, problems):
-    """Append the problems of a JSON object whose keys map to ``types``;
-    return whether it is well-formed."""
-    if not isinstance(obj, dict):
-        problems.append(f"{path}: must be an object")
-        return False
-    found = [f"{path}.{key}: unknown key" for key in sorted(set(obj) - set(types))]
-    found += [f"{path}.{key}: required" for key in sorted(required - set(obj))]
-    for key in sorted(set(obj) & set(types)):
-        accepted, name = _JSON_TYPES[types[key]]
-        value = obj[key]
-        if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in accepted):
-            found.append(f"{path}.{key}: must be {name}")
-    problems.extend(found)
-    return not found
-
-
-def _finetune_source_problems(block, path):
-    source = block.get("source", "scratch")
-    if source not in ("scratch", "checkpoint"):
-        return [f'{path}.source: must be "scratch" or "checkpoint"']
-    if source == "checkpoint" and "checkpoint" not in block:
-        return [f'{path}.checkpoint: required when source is "checkpoint"']
-    return []
-
-
-def _model_config(config):
-    return nn.small_config(**config.get("model", {}))
+    blocks = {}
+    for name, cls in _BLOCKS.items():
+        if name in config and name in allowed:
+            blocks[name] = _read_object(config[name], cls, name, problems)
+        elif name in allowed and name not in required:
+            blocks[name] = cls()
+    return problems, blocks
 
 
 def _checkpoint_meta(chash, seed, **extra):
@@ -237,6 +305,20 @@ def _seed_dir(out, chash, seed):
     return root
 
 
+def _save_pretrained(out, chash, seed, algorithm, arrays, trace, trace_fields, kind,
+                     model_config, **meta):
+    """Write one seed's pre-trained checkpoint and its trace, each named for
+    ``algorithm`` (prefixed "meta_" for a meta-learner); return both paths."""
+    name = f"meta_{algorithm}" if algorithm in ALGORITHMS else algorithm
+    root = _seed_dir(out, chash, seed)
+    ckpt, trace_path = root / "checkpoints" / f"{name}.fsml", root / "traces" / f"{name}.csv"
+    save_checkpoint(ckpt, arrays, meta=_checkpoint_meta(
+        chash, seed, kind=kind, algorithm=algorithm, model=json.dumps(asdict(model_config)), **meta
+    ))
+    train_mod.write_trace_csv(trace_path, trace, trace_fields, config_hash=chash, seed=seed)
+    return [str(ckpt), str(trace_path)]
+
+
 def _token_spec(manifest, include_location):
     groups = list(manifest.groups)
     if include_location and not any(g.kind == "static" for g in groups):
@@ -249,138 +331,76 @@ def _token_spec(manifest, include_location):
 # ---------------------------------------------------------------------------
 
 
-def _mode_synth_data(config, chash, seeds, out):
-    block = dict(config["synth"])
-    if "groups" in block:
-        block["groups"] = [GroupSpec(**g) for g in block["groups"]]
-    if "obs_count" in block:
-        block["obs_count"] = tuple(block["obs_count"])
-    corpus = generate_synthetic(SynthConfig(**block), seed=seeds[0])
+def _mode_synth_data(config, blocks, chash, seeds, out):
+    corpus = generate_synthetic(blocks["synth"], seed=seeds[0])
     save_corpus(corpus, config["dataset"])
     return [config["dataset"]]
 
 
-def _mode_pretrain_transfer(config, chash, seeds, out):
+def _mode_pretrain_transfer(config, blocks, chash, seeds, out):
     corpus = load_corpus(config["dataset"])
-    model_config = _model_config(config)
-    t_config = TransferConfig(**config.get("transfer", {}))
+    model_config = blocks["model"]
     groups = tuple(corpus.manifest.group_order())
     model = RawSeriesModel(model_config, corpus.manifest.dynamic_channels(), groups)
     artifacts = []
     for seed in seeds:
-        root = _seed_dir(out, chash, seed)
-        params, info = pretrain_transfer(corpus, model, t_config, seed)
-        ckpt = root / "checkpoints" / "transfer.fsml"
-        save_checkpoint(
-            ckpt,
-            nn.params_to_arrays(params),
-            meta=_checkpoint_meta(
-                chash, seed, kind="raw", algorithm="transfer",
-                model=json.dumps(asdict(model_config)), in_channels=model.in_channels,
-            ),
+        params, info = pretrain_transfer(corpus, model, blocks["transfer"], seed)
+        artifacts += _save_pretrained(
+            out, chash, seed, "transfer", nn.params_to_arrays(params), info["trace"],
+            ["epoch", "train_loss", "val_loss", "val_accuracy"],
+            "raw", model_config, in_channels=model.in_channels,
         )
-        trace = root / "traces" / "transfer.csv"
-        train_mod.write_trace_csv(
-            trace, info["trace"], ["epoch", "train_loss", "val_loss", "val_accuracy"],
-            config_hash=chash, seed=seed,
-        )
-        artifacts.extend([str(ckpt), str(trace)])
     return artifacts
 
 
-def _mode_pretrain_meta(config, chash, seeds, out):
+def _mode_pretrain_meta(config, blocks, chash, seeds, out):
     corpus = load_corpus(config["dataset"])
-    model_config = _model_config(config)
-    m_config = MetaConfig(**config["meta"])
+    model_config, m_config = blocks["model"], blocks["meta"]
     artifacts = []
     for seed in seeds:
-        root = _seed_dir(out, chash, seed)
         backbone, info = meta_train(corpus, m_config, seed, model_config=model_config)
-        ckpt = root / "checkpoints" / f"meta_{m_config.algorithm}.fsml"
-        arrays = {f"backbone/{k}": v.values for k, v in backbone.items()}
-        save_checkpoint(
-            ckpt, arrays,
-            meta=_checkpoint_meta(
-                chash, seed, kind="raw", algorithm=m_config.algorithm,
-                model=json.dumps(asdict(model_config)),
-                in_channels=info["learner"].model.in_channels,
-            ),
-        )
-        trace = root / "traces" / f"meta_{m_config.algorithm}.csv"
-        train_mod.write_trace_csv(
-            trace, info["trace"],
+        artifacts += _save_pretrained(
+            out, chash, seed, m_config.algorithm,
+            {f"backbone/{k}": v.values for k, v in backbone.items()}, info["trace"],
             ["tasks_seen", "mean_query_accuracy", "mean_query_loss"],
-            config_hash=chash, seed=seed,
+            "raw", model_config, in_channels=info["learner"].model.in_channels,
         )
-        artifacts.extend([str(ckpt), str(trace)])
     return artifacts
 
 
-def _ssl_pieces(config, corpus, model_config):
-    block = config["ssl"]
-    regime = EncodingRegime(
-        variant=block.get("regime", "xts"),
-        d_emb=model_config.embed_dim,
-        position_source=block.get("position_source", "day_of_year"),
-        max_timesteps=block.get("max_timesteps", 366),
-    )
-    spec = _token_spec(corpus.manifest, include_location=block.get("location_token", True))
-    plan = (
-        ssl_mod.xts_plan(block.get("strategy", "mixed"))
-        if regime.variant == "xts"
-        else ssl_mod.base_plan(block.get("strategy", "mixed"))
-    )
-    decoder = block.get("decoder", "self_attention")
-    autoencoder = MaskedAutoencoder(model_config, spec, regime, decoder)
-    s_config = SSLConfig(
-        variant=decoder, plan=plan,
-        **{k: v for k, v in block.items() if k in _FIELD_TYPES["ssl"]},
-    )
-    return autoencoder, s_config, regime, spec
-
-
-def _mode_pretrain_ssl(config, chash, seeds, out):
+def _mode_pretrain_ssl(config, blocks, chash, seeds, out):
     corpus = load_corpus(config["dataset"])
-    model_config = _model_config(config)
+    model_config, s_config = blocks["model"], blocks["ssl"]
     if model_config.decoder_blocks < 1:
         model_config = replace(model_config, decoder_blocks=1)
-    autoencoder, s_config, regime, spec = _ssl_pieces(config, corpus, model_config)
+    regime = EncodingRegime(
+        s_config.regime, model_config.embed_dim, s_config.position_source, s_config.max_timesteps
+    )
+    spec = _token_spec(corpus.manifest, include_location=s_config.location_token)
+    autoencoder = MaskedAutoencoder(model_config, spec, regime, s_config.decoder)
     artifacts = []
     for seed in seeds:
-        root = _seed_dir(out, chash, seed)
         params, stats, info = pretrain_ssl(corpus, autoencoder, s_config, seed)
         arrays = {f"backbone/{k}": v.values for k, v in encoder_backbone(params).items()}
         for gname, (mean, std) in stats.items():
             arrays[f"norm/{gname}/mean"] = mean
             arrays[f"norm/{gname}/std"] = std
-        ckpt = root / "checkpoints" / f"ssl_{s_config.variant}.fsml"
-        save_checkpoint(
-            ckpt, arrays,
-            meta=_checkpoint_meta(
-                chash, seed, kind="tokens", algorithm=f"ssl_{s_config.variant}",
-                model=json.dumps(asdict(model_config)),
-                regime=json.dumps(asdict(regime)),
-                spec=json.dumps([asdict(g) for g in spec.groups]),
-            ),
+        artifacts += _save_pretrained(
+            out, chash, seed, f"ssl_{s_config.variant}", arrays, info["trace"],
+            ["batches_seen", "train_loss", "val_loss"], "tokens", model_config,
+            regime=json.dumps(asdict(regime)), spec=json.dumps([asdict(g) for g in spec.groups]),
         )
-        trace = root / "traces" / f"ssl_{s_config.variant}.csv"
-        train_mod.write_trace_csv(
-            trace, info["trace"], ["batches_seen", "train_loss", "val_loss"],
-            config_hash=chash, seed=seed,
-        )
-        artifacts.extend([str(ckpt), str(trace)])
     return artifacts
 
 
 def _load_init(finetune_block, model_config, corpus, seed):
     """Resolve the fine-tuning model and initial backbone for one seed."""
-    source = finetune_block.get("source", "scratch")
     groups = tuple(corpus.manifest.group_order())
-    if source == "scratch":
+    if finetune_block.source == "scratch":
         model = RawSeriesModel(model_config, corpus.manifest.dynamic_channels(), groups)
         backbone = model.init_backbone(rng_from(seed, STREAM_INIT))
         return model, backbone, "no_pretraining"
-    path = finetune_block["checkpoint"].replace("{seed}", str(seed))
+    path = finetune_block.checkpoint.replace("{seed}", str(seed))
     arrays, meta_info = load_checkpoint(path)
     kind_keys = ("in_channels",) if meta_info.get("kind") == "raw" else ("regime", "spec")
     missing = [k for k in ("model", "kind") + kind_keys if k not in meta_info]
@@ -419,28 +439,16 @@ def _load_init(finetune_block, model_config, corpus, seed):
     return model, backbone, algorithm
 
 
-def _finetune_one_seed(job, corpus):
-    (config, chash, seed, out) = job
-    model_config = _model_config(config)
-    block = config["finetune"]
-    regime = FineTuneRegime(
-        block.get("regime", "same_lr"),
-        block.get("lr_head", 1e-3),
-        block.get(
-            "lr_backbone",
-            0.0 if block.get("regime") == "head_only" else block.get("lr_head", 1e-3),
-        ),
-    )
+def _finetune_one_seed(seed, block, model_config, label, chash, out, corpus):
     model, backbone, algorithm = _load_init(block, model_config, corpus, seed)
-    label = config.get("label", algorithm)
+    label = algorithm if label is None else label
     root = _seed_dir(out, chash, seed)
     results = {}
-    for k in block.get("kshots", [20]):
+    for k in block.kshots:
         params, report, info = finetune(
-            corpus, model, backbone, regime, k, seed,
-            max_epochs=block.get("max_epochs", train_mod.FINETUNE_MAX_EPOCHS),
-            batch_size=block.get("batch_size", train_mod.FINETUNE_BATCH_SIZE),
-            validation_limit=block.get("validation_limit"),
+            corpus, model, backbone, block.fine_tune, k, seed,
+            max_epochs=block.max_epochs, batch_size=block.batch_size,
+            validation_limit=block.validation_limit,
         )
         report_path = root / "reports" / f"{label}_k{k}.json"
         payload = {"config_hash": chash, "seed": seed, "label": label, "k": k}
@@ -452,26 +460,26 @@ def _finetune_one_seed(job, corpus):
             root / "traces" / f"{label}_k{k}.csv", info["trace"],
             ["epoch", "val_loss", "val_accuracy"], config_hash=chash, seed=seed,
         )
-        ckpt = root / "checkpoints" / f"{label}_k{k}.fsml"
-        save_checkpoint(
-            ckpt, nn.params_to_arrays(params),
-            meta=_checkpoint_meta(chash, seed, k=k, label=label),
-        )
+        save_checkpoint(root / "checkpoints" / f"{label}_k{k}.fsml", nn.params_to_arrays(params),
+                        meta=_checkpoint_meta(chash, seed, k=k, label=label))
         results[k] = report
     return seed, label, {k: r.metric_map() for k, r in results.items()}
 
 
-def _mode_finetune(config, chash, seeds, out):
+def _mode_finetune(config, blocks, chash, seeds, out):
     workers = _worker_count()
-    run_seed = partial(_finetune_one_seed, corpus=load_corpus(config["dataset"]))
-    jobs = [(config, chash, seed, out) for seed in seeds]
+    block = blocks["finetune"]
+    run_seed = partial(
+        _finetune_one_seed, block=block, model_config=blocks["model"],
+        label=config.get("label"), chash=chash, out=out, corpus=load_corpus(config["dataset"]),
+    )
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_seed, jobs))
+            rows = list(pool.map(run_seed, seeds))
     else:
-        rows = [run_seed(job) for job in jobs]
+        rows = [run_seed(seed) for seed in seeds]
     label = rows[0][1]
-    kshots = sorted(config["finetune"].get("kshots", [20]))
+    kshots = sorted(block.kshots)
     per_k = {
         k: [metric_maps[k]["overall_accuracy"] for _, _, metric_maps in rows]
         for k in kshots
@@ -495,13 +503,12 @@ def _write_results_csv(path, rows, kshots, chash):
     return path
 
 
-def _mode_evaluate(config, chash, seeds, out):
+def _mode_evaluate(config, blocks, chash, seeds, out):
     """Merge per-seed report JSONs from prior runs into one results table."""
-    block = config["evaluate"]
-    runs = block["runs"]  # list of <out>/<hash> directories
+    block = blocks["evaluate"]
     collected = {}
     kshots = set()
-    for run_dir in runs:
+    for run_dir in block.runs:
         for report_file in sorted(Path(run_dir).glob("*/reports/*.json")):
             with open(report_file, encoding="utf-8") as fh:
                 payload = json.load(fh)
@@ -515,44 +522,31 @@ def _mode_evaluate(config, chash, seeds, out):
         (label, {k: collected[label].get(k, [float("nan")]) for k in kshots})
         for label in sorted(collected)
     ]
-    results_path = Path(block.get("out_csv", Path(out) / chash / "results.csv"))
+    results_path = Path(out, chash, "results.csv") if block.out_csv is None else Path(block.out_csv)
     results_path.parent.mkdir(parents=True, exist_ok=True)
     _write_results_csv(results_path, rows, kshots, chash)
-    plot_dir = block.get("plots")
     artifacts = [str(results_path)]
-    if plot_dir:
-        artifacts.extend(emit_plots(results_path, plot_dir))
+    if block.plots:
+        artifacts.extend(emit_plots(results_path, block.plots))
     return artifacts
 
 
-def _mode_tune(config, chash, seeds, out):
+def _mode_tune(config, blocks, chash, seeds, out):
     corpus = load_corpus(config["dataset"])
-    model_config = _model_config(config)
-    block = config["tune"]
-    finetune_block = dict(block.get("finetune", {}))
-    k = block.get("k", 20)
+    block = blocks["tune"]
     seed = seeds[0]
-    model, backbone, _ = _load_init(finetune_block, model_config, corpus, seed)
+    model, backbone, _ = _load_init(block.finetune, blocks["model"], corpus, seed)
 
     def objective(trial_config):
-        mode = block.get("regime", "split_lr")
-        if mode == "head_only":
-            regime = FineTuneRegime("head_only", trial_config["lr_head"], 0.0)
-        elif mode == "same_lr":
-            regime = FineTuneRegime("same_lr", trial_config["lr_head"], trial_config["lr_head"])
-        else:
-            regime = FineTuneRegime("split_lr", trial_config["lr_head"], trial_config["lr_backbone"])
+        lr_backbone = trial_config["lr_backbone"] if block.regime == "split_lr" else None
+        regime = _finetune_regime(block.regime, trial_config["lr_head"], lr_backbone)
         _, _, info = finetune(
-            corpus, model, backbone, regime, k, seed,
-            max_epochs=block.get("max_epochs", 20),
-            validation_limit=finetune_block.get("validation_limit"),
+            corpus, model, backbone, regime, block.k, seed,
+            max_epochs=block.max_epochs, validation_limit=block.finetune.validation_limit,
         )
         return max(row["val_accuracy"] for row in info["trace"])
 
-    space = {name: tuple(bounds) for name, bounds in block["space"].items()}
-    best, score, log = train_mod.random_search(
-        space, block.get("trials", 8), seed, objective
-    )
+    best, score, log = train_mod.random_search(block.space, block.trials, seed, objective)
     root = Path(out) / chash
     root.mkdir(parents=True, exist_ok=True)
     log_path = root / "tuning_log.csv"
@@ -620,14 +614,14 @@ _MODE_IMPL = {
 
 def run(config):
     """Execute one experiment config; returns the artifact paths."""
-    problems = validate_config(config)
+    problems, blocks = _read_config(config)
     if problems:
         raise ContractError("invalid config: " + "; ".join(problems))
     chash = config_hash(config)
     seeds = list(config.get("seeds", DEFAULT_SEEDS))
     out = config.get("out", "runs")
     Path(out).mkdir(parents=True, exist_ok=True)
-    return _MODE_IMPL[config["mode"]](config, chash, seeds, out)
+    return _MODE_IMPL[config["mode"]](config, blocks, chash, seeds, out)
 
 
 def main(argv=None):

@@ -379,7 +379,7 @@ class SynthConfig:
     seasonal profiles; ``noise_sigma`` is the i.i.d. observation noise.
     """
 
-    regions: list = field(default_factory=lambda: ["R1", "R2", "R3"])
+    regions: list[str] = field(default_factory=lambda: ["R1", "R2", "R3"])
     finetune_region: str = "T1"
     n_level3: int = 2
     n_level4: int = 4
@@ -387,8 +387,8 @@ class SynthConfig:
     samples_per_class: int = 30  # per source region and class
     finetune_samples_per_class: int = 60
     majority_boost: float = 1.0  # multiplies the majority (first) class count
-    groups: list = field(default_factory=lambda: [GroupSpec("s2", 4, "dynamic")])
-    obs_count: tuple = (10, 16)
+    groups: list[GroupSpec] = field(default_factory=lambda: [GroupSpec("s2", 4, "dynamic")])
+    obs_count: tuple[int, int] = (10, 16)  # fewest and most observations per parcel
     noise_sigma: float = 0.05
     separability: float = 1.0
     region_phase_days: float = 12.0
@@ -406,6 +406,9 @@ class SynthConfig:
             raise ContractError("unidentifiable config: zero noise and identical profiles")
         if not self.groups or all(g.kind != "dynamic" for g in self.groups):
             raise ContractError("need at least one dynamic channel group")
+        low, high = self.obs_count
+        if not 1 <= low <= high:
+            raise ContractError(f"obs_count {list(self.obs_count)} must satisfy 1 <= low <= high")
 
 
 def build_hierarchy_codes(n_level3, n_level4, n_classes):

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
@@ -74,7 +75,7 @@ class MetaConfig:
     k_query: int = 1
     tasks_per_batch: int = 4
     total_tasks: int = 100_000
-    validate_every: int = 100
+    validate_every: Annotated[int, 1] = 100
     validation_tasks: int = 100
 
     def __post_init__(self):

@@ -38,12 +38,15 @@ NEG_INF = -1e30
 
 @dataclass(frozen=True)
 class TransformerConfig:
-    embed_dim: int
-    num_heads: int
-    hidden_dim: int
-    encoder_blocks: int
-    decoder_blocks: int
-    max_seq_len: int
+    """Model sizes; the defaults are the desk-scale config of the tests and
+    the synthetic pipeline."""
+
+    embed_dim: int = 16
+    num_heads: int = 2
+    hidden_dim: int = 32
+    encoder_blocks: int = 1
+    decoder_blocks: int = 0
+    max_seq_len: int = 366
 
     def __post_init__(self):
         if self.embed_dim <= 0 or self.num_heads <= 0 or self.hidden_dim <= 0:
@@ -57,16 +60,10 @@ class TransformerConfig:
             )
 
 
-# Published model sizes; desk-scale experiments shrink these via `replace`.
+# Published model sizes.
 SUPERVISED = TransformerConfig(128, 4, 256, 1, 0, 366)
 PRESTO = TransformerConfig(128, 8, 512, 2, 2, 24)
-
-
-def small_config(embed_dim=16, num_heads=2, hidden_dim=32, encoder_blocks=1,
-                 decoder_blocks=0, max_seq_len=366):
-    """Desk-scale config used by tests and the synthetic pipeline."""
-    return TransformerConfig(embed_dim, num_heads, hidden_dim,
-                             encoder_blocks, decoder_blocks, max_seq_len)
+small_config = TransformerConfig  # the desk-scale sizes, overridable by keyword
 
 
 @dataclass

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
@@ -322,8 +323,8 @@ class SSLConfig:
     variant: str = "self_attention"
     plan: MaskPlan = field(default_factory=xts_plan)
     learning_rate: float = 1e-3
-    batch_size: int = SSL_BATCH_SIZE
-    validate_every: int = 50  # batches between validation passes
+    batch_size: Annotated[int, 1] = SSL_BATCH_SIZE
+    validate_every: Annotated[int, 1] = 50  # batches between validation passes
     patience: int = SSL_PATIENCE
     max_batches: int = 10_000  # cap within the single pass
 

@@ -193,13 +193,6 @@ def _unbroadcast(g, shape):
     return g
 
 
-def _reduce_leading(g, shape):
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = reduce_sum(g, axis=tuple(range(extra)))
-    return g
-
-
 # ---------------------------------------------------------------------------
 # primitives: each returns before building its adjoint when nothing records
 # ---------------------------------------------------------------------------
@@ -317,8 +310,8 @@ def matmul(a, b):
     for_a, for_b = (b if da else None), (a if db else None)
 
     def vjp(g):
-        ga = _reduce_leading(matmul(g, transpose(for_a)), shape_a) if da else None
-        gb = _reduce_leading(matmul(transpose(for_b), g), shape_b) if db else None
+        ga = _unbroadcast(matmul(g, transpose(for_a)), shape_a) if da else None
+        gb = _unbroadcast(matmul(transpose(for_b), g), shape_b) if db else None
         return ga, gb
 
     return _record(out, (a if da else None, b if db else None), vjp)
@@ -438,6 +431,19 @@ def _normalize_axis(name, axis, shape):
     return normalized
 
 
+def _spread_reduced(g, original, axes, keepdims, scale):
+    """A reduction's input gradient: ``g`` with each reduced axis kept at size
+    1, broadcast back to the input's shape ``original`` and times ``scale``."""
+    if axes is None:
+        g = reshape(g, (1,) * len(original)) if original else g
+    elif not keepdims:
+        kept = list(original)
+        for ax in axes:
+            kept[ax] = 1
+        g = reshape(g, kept)
+    return mul(g, np.broadcast_to(scale, original))
+
+
 def reduce_sum(a, axis=None, keepdims=False):
     a = _lift(a)
     axes = _normalize_axis("reduce_sum", axis, a.shape)
@@ -447,15 +453,7 @@ def reduce_sum(a, axis=None, keepdims=False):
     original = a.shape
 
     def vjp(g):
-        gg = g
-        if axes is None:
-            gg = reshape(g, (1,) * len(original)) if original else g
-        elif not keepdims:
-            kept = list(original)
-            for ax in axes:
-                kept[ax] = 1
-            gg = reshape(g, kept)
-        return (mul(gg, np.broadcast_to(1.0, original)),)
+        return (_spread_reduced(g, original, axes, keepdims, 1.0),)
 
     return _record(out, (a,), vjp)
 
@@ -473,15 +471,7 @@ def reduce_mean(a, axis=None, keepdims=False):
         count = int(np.prod([original[ax] for ax in axes]))
 
     def vjp(g):
-        gg = g
-        if axes is None:
-            gg = reshape(g, (1,) * len(original)) if original else g
-        elif not keepdims:
-            kept = list(original)
-            for ax in axes:
-                kept[ax] = 1
-            gg = reshape(g, kept)
-        return (mul(gg, np.broadcast_to(1.0 / count, original)),)
+        return (_spread_reduced(g, original, axes, keepdims, 1.0 / count),)
 
     return _record(out, (a,), vjp)
 

@@ -11,6 +11,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
@@ -117,14 +118,17 @@ class EarlyStopper:
         return self.epochs_since_best >= self.patience
 
 
+FINETUNE_MODES = ("same_lr", "split_lr", "head_only")
+
+
 @dataclass(frozen=True)
 class FineTuneRegime:
-    mode: str  # same_lr | split_lr | head_only
+    mode: str  # one of FINETUNE_MODES
     lr_head: float
     lr_backbone: float = 0.0
 
     def __post_init__(self):
-        if self.mode not in ("same_lr", "split_lr", "head_only"):
+        if self.mode not in FINETUNE_MODES:
             raise ContractError(f"unknown fine-tune mode {self.mode!r}")
         if self.mode == "head_only" and self.lr_backbone != 0.0:
             raise ContractError("head_only regime requires lr_backbone = 0")
@@ -147,6 +151,13 @@ def head_only(lr_head):
 # ---------------------------------------------------------------------------
 # shared epoch machinery
 # ---------------------------------------------------------------------------
+
+
+def _require_counts(caller, **counts):
+    """Reject an epoch count or batch size below 1."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ContractError(f"{caller}: {name} must be >= 1, got {value}")
 
 
 def _batch_indices(n, batch_size, rng):
@@ -198,8 +209,8 @@ def predictions(model, params, samples, class_order, batch_size=256):
 @dataclass
 class TransferConfig:
     learning_rate: float = 1e-3
-    batch_size: int = PRETRAIN_BATCH_SIZE
-    max_epochs: int = PRETRAIN_MAX_EPOCHS
+    batch_size: Annotated[int, 1] = PRETRAIN_BATCH_SIZE
+    max_epochs: Annotated[int, 1] = PRETRAIN_MAX_EPOCHS
     patience: int = PRETRAIN_PATIENCE
     cosine_cycles: int = 0  # 0 disables annealing
 
@@ -207,6 +218,7 @@ class TransferConfig:
 def pretrain_transfer(corpus, model, config, seed):
     """Epoch loop on the pre-training pool with majority-class resampling,
     early stopping on validation loss, best checkpoint by validation accuracy."""
+    _require_counts("pretrain_transfer", max_epochs=config.max_epochs, batch_size=config.batch_size)
     pool = resample_majority(
         corpus.pretrain_pool(), corpus.manifest.majority_class, rng_seed=seed
     )
@@ -283,6 +295,7 @@ def finetune(corpus, model, init_backbone, regime, k, seed,
     the retained checkpoint is the best validation accuracy.  Evaluation runs
     on the full test split and returns a MetricsReport.
     """
+    _require_counts("finetune", max_epochs=max_epochs, batch_size=batch_size)
     pool = corpus.finetune_pool()
     class_order = sorted({s.label for s in pool})
     index = {c: i for i, c in enumerate(class_order)}

@@ -2,7 +2,7 @@ import json
 import warnings
 from dataclasses import fields
 from pathlib import Path
-from typing import get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
@@ -73,12 +73,14 @@ SSL_CLI_KEYS = {
 
 
 def _block_of(cls, names):
-    """A value of each field's type (1 for numbers), and a valid value of each
-    CLI-only key."""
+    """A value of each field's type (1 for numbers, a list of ones for a tuple),
+    a valid meta algorithm, and a valid value of each CLI-only key."""
     hints = get_type_hints(cls)
+    valid = {**SSL_CLI_KEYS, "algorithm": "maml"}
     return {
-        name: SSL_CLI_KEYS[name] if name in SSL_CLI_KEYS
-        else {str: "x", list: [], tuple: []}.get(hints.get(name), 1)
+        name: valid[name] if name in valid
+        else [1] * len(get_args(hints[name])) if get_origin(hints[name]) is tuple
+        else {str: "x", list: []}.get(get_origin(hints[name]) or hints[name], 1)
         for name in names
     }
 
@@ -172,6 +174,23 @@ def test_every_config_field_is_accepted_and_typos_are_rejected():
     ("synth-data", {"synth": {"groups": ["s2"]}}, "synth.groups[0]: must be an object"),
     ("synth-data", {"synth": {"groups": [{"name": "lc", "channels": 5, "categorical": True}]}},
      "synth.groups[0].categorical: unknown key"),
+    # element types and lower bounds, checked before any work starts
+    ("finetune", {"finetune": {"max_epochs": 0}}, "finetune.max_epochs: must be an integer >= 1"),
+    ("finetune", {"finetune": {"batch_size": 0}}, "finetune.batch_size: must be an integer >= 1"),
+    ("pretrain-transfer", {"transfer": {"max_epochs": 0}},
+     "transfer.max_epochs: must be an integer >= 1"),
+    ("pretrain-transfer", {"transfer": {"batch_size": 0}},
+     "transfer.batch_size: must be an integer >= 1"),
+    ("pretrain-meta", {"meta": {"algorithm": "maml", "validate_every": 0}},
+     "meta.validate_every: must be an integer >= 1"),
+    ("pretrain-ssl", {"ssl": {"batch_size": 0}}, "ssl.batch_size: must be an integer >= 1"),
+    ("synth-data", {"synth": {"obs_count": ["a", "b"]}}, "synth.obs_count: must be a list of 2 integers"),
+    ("synth-data", {"synth": {"obs_count": [5]}}, "synth.obs_count: must be a list of 2 integers"),
+    ("synth-data", {"synth": {"regions": [1, 2]}}, "synth.regions: must be a list of strings"),
+    ("tune", {"tune": {"space": {"lr_head": 5}}}, "tune.space.lr_head: must be a list"),
+    # tune's regime takes the same three values as finetune's
+    ("tune", {"tune": {"space": {}, "regime": "bogus"}},
+     'tune.regime: must be "same_lr" or "split_lr" or "head_only"'),
 ])
 def test_bad_config_shapes_exit_with_contract_error(tmp_path, capsys, mode, blocks, problem):
     config = {"schema_version": 1, "mode": mode, "dataset": "x",
@@ -180,6 +199,23 @@ def test_bad_config_shapes_exit_with_contract_error(tmp_path, capsys, mode, bloc
     assert _main_on(tmp_path, config) == 1
     err = capsys.readouterr().err
     assert "ContractError" in err and problem in err
+
+
+@pytest.mark.parametrize("obs_count", [[9, 5], [0, 0]])
+def test_obs_count_outside_one_to_high_is_a_contract_error(tmp_path, obs_count):
+    dataset = tmp_path / "corpus.jsonl"
+    config = synth_config(dataset, tmp_path / "runs")
+    config["synth"] = dict(SYNTH_BLOCK, obs_count=obs_count)
+    with pytest.raises(ContractError, match=r"obs_count .* must satisfy 1 <= low <= high"):
+        run(config)
+    assert not dataset.exists()
+
+
+def test_shipped_configs_are_valid():
+    paths = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
+    assert paths
+    for path in paths:
+        assert validate_config(json.loads(path.read_text())) == [], path.name
 
 
 @pytest.mark.parametrize("value", ["two", "0"])
