@@ -27,7 +27,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass,
 from functools import cache, partial
 from pathlib import Path
 from types import UnionType
-from typing import Annotated, Literal, get_args, get_origin, get_type_hints
+from typing import Literal, get_args, get_origin, get_type_hints
 
 from . import nn
 from . import ssl as ssl_mod
@@ -40,8 +40,8 @@ from .data import (
     load_corpus,
     save_corpus,
 )
-from .errors import ContractError, FsmlError, ParseError
-from .meta import ALGORITHMS, MetaConfig, TaskAwareRawModel, meta_train
+from .errors import ContractError, FsmlError, ParseError, require_counts
+from .meta import MetaConfig, TaskAwareRawModel, meta_train
 from .metrics import seed_mean_std
 from .nn import RawSeriesModel, TransformerConfig, load_checkpoint, save_checkpoint
 from .seeding import STREAM_INIT, rng_from
@@ -97,12 +97,13 @@ class FinetuneBlock(SourceBlock):
     lr_head: float = 1e-3
     lr_backbone: float | None = None  # 0 for head_only, else lr_head
     kshots: list = field(default_factory=lambda: [20])
-    max_epochs: Annotated[int, 1] = train_mod.FINETUNE_MAX_EPOCHS
-    batch_size: Annotated[int, 1] = train_mod.FINETUNE_BATCH_SIZE
+    max_epochs: int = train_mod.FINETUNE_MAX_EPOCHS
+    batch_size: int = train_mod.FINETUNE_BATCH_SIZE
     fine_tune: FineTuneRegime = field(init=False)
 
     def __post_init__(self):
         super().__post_init__()
+        require_counts(max_epochs=self.max_epochs, batch_size=self.batch_size)
         if not (self.kshots and all(type(k) is int and k > 0 for k in self.kshots)):
             raise ContractError("kshots: must be a non-empty list of positive integers")
         self.fine_tune = _finetune_regime(self.regime, self.lr_head, self.lr_backbone)
@@ -140,6 +141,7 @@ class SSLBlock(SSLConfig):
     decoder: str = "self_attention"
 
     def __post_init__(self):
+        super().__post_init__()
         self.variant = self.decoder
         self.plan = (ssl_mod.xts_plan if self.regime == "xts" else ssl_mod.base_plan)(self.strategy)
 
@@ -151,8 +153,12 @@ _BLOCKS = {
 }
 # The JSON values accepted for each type, by exact type: a bool is no number.
 _JSON = {
-    int: ((int,), "an integer"), float: ((int, float), "a number"), str: ((str,), "a string"),
-    bool: ((bool,), "a boolean"), list: ((list,), "a list"), tuple: ((list,), "a list"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    bool: ((bool,), "a boolean"),
+    list: ((list,), "a list"),
+    tuple: ((list,), "a list"),
     dict: ((dict,), "an object"),
 }
 _BAD = object()  # what a value that has a problem reads as
@@ -175,16 +181,10 @@ def _fields_of(cls):
 
 def _read(value, kind, path, problems):
     """``value`` read as the annotation ``kind``: a dataclass, a JSON type,
-    ``list[X]``, ``tuple[X, ...]``, ``dict[str, X]``, ``X | None``, ``Literal``
-    or ``Annotated[X, low]``.  Appends each problem under ``path`` and returns
-    ``_BAD`` if there is one."""
+    ``list[X]``, ``tuple[X, ...]``, ``dict[str, X]``, ``X | None`` or
+    ``Literal``.  Appends each problem under ``path`` and returns ``_BAD`` if
+    there is one."""
     origin, args = get_origin(kind), get_args(kind)
-    if origin is Annotated:
-        value = _read(value, args[0], path, problems)
-        if value is not _BAD and value < args[1]:
-            problems.append(f"{path}: must be {_JSON[args[0]][1]} >= {args[1]}")
-            return _BAD
-        return value
     if origin is UnionType:  # X | None: None is only the default of an absent key
         return _read(value, args[0], path, problems)
     if origin is Literal:  # a value of the choices' type, then one of them
@@ -305,20 +305,6 @@ def _seed_dir(out, chash, seed):
     return root
 
 
-def _save_pretrained(out, chash, seed, algorithm, arrays, trace, trace_fields, kind,
-                     model_config, **meta):
-    """Write one seed's pre-trained checkpoint and its trace, each named for
-    ``algorithm`` (prefixed "meta_" for a meta-learner); return both paths."""
-    name = f"meta_{algorithm}" if algorithm in ALGORITHMS else algorithm
-    root = _seed_dir(out, chash, seed)
-    ckpt, trace_path = root / "checkpoints" / f"{name}.fsml", root / "traces" / f"{name}.csv"
-    save_checkpoint(ckpt, arrays, meta=_checkpoint_meta(
-        chash, seed, kind=kind, algorithm=algorithm, model=json.dumps(asdict(model_config)), **meta
-    ))
-    train_mod.write_trace_csv(trace_path, trace, trace_fields, config_hash=chash, seed=seed)
-    return [str(ckpt), str(trace_path)]
-
-
 def _token_spec(manifest, include_location):
     groups = list(manifest.groups)
     if include_location and not any(g.kind == "static" for g in groups):
@@ -344,12 +330,23 @@ def _mode_pretrain_transfer(config, blocks, chash, seeds, out):
     model = RawSeriesModel(model_config, corpus.manifest.dynamic_channels(), groups)
     artifacts = []
     for seed in seeds:
+        root = _seed_dir(out, chash, seed)
         params, info = pretrain_transfer(corpus, model, blocks["transfer"], seed)
-        artifacts += _save_pretrained(
-            out, chash, seed, "transfer", nn.params_to_arrays(params), info["trace"],
-            ["epoch", "train_loss", "val_loss", "val_accuracy"],
-            "raw", model_config, in_channels=model.in_channels,
+        ckpt = root / "checkpoints" / "transfer.fsml"
+        save_checkpoint(
+            ckpt,
+            nn.params_to_arrays(params),
+            meta=_checkpoint_meta(
+                chash, seed, kind="raw", algorithm="transfer",
+                model=json.dumps(asdict(model_config)), in_channels=model.in_channels,
+            ),
         )
+        trace = root / "traces" / "transfer.csv"
+        train_mod.write_trace_csv(
+            trace, info["trace"], ["epoch", "train_loss", "val_loss", "val_accuracy"],
+            config_hash=chash, seed=seed,
+        )
+        artifacts.extend([str(ckpt), str(trace)])
     return artifacts
 
 
@@ -358,13 +355,25 @@ def _mode_pretrain_meta(config, blocks, chash, seeds, out):
     model_config, m_config = blocks["model"], blocks["meta"]
     artifacts = []
     for seed in seeds:
+        root = _seed_dir(out, chash, seed)
         backbone, info = meta_train(corpus, m_config, seed, model_config=model_config)
-        artifacts += _save_pretrained(
-            out, chash, seed, m_config.algorithm,
-            {f"backbone/{k}": v.values for k, v in backbone.items()}, info["trace"],
-            ["tasks_seen", "mean_query_accuracy", "mean_query_loss"],
-            "raw", model_config, in_channels=info["learner"].model.in_channels,
+        ckpt = root / "checkpoints" / f"meta_{m_config.algorithm}.fsml"
+        arrays = {f"backbone/{k}": v.values for k, v in backbone.items()}
+        save_checkpoint(
+            ckpt, arrays,
+            meta=_checkpoint_meta(
+                chash, seed, kind="raw", algorithm=m_config.algorithm,
+                model=json.dumps(asdict(model_config)),
+                in_channels=info["learner"].model.in_channels,
+            ),
         )
+        trace = root / "traces" / f"meta_{m_config.algorithm}.csv"
+        train_mod.write_trace_csv(
+            trace, info["trace"],
+            ["tasks_seen", "mean_query_accuracy", "mean_query_loss"],
+            config_hash=chash, seed=seed,
+        )
+        artifacts.extend([str(ckpt), str(trace)])
     return artifacts
 
 
@@ -380,16 +389,28 @@ def _mode_pretrain_ssl(config, blocks, chash, seeds, out):
     autoencoder = MaskedAutoencoder(model_config, spec, regime, s_config.decoder)
     artifacts = []
     for seed in seeds:
+        root = _seed_dir(out, chash, seed)
         params, stats, info = pretrain_ssl(corpus, autoencoder, s_config, seed)
         arrays = {f"backbone/{k}": v.values for k, v in encoder_backbone(params).items()}
         for gname, (mean, std) in stats.items():
             arrays[f"norm/{gname}/mean"] = mean
             arrays[f"norm/{gname}/std"] = std
-        artifacts += _save_pretrained(
-            out, chash, seed, f"ssl_{s_config.variant}", arrays, info["trace"],
-            ["batches_seen", "train_loss", "val_loss"], "tokens", model_config,
-            regime=json.dumps(asdict(regime)), spec=json.dumps([asdict(g) for g in spec.groups]),
+        ckpt = root / "checkpoints" / f"ssl_{s_config.variant}.fsml"
+        save_checkpoint(
+            ckpt, arrays,
+            meta=_checkpoint_meta(
+                chash, seed, kind="tokens", algorithm=f"ssl_{s_config.variant}",
+                model=json.dumps(asdict(model_config)),
+                regime=json.dumps(asdict(regime)),
+                spec=json.dumps([asdict(g) for g in spec.groups]),
+            ),
         )
+        trace = root / "traces" / f"ssl_{s_config.variant}.csv"
+        train_mod.write_trace_csv(
+            trace, info["trace"], ["batches_seen", "train_loss", "val_loss"],
+            config_hash=chash, seed=seed,
+        )
+        artifacts.extend([str(ckpt), str(trace)])
     return artifacts
 
 
@@ -460,8 +481,11 @@ def _finetune_one_seed(seed, block, model_config, label, chash, out, corpus):
             root / "traces" / f"{label}_k{k}.csv", info["trace"],
             ["epoch", "val_loss", "val_accuracy"], config_hash=chash, seed=seed,
         )
-        save_checkpoint(root / "checkpoints" / f"{label}_k{k}.fsml", nn.params_to_arrays(params),
-                        meta=_checkpoint_meta(chash, seed, k=k, label=label))
+        ckpt = root / "checkpoints" / f"{label}_k{k}.fsml"
+        save_checkpoint(
+            ckpt, nn.params_to_arrays(params),
+            meta=_checkpoint_meta(chash, seed, k=k, label=label),
+        )
         results[k] = report
     return seed, label, {k: r.metric_map() for k, r in results.items()}
 

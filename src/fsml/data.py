@@ -394,6 +394,11 @@ class SynthConfig:
     region_phase_days: float = 12.0
     k_max: int = 10
 
+    def __post_init__(self):
+        low, high = self.obs_count
+        if not 1 <= low <= high:
+            raise ContractError(f"obs_count: must satisfy 1 <= low <= high, got {list(self.obs_count)}")
+
     def validate(self):
         if len(self.regions) + 1 < 2:
             raise ContractError("need at least two regions in total")
@@ -406,9 +411,6 @@ class SynthConfig:
             raise ContractError("unidentifiable config: zero noise and identical profiles")
         if not self.groups or all(g.kind != "dynamic" for g in self.groups):
             raise ContractError("need at least one dynamic channel group")
-        low, high = self.obs_count
-        if not 1 <= low <= high:
-            raise ContractError(f"obs_count {list(self.obs_count)} must satisfy 1 <= low <= high")
 
 
 def build_hierarchy_codes(n_level3, n_level4, n_classes):

@@ -9,6 +9,14 @@ class ContractError(FsmlError):
     """A caller violated a documented precondition."""
 
 
+def require_counts(**counts):
+    """Reject each count below 1.  The message starts with the count's name,
+    so a config reader files it under that key."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ContractError(f"{name}: must be an integer >= 1")
+
+
 class ShapeError(ContractError):
     """Operand shapes do not conform; message names both shapes."""
 

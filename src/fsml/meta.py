@@ -36,14 +36,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Annotated
 
 import numpy as np
 
 from . import nn
 from . import tensor as T
 from .episodes import EpisodeConfig, build_meta_validation, episode_pool, sample_episode
-from .errors import ContractError, DivergedError
+from .errors import ContractError, DivergedError, require_counts
 from .nn import RawSeriesModel, cross_entropy
 from .seeding import STREAM_HEAD_RESET, STREAM_INIT, rng_from
 from .tensor import Tape, Tensor, grad
@@ -75,7 +74,7 @@ class MetaConfig:
     k_query: int = 1
     tasks_per_batch: int = 4
     total_tasks: int = 100_000
-    validate_every: Annotated[int, 1] = 100
+    validate_every: int = 100
     validation_tasks: int = 100
 
     def __post_init__(self):
@@ -83,6 +82,7 @@ class MetaConfig:
             raise ContractError(f"unknown algorithm {self.algorithm!r}")
         if self.inner_steps < 1 or self.tasks_per_batch < 1:
             raise ContractError("inner_steps and tasks_per_batch must be >= 1")
+        require_counts(validate_every=self.validate_every)
 
     @property
     def second_order(self):

@@ -32,14 +32,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Annotated
 
 import numpy as np
 
 from . import nn
 from . import tensor as T
 from .data import subset_by_split
-from .errors import ContractError, DegenerateInputError, DivergedError
+from .errors import ContractError, DegenerateInputError, DivergedError, require_counts
 from .nn import TransformerConfig
 from .seeding import STREAM_BATCHING, STREAM_INIT, STREAM_MASKING, rng_from
 from .tensor import Tape, Tensor, grad
@@ -323,10 +322,13 @@ class SSLConfig:
     variant: str = "self_attention"
     plan: MaskPlan = field(default_factory=xts_plan)
     learning_rate: float = 1e-3
-    batch_size: Annotated[int, 1] = SSL_BATCH_SIZE
-    validate_every: Annotated[int, 1] = 50  # batches between validation passes
+    batch_size: int = SSL_BATCH_SIZE
+    validate_every: int = 50  # batches between validation passes
     patience: int = SSL_PATIENCE
     max_batches: int = 10_000  # cap within the single pass
+
+    def __post_init__(self):
+        require_counts(batch_size=self.batch_size, validate_every=self.validate_every)
 
 
 def pretrain_ssl(corpus, model, config, seed):

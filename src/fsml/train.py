@@ -11,7 +11,6 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Annotated
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .data import (
     resample_majority,
     subset_by_split,
 )
-from .errors import ContractError, DivergedError
+from .errors import ContractError, DivergedError, require_counts
 from .nn import ModelParams, cross_entropy
 from .seeding import (
     STREAM_BATCHING,
@@ -153,13 +152,6 @@ def head_only(lr_head):
 # ---------------------------------------------------------------------------
 
 
-def _require_counts(caller, **counts):
-    """Reject an epoch count or batch size below 1."""
-    for name, value in counts.items():
-        if value < 1:
-            raise ContractError(f"{caller}: {name} must be >= 1, got {value}")
-
-
 def _batch_indices(n, batch_size, rng):
     order = rng.permutation(n)
     return [order[i : i + batch_size] for i in range(0, n, batch_size)]
@@ -209,16 +201,18 @@ def predictions(model, params, samples, class_order, batch_size=256):
 @dataclass
 class TransferConfig:
     learning_rate: float = 1e-3
-    batch_size: Annotated[int, 1] = PRETRAIN_BATCH_SIZE
-    max_epochs: Annotated[int, 1] = PRETRAIN_MAX_EPOCHS
+    batch_size: int = PRETRAIN_BATCH_SIZE
+    max_epochs: int = PRETRAIN_MAX_EPOCHS
     patience: int = PRETRAIN_PATIENCE
     cosine_cycles: int = 0  # 0 disables annealing
+
+    def __post_init__(self):
+        require_counts(batch_size=self.batch_size, max_epochs=self.max_epochs)
 
 
 def pretrain_transfer(corpus, model, config, seed):
     """Epoch loop on the pre-training pool with majority-class resampling,
     early stopping on validation loss, best checkpoint by validation accuracy."""
-    _require_counts("pretrain_transfer", max_epochs=config.max_epochs, batch_size=config.batch_size)
     pool = resample_majority(
         corpus.pretrain_pool(), corpus.manifest.majority_class, rng_seed=seed
     )
@@ -295,7 +289,7 @@ def finetune(corpus, model, init_backbone, regime, k, seed,
     the retained checkpoint is the best validation accuracy.  Evaluation runs
     on the full test split and returns a MetricsReport.
     """
-    _require_counts("finetune", max_epochs=max_epochs, batch_size=batch_size)
+    require_counts(max_epochs=max_epochs, batch_size=batch_size)
     pool = corpus.finetune_pool()
     class_order = sorted({s.label for s in pool})
     index = {c: i for i, c in enumerate(class_order)}

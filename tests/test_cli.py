@@ -186,6 +186,10 @@ def test_every_config_field_is_accepted_and_typos_are_rejected():
     ("pretrain-ssl", {"ssl": {"batch_size": 0}}, "ssl.batch_size: must be an integer >= 1"),
     ("synth-data", {"synth": {"obs_count": ["a", "b"]}}, "synth.obs_count: must be a list of 2 integers"),
     ("synth-data", {"synth": {"obs_count": [5]}}, "synth.obs_count: must be a list of 2 integers"),
+    ("synth-data", {"synth": {"obs_count": [9, 5]}},
+     "synth.obs_count: must satisfy 1 <= low <= high, got [9, 5]"),
+    ("synth-data", {"synth": {"obs_count": [0, 0]}},
+     "synth.obs_count: must satisfy 1 <= low <= high, got [0, 0]"),
     ("synth-data", {"synth": {"regions": [1, 2]}}, "synth.regions: must be a list of strings"),
     ("tune", {"tune": {"space": {"lr_head": 5}}}, "tune.space.lr_head: must be a list"),
     # tune's regime takes the same three values as finetune's
@@ -206,7 +210,7 @@ def test_obs_count_outside_one_to_high_is_a_contract_error(tmp_path, obs_count):
     dataset = tmp_path / "corpus.jsonl"
     config = synth_config(dataset, tmp_path / "runs")
     config["synth"] = dict(SYNTH_BLOCK, obs_count=obs_count)
-    with pytest.raises(ContractError, match=r"obs_count .* must satisfy 1 <= low <= high"):
+    with pytest.raises(ContractError, match=r"synth\.obs_count: must satisfy 1 <= low <= high"):
         run(config)
     assert not dataset.exists()
 

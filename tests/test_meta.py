@@ -562,3 +562,9 @@ def test_meta_config_constants_match_protocol():
     assert config.validate_every == 100
     with pytest.raises(ContractError):
         MetaConfig(algorithm="reptile")
+
+
+def test_zero_validation_interval_is_a_contract_error():
+    with pytest.raises(ContractError, match="validate_every: must be an integer >= 1"):
+        MetaConfig(algorithm="maml", validate_every=0)
+    assert MetaConfig(algorithm="maml", total_tasks=0).total_tasks == 0

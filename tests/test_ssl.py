@@ -412,3 +412,10 @@ def test_token_classifier_forward_shapes():
     chunk = corpus.finetune_pool()[:5]
     logits = clf.logits(params.backbone, params.head, chunk)
     assert logits.shape == (5, 4)
+
+
+@pytest.mark.parametrize("name", ["batch_size", "validate_every"])
+def test_zero_batch_size_or_validation_interval_is_a_contract_error(name):
+    with pytest.raises(ContractError, match=f"{name}: must be an integer >= 1"):
+        SSLConfig(**{name: 0})
+    assert SSLConfig(max_batches=0).max_batches == 0
