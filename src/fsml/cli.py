@@ -147,8 +147,13 @@ class SSLBlock(SSLConfig):
 
 
 _BLOCKS = {
-    "model": TransformerConfig, "synth": SynthConfig, "transfer": TransferConfig,
-    "meta": MetaConfig, "ssl": SSLBlock, "finetune": FinetuneBlock, "tune": TuneBlock,
+    "model": TransformerConfig,
+    "synth": SynthConfig,
+    "transfer": TransferConfig,
+    "meta": MetaConfig,
+    "ssl": SSLBlock,
+    "finetune": FinetuneBlock,
+    "tune": TuneBlock,
     "evaluate": EvaluateBlock,
 }
 # The JSON values accepted for each type, by exact type: a bool is no number.

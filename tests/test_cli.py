@@ -205,16 +205,6 @@ def test_bad_config_shapes_exit_with_contract_error(tmp_path, capsys, mode, bloc
     assert "ContractError" in err and problem in err
 
 
-@pytest.mark.parametrize("obs_count", [[9, 5], [0, 0]])
-def test_obs_count_outside_one_to_high_is_a_contract_error(tmp_path, obs_count):
-    dataset = tmp_path / "corpus.jsonl"
-    config = synth_config(dataset, tmp_path / "runs")
-    config["synth"] = dict(SYNTH_BLOCK, obs_count=obs_count)
-    with pytest.raises(ContractError, match=r"synth\.obs_count: must satisfy 1 <= low <= high"):
-        run(config)
-    assert not dataset.exists()
-
-
 def test_shipped_configs_are_valid():
     paths = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
     assert paths
