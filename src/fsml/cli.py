@@ -118,6 +118,11 @@ class TuneBlock:
     regime: Literal[train_mod.FINETUNE_MODES] = "split_lr"
     max_epochs: int = 20
 
+    def __post_init__(self):
+        for name, choices in self.space.items():
+            if not choices:
+                raise ContractError(f"space.{name}: must be a non-empty list")
+
 
 @dataclass
 class EvaluateBlock:
@@ -238,7 +243,7 @@ def _read_object(obj, cls, path, problems):
     try:
         return cls(**values)
     except ContractError as err:
-        named = str(err).partition(":")[0] in keys
+        named = str(err).partition(":")[0].partition(".")[0] in keys
         problems.append(f"{path}{'.' if named else ': '}{err}")
         return _BAD
 
@@ -271,6 +276,9 @@ def _read_config(config):
         problems.append(f"{missing}: required for mode {mode}")
     for unknown in sorted(keys - allowed):
         problems.append(f"{unknown}: unknown key for mode {mode}")
+    for key in ("dataset", "out", "label"):
+        if key in config and type(config[key]) is not str:
+            problems.append(f"{key}: must be a string")
     if "seeds" in config:
         seeds = config["seeds"]
         if type(seeds) is not list or not all(type(s) is int for s in seeds):
@@ -649,7 +657,10 @@ def run(config):
     chash = config_hash(config)
     seeds = list(config.get("seeds", DEFAULT_SEEDS))
     out = config.get("out", "runs")
-    Path(out).mkdir(parents=True, exist_ok=True)
+    try:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ContractError(f"out: cannot create directory {out}: {err.strerror}") from None
     return _MODE_IMPL[config["mode"]](config, blocks, chash, seeds, out)
 
 

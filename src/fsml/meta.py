@@ -4,8 +4,10 @@ meta-updates, and the four algorithm variants.
 * ``maml``: full second-order. The inner SGD trajectory stays on the tape
   (``create_graph=True``) and the query-loss gradient differentiates
   through it.
-* ``fomaml``: first-order. Inner gradients are detached constants, so the
-  meta-gradient is the query gradient evaluated at the adapted parameters.
+* ``fomaml``: first-order. Each inner gradient is taken on its own
+  short-lived tape from detached parameters and subtracted as a constant,
+  so the outer tape holds no inner forward graph and the meta-gradient is
+  the query gradient evaluated at the adapted parameters.
 * ``anil``: first-order with the inner loop restricted to the head;
   backbone tensors are bit-identical through adaptation.
 * ``timl_enc``: maml plus a per-sample 3-vector of Cartesian parcel
@@ -29,12 +31,14 @@ task's fresh head comes from its own ``STREAM_HEAD_RESET`` ordinal.  A
 fallback support set (fewer than ``n_way * k_support`` samples) is filled
 up with rows that a per-task mask keeps out of the loss, so each task's
 loss stays the mean over its own samples.  One ``grad`` of the summed task
-losses gives every task's own inner gradients.
+losses gives every task's own inner gradients.  Evaluation differentiates
+nothing, so it opens no outer tape: only its first-order inner steps record.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,19 +160,26 @@ def adapt_by_gradient_descent(loss_fn, params, lr, steps, second_order, subset=N
     """Plain gradient descent on a dict of tensors, functionally.
 
     Returns a new dict whose updated entries are tape-connected to the
-    originals; with ``second_order`` the inner gradients stay differentiable.
+    originals.  With ``second_order`` the inner gradients are taken on the
+    active tape and stay differentiable.  Without it each inner gradient is
+    taken on its own short-lived tape from detached parameters, and the
+    active tape (if any) records only the subtraction of a constant step.
     Raises DivergedError (with the step index) on a non-finite loss.
     """
     current = dict(params)
     keys = sorted(subset) if subset is not None else sorted(current)
     for step in range(steps):
-        loss = loss_fn(current)
-        if not np.isfinite(loss.item()):
-            raise DivergedError("inner loss diverged", step)
-        grads = grad(loss, [current[k] for k in keys], create_graph=second_order)
+        with nullcontext() if second_order else Tape():
+            at = current if second_order else {k: v.detach() for k, v in current.items()}
+            loss = loss_fn(at)
+            if not np.isfinite(loss.item()):
+                raise DivergedError("inner loss diverged", step)
+            # a second-order step differentiates lr * loss: one recorded mul
+            # in place of one per parameter
+            scaled = T.mul(loss, lr) if second_order else loss
+            grads = grad(scaled, [at[k] for k in keys], create_graph=second_order)
         for key, g in zip(keys, grads):
-            step_g = g if second_order else g.detach()
-            current[key] = T.sub(current[key], T.mul(step_g, lr))
+            current[key] = T.sub(current[key], g if second_order else g.values * lr)
     return current
 
 
@@ -332,12 +343,12 @@ class MetaLearner:
         n = len(tasks)
         support, query = self.task_model.stack_tasks(tasks)
         heads = nn.stack_task_params([self.fresh_head(rng) for rng in head_rngs])
-        with Tape():
+        # evaluation differentiates nothing, so only the inner steps record
+        with Tape() if want_grads else nullcontext():
             flat = {**meta_params, **heads}
             for k in self._inner_subset(flat):
                 if k in meta_params:
                     flat[k] = nn.on_task_axis(flat[k], n)
-            # evaluation never differentiates through the trajectory
             adapted = self.inner_adapt(flat, support, second_order=None if want_grads else False)
             q_logits = self.logits(adapted, query)
             q_losses = cross_entropy(q_logits, query.labels, query.live)

@@ -178,7 +178,7 @@ def attention(params, prefix, config, queries, keys_values, key_mask):
     k = _split_heads(T.matmul(keys_values, params[f"{prefix}/k/w"]), batch, config.num_heads)
     v = _split_heads(_linear(keys_values, params, f"{prefix}/v"), batch, config.num_heads)
     scale = 1.0 / np.sqrt(config.embed_dim // config.num_heads)
-    scores = T.mul(T.matmul(q, T.transpose(k)), scale)
+    scores = T.mul(T.matmul(q, k, transpose_b=True), scale)
     scores = T.masked_fill(scores, ~key_mask[:, None, None, :], NEG_INF)
     weights = T.softmax(scores)
     context = _merge_heads(T.matmul(weights, v), queries.shape)

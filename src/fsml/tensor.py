@@ -28,10 +28,13 @@ soon as its node's rule has consumed it, unless a target asks for it.
 
 The primitive set is fixed: add, sub, mul, div, matmul, transpose, reshape,
 concat, slice_axis, reduce_sum, reduce_mean, exp, log, sqrt, power, softmax
-(last axis), relu, gelu, layer_norm, embedding_lookup, masked_fill.  gelu's
-adjoint records one more op, its slope, whose own adjoint is again built
-from primitives.  A :class:`Tensor` has no arithmetic operators or methods:
-every computation calls these functions by name.
+(last axis), relu, gelu, layer_norm, embedding_lookup, masked_fill.
+``matmul`` takes a flag per operand that swaps its last two axes, so its
+adjoint records one matmul per operand and no transpose.  Two adjoints
+record one op of their own, whose adjoint is again built from primitives:
+gelu's records its slope, and layer_norm's its whole input gradient.  A
+:class:`Tensor` has no arithmetic operators or methods: every computation
+calls these functions by name.
 """
 
 from __future__ import annotations
@@ -288,21 +291,25 @@ def div(a, b):
     return _record(out, (a if da else None, b if db else None), vjp)
 
 
-def matmul(a, b):
+def matmul(a, b, transpose_a=False, transpose_b=False):
+    """``a @ b`` over the last two axes; a flag swaps its operand's last two
+    axes first, so a product with a transposed operand records one node."""
     a, b, da, db = _operands(a, b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(
             f"matmul: operands must have ndim >= 2, got shapes {a.shape} and {b.shape}"
         )
-    if a.shape[-1] != b.shape[-2]:
+    left = a.values.swapaxes(-1, -2) if transpose_a else a.values
+    right = b.values.swapaxes(-1, -2) if transpose_b else b.values
+    if left.shape[-1] != right.shape[-2]:
         raise ShapeError(
-            f"matmul: inner dimensions do not match for shapes {a.shape} and {b.shape}"
+            f"matmul: inner dimensions do not match for shapes {left.shape} and {right.shape}"
         )
     if a.ndim > 2 and b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(
             f"matmul: batch dimensions differ for shapes {a.shape} and {b.shape}"
         )
-    out = Tensor(a.values @ b.values)
+    out = Tensor(left @ right)
     if _recording is None:
         return out
     shape_a, shape_b = a.shape, b.shape
@@ -310,8 +317,21 @@ def matmul(a, b):
     for_a, for_b = (b if da else None), (a if db else None)
 
     def vjp(g):
-        ga = _unbroadcast(matmul(g, transpose(for_a)), shape_a) if da else None
-        gb = _unbroadcast(matmul(transpose(for_b), g), shape_b) if db else None
+        # d(left) = g @ right^T and d(right) = left^T @ g, each transposed
+        # back when its operand entered transposed
+        ga = gb = None
+        if da:
+            if transpose_a:
+                ga = matmul(for_a, g, transpose_a=transpose_b, transpose_b=True)
+            else:
+                ga = matmul(g, for_a, transpose_b=not transpose_b)
+            ga = _unbroadcast(ga, shape_a)
+        if db:
+            if transpose_b:
+                gb = matmul(g, for_b, transpose_a=True, transpose_b=transpose_a)
+            else:
+                gb = matmul(for_b, g, transpose_a=not transpose_a)
+            gb = _unbroadcast(gb, shape_b)
         return ga, gb
 
     return _record(out, (a if da else None, b if db else None), vjp)
@@ -618,15 +638,42 @@ def layer_norm(a, eps=1e-5):
         return out
 
     def vjp(g):
-        mu = reduce_mean(a, axis=-1, keepdims=True)
-        centered = sub(a, mu)
-        var = reduce_mean(mul(centered, centered), axis=-1, keepdims=True)
-        inv = power(add(var, eps), -0.5)
-        g_mean = reduce_mean(g, axis=-1, keepdims=True)
-        gy_mean = reduce_mean(mul(g, out), axis=-1, keepdims=True)
-        return (mul(inv, sub(sub(g, g_mean), mul(out, gy_mean))),)
+        return (_layer_norm_grad(g, a, out, eps),)
 
     return _record(out, (a,), vjp)
+
+
+def _layer_norm_grad(g, a, out, eps):
+    """d layer_norm(a) / da applied to ``g``: inv * (g - mean(g) - out * mean(g * out)).
+
+    Recorded as one op whose adjoint is built from primitives, so a
+    second-order tape holds one node per layer norm instead of a dozen.
+    """
+    x = a.values
+    centered = x - x.mean(axis=-1, keepdims=True)
+    inv = (np.mean(centered * centered, axis=-1, keepdims=True) + eps) ** -0.5
+    gv, y = g.values, out.values
+    gy_mean = (gv * y).mean(axis=-1, keepdims=True)
+    result = Tensor(inv * ((gv - gv.mean(axis=-1, keepdims=True)) - y * gy_mean))
+    if _recording is None:
+        return result
+
+    def vjp(h):
+        # The Jacobian in g is a symmetric projection, so g takes the same op
+        # of h.  out enters bilinearly with g; a enters only through inv,
+        # whose derivative is -inv^2 * out / n.
+        n = a.shape[-1]
+        mu = reduce_mean(a, axis=-1, keepdims=True)
+        c = sub(a, mu)
+        inv_t = power(add(reduce_mean(mul(c, c), axis=-1, keepdims=True), eps), -0.5)
+        gy = reduce_mean(mul(g, out), axis=-1, keepdims=True)
+        hy = reduce_mean(mul(h, out), axis=-1, keepdims=True)
+        g_out = mul(mul(inv_t, -1.0), add(mul(h, gy), mul(g, hy)))
+        h_dx = reduce_sum(mul(h, result), axis=-1, keepdims=True)
+        g_a = mul(mul(out, div(inv_t, -n)), h_dx)
+        return (_layer_norm_grad(h, a, out, eps), g_a, g_out)
+
+    return _record(result, (g, a, out), vjp)
 
 
 def embedding_lookup(table, indices):

@@ -195,6 +195,11 @@ def test_every_config_field_is_accepted_and_typos_are_rejected():
     # tune's regime takes the same three values as finetune's
     ("tune", {"tune": {"space": {}, "regime": "bogus"}},
      'tune.regime: must be "same_lr" or "split_lr" or "head_only"'),
+    ("tune", {"tune": {"space": {"lr_head": []}}}, "tune.space.lr_head: must be a non-empty list"),
+    # top-level paths and names are strings
+    ("pretrain-transfer", {"dataset": 5}, "dataset: must be a string"),
+    ("synth-data", {"synth": {}, "out": 5}, "out: must be a string"),
+    ("pretrain-meta", {"meta": {"algorithm": "maml"}, "label": 5}, "label: must be a string"),
 ])
 def test_bad_config_shapes_exit_with_contract_error(tmp_path, capsys, mode, blocks, problem):
     config = {"schema_version": 1, "mode": mode, "dataset": "x",
@@ -203,6 +208,18 @@ def test_bad_config_shapes_exit_with_contract_error(tmp_path, capsys, mode, bloc
     assert _main_on(tmp_path, config) == 1
     err = capsys.readouterr().err
     assert "ContractError" in err and problem in err
+
+
+@pytest.mark.parametrize("below_file", [False, True], ids=["is_a_file", "under_a_file"])
+def test_out_path_that_cannot_be_a_directory_is_a_contract_error(tmp_path, capsys, below_file):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker / "runs" if below_file else blocker
+    config = {"schema_version": 1, "mode": "synth-data", "dataset": str(tmp_path / "c.jsonl"),
+              "out": str(out), "synth": {}}
+    assert _main_on(tmp_path, config) == 1
+    err = capsys.readouterr().err
+    assert "ContractError" in err and f"out: cannot create directory {out}" in err
 
 
 def test_shipped_configs_are_valid():

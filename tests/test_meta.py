@@ -324,9 +324,9 @@ def test_evaluate_tasks_in_stacked_chunks_equals_per_task_evaluation(algorithm):
     assert math.isclose(loss, float(np.mean([q for q, _ in stats])), rel_tol=0, abs_tol=1e-12)
 
 
-def test_stacked_maml_meta_gradient_peak_memory():
-    # the meta-maml benchmark's corpus and batch: 4-way, 1 support, 2 queries,
-    # 4 inner steps, 4 tasks; one task's own tape used to peak at 9.5 MB
+def _benchmark_batch(algorithm):
+    """The meta-maml benchmark's corpus and batch: 4-way, 1 support, 2
+    queries, 4 inner steps, 4 tasks; returns (learner, meta_params, tasks)."""
     corpus = generate_synthetic(
         SynthConfig(
             regions=["R1", "R2"], finetune_region="T1", n_classes=6, n_level4=4, n_level3=2,
@@ -337,7 +337,7 @@ def test_stacked_maml_meta_gradient_peak_memory():
         seed=1,
     )
     config = MetaConfig(
-        algorithm="maml", inner_lr=0.5, inner_steps=4, n_way=4, k_support=1, k_query=2,
+        algorithm=algorithm, inner_lr=0.5, inner_steps=4, n_way=4, k_support=1, k_query=2,
         tasks_per_batch=4,
     )
     model = RawSeriesModel(nn.small_config(embed_dim=16, num_heads=2, hidden_dim=32), 4)
@@ -345,14 +345,63 @@ def test_stacked_maml_meta_gradient_peak_memory():
     meta_params = learner.init_meta_params(rng_from(1, 1))
     pool = episode_pool(corpus, "train")
     tasks = [(i, sample_episode(pool, config.episode_config(1), i)) for i in range(4)]
+    return learner, meta_params, tasks
+
+
+def _meta_gradient_peak(algorithm):
+    """tracemalloc peak of one meta-gradient of the benchmark batch, after a warm-up."""
+    learner, meta_params, tasks = _benchmark_batch(algorithm)
     learner.meta_gradient(meta_params, tasks, seed=1)
     tracemalloc.start()
     try:
         learner.meta_gradient(meta_params, tasks, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _closed_tapes(monkeypatch):
+    """Every Tape closed from now on, with its node count at the close."""
+    closed, exit_ = [], Tape.__exit__
+
+    def counting_exit(tape, *exc):
+        closed.append(len(tape.nodes))
+        return exit_(tape, *exc)
+
+    monkeypatch.setattr(Tape, "__exit__", counting_exit)
+    return closed
+
+
+def test_stacked_maml_meta_gradient_peak_memory():
+    # one task's own tape used to peak at 9.5 MB
+    peak = _meta_gradient_peak("maml")
     assert peak <= 9.5e6, f"one 4-task maml meta-gradient peaked at {peak / 1e6:.2f} MB"
+
+
+def test_fomaml_meta_gradient_peak_memory():
+    # each inner gradient runs on its own tape, so no inner forward graph
+    # stays on the outer tape (4.6 MB when they did)
+    peak = _meta_gradient_peak("fomaml")
+    assert peak <= 3.0e6, f"one 4-task fomaml meta-gradient peaked at {peak / 1e6:.2f} MB"
+
+
+def test_stacked_maml_meta_gradient_tape_size(monkeypatch):
+    # one node per layer-norm adjoint, no transposes in matmul adjoints and
+    # one scaling mul per inner step (1,011 nodes without these)
+    learner, meta_params, tasks = _benchmark_batch("maml")
+    closed = _closed_tapes(monkeypatch)
+    learner.meta_gradient(meta_params, tasks, seed=1)
+    assert len(closed) == 1 and closed[0] <= 800, closed
+
+
+@pytest.mark.parametrize("algorithm", ["maml", "fomaml"])
+def test_evaluate_tasks_records_only_the_inner_step_tapes(monkeypatch, algorithm):
+    learner, meta_params, tasks = _benchmark_batch(algorithm)
+    closed = _closed_tapes(monkeypatch)
+    learner.evaluate_tasks(meta_params, [t for _, t in tasks] * 2, seed=1)
+    # two chunks of four tasks, one short-lived tape per inner step
+    assert len(closed) == 2 * learner.config.inner_steps
+    assert T._tapes == [] and T._recording is None
 
 
 def test_timl_encoder_identity_init_matches_plain_maml():

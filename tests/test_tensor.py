@@ -100,8 +100,34 @@ _case("layer_norm", lambda r: (lambda w: (lambda ts: _weighted(w)(T.layer_norm(t
 _case("masked_fill", lambda r: (lambda w: (lambda m: (lambda ts: _weighted(w)(T.masked_fill(ts[0], m, 0.5))))(r.random((3, 4)) < 0.4))(r.standard_normal((3, 4))))
 _case("embedding", lambda r: (lambda w: (lambda idx: (lambda ts: _weighted(w)(T.embedding_lookup(ts[0], idx))))(r.integers(0, 5, size=6)))(r.standard_normal((6, 4))))
 
+# matmul with each transpose flag: (flags, left shape, right shape, output shape)
+MATMUL_CASES = {
+    "matmul_ta": ({"transpose_a": True}, (4, 3), (4, 5), (3, 5)),
+    "matmul_tb": ({"transpose_b": True}, (3, 4), (5, 4), (3, 5)),
+    "matmul_ta_tb": ({"transpose_a": True, "transpose_b": True}, (4, 3), (5, 4), (3, 5)),
+    "matmul_batched_4d_tb": ({"transpose_b": True}, (2, 2, 3, 4), (2, 2, 5, 4), (2, 2, 3, 5)),
+    "matmul_batched_4d_ta": ({"transpose_a": True}, (2, 2, 4, 3), (2, 2, 4, 5), (2, 2, 3, 5)),
+    "matmul_broadcast_4d_2d": ({}, (2, 2, 3, 4), (4, 5), (2, 2, 3, 5)),
+    "matmul_broadcast_4d_2d_tb": ({"transpose_b": True}, (2, 2, 3, 4), (5, 4), (2, 2, 3, 5)),
+}
+
+
+def _matmul_case(name, flags, out_shape):
+    def make(r):
+        w = r.standard_normal(out_shape)
+        return lambda ts: _weighted(w)(T.matmul(ts[0], ts[1], **flags))
+
+    _case(name, make)
+
+
+for _name, (_flags, _, _, _out) in MATMUL_CASES.items():
+    _matmul_case(_name, _flags, _out)
+
 
 def _inputs_for(case_id, r):
+    if case_id in MATMUL_CASES:
+        _, left, right, _ = MATMUL_CASES[case_id]
+        return [r.standard_normal(left), r.standard_normal(right)]
     if case_id == "add_broadcast":
         return [r.standard_normal((2, 3, 4)), r.standard_normal((1, 4))]
     if case_id == "matmul":
@@ -213,6 +239,66 @@ def test_second_order_mlp_matches_finite_differences_of_gradient():
     minus = [p - h * d for p, d in zip(params, direction)]
     fd = (gradient_at(plus) - gradient_at(minus)) / (2 * h)
     assert rel_error(analytic, fd) < 1e-4
+
+
+def _check_hvp(loss, shapes, seed, tol=1e-4):
+    """The Hessian-vector product of ``loss(tensors)`` taken through a
+    create_graph gradient, against central differences of the gradient."""
+    r = np.random.default_rng(seed)
+    params = [r.standard_normal(s) * 0.5 for s in shapes]
+    direction = [r.standard_normal(s) for s in shapes]
+
+    def gradient_at(arrs):
+        with Tape():
+            tensors = [Tensor(a) for a in arrs]
+            gs = grad(loss(tensors), tensors)
+        return np.concatenate([g.values.reshape(-1) for g in gs])
+
+    with Tape():
+        tensors = [Tensor(p) for p in params]
+        gs = grad(loss(tensors), tensors, create_graph=True)
+        directional = T.reduce_sum(T.mul(gs[0], Tensor(direction[0])))
+        for g, d in zip(gs[1:], direction[1:]):
+            directional = T.add(directional, T.reduce_sum(T.mul(g, Tensor(d))))
+        hvp = grad(directional, tensors)
+    analytic = np.concatenate([v.values.reshape(-1) for v in hvp])
+    h = 1e-5
+    plus = [p + h * d for p, d in zip(params, direction)]
+    minus = [p - h * d for p, d in zip(params, direction)]
+    fd = (gradient_at(plus) - gradient_at(minus)) / (2 * h)
+    assert rel_error(analytic, fd) < tol
+
+
+def test_second_order_through_layer_norm_matches_finite_differences_of_gradient():
+    # the HVP reaches layer_norm's adjoint op through all three of its inputs:
+    # the upstream gradient (via w2), the normalized input and the output (via w1)
+    r = np.random.default_rng(31)
+    x = r.standard_normal((4, 5))
+    target = r.standard_normal((4, 2))
+
+    def loss(ts):
+        w1, w2 = ts
+        h = T.gelu(T.layer_norm(T.matmul(Tensor(x), w1)))
+        diff = T.sub(T.matmul(h, w2), Tensor(target))
+        return T.reduce_mean(T.mul(diff, diff))
+
+    _check_hvp(loss, [(5, 6), (6, 2)], seed=32)
+
+
+def test_second_order_through_transposed_matmul_matches_finite_differences_of_gradient():
+    # attention-shaped: scores = q @ k^T, then the weights enter transposed
+    r = np.random.default_rng(33)
+    x = r.standard_normal((2, 3, 5))
+    c = r.standard_normal((2, 3, 4))
+
+    def loss(ts):
+        wq, wk = ts
+        q, k = T.matmul(Tensor(x), wq), T.matmul(Tensor(x), wk)
+        weights = T.softmax(T.matmul(q, k, transpose_b=True))
+        context = T.matmul(weights, k, transpose_a=True)
+        return T.reduce_mean(T.mul(T.mul(context, context), Tensor(c)))
+
+    _check_hvp(loss, [(5, 4), (5, 4)], seed=34)
 
 
 def test_gradient_linearity():
@@ -362,7 +448,8 @@ def _one_of_each_primitive(x, y):
     mask = np.array([[True, False, False, True]] * 3)
     return [
         T.add(x, y), T.sub(x, y), T.mul(x, y), T.div(y, x),
-        T.matmul(x, T.transpose(y)), T.transpose(x), T.transpose(x, (1, 0)),
+        T.matmul(x, T.transpose(y)), T.matmul(x, y, transpose_a=True),
+        T.matmul(y, x, transpose_b=True), T.transpose(x), T.transpose(x, (1, 0)),
         T.reshape(x, (4, 3)), T.concat([x, y], axis=1), T.slice_axis(y, 1, 1, 3),
         T.reduce_sum(y, axis=0), T.reduce_mean(y), T.exp(y), T.log(x), T.sqrt(x),
         T.power(x, 1.5), T.softmax(y), T.relu(y), T.gelu(y), T.layer_norm(y),
