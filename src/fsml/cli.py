@@ -52,7 +52,7 @@ from .ssl import (
     encoder_backbone,
     pretrain_ssl,
 )
-from .tokens import ChannelGroupSpec, EncodingRegime
+from .tokens import POSITION_SOURCES, REGIME_VARIANTS, ChannelGroupSpec, EncodingRegime
 from .train import FineTuneRegime, TransferConfig, finetune, pretrain_transfer
 
 SCHEMA_VERSION = 1
@@ -89,6 +89,8 @@ class SourceBlock:
     def __post_init__(self):
         if self.source == "checkpoint" and self.checkpoint is None:
             raise ContractError('checkpoint: required when source is "checkpoint"')
+        if self.validation_limit is not None:
+            require_counts(validation_limit=self.validation_limit)
 
 
 @dataclass
@@ -138,15 +140,16 @@ class SSLBlock(SSLConfig):
 
     variant: str = field(init=False)
     plan: ssl_mod.MaskPlan = field(init=False)
-    regime: str = "xts"
-    position_source: str = "day_of_year"
+    regime: Literal[REGIME_VARIANTS] = "xts"
+    position_source: Literal[POSITION_SOURCES] = "day_of_year"
     max_timesteps: int = 366
     location_token: bool = True
-    strategy: str = "mixed"
-    decoder: str = "self_attention"
+    strategy: Literal[ssl_mod.PLAN_STRATEGIES] = "mixed"
+    decoder: Literal[ssl_mod.DECODERS] = "self_attention"
 
     def __post_init__(self):
         super().__post_init__()
+        require_counts(max_timesteps=self.max_timesteps)
         self.variant = self.decoder
         self.plan = (ssl_mod.xts_plan if self.regime == "xts" else ssl_mod.base_plan)(self.strategy)
 

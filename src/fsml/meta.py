@@ -50,7 +50,7 @@ from .errors import ContractError, DivergedError, require_counts
 from .nn import RawSeriesModel, cross_entropy
 from .seeding import STREAM_HEAD_RESET, STREAM_INIT, rng_from
 from .tensor import Tape, Tensor, grad
-from .train import Adam
+from .train import Adam, _fit
 
 ALGORITHMS = ("maml", "fomaml", "anil", "timl_enc", "timl_noenc")
 SECOND_ORDER = {"maml": True, "fomaml": False, "anil": False,
@@ -401,9 +401,9 @@ def meta_train(corpus, config, seed, model_config=None):
     """Meta-train on episodes from the pre-training split.
 
     Adam at the outer rate updates the backbone (the task encoder gets its
-    own Adam at the encoder rate); every ``validate_every`` tasks the mean
-    query accuracy over the fixed meta-validation tasks is appended to the
-    trace.  Returns (best backbone params, trace rows).
+    own Adam at the encoder rate); after each multiple of ``validate_every``
+    tasks and after the last batch the mean query accuracy over the fixed
+    meta-validation tasks joins the trace.  Returns (best backbone params, info).
     """
     groups = corpus.manifest.group_order()
     model_config = model_config or nn.small_config()
@@ -424,35 +424,26 @@ def meta_train(corpus, config, seed, model_config=None):
     outer = Adam(config.outer_lr)
     encoder_opt = Adam(config.encoder_lr) if film_keys else None
 
-    trace, best = [], None
-    tasks_seen = 0
-    while tasks_seen < config.total_tasks:
-        batch = []
-        for _ in range(min(config.tasks_per_batch, config.total_tasks - tasks_seen)):
-            batch.append((tasks_seen, sample_episode(pool, episode_config, tasks_seen)))
-            tasks_seen += 1
+    size = config.tasks_per_batch
+
+    def step(tasks_seen):  # the batch of tasks up to tasks_seen
+        first = (tasks_seen - 1) // size * size
+        batch = [(o, sample_episode(pool, episode_config, o)) for o in range(first, tasks_seen)]
         grads, _ = learner.meta_gradient(meta_params, batch, seed)
         outer.step(meta_params, {k: v for k, v in grads.items() if k not in film_keys})
         if encoder_opt is not None:
             encoder_opt.step(meta_params, {k: v for k, v in grads.items() if k in film_keys})
-        if tasks_seen % config.validate_every == 0 or tasks_seen >= config.total_tasks:
-            val_acc, val_loss = learner.evaluate_tasks(meta_params, validation_tasks, seed)
-            trace.append(
-                {
-                    "tasks_seen": tasks_seen,
-                    "mean_query_accuracy": val_acc,
-                    "mean_query_loss": val_loss,
-                }
-            )
-            if best is None or val_acc > best[0]:
-                best = (
-                    val_acc,
-                    tasks_seen,
-                    {k: Tensor(v.values.copy()) for k, v in meta_params.items()},
-                )
-    if best is None:  # total_tasks == 0: parameters equal initialization
-        best = (float("nan"), 0, {k: Tensor(v.values.copy()) for k, v in meta_params.items()})
-    _, best_at, best_params = best
+        return {"tasks_seen": tasks_seen}
+
+    def validate():
+        val_acc, val_loss = learner.evaluate_tasks(meta_params, validation_tasks, seed)
+        return val_acc, val_loss, {"mean_query_accuracy": val_acc, "mean_query_loss": val_loss}
+
+    batch_ends = [min(t + size, config.total_tasks) for t in range(0, config.total_tasks, size)]
+    best_params, best_at, trace = _fit(
+        batch_ends, config.validate_every, step, validate,
+        lambda: {k: Tensor(v.values.copy()) for k, v in meta_params.items()},
+    )
     backbone = {
         k.split("/", 1)[1]: v for k, v in best_params.items() if k.startswith("backbone/")
     }

@@ -43,9 +43,11 @@ from .nn import TransformerConfig
 from .seeding import STREAM_BATCHING, STREAM_INIT, STREAM_MASKING, rng_from
 from .tensor import Tape, Tensor, grad
 from .tokens import ChannelGroupSpec, EncodingRegime, encode_tokens, token_layout, token_params
-from .train import Adam, EarlyStopper
+from .train import Adam, _fit
 
 STRATEGIES = ("random", "channel_groups", "contiguous_timesteps", "random_timesteps")
+PLAN_STRATEGIES = STRATEGIES + ("mixed",)
+DECODERS = ("self_attention", "cross_attention")
 BASE_MASK_RATIO = 0.75
 XTS_MASK_RATIO = 0.70
 SSL_BATCH_SIZE = 256
@@ -54,12 +56,12 @@ SSL_PATIENCE = 15
 
 @dataclass(frozen=True)
 class MaskPlan:
-    strategy: str  # one of STRATEGIES or "mixed"
+    strategy: str  # one of PLAN_STRATEGIES
     target_ratio: float
     strict: bool  # True: keep the structured mask; False: random top-up
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES + ("mixed",):
+        if self.strategy not in PLAN_STRATEGIES:
             raise ContractError(f"unknown masking strategy {self.strategy!r}")
         if not 0.0 < self.target_ratio < 1.0:
             raise ContractError(f"mask ratio {self.target_ratio} outside (0, 1)")
@@ -188,10 +190,10 @@ class MaskedAutoencoder:
     config: TransformerConfig
     spec: ChannelGroupSpec
     regime: EncodingRegime
-    variant: str  # "self_attention" | "cross_attention"
+    variant: str  # one of DECODERS
 
     def __post_init__(self):
-        if self.variant not in ("self_attention", "cross_attention"):
+        if self.variant not in DECODERS:
             raise ContractError(f"unknown decoder variant {self.variant!r}")
         if self.config.decoder_blocks < 1:
             raise ContractError("masked autoencoder needs at least one decoder block")
@@ -328,11 +330,13 @@ class SSLConfig:
     max_batches: int = 10_000  # cap within the single pass
 
     def __post_init__(self):
-        require_counts(batch_size=self.batch_size, validate_every=self.validate_every)
+        require_counts(batch_size=self.batch_size, validate_every=self.validate_every,
+                       patience=self.patience)
 
 
 def pretrain_ssl(corpus, model, config, seed):
-    """One pass over the pre-training pool with periodic validation.
+    """One pass over the pre-training pool (at most ``max_batches`` batches),
+    validated every ``validate_every`` batches and after the last one.
 
     Early stopping waits ``patience`` validations without loss improvement;
     the best-validation checkpoint (with normalization statistics) is kept.
@@ -344,28 +348,25 @@ def pretrain_ssl(corpus, model, config, seed):
 
     params = model.init_params(rng_from(seed, STREAM_INIT))
     optimizer = Adam(config.learning_rate)
-    stopper = EarlyStopper(config.patience)
     order = rng_from(seed, STREAM_BATCHING).permutation(len(train))
-    trace, best = [], None
-    batches_seen = 0
-    for start in range(0, len(train), config.batch_size):
-        if batches_seen >= config.max_batches:
-            break
+
+    def step(batches_seen):
+        start = (batches_seen - 1) * config.batch_size
         chunk = [train[i] for i in order[start : start + config.batch_size]]
-        rng = rng_from(seed, STREAM_MASKING, batches_seen)
+        rng = rng_from(seed, STREAM_MASKING, batches_seen - 1)
         loss, grads = mae_step(params, model, chunk, config.plan, rng, stats)
         optimizer.step(params, grads)
-        batches_seen += 1
-        if batches_seen % config.validate_every == 0 or start + config.batch_size >= len(train):
-            val_loss = evaluate_mae_loss(params, model, validation, config.plan, seed, stats)
-            trace.append({"batches_seen": batches_seen, "train_loss": loss, "val_loss": val_loss})
-            if best is None or val_loss < best[0]:
-                best = (val_loss, batches_seen, {k: Tensor(v.values.copy()) for k, v in params.items()})
-            if stopper.update(batches_seen, val_loss):
-                break
-    if best is None:
-        best = (float("nan"), 0, {k: Tensor(v.values.copy()) for k, v in params.items()})
-    _, best_at, best_params = best
+        return {"batches_seen": batches_seen, "train_loss": loss}
+
+    def validate():
+        val_loss = evaluate_mae_loss(params, model, validation, config.plan, seed, stats)
+        return -val_loss, val_loss, {"val_loss": val_loss}
+
+    n_batches = min(len(range(0, len(train), config.batch_size)), config.max_batches)
+    best_params, best_at, trace = _fit(
+        range(1, n_batches + 1), config.validate_every, step, validate,
+        lambda: {k: Tensor(v.values.copy()) for k, v in params.items()}, config.patience,
+    )
     return best_params, stats, {"trace": trace, "best_at": best_at}
 
 

@@ -35,6 +35,8 @@ from .tensor import Tensor
 _DAYS_PER_YEAR = 366
 _MONTH_LENGTHS = (31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)  # leap calendar
 _MONTH_STARTS = np.cumsum((0,) + _MONTH_LENGTHS[:-1]) + 1
+REGIME_VARIANTS = ("presto", "xts")
+POSITION_SOURCES = ("ordinal", "day_of_year")
 
 
 def month_of(day_of_year):
@@ -81,15 +83,15 @@ class EncodingRegime:
     xts variant:  d_month = 0, d_sin = 3*d_emb/4, d_channel = d_emb/4.
     """
 
-    variant: str  # "presto" | "xts"
+    variant: str  # one of REGIME_VARIANTS
     d_emb: int
-    position_source: str  # "ordinal" | "day_of_year"
+    position_source: str  # one of POSITION_SOURCES
     max_timesteps: int
 
     def __post_init__(self):
-        if self.variant not in ("presto", "xts"):
+        if self.variant not in REGIME_VARIANTS:
             raise ContractError(f"unknown regime variant {self.variant!r}")
-        if self.position_source not in ("ordinal", "day_of_year"):
+        if self.position_source not in POSITION_SOURCES:
             raise ContractError(f"unknown position source {self.position_source!r}")
         if self.d_emb % 4 != 0:
             raise ContractError(f"d_emb {self.d_emb} must be divisible by 4")

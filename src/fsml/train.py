@@ -1,5 +1,5 @@
-"""Optimizers, schedules, early stopping, transfer pre-training, the three
-fine-tuning regimes, and seeded random-search tuning.
+"""Optimizers, schedules, the training loop, transfer pre-training, the
+three fine-tuning regimes, and seeded random-search tuning.
 
 Optimizers mutate parameter values in place between tapes; they are never
 differentiated through (the meta inner loop does its own functional SGD).
@@ -11,6 +11,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -97,26 +98,6 @@ def cosine_annealing(lr_max, cycles, epoch, total_epochs):
     return lr_max * 0.5 * (1.0 + math.cos(math.pi * frac))
 
 
-class EarlyStopper:
-    """Stops when the watched loss has not improved for `patience` epochs."""
-
-    def __init__(self, patience):
-        self.patience = patience
-        self.best_loss = math.inf
-        self.best_epoch = None
-        self.epochs_since_best = 0
-
-    def update(self, epoch, loss):
-        """Record one epoch; returns True when training should stop."""
-        if loss < self.best_loss - IMPROVEMENT_EPS:
-            self.best_loss = loss
-            self.best_epoch = epoch
-            self.epochs_since_best = 0
-        else:
-            self.epochs_since_best += 1
-        return self.epochs_since_best >= self.patience
-
-
 FINETUNE_MODES = ("same_lr", "split_lr", "head_only")
 
 
@@ -148,8 +129,35 @@ def head_only(lr_head):
 
 
 # ---------------------------------------------------------------------------
-# shared epoch machinery
+# the training loop every trainer runs, and shared epoch machinery
 # ---------------------------------------------------------------------------
+
+
+def _fit(units, every, step, validate, snapshot, patience=math.inf):
+    """Run ``step(unit)``, which returns the unit's trace fields, over the
+    increasing ``units``; after each multiple of ``every`` and after the last,
+    ``validate()`` returns (score, watched loss, fields) for one trace row.
+    Keeps the first ``snapshot()`` of the highest score (a NaN never replaces
+    it); stops once the loss has not improved by more than IMPROVEMENT_EPS for
+    ``patience`` validations.  Returns (best snapshot, its unit, trace); with
+    no units, the untouched parameters at unit 0."""
+    trace, best, best_score, best_unit = [], None, None, 0
+    best_loss, since_best = math.inf, 0
+    for unit in units:
+        row = step(unit)
+        if unit % every and unit != units[-1]:
+            continue
+        score, loss, fields = validate()
+        trace.append({**row, **fields})
+        if best is None or score > best_score:
+            best, best_score, best_unit = snapshot(), score, unit
+        if loss < best_loss - IMPROVEMENT_EPS:
+            best_loss, since_best = loss, 0
+        else:
+            since_best += 1
+            if since_best >= patience:
+                break
+    return (snapshot() if best is None else best), best_unit, trace
 
 
 def _batch_indices(n, batch_size, rng):
@@ -184,6 +192,12 @@ def evaluate_loss_accuracy(model, params, samples, class_order, batch_size=256):
     return sum(losses) / total, hits / total
 
 
+def _validate_classifier(model, params, samples, class_order):
+    """Validation for ``_fit``: scored by accuracy, watching the loss."""
+    loss, accuracy = evaluate_loss_accuracy(model, params, samples, class_order)
+    return accuracy, loss, {"val_loss": loss, "val_accuracy": accuracy}
+
+
 def predictions(model, params, samples, class_order, batch_size=256):
     out = []
     for start in range(0, len(samples), batch_size):
@@ -207,7 +221,8 @@ class TransferConfig:
     cosine_cycles: int = 0  # 0 disables annealing
 
     def __post_init__(self):
-        require_counts(batch_size=self.batch_size, max_epochs=self.max_epochs)
+        require_counts(batch_size=self.batch_size, max_epochs=self.max_epochs,
+                       patience=self.patience)
 
 
 def pretrain_transfer(corpus, model, config, seed):
@@ -223,15 +238,13 @@ def pretrain_transfer(corpus, model, config, seed):
 
     params = model.init_params(rng_from(seed, STREAM_INIT), len(class_order))
     optimizer = Adam(config.learning_rate)
-    stopper = EarlyStopper(config.patience)
-    trace, best = [], None
 
-    for epoch in range(config.max_epochs):
+    def step(epoch):
         optimizer.lr = cosine_annealing(
             config.learning_rate, config.cosine_cycles, epoch, config.max_epochs
         )
         rng = rng_from(seed, STREAM_BATCHING, epoch)
-        epoch_loss, seen = 0.0, 0
+        epoch_loss = 0.0
         for idx in _batch_indices(len(train), config.batch_size, rng):
             chunk = [train[i] for i in idx]
             labels = np.array([index[s.label] for s in chunk])
@@ -240,21 +253,13 @@ def pretrain_transfer(corpus, model, config, seed):
             )
             optimizer.step(params.named(), grads)
             epoch_loss += loss * len(chunk)
-            seen += len(chunk)
-        val_loss, val_acc = evaluate_loss_accuracy(model, params, validation, class_order)
-        trace.append(
-            {
-                "epoch": epoch,
-                "train_loss": epoch_loss / max(seen, 1),
-                "val_loss": val_loss,
-                "val_accuracy": val_acc,
-            }
-        )
-        if best is None or val_acc > best[0]:
-            best = (val_acc, epoch, params.copy())
-        if stopper.update(epoch, val_loss):
-            break
-    _, best_epoch, best_params = best
+        return {"epoch": epoch, "train_loss": epoch_loss / max(len(train), 1)}
+
+    best_params, best_epoch, trace = _fit(
+        range(config.max_epochs), 1, step,
+        partial(_validate_classifier, model, params, validation, class_order),
+        params.copy, config.patience,
+    )
     return best_params, {"trace": trace, "best_epoch": best_epoch, "classes": class_order}
 
 
@@ -289,21 +294,20 @@ def finetune(corpus, model, init_backbone, regime, k, seed,
     the retained checkpoint is the best validation accuracy.  Evaluation runs
     on the full test split and returns a MetricsReport.
     """
-    require_counts(max_epochs=max_epochs, batch_size=batch_size)
+    if validation_limit is None:
+        validation_limit = FIXED_VALIDATION_POINTS
+    require_counts(max_epochs=max_epochs, batch_size=batch_size, validation_limit=validation_limit)
     pool = corpus.finetune_pool()
     class_order = sorted({s.label for s in pool})
     index = {c: i for i, c in enumerate(class_order)}
     train = kshot_subset(subset_by_split(pool, "train"), k, seed)
-    validation = fixed_validation_subset(
-        pool, limit=validation_limit or FIXED_VALIDATION_POINTS
-    )
+    validation = fixed_validation_subset(pool, limit=validation_limit)
     test = subset_by_split(pool, "test")
 
     params = ModelParams(
-        backbone={name: t.detach() for name, t in init_backbone.items()},
+        backbone=dict(init_backbone),
         head=nn.new_head(rng_from(seed, STREAM_HEAD_RESET), model.config.embed_dim, len(class_order)),
-    )
-    params = params.copy()
+    ).copy()
 
     if regime.mode == "head_only":
         trainable = lambda name: name.startswith("head/")
@@ -312,9 +316,7 @@ def finetune(corpus, model, init_backbone, regime, k, seed,
     head_opt = Adam(regime.lr_head)
     backbone_opt = Adam(regime.lr_backbone) if regime.lr_backbone > 0 else None
 
-    stopper = EarlyStopper(FINETUNE_PATIENCE)
-    trace, best = [], None
-    for epoch in range(max_epochs):
+    def step(epoch):
         rng = rng_from(seed, STREAM_BATCHING, 7_000_000 + epoch)
         for idx in _batch_indices(len(train), batch_size, rng):
             chunk = [train[i] for i in idx]
@@ -325,13 +327,13 @@ def finetune(corpus, model, init_backbone, regime, k, seed,
             if backbone_opt is not None:
                 backbone_grads = {k: g for k, g in grads.items() if k.startswith("backbone/")}
                 backbone_opt.step(params.named(), backbone_grads)
-        val_loss, val_acc = evaluate_loss_accuracy(model, params, validation, class_order)
-        trace.append({"epoch": epoch, "val_loss": val_loss, "val_accuracy": val_acc})
-        if best is None or val_acc > best[0]:
-            best = (val_acc, epoch, params.copy())
-        if stopper.update(epoch, val_loss):
-            break
-    _, best_epoch, best_params = best
+        return {"epoch": epoch}
+
+    best_params, best_epoch, trace = _fit(
+        range(max_epochs), 1, step,
+        partial(_validate_classifier, model, params, validation, class_order),
+        params.copy, FINETUNE_PATIENCE,
+    )
 
     preds = predictions(model, best_params, test, class_order)
     labels = [s.label for s in test]

@@ -200,6 +200,25 @@ def test_every_config_field_is_accepted_and_typos_are_rejected():
     ("pretrain-transfer", {"dataset": 5}, "dataset: must be a string"),
     ("synth-data", {"synth": {}, "out": 5}, "out: must be a string"),
     ("pretrain-meta", {"meta": {"algorithm": "maml"}, "label": 5}, "label: must be a string"),
+    # 0 is no default for the validation limit, and patience counts validations
+    *[(mode, blocks, f"{path}: must be an integer >= 1") for value in (0, -1)
+      for mode, blocks, path in [
+          ("finetune", {"finetune": {"validation_limit": value}}, "finetune.validation_limit"),
+          ("tune", {"tune": {"space": {}, "finetune": {"validation_limit": value}}},
+           "tune.finetune.validation_limit"),
+          ("pretrain-transfer", {"transfer": {"patience": value}}, "transfer.patience"),
+          ("pretrain-ssl", {"ssl": {"patience": value}}, "ssl.patience"),
+      ]],
+    # the ssl block's choices are checked before the corpus loads
+    ("pretrain-ssl", {"ssl": {"regime": "bogus"}}, 'ssl.regime: must be "presto" or "xts"'),
+    ("pretrain-ssl", {"ssl": {"decoder": "bogus"}},
+     'ssl.decoder: must be "self_attention" or "cross_attention"'),
+    ("pretrain-ssl", {"ssl": {"position_source": "bogus"}},
+     'ssl.position_source: must be "ordinal" or "day_of_year"'),
+    ("pretrain-ssl", {"ssl": {"strategy": "bogus"}},
+     'ssl.strategy: must be "random" or "channel_groups" or "contiguous_timesteps" or '
+     '"random_timesteps" or "mixed"'),
+    ("pretrain-ssl", {"ssl": {"max_timesteps": 0}}, "ssl.max_timesteps: must be an integer >= 1"),
 ])
 def test_bad_config_shapes_exit_with_contract_error(tmp_path, capsys, mode, blocks, problem):
     config = {"schema_version": 1, "mode": mode, "dataset": "x",

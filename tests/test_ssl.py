@@ -9,7 +9,7 @@ from fsml.data import (
     generate_synthetic,
 )
 from fsml.errors import ContractError, DegenerateInputError
-from fsml.seeding import rng_from
+from fsml.seeding import STREAM_INIT, rng_from
 from fsml.ssl import (
     MaskPlan,
     MaskedAutoencoder,
@@ -392,6 +392,37 @@ def test_pretrain_ssl_improves_and_is_deterministic():
         np.testing.assert_array_equal(params_a[k].values, params_b[k].values)
 
 
+def _cross_attention_run(max_batches):
+    model = MaskedAutoencoder(
+        nn.TransformerConfig(16, 2, 32, 1, 1, 64),
+        group_spec(("s1", 2, "dynamic"), ("s2", 3, "dynamic")),
+        xts_regime(16, max_timesteps=16),
+        "cross_attention",
+    )
+    config = SSLConfig(
+        variant="cross_attention", plan=xts_plan("mixed"), learning_rate=3e-3,
+        batch_size=16, validate_every=2, max_batches=max_batches,
+    )
+    params, _, info = pretrain_ssl(_ssl_corpus(), model, config, seed=1)
+    return model, params, info
+
+
+@pytest.mark.parametrize("max_batches, validated", [(3, [2, 3]), (1, [1])])
+def test_cut_pass_validates_after_its_last_batch(max_batches, validated):
+    _, _, info = _cross_attention_run(max_batches)
+    assert [row["batches_seen"] for row in info["trace"]] == validated
+    assert info["best_at"] in validated
+
+
+def test_pretrain_ssl_zero_batches_returns_initialization():
+    model, params, info = _cross_attention_run(max_batches=0)
+    init = model.init_params(rng_from(1, STREAM_INIT))
+    assert sorted(params) == sorted(init)
+    for k, v in params.items():
+        np.testing.assert_array_equal(v.values, init[k].values)
+    assert info["best_at"] == 0 and info["trace"] == []
+
+
 def test_encoder_backbone_drops_decoder():
     model = _tiny_model()
     params = model.init_params(rng_from(10, 1))
@@ -414,7 +445,7 @@ def test_token_classifier_forward_shapes():
     assert logits.shape == (5, 4)
 
 
-@pytest.mark.parametrize("name", ["batch_size", "validate_every"])
+@pytest.mark.parametrize("name", ["batch_size", "validate_every", "patience"])
 def test_zero_batch_size_or_validation_interval_is_a_contract_error(name):
     with pytest.raises(ContractError, match=f"{name}: must be an integer >= 1"):
         SSLConfig(**{name: 0})

@@ -10,9 +10,9 @@ from fsml.nn import RawSeriesModel
 from fsml.tensor import Tensor
 from fsml.train import (
     Adam,
-    EarlyStopper,
     FineTuneRegime,
     TransferConfig,
+    _fit,
     cosine_annealing,
     finetune,
     head_only,
@@ -85,49 +85,61 @@ def test_cosine_annealing_examples():
         cosine_annealing(1.0, 1, 10, 10)
 
 
-def test_early_stopper_patience_contract():
-    stopper = EarlyStopper(15)
-    losses = [1.0, 0.9] + [0.9] * 20
-    stopped_at = None
-    for epoch, loss in enumerate(losses):
-        if stopper.update(epoch, loss):
-            stopped_at = epoch
-            break
-    assert stopper.best_epoch == 1  # the second epoch (0-indexed)
-    assert stopped_at == 16  # 15 non-improving epochs after epoch 1
+def _fit_on(losses, patience=math.inf, scores=None, every=1):
+    """``_fit`` over units 0..n-1 whose validation returns ``scores[unit]``
+    (minus the loss by default) and ``losses[unit]``; the snapshot is the unit.
+    Returns (validated units, best unit)."""
+    scores = [-loss for loss in losses] if scores is None else scores
+    seen = []
+
+    def step(unit):
+        seen.append(unit)
+        return {"unit": unit}
+
+    def validate():
+        return scores[seen[-1]], losses[seen[-1]], {}
+
+    best, best_unit, trace = _fit(
+        range(len(losses)), every, step, validate, lambda: seen[-1], patience
+    )
+    assert best == best_unit
+    return [row["unit"] for row in trace], best_unit
 
 
-def test_early_stopper_matches_last_improvement_plus_patience():
+def test_fit_stops_after_patience_validations_without_improvement():
+    validated, best = _fit_on([1.0, 0.9] + [0.9] * 20, patience=15)
+    assert best == 1  # the second epoch (0-indexed)
+    assert validated[-1] == 16  # 15 non-improving epochs after epoch 1
+
+
+def test_fit_stops_at_last_improvement_plus_patience():
     rng = np.random.default_rng(5)
     for _ in range(30):
         losses = rng.random(40).tolist()
         patience = int(rng.integers(2, 8))
-        stopper = EarlyStopper(patience)
-        stopped_at = None
-        best = math.inf
-        last_improvement = None
+        validated, best_unit = _fit_on(losses, patience)
+        expected, best, improved_at = len(losses) - 1, math.inf, None
         for epoch, loss in enumerate(losses):
             if loss < best - train.IMPROVEMENT_EPS:
-                best = loss
-                last_improvement = epoch
-            if stopper.update(epoch, loss) and stopped_at is None:
-                stopped_at = epoch
-                break
-        expected = None
-        best = math.inf
-        improved_at = None
-        for epoch, loss in enumerate(losses):
-            if loss < best - train.IMPROVEMENT_EPS:
-                best = loss
-                improved_at = epoch
-            elif improved_at is not None and epoch - improved_at >= patience:
+                best, improved_at = loss, epoch
+            elif epoch - improved_at >= patience:
                 expected = epoch
                 break
-            elif improved_at is None and epoch >= patience - 1 and epoch - 0 >= patience:
-                expected = epoch
-                break
-        if expected is not None:
-            assert stopped_at == expected
+        assert validated[-1] == expected
+        assert best_unit == improved_at
+
+
+def test_fit_keeps_the_first_best_score_and_never_a_nan():
+    nan = float("nan")
+    assert _fit_on([1.0] * 5, scores=[0.5, 0.7, 0.7, nan, 0.6]) == ([0, 1, 2, 3, 4], 1)
+    assert _fit_on([1.0] * 3, scores=[0.5, nan, 0.4]) == ([0, 1, 2], 0)
+
+
+def test_fit_validates_every_kth_unit_and_the_last():
+    assert _fit_on([1.0] * 8, every=3)[0] == [0, 3, 6, 7]
+    assert _fit_on([1.0] * 7, every=3)[0] == [0, 3, 6]
+    best, best_unit, trace = _fit(range(0), 1, None, None, lambda: "initial")
+    assert (best, best_unit, trace) == ("initial", 0, [])
 
 
 def test_regime_invariants():
@@ -246,6 +258,15 @@ def test_zero_epoch_or_batch_budget_is_a_contract_error(name):
                  k=3, seed=0, **{name: 0})
     with pytest.raises(ContractError, match=f"{name}: must be an integer >= 1"):
         TransferConfig(**{name: 0})
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_validation_limit_below_one_is_a_contract_error(limit):
+    corpus = _corpus()
+    model = _model(corpus)
+    with pytest.raises(ContractError, match="validation_limit: must be an integer >= 1"):
+        finetune(corpus, model, model.init_backbone(np.random.default_rng(7)), same_lr(1e-3),
+                 k=3, seed=0, validation_limit=limit)
 
 
 def test_random_search_single_trial_and_determinism():
