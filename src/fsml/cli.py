@@ -446,7 +446,7 @@ def _load_init(finetune_block, model_config, corpus, seed):
             f"checkpoint {path!r} lacks the pre-training metadata {missing}; "
             "fine-tune from a pretrain-* checkpoint"
         )
-    saved_config = TransformerConfig(**json.loads(meta_info["model"]))
+    saved_config = _from_metadata(path, meta_info, "model", TransformerConfig)
     # Checkpoints written before attention keys lost their bias still carry
     # ``*/attn/k/b``; no model reads it.
     backbone = {
@@ -456,13 +456,20 @@ def _load_init(finetune_block, model_config, corpus, seed):
     }
     algorithm = meta_info.get("algorithm", "transfer")
     if meta_info["kind"] == "raw":
-        base = RawSeriesModel(saved_config, int(meta_info["in_channels"]), groups)
+        try:
+            in_channels = int(meta_info["in_channels"])
+        except ValueError:
+            raise ParseError(
+                f"checkpoint {path!r}: in_channels must be an integer, "
+                f"got {meta_info['in_channels']!r}"
+            ) from None
+        base = RawSeriesModel(saved_config, in_channels, groups)
         if algorithm in ("timl_enc", "timl_noenc"):
             model = TaskAwareRawModel(base, algorithm, groups)
         else:
             model = base
     else:
-        regime = EncodingRegime(**json.loads(meta_info["regime"]))
+        regime = _from_metadata(path, meta_info, "regime", EncodingRegime)
         try:
             spec = ChannelGroupSpec(tuple(group_from_record(g) for g in json.loads(meta_info["spec"])))
         except ValueError as err:
@@ -474,6 +481,14 @@ def _load_init(finetune_block, model_config, corpus, seed):
         }
         model = TokenClassifier(saved_config, spec, regime, stats)
     return model, backbone, algorithm
+
+
+def _from_metadata(path, meta_info, key, cls):
+    """``cls`` built from the JSON object a checkpoint stores under ``key``."""
+    try:
+        return cls(**json.loads(meta_info[key]))
+    except (ValueError, TypeError) as err:  # not JSON, not an object, or a bad key
+        raise ParseError(f"checkpoint {path!r}: bad {key!r} metadata: {err}") from None
 
 
 def _finetune_one_seed(seed, block, model_config, label, chash, out, corpus):
@@ -543,6 +558,26 @@ def _write_results_csv(path, rows, kshots, chash):
     return path
 
 
+def _read_report(path):
+    """(label, k, overall accuracy) of one fine-tune report JSON."""
+    where = f"report {str(path)!r}"
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except ValueError as err:  # truncated or not JSON
+        raise ParseError(f"{where}: not valid JSON: {err}") from None
+    if not isinstance(payload, dict):
+        raise ParseError(f"{where}: must hold a JSON object")
+    read = []
+    for key, accepted in (("label", (str,)), ("k", (int,)), ("overall_accuracy", (int, float))):
+        if key not in payload:
+            raise ParseError(f"{where}: lacks {key!r}")
+        if type(payload[key]) not in accepted:
+            raise ParseError(f"{where}: {key!r} has the wrong type: {payload[key]!r}")
+        read.append(payload[key])
+    return tuple(read)
+
+
 def _mode_evaluate(config, blocks, chash, seeds, out):
     """Merge per-seed report JSONs from prior runs into one results table."""
     block = blocks["evaluate"]
@@ -550,13 +585,9 @@ def _mode_evaluate(config, blocks, chash, seeds, out):
     kshots = set()
     for run_dir in block.runs:
         for report_file in sorted(Path(run_dir).glob("*/reports/*.json")):
-            with open(report_file, encoding="utf-8") as fh:
-                payload = json.load(fh)
-            label, k = payload["label"], int(payload["k"])
+            label, k, accuracy = _read_report(report_file)
             kshots.add(k)
-            collected.setdefault(label, {}).setdefault(k, []).append(
-                payload["overall_accuracy"]
-            )
+            collected.setdefault(label, {}).setdefault(k, []).append(accuracy)
     kshots = sorted(kshots)
     rows = [
         (label, {k: collected[label].get(k, [float("nan")]) for k in kshots})

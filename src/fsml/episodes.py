@@ -50,46 +50,81 @@ class EpisodeTask:
         return [s for s, _ in self.query], np.array([c for _, c in self.query])
 
 
+@dataclass(frozen=True)
+class RegionIndex:
+    """One region's samples, grouped by class once for every task drawn from it."""
+
+    samples: tuple
+    members: dict  # class label -> its samples, in pool order
+    labels: tuple  # sorted class labels
+
+    @classmethod
+    def of(cls, samples):
+        members = {}
+        for s in samples:
+            members.setdefault(s.label, []).append(s)
+        return cls(tuple(samples), {k: tuple(v) for k, v in members.items()}, tuple(sorted(members)))
+
+    def eligible_classes(self, config):
+        """Sorted classes with k_query + 1 samples, so the fallback support is non-empty."""
+        need = config.k_query + 1
+        return [label for label in self.labels if len(self.members[label]) >= need]
+
+
+@dataclass(frozen=True)
+class EpisodePool:
+    """A sample pool indexed by region and class, built once.
+
+    ``sample_region``, ``sample_task`` and ``sample_episode`` read the index
+    instead of regrouping the pool for every task; a plain list of samples
+    passed to them is indexed on the spot.
+    """
+
+    samples: tuple
+    regions: dict  # region -> RegionIndex
+
+    @classmethod
+    def of(cls, samples):
+        if isinstance(samples, cls):
+            return samples
+        samples = tuple(samples)
+        by_region = {}
+        for s in samples:
+            by_region.setdefault(s.region, []).append(s)
+        return cls(samples, {r: RegionIndex.of(pool) for r, pool in by_region.items()})
+
+    def __iter__(self):
+        return iter(self.samples)
+
+    def __len__(self):
+        return len(self.samples)
+
+
 def episode_pool(corpus, split):
-    """Pre-training-region samples of one split, the episode sampling pool."""
-    return [s for s in corpus.pretrain_pool() if s.split == split]
-
-
-def _eligible_classes(pool, config):
-    counts = {}
-    for s in pool:
-        counts[s.label] = counts.get(s.label, 0) + 1
-    # a class needs k_query + 1 samples so the fallback support is non-empty
-    return sorted(label for label, c in counts.items() if c >= config.k_query + 1)
+    """Pre-training-region samples of one split, indexed for episode sampling."""
+    return EpisodePool.of(s for s in corpus.pretrain_pool() if s.split == split)
 
 
 def sample_region(samples, config, rng):
     """Draw a region with probability proportional to its data-point count."""
-    pools = {}
-    for s in samples:
-        pools.setdefault(s.region, []).append(s)
-    eligible = {
-        region: pool
-        for region, pool in pools.items()
-        if len(_eligible_classes(pool, config)) >= config.n_way
-    }
-    if not eligible:
+    index = EpisodePool.of(samples)
+    regions = sorted(
+        region for region, pool in index.regions.items()
+        if len(pool.eligible_classes(config)) >= config.n_way
+    )
+    if not regions:
         raise EpisodeError(
             f"no region has {config.n_way} classes with >= {config.k_query + 1} samples"
         )
-    regions = sorted(eligible)
-    counts = np.array([len(eligible[r]) for r in regions], dtype=np.float64)
+    counts = np.array([len(index.regions[r].samples) for r in regions], dtype=np.float64)
     probabilities = counts / counts.sum()
     return regions[int(rng.choice(len(regions), p=probabilities))]
 
 
 def sample_task(samples, region, config, rng):
     """Draw one n-way k-shot task from a region's pool (query first)."""
-    pool = [s for s in samples if s.region == region]
-    by_class = {}
-    for s in pool:
-        by_class.setdefault(s.label, []).append(s)
-    eligible = _eligible_classes(pool, config)
+    pool = EpisodePool.of(samples).regions.get(region)
+    eligible = [] if pool is None else pool.eligible_classes(config)
     if len(eligible) < config.n_way:
         raise EpisodeError(
             f"region {region} has only {len(eligible)} eligible classes, "
@@ -100,7 +135,7 @@ def sample_task(samples, region, config, rng):
 
     support, query = [], []
     for class_idx, label in enumerate(roster):
-        members = by_class[label]
+        members = pool.members[label]
         order = rng.permutation(len(members))
         query_pick = order[: config.k_query]
         remainder = order[config.k_query :]
@@ -113,8 +148,9 @@ def sample_task(samples, region, config, rng):
 def sample_episode(samples, config, ordinal, seed=None):
     """Deterministic task for (seed, ordinal): region draw then task draw."""
     rng = rng_from(config.seed if seed is None else seed, STREAM_EPISODES, ordinal)
-    region = sample_region(samples, config, rng)
-    return sample_task(samples, region, config, rng)
+    pool = EpisodePool.of(samples)
+    region = sample_region(pool, config, rng)
+    return sample_task(pool, region, config, rng)
 
 
 def build_meta_validation(corpus, config, count=META_VALIDATION_TASKS, seed=None):

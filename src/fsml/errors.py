@@ -9,12 +9,12 @@ class ContractError(FsmlError):
     """A caller violated a documented precondition."""
 
 
-def require_counts(**counts):
-    """Reject each count below 1.  The message starts with the count's name,
-    so a config reader files it under that key."""
+def require_counts(minimum=1, **counts):
+    """Reject each count below ``minimum``.  The message starts with the
+    count's name, so a config reader files it under that key."""
     for name, value in counts.items():
-        if value < 1:
-            raise ContractError(f"{name}: must be an integer >= 1")
+        if value < minimum:
+            raise ContractError(f"{name}: must be an integer >= {minimum}")
 
 
 class ShapeError(ContractError):

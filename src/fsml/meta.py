@@ -84,9 +84,13 @@ class MetaConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ContractError(f"unknown algorithm {self.algorithm!r}")
-        if self.inner_steps < 1 or self.tasks_per_batch < 1:
-            raise ContractError("inner_steps and tasks_per_batch must be >= 1")
-        require_counts(validate_every=self.validate_every)
+        require_counts(
+            inner_steps=self.inner_steps, tasks_per_batch=self.tasks_per_batch,
+            validate_every=self.validate_every, validation_tasks=self.validation_tasks,
+            k_support=self.k_support, k_query=self.k_query,
+        )
+        require_counts(2, n_way=self.n_way)
+        require_counts(0, total_tasks=self.total_tasks)  # 0 validates the initialization
 
     @property
     def second_order(self):
@@ -174,12 +178,18 @@ def adapt_by_gradient_descent(loss_fn, params, lr, steps, second_order, subset=N
             loss = loss_fn(at)
             if not np.isfinite(loss.item()):
                 raise DivergedError("inner loss diverged", step)
-            # a second-order step differentiates lr * loss: one recorded mul
-            # in place of one per parameter
-            scaled = T.mul(loss, lr) if second_order else loss
+            # A second-order step differentiates -lr * loss and adds the
+            # result: one recorded mul in place of one per parameter, and the
+            # outer pass replays add's pass-through where sub would negate
+            # every step's gradient again.  Negation is exact in floating
+            # point, so p + grad(-lr * loss) has the bits of p - lr * grad(loss).
+            scaled = T.mul(loss, -lr) if second_order else loss
             grads = grad(scaled, [at[k] for k in keys], create_graph=second_order)
         for key, g in zip(keys, grads):
-            current[key] = T.sub(current[key], g if second_order else g.values * lr)
+            if second_order:
+                current[key] = T.add(current[key], g)
+            else:
+                current[key] = T.sub(current[key], g.values * lr)
     return current
 
 

@@ -81,17 +81,21 @@ def resolve_strategy(plan, rng):
     return STRATEGIES[int(rng.integers(len(STRATEGIES)))]
 
 
-def build_mask(plan, spec, t_steps, rng, padding=None, strategy=None):
+def build_mask(plan, spec, t_steps, rng, padding=None, strategy=None, layout=None):
     """Boolean reconstruction mask over the token sequence.
 
     Padding tokens are never part of the mask (they are excluded from the
     loss and masked out of the encoder separately).  Non-strict plans top up
-    to exactly floor(ratio * N) masked non-padding tokens.
+    to exactly floor(ratio * N) masked non-padding tokens.  ``layout`` is
+    the (group index, time index) pair of ``token_layout`` for ``t_steps``
+    steps, when the caller already has it.
     """
     if t_steps < 1:
         raise ContractError("build_mask: need at least one time step")
     strategy = strategy or resolve_strategy(plan, rng)
-    _, group_index, time_index, _ = token_layout(spec, [t_steps])
+    if layout is None:
+        layout = token_layout(spec, [t_steps])[1:3]
+    group_index, time_index = layout
     n_tokens = len(group_index)
     pad = np.zeros(n_tokens, dtype=bool) if padding is None else np.asarray(padding, dtype=bool)
     live = ~pad
@@ -286,9 +290,11 @@ def _batch_masks(plan, spec, samples, rng):
     """Masks [B, N]: one strategy draw for the batch, then one mask per sample in order."""
     strategy = resolve_strategy(plan, rng)
     lengths = [len(s.days) for s in samples]
-    _, _, _, pad = token_layout(spec, lengths)
+    _, group_index, time_index, pad = token_layout(spec, lengths)
     return np.stack([
-        build_mask(plan, spec, max(lengths), rng, padding=row, strategy=strategy) for row in pad
+        build_mask(plan, spec, max(lengths), rng, padding=row, strategy=strategy,
+                   layout=(group_index, time_index))
+        for row in pad
     ])
 
 

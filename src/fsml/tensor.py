@@ -26,6 +26,25 @@ to a primitive in place of a Tensor is a constant: it takes no gradient, and
 no rule computes or keeps anything for it.  ``grad`` frees each adjoint as
 soon as its node's rule has consumed it, unless a target asks for it.
 
+What a node keeps for its adjoint ops.  A node may also keep a statistic
+of its forward that its adjoint ops read instead of recomputing it, when it
+is computed with the same float ops as the recomputation, so that every
+result keeps its bits.  A ``layer_norm`` node computes each row's
+``1 / sqrt(var + eps)`` at its first replay and keeps it (one ``[..., 1]``
+array); its adjoint op and that op's own adjoint read it, and only a
+recording replay of the latter rebuilds it from primitives, as a function
+of the input.  A ``gelu`` node keeps the slope
+that a recording replay built, and later replays multiply by it; a slope
+built while paused is not kept, so a first-order tape holds no more than
+before.  The slope op keeps its forward's ``tanh``, which a paused replay
+of its adjoint reads.
+
+Fan-in.  Without ``create_graph``, ``grad`` sums the contributions to one
+adjoint in place, but only in an array it allocated itself for that sum:
+``add`` and ``reshape`` pass their ``g`` (or a view of it) straight
+through, so an array a rule returned may be another node's adjoint or a
+gradient already handed back.
+
 The primitive set is fixed: add, sub, mul, div, matmul, transpose, reshape,
 concat, slice_axis, reduce_sum, reduce_mean, exp, log, sqrt, power, softmax
 (last axis), relu, gelu, layer_norm, embedding_lookup, masked_fill.
@@ -593,9 +612,18 @@ def gelu(a):
     out = Tensor(kernels.gelu(a.values))
     if _recording is None:
         return out
+    slope = None  # the recorded slope, once a replay has built one
 
     def vjp(g):
-        return (mul(g, _gelu_slope(a)),)
+        nonlocal slope
+        if slope is not None:
+            return (mul(g, slope),)
+        built = _gelu_slope(a)
+        # a slope built while paused is not kept: a later recording replay
+        # must record one that carries its own derivative
+        if _recording is not None:
+            slope = built
+        return (mul(g, built),)
 
     return _record(out, (a,), vjp)
 
@@ -618,11 +646,14 @@ def _gelu_slope(a):
     def vjp(g):
         # slope' = sech^2 * (u' + a/2 * (u'' - 2 tanh(u) u'^2)), u = inner
         x2 = mul(a, a)
-        t = _tanh_expr(mul(add(a, mul(mul(x2, a), GELU_CUBIC)), SQRT_2_OVER_PI))
+        if _recording is None:
+            tanh = t  # the forward's tanh(inner): the chain below, same float ops
+        else:
+            tanh = _tanh_expr(mul(add(a, mul(mul(x2, a), GELU_CUBIC)), SQRT_2_OVER_PI))
         du = mul(add(mul(x2, 3.0 * GELU_CUBIC), 1.0), SQRT_2_OVER_PI)
         ddu = mul(a, 6.0 * GELU_CUBIC * SQRT_2_OVER_PI)
-        bend = sub(ddu, mul(mul(t, 2.0), mul(du, du)))
-        curvature = mul(sub(1.0, mul(t, t)), add(du, mul(mul(a, 0.5), bend)))
+        bend = sub(ddu, mul(mul(tanh, 2.0), mul(du, du)))
+        curvature = mul(sub(1.0, mul(tanh, tanh)), add(du, mul(mul(a, 0.5), bend)))
         return (mul(g, curvature),)
 
     return _record(out, (a,), vjp)
@@ -636,22 +667,28 @@ def layer_norm(a, eps=1e-5):
     out = Tensor(kernels.layer_norm_rows(a.values, eps))
     if _recording is None:
         return out
+    inv = None  # 1 / sqrt(var + eps) per row, once a replay has computed it
 
     def vjp(g):
-        return (_layer_norm_grad(g, a, out, eps),)
+        nonlocal inv
+        if inv is None:
+            # the float ops of the primitive chain in _layer_norm_grad's
+            # adjoint, so either source gives the same bits
+            x = a.values
+            centered = x - x.mean(axis=-1, keepdims=True)
+            inv = (np.mean(centered * centered, axis=-1, keepdims=True) + eps) ** -0.5
+        return (_layer_norm_grad(g, a, out, eps, inv),)
 
     return _record(out, (a,), vjp)
 
 
-def _layer_norm_grad(g, a, out, eps):
+def _layer_norm_grad(g, a, out, eps, inv):
     """d layer_norm(a) / da applied to ``g``: inv * (g - mean(g) - out * mean(g * out)).
 
-    Recorded as one op whose adjoint is built from primitives, so a
-    second-order tape holds one node per layer norm instead of a dozen.
+    ``inv`` is the layer_norm node's 1 / sqrt(var + eps) per row.  Recorded
+    as one op whose adjoint is built from primitives, so a second-order tape
+    holds one node per layer norm instead of a dozen.
     """
-    x = a.values
-    centered = x - x.mean(axis=-1, keepdims=True)
-    inv = (np.mean(centered * centered, axis=-1, keepdims=True) + eps) ** -0.5
     gv, y = g.values, out.values
     gy_mean = (gv * y).mean(axis=-1, keepdims=True)
     result = Tensor(inv * ((gv - gv.mean(axis=-1, keepdims=True)) - y * gy_mean))
@@ -661,17 +698,20 @@ def _layer_norm_grad(g, a, out, eps):
     def vjp(h):
         # The Jacobian in g is a symmetric projection, so g takes the same op
         # of h.  out enters bilinearly with g; a enters only through inv,
-        # whose derivative is -inv^2 * out / n.
+        # whose derivative is -inv^2 * out / n.  Only a recording replay
+        # needs inv as a function of a.
         n = a.shape[-1]
-        mu = reduce_mean(a, axis=-1, keepdims=True)
-        c = sub(a, mu)
-        inv_t = power(add(reduce_mean(mul(c, c), axis=-1, keepdims=True), eps), -0.5)
+        inv_t = inv
+        if _recording is not None:
+            mu = reduce_mean(a, axis=-1, keepdims=True)
+            c = sub(a, mu)
+            inv_t = power(add(reduce_mean(mul(c, c), axis=-1, keepdims=True), eps), -0.5)
         gy = reduce_mean(mul(g, out), axis=-1, keepdims=True)
         hy = reduce_mean(mul(h, out), axis=-1, keepdims=True)
         g_out = mul(mul(inv_t, -1.0), add(mul(h, gy), mul(g, hy)))
         h_dx = reduce_sum(mul(h, result), axis=-1, keepdims=True)
         g_a = mul(mul(out, div(inv_t, -n)), h_dx)
-        return (_layer_norm_grad(h, a, out, eps), g_a, g_out)
+        return (_layer_norm_grad(h, a, out, eps, inv), g_a, g_out)
 
     return _record(result, (g, a, out), vjp)
 
@@ -770,6 +810,7 @@ def grad(output, wrt, create_graph=False):
         # Nodes are topological, so once a node's VJP has read its adjoint no
         # later step adds to it: drop it then, unless a target asks for it.
         scope = nullcontext() if create_graph else paused()
+        owned = set()  # inputs whose adjoint array grad allocated for a fan-in sum
         with scope:
             adjoints[node] = Tensor(np.ones(output.shape))
             for n in reversed(needed):
@@ -781,7 +822,17 @@ def grad(output, wrt, create_graph=False):
                     if contrib is None or inp not in reachable:
                         continue
                     held = adjoints.get(inp)
-                    adjoints[inp] = contrib if held is None else add(held, contrib)
+                    if held is None:
+                        adjoints[inp] = contrib
+                    elif create_graph:
+                        adjoints[inp] = add(held, contrib)
+                    elif inp in owned:
+                        np.add(held.values, contrib.values, out=held.values)
+                    else:
+                        # a VJP may return its own g or a view of it (add,
+                        # reshape), so sum into an array allocated here
+                        adjoints[inp] = Tensor(held.values + contrib.values)
+                        owned.add(inp)
 
     results = []
     for t in targets:

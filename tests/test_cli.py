@@ -74,9 +74,9 @@ SSL_CLI_KEYS = {
 
 def _block_of(cls, names):
     """A value of each field's type (1 for numbers, a list of ones for a tuple),
-    a valid meta algorithm, and a valid value of each CLI-only key."""
+    a valid meta algorithm and way count, and a valid value of each CLI-only key."""
     hints = get_type_hints(cls)
-    valid = {**SSL_CLI_KEYS, "algorithm": "maml"}
+    valid = {**SSL_CLI_KEYS, "algorithm": "maml", "n_way": 2}
     return {
         name: valid[name] if name in valid
         else [1] * len(get_args(hints[name])) if get_origin(hints[name]) is tuple
@@ -219,6 +219,15 @@ def test_every_config_field_is_accepted_and_typos_are_rejected():
      'ssl.strategy: must be "random" or "channel_groups" or "contiguous_timesteps" or '
      '"random_timesteps" or "mixed"'),
     ("pretrain-ssl", {"ssl": {"max_timesteps": 0}}, "ssl.max_timesteps: must be an integer >= 1"),
+    # meta's episode and validation counts (0 validation tasks wrote nan rows)
+    *[("pretrain-meta", {"meta": {"algorithm": "maml", key: value}}, f"meta.{key}: {problem}")
+      for key, value, problem in [
+          ("validation_tasks", 0, "must be an integer >= 1"),
+          ("k_support", 0, "must be an integer >= 1"),
+          ("k_query", 0, "must be an integer >= 1"),
+          ("n_way", 1, "must be an integer >= 2"),
+          ("total_tasks", -4, "must be an integer >= 0"),
+      ]],
 ])
 def test_bad_config_shapes_exit_with_contract_error(tmp_path, capsys, mode, blocks, problem):
     config = {"schema_version": 1, "mode": mode, "dataset": "x",
@@ -318,6 +327,41 @@ def test_checkpoint_without_pretraining_metadata_is_a_contract_error(tmp_path, c
     err = capsys.readouterr().err
     assert "error [ContractError]" in err and str(checkpoint) in err
     assert "'model'" in err and "'kind'" in err
+
+
+@pytest.mark.parametrize("meta, problem", [
+    ({"model": "{not json", "in_channels": "3"}, "bad 'model' metadata"),
+    ({"model": json.dumps({**MODEL_BLOCK, "bogus": 1}), "in_channels": "3"},
+     "bad 'model' metadata"),
+    ({"model": json.dumps(MODEL_BLOCK), "in_channels": "3.5"},
+     "in_channels must be an integer, got '3.5'"),
+], ids=["model-not-json", "model-unknown-key", "in-channels-not-integer"])
+def test_bad_checkpoint_metadata_is_a_parse_error_naming_it(tmp_path, capsys, meta, problem):
+    dataset, out = tmp_path / "corpus.jsonl", tmp_path / "runs"
+    run(synth_config(dataset, out))
+    checkpoint = tmp_path / "bad.fsml"
+    save_checkpoint(checkpoint, {"backbone/proj/w": np.zeros((3, 16))}, {"kind": "raw", **meta})
+    config = _finetune_config(dataset, out, source="checkpoint", checkpoint=str(checkpoint))
+    assert _main_on(tmp_path, config) == 1
+    err = capsys.readouterr().err
+    assert "error [ParseError]" in err and str(checkpoint) in err and problem in err
+
+
+@pytest.mark.parametrize("content, problem", [
+    ('{"label": "scratch", "k": 1, "overall_acc', "not valid JSON"),
+    (json.dumps({"k": 1, "overall_accuracy": 0.5}), "lacks 'label'"),
+    (json.dumps({"label": "scratch", "overall_accuracy": 0.5}), "lacks 'k'"),
+    (json.dumps({"label": "scratch", "k": 1}), "lacks 'overall_accuracy'"),
+], ids=["truncated", "no-label", "no-k", "no-overall-accuracy"])
+def test_bad_report_is_a_parse_error_naming_it(tmp_path, capsys, content, problem):
+    report = tmp_path / "runs" / "0" / "reports" / "scratch_k1.json"
+    report.parent.mkdir(parents=True)
+    report.write_text(content)
+    config = {"schema_version": 1, "mode": "evaluate", "out": str(tmp_path / "out"),
+              "evaluate": {"runs": [str(tmp_path / "runs")]}}
+    assert _main_on(tmp_path, config) == 1
+    err = capsys.readouterr().err
+    assert "error [ParseError]" in err and str(report) in err and problem in err
 
 
 def test_checkpoint_with_attention_key_bias_finetunes_the_same(tmp_path):

@@ -6,8 +6,10 @@ from conftest import parcel
 from fsml.data import SynthConfig, generate_synthetic
 from fsml.episodes import (
     EpisodeConfig,
+    EpisodePool,
     build_meta_validation,
     episode_pool,
+    sample_episode,
     sample_region,
     sample_task,
 )
@@ -108,6 +110,37 @@ def test_labels_consistent_with_roster():
     assert len(set(task.class_roster)) == len(task.class_roster)
     for sample, idx in task.support + task.query:
         assert sample.label == task.class_roster[idx]
+
+
+def _task_ids(task):
+    return (
+        [(s.parcel_id, c) for s, c in task.support],
+        [(s.parcel_id, c) for s, c in task.query],
+        task.class_roster,
+        task.region,
+    )
+
+
+def test_indexed_pool_draws_the_tasks_of_a_plain_list():
+    # R1's class a has k_query + 1 samples (a fallback support set), R3 has
+    # too few eligible classes, and the regions' and classes' samples interleave
+    config = EpisodeConfig(n_way=3, k_support=4, k_query=2, seed=5)
+    samples = flat_pool({
+        "R1": {"a": 3, "b": 9, "c": 7, "d": 2},
+        "R2": {"a": 8, "b": 6, "c": 12},
+        "R3": {"a": 9, "b": 9, "c": 2},
+    })
+    samples = [samples[i] for i in np.random.default_rng(0).permutation(len(samples))]
+    indexed = EpisodePool.of(samples)
+    assert list(indexed) == samples and len(indexed) == len(samples)
+    assert EpisodePool.of(indexed) is indexed
+    drawn = [_task_ids(sample_episode(indexed, config, ordinal)) for ordinal in range(200)]
+    assert drawn == [_task_ids(sample_episode(samples, config, ordinal)) for ordinal in range(200)]
+    assert {region for *_, region in drawn} == {"R1", "R2"}
+    assert any(len(support) < config.n_way * config.k_support for support, *_ in drawn)
+    for pool in (indexed, samples):
+        with pytest.raises(EpisodeError, match="region R3 has only 2 eligible classes"):
+            sample_task(pool, "R3", config, rng_from(0, 0))
 
 
 def _synthetic_corpus():

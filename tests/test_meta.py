@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -392,6 +393,50 @@ def test_stacked_maml_meta_gradient_tape_size(monkeypatch):
     closed = _closed_tapes(monkeypatch)
     learner.meta_gradient(meta_params, tasks, seed=1)
     assert len(closed) == 1 and closed[0] <= 800, closed
+
+
+def test_stacked_maml_meta_gradient_reuses_forward_statistics(monkeypatch):
+    # each gelu node builds its slope once (the inner step's recorded one is
+    # replayed by the outer pass), and the outer pass sums fan-ins in place
+    learner, meta_params, tasks = _benchmark_batch("maml")
+    calls = {"gelu": 0, "_gelu_slope": 0, "fan-in add": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            if name != "add":
+                calls[name] += 1
+            elif T._recording is None and sys._getframe(1).f_code is T.grad.__code__:
+                calls["fan-in add"] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("gelu", "_gelu_slope", "add"):
+        monkeypatch.setattr(T, name, counting(name, getattr(T, name)))
+    learner.meta_gradient(meta_params, tasks, seed=1)
+    # one gelu per forward: four inner steps and the query
+    assert calls == {"gelu": 5, "_gelu_slope": 5, "fan-in add": 0}
+
+
+def test_second_order_inner_step_is_p_minus_the_gradient_of_lr_times_loss():
+    # the step adds grad(-lr * loss); negation is exact, so it has the bits
+    # of p - grad(lr * loss)
+    r = np.random.default_rng(8)
+    x, c = r.standard_normal((5, 4)), r.standard_normal((5, 3))
+    start = {"b": r.standard_normal(3), "w": r.standard_normal((4, 3))}
+
+    def loss(p):
+        h = T.layer_norm(T.gelu(T.add(T.matmul(x, p["w"]), p["b"])))
+        return T.reduce_mean(T.mul(h, c))
+
+    with Tape():
+        params = {k: Tensor(v) for k, v in start.items()}
+        steps = grad(T.mul(loss(params), 0.3), [params[k] for k in start])
+    with Tape():
+        params = {k: Tensor(v) for k, v in start.items()}
+        adapted = adapt_by_gradient_descent(loss, params, 0.3, 1, True)
+        assert all(adapted[k].node is not None for k in params)
+    for (k, v), step in zip(start.items(), steps):
+        assert adapted[k].values.tobytes() == (v - step.values).tobytes()
 
 
 @pytest.mark.parametrize("algorithm", ["maml", "fomaml"])

@@ -104,6 +104,24 @@ def test_padding_tokens_never_masked():
     assert mask.sum() == int(np.floor(0.75 * 7))
 
 
+@pytest.mark.parametrize("strategy", ssl.PLAN_STRATEGIES)
+def test_batch_masks_equal_per_sample_masks(strategy):
+    # the batch's token layout, built once, gives each sample's own mask
+    spec = group_spec(("location", 3, "static"), ("s1", 2, "dynamic"), ("s2", 3, "dynamic"))
+    samples = _samples(6, np.random.default_rng(12), spec=spec, t=(3, 11))
+    lengths = [len(s.days) for s in samples]
+    assert len(set(lengths)) > 1
+    pad = token_layout(spec, lengths)[3]
+    for plan in (base_plan(strategy), xts_plan(strategy)):
+        for trial in range(5):
+            batch = ssl._batch_masks(plan, spec, samples, rng_from(13, trial))
+            rng = rng_from(13, trial)
+            drawn = ssl.resolve_strategy(plan, rng)
+            alone = [build_mask(plan, spec, max(lengths), rng, padding=row, strategy=drawn)
+                     for row in pad]
+            np.testing.assert_array_equal(batch, np.stack(alone))
+
+
 def _tiny_model(variant="self_attention", spec=SPEC1, regime=None):
     config = nn.TransformerConfig(16, 2, 32, 1, 1, 64)
     regime = regime or xts_regime(16, max_timesteps=64)
