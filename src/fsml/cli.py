@@ -23,11 +23,10 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
-from functools import cache, partial
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
-from types import UnionType
-from typing import Literal, get_args, get_origin, get_type_hints
+from typing import Annotated, Literal
 
 from . import nn
 from . import ssl as ssl_mod
@@ -35,8 +34,8 @@ from . import train as train_mod
 from .data import (
     GroupSpec,
     SynthConfig,
+    drop_categorical,
     generate_synthetic,
-    group_from_record,
     load_corpus,
     save_corpus,
 )
@@ -44,22 +43,15 @@ from .errors import ContractError, FsmlError, ParseError, require_counts
 from .meta import MetaConfig, TaskAwareRawModel, meta_train
 from .metrics import seed_mean_std
 from .nn import RawSeriesModel, TransformerConfig, load_checkpoint, save_checkpoint
+from .schema import BAD, decode, fields_of, parse, read_object
 from .seeding import STREAM_INIT, rng_from
-from .ssl import (
-    MaskedAutoencoder,
-    SSLConfig,
-    TokenClassifier,
-    encoder_backbone,
-    pretrain_ssl,
-)
+from .ssl import MaskedAutoencoder, SSLConfig, TokenClassifier, encoder_backbone, pretrain_ssl
 from .tokens import POSITION_SOURCES, REGIME_VARIANTS, ChannelGroupSpec, EncodingRegime
 from .train import FineTuneRegime, TransferConfig, finetune, pretrain_transfer
 
 SCHEMA_VERSION = 1
-DEFAULT_SEEDS = [0, 1, 42, 123, 1234]
 
-_COMMON_KEYS = {"schema_version", "mode", "out", "seeds", "label"}
-# Each mode with its required and its allowed keys besides the common ones.
+# Each mode with its required and its allowed keys: its blocks and the dataset.
 _MODE_KEYS = {
     "synth-data": ({"synth", "dataset"}, {"synth", "dataset"}),
     "pretrain-transfer": ({"dataset"}, {"dataset", "model", "transfer"}),
@@ -72,9 +64,31 @@ _MODE_KEYS = {
 
 
 # ---------------------------------------------------------------------------
-# config blocks: each is read into one dataclass whose init fields are its
-# keys; a field without a default is required
+# the config: its root keys and each block are read into one dataclass whose
+# init fields are the keys (see fsml.schema)
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class ConfigRoot:
+    """The config's keys besides the blocks; ``_MODE_KEYS`` says which modes take a dataset."""
+
+    schema_version: int
+    mode: str
+    dataset: str | None = None
+    out: str = "runs"
+    seeds: Annotated[list[int], "a list of integers"] = field(
+        default_factory=lambda: [0, 1, 42, 123, 1234]
+    )
+    label: str | None = None  # the fine-tune's report label, else the checkpoint's algorithm
+
+    def __post_init__(self):
+        if self.schema_version != SCHEMA_VERSION:
+            raise ContractError(f"schema_version: expected {SCHEMA_VERSION}")
+        if self.mode not in _MODE_KEYS:
+            raise ContractError(f"mode: expected one of {tuple(_MODE_KEYS)}, got {self.mode!r}")
+        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
+            raise ContractError("seeds: must be non-empty and distinct")
 
 
 @dataclass
@@ -164,17 +178,6 @@ _BLOCKS = {
     "tune": TuneBlock,
     "evaluate": EvaluateBlock,
 }
-# The JSON values accepted for each type, by exact type: a bool is no number.
-_JSON = {
-    int: ((int,), "an integer"),
-    float: ((int, float), "a number"),
-    str: ((str,), "a string"),
-    bool: ((bool,), "a boolean"),
-    list: ((list,), "a list"),
-    tuple: ((list,), "a list"),
-    dict: ((dict,), "an object"),
-}
-_BAD = object()  # what a value that has a problem reads as
 
 
 def _finetune_regime(mode, lr_head, lr_backbone=None):
@@ -182,73 +185,6 @@ def _finetune_regime(mode, lr_head, lr_backbone=None):
     if lr_backbone is None:
         lr_backbone = 0.0 if mode == "head_only" else lr_head
     return FineTuneRegime(mode, lr_head, lr_backbone)
-
-
-@cache
-def _fields_of(cls):
-    """Each key of dataclass ``cls``: its annotation and whether it is required."""
-    hints = get_type_hints(cls, include_extras=True)
-    return {f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING)
-            for f in fields(cls) if f.init}
-
-
-def _read(value, kind, path, problems):
-    """``value`` read as the annotation ``kind``: a dataclass, a JSON type,
-    ``list[X]``, ``tuple[X, ...]``, ``dict[str, X]``, ``X | None`` or
-    ``Literal``.  Appends each problem under ``path`` and returns ``_BAD`` if
-    there is one."""
-    origin, args = get_origin(kind), get_args(kind)
-    if origin is UnionType:  # X | None: None is only the default of an absent key
-        return _read(value, args[0], path, problems)
-    if origin is Literal:  # a value of the choices' type, then one of them
-        value = _read(value, type(args[0]), path, problems)
-        if value is not _BAD and value not in args:
-            problems.append(f"{path}: must be " + " or ".join(json.dumps(a) for a in args))
-            return _BAD
-        return value
-    if is_dataclass(kind):
-        return _read_object(value, kind, path, problems)
-    accepted, name = _JSON[origin or kind]
-    if type(value) not in accepted:
-        problems.append(f"{path}: must be {name}")
-        return _BAD
-    if not args:
-        return value
-    if origin is dict:
-        items = {key: _read(v, args[1], f"{path}.{key}", problems) for key, v in value.items()}
-        return _BAD if _BAD in items.values() else items
-    element = args[0]
-    if element in _JSON:  # one problem for a list of JSON values
-        count = f"{len(args)} " if origin is tuple else ""
-        if (count and len(value) != len(args)) or any(type(v) not in _JSON[element][0] for v in value):
-            problems.append(f"{path}: must be a list of {count}{_JSON[element][1].split()[-1]}s")
-            return _BAD
-        return origin(value)
-    items = [_read(item, element, f"{path}[{i}]", problems) for i, item in enumerate(value)]
-    return _BAD if _BAD in items else origin(items)
-
-
-def _read_object(obj, cls, path, problems):
-    """A JSON object read into dataclass ``cls``; a ContractError from the
-    dataclass is a problem under ``path``."""
-    if not isinstance(obj, dict):
-        problems.append(f"{path}: must be an object")
-        return _BAD
-    keys = _fields_of(cls)
-    found = [f"{path}.{key}: unknown key" for key in sorted(set(obj) - set(keys))]
-    found += [f"{path}.{key}: required" for key, (_, required) in keys.items()
-              if required and key not in obj]
-    values = {key: _read(value, keys[key][0], f"{path}.{key}", found)
-              for key, value in obj.items() if key in keys}
-    problems.extend(found)
-    if found:
-        return _BAD
-    try:
-        return cls(**values)
-    except ContractError as err:
-        named = str(err).partition(":")[0].partition(".")[0] in keys
-        problems.append(f"{path}{'.' if named else ': '}{err}")
-        return _BAD
 
 
 def config_hash(config):
@@ -262,39 +198,26 @@ def validate_config(config):
 
 
 def _read_config(config):
-    """The config's problems, and each block of its mode read into its
-    dataclass (an absent optional block takes the defaults)."""
-    if not isinstance(config, dict):
-        return ["config root must be a JSON object"], {}
+    """The config's problems, its root, and each block of its mode read into
+    its dataclass (an absent optional block takes the defaults)."""
     problems = []
-    if config.get("schema_version") != SCHEMA_VERSION:
-        problems.append(f"schema_version: expected {SCHEMA_VERSION}")
-    mode = config.get("mode")
-    if mode not in _MODE_KEYS:
-        problems.append(f"mode: expected one of {tuple(_MODE_KEYS)}, got {mode!r}")
-        return problems, {}
-    required, allowed = _MODE_KEYS[mode]
-    keys = set(config) - _COMMON_KEYS
-    for missing in sorted(required - keys):
-        problems.append(f"{missing}: required for mode {mode}")
-    for unknown in sorted(keys - allowed):
-        problems.append(f"{unknown}: unknown key for mode {mode}")
-    for key in ("dataset", "out", "label"):
-        if key in config and type(config[key]) is not str:
-            problems.append(f"{key}: must be a string")
-    if "seeds" in config:
-        seeds = config["seeds"]
-        if type(seeds) is not list or not all(type(s) is int for s in seeds):
-            problems.append("seeds: must be a list of integers")
-        elif not seeds or len(set(seeds)) != len(seeds):
-            problems.append("seeds: must be non-empty and distinct")
+    root_keys, top = fields_of(ConfigRoot), config
+    if isinstance(config, dict):  # the root's keys here, the mode's blocks below
+        top = {key: value for key, value in config.items() if key in root_keys}
+    root = read_object(top, ConfigRoot, "", problems)
+    if root is BAD:
+        return problems, None, {}
+    required, allowed = _MODE_KEYS[root.mode]
+    keys = {key for key in config if key not in root_keys or key == "dataset"}
+    problems += [f"{key}: required for mode {root.mode}" for key in sorted(required - keys)]
+    problems += [f"{key}: unknown key for mode {root.mode}" for key in sorted(keys - allowed)]
     blocks = {}
     for name, cls in _BLOCKS.items():
         if name in config and name in allowed:
-            blocks[name] = _read_object(config[name], cls, name, problems)
+            blocks[name] = read_object(config[name], cls, name, problems)
         elif name in allowed and name not in required:
             blocks[name] = cls()
-    return problems, blocks
+    return problems, root, blocks
 
 
 def _checkpoint_meta(chash, seed, **extra):
@@ -321,6 +244,15 @@ def _seed_dir(out, chash, seed):
     return root
 
 
+def _save_run(root, name, arrays, trace, columns, chash, seed, **meta):
+    """A training run's checkpoint, with metadata ``meta`` (a pretrain-* run's
+    is read back by ``_load_init``), and its trace; their paths."""
+    ckpt, trace_csv = root / "checkpoints" / f"{name}.fsml", root / "traces" / f"{name}.csv"
+    save_checkpoint(ckpt, arrays, meta=_checkpoint_meta(chash, seed, **meta))
+    train_mod.write_trace_csv(trace_csv, trace, columns, config_hash=chash, seed=seed)
+    return [str(ckpt), str(trace_csv)]
+
+
 def _token_spec(manifest, include_location):
     groups = list(manifest.groups)
     if include_location and not any(g.kind == "static" for g in groups):
@@ -333,68 +265,49 @@ def _token_spec(manifest, include_location):
 # ---------------------------------------------------------------------------
 
 
-def _mode_synth_data(config, blocks, chash, seeds, out):
-    corpus = generate_synthetic(blocks["synth"], seed=seeds[0])
-    save_corpus(corpus, config["dataset"])
-    return [config["dataset"]]
+def _mode_synth_data(config, blocks, chash):
+    corpus = generate_synthetic(blocks["synth"], seed=config.seeds[0])
+    save_corpus(corpus, config.dataset)
+    return [config.dataset]
 
 
-def _mode_pretrain_transfer(config, blocks, chash, seeds, out):
-    corpus = load_corpus(config["dataset"])
+def _mode_pretrain_transfer(config, blocks, chash):
+    corpus = load_corpus(config.dataset)
     model_config = blocks["model"]
     groups = tuple(corpus.manifest.group_order())
     model = RawSeriesModel(model_config, corpus.manifest.dynamic_channels(), groups)
     artifacts = []
-    for seed in seeds:
-        root = _seed_dir(out, chash, seed)
+    for seed in config.seeds:
+        root = _seed_dir(config.out, chash, seed)
         params, info = pretrain_transfer(corpus, model, blocks["transfer"], seed)
-        ckpt = root / "checkpoints" / "transfer.fsml"
-        save_checkpoint(
-            ckpt,
-            nn.params_to_arrays(params),
-            meta=_checkpoint_meta(
-                chash, seed, kind="raw", algorithm="transfer",
-                model=json.dumps(asdict(model_config)), in_channels=model.in_channels,
-            ),
+        artifacts += _save_run(
+            root, "transfer", nn.params_to_arrays(params), info["trace"],
+            ["epoch", "train_loss", "val_loss", "val_accuracy"], chash, seed,
+            kind="raw", algorithm="transfer", model=json.dumps(asdict(model_config)),
+            in_channels=model.in_channels,
         )
-        trace = root / "traces" / "transfer.csv"
-        train_mod.write_trace_csv(
-            trace, info["trace"], ["epoch", "train_loss", "val_loss", "val_accuracy"],
-            config_hash=chash, seed=seed,
-        )
-        artifacts.extend([str(ckpt), str(trace)])
     return artifacts
 
 
-def _mode_pretrain_meta(config, blocks, chash, seeds, out):
-    corpus = load_corpus(config["dataset"])
+def _mode_pretrain_meta(config, blocks, chash):
+    corpus = load_corpus(config.dataset)
     model_config, m_config = blocks["model"], blocks["meta"]
     artifacts = []
-    for seed in seeds:
-        root = _seed_dir(out, chash, seed)
+    for seed in config.seeds:
+        root = _seed_dir(config.out, chash, seed)
         backbone, info = meta_train(corpus, m_config, seed, model_config=model_config)
-        ckpt = root / "checkpoints" / f"meta_{m_config.algorithm}.fsml"
         arrays = {f"backbone/{k}": v.values for k, v in backbone.items()}
-        save_checkpoint(
-            ckpt, arrays,
-            meta=_checkpoint_meta(
-                chash, seed, kind="raw", algorithm=m_config.algorithm,
-                model=json.dumps(asdict(model_config)),
-                in_channels=info["learner"].model.in_channels,
-            ),
+        artifacts += _save_run(
+            root, f"meta_{m_config.algorithm}", arrays, info["trace"],
+            ["tasks_seen", "mean_query_accuracy", "mean_query_loss"], chash, seed,
+            kind="raw", algorithm=m_config.algorithm, model=json.dumps(asdict(model_config)),
+            in_channels=info["learner"].model.in_channels,
         )
-        trace = root / "traces" / f"meta_{m_config.algorithm}.csv"
-        train_mod.write_trace_csv(
-            trace, info["trace"],
-            ["tasks_seen", "mean_query_accuracy", "mean_query_loss"],
-            config_hash=chash, seed=seed,
-        )
-        artifacts.extend([str(ckpt), str(trace)])
     return artifacts
 
 
-def _mode_pretrain_ssl(config, blocks, chash, seeds, out):
-    corpus = load_corpus(config["dataset"])
+def _mode_pretrain_ssl(config, blocks, chash):
+    corpus = load_corpus(config.dataset)
     model_config, s_config = blocks["model"], blocks["ssl"]
     if model_config.decoder_blocks < 1:
         model_config = replace(model_config, decoder_blocks=1)
@@ -404,30 +317,25 @@ def _mode_pretrain_ssl(config, blocks, chash, seeds, out):
     spec = _token_spec(corpus.manifest, include_location=s_config.location_token)
     autoencoder = MaskedAutoencoder(model_config, spec, regime, s_config.decoder)
     artifacts = []
-    for seed in seeds:
-        root = _seed_dir(out, chash, seed)
+    for seed in config.seeds:
+        root = _seed_dir(config.out, chash, seed)
         params, stats, info = pretrain_ssl(corpus, autoencoder, s_config, seed)
         arrays = {f"backbone/{k}": v.values for k, v in encoder_backbone(params).items()}
         for gname, (mean, std) in stats.items():
             arrays[f"norm/{gname}/mean"] = mean
             arrays[f"norm/{gname}/std"] = std
-        ckpt = root / "checkpoints" / f"ssl_{s_config.variant}.fsml"
-        save_checkpoint(
-            ckpt, arrays,
-            meta=_checkpoint_meta(
-                chash, seed, kind="tokens", algorithm=f"ssl_{s_config.variant}",
-                model=json.dumps(asdict(model_config)),
-                regime=json.dumps(asdict(regime)),
-                spec=json.dumps([asdict(g) for g in spec.groups]),
-            ),
+        name = f"ssl_{s_config.variant}"
+        artifacts += _save_run(
+            root, name, arrays, info["trace"], ["batches_seen", "train_loss", "val_loss"],
+            chash, seed, kind="tokens", algorithm=name, model=json.dumps(asdict(model_config)),
+            regime=json.dumps(asdict(regime)), spec=json.dumps([asdict(g) for g in spec.groups]),
         )
-        trace = root / "traces" / f"ssl_{s_config.variant}.csv"
-        train_mod.write_trace_csv(
-            trace, info["trace"], ["batches_seen", "train_loss", "val_loss"],
-            config_hash=chash, seed=seed,
-        )
-        artifacts.extend([str(ckpt), str(trace)])
     return artifacts
+
+
+# The metadata a pretrain-* checkpoint of each kind holds beside its model sizes.
+_INIT_METADATA = {"raw": {"in_channels": int},
+                  "tokens": {"regime": EncodingRegime, "spec": list[GroupSpec]}}
 
 
 def _load_init(finetune_block, model_config, corpus, seed):
@@ -439,56 +347,41 @@ def _load_init(finetune_block, model_config, corpus, seed):
         return model, backbone, "no_pretraining"
     path = finetune_block.checkpoint.replace("{seed}", str(seed))
     arrays, meta_info = load_checkpoint(path)
-    kind_keys = ("in_channels",) if meta_info.get("kind") == "raw" else ("regime", "spec")
-    missing = [k for k in ("model", "kind") + kind_keys if k not in meta_info]
+    kind = "raw" if meta_info.get("kind") == "raw" else "tokens"
+    missing = [k for k in ("model", "kind", *_INIT_METADATA[kind]) if k not in meta_info]
     if missing:
         raise ContractError(
             f"checkpoint {path!r} lacks the pre-training metadata {missing}; "
             "fine-tune from a pretrain-* checkpoint"
         )
-    saved_config = _from_metadata(path, meta_info, "model", TransformerConfig)
+    meta = {}
+    for key, cls in {"model": TransformerConfig, **_INIT_METADATA[kind]}.items():
+        where = f"checkpoint {path!r}: bad {key!r} metadata"
+        # a spec's group records may carry the legacy categorical key
+        meta[key] = parse(drop_categorical(decode(meta_info[key], where), where), cls, where, key)
+    algorithm = meta_info.get("algorithm", "transfer")
+    if kind == "raw":
+        model = RawSeriesModel(meta["model"], meta["in_channels"], groups)
+        if algorithm in ("timl_enc", "timl_noenc"):
+            model = TaskAwareRawModel(model, algorithm, groups)
+    else:
+        spec = ChannelGroupSpec(tuple(meta["spec"]))
+        stats = {g.name: (arrays[f"norm/{g.name}/mean"], arrays[f"norm/{g.name}/std"])
+                 for g in spec.dynamic_groups if f"norm/{g.name}/mean" in arrays}
+        model = TokenClassifier(meta["model"], spec, meta["regime"], stats)
     # Checkpoints written before attention keys lost their bias still carry
     # ``*/attn/k/b``; no model reads it.
-    backbone = {
-        k.split("/", 1)[1]: nn.Tensor(v)
-        for k, v in arrays.items()
-        if k.startswith("backbone/") and not k.endswith("/attn/k/b")
-    }
-    algorithm = meta_info.get("algorithm", "transfer")
-    if meta_info["kind"] == "raw":
-        try:
-            in_channels = int(meta_info["in_channels"])
-        except ValueError:
-            raise ParseError(
-                f"checkpoint {path!r}: in_channels must be an integer, "
-                f"got {meta_info['in_channels']!r}"
-            ) from None
-        base = RawSeriesModel(saved_config, in_channels, groups)
-        if algorithm in ("timl_enc", "timl_noenc"):
-            model = TaskAwareRawModel(base, algorithm, groups)
-        else:
-            model = base
-    else:
-        regime = _from_metadata(path, meta_info, "regime", EncodingRegime)
-        try:
-            spec = ChannelGroupSpec(tuple(group_from_record(g) for g in json.loads(meta_info["spec"])))
-        except ValueError as err:
-            raise ParseError(f"checkpoint {path!r}: {err}") from None
-        stats = {
-            g.name: (arrays[f"norm/{g.name}/mean"], arrays[f"norm/{g.name}/std"])
-            for g in spec.dynamic_groups
-            if f"norm/{g.name}/mean" in arrays
-        }
-        model = TokenClassifier(saved_config, spec, regime, stats)
+    backbone = {k.split("/", 1)[1]: nn.Tensor(v) for k, v in arrays.items()
+                if k.startswith("backbone/") and not k.endswith("/attn/k/b")}
+    # Each array of the model's own initial backbone must be there at its
+    # shape; a fresh generator draws that backbone, so no run's stream moves.
+    for key, init in model.init_backbone(rng_from(0, STREAM_INIT)).items():
+        if key not in backbone:
+            raise ParseError(f"checkpoint {path!r}: backbone/{key}: missing")
+        if backbone[key].shape != init.shape:
+            raise ParseError(f"checkpoint {path!r}: backbone/{key}: has shape "
+                             f"{backbone[key].shape}, the model needs {init.shape}")
     return model, backbone, algorithm
-
-
-def _from_metadata(path, meta_info, key, cls):
-    """``cls`` built from the JSON object a checkpoint stores under ``key``."""
-    try:
-        return cls(**json.loads(meta_info[key]))
-    except (ValueError, TypeError) as err:  # not JSON, not an object, or a bad key
-        raise ParseError(f"checkpoint {path!r}: bad {key!r} metadata: {err}") from None
 
 
 def _finetune_one_seed(seed, block, model_config, label, chash, out, corpus):
@@ -503,43 +396,35 @@ def _finetune_one_seed(seed, block, model_config, label, chash, out, corpus):
             validation_limit=block.validation_limit,
         )
         report_path = root / "reports" / f"{label}_k{k}.json"
-        payload = {"config_hash": chash, "seed": seed, "label": label, "k": k}
-        payload.update(report.to_json())
+        payload = {"config_hash": chash, "seed": seed, "label": label, "k": k, **report.to_json()}
         with open(report_path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, sort_keys=True, indent=1)
             fh.write("\n")
-        train_mod.write_trace_csv(
-            root / "traces" / f"{label}_k{k}.csv", info["trace"],
-            ["epoch", "val_loss", "val_accuracy"], config_hash=chash, seed=seed,
-        )
-        ckpt = root / "checkpoints" / f"{label}_k{k}.fsml"
-        save_checkpoint(
-            ckpt, nn.params_to_arrays(params),
-            meta=_checkpoint_meta(chash, seed, k=k, label=label),
-        )
+        _save_run(root, f"{label}_k{k}", nn.params_to_arrays(params), info["trace"],
+                  ["epoch", "val_loss", "val_accuracy"], chash, seed, k=k, label=label)
         results[k] = report
     return seed, label, {k: r.metric_map() for k, r in results.items()}
 
 
-def _mode_finetune(config, blocks, chash, seeds, out):
+def _mode_finetune(config, blocks, chash):
     workers = _worker_count()
     block = blocks["finetune"]
     run_seed = partial(
         _finetune_one_seed, block=block, model_config=blocks["model"],
-        label=config.get("label"), chash=chash, out=out, corpus=load_corpus(config["dataset"]),
+        label=config.label, chash=chash, out=config.out, corpus=load_corpus(config.dataset),
     )
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_seed, seeds))
+            rows = list(pool.map(run_seed, config.seeds))
     else:
-        rows = [run_seed(seed) for seed in seeds]
+        rows = [run_seed(seed) for seed in config.seeds]
     label = rows[0][1]
     kshots = sorted(block.kshots)
     per_k = {
         k: [metric_maps[k]["overall_accuracy"] for _, _, metric_maps in rows]
         for k in kshots
     }
-    results_path = Path(out) / chash / "results.csv"
+    results_path = Path(config.out) / chash / "results.csv"
     _write_results_csv(results_path, [(label, per_k)], kshots, chash)
     return [str(results_path)]
 
@@ -558,42 +443,40 @@ def _write_results_csv(path, rows, kshots, chash):
     return path
 
 
+@dataclass(frozen=True)
+class ReportRow:
+    """What evaluate reads of a fine-tune report; the rest varies with levels and subsets."""
+
+    label: str
+    k: int
+    overall_accuracy: float
+
+
 def _read_report(path):
-    """(label, k, overall accuracy) of one fine-tune report JSON."""
     where = f"report {str(path)!r}"
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except ValueError as err:  # truncated or not JSON
-        raise ParseError(f"{where}: not valid JSON: {err}") from None
-    if not isinstance(payload, dict):
-        raise ParseError(f"{where}: must hold a JSON object")
-    read = []
-    for key, accepted in (("label", (str,)), ("k", (int,)), ("overall_accuracy", (int, float))):
-        if key not in payload:
-            raise ParseError(f"{where}: lacks {key!r}")
-        if type(payload[key]) not in accepted:
-            raise ParseError(f"{where}: {key!r} has the wrong type: {payload[key]!r}")
-        read.append(payload[key])
-    return tuple(read)
+    payload = decode(path.read_bytes(), where)
+    if isinstance(payload, dict):  # only the keys evaluate merges
+        payload = {key: value for key, value in payload.items() if key in fields_of(ReportRow)}
+    return parse(payload, ReportRow, where)
 
 
-def _mode_evaluate(config, blocks, chash, seeds, out):
+def _mode_evaluate(config, blocks, chash):
     """Merge per-seed report JSONs from prior runs into one results table."""
     block = blocks["evaluate"]
     collected = {}
     kshots = set()
     for run_dir in block.runs:
         for report_file in sorted(Path(run_dir).glob("*/reports/*.json")):
-            label, k, accuracy = _read_report(report_file)
-            kshots.add(k)
-            collected.setdefault(label, {}).setdefault(k, []).append(accuracy)
+            row = _read_report(report_file)
+            kshots.add(row.k)
+            collected.setdefault(row.label, {}).setdefault(row.k, []).append(row.overall_accuracy)
     kshots = sorted(kshots)
     rows = [
         (label, {k: collected[label].get(k, [float("nan")]) for k in kshots})
         for label in sorted(collected)
     ]
-    results_path = Path(out, chash, "results.csv") if block.out_csv is None else Path(block.out_csv)
+    default = Path(config.out, chash, "results.csv")
+    results_path = default if block.out_csv is None else Path(block.out_csv)
     results_path.parent.mkdir(parents=True, exist_ok=True)
     _write_results_csv(results_path, rows, kshots, chash)
     artifacts = [str(results_path)]
@@ -602,10 +485,10 @@ def _mode_evaluate(config, blocks, chash, seeds, out):
     return artifacts
 
 
-def _mode_tune(config, blocks, chash, seeds, out):
-    corpus = load_corpus(config["dataset"])
+def _mode_tune(config, blocks, chash):
+    corpus = load_corpus(config.dataset)
     block = blocks["tune"]
-    seed = seeds[0]
+    seed = config.seeds[0]
     model, backbone, _ = _load_init(block.finetune, blocks["model"], corpus, seed)
 
     def objective(trial_config):
@@ -618,19 +501,14 @@ def _mode_tune(config, blocks, chash, seeds, out):
         return max(row["val_accuracy"] for row in info["trace"])
 
     best, score, log = train_mod.random_search(block.space, block.trials, seed, objective)
-    root = Path(out) / chash
+    root = Path(config.out) / chash
     root.mkdir(parents=True, exist_ok=True)
-    log_path = root / "tuning_log.csv"
-    with open(log_path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# config={chash} seed={seed}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "status", "score", "config"])
-        for row in log:
-            writer.writerow(
-                [row["trial"], row["status"],
-                 "" if row["score"] is None else repr(row["score"]),
-                 json.dumps(row["config"], sort_keys=True)]
-            )
+    log_path = train_mod.write_trace_csv(
+        root / "tuning_log.csv",
+        [dict(row, score="" if row["score"] is None else row["score"],
+              config=json.dumps(row["config"], sort_keys=True)) for row in log],
+        ["trial", "status", "score", "config"], config_hash=chash, seed=seed,
+    )
     best_path = root / "best_config.json"
     with open(best_path, "w", encoding="utf-8") as fh:
         json.dump({"best": best, "score": score, "config_hash": chash, "seed": seed},
@@ -685,17 +563,14 @@ _MODE_IMPL = {
 
 def run(config):
     """Execute one experiment config; returns the artifact paths."""
-    problems, blocks = _read_config(config)
+    problems, root, blocks = _read_config(config)
     if problems:
         raise ContractError("invalid config: " + "; ".join(problems))
-    chash = config_hash(config)
-    seeds = list(config.get("seeds", DEFAULT_SEEDS))
-    out = config.get("out", "runs")
     try:
-        Path(out).mkdir(parents=True, exist_ok=True)
+        Path(root.out).mkdir(parents=True, exist_ok=True)
     except OSError as err:
-        raise ContractError(f"out: cannot create directory {out}: {err.strerror}") from None
-    return _MODE_IMPL[config["mode"]](config, blocks, chash, seeds, out)
+        raise ContractError(f"out: cannot create directory {root.out}: {err.strerror}") from None
+    return _MODE_IMPL[root.mode](root, blocks, config_hash(config))
 
 
 def main(argv=None):

@@ -21,12 +21,14 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
-from .errors import ContractError, DegenerateInputError, ParseError, ValidationError
+from .errors import ContractError, DegenerateInputError, ParseError, ValidationError, require_counts
+from .schema import decode, parse
 from .seeding import rng_from
 
 SPLITS = ("train", "validation", "test")
@@ -79,37 +81,39 @@ class Hierarchy:
 class GroupSpec:
     name: str
     channels: int
-    kind: str = "dynamic"  # dynamic | static
+    kind: Literal["dynamic", "static"] = "dynamic"
+
+    def __post_init__(self):
+        require_counts(channels=self.channels)
 
 
-def group_from_record(record):
-    """A ``GroupSpec`` from its JSON object.  Records written before
-    categorical groups were removed carry ``"categorical": false``, which is
-    dropped; ``true`` raises ``ValueError`` naming the group."""
-    record = dict(record)
-    if record.pop("categorical", False) is not False:
-        raise ValueError(f"group {record.get('name')!r} is categorical, which is not supported")
-    return GroupSpec(**record)
+def drop_categorical(groups, where):
+    """Drop, in place, the ``"categorical": false`` of group records written before
+    categorical groups were removed; ``true`` is a ParseError naming the group."""
+    for record in groups if type(groups) is list else ():
+        if type(record) is dict and record.pop("categorical", False) is not False:
+            raise ParseError(f"{where}: categorical group {record.get('name')!r} is not supported")
+    return groups
 
 
 @dataclass
 class CorpusManifest:
-    region_counts: dict = field(default_factory=dict)
-    class_counts: dict = field(default_factory=dict)
+    region_counts: dict[str, int] = field(default_factory=dict)
+    class_counts: dict[str, int] = field(default_factory=dict)
     majority_class: str = ""
-    split_fractions: dict = field(
+    split_fractions: dict[str, dict[str, float]] = field(
         default_factory=lambda: {
             "pretrain": dict(PRETRAIN_SPLIT_FRACTIONS),
             "finetune": dict(FINETUNE_SPLIT_FRACTIONS),
         }
     )
-    hierarchy_levels: dict = field(default_factory=dict)  # level -> prefix length
-    groups: list = field(default_factory=list)  # list of GroupSpec
-    pretrain_regions: list = field(default_factory=list)
+    hierarchy_levels: dict[int, int] = field(default_factory=dict)  # level -> prefix length
+    groups: list[GroupSpec] = field(default_factory=list)
+    pretrain_regions: list[str] = field(default_factory=list)
     finetune_region: str = ""
 
     def hierarchy(self):
-        return Hierarchy({int(k): int(v) for k, v in self.hierarchy_levels.items()})
+        return Hierarchy(dict(self.hierarchy_levels))
 
     def group_order(self):
         """The dynamic groups' names: the raw series' channel blocks, in order."""
@@ -186,38 +190,20 @@ _RECORD_TYPES = {"id": _STR, "days": {list}, "channels": {dict}, "lon": _NUMBER,
                  "lat": _NUMBER, "region": _STR, "hcat": _STR, "split": _STR}
 
 
-def _reject_constant(name):
-    raise ValueError(f"non-finite number {name}")
-
-
 def _load_manifest(mpath):
-    """The manifest beside a corpus, or the defaults.  ParseError (naming the file)
-    if it is not JSON or a field is mistyped; ValidationError for bad split fractions."""
-    default = CorpusManifest()
+    """The manifest beside a corpus, or the defaults.  ParseError (naming the file
+    and the key) if it does not read; ValidationError for bad split fractions."""
     if not mpath.exists():
-        return default
-    try:
-        with open(mpath, encoding="utf-8") as fh:
-            raw = json.load(fh, parse_constant=_reject_constant)
-        values = {f.name: raw.get(f.name, getattr(default, f.name)) for f in fields(default)}
-        wrong = [k for k, v in values.items() if type(v) is not type(getattr(default, k))]
-        values["hierarchy_levels"] = {int(k): v for k, v in values["hierarchy_levels"].items()}
-        values["groups"] = [group_from_record(g) for g in values["groups"]]
-        manifest = CorpusManifest(**values)
-        if wrong or not (
-            {type(v) for v in manifest.hierarchy_levels.values()} <= {int}
-            and {type(r) for r in manifest.pretrain_regions} <= _STR
-            and all((type(g.name), type(g.channels)) == (str, int)
-                    and g.channels > 0 and g.kind in ("dynamic", "static") for g in manifest.groups)
-        ):
-            raise TypeError(f"wrong JSON type in {wrong or 'hierarchy levels, regions or groups'}")
-        breaches = [f"manifest: {stage} split fractions do not sum to 1"
-                    for stage, fractions in manifest.split_fractions.items()
-                    if abs(sum(fractions.values()) - 1.0) > 1e-9]
-        if breaches:
-            raise ValidationError(breaches)
-    except (ValueError, TypeError, AttributeError) as err:
-        raise ParseError(f"manifest {str(mpath)!r}: {err}") from None
+        return CorpusManifest()
+    where = f"manifest {str(mpath)!r}"
+    raw = decode(mpath.read_bytes(), where)
+    drop_categorical(raw.get("groups") if type(raw) is dict else None, where)
+    manifest = parse(raw, CorpusManifest, where)
+    breaches = [f"manifest: {stage} split fractions do not sum to 1"
+                for stage, fractions in manifest.split_fractions.items()
+                if abs(sum(fractions.values()) - 1.0) > 1e-9]
+    if breaches:
+        raise ValidationError(breaches)
     return manifest
 
 
@@ -295,10 +281,7 @@ def load_corpus(path):
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            try:
-                record = json.loads(line.decode("utf-8"), parse_constant=_reject_constant)
-            except ValueError as err:
-                raise ParseError(f"line {line_no}: malformed record: {err}") from None
+            record = decode(line, f"line {line_no}: malformed record")
             wrong = _type_errors(record)
             if wrong:
                 raise ParseError(f"line {line_no}: missing or wrong JSON type: {wrong}")

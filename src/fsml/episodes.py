@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, EpisodeError
+from .errors import EpisodeError, require_counts
 from .seeding import STREAM_EPISODES, rng_from
 
 META_VALIDATION_TASKS = 100
@@ -30,10 +30,8 @@ class EpisodeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_way < 2:
-            raise ContractError(f"n_way must be >= 2, got {self.n_way}")
-        if self.k_support < 1 or self.k_query < 1:
-            raise ContractError("k_support and k_query must be >= 1")
+        require_counts(2, n_way=self.n_way)
+        require_counts(k_support=self.k_support, k_query=self.k_query)
 
 
 @dataclass

@@ -87,10 +87,9 @@ class MetaConfig:
         require_counts(
             inner_steps=self.inner_steps, tasks_per_batch=self.tasks_per_batch,
             validate_every=self.validate_every, validation_tasks=self.validation_tasks,
-            k_support=self.k_support, k_query=self.k_query,
         )
-        require_counts(2, n_way=self.n_way)
         require_counts(0, total_tasks=self.total_tasks)  # 0 validates the initialization
+        self.episode_config(0)  # checks n_way, k_support and k_query
 
     @property
     def second_order(self):
@@ -230,6 +229,13 @@ class TaskAwareRawModel:
     def prepare(self, samples):
         return samples
 
+    def init_backbone(self, rng):
+        """The raw-series backbone, plus the task encoder's for timl_enc."""
+        backbone = self.base.init_backbone(rng)
+        if self.algorithm == "timl_enc":
+            backbone.update(film_params(rng, self.base.config.embed_dim))
+        return backbone
+
     def sample_set(self, samples, labels=None):
         """One ``pack_batch`` call over ``samples``, plus their task information."""
         cart = None
@@ -290,10 +296,7 @@ class MetaLearner:
 
     def init_meta_params(self, rng):
         """Meta-learned tensors, flat-named under ``backbone/``."""
-        backbone = self.model.init_backbone(rng)
-        if self.config.algorithm == "timl_enc":
-            backbone.update(film_params(rng, self.model.config.embed_dim))
-        return {f"backbone/{k}": v for k, v in backbone.items()}
+        return {f"backbone/{k}": v for k, v in self.task_model.init_backbone(rng).items()}
 
     def fresh_head(self, rng):
         head = nn.new_head(rng, self.model.config.embed_dim, self.config.n_way)

@@ -30,6 +30,7 @@ from .errors import (
     ParseError,
     SequenceLengthError,
     ShapeError,
+    require_counts,
 )
 from .tensor import Tensor
 
@@ -49,14 +50,12 @@ class TransformerConfig:
     max_seq_len: int = 366
 
     def __post_init__(self):
-        if self.embed_dim <= 0 or self.num_heads <= 0 or self.hidden_dim <= 0:
-            raise ContractError("TransformerConfig: dimensions must be positive")
-        if self.encoder_blocks <= 0 or self.decoder_blocks < 0:
-            raise ContractError("TransformerConfig: bad block counts")
+        require_counts(embed_dim=self.embed_dim, num_heads=self.num_heads,
+                       hidden_dim=self.hidden_dim, encoder_blocks=self.encoder_blocks)
+        require_counts(0, decoder_blocks=self.decoder_blocks)
         if self.embed_dim % self.num_heads != 0:
             raise ContractError(
-                f"TransformerConfig: embed_dim {self.embed_dim} not divisible "
-                f"by num_heads {self.num_heads}"
+                f"embed_dim: {self.embed_dim} is not divisible by num_heads {self.num_heads}"
             )
 
 

@@ -1,6 +1,6 @@
 import json
 import warnings
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -12,8 +12,9 @@ from fsml.cli import _write_results_csv, config_hash, emit_plots, main, run, val
 from fsml.data import SynthConfig, load_corpus
 from fsml.errors import ContractError, ParseError
 from fsml.meta import MetaConfig
-from fsml.nn import TransformerConfig, load_checkpoint, save_checkpoint
+from fsml.nn import RawSeriesModel, TransformerConfig, load_checkpoint, save_checkpoint
 from fsml.ssl import SSLConfig
+from fsml.tokens import EncodingRegime
 from fsml.train import TransferConfig
 
 
@@ -228,6 +229,12 @@ def test_every_config_field_is_accepted_and_typos_are_rejected():
           ("n_way", 1, "must be an integer >= 2"),
           ("total_tasks", -4, "must be an integer >= 0"),
       ]],
+    # a group kind or channel count that the corpus loader would reject later
+    ("synth-data", {"synth": {"groups": [{"name": "s2", "channels": 3},
+                                         {"name": "s1", "channels": 2, "kind": "dinamic"}]}},
+     'synth.groups[1].kind: must be "dynamic" or "static"'),
+    ("synth-data", {"synth": {"groups": [{"name": "s2", "channels": 0}]}},
+     "synth.groups[0].channels: must be an integer >= 1"),
 ])
 def test_bad_config_shapes_exit_with_contract_error(tmp_path, capsys, mode, blocks, problem):
     config = {"schema_version": 1, "mode": mode, "dataset": "x",
@@ -334,7 +341,7 @@ def test_checkpoint_without_pretraining_metadata_is_a_contract_error(tmp_path, c
     ({"model": json.dumps({**MODEL_BLOCK, "bogus": 1}), "in_channels": "3"},
      "bad 'model' metadata"),
     ({"model": json.dumps(MODEL_BLOCK), "in_channels": "3.5"},
-     "in_channels must be an integer, got '3.5'"),
+     "in_channels: must be an integer"),
 ], ids=["model-not-json", "model-unknown-key", "in-channels-not-integer"])
 def test_bad_checkpoint_metadata_is_a_parse_error_naming_it(tmp_path, capsys, meta, problem):
     dataset, out = tmp_path / "corpus.jsonl", tmp_path / "runs"
@@ -349,9 +356,9 @@ def test_bad_checkpoint_metadata_is_a_parse_error_naming_it(tmp_path, capsys, me
 
 @pytest.mark.parametrize("content, problem", [
     ('{"label": "scratch", "k": 1, "overall_acc', "not valid JSON"),
-    (json.dumps({"k": 1, "overall_accuracy": 0.5}), "lacks 'label'"),
-    (json.dumps({"label": "scratch", "overall_accuracy": 0.5}), "lacks 'k'"),
-    (json.dumps({"label": "scratch", "k": 1}), "lacks 'overall_accuracy'"),
+    (json.dumps({"k": 1, "overall_accuracy": 0.5}), "label: required"),
+    (json.dumps({"label": "scratch", "overall_accuracy": 0.5}), "k: required"),
+    (json.dumps({"label": "scratch", "k": 1}), "overall_accuracy: required"),
 ], ids=["truncated", "no-label", "no-k", "no-overall-accuracy"])
 def test_bad_report_is_a_parse_error_naming_it(tmp_path, capsys, content, problem):
     report = tmp_path / "runs" / "0" / "reports" / "scratch_k1.json"
@@ -362,6 +369,62 @@ def test_bad_report_is_a_parse_error_naming_it(tmp_path, capsys, content, proble
     assert _main_on(tmp_path, config) == 1
     err = capsys.readouterr().err
     assert "error [ParseError]" in err and str(report) in err and problem in err
+
+
+def _model_metadata(**sizes):
+    return {"model": json.dumps({**MODEL_BLOCK, **sizes})}
+
+
+def _token_metadata(spec):
+    regime = EncodingRegime("xts", MODEL_BLOCK["embed_dim"], "day_of_year", 366)
+    return {"kind": "tokens", "regime": json.dumps(asdict(regime)), "spec": json.dumps(spec)}
+
+
+# Each probe corrupts the metadata and arrays of a valid raw checkpoint, or the
+# manifest, then runs a fine-tune that reads it.
+@pytest.mark.parametrize("target, corrupt, problem", [
+    ("checkpoint", lambda meta, _: meta.update(_model_metadata(embed_dim=16.0)),
+     "bad 'model' metadata: model.embed_dim: must be an integer"),
+    ("checkpoint", lambda meta, _: meta.update(_model_metadata(embed_dim=0)),
+     "bad 'model' metadata: model.embed_dim: must be an integer >= 1"),
+    ("checkpoint", lambda meta, _: meta.update(_token_metadata(5)),
+     "bad 'spec' metadata: spec: must be a list"),
+    ("checkpoint", lambda meta, _: meta.update(_token_metadata([{"name": "s2", "channels": "4"}])),
+     "bad 'spec' metadata: spec[0].channels: must be an integer"),
+    ("checkpoint", lambda _, arrays: arrays.pop("backbone/enc0/attn/k/w"),
+     "backbone/enc0/attn/k/w: missing"),
+    ("checkpoint", lambda _, arrays: arrays.update({"backbone/in/w": np.zeros((4, 16))}),
+     "backbone/in/w: has shape (4, 16), the model needs (3, 16)"),
+    ("manifest", lambda manifest: manifest["split_fractions"].update(pretrain=[0.8, 0.2]),
+     "split_fractions.pretrain: must be an object"),
+    ("manifest", lambda manifest: manifest["split_fractions"]["finetune"].update(train="0.6"),
+     "split_fractions.finetune.train: must be a number"),
+    ("manifest", lambda manifest: manifest.update(bogus=1), "bogus: unknown key"),
+], ids=["model-float-dim", "model-zero-dim", "spec-not-list", "spec-string-channels",
+        "backbone-missing", "backbone-misshaped", "fractions-list", "fraction-string",
+        "manifest-unknown-key"])
+def test_mistyped_lab_file_is_a_parse_error_naming_it_and_the_key(tmp_path, capsys, target,
+                                                                   corrupt, problem):
+    dataset, out = tmp_path / "corpus.jsonl", tmp_path / "runs"
+    run(synth_config(dataset, out))
+    if target == "manifest":
+        bad = dataset.with_name("corpus.manifest.json")
+        manifest = json.loads(bad.read_text())
+        corrupt(manifest)
+        bad.write_text(json.dumps(manifest))
+        config = _finetune_config(dataset, out)
+    else:
+        bad = tmp_path / "bad.fsml"
+        model = RawSeriesModel(TransformerConfig(**MODEL_BLOCK), 3, ("s2",))
+        backbone = model.init_backbone(np.random.default_rng(0))
+        arrays = {f"backbone/{k}": v.values for k, v in backbone.items()}
+        meta = {"kind": "raw", "model": json.dumps(MODEL_BLOCK), "in_channels": "3"}
+        corrupt(meta, arrays)
+        save_checkpoint(bad, arrays, meta)
+        config = _finetune_config(dataset, out, source="checkpoint", checkpoint=str(bad))
+    assert _main_on(tmp_path, config) == 1
+    err = capsys.readouterr().err
+    assert "error [ParseError]" in err and str(bad) in err and problem in err
 
 
 def test_checkpoint_with_attention_key_bias_finetunes_the_same(tmp_path):
