@@ -7,7 +7,8 @@ keys are rejected with field-level diagnostics.  Every artifact embeds the
 config hash and seed; reruns with identical (config, seed) are byte-identical.
 
 Output layout: ``<out>/<config_hash>/<seed>/{checkpoints,traces,reports}``
-plus ``<out>/<config_hash>/results.csv`` for sweep summaries.
+plus ``<out>/<config_hash>/results.csv`` for sweep summaries.  Each artifact's
+directories are created and the file is replaced atomically (``schema.writing``).
 
 ``FSML_THREADS`` (an integer >= 1) caps how many seeds run as parallel
 worker processes.  A fine-tune loads its corpus once and hands the loaded
@@ -43,7 +44,7 @@ from .errors import ContractError, FsmlError, ParseError, require_counts
 from .meta import MetaConfig, TaskAwareRawModel, meta_train
 from .metrics import seed_mean_std
 from .nn import RawSeriesModel, TransformerConfig, load_checkpoint, save_checkpoint
-from .schema import BAD, decode, fields_of, parse, read_object
+from .schema import BAD, decode, fields_of, parse, read_object, write_json, writing
 from .seeding import STREAM_INIT, rng_from
 from .ssl import MaskedAutoencoder, SSLConfig, TokenClassifier, encoder_backbone, pretrain_ssl
 from .tokens import POSITION_SOURCES, REGIME_VARIANTS, ChannelGroupSpec, EncodingRegime
@@ -237,20 +238,25 @@ def _worker_count():
     return workers
 
 
-def _seed_dir(out, chash, seed):
-    root = Path(out) / chash / str(seed)
-    for sub in ("checkpoints", "traces", "reports"):
-        (root / sub).mkdir(parents=True, exist_ok=True)
-    return root
-
-
-def _save_run(root, name, arrays, trace, columns, chash, seed, **meta):
+def _save_run(out, name, arrays, trace, columns, chash, seed, **meta):
     """A training run's checkpoint, with metadata ``meta`` (a pretrain-* run's
-    is read back by ``_load_init``), and its trace; their paths."""
+    is read back by ``_load_init``), and its trace in the seed's directory; their paths."""
+    root = Path(out, chash, str(seed))
     ckpt, trace_csv = root / "checkpoints" / f"{name}.fsml", root / "traces" / f"{name}.csv"
     save_checkpoint(ckpt, arrays, meta=_checkpoint_meta(chash, seed, **meta))
-    train_mod.write_trace_csv(trace_csv, trace, columns, config_hash=chash, seed=seed)
+    _write_trace_csv(trace_csv, trace, columns, chash, seed)
     return [str(ckpt), str(trace_csv)]
+
+
+def _write_trace_csv(path, rows, fieldnames, chash, seed):
+    """CSV trace with an identifying comment header; deterministic bytes."""
+    with writing(path) as fh:
+        fh.write(f"# config={chash} seed={seed}\n")
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer.writeheader()
+        writer.writerows({k: repr(v) if isinstance(v, float) else v for k, v in row.items()}
+                         for row in rows)
+    return path
 
 
 def _token_spec(manifest, include_location):
@@ -278,10 +284,9 @@ def _mode_pretrain_transfer(config, blocks, chash):
     model = RawSeriesModel(model_config, corpus.manifest.dynamic_channels(), groups)
     artifacts = []
     for seed in config.seeds:
-        root = _seed_dir(config.out, chash, seed)
         params, info = pretrain_transfer(corpus, model, blocks["transfer"], seed)
         artifacts += _save_run(
-            root, "transfer", nn.params_to_arrays(params), info["trace"],
+            config.out, "transfer", nn.params_to_arrays(params), info["trace"],
             ["epoch", "train_loss", "val_loss", "val_accuracy"], chash, seed,
             kind="raw", algorithm="transfer", model=json.dumps(asdict(model_config)),
             in_channels=model.in_channels,
@@ -294,11 +299,10 @@ def _mode_pretrain_meta(config, blocks, chash):
     model_config, m_config = blocks["model"], blocks["meta"]
     artifacts = []
     for seed in config.seeds:
-        root = _seed_dir(config.out, chash, seed)
         backbone, info = meta_train(corpus, m_config, seed, model_config=model_config)
         arrays = {f"backbone/{k}": v.values for k, v in backbone.items()}
         artifacts += _save_run(
-            root, f"meta_{m_config.algorithm}", arrays, info["trace"],
+            config.out, f"meta_{m_config.algorithm}", arrays, info["trace"],
             ["tasks_seen", "mean_query_accuracy", "mean_query_loss"], chash, seed,
             kind="raw", algorithm=m_config.algorithm, model=json.dumps(asdict(model_config)),
             in_channels=info["learner"].model.in_channels,
@@ -318,7 +322,6 @@ def _mode_pretrain_ssl(config, blocks, chash):
     autoencoder = MaskedAutoencoder(model_config, spec, regime, s_config.decoder)
     artifacts = []
     for seed in config.seeds:
-        root = _seed_dir(config.out, chash, seed)
         params, stats, info = pretrain_ssl(corpus, autoencoder, s_config, seed)
         arrays = {f"backbone/{k}": v.values for k, v in encoder_backbone(params).items()}
         for gname, (mean, std) in stats.items():
@@ -326,7 +329,7 @@ def _mode_pretrain_ssl(config, blocks, chash):
             arrays[f"norm/{gname}/std"] = std
         name = f"ssl_{s_config.variant}"
         artifacts += _save_run(
-            root, name, arrays, info["trace"], ["batches_seen", "train_loss", "val_loss"],
+            config.out, name, arrays, info["trace"], ["batches_seen", "train_loss", "val_loss"],
             chash, seed, kind="tokens", algorithm=name, model=json.dumps(asdict(model_config)),
             regime=json.dumps(asdict(regime)), spec=json.dumps([asdict(g) for g in spec.groups]),
         )
@@ -365,7 +368,10 @@ def _load_init(finetune_block, model_config, corpus, seed):
         if algorithm in ("timl_enc", "timl_noenc"):
             model = TaskAwareRawModel(model, algorithm, groups)
     else:
-        spec = ChannelGroupSpec(tuple(meta["spec"]))
+        try:
+            spec = ChannelGroupSpec(tuple(meta["spec"]))
+        except ContractError as err:
+            raise ParseError(f"checkpoint {path!r}: bad 'spec' metadata: spec: {err}") from None
         stats = {g.name: (arrays[f"norm/{g.name}/mean"], arrays[f"norm/{g.name}/std"])
                  for g in spec.dynamic_groups if f"norm/{g.name}/mean" in arrays}
         model = TokenClassifier(meta["model"], spec, meta["regime"], stats)
@@ -387,7 +393,7 @@ def _load_init(finetune_block, model_config, corpus, seed):
 def _finetune_one_seed(seed, block, model_config, label, chash, out, corpus):
     model, backbone, algorithm = _load_init(block, model_config, corpus, seed)
     label = algorithm if label is None else label
-    root = _seed_dir(out, chash, seed)
+    root = Path(out, chash, str(seed))
     results = {}
     for k in block.kshots:
         params, report, info = finetune(
@@ -395,12 +401,9 @@ def _finetune_one_seed(seed, block, model_config, label, chash, out, corpus):
             max_epochs=block.max_epochs, batch_size=block.batch_size,
             validation_limit=block.validation_limit,
         )
-        report_path = root / "reports" / f"{label}_k{k}.json"
-        payload = {"config_hash": chash, "seed": seed, "label": label, "k": k, **report.to_json()}
-        with open(report_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-        _save_run(root, f"{label}_k{k}", nn.params_to_arrays(params), info["trace"],
+        write_json(root / "reports" / f"{label}_k{k}.json",
+                   {"config_hash": chash, "seed": seed, "label": label, "k": k, **report.to_json()})
+        _save_run(out, f"{label}_k{k}", nn.params_to_arrays(params), info["trace"],
                   ["epoch", "val_loss", "val_accuracy"], chash, seed, k=k, label=label)
         results[k] = report
     return seed, label, {k: r.metric_map() for k, r in results.items()}
@@ -429,17 +432,18 @@ def _mode_finetune(config, blocks, chash):
     return [str(results_path)]
 
 
+def _mean_std(per_k, kshots):
+    """Each k's mean and (n-1) std over seeds as results.csv and the plot series print them."""
+    return [[f"{x:.6f}" for x in seed_mean_std(per_k[k])] for k in kshots]
+
+
 def _write_results_csv(path, rows, kshots, chash):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with writing(path) as fh:
         fh.write(f"# config={chash}\n")
         writer = csv.writer(fh)
         writer.writerow(["algorithm"] + [f"k{k}" for k in kshots])
         for label, per_k in rows:
-            cells = []
-            for k in kshots:
-                mean, std = seed_mean_std(per_k[k])
-                cells.append(f"{mean:.6f}±{std:.6f}")
-            writer.writerow([label] + cells)
+            writer.writerow([label] + ["±".join(cell) for cell in _mean_std(per_k, kshots)])
     return path
 
 
@@ -477,11 +481,10 @@ def _mode_evaluate(config, blocks, chash):
     ]
     default = Path(config.out, chash, "results.csv")
     results_path = default if block.out_csv is None else Path(block.out_csv)
-    results_path.parent.mkdir(parents=True, exist_ok=True)
     _write_results_csv(results_path, rows, kshots, chash)
     artifacts = [str(results_path)]
     if block.plots:
-        artifacts.extend(emit_plots(results_path, block.plots))
+        artifacts.extend(emit_plots(rows, kshots, block.plots))
     return artifacts
 
 
@@ -502,51 +505,29 @@ def _mode_tune(config, blocks, chash):
 
     best, score, log = train_mod.random_search(block.space, block.trials, seed, objective)
     root = Path(config.out) / chash
-    root.mkdir(parents=True, exist_ok=True)
-    log_path = train_mod.write_trace_csv(
+    log_path = _write_trace_csv(
         root / "tuning_log.csv",
         [dict(row, score="" if row["score"] is None else row["score"],
               config=json.dumps(row["config"], sort_keys=True)) for row in log],
-        ["trial", "status", "score", "config"], config_hash=chash, seed=seed,
+        ["trial", "status", "score", "config"], chash, seed,
     )
-    best_path = root / "best_config.json"
-    with open(best_path, "w", encoding="utf-8") as fh:
-        json.dump({"best": best, "score": score, "config_hash": chash, "seed": seed},
-                  fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    best_path = write_json(root / "best_config.json",
+                           {"best": best, "score": score, "config_hash": chash, "seed": seed})
     return [str(log_path), str(best_path)]
 
 
-def emit_plots(results_csv, out_dir):
-    """Per-algorithm accuracy-vs-k series files for external plotting tools."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(results_csv, encoding="utf-8") as fh:
-        lines = [line for line in fh if not line.startswith("#")]
-    reader = csv.reader(lines)
-    try:
-        header = next(reader)
-    except StopIteration:
-        print("warning: empty results file, no plot data emitted", file=sys.stderr)
-        return []
-    if header[:1] != ["algorithm"]:
-        raise ParseError("row 1: expected header starting with 'algorithm'")
-    kshots = [int(col[1:]) for col in header[1:]]
+def emit_plots(rows, kshots, out_dir):
+    """Each ``(label, per_k)`` row's accuracy-vs-k series, for external plotting tools."""
     written = []
-    for row_no, row in enumerate(reader, start=2):
-        if len(row) != len(header):
-            raise ParseError(f"row {row_no}: expected {len(header)} columns, got {len(row)}")
-        label = row[0]
-        path = out_dir / f"accuracy_vs_k_{label}.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+    for label, per_k in rows:
+        path = Path(out_dir) / f"accuracy_vs_k_{label}.csv"
+        with writing(path) as fh:
             writer = csv.writer(fh)
             writer.writerow(["k", "mean", "std"])
-            for k, cell in zip(kshots, row[1:]):
-                mean, _, std = cell.partition("±")
-                writer.writerow([k, mean, std])
+            writer.writerows([k, *cell] for k, cell in zip(kshots, _mean_std(per_k, kshots)))
         written.append(str(path))
     if not written:
-        print("warning: results file has no data rows", file=sys.stderr)
+        print("warning: no result rows, no plot data emitted", file=sys.stderr)
     return written
 
 
@@ -584,9 +565,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
-        with open(args.config, encoding="utf-8") as fh:
-            config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+        config = decode(Path(args.config).read_bytes(), f"config {args.config!r}")
+    except (OSError, ParseError) as err:
         print(f"error: cannot read config: {err}", file=sys.stderr)
         return 2
     if args.mode:

@@ -28,7 +28,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import ContractError, DegenerateInputError, ParseError, ValidationError, require_counts
-from .schema import decode, parse
+from .schema import decode, parse, write_json, writing
 from .seeding import rng_from
 
 SPLITS = ("train", "validation", "test")
@@ -173,15 +173,13 @@ def _sample_record(s):
 
 def save_corpus(corpus, path):
     path = Path(path)
-    with open(path, "w", encoding="utf-8") as fh:
+    with writing(path) as fh:
         for sample in corpus.samples:
             fh.write(json.dumps(_sample_record(sample), sort_keys=True))
             fh.write("\n")
     manifest = asdict(corpus.manifest)
     manifest["hierarchy_levels"] = {str(k): v for k, v in manifest["hierarchy_levels"].items()}
-    with open(manifest_path(path), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(manifest_path(path), manifest)
     return path
 
 

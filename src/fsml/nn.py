@@ -32,6 +32,7 @@ from .errors import (
     ShapeError,
     require_counts,
 )
+from .schema import writing
 from .tensor import Tensor
 
 NEG_INF = -1e30
@@ -418,7 +419,7 @@ def save_checkpoint(path, arrays, meta=None):
     for key, value in (meta or {}).items():
         encoded = np.frombuffer(str(value).encode("utf-8"), dtype=np.uint8)
         records[_META_PREFIX + key] = encoded.astype(np.float64)
-    with open(path, "wb") as fh:
+    with writing(path, binary=True) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(records)))
         for name in sorted(records):

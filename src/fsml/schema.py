@@ -1,5 +1,5 @@
-"""JSON read into typed objects: the one reader of the config, the corpus
-manifest, checkpoint metadata and fine-tune reports.
+"""The one JSON reader (config, corpus manifest, checkpoint metadata and
+fine-tune reports, read into typed objects) and ``writing``, the one writer.
 
 A dataclass is read from a JSON object whose keys are its init fields: the
 annotation is the key's type, a field without a default is required.  Read
@@ -12,8 +12,11 @@ X]``, ``dict[int, X]`` (decimal keys), ``X | None``, ``Literal`` and
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager, suppress
 from dataclasses import MISSING, fields, is_dataclass
 from functools import cache
+from pathlib import Path
 from types import UnionType
 from typing import Annotated, Literal, get_args, get_origin, get_type_hints
 
@@ -132,3 +135,33 @@ def decode(text, where):
         return json.loads(text, parse_constant=_reject_constant)
     except ValueError as err:  # not JSON, not UTF-8, or a non-finite constant
         raise ParseError(f"{where}: not valid JSON: {err}") from None
+
+
+@contextmanager
+def writing(path, binary=False):
+    """A handle on ``.<name>.<pid>.tmp`` beside ``path`` (its directories made)
+    that replaces ``path`` once the block ends: a failing or killed run leaves
+    the old file or none, never a part.  An OSError is a ContractError naming
+    ``path``."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(tmp, "wb" if binary else "w", encoding=None if binary else "utf-8",
+                  newline=None if binary else "") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException as err:
+        with suppress(OSError):
+            tmp.unlink()
+        if isinstance(err, OSError):
+            raise ContractError(f"cannot write {str(path)!r}: {err.strerror or err}") from None
+        raise
+
+
+def write_json(path, value):
+    """``value`` written to ``path`` as every JSON artifact: sorted keys, indent 1, final newline."""
+    with writing(path) as fh:
+        json.dump(value, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+    return path

@@ -7,7 +7,6 @@ differentiated through (the meta inner loop does its own functional SGD).
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -382,14 +381,3 @@ def random_search(space, trials, seed, objective):
     if best is None:
         raise ContractError("random_search: every trial failed")
     return best[0], best[1], log
-
-
-def write_trace_csv(path, rows, fieldnames, config_hash="", seed=""):
-    """CSV trace with an identifying comment header; deterministic bytes."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# config={config_hash} seed={seed}\n")
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
-    return path

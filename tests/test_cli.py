@@ -10,7 +10,7 @@ import pytest
 from fsml import cli as cli_mod
 from fsml.cli import _write_results_csv, config_hash, emit_plots, main, run, validate_config
 from fsml.data import SynthConfig, load_corpus
-from fsml.errors import ContractError, ParseError
+from fsml.errors import ContractError
 from fsml.meta import MetaConfig
 from fsml.nn import RawSeriesModel, TransformerConfig, load_checkpoint, save_checkpoint
 from fsml.ssl import SSLConfig
@@ -257,6 +257,33 @@ def test_out_path_that_cannot_be_a_directory_is_a_contract_error(tmp_path, capsy
     assert "ContractError" in err and f"out: cannot create directory {out}" in err
 
 
+@pytest.mark.parametrize("target", ["out_csv", "plots"])
+def test_artifact_path_that_cannot_be_written_is_a_contract_error(tmp_path, capsys, target):
+    """``out_csv`` under a regular file, or ``plots`` naming one, exits 1 naming the path."""
+    report = tmp_path / "runs" / "0" / "reports" / "scratch_k1.json"
+    report.parent.mkdir(parents=True)
+    report.write_text(json.dumps({"label": "scratch", "k": 1, "overall_accuracy": 0.5}))
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    block = {"runs": [str(tmp_path / "runs")], "out_csv": str(tmp_path / "eval" / "results.csv"),
+             "plots": str(tmp_path / "plots")}
+    block[target] = str(blocker / "results.csv") if target == "out_csv" else str(blocker)
+    config = {"schema_version": 1, "mode": "evaluate", "out": str(tmp_path / "out"),
+              "evaluate": block}
+    assert _main_on(tmp_path, config) == 1
+    err = capsys.readouterr().err
+    assert "error [ContractError]" in err and f"cannot write '{blocker}" in err
+    assert blocker.read_text() == ""
+
+
+def test_synth_data_writes_a_dataset_in_a_missing_directory(tmp_path):
+    dataset = tmp_path / "new" / "dir" / "corpus.jsonl"
+    assert run(synth_config(dataset, tmp_path / "runs")) == [str(dataset)]
+    assert load_corpus(dataset).manifest.groups
+    assert sorted(p.name for p in dataset.parent.iterdir()) == ["corpus.jsonl",
+                                                                "corpus.manifest.json"]
+
+
 def test_shipped_configs_are_valid():
     paths = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
     assert paths
@@ -336,13 +363,30 @@ def test_checkpoint_without_pretraining_metadata_is_a_contract_error(tmp_path, c
     assert "'model'" in err and "'kind'" in err
 
 
+def _model_metadata(**sizes):
+    return {"model": json.dumps({**MODEL_BLOCK, **sizes})}
+
+
+def _token_metadata(spec):
+    regime = EncodingRegime("xts", MODEL_BLOCK["embed_dim"], "day_of_year", 366)
+    return {"kind": "tokens", "regime": json.dumps(asdict(regime)), "spec": json.dumps(spec)}
+
+
+S2 = {"name": "s2", "channels": 3, "kind": "dynamic"}
+
+
 @pytest.mark.parametrize("meta, problem", [
     ({"model": "{not json", "in_channels": "3"}, "bad 'model' metadata"),
     ({"model": json.dumps({**MODEL_BLOCK, "bogus": 1}), "in_channels": "3"},
      "bad 'model' metadata"),
     ({"model": json.dumps(MODEL_BLOCK), "in_channels": "3.5"},
      "in_channels: must be an integer"),
-], ids=["model-not-json", "model-unknown-key", "in-channels-not-integer"])
+    ({**_model_metadata(), **_token_metadata([S2, S2])},
+     "bad 'spec' metadata: spec: duplicate group names in ['s2', 's2']"),
+    ({**_model_metadata(), **_token_metadata([{**S2, "kind": "static"}])},
+     "bad 'spec' metadata: spec: need at least one dynamic channel group"),
+], ids=["model-not-json", "model-unknown-key", "in-channels-not-integer", "spec-repeated-group",
+        "spec-no-dynamic-group"])
 def test_bad_checkpoint_metadata_is_a_parse_error_naming_it(tmp_path, capsys, meta, problem):
     dataset, out = tmp_path / "corpus.jsonl", tmp_path / "runs"
     run(synth_config(dataset, out))
@@ -369,15 +413,6 @@ def test_bad_report_is_a_parse_error_naming_it(tmp_path, capsys, content, proble
     assert _main_on(tmp_path, config) == 1
     err = capsys.readouterr().err
     assert "error [ParseError]" in err and str(report) in err and problem in err
-
-
-def _model_metadata(**sizes):
-    return {"model": json.dumps({**MODEL_BLOCK, **sizes})}
-
-
-def _token_metadata(spec):
-    regime = EncodingRegime("xts", MODEL_BLOCK["embed_dim"], "day_of_year", 366)
-    return {"kind": "tokens", "regime": json.dumps(asdict(regime)), "spec": json.dumps(spec)}
 
 
 # Each probe corrupts the metadata and arrays of a valid raw checkpoint, or the
@@ -483,6 +518,18 @@ def test_unknown_mode_exits_nonzero(tmp_path):
 
 def test_missing_config_file_exits_nonzero(tmp_path):
     assert main(["--config", str(tmp_path / "absent.json")]) == 2
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_config_file_with_a_non_finite_constant_exits_2_naming_it(tmp_path, capsys, constant):
+    out = tmp_path / "runs"
+    config = json.dumps(_finetune_config(tmp_path / "corpus.jsonl", out, regime="split_lr"))
+    path = tmp_path / "config.json"
+    path.write_text(config.replace('"kshots"', f'"lr_head": {constant}, "kshots"'))
+    assert main(["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config {str(path)!r}: not valid JSON: non-finite number {constant}" in err
+    assert not out.exists()
 
 
 def test_config_hash_is_stable_and_order_insensitive():
@@ -605,35 +652,28 @@ def test_results_csv_cells_are_mean_and_sample_std(tmp_path):
 
 
 def test_emit_plots_shapes_and_equality(tmp_path):
-    results = tmp_path / "results.csv"
-    results.write_text(
-        "# config=abc\n"
-        "algorithm,k1,k5,k10,k20,k100,k200,k500\n"
-        "maml,0.1±0.01,0.2±0.01,0.3±0.02,0.4±0.0,0.5±0.0,0.6±0.0,0.7±0.0\n"
-        "transfer,0.2±0.01,0.3±0.01,0.4±0.02,0.5±0.0,0.6±0.0,0.7±0.0,0.8±0.0\n"
-    )
-    written = emit_plots(results, tmp_path / "plots")
-    assert len(written) == 2
-    for path in written:
-        rows = Path(path).read_text().strip().splitlines()
-        assert rows[0] == "k,mean,std"
-        assert len(rows) == 8  # 7 k values
+    """Each row's series holds, per k, the mean and std of its results.csv cell."""
+    kshots = [1, 5, 10, 20, 100, 200, 500]
+    rows = [("maml", {k: [0.1 * i, 0.1 * i + 0.02] for i, k in enumerate(kshots, 1)}),
+            ("transfer", {k: [0.1 * i + 0.1] for i, k in enumerate(kshots, 1)})]
+    written = emit_plots(rows, kshots, tmp_path / "plots")
+    assert written == [str(tmp_path / "plots" / f"accuracy_vs_k_{label}.csv")
+                       for label in ("maml", "transfer")]
+    cells = _write_results_csv(tmp_path / "results.csv", rows, kshots, "abc").read_text(
+        encoding="utf-8").splitlines()[2:]
+    for path, cell_row in zip(written, cells):
+        series = Path(path).read_text().strip().splitlines()
+        assert series[0] == "k,mean,std"
+        assert len(series) == 8  # 7 k values
+        assert ["±".join(line.split(",")[1:]) for line in series[1:]] == cell_row.split(",")[1:]
     maml = Path(written[0]).read_text().splitlines()
-    assert maml[1].split(",")[1] == "0.1"
+    assert maml[1] == "1,0.110000,0.014142"
 
 
 def test_emit_plots_empty_results_warns(tmp_path, capsys):
-    results = tmp_path / "results.csv"
-    results.write_text("")
-    assert emit_plots(results, tmp_path / "plots") == []
+    assert emit_plots([], [], tmp_path / "plots") == []
     assert "warning" in capsys.readouterr().err
-
-
-def test_emit_plots_malformed_row_cites_row_number(tmp_path):
-    results = tmp_path / "results.csv"
-    results.write_text("algorithm,k1\nmaml,0.1±0.01,EXTRA\n")
-    with pytest.raises(ParseError, match="row 2"):
-        emit_plots(results, tmp_path / "plots")
+    assert not (tmp_path / "plots").exists()
 
 
 def test_evaluate_merges_runs(tmp_path):

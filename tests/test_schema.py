@@ -1,9 +1,16 @@
 import json
-from dataclasses import asdict
+import os
+import re
+from dataclasses import asdict, replace
+from pathlib import Path
+
+import numpy as np
+import pytest
 
 from fsml import schema
 from fsml.data import GroupSpec, SynthConfig, generate_synthetic, load_corpus, save_corpus
-from fsml.nn import TransformerConfig
+from fsml.errors import ContractError
+from fsml.nn import TransformerConfig, save_checkpoint
 from fsml.tokens import EncodingRegime
 
 
@@ -21,3 +28,49 @@ def test_what_the_lab_writes_reads_back_equal(tmp_path):
         assert schema.parse(json.loads(json.dumps(asdict(value))), type(value), "metadata") == value
     spec = json.loads(json.dumps([asdict(g) for g in groups]))
     assert schema.parse(spec, list[GroupSpec], "metadata") == groups
+
+
+def _saved_corpus(tmp_path):
+    corpus = generate_synthetic(SynthConfig(samples_per_class=20, finetune_samples_per_class=20),
+                                seed=0)
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(corpus, path)
+    return corpus, path
+
+
+def test_a_write_that_fails_midway_leaves_the_old_file(tmp_path):
+    """A sample that cannot be serialized stops ``save_corpus`` after earlier
+    lines went out: the old corpus stays byte-identical, no temporary remains."""
+    corpus, path = _saved_corpus(tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    late = replace(corpus.samples[-1], region=object())
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        save_corpus(replace(corpus, samples=[*corpus.samples[:-1], late]), path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_a_failed_replace_is_a_contract_error_naming_the_path(tmp_path, monkeypatch):
+    arrays = {"w": np.arange(6.0).reshape(2, 3)}
+    path = tmp_path / "run.fsml"
+    save_checkpoint(path, arrays, {"seed": "0"})
+    before = path.read_bytes()
+
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(ContractError, match=f"cannot write {str(path)!r}: Permission denied"):
+        save_checkpoint(path, {"w": np.zeros(2)}, {"seed": "1"})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["run.fsml"]
+
+
+def test_writing_is_the_only_writer():
+    """Every artifact goes through ``schema.writing``: no other module opens a
+    file to write, or writes one whole through ``pathlib``."""
+    src = Path(schema.__file__).parent
+    write = re.compile(r"""\bopen\([^)]*["'][wax+]|\.write_(text|bytes)\(""")
+    found = [f"{path.name}:{no}" for path in sorted(src.glob("*.py"))
+             for no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if write.search(line)]
+    assert len(found) == 1 and found[0].startswith("schema.py:"), found
