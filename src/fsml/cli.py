@@ -128,7 +128,7 @@ class FinetuneBlock(SourceBlock):
 
 @dataclass
 class TuneBlock:
-    space: dict[str, list[float]]  # see train.random_search
+    space: dict[str, tuple[float, float]]  # each rate of the regime: [low, high], drawn log-uniformly
     finetune: SourceBlock = field(default_factory=SourceBlock)
     trials: int = 8
     k: int = 20
@@ -136,16 +136,25 @@ class TuneBlock:
     max_epochs: int = 20
 
     def __post_init__(self):
-        for name, choices in self.space.items():
-            if not choices:
-                raise ContractError(f"space.{name}: must be a non-empty list")
+        require_counts(trials=self.trials, k=self.k, max_epochs=self.max_epochs)
+        rates = {"lr_head", "lr_backbone"} if self.regime == "split_lr" else {"lr_head"}
+        for name in [*sorted(self.space.keys() - rates), *sorted(rates - self.space.keys())]:
+            raise ContractError(f"space.{name}: {'required' if name in rates else 'unknown rate'} "
+                                f"for regime {self.regime!r}, which takes {' and '.join(sorted(rates))}")
+        for name, (low, high) in sorted(self.space.items()):
+            if not 0 < low < high < float("inf"):
+                raise ContractError(f"space.{name}: must satisfy 0 < low < high, got [{low}, {high}]")
 
 
 @dataclass
 class EvaluateBlock:
-    runs: list[str]  # <out>/<config_hash> directories
+    runs: list[str]  # <out>/<config_hash> directories, each holding */reports/*.json
     out_csv: str | None = None
     plots: str | None = None
+
+    def __post_init__(self):
+        if not self.runs:
+            raise ContractError("runs: must be a non-empty list")
 
 
 @dataclass
@@ -311,13 +320,15 @@ def _mode_pretrain_meta(config, blocks, chash):
 
 
 def _mode_pretrain_ssl(config, blocks, chash):
-    corpus = load_corpus(config.dataset)
     model_config, s_config = blocks["model"], blocks["ssl"]
     if model_config.decoder_blocks < 1:
         model_config = replace(model_config, decoder_blocks=1)
-    regime = EncodingRegime(
-        s_config.regime, model_config.embed_dim, s_config.position_source, s_config.max_timesteps
-    )
+    try:  # the ssl block has checked the rest, so only the model's width can fail
+        regime = EncodingRegime(s_config.regime, model_config.embed_dim,
+                                s_config.position_source, s_config.max_timesteps)
+    except ContractError as err:
+        raise ContractError(f"model.embed_dim: {err}") from None
+    corpus = load_corpus(config.dataset)
     spec = _token_spec(corpus.manifest, include_location=s_config.location_token)
     autoencoder = MaskedAutoencoder(model_config, spec, regime, s_config.decoder)
     artifacts = []
@@ -468,13 +479,14 @@ def _mode_evaluate(config, blocks, chash):
     """Merge per-seed report JSONs from prior runs into one results table."""
     block = blocks["evaluate"]
     collected = {}
-    kshots = set()
-    for run_dir in block.runs:
-        for report_file in sorted(Path(run_dir).glob("*/reports/*.json")):
+    for i, run_dir in enumerate(block.runs):
+        reports = sorted(Path(run_dir).glob("*/reports/*.json"))
+        if not reports:  # such as a mistyped config hash
+            raise ContractError(f"evaluate.runs[{i}]: no */reports/*.json under {run_dir!r}")
+        for report_file in reports:
             row = _read_report(report_file)
-            kshots.add(row.k)
             collected.setdefault(row.label, {}).setdefault(row.k, []).append(row.overall_accuracy)
-    kshots = sorted(kshots)
+    kshots = sorted({k for per_k in collected.values() for k in per_k})
     rows = [
         (label, {k: collected[label].get(k, [float("nan")]) for k in kshots})
         for label in sorted(collected)
@@ -494,9 +506,8 @@ def _mode_tune(config, blocks, chash):
     seed = config.seeds[0]
     model, backbone, _ = _load_init(block.finetune, blocks["model"], corpus, seed)
 
-    def objective(trial_config):
-        lr_backbone = trial_config["lr_backbone"] if block.regime == "split_lr" else None
-        regime = _finetune_regime(block.regime, trial_config["lr_head"], lr_backbone)
+    def objective(trial_config):  # the regime's rates, as TuneBlock checked
+        regime = _finetune_regime(block.regime, **trial_config)
         _, _, info = finetune(
             corpus, model, backbone, regime, block.k, seed,
             max_epochs=block.max_epochs, validation_limit=block.finetune.validation_limit,

@@ -376,29 +376,32 @@ class SynthConfig:
     k_max: int = 10
 
     def __post_init__(self):
+        require_counts(4, n_classes=self.n_classes)
+        require_counts(k_max=self.k_max)
+        for name in ("samples_per_class", "finetune_samples_per_class"):
+            if getattr(self, name) < 2 * self.k_max:
+                raise ContractError(f"{name}: must be >= 2 * k_max = {2 * self.k_max}")
+        if not 1 <= self.n_level3 <= self.n_level4 <= self.n_classes:
+            raise ContractError("n_level4: must satisfy 1 <= n_level3 <= n_level4 <= n_classes")
         low, high = self.obs_count
         if not 1 <= low <= high:
             raise ContractError(f"obs_count: must satisfy 1 <= low <= high, got {list(self.obs_count)}")
-
-    def validate(self):
-        if len(self.regions) + 1 < 2:
-            raise ContractError("need at least two regions in total")
-        if self.n_classes < 4:
-            raise ContractError("need at least 4 classes")
-        floor = 2 * self.k_max
-        if min(self.samples_per_class, self.finetune_samples_per_class) < floor:
-            raise ContractError(f"per-class count must be >= {floor}")
-        if self.noise_sigma == 0 and self.separability == 0:
-            raise ContractError("unidentifiable config: zero noise and identical profiles")
-        if not self.groups or all(g.kind != "dynamic" for g in self.groups):
-            raise ContractError("need at least one dynamic channel group")
+        if not self.regions or len(set(self.regions)) < len(self.regions):
+            raise ContractError("regions: must be a non-empty list of distinct names")
+        if self.finetune_region in self.regions:
+            raise ContractError("finetune_region: must not be one of the pre-training regions")
+        for name, floor in (("majority_boost", 1), ("noise_sigma", 0)):
+            if getattr(self, name) < floor:
+                raise ContractError(f"{name}: must be a number >= {floor}")
+        if self.noise_sigma == self.separability == 0:
+            raise ContractError("noise_sigma: must be > 0 when separability is 0 (unidentifiable)")
+        if not any(g.kind == "dynamic" for g in self.groups):
+            raise ContractError("groups: must hold a dynamic group")
 
 
 def build_hierarchy_codes(n_level3, n_level4, n_classes):
-    """Digit codes with levels {3: 2, 4: 4, 6: 6} digits, children distributed
-    round-robin so the declared level cardinalities are met exactly."""
-    if not (1 <= n_level3 <= n_level4 <= n_classes):
-        raise ContractError("hierarchy sizes must satisfy level3 <= level4 <= classes")
+    """Digit codes with levels {3: 2, 4: 4, 6: 6} digits, children distributed round-robin
+    so the level cardinalities (bounded by ``SynthConfig``) are met exactly."""
     level4_parent = [i % n_level3 for i in range(n_level4)]
     codes = []
     for leaf in range(n_classes):
@@ -449,7 +452,6 @@ def _profile_values(profile, days, phase_shift, amp_scale):
 
 def generate_synthetic(config, seed):
     """Deterministic synthetic corpus; pure function of (config, seed)."""
-    config.validate()
     rng = rng_from(seed, 0)
     codes, hierarchy = build_hierarchy_codes(
         config.n_level3, config.n_level4, config.n_classes
@@ -503,15 +505,10 @@ def generate_synthetic(config, seed):
                 ))
                 counter += 1
         order = rng.permutation(len(region_samples))
-        n = len(region_samples)
-        if is_finetune:
-            bounds = [int(fractions["train"] * n), int((fractions["train"] + fractions["validation"]) * n)]
-            split_of = lambda i: "train" if i < bounds[0] else ("validation" if i < bounds[1] else "test")
-        else:
-            bound = int(fractions["train"] * n)
-            split_of = lambda i: "train" if i < bound else "validation"
+        splits = list(fractions)  # each split ends at its cumulative fraction of the region
+        ends = (np.cumsum(list(fractions.values()))[:-1] * len(region_samples)).astype(int)
         for pos, idx in enumerate(order):
-            region_samples[idx].split = split_of(pos)
+            region_samples[idx].split = splits[np.searchsorted(ends, pos, side="right")]
         samples.extend(region_samples)
 
     region_counts, class_counts = {}, {}

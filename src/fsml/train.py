@@ -351,33 +351,24 @@ def finetune(corpus, model, init_backbone, regime, k, seed,
 
 
 def random_search(space, trials, seed, objective):
-    """Evaluate `objective(config_dict)` over log-uniform draws; maximize.
-
-    ``space`` maps names to (low, high) ranges sampled log-uniformly, or to
-    lists of discrete choices.  Failed trials are recorded and skipped.
+    """Maximize ``objective(config_dict)`` over ``trials`` draws: each name of
+    ``space`` maps to a ``(low, high)`` range, 0 < low < high, drawn
+    log-uniformly.  A trial that diverges is logged as failed; any other error
+    propagates.  DivergedError, with the last reason, if every trial diverged.
     """
-    if trials < 1:
-        raise ContractError("random_search: trials must be >= 1")
     rng = rng_from(seed, STREAM_SEARCH)
-    log, best = [], None
+    log, best, reason = [], None, None
     for trial in range(trials):
-        config = {}
-        for name, spec in sorted(space.items()):
-            if isinstance(spec, (list, tuple)) and len(spec) == 2 and all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in spec
-            ):
-                low, high = spec
-                config[name] = float(np.exp(rng.uniform(np.log(low), np.log(high))))
-            else:
-                config[name] = spec[int(rng.integers(len(spec)))]
+        config = {name: float(np.exp(rng.uniform(np.log(low), np.log(high))))
+                  for name, (low, high) in sorted(space.items())}
         try:
             score = float(objective(config))
-            log.append({"trial": trial, "config": config, "score": score, "status": "ok"})
-            if best is None or score > best[1]:
-                best = (config, score)
-        except Exception as err:  # trial failure is data, not fatal
-            log.append({"trial": trial, "config": config, "score": None,
-                        "status": f"failed: {err}"})
+        except DivergedError as err:  # a diverged trial is data, not fatal
+            score, reason = None, err
+        log.append({"trial": trial, "config": config, "score": score,
+                    "status": "ok" if score is not None else f"failed: {reason}"})
+        if score is not None and (best is None or score > best[1]):
+            best = (config, score)
     if best is None:
-        raise ContractError("random_search: every trial failed")
+        raise DivergedError(f"random_search: all {trials} trials diverged, the last: {reason}")
     return best[0], best[1], log

@@ -33,6 +33,7 @@ SYNTH_BLOCK = {
 }
 
 MODEL_BLOCK = {"embed_dim": 16, "num_heads": 2, "hidden_dim": 32}
+SPLIT_LR_SPACE = {"lr_head": [1e-6, 1e-2], "lr_backbone": [1e-6, 1e-3]}
 
 
 def synth_config(dataset, out):
@@ -75,9 +76,12 @@ SSL_CLI_KEYS = {
 
 def _block_of(cls, names):
     """A value of each field's type (1 for numbers, a list of ones for a tuple),
-    a valid meta algorithm and way count, and a valid value of each CLI-only key."""
+    a valid meta algorithm and way count, synth sizes that meet its bounds, and
+    a valid value of each CLI-only key."""
     hints = get_type_hints(cls)
-    valid = {**SSL_CLI_KEYS, "algorithm": "maml", "n_way": 2}
+    valid = {**SSL_CLI_KEYS, "algorithm": "maml", "n_way": 2, "regions": ["R1"], "n_classes": 4,
+             "samples_per_class": 2, "finetune_samples_per_class": 2,
+             "groups": [{"name": "s2", "channels": 1}]}
     return {
         name: valid[name] if name in valid
         else [1] * len(get_args(hints[name])) if get_origin(hints[name]) is tuple
@@ -196,7 +200,7 @@ def test_every_config_field_is_accepted_and_typos_are_rejected():
     # tune's regime takes the same three values as finetune's
     ("tune", {"tune": {"space": {}, "regime": "bogus"}},
      'tune.regime: must be "same_lr" or "split_lr" or "head_only"'),
-    ("tune", {"tune": {"space": {"lr_head": []}}}, "tune.space.lr_head: must be a non-empty list"),
+    ("tune", {"tune": {"space": {"lr_head": []}}}, "tune.space.lr_head: must be a list of 2 numbers"),
     # top-level paths and names are strings
     ("pretrain-transfer", {"dataset": 5}, "dataset: must be a string"),
     ("synth-data", {"synth": {}, "out": 5}, "out: must be a string"),
@@ -235,14 +239,110 @@ def test_every_config_field_is_accepted_and_typos_are_rejected():
      'synth.groups[1].kind: must be "dynamic" or "static"'),
     ("synth-data", {"synth": {"groups": [{"name": "s2", "channels": 0}]}},
      "synth.groups[0].channels: must be an integer >= 1"),
+    # the bounds the generator relies on: the fine-tune region is held out of pre-training
+    ("synth-data", {"synth": {"regions": ["R1", "T1"], "finetune_region": "T1"}},
+     "synth.finetune_region: must not be one of the pre-training regions"),
+    *[("synth-data", {"synth": {"regions": regions}},
+       "synth.regions: must be a non-empty list of distinct names") for regions in ([], ["R1", "R1"])],
+    *[("synth-data", {"synth": {key: value}}, f"synth.{key}: {problem}")
+      for key, value, problem in [
+          ("majority_boost", 0, "must be a number >= 1"),
+          ("majority_boost", 0.5, "must be a number >= 1"),
+          ("noise_sigma", -0.1, "must be a number >= 0"),
+          ("n_classes", 3, "must be an integer >= 4"),
+          ("k_max", 0, "must be an integer >= 1"),
+          ("samples_per_class", 19, "must be >= 2 * k_max = 20"),
+          ("finetune_samples_per_class", 10, "must be >= 2 * k_max = 20"),
+          ("groups", [], "must hold a dynamic group"),
+          ("groups", [{"name": "loc", "channels": 3, "kind": "static"}], "must hold a dynamic group"),
+      ]],
+    *[("synth-data", {"synth": sizes},
+       "synth.n_level4: must satisfy 1 <= n_level3 <= n_level4 <= n_classes")
+      for sizes in ({"n_level3": 0}, {"n_level3": 3, "n_level4": 2}, {"n_level4": 7})],
+    ("synth-data", {"synth": {"noise_sigma": 0, "separability": 0}},
+     "synth.noise_sigma: must be > 0 when separability is 0 (unidentifiable)"),
+    # tune's counts, and one range shape whose names are exactly the regime's rates
+    *[("tune", {"tune": {"space": SPLIT_LR_SPACE, key: 0}}, f"tune.{key}: must be an integer >= 1")
+      for key in ("trials", "k", "max_epochs")],
+    *[("tune", {"tune": {"space": {**SPLIT_LR_SPACE, "lr_backbone": bounds}}},
+       f"tune.space.lr_backbone: must satisfy 0 < low < high, got {shown}")
+      for bounds, shown in [([-1e-4, 1e-2], "[-0.0001, 0.01]"), ([0, 1e-2], "[0, 0.01]"),
+                            ([1e-2, 1e-4], "[0.01, 0.0001]"), ([1e-4, 1e-4], "[0.0001, 0.0001]")]],
+    ("tune", {"tune": {"space": {"lr_hed": [1e-4, 1e-2], "lr_backbone": [1e-6, 1e-3]}}},
+     "tune.space.lr_hed: unknown rate for regime 'split_lr', which takes lr_backbone and lr_head"),
+    ("tune", {"tune": {"space": {"lr_head": [1e-3, 1e-2, 3e-3]}}},
+     "tune.space.lr_head: must be a list of 2 numbers"),
+    ("tune", {"tune": {"space": {"lr_head": [1e-4, 1e-2]}}},
+     "tune.space.lr_backbone: required for regime 'split_lr', which takes lr_backbone and lr_head"),
+    ("tune", {"tune": {"space": SPLIT_LR_SPACE, "regime": "head_only"}},
+     "tune.space.lr_backbone: unknown rate for regime 'head_only', which takes lr_head"),
+    ("evaluate", {"evaluate": {"runs": []}}, "evaluate.runs: must be a non-empty list"),
 ])
-def test_bad_config_shapes_exit_with_contract_error(tmp_path, capsys, mode, blocks, problem):
+def test_bad_config_shapes_exit_with_contract_error(tmp_path, capsys, monkeypatch, mode, blocks,
+                                                    problem):
+    _forbid_corpus_work(monkeypatch)
     config = {"schema_version": 1, "mode": mode, "dataset": "x",
               "out": str(tmp_path / "runs"), **blocks}
     assert problem in validate_config(config)
     assert _main_on(tmp_path, config) == 1
     err = capsys.readouterr().err
     assert "ContractError" in err and problem in err
+    assert not (tmp_path / "runs").exists()
+
+
+def _forbid_corpus_work(monkeypatch):
+    """Make loading or generating a corpus fail the test."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a corpus was loaded or generated before the config was checked")
+
+    monkeypatch.setattr(cli_mod, "load_corpus", forbidden)
+    monkeypatch.setattr(cli_mod, "generate_synthetic", forbidden)
+
+
+def test_tune_range_beyond_the_float_range_exits_1_naming_it(tmp_path, capsys):
+    config = {"schema_version": 1, "mode": "tune", "dataset": "x", "out": str(tmp_path / "runs"),
+              "tune": {"space": {"lr_head": [1e-4, 1e-2], "lr_backbone": [1e-6, "HIGH"]}}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config).replace('"HIGH"', "1e400"))
+    assert main(["--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "tune.space.lr_backbone: must satisfy 0 < low < high, got [1e-06, inf]" in err
+
+
+def _report_run(tmp_path):
+    """A run directory holding one fine-tune report."""
+    report = tmp_path / "good" / "0" / "reports" / "scratch_k1.json"
+    report.parent.mkdir(parents=True)
+    report.write_text(json.dumps({"label": "scratch", "k": 1, "overall_accuracy": 0.5}))
+    return str(tmp_path / "good")
+
+
+# Checks that need two blocks or the file system run before any corpus loads
+# or artifact is written.
+@pytest.mark.parametrize("mode, blocks, problem", [
+    ("pretrain-ssl", {"ssl": {}, "model": {"embed_dim": 18, "num_heads": 2}},
+     "model.embed_dim: d_emb 18 must be divisible by 4"),
+    ("evaluate", {"evaluate": {"runs": ["{tmp}/runs/mistyped"]}},
+     "evaluate.runs[0]: no */reports/*.json under '{tmp}/runs/mistyped'"),
+    ("evaluate", {"evaluate": {"runs": ["{good}", "{tmp}/empty"], "out_csv": "{tmp}/r.csv"}},
+     "evaluate.runs[1]: no */reports/*.json under '{tmp}/empty'"),
+], ids=["ssl-width", "evaluate-missing-run", "evaluate-run-without-reports"])
+def test_checks_across_blocks_run_before_any_work(tmp_path, capsys, monkeypatch, mode, blocks,
+                                                  problem):
+    good = _report_run(tmp_path)
+    (tmp_path / "empty" / "0" / "reports").mkdir(parents=True)
+    blocks = json.loads(json.dumps(blocks).replace("{tmp}", str(tmp_path)).replace("{good}", good))
+    _forbid_corpus_work(monkeypatch)
+    out = tmp_path / "runs"
+    config = {"schema_version": 1, "mode": mode, "dataset": "x", "out": str(out), **blocks}
+    if mode == "evaluate":
+        del config["dataset"]
+    assert validate_config(config) == []
+    assert _main_on(tmp_path, config) == 1
+    err = capsys.readouterr().err
+    assert "error [ContractError]" in err
+    assert problem.replace("{tmp}", str(tmp_path)) in err
+    assert not [p for p in out.rglob("*") if p.is_file()] and not (tmp_path / "r.csv").exists()
 
 
 @pytest.mark.parametrize("below_file", [False, True], ids=["is_a_file", "under_a_file"])

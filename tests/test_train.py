@@ -299,12 +299,45 @@ def test_random_search_survives_failures():
     def flaky(config):
         calls["n"] += 1
         if calls["n"] % 2 == 0:
-            raise RuntimeError("boom")
+            raise DivergedError("non-finite training loss", step=calls["n"])
         return config["lr"]
 
     best, _, log = random_search({"lr": (0.1, 1.0)}, trials=6, seed=1, objective=flaky)
     assert sum(1 for row in log if row["status"] != "ok") == 3
+    assert log[1]["status"] == "failed: non-finite training loss (step 2)"
     assert best["lr"] > 0
+
+
+def test_random_search_propagates_an_error_that_is_no_divergence():
+    def broken(config):
+        raise RuntimeError("boom")
+
+    with pytest.raises(RuntimeError, match="boom"):
+        random_search({"lr": (0.1, 1.0)}, trials=3, seed=1, objective=broken)
+
+
+def test_random_search_where_every_trial_diverges_carries_the_last_reason():
+    calls = {"n": 0}
+
+    def diverging(config):
+        calls["n"] += 1
+        raise DivergedError("non-finite training loss", step=calls["n"])
+
+    with pytest.raises(DivergedError, match=r"all 3 trials diverged.*\(step 3\)"):
+        random_search({"lr": (0.1, 1.0)}, trials=3, seed=1, objective=diverging)
+
+
+def test_random_search_draws_are_pinned():
+    """The published ranges, 4 trials at seed 0, bit for bit: a valid tune
+    config keeps its draws, its tuning log and its best config."""
+    space = {"lr_head": train.LR_RANGE_HEAD, "lr_backbone": train.LR_RANGE_BACKBONE}
+    _, _, log = random_search(space, trials=4, seed=0, objective=lambda c: -c["lr_head"])
+    assert [row["config"] for row in log] == [
+        {"lr_backbone": 1.3079260396823857e-06, "lr_head": 0.0012838370615067506},
+        {"lr_backbone": 0.0002497512896088007, "lr_head": 8.054289757600837e-05},
+        {"lr_backbone": 0.0003334077100711792, "lr_head": 0.006214937806586223},
+        {"lr_backbone": 2.353360650335302e-06, "lr_head": 0.0001377268605297907},
+    ]
 
 
 def test_fixed_validation_default_is_1000_points():
