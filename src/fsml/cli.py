@@ -309,9 +309,9 @@ def _mode_pretrain_meta(config, blocks, chash):
     artifacts = []
     for seed in config.seeds:
         backbone, info = meta_train(corpus, m_config, seed, model_config=model_config)
-        arrays = {f"backbone/{k}": v.values for k, v in backbone.items()}
         artifacts += _save_run(
-            config.out, f"meta_{m_config.algorithm}", arrays, info["trace"],
+            config.out, f"meta_{m_config.algorithm}",
+            nn.params_to_arrays(nn.join_params(backbone, {})), info["trace"],
             ["tasks_seen", "mean_query_accuracy", "mean_query_loss"], chash, seed,
             kind="raw", algorithm=m_config.algorithm, model=json.dumps(asdict(model_config)),
             in_channels=info["learner"].model.in_channels,
@@ -334,7 +334,7 @@ def _mode_pretrain_ssl(config, blocks, chash):
     artifacts = []
     for seed in config.seeds:
         params, stats, info = pretrain_ssl(corpus, autoencoder, s_config, seed)
-        arrays = {f"backbone/{k}": v.values for k, v in encoder_backbone(params).items()}
+        arrays = nn.params_to_arrays(nn.join_params(encoder_backbone(params), {}))
         for gname, (mean, std) in stats.items():
             arrays[f"norm/{gname}/mean"] = mean
             arrays[f"norm/{gname}/std"] = std
@@ -388,8 +388,8 @@ def _load_init(finetune_block, model_config, corpus, seed):
         model = TokenClassifier(meta["model"], spec, meta["regime"], stats)
     # Checkpoints written before attention keys lost their bias still carry
     # ``*/attn/k/b``; no model reads it.
-    backbone = {k.split("/", 1)[1]: nn.Tensor(v) for k, v in arrays.items()
-                if k.startswith("backbone/") and not k.endswith("/attn/k/b")}
+    backbone = {k: nn.Tensor(v) for k, v in nn.split_params(arrays)[0].items()
+                if not k.endswith("/attn/k/b")}
     # Each array of the model's own initial backbone must be there at its
     # shape; a fresh generator draws that backbone, so no run's stream moves.
     for key, init in model.init_backbone(rng_from(0, STREAM_INIT)).items():
@@ -537,8 +537,6 @@ def emit_plots(rows, kshots, out_dir):
             writer.writerow(["k", "mean", "std"])
             writer.writerows([k, *cell] for k, cell in zip(kshots, _mean_std(per_k, kshots)))
         written.append(str(path))
-    if not written:
-        print("warning: no result rows, no plot data emitted", file=sys.stderr)
     return written
 
 

@@ -145,6 +145,20 @@ def subset_by_split(samples, split):
     return [s for s in samples if s.split == split]
 
 
+PRETRAIN_POOL = "the pre-training regions"
+FINETUNE_POOL = "the fine-tune region"
+
+
+def require_splits(samples, pool, *splits):
+    """The samples of each of ``splits``, in order; a split without any is a
+    DegenerateInputError naming it and ``pool``, where ``samples`` come from."""
+    subsets = [subset_by_split(samples, split) for split in splits]
+    for split, subset in zip(splits, subsets):
+        if not subset:
+            raise DegenerateInputError(f"no {split!r} parcels in {pool}")
+    return subsets
+
+
 def fixed_validation_subset(samples, limit=FIXED_VALIDATION_POINTS):
     """The fixed validation points: a corpus-stable draw, independent of the
     run seed (constant selection stream over id-sorted samples)."""
@@ -397,6 +411,9 @@ class SynthConfig:
             raise ContractError("noise_sigma: must be > 0 when separability is 0 (unidentifiable)")
         if not any(g.kind == "dynamic" for g in self.groups):
             raise ContractError("groups: must hold a dynamic group")
+        names = [g.name for g in self.groups]
+        if len(set(names)) < len(names):
+            raise ContractError(f"groups: names must be distinct, got {names}")
 
 
 def build_hierarchy_codes(n_level3, n_level4, n_classes):

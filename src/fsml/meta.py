@@ -213,7 +213,7 @@ class SampleSet:
 class TaskAwareRawModel:
     """Raw-series model plus the algorithm's task-information injection.
 
-    Satisfies the same prepare/logits interface as the plain models, so
+    Its ``logits(backbone, head, samples)`` is the plain models' own, so
     meta-trained backbones (including the task-information variants) can be
     fine-tuned through the ordinary training loops.
     """
@@ -225,9 +225,6 @@ class TaskAwareRawModel:
     @property
     def config(self):
         return self.base.config
-
-    def prepare(self, samples):
-        return samples
 
     def init_backbone(self, rng):
         """The raw-series backbone, plus the task encoder's for timl_enc."""
@@ -277,7 +274,7 @@ class TaskAwareRawModel:
         film = None
         if self.algorithm == "timl_enc":
             film = film_modulation(backbone, inputs.cart, self.base.config.embed_dim)
-        return self.base.logits(backbone, head, inputs.batch, film=film)
+        return nn.classify(head, self.base.embeddings(backbone, inputs.batch, film))
 
     def logits(self, backbone, head, samples):
         return self.forward(backbone, head, self.sample_set(samples))
@@ -296,21 +293,18 @@ class MetaLearner:
 
     def init_meta_params(self, rng):
         """Meta-learned tensors, flat-named under ``backbone/``."""
-        return {f"backbone/{k}": v for k, v in self.task_model.init_backbone(rng).items()}
+        return nn.join_params(self.task_model.init_backbone(rng), {})
 
     def fresh_head(self, rng):
-        head = nn.new_head(rng, self.model.config.embed_dim, self.config.n_way)
-        return {f"head/{k}": v for k, v in head.items()}
+        return nn.join_params({}, nn.new_head(rng, self.model.config.embed_dim, self.config.n_way))
 
     # -- forward ----------------------------------------------------------
 
     def logits(self, flat, samples):
         """Logits of a sample list, or of a (stacked) ``SampleSet``."""
-        backbone = {k.split("/", 1)[1]: v for k, v in flat.items() if k.startswith("backbone/")}
-        head = {k.split("/", 1)[1]: v for k, v in flat.items() if k.startswith("head/")}
         if not isinstance(samples, SampleSet):
             samples = self.task_model.sample_set(samples)
-        return self.task_model.forward(backbone, head, samples)
+        return self.task_model.forward(*nn.split_params(flat), samples)
 
     def _loss_fn(self, inputs):
         def loss_fn(flat):
@@ -453,11 +447,5 @@ def meta_train(corpus, config, seed, model_config=None):
         return val_acc, val_loss, {"mean_query_accuracy": val_acc, "mean_query_loss": val_loss}
 
     batch_ends = [min(t + size, config.total_tasks) for t in range(0, config.total_tasks, size)]
-    best_params, best_at, trace = _fit(
-        batch_ends, config.validate_every, step, validate,
-        lambda: {k: Tensor(v.values.copy()) for k, v in meta_params.items()},
-    )
-    backbone = {
-        k.split("/", 1)[1]: v for k, v in best_params.items() if k.startswith("backbone/")
-    }
-    return backbone, {"trace": trace, "best_at": best_at, "learner": learner}
+    best, best_at, trace = _fit(batch_ends, config.validate_every, step, validate, meta_params)
+    return nn.split_params(best)[0], {"trace": trace, "best_at": best_at, "learner": learner}

@@ -1,7 +1,10 @@
 """Neural building blocks: Transformer encoder, positional encoding, heads.
 
 Parameters live in plain ``{name: Tensor}`` maps so the meta-learning inner
-loop can swap adapted values functionally.  Weights are initialized from
+loop can swap adapted values functionally.  Every trainer of a classifier
+holds one flat map named like its checkpoint, ``backbone/<name>`` and
+``head/<name>``; ``join_params`` and ``split_params`` convert between it and
+the two maps a model reads.  Weights are initialized from
 Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) with zero biases, drawn from the
 run seed; layer norms carry affine (gain, bias) initialized to (1, 0).
 Blocks are pre-norm residual; dropout is omitted for determinism.
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,23 +69,30 @@ PRESTO = TransformerConfig(128, 8, 512, 2, 2, 24)
 small_config = TransformerConfig  # the desk-scale sizes, overridable by keyword
 
 
-@dataclass
-class ModelParams:
-    """Named backbone and head tensors; the head is replaceable in isolation."""
+def join_params(backbone, head):
+    """One flat map named like the checkpoints: ``backbone/<name>`` then ``head/<name>``."""
+    return {**{f"backbone/{k}": v for k, v in backbone.items()},
+            **{f"head/{k}": v for k, v in head.items()}}
 
-    backbone: dict = field(default_factory=dict)
-    head: dict = field(default_factory=dict)
 
-    def named(self):
-        merged = {f"backbone/{k}": v for k, v in self.backbone.items()}
-        merged.update({f"head/{k}": v for k, v in self.head.items()})
-        return merged
+def split_params(params):
+    """The (backbone, head) maps of a flat map, prefixes dropped; entries
+    under any other prefix (a checkpoint's ``norm/``) are left out."""
+    parts = {"backbone": {}, "head": {}}
+    for key, value in params.items():
+        part, _, name = key.partition("/")
+        parts.get(part, {})[name] = value
+    return parts["backbone"], parts["head"]
 
-    def copy(self):
-        return ModelParams(
-            backbone={k: Tensor(v.values.copy()) for k, v in self.backbone.items()},
-            head={k: Tensor(v.values.copy()) for k, v in self.head.items()},
-        )
+
+def copy_params(params):
+    """Fresh leaf tensors holding copies of a map's values."""
+    return {k: Tensor(v.values.copy()) for k, v in params.items()}
+
+
+def init_params(model, rng, n_classes):
+    """A model's backbone, then a fresh head, drawn from ``rng``, as one flat map."""
+    return join_params(model.init_backbone(rng), new_head(rng, model.config.embed_dim, n_classes))
 
 
 def uniform_init(rng, fan_in, shape):
@@ -302,10 +312,7 @@ class RawSeriesModel:
 
     config: TransformerConfig
     in_channels: int
-    groups: tuple = ()  # dynamic group order used by prepare()
-
-    def prepare(self, samples):
-        return pack_batch(samples, list(self.groups))
+    groups: tuple = ()  # dynamic group order used by logits()
 
     def init_backbone(self, rng):
         params = {}
@@ -313,12 +320,6 @@ class RawSeriesModel:
         params["in/w"] = w
         params["in/b"] = b
         return encoder_params(rng, self.config, params)
-
-    def init_params(self, rng, n_classes):
-        return ModelParams(
-            backbone=self.init_backbone(rng),
-            head=new_head(rng, self.config.embed_dim, n_classes),
-        )
 
     def _positions(self, days):
         table = positional_table(self.config.max_seq_len, self.config.embed_dim)
@@ -352,8 +353,8 @@ class RawSeriesModel:
             pooled = T.add(T.mul(pooled, gamma), delta)
         return pooled
 
-    def logits(self, params, head, batch, film=None):
-        return classify(head, self.embeddings(params, batch, film))
+    def logits(self, backbone, head, samples):
+        return classify(head, self.embeddings(backbone, pack_batch(samples, list(self.groups))))
 
 
 def _expand_mid(x):
@@ -487,4 +488,4 @@ def load_checkpoint(path):
 
 
 def params_to_arrays(params):
-    return {k: v.values for k, v in params.named().items()}
+    return {k: v.values for k, v in params.items()}

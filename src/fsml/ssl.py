@@ -37,7 +37,7 @@ import numpy as np
 
 from . import nn
 from . import tensor as T
-from .data import subset_by_split
+from .data import PRETRAIN_POOL, require_splits
 from .errors import ContractError, DegenerateInputError, DivergedError, require_counts
 from .nn import TransformerConfig
 from .seeding import STREAM_BATCHING, STREAM_INIT, STREAM_MASKING, rng_from
@@ -348,8 +348,7 @@ def pretrain_ssl(corpus, model, config, seed):
     the best-validation checkpoint (with normalization statistics) is kept.
     """
     pool = corpus.pretrain_pool()
-    train = subset_by_split(pool, "train")
-    validation = subset_by_split(pool, "validation")
+    train, validation = require_splits(pool, PRETRAIN_POOL, "train", "validation")
     stats = normalization_stats(train, model.spec)
 
     params = model.init_params(rng_from(seed, STREAM_INIT))
@@ -370,19 +369,14 @@ def pretrain_ssl(corpus, model, config, seed):
 
     n_batches = min(len(range(0, len(train), config.batch_size)), config.max_batches)
     best_params, best_at, trace = _fit(
-        range(1, n_batches + 1), config.validate_every, step, validate,
-        lambda: {k: Tensor(v.values.copy()) for k, v in params.items()}, config.patience,
+        range(1, n_batches + 1), config.validate_every, step, validate, params, config.patience,
     )
     return best_params, stats, {"trace": trace, "best_at": best_at}
 
 
 def encoder_backbone(params):
     """Drop decoder and reconstruction heads; keep what fine-tuning reuses."""
-    return {
-        k: v
-        for k, v in params.items()
-        if not (k.startswith("dec") or k.startswith("recon/"))
-    }
+    return {k: v for k, v in params.items() if not k.startswith(("dec", "recon/"))}
 
 
 @dataclass(frozen=True)
@@ -394,18 +388,9 @@ class TokenClassifier:
     regime: EncodingRegime
     stats: dict | None = None
 
-    def prepare(self, samples):
-        return samples
-
     def init_backbone(self, rng):
         params = token_params(rng, self.spec, self.regime)
         return nn.encoder_params(rng, self.config, params)
-
-    def init_params(self, rng, n_classes):
-        return nn.ModelParams(
-            backbone=self.init_backbone(rng),
-            head=nn.new_head(rng, self.config.embed_dim, n_classes),
-        )
 
     def logits(self, backbone, head, samples):
         batch = encode_token_batch(samples, self.spec, self.regime, backbone, self.stats)

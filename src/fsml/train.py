@@ -17,13 +17,15 @@ import numpy as np
 from . import metrics as metrics_mod
 from . import nn
 from .data import (
+    FINETUNE_POOL,
     FIXED_VALIDATION_POINTS,
+    PRETRAIN_POOL,
     fixed_validation_subset,
+    require_splits,
     resample_majority,
-    subset_by_split,
 )
 from .errors import ContractError, DivergedError, require_counts
-from .nn import ModelParams, cross_entropy
+from .nn import copy_params, cross_entropy, join_params, split_params
 from .seeding import (
     STREAM_BATCHING,
     STREAM_HEAD_RESET,
@@ -132,14 +134,14 @@ def head_only(lr_head):
 # ---------------------------------------------------------------------------
 
 
-def _fit(units, every, step, validate, snapshot, patience=math.inf):
-    """Run ``step(unit)``, which returns the unit's trace fields, over the
-    increasing ``units``; after each multiple of ``every`` and after the last,
-    ``validate()`` returns (score, watched loss, fields) for one trace row.
-    Keeps the first ``snapshot()`` of the highest score (a NaN never replaces
-    it); stops once the loss has not improved by more than IMPROVEMENT_EPS for
-    ``patience`` validations.  Returns (best snapshot, its unit, trace); with
-    no units, the untouched parameters at unit 0."""
+def _fit(units, every, step, validate, params, patience=math.inf):
+    """Run ``step(unit)``, which updates the ``params`` map in place and returns
+    the unit's trace fields, over the increasing ``units``; after each multiple
+    of ``every`` and after the last, ``validate()`` returns (score, watched loss,
+    fields) for one trace row.  Keeps a copy of ``params`` at the first highest
+    score (a NaN never replaces it); stops once the loss has not improved by more
+    than IMPROVEMENT_EPS for ``patience`` validations.  Returns (best copy, its
+    unit, trace); with no units, a copy of the untouched parameters at unit 0."""
     trace, best, best_score, best_unit = [], None, None, 0
     best_loss, since_best = math.inf, 0
     for unit in units:
@@ -149,14 +151,14 @@ def _fit(units, every, step, validate, snapshot, patience=math.inf):
         score, loss, fields = validate()
         trace.append({**row, **fields})
         if best is None or score > best_score:
-            best, best_score, best_unit = snapshot(), score, unit
+            best, best_score, best_unit = copy_params(params), score, unit
         if loss < best_loss - IMPROVEMENT_EPS:
             best_loss, since_best = loss, 0
         else:
             since_best += 1
             if since_best >= patience:
                 break
-    return (snapshot() if best is None else best), best_unit, trace
+    return (copy_params(params) if best is None else best), best_unit, trace
 
 
 def _batch_indices(n, batch_size, rng):
@@ -164,27 +166,26 @@ def _batch_indices(n, batch_size, rng):
     return [order[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
-def _loss_and_grads(model, params, samples, labels, trainable):
+def _loss_and_grads(model, params, samples, labels, prefix=""):
+    """The batch loss and the gradients of the parameters named ``prefix...``."""
     with Tape():
-        tensors = {k: v for k, v in params.named().items()}
-        backbone = {k.split("/", 1)[1]: v for k, v in tensors.items() if k.startswith("backbone/")}
-        head = {k.split("/", 1)[1]: v for k, v in tensors.items() if k.startswith("head/")}
-        logits = model.logits(backbone, head, model.prepare(samples))
+        logits = model.logits(*split_params(params), samples)
         loss = cross_entropy(logits, labels)
         if not np.isfinite(loss.item()):
             raise DivergedError("non-finite training loss")
-        names = [k for k in sorted(tensors) if trainable(k)]
-        gs = grad(loss, [tensors[k] for k in names])
-    return loss.item(), {k: g.values for k, g in zip(names, gs)}, logits.values
+        names = [k for k in sorted(params) if k.startswith(prefix)]
+        gs = grad(loss, [params[k] for k in names])
+    return loss.item(), {k: g.values for k, g in zip(names, gs)}
 
 
 def evaluate_loss_accuracy(model, params, samples, class_order, batch_size=256):
     losses, hits, total = [], 0, 0
     index = {c: i for i, c in enumerate(class_order)}
+    backbone, head = split_params(params)
     for start in range(0, len(samples), batch_size):
         chunk = samples[start : start + batch_size]
         labels = np.array([index[s.label] for s in chunk])
-        logits = model.logits(params.backbone, params.head, model.prepare(chunk))
+        logits = model.logits(backbone, head, chunk)
         losses.append(cross_entropy(logits, labels).item() * len(chunk))
         hits += int((logits.values.argmax(axis=1) == labels).sum())
         total += len(chunk)
@@ -199,9 +200,10 @@ def _validate_classifier(model, params, samples, class_order):
 
 def predictions(model, params, samples, class_order, batch_size=256):
     out = []
+    backbone, head = split_params(params)
     for start in range(0, len(samples), batch_size):
         chunk = samples[start : start + batch_size]
-        logits = model.logits(params.backbone, params.head, model.prepare(chunk))
+        logits = model.logits(backbone, head, chunk)
         out.extend(class_order[i] for i in logits.values.argmax(axis=1))
     return out
 
@@ -230,12 +232,11 @@ def pretrain_transfer(corpus, model, config, seed):
     pool = resample_majority(
         corpus.pretrain_pool(), corpus.manifest.majority_class, rng_seed=seed
     )
-    train = subset_by_split(pool, "train")
-    validation = subset_by_split(pool, "validation")
+    train, validation = require_splits(pool, PRETRAIN_POOL, "train", "validation")
     class_order = sorted({s.label for s in pool})
     index = {c: i for i, c in enumerate(class_order)}
 
-    params = model.init_params(rng_from(seed, STREAM_INIT), len(class_order))
+    params = nn.init_params(model, rng_from(seed, STREAM_INIT), len(class_order))
     optimizer = Adam(config.learning_rate)
 
     def step(epoch):
@@ -247,17 +248,15 @@ def pretrain_transfer(corpus, model, config, seed):
         for idx in _batch_indices(len(train), config.batch_size, rng):
             chunk = [train[i] for i in idx]
             labels = np.array([index[s.label] for s in chunk])
-            loss, grads, _ = _loss_and_grads(
-                model, params, chunk, labels, trainable=lambda k: True
-            )
-            optimizer.step(params.named(), grads)
+            loss, grads = _loss_and_grads(model, params, chunk, labels)
+            optimizer.step(params, grads)
             epoch_loss += loss * len(chunk)
-        return {"epoch": epoch, "train_loss": epoch_loss / max(len(train), 1)}
+        return {"epoch": epoch, "train_loss": epoch_loss / len(train)}
 
     best_params, best_epoch, trace = _fit(
         range(config.max_epochs), 1, step,
         partial(_validate_classifier, model, params, validation, class_order),
-        params.copy, config.patience,
+        params, config.patience,
     )
     return best_params, {"trace": trace, "best_epoch": best_epoch, "classes": class_order}
 
@@ -299,39 +298,32 @@ def finetune(corpus, model, init_backbone, regime, k, seed,
     pool = corpus.finetune_pool()
     class_order = sorted({s.label for s in pool})
     index = {c: i for i, c in enumerate(class_order)}
-    train = kshot_subset(subset_by_split(pool, "train"), k, seed)
-    validation = fixed_validation_subset(pool, limit=validation_limit)
-    test = subset_by_split(pool, "test")
+    train, validation, test = require_splits(pool, FINETUNE_POOL, "train", "validation", "test")
+    train = kshot_subset(train, k, seed)
+    validation = fixed_validation_subset(validation, limit=validation_limit)
 
-    params = ModelParams(
-        backbone=dict(init_backbone),
-        head=nn.new_head(rng_from(seed, STREAM_HEAD_RESET), model.config.embed_dim, len(class_order)),
-    ).copy()
+    head = nn.new_head(rng_from(seed, STREAM_HEAD_RESET), model.config.embed_dim, len(class_order))
+    params = copy_params(join_params(init_backbone, head))
 
-    if regime.mode == "head_only":
-        trainable = lambda name: name.startswith("head/")
-    else:
-        trainable = lambda name: True
-    head_opt = Adam(regime.lr_head)
-    backbone_opt = Adam(regime.lr_backbone) if regime.lr_backbone > 0 else None
+    trainable = "head/" if regime.mode == "head_only" else ""
+    optimizers = [(Adam(regime.lr_head), "head/")]  # the head steps first
+    if regime.lr_backbone > 0:
+        optimizers.append((Adam(regime.lr_backbone), "backbone/"))
 
     def step(epoch):
         rng = rng_from(seed, STREAM_BATCHING, 7_000_000 + epoch)
         for idx in _batch_indices(len(train), batch_size, rng):
             chunk = [train[i] for i in idx]
             labels = np.array([index[s.label] for s in chunk])
-            _, grads, _ = _loss_and_grads(model, params, chunk, labels, trainable)
-            head_grads = {k: g for k, g in grads.items() if k.startswith("head/")}
-            head_opt.step(params.named(), head_grads)
-            if backbone_opt is not None:
-                backbone_grads = {k: g for k, g in grads.items() if k.startswith("backbone/")}
-                backbone_opt.step(params.named(), backbone_grads)
+            _, grads = _loss_and_grads(model, params, chunk, labels, trainable)
+            for optimizer, prefix in optimizers:
+                optimizer.step(params, {k: g for k, g in grads.items() if k.startswith(prefix)})
         return {"epoch": epoch}
 
     best_params, best_epoch, trace = _fit(
         range(max_epochs), 1, step,
         partial(_validate_classifier, model, params, validation, class_order),
-        params.copy, FINETUNE_PATIENCE,
+        params, FINETUNE_PATIENCE,
     )
 
     preds = predictions(model, best_params, test, class_order)

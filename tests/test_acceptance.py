@@ -81,26 +81,25 @@ def test_criterion_01_autodiff_soundness():
         rng = np.random.default_rng(12345)
         config = nn.small_config(embed_dim=8, num_heads=2, hidden_dim=12, max_seq_len=8)
         model = RawSeriesModel(config, in_channels=3)
-        params = model.init_params(rng, n_classes=3)
+        params = nn.init_params(model, rng, n_classes=3)
         values = rng.standard_normal((2, 3, 3))
         days = np.array([[1, 4, 7], [2, 3, 6]])
         mask = np.ones((2, 3), dtype=bool)
         labels = np.array([0, 2])
-        names = sorted(params.named())
+        names = sorted(params)
+
+        def logits_of(tensors):
+            backbone, head = nn.split_params(tensors)
+            return nn.classify(head, model.embeddings(backbone, (values, days, mask)))
 
         def loss_from(arrays):
             tensors = {k: Tensor(a) for k, a in zip(names, arrays)}
-            backbone = {k.split("/", 1)[1]: v for k, v in tensors.items() if k.startswith("backbone/")}
-            head = {k.split("/", 1)[1]: v for k, v in tensors.items() if k.startswith("head/")}
-            logits = model.logits(backbone, head, (values, days, mask))
-            return cross_entropy(logits, labels).item()
+            return cross_entropy(logits_of(tensors), labels).item()
 
-        arrays = [params.named()[k].values.copy() for k in names]
+        arrays = [params[k].values.copy() for k in names]
         with Tape():
             tensors = {k: Tensor(a) for k, a in zip(names, arrays)}
-            backbone = {k.split("/", 1)[1]: v for k, v in tensors.items() if k.startswith("backbone/")}
-            head = {k.split("/", 1)[1]: v for k, v in tensors.items() if k.startswith("head/")}
-            logits = model.logits(backbone, head, (values, days, mask))
+            logits = logits_of(tensors)
             grads = grad(cross_entropy(logits, labels), list(tensors.values()))
         fd = finite_diff(loss_from, arrays)
         for g, f in zip(grads, fd):

@@ -277,6 +277,10 @@ def test_every_config_field_is_accepted_and_typos_are_rejected():
     ("tune", {"tune": {"space": SPLIT_LR_SPACE, "regime": "head_only"}},
      "tune.space.lr_backbone: unknown rate for regime 'head_only', which takes lr_head"),
     ("evaluate", {"evaluate": {"runs": []}}, "evaluate.runs: must be a non-empty list"),
+    # two groups of one name would share the corpus tables while the manifest counts both
+    ("synth-data", {"synth": {"groups": [{"name": "s2", "channels": 3},
+                                         {"name": "s2", "channels": 2}]}},
+     "synth.groups: names must be distinct, got ['s2', 's2']"),
 ])
 def test_bad_config_shapes_exit_with_contract_error(tmp_path, capsys, monkeypatch, mode, blocks,
                                                     problem):
@@ -441,6 +445,35 @@ def test_missing_checkpoint_exits_with_its_path(tmp_path, capsys):
               "finetune": {"source": "checkpoint", "checkpoint": str(checkpoint)}}
     assert _main_on(tmp_path, config) == 1
     assert str(checkpoint) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode, split", [
+    ("pretrain-transfer", "train"), ("pretrain-transfer", "validation"),
+    ("pretrain-ssl", "train"), ("pretrain-ssl", "validation"),
+    ("finetune", "train"), ("finetune", "validation"), ("finetune", "test"),
+])
+def test_empty_split_is_a_degenerate_input_error_naming_pool_and_split(tmp_path, capsys, mode,
+                                                                        split):
+    """A corpus whose pool lost a split to relabelling fails before the first step."""
+    dataset, out = tmp_path / "corpus.jsonl", tmp_path / "runs"
+    run(synth_config(dataset, out))
+    finetune = mode == "finetune"
+    relabel = {"train": "validation", "validation": "train", "test": "train"}[split]
+    records = [json.loads(line) for line in dataset.read_text().splitlines()]
+    for record in records:
+        if (record["region"] == "T1") == finetune and record["split"] == split:
+            record["split"] = relabel if finetune else "test"
+    dataset.write_text("".join(json.dumps(record) + "\n" for record in records))
+    block = {"pretrain-transfer": {"transfer": {"max_epochs": 1}},
+             "pretrain-ssl": {"ssl": {"batch_size": 64, "max_batches": 1}},
+             "finetune": {"finetune": {"kshots": [1], "max_epochs": 1}}}[mode]
+    config = {"schema_version": 1, "mode": mode, "dataset": str(dataset), "out": str(out),
+              "seeds": [0], "model": MODEL_BLOCK, **block}
+    assert _main_on(tmp_path, config) == 1
+    pool = "the fine-tune region" if finetune else "the pre-training regions"
+    err = capsys.readouterr().err
+    assert f"error [DegenerateInputError]: no '{split}' parcels in {pool}" in err
+    assert not list(out.rglob("*.fsml")) and not list(out.rglob("*.json"))
 
 
 def _finetune_config(dataset, out, **finetune):
@@ -768,12 +801,6 @@ def test_emit_plots_shapes_and_equality(tmp_path):
         assert ["±".join(line.split(",")[1:]) for line in series[1:]] == cell_row.split(",")[1:]
     maml = Path(written[0]).read_text().splitlines()
     assert maml[1] == "1,0.110000,0.014142"
-
-
-def test_emit_plots_empty_results_warns(tmp_path, capsys):
-    assert emit_plots([], [], tmp_path / "plots") == []
-    assert "warning" in capsys.readouterr().err
-    assert not (tmp_path / "plots").exists()
 
 
 def test_evaluate_merges_runs(tmp_path):

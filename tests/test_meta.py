@@ -521,7 +521,7 @@ def test_timl_encoder_distinguishes_centroids():
     )
     head = learner.fresh_head(rng_from(7, 2))
     flat = {**meta_params, **head}
-    backbone = {k.split("/", 1)[1]: v for k, v in flat.items() if k.startswith("backbone/")}
+    backbone = nn.split_params(flat)[0]
     film_a = film_modulation(backbone, task_info([sample]), TINY.embed_dim)
     film_b = film_modulation(backbone, task_info([twin]), TINY.embed_dim)
     assert not np.allclose(film_a[0].values, film_b[0].values)

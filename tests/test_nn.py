@@ -8,7 +8,6 @@ from fsml import nn
 from fsml import tensor as T
 from fsml.errors import ContractError, DegenerateInputError, FsmlError, ParseError, SequenceLengthError
 from fsml.nn import (
-    ModelParams,
     RawSeriesModel,
     TransformerConfig,
     classify,
@@ -85,6 +84,12 @@ def _raw_batch(rng, lengths, channels):
     return values, days, mask
 
 
+def _batch_logits(model, params, batch):
+    """The raw model's logits of an already packed (values, days, mask) batch."""
+    backbone, head = nn.split_params(params)
+    return classify(head, model.embeddings(backbone, batch))
+
+
 def test_raw_model_builds_positional_table_once(rng, monkeypatch):
     builds = []
 
@@ -95,21 +100,21 @@ def test_raw_model_builds_positional_table_once(rng, monkeypatch):
     monkeypatch.setattr(nn, "_POSITIONAL_TABLES", {})
     monkeypatch.setattr(nn, "sinusoidal_table", counting_table)
     model = RawSeriesModel(CFG, 3)
-    params = model.init_params(rng, 2)
+    params = nn.init_params(model, rng, 2)
     batch = _raw_batch(rng, [4, 2], 3)
-    first = model.logits(params.backbone, params.head, batch).values
-    second = model.logits(params.backbone, params.head, batch).values
+    first = _batch_logits(model, params, batch).values
+    second = _batch_logits(model, params, batch).values
     assert builds == [(CFG.max_seq_len, CFG.embed_dim)]
     np.testing.assert_array_equal(first, second)
 
 
 def test_raw_model_logits_ignore_padding(rng):
     model = RawSeriesModel(CFG, 3)
-    params = model.init_params(rng, 4)
+    params = nn.init_params(model, rng, 4)
     batch = _raw_batch(rng, [5, 1, 3], 3)
     padded = pad_batch(batch, CFG.max_seq_len)
-    plain = model.logits(params.backbone, params.head, batch).values
-    full = model.logits(params.backbone, params.head, padded).values
+    plain = _batch_logits(model, params, batch).values
+    full = _batch_logits(model, params, padded).values
     np.testing.assert_allclose(full, plain, rtol=0, atol=1e-12)
 
 
@@ -218,37 +223,22 @@ def test_sequence_overflow_cites_limit(rng):
 def test_cross_entropy_gradient_matches_finite_differences(rng):
     config = nn.small_config(embed_dim=8, num_heads=2, hidden_dim=12, max_seq_len=8)
     model = RawSeriesModel(config, in_channels=3)
-    params = model.init_params(rng, n_classes=3)
+    params = nn.init_params(model, rng, n_classes=3)
     values = rng.standard_normal((2, 3, 3))
     days = np.array([[1, 4, 7], [2, 3, 6]])
     mask = np.ones((2, 3), dtype=bool)
     labels = np.array([0, 2])
-    names = sorted(params.named())
+    names = sorted(params)
 
     def loss_from(arrays):
-        p = ModelParams(
-            backbone={
-                k.split("/", 1)[1]: Tensor(a)
-                for k, a in zip(names, arrays)
-                if k.startswith("backbone/")
-            },
-            head={
-                k.split("/", 1)[1]: Tensor(a)
-                for k, a in zip(names, arrays)
-                if k.startswith("head/")
-            },
-        )
-        logits = model.logits(p.backbone, p.head, (values, days, mask))
+        tensors = {k: Tensor(a) for k, a in zip(names, arrays)}
+        logits = _batch_logits(model, tensors, (values, days, mask))
         return cross_entropy(logits, labels).item()
 
-    arrays = [params.named()[k].values.copy() for k in names]
+    arrays = [params[k].values.copy() for k in names]
     with Tape():
         tensors = {k: Tensor(a) for k, a in zip(names, arrays)}
-        p = ModelParams(
-            backbone={k.split("/", 1)[1]: t for k, t in tensors.items() if k.startswith("backbone/")},
-            head={k.split("/", 1)[1]: t for k, t in tensors.items() if k.startswith("head/")},
-        )
-        logits = model.logits(p.backbone, p.head, (values, days, mask))
+        logits = _batch_logits(model, tensors, (values, days, mask))
         grads = grad(cross_entropy(logits, labels), list(tensors.values()))
     fd = finite_diff(loss_from, arrays)
     for g, f in zip(grads, fd):
@@ -261,18 +251,16 @@ def test_second_order_through_encoder_matches_finite_differences(rng):
     # and attention adjoints under create_graph.
     config = nn.small_config(embed_dim=8, num_heads=2, hidden_dim=12, max_seq_len=8)
     model = RawSeriesModel(config, in_channels=2)
-    params = model.init_params(rng, n_classes=3)
+    params = nn.init_params(model, rng, n_classes=3)
     values = rng.standard_normal((2, 3, 2))
     days = np.array([[1, 4, 7], [2, 3, 6]])
     mask = np.ones((2, 3), dtype=bool)
     labels = np.array([0, 2])
-    names = sorted(params.named())
-    direction = {k: rng.standard_normal(params.named()[k].shape) for k in names}
+    names = sorted(params)
+    direction = {k: rng.standard_normal(params[k].shape) for k in names}
 
     def loss_of(tensors):
-        backbone = {k.split("/", 1)[1]: v for k, v in tensors.items() if k.startswith("backbone/")}
-        head = {k.split("/", 1)[1]: v for k, v in tensors.items() if k.startswith("head/")}
-        return cross_entropy(model.logits(backbone, head, (values, days, mask)), labels)
+        return cross_entropy(_batch_logits(model, tensors, (values, days, mask)), labels)
 
     def gradient_at(arrays):
         with Tape():
@@ -280,7 +268,7 @@ def test_second_order_through_encoder_matches_finite_differences(rng):
             gs = grad(loss_of(tensors), [tensors[k] for k in names])
         return np.concatenate([g.values.reshape(-1) for g in gs])
 
-    base = {k: params.named()[k].values.copy() for k in names}
+    base = {k: params[k].values.copy() for k in names}
     with Tape():
         tensors = {k: Tensor(v.copy()) for k, v in base.items()}
         gs = grad(loss_of(tensors), [tensors[k] for k in names], create_graph=True)
@@ -301,18 +289,18 @@ def test_second_order_through_encoder_matches_finite_differences(rng):
 def test_reset_head_changes_logits_not_encoder_outputs(rng):
     config = nn.small_config(embed_dim=8, num_heads=2, hidden_dim=12)
     model = RawSeriesModel(config, in_channels=2)
-    params = model.init_params(rng, n_classes=4)
+    backbone, head = nn.split_params(nn.init_params(model, rng, n_classes=4))
     values = rng.standard_normal((1, 4, 2))
     days = np.array([[10, 50, 90, 200]])
     mask = np.ones((1, 4), dtype=bool)
-    emb_before = model.embeddings(params.backbone, (values, days, mask)).values
-    logits_before = classify(params.head, Tensor(emb_before)).values
-    params.head = nn.new_head(rng, config.embed_dim, 4)
-    emb_after = model.embeddings(params.backbone, (values, days, mask)).values
-    logits_after = classify(params.head, Tensor(emb_after)).values
+    emb_before = model.embeddings(backbone, (values, days, mask)).values
+    logits_before = classify(head, Tensor(emb_before)).values
+    head = nn.new_head(rng, config.embed_dim, 4)
+    emb_after = model.embeddings(backbone, (values, days, mask)).values
+    logits_after = classify(head, Tensor(emb_after)).values
     np.testing.assert_allclose(emb_after, emb_before)
     assert not np.allclose(logits_after, logits_before)
-    assert set(params.head) == {"w", "b"}
+    assert set(head) == {"w", "b"}
 
 
 @pytest.mark.parametrize("days, named", [([[0, 5, 9]], "0"), ([[3, -5, 0]], "-5")])
@@ -320,10 +308,42 @@ def test_day_below_one_is_a_contract_error(rng, days, named):
     model = RawSeriesModel(CFG, in_channels=2)
     with pytest.raises(ContractError, match=f"day index {named} is below 1"):
         model._positions(days)
-    params = model.init_params(rng, n_classes=2)
+    params = nn.init_params(model, rng, n_classes=2)
     batch = (rng.standard_normal((1, 3, 2)), np.array(days), np.ones((1, 3), dtype=bool))
     with pytest.raises(ContractError):
-        model.logits(params.backbone, params.head, batch)
+        _batch_logits(model, params, batch)
+
+
+def test_split_params_inverts_join_params(rng):
+    backbone = {"in/w": Tensor(rng.standard_normal((3, 4))), "enc0/ln1/g": Tensor(np.ones(4))}
+    head = nn.new_head(rng, 4, 2)
+    flat = nn.join_params(backbone, head)
+    assert sorted(flat) == ["backbone/enc0/ln1/g", "backbone/in/w", "head/b", "head/w"]
+    again_backbone, again_head = nn.split_params({**flat, "norm/s2/mean": np.zeros(2)})
+    assert again_backbone == backbone and again_head == head
+    for key in backbone:
+        assert again_backbone[key] is backbone[key]
+
+
+def test_init_params_draws_the_backbone_then_the_head(rng):
+    model = RawSeriesModel(CFG, 3)
+    flat = nn.init_params(model, np.random.default_rng(4), n_classes=5)
+    draws = np.random.default_rng(4)
+    expected = nn.join_params(model.init_backbone(draws), nn.new_head(draws, CFG.embed_dim, 5))
+    assert flat.keys() == expected.keys()
+    for key, value in expected.items():
+        np.testing.assert_array_equal(flat[key].values, value.values)
+
+
+def test_raw_model_logits_pack_their_own_samples(rng):
+    model = RawSeriesModel(CFG, 3, ("s1", "s2"))
+    samples = [
+        parcel([2, 9, 14], {"s1": rng.standard_normal((3, 1)), "s2": rng.standard_normal((3, 2))}),
+        parcel([5], {"s1": rng.standard_normal((1, 1)), "s2": rng.standard_normal((1, 2))}),
+    ]
+    params = nn.init_params(model, rng, n_classes=2)
+    packed = _batch_logits(model, params, nn.pack_batch(samples, ["s1", "s2"])).values
+    np.testing.assert_array_equal(model.logits(*nn.split_params(params), samples).values, packed)
 
 
 def test_checkpoint_roundtrip_byte_identical(tmp_path, rng):

@@ -318,10 +318,10 @@ def test_token_classifier_logits_ignore_batch_partners():
         nn.TransformerConfig(16, 2, 32, 1, 0, 64), spec, xts_regime(16, max_timesteps=16),
         stats=normalization_stats(samples, spec),
     )
-    params = clf.init_params(rng_from(14, 1), n_classes=3)
-    together = clf.logits(params.backbone, params.head, samples).values
+    backbone, head = nn.split_params(nn.init_params(clf, rng_from(14, 1), n_classes=3))
+    together = clf.logits(backbone, head, samples).values
     for i, sample in enumerate(samples):
-        alone = clf.logits(params.backbone, params.head, [sample]).values
+        alone = clf.logits(backbone, head, [sample]).values
         np.testing.assert_allclose(together[i], alone[0], rtol=0, atol=1e-12)
 
 
@@ -357,12 +357,11 @@ def test_every_parameter_gets_a_gradient():
     stats = normalization_stats(samples, spec)
     raw = nn.RawSeriesModel(config, 5, ("s1", "s2"))
     for model in (raw, TokenClassifier(config, spec, regime, stats)):
-        params = model.init_params(rng_from(3, 1), n_classes=4)
-        named = params.named()
+        params = nn.init_params(model, rng_from(3, 1), n_classes=4)
         with Tape():
-            logits = model.logits(params.backbone, params.head, model.prepare(samples))
-            grads = grad(nn.cross_entropy(logits, labels), list(named.values()))
-        _assert_every_parameter_learns({k: g.values for k, g in zip(named, grads)})
+            logits = model.logits(*nn.split_params(params), samples)
+            grads = grad(nn.cross_entropy(logits, labels), list(params.values()))
+        _assert_every_parameter_learns({k: g.values for k, g in zip(params, grads)})
     for variant in ("self_attention", "cross_attention"):
         model = MaskedAutoencoder(config, spec, regime, variant)
         params = model.init_params(rng_from(3, 2))
@@ -457,9 +456,9 @@ def test_token_classifier_forward_shapes():
         nn.TransformerConfig(16, 2, 32, 1, 0, 64), spec, xts_regime(16, max_timesteps=16),
         stats=normalization_stats(corpus.pretrain_pool(), spec),
     )
-    params = clf.init_params(rng_from(11, 1), n_classes=4)
+    params = nn.init_params(clf, rng_from(11, 1), n_classes=4)
     chunk = corpus.finetune_pool()[:5]
-    logits = clf.logits(params.backbone, params.head, chunk)
+    logits = clf.logits(*nn.split_params(params), chunk)
     assert logits.shape == (5, 4)
 
 

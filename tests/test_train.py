@@ -87,22 +87,21 @@ def test_cosine_annealing_examples():
 
 def _fit_on(losses, patience=math.inf, scores=None, every=1):
     """``_fit`` over units 0..n-1 whose validation returns ``scores[unit]``
-    (minus the loss by default) and ``losses[unit]``; the snapshot is the unit.
-    Returns (validated units, best unit)."""
+    (minus the loss by default) and ``losses[unit]``; each step writes its
+    unit into a one-tensor map.  Returns (validated units, best unit)."""
     scores = [-loss for loss in losses] if scores is None else scores
-    seen = []
+    params = {"unit": Tensor(np.array(-1.0))}
 
     def step(unit):
-        seen.append(unit)
+        params["unit"].values[...] = unit
         return {"unit": unit}
 
     def validate():
-        return scores[seen[-1]], losses[seen[-1]], {}
+        unit = int(params["unit"].values)
+        return scores[unit], losses[unit], {}
 
-    best, best_unit, trace = _fit(
-        range(len(losses)), every, step, validate, lambda: seen[-1], patience
-    )
-    assert best == best_unit
+    best, best_unit, trace = _fit(range(len(losses)), every, step, validate, params, patience)
+    assert best["unit"].values == best_unit
     return [row["unit"] for row in trace], best_unit
 
 
@@ -138,8 +137,31 @@ def test_fit_keeps_the_first_best_score_and_never_a_nan():
 def test_fit_validates_every_kth_unit_and_the_last():
     assert _fit_on([1.0] * 8, every=3)[0] == [0, 3, 6, 7]
     assert _fit_on([1.0] * 7, every=3)[0] == [0, 3, 6]
-    best, best_unit, trace = _fit(range(0), 1, None, None, lambda: "initial")
-    assert (best, best_unit, trace) == ("initial", 0, [])
+    initial = {"w": Tensor(np.array([1.5, -2.0]))}
+    best, best_unit, trace = _fit(range(0), 1, None, None, initial)
+    assert (best_unit, trace) == (0, [])
+    np.testing.assert_array_equal(best["w"].values, [1.5, -2.0])
+
+
+def test_fit_returns_copies_a_later_step_does_not_change():
+    params = {"w": Tensor(np.array([1.0, 2.0]))}
+
+    def step(unit):
+        params["w"].values += 10.0
+        return {"unit": unit}
+
+    def validate():  # the first validation scores best
+        return -params["w"].values[0], 0.0, {}
+
+    best, best_unit, _ = _fit(range(3), 1, step, validate, params)
+    assert best_unit == 0 and best["w"] is not params["w"]
+    np.testing.assert_array_equal(best["w"].values, [11.0, 12.0])
+    step(3)  # an in-place step after the run
+    np.testing.assert_array_equal(best["w"].values, [11.0, 12.0])
+    fallback, _, _ = _fit(range(0), 1, step, validate, params)
+    step(4)
+    np.testing.assert_array_equal(fallback["w"].values, [41.0, 42.0])
+    np.testing.assert_array_equal(params["w"].values, [51.0, 52.0])
 
 
 def test_regime_invariants():
@@ -186,8 +208,8 @@ def test_pretrain_transfer_reaches_bar_and_is_deterministic():
     assert max(row["val_accuracy"] for row in info_a["trace"]) >= 0.9
     params_b, info_b = pretrain_transfer(corpus, model, config, seed=0)
     assert info_a["trace"] == info_b["trace"]
-    for k, v in params_a.named().items():
-        np.testing.assert_array_equal(v.values, params_b.named()[k].values)
+    for k, v in params_a.items():
+        np.testing.assert_array_equal(v.values, params_b[k].values)
 
 
 def test_pretrain_transfer_resamples_majority():
@@ -232,8 +254,9 @@ def test_finetune_head_only_freezes_backbone():
     params, report, info = finetune(
         corpus, model, init, head_only(1e-2), k=3, seed=0, max_epochs=3,
     )
+    backbone = nn.split_params(params)[0]
     for k in before:
-        np.testing.assert_array_equal(params.backbone[k].values, before[k])
+        np.testing.assert_array_equal(backbone[k].values, before[k])
     assert 0.0 <= report.overall_accuracy <= 1.0
 
 
@@ -245,8 +268,8 @@ def test_finetune_is_reproducible():
     b = finetune(corpus, model, init, same_lr(1e-3), k=3, seed=5, max_epochs=4)
     assert a[1].metric_map() == b[1].metric_map()
     assert a[2]["trace"] == b[2]["trace"]
-    for k, v in a[0].named().items():
-        np.testing.assert_array_equal(v.values, b[0].named()[k].values)
+    for k, v in a[0].items():
+        np.testing.assert_array_equal(v.values, b[0][k].values)
 
 
 @pytest.mark.parametrize("name", ["max_epochs", "batch_size"])
