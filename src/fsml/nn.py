@@ -38,9 +38,6 @@ from .errors import (
 from .schema import writing
 from .tensor import Tensor
 
-NEG_INF = -1e30
-
-
 @dataclass(frozen=True)
 class TransformerConfig:
     """Model sizes; the defaults are the desk-scale config of the tests and
@@ -162,16 +159,6 @@ def _linear(x, params, prefix):
     return T.add(T.matmul(x, params[f"{prefix}/w"]), params[f"{prefix}/b"])
 
 
-def _split_heads(x, batch, num_heads):
-    """Rows of ``batch`` sequences as [batch, heads, T, dim / heads]."""
-    x = T.reshape(x, (batch, -1, num_heads, x.shape[-1] // num_heads))
-    return T.transpose(x, (0, 2, 1, 3))
-
-
-def _merge_heads(x, shape):
-    return T.reshape(T.transpose(x, (0, 2, 1, 3)), shape)
-
-
 def attention(params, prefix, config, queries, keys_values, key_mask):
     """Multi-head attention; ``key_mask`` (bool [B, Tk]) marks attendable keys.
 
@@ -179,19 +166,14 @@ def attention(params, prefix, config, queries, keys_values, key_mask):
     unmasked keys sum to one and masked keys receive exactly zero weight.
     Keys carry no bias: softmax is shift-invariant per query, so a key bias
     would never get a gradient.  Stacked tasks (mask [n, B, Tk], rows
-    [n, B*Tk, d]) attend as n*B sequences.
+    [n, B*Tk, d]) attend as n*B sequences.  The projections are matmuls and
+    the core between them one ``tensor.attention`` op.
     """
-    key_mask = np.asarray(key_mask, dtype=bool)
-    key_mask = key_mask.reshape(-1, key_mask.shape[-1])
-    batch = key_mask.shape[0]
-    q = _split_heads(_linear(queries, params, f"{prefix}/q"), batch, config.num_heads)
-    k = _split_heads(T.matmul(keys_values, params[f"{prefix}/k/w"]), batch, config.num_heads)
-    v = _split_heads(_linear(keys_values, params, f"{prefix}/v"), batch, config.num_heads)
+    q = _linear(queries, params, f"{prefix}/q")
+    k = T.matmul(keys_values, params[f"{prefix}/k/w"])
+    v = _linear(keys_values, params, f"{prefix}/v")
     scale = 1.0 / np.sqrt(config.embed_dim // config.num_heads)
-    scores = T.mul(T.matmul(q, k, transpose_b=True), scale)
-    scores = T.masked_fill(scores, ~key_mask[:, None, None, :], NEG_INF)
-    weights = T.softmax(scores)
-    context = _merge_heads(T.matmul(weights, v), queries.shape)
+    context = T.attention(q, k, v, key_mask, config.num_heads, scale)
     return _linear(context, params, f"{prefix}/out")
 
 
@@ -284,16 +266,10 @@ def cross_entropy(logits, labels, live=None):
     rows of each leading index, and one loss per index is returned: for
     stacked tasks, logits [n, B, c] give n task losses.
     """
-    labels = np.asarray(labels, dtype=np.intp)
-    z = T.sub(logits, logits.values.max(axis=-1, keepdims=True))  # constant shift
-    log_norm = T.log(T.reduce_sum(T.exp(z), axis=-1, keepdims=True))
-    log_probs = T.sub(z, log_norm)
-    onehot = np.eye(logits.shape[-1])[labels]
-    picked = T.reduce_sum(T.mul(log_probs, onehot), axis=-1)
     if live is None:
-        return T.mul(T.reduce_mean(picked), -1.0)
+        return T.mul(T.reduce_mean(T.log_softmax_pick(logits, labels)), -1.0)
     weights = live / np.sum(live, axis=-1, keepdims=True)
-    return T.mul(T.reduce_sum(T.mul(picked, weights), axis=-1), -1.0)
+    return T.mul(T.reduce_sum(T.log_softmax_pick(logits, labels, weights), axis=-1), -1.0)
 
 
 def accuracy(logits_values, labels):

@@ -37,7 +37,12 @@ of the input.  A ``gelu`` node keeps the slope
 that a recording replay built, and later replays multiply by it; a slope
 built while paused is not kept, so a first-order tape holds no more than
 before.  The slope op keeps its forward's ``tanh``, which a paused replay
-of its adjoint reads.
+of its adjoint reads.  An ``attention`` node keeps its softmax weights (one
+``[batch, heads, Tq, Tk]`` array) and its three inputs, as the matmuls of
+the chain it replaces did, but never the scores; a recording replay records
+the kept weights as one op of ``q`` and ``k`` instead of recomputing them.  A ``log_softmax_pick`` node
+keeps its shifted exps and their row sums, and a recording replay records
+the exps as one op.
 
 Fan-in.  Without ``create_graph``, ``grad`` sums the contributions to one
 adjoint in place, but only in an array it allocated itself for that sum:
@@ -46,12 +51,22 @@ through, so an array a rule returned may be another node's adjoint or a
 gradient already handed back.
 
 The primitive set is fixed: add, sub, mul, div, matmul, transpose, reshape,
-concat, slice_axis, reduce_sum, reduce_mean, exp, log, sqrt, power, softmax
-(last axis), relu, gelu, layer_norm, embedding_lookup, masked_fill.
-``matmul`` takes a flag per operand that swaps its last two axes, so its
-adjoint records one matmul per operand and no transpose.  Two adjoints
-record one op of their own, whose adjoint is again built from primitives:
-gelu's records its slope, and layer_norm's its whole input gradient.  A
+concat, slice_axis, reduce_sum, reduce_mean, exp, log, sqrt, power, softmax,
+relu, gelu, layer_norm, embedding_lookup, masked_fill, attention,
+log_softmax_pick.  ``softmax`` runs over the last axis.  ``matmul`` takes a
+flag per operand that swaps its last two axes, so its adjoint records one
+matmul per operand and no transpose.  ``attention`` is the multi-head core
+between the projections (head split, scores, scale, key mask, softmax,
+context, head merge) and ``log_softmax_pick`` a cross-entropy's log-softmax
+at each row's label, each one node.  A paused replay of a fused op's
+adjoint runs the float ops of the primitive chain it replaces, so
+first-order gradients keep their bits.
+
+Adjoint ops: _gelu_slope, _layer_norm_grad, _attention_weights,
+_shifted_exp.  An adjoint rule records each as one op of its own, whose
+adjoint is again built from primitives: gelu's records its slope,
+layer_norm's its whole input gradient, attention's its kept softmax weights
+as a function of ``q`` and ``k``, and log_softmax_pick's its kept exps.  A
 :class:`Tensor` has no arithmetic operators or methods: every computation
 calls these functions by name.
 """
@@ -687,7 +702,8 @@ def _layer_norm_grad(g, a, out, eps, inv):
 
     ``inv`` is the layer_norm node's 1 / sqrt(var + eps) per row.  Recorded
     as one op whose adjoint is built from primitives, so a second-order tape
-    holds one node per layer norm instead of a dozen.
+    holds one node per layer norm instead of a dozen; when nothing records,
+    the adjoint is NumPy with the same float ops.
     """
     gv, y = g.values, out.values
     gy_mean = (gv * y).mean(axis=-1, keepdims=True)
@@ -701,11 +717,15 @@ def _layer_norm_grad(g, a, out, eps, inv):
         # whose derivative is -inv^2 * out / n.  Only a recording replay
         # needs inv as a function of a.
         n = a.shape[-1]
-        inv_t = inv
-        if _recording is not None:
-            mu = reduce_mean(a, axis=-1, keepdims=True)
-            c = sub(a, mu)
-            inv_t = power(add(reduce_mean(mul(c, c), axis=-1, keepdims=True), eps), -0.5)
+        if _recording is None:  # the float ops of the primitive chain below
+            hv = h.values
+            hy = (hv * y).mean(axis=-1, keepdims=True)
+            g_out = (inv * -1.0) * (hv * gy_mean + gv * hy)
+            g_a = (y * (inv / -n)) * (hv * result.values).sum(axis=-1, keepdims=True)
+            return (_layer_norm_grad(h, a, out, eps, inv), Tensor(g_a), Tensor(g_out))
+        mu = reduce_mean(a, axis=-1, keepdims=True)
+        c = sub(a, mu)
+        inv_t = power(add(reduce_mean(mul(c, c), axis=-1, keepdims=True), eps), -0.5)
         gy = reduce_mean(mul(g, out), axis=-1, keepdims=True)
         hy = reduce_mean(mul(h, out), axis=-1, keepdims=True)
         g_out = mul(mul(inv_t, -1.0), add(mul(h, gy), mul(g, hy)))
@@ -759,6 +779,151 @@ def masked_fill(a, mask, value):
 
     def vjp(g):
         return (_unbroadcast(mul(g, keep), shape),)
+
+    return _record(out, (a,), vjp)
+
+
+def _heads(x, batch, num_heads):
+    """Rows of ``batch`` sequences as a [batch, heads, T, dim / heads] view."""
+    return x.reshape(batch, -1, num_heads, x.shape[-1] // num_heads).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(x, shape):
+    return x.transpose(0, 2, 1, 3).reshape(shape)
+
+
+def _heads_of(x, batch, num_heads):
+    """:func:`_heads` of a tensor, recorded."""
+    return transpose(reshape(x, (batch, -1, num_heads, x.shape[-1] // num_heads)), (0, 2, 1, 3))
+
+
+def _merge_heads_of(x, shape):
+    return reshape(transpose(x, (0, 2, 1, 3)), shape)
+
+
+def attention(q, k, v, key_mask, num_heads, scale):
+    """Multi-head attention core on projected rows: per head,
+    ``softmax(q k^T * scale) v``, heads merged back into rows.
+
+    ``q`` is [B, Tq, E] (or stacked [n, B*Tq, E]), ``k`` and ``v`` are
+    [B, Tk, E] (or [n, B*Tk, E]), and ``key_mask`` (bool [B, Tk] or
+    [n, B, Tk]) marks attendable keys.  A masked key's score is -1e30 before
+    the softmax, so it takes exactly zero weight.  The result has ``q``'s
+    shape.  One node, which keeps the softmax weights; the scores are freed
+    inside the call.
+    """
+    q, k, v = _lift(q), _lift(k), _lift(v)
+    mask = np.asarray(key_mask, dtype=bool)
+    mask = mask.reshape(-1, mask.shape[-1])
+    batch, width = mask.shape[0], q.shape[-1]
+    if (k.shape != v.shape or k.shape[-1] != width or width % num_heads
+            or q.size % (batch * width) or k.size != mask.size * width):
+        raise ShapeError(
+            f"attention: queries {q.shape}, keys {k.shape} and values {v.shape} do not fit "
+            f"a key mask of {mask.shape} with {num_heads} heads"
+        )
+    qh, kh, vh = (_heads(t.values, batch, num_heads) for t in (q, k, v))
+    blocked = ~mask[:, None, None, :]
+    scores = np.where(blocked, -1e30, (qh @ kh.swapaxes(-1, -2)) * scale)
+    w = kernels.softmax_rows(scores)
+    out = Tensor(_merge_heads(w @ vh, q.shape))
+    if _recording is None:
+        return out
+    keep = mask[:, None, None, :].astype(np.float64)
+
+    def vjp(g):
+        if _recording is None:  # the float ops of the primitive chain below
+            gc = _heads(g.values, batch, num_heads)
+            weights, gw = Tensor(w), Tensor(gc @ vh.swapaxes(-1, -2))
+            gv = Tensor(_merge_heads(w.swapaxes(-1, -2) @ gc, v.shape))
+        else:
+            weights = _attention_weights(q, k, w, keep, scale, batch, num_heads)
+            gc = _heads_of(g, batch, num_heads)
+            gw = matmul(gc, _heads_of(v, batch, num_heads), transpose_b=True)
+            gv = _merge_heads_of(matmul(weights, gc, transpose_a=True), v.shape)
+        return (*_scores_vjp(gw, weights, q, k, keep, scale, batch, num_heads), gv)
+
+    return _record(out, (q, k, v), vjp)
+
+
+def _scores_vjp(gw, weights, q, k, keep, scale, batch, num_heads):
+    """The gradients of ``q`` and ``k`` from the gradient ``gw`` of the
+    softmax ``weights``, through the softmax, key mask, scale and ``q k^T``.
+    Built from primitives; when nothing records, NumPy with their float ops."""
+    if _recording is None:
+        w, gv = weights.values, gw.values
+        gs = w * (gv - (gv * w).sum(axis=-1, keepdims=True)) * keep * scale
+        gq = gs @ _heads(k.values, batch, num_heads)
+        gk = gs.swapaxes(-1, -2) @ _heads(q.values, batch, num_heads)
+        return Tensor(_merge_heads(gq, q.shape)), Tensor(_merge_heads(gk, k.shape))
+    weighted = reduce_sum(mul(gw, weights), axis=-1, keepdims=True)
+    gs = mul(mul(mul(weights, sub(gw, weighted)), keep), scale)
+    gq = matmul(gs, _heads_of(k, batch, num_heads))
+    gk = matmul(gs, _heads_of(q, batch, num_heads), transpose_a=True)
+    return _merge_heads_of(gq, q.shape), _merge_heads_of(gk, k.shape)
+
+
+def _attention_weights(q, k, w, keep, scale, batch, num_heads):
+    """An attention node's kept softmax weights ``w`` as a function of ``q``
+    and ``k``, recorded as one op (callers check that a tape records)
+    whose adjoint is :func:`_scores_vjp`."""
+    out = Tensor(w)
+
+    def vjp(h):
+        return _scores_vjp(h, out, q, k, keep, scale, batch, num_heads)
+
+    return _record(out, (q, k), vjp)
+
+
+def log_softmax_pick(logits, labels, weights=None):
+    """Each row's log-softmax at its label, times its ``weights`` entry when given.
+
+    ``logits`` is [..., classes]; ``labels`` (integer) and the constant
+    ``weights`` are shaped like its rows.  The softmax is stabilized by a
+    constant shift (the row max).  One node, which keeps the shifted exps
+    and their row sums.
+    """
+    logits = _lift(logits)
+    labels = np.asarray(labels, dtype=np.intp)
+    x = logits.values
+    if x.ndim < 1 or labels.shape != x.shape[:-1]:
+        raise ShapeError(f"log_softmax_pick: labels {labels.shape} do not match logits {x.shape}")
+    classes = x.shape[-1]
+    if labels.size and (labels.min() < 0 or labels.max() >= classes):
+        raise ContractError(f"log_softmax_pick: a label is out of range for {classes} classes")
+    onehot = np.eye(classes)[labels]
+    z = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    sums = e.sum(axis=-1, keepdims=True)
+    picked = ((z - np.log(sums)) * onehot).sum(axis=-1)
+    out = Tensor(picked if weights is None else picked * weights)
+    if _recording is None:
+        return out
+
+    def vjp(g):
+        # d/dz of (z - log sum exp z) . onehot: the log-probs' gradient, and
+        # minus its row sum spread by exp(z) / sum; the shift is constant
+        if _recording is None:
+            gv = g.values if weights is None else g.values * weights
+            g_lp = gv[..., None] * onehot
+            g_norm = (g_lp * -1.0).sum(axis=-1, keepdims=True)
+            return (Tensor(g_lp + g_norm / sums * e),)
+        gp = g if weights is None else mul(g, weights)
+        g_lp = mul(reshape(gp, gp.shape + (1,)), onehot)
+        g_norm = reduce_sum(mul(g_lp, -1.0), axis=-1, keepdims=True)
+        exps = _shifted_exp(logits, e)
+        return (add(g_lp, mul(div(g_norm, reduce_sum(exps, axis=-1, keepdims=True)), exps)),)
+
+    return _record(out, (logits,), vjp)
+
+
+def _shifted_exp(a, e):
+    """``exp(a - shift)`` with its constant shift, recorded as one op whose
+    values ``e`` its caller kept (callers check that a tape records)."""
+    out = Tensor(e)
+
+    def vjp(g):
+        return (mul(g, out),)
 
     return _record(out, (a,), vjp)
 

@@ -56,7 +56,12 @@ IMPROVEMENT_EPS = 1e-12
 
 
 class Adam:
-    """Standard Adam with bias correction; step count increments once per apply."""
+    """Standard Adam with bias correction; step count increments once per apply.
+
+    The moments live in one flat buffer each, laid out in the name order of
+    the first step's gradients; every later step must pass the same names.
+    The update is elementwise, so it equals a loop over the parameters.
+    """
 
     def __init__(self, lr, beta1=ADAM_BETA1, beta2=ADAM_BETA2, eps=ADAM_EPS):
         self.lr = lr
@@ -64,28 +69,46 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = {}
-        self.v = {}
+        self.layout = {}  # name -> (slice of the flat buffers, shape)
+        self._m = self._v = np.zeros(0)
+
+    @property
+    def m(self):
+        """The first moment of each parameter, by name (views of the buffer)."""
+        return {k: self._m[s].reshape(shape) for k, (s, shape) in self.layout.items()}
+
+    @property
+    def v(self):
+        """The second moment of each parameter, by name (views of the buffer)."""
+        return {k: self._v[s].reshape(shape) for k, (s, shape) in self.layout.items()}
 
     def step(self, params, grads):
-        for name, g in grads.items():
-            if not np.all(np.isfinite(g)):
-                raise DivergedError(f"non-finite gradient for {name}", self.step_count)
+        if not self.layout:
+            offset = 0
+            for name, g in grads.items():
+                self.layout[name] = (slice(offset, offset + np.size(g)), np.shape(g))
+                offset += np.size(g)
+            self._m, self._v = np.zeros(offset), np.zeros(offset)
+        elif grads.keys() != self.layout.keys():
+            raise ContractError(
+                f"Adam.step: gradients for {sorted(grads)}, but the optimizer holds "
+                f"moments for {sorted(self.layout)}"
+            )
+        g = np.empty(self._m.size)
+        for name, (s, _) in self.layout.items():
+            g[s] = np.ravel(grads[name])
+        if not np.isfinite(g).all():
+            name = next(k for k, gk in grads.items() if not np.all(np.isfinite(gk)))
+            raise DivergedError(f"non-finite gradient for {name}", self.step_count)
         self.step_count += 1
         t = self.step_count
-        for name, g in grads.items():
-            m = self.m.get(name)
-            if m is None:
-                m = np.zeros_like(g)
-                self.v[name] = np.zeros_like(g)
-            v = self.v[name]
-            m = self.beta1 * m + (1 - self.beta1) * g
-            v = self.beta2 * v + (1 - self.beta2) * g * g
-            self.m[name] = m
-            self.v[name] = v
-            m_hat = m / (1 - self.beta1**t)
-            v_hat = v / (1 - self.beta2**t)
-            params[name].values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self._m = self.beta1 * self._m + (1 - self.beta1) * g
+        self._v = self.beta2 * self._v + (1 - self.beta2) * g * g
+        m_hat = self._m / (1 - self.beta1**t)
+        v_hat = self._v / (1 - self.beta2**t)
+        update = self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        for name, (s, shape) in self.layout.items():
+            params[name].values -= update[s].reshape(shape)
 
 
 def cosine_annealing(lr_max, cycles, epoch, total_epochs):
@@ -167,7 +190,8 @@ def _batch_indices(n, batch_size, rng):
 
 
 def _loss_and_grads(model, params, samples, labels, prefix=""):
-    """The batch loss and the gradients of the parameters named ``prefix...``."""
+    """The batch loss and the gradients of the parameters whose names start
+    with ``prefix`` (a string, or a tuple of them for any of several)."""
     with Tape():
         logits = model.logits(*split_params(params), samples)
         loss = cross_entropy(logits, labels)
@@ -305,10 +329,10 @@ def finetune(corpus, model, init_backbone, regime, k, seed,
     head = nn.new_head(rng_from(seed, STREAM_HEAD_RESET), model.config.embed_dim, len(class_order))
     params = copy_params(join_params(init_backbone, head))
 
-    trainable = "head/" if regime.mode == "head_only" else ""
     optimizers = [(Adam(regime.lr_head), "head/")]  # the head steps first
     if regime.lr_backbone > 0:
         optimizers.append((Adam(regime.lr_backbone), "backbone/"))
+    trainable = tuple(prefix for _, prefix in optimizers)  # no other gradient is applied
 
     def step(epoch):
         rng = rng_from(seed, STREAM_BATCHING, 7_000_000 + epoch)

@@ -75,6 +75,48 @@ def test_adam_rejects_nan_gradient():
         opt.step({"w": Tensor(np.zeros(1))}, {"w": np.array([float("nan")])})
 
 
+def _adam_per_name(lr, steps):
+    """Reference Adam: one moment pair per parameter, updated name by name."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    params = {k: v.copy() for k, v in steps[0][0].items()}
+    m = {k: np.zeros_like(v) for k, v in params.items()}
+    v2 = {k: np.zeros_like(v) for k, v in params.items()}
+    for t, (_, grads) in enumerate(steps, start=1):
+        for k, g in grads.items():
+            m[k] = b1 * m[k] + (1 - b1) * g
+            v2[k] = b2 * v2[k] + (1 - b2) * g * g
+            params[k] -= lr * (m[k] / (1 - b1**t)) / (np.sqrt(v2[k] / (1 - b2**t)) + eps)
+    return params, m, v2
+
+
+def test_adam_flat_buffer_equals_per_parameter_updates_bit_for_bit():
+    r = np.random.default_rng(3)
+    shapes = {"b": (3,), "a": (2, 4), "c": ()}
+    start = {k: r.standard_normal(s) for k, s in shapes.items()}
+    steps = [(start, {k: r.standard_normal(s) for k, s in shapes.items()}) for _ in range(3)]
+    params = {k: Tensor(v.copy()) for k, v in start.items()}
+    opt = Adam(0.01)
+    for _, grads in steps:
+        opt.step(params, dict(reversed(grads.items())) if opt.step_count else grads)
+    expected, m, v = _adam_per_name(0.01, steps)
+    for k in shapes:
+        assert params[k].values.tobytes() == expected[k].tobytes()
+        assert opt.m[k].shape == shapes[k] and opt.m[k].tobytes() == m[k].tobytes()
+        assert opt.v[k].tobytes() == v[k].tobytes()
+
+
+def test_adam_names_the_first_non_finite_gradient_and_rejects_new_names():
+    params = {k: Tensor(np.zeros(2)) for k in ("a", "b", "c")}
+    opt = Adam(0.1)
+    opt.step(params, {k: np.ones(2) for k in params})
+    bad = {"a": np.ones(2), "b": np.array([1.0, np.inf]), "c": np.array([np.nan, 0.0])}
+    with pytest.raises(DivergedError, match="non-finite gradient for b"):
+        opt.step(params, bad)
+    assert opt.step_count == 1
+    with pytest.raises(ContractError, match="moments for"):
+        opt.step(params, {"a": np.ones(2), "b": np.ones(2)})
+
+
 def test_cosine_annealing_examples():
     assert cosine_annealing(0.5, 0, 17, 100) == 0.5
     assert cosine_annealing(1.0, 1, 0, 10) == 1.0
@@ -258,6 +300,30 @@ def test_finetune_head_only_freezes_backbone():
     for k in before:
         np.testing.assert_array_equal(backbone[k].values, before[k])
     assert 0.0 <= report.overall_accuracy <= 1.0
+
+
+def test_split_lr_with_a_zero_backbone_rate_equals_head_only(monkeypatch):
+    # no backbone optimizer runs, so no backbone gradient is taken either
+    corpus = _corpus()
+    model = _model(corpus)
+    init = model.init_backbone(np.random.default_rng(7))
+    requested = []
+    original = train._loss_and_grads
+
+    def counting(*args):
+        loss, grads = original(*args)
+        requested.append(len(grads))
+        return loss, grads
+
+    monkeypatch.setattr(train, "_loss_and_grads", counting)
+    a = finetune(corpus, model, init, split_lr(1e-2, 0.0), k=3, seed=5, max_epochs=3)
+    b = finetune(corpus, model, init, head_only(1e-2), k=3, seed=5, max_epochs=3)
+    assert set(requested) == {2}  # the head's weight and bias
+    assert a[1].metric_map() == b[1].metric_map()
+    assert a[2]["trace"] == b[2]["trace"]
+    assert a[0].keys() == b[0].keys()
+    for k, v in a[0].items():
+        assert v.values.tobytes() == b[0][k].values.tobytes()
 
 
 def test_finetune_is_reproducible():
