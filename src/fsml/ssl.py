@@ -14,14 +14,24 @@ Masking regimes
     xts (strict): the structured mask is kept as drawn (target 0.70, never
     topped up).
 
+Token sets
+    ``selection`` turns a per-row token set into a constant one-hot matrix:
+    ``matmul(S, x)`` gathers each row's members, in token order, into the
+    first slots of a [B, W, d] array, W the widest row's count, and
+    ``matmul(S, y, transpose_a=True)`` scatters them back to token order.
+    The encoder runs on the visible tokens only, gathered to [B, V, d].
+
 Decoders
     Both run the encoder's transformer block.
-    self_attention: visible encodings and mask tokens (a learned vector
-    plus each position's contextual encoding) are reassembled in order and
-    run through self-attention decoder blocks.
-    cross_attention: the blocks take the visible encodings as their
+    self_attention: the visible encodings, scattered back to token order,
+    and mask tokens (a learned vector plus each position's contextual
+    encoding) run through self-attention decoder blocks over all N slots.
+    cross_attention: only the masked non-padding queries run, gathered to
+    [B, M, d]; the blocks take the compact visible encodings as their
     ``memory``, so mask-token queries attend only to visible-token
     keys/values and masked queries never interact with each other.
+    The reconstruction heads run on the [B, M, d] masked rows, and one
+    scatter returns the reconstructions in token order.
 
 The reconstruction loss is mean squared error over masked, non-padding
 cells only, computed in per-channel z-scored raw-value space (statistics
@@ -81,40 +91,46 @@ def resolve_strategy(plan, rng):
     return STRATEGIES[int(rng.integers(len(STRATEGIES)))]
 
 
+def _mask_layout(spec, group_index, time_index):
+    """What ``build_mask`` reads of a ``token_layout``, the same for every
+    row of a batch: each token's time step (-1 for static tokens), the
+    dynamic tokens, each spec group's tokens and the number of dynamic
+    groups."""
+    group_rows = [group_index == gi for gi in range(len(spec.groups))]
+    return time_index, time_index >= 0, group_rows, len(spec.dynamic_groups)
+
+
 def build_mask(plan, spec, t_steps, rng, padding=None, strategy=None, layout=None):
     """Boolean reconstruction mask over the token sequence.
 
     Padding tokens are never part of the mask (they are excluded from the
     loss and masked out of the encoder separately).  Non-strict plans top up
     to exactly floor(ratio * N) masked non-padding tokens.  ``layout`` is
-    the (group index, time index) pair of ``token_layout`` for ``t_steps``
-    steps, when the caller already has it.
+    the ``_mask_layout`` of ``t_steps`` steps, when the caller already has it.
     """
     if t_steps < 1:
         raise ContractError("build_mask: need at least one time step")
     strategy = strategy or resolve_strategy(plan, rng)
     if layout is None:
-        layout = token_layout(spec, [t_steps])[1:3]
-    group_index, time_index = layout
-    n_tokens = len(group_index)
+        layout = _mask_layout(spec, *token_layout(spec, [t_steps])[1:3])
+    time_index, dynamic, group_rows, n_dynamic_groups = layout
+    n_tokens = len(time_index)
     pad = np.zeros(n_tokens, dtype=bool) if padding is None else np.asarray(padding, dtype=bool)
     live = ~pad
     n_live = int(live.sum())
     target = int(np.floor(plan.target_ratio * n_live))
 
     mask = np.zeros(n_tokens, dtype=bool)
-    dynamic = time_index >= 0
-    n_dynamic_groups = len(spec.dynamic_groups)
 
     if strategy == "random":
         candidates = np.flatnonzero(live)
         picked = rng.choice(len(candidates), size=target, replace=False)
         mask[candidates[picked]] = True
     elif strategy == "channel_groups":
-        order = rng.permutation(len(spec.groups))
+        order = rng.permutation(len(group_rows))
         total = 0
         for gi in order:
-            cells = np.flatnonzero((group_index == gi) & live)
+            cells = np.flatnonzero(group_rows[gi] & live)
             if total + len(cells) > target:
                 continue
             mask[cells] = True
@@ -128,9 +144,10 @@ def build_mask(plan, spec, t_steps, rng, padding=None, strategy=None, layout=Non
     elif strategy == "random_timesteps":
         count = min(t_steps, target // max(n_dynamic_groups, 1))
         if count > 0:
-            steps = rng.choice(t_steps, size=count, replace=False)
-            chosen = dynamic & np.isin(time_index, steps)
-            mask[chosen & live] = True
+            drawn = np.zeros(t_steps, dtype=bool)
+            drawn[rng.choice(t_steps, size=count, replace=False)] = True
+            # static tokens (time step -1) read the last entry; ``dynamic`` clears them
+            mask[dynamic & drawn[time_index] & live] = True
 
     if not plan.strict:
         deficit = target - int(mask.sum())
@@ -223,52 +240,86 @@ class MaskedAutoencoder:
     # -- encoder ----------------------------------------------------------
 
     def encode(self, params, batch, visible):
-        """Encoder over visible tokens only: masked/padding positions are
-        zeroed and excluded from attention, so no information leaks."""
-        blocked = ~visible
-        x = T.masked_fill(batch.tokens, blocked[:, :, None], 0.0)
-        return nn.encode(params, self.config, x, visible, length_cap=self.length_cap)
+        """Encoder over each row's ``visible`` tokens only, gathered to
+        [B, V, d] (V the widest row's visible count; V = N when every token
+        is visible).  Returns that compact Tensor; a row's dead slots are
+        excluded from attention, so no masked or padding token leaks in."""
+        return self._encode(params, batch, *selection(visible))
+
+    def _encode(self, params, batch, gather, live):
+        x = T.matmul(gather, batch.tokens)
+        return nn.encode(params, self.config, x, live, length_cap=self.length_cap)
 
     # -- decoder ----------------------------------------------------------
 
-    def _decode_self_attention(self, params, batch, encoded, mask, visible):
+    def _decode_self_attention(self, params, batch, encoded, gather, mask, visible):
         mask_content = T.add(batch.context, params["dec/mask_token"])
-        vis_f = Tensor(visible.astype(np.float64)[:, :, None])
         mask_f = Tensor(mask.astype(np.float64)[:, :, None])
-        x = T.add(T.mul(encoded, vis_f), T.mul(mask_content, mask_f))
+        x = T.add(T.matmul(gather, encoded, transpose_a=True), T.mul(mask_content, mask_f))
         live = visible | mask
         for i in range(self.config.decoder_blocks):
             x = nn._transformer_block(params, f"dec{i}", self.config, x, live)
         return nn._affine_ln(x, params, "dec_out/ln")
 
-    def _decode_cross_attention(self, params, batch, encoded, mask, visible):
-        x = T.add(batch.context, params["dec/mask_token"])
+    def _decode_cross_attention(self, params, batch, encoded, live, queries):
+        x = T.add(T.matmul(queries, batch.context), params["dec/mask_token"])
         for i in range(self.config.decoder_blocks):
-            x = nn._transformer_block(params, f"dec{i}", self.config, x, visible, memory=encoded)
+            x = nn._transformer_block(params, f"dec{i}", self.config, x, live, memory=encoded)
         return nn._affine_ln(x, params, "dec_out/ln")
 
     def reconstruct(self, params, batch, mask):
-        """Decoder reconstructions [B, N, max_dc] in raw-value space."""
+        """Decoder reconstructions [B, N, max_dc] in raw-value space.
+
+        The masked non-padding cells hold reconstructions and every other
+        cell is 0.  The encoder runs on the visible tokens, gathered to
+        [B, V, d].  The cross-attention decoder runs only the masked
+        non-padding queries, gathered to [B, M, d]; the self-attention
+        decoder runs all N slots.  The reconstruction heads run on the
+        [B, M, d] masked rows, which one scatter returns to token order.
+        A batch with no masked cell keeps one dead query slot, so every
+        decoder parameter is still reached.
+        """
         visible = ~mask & ~batch.pad
         if not visible.any(axis=1).all():
             raise DegenerateInputError("a sequence has every token masked")
-        encoded = self.encode(params, batch, visible)
+        gather, live = selection(visible)
+        encoded = self._encode(params, batch, gather, live)
+        queries, _ = selection(mask & ~batch.pad)
         if self.variant == "self_attention":
-            decoded = self._decode_self_attention(params, batch, encoded, mask, visible)
+            decoded = self._decode_self_attention(params, batch, encoded, gather, mask, visible)
+            decoded = T.matmul(queries, decoded)
         else:
-            decoded = self._decode_cross_attention(params, batch, encoded, mask, visible)
+            decoded = self._decode_cross_attention(params, batch, encoded, live, queries)
         max_dc = batch.targets.shape[-1]
-        b, n = mask.shape
-        recon = Tensor(np.zeros((b, n, max_dc)))
+        b, m = queries.shape[:2]
+        recon = Tensor(np.zeros((b, m, max_dc)))
         for gi, g in enumerate(self.spec.groups):
             rows = batch.group_index == gi
             if not rows.any():
                 continue
             head = T.add(T.matmul(decoded, params[f"recon/{g.name}/w"]), params[f"recon/{g.name}/b"])
             if g.channels < max_dc:
-                head = T.concat([head, Tensor(np.zeros((b, n, max_dc - g.channels)))], axis=2)
-            recon = T.add(recon, T.mul(head, Tensor(rows.astype(np.float64)[None, :, None])))
-        return recon
+                head = T.concat([head, Tensor(np.zeros((b, m, max_dc - g.channels)))], axis=2)
+            in_group = queries @ rows.astype(np.float64)  # [B, M], 0 at dead slots
+            recon = T.add(recon, T.mul(head, Tensor(in_group[:, :, None])))
+        return T.matmul(queries, recon, transpose_a=True)
+
+
+def selection(members):
+    """One-hot selection of each row's ``members`` (bool [B, N]), in token order.
+
+    Returns the constant ``S`` [B, W, N] and the live slots [B, W], W the
+    widest row's count (at least 1).  ``matmul(S, x)`` gathers a row's
+    members to its first slots, and a shorter row's dead slots are zero;
+    ``matmul(S, y, transpose_a=True)`` scatters them back to token order.
+    A one-hot product moves values exactly, and both are ordinary recorded
+    matmuls with a constant operand.
+    """
+    counts = members.sum(axis=1)
+    live = np.arange(max(int(counts.max()), 1)) < counts[:, None]
+    select = np.zeros(live.shape + members.shape[1:])
+    select[(*np.nonzero(live), np.nonzero(members)[1])] = 1.0
+    return select, live
 
 
 def reconstruction_loss(recon, batch, mask):
@@ -278,9 +329,8 @@ def reconstruction_loss(recon, batch, mask):
     if n_cells == 0:
         warnings.warn("reconstruction loss over zero masked cells is degenerate")
         return T.mul(T.reduce_sum(recon), 0.0)
-    channel_gate = np.zeros(batch.targets.shape)
-    for position, width in enumerate(batch.target_width):
-        channel_gate[:, position, :width] = 1.0 / width
+    widths = batch.target_width[:, None]
+    channel_gate = np.where(np.arange(batch.targets.shape[-1]) < widths, 1.0 / widths, 0.0)
     cell_weight = support.astype(np.float64)[:, :, None] * channel_gate / n_cells
     diff = T.sub(recon, Tensor(batch.targets))
     return T.reduce_sum(T.mul(T.mul(diff, diff), Tensor(cell_weight)))
@@ -291,9 +341,9 @@ def _batch_masks(plan, spec, samples, rng):
     strategy = resolve_strategy(plan, rng)
     lengths = [len(s.days) for s in samples]
     _, group_index, time_index, pad = token_layout(spec, lengths)
+    layout = _mask_layout(spec, group_index, time_index)
     return np.stack([
-        build_mask(plan, spec, max(lengths), rng, padding=row, strategy=strategy,
-                   layout=(group_index, time_index))
+        build_mask(plan, spec, max(lengths), rng, padding=row, strategy=strategy, layout=layout)
         for row in pad
     ])
 
@@ -315,6 +365,8 @@ def mae_step(params, model, samples, plan, rng, stats=None):
 
 
 def evaluate_mae_loss(params, model, samples, plan, seed, stats=None, batch_size=64):
+    if not samples:
+        raise ContractError("evaluate_mae_loss: no samples")
     losses = []
     for start in range(0, len(samples), batch_size):
         chunk = samples[start : start + batch_size]

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from conftest import parcel
+from conftest import assert_grads_close, finite_diff, parcel
 from fsml import nn, ssl
+from fsml import tensor as T
 from fsml.data import (
     GroupSpec,
     SynthConfig,
@@ -265,6 +268,134 @@ SPEC_LOC = group_spec(("location", 3, "static"), ("s1", 2, "dynamic"), ("s2", 3,
 
 def _mixed_batch(rng):
     return _samples(5, rng, spec=SPEC_LOC, t=(2, 9))
+
+
+def _uncompacted_reconstruct(model, params, batch, mask):
+    """Reconstructions computed over every token slot: masked and padding
+    slots are zeroed and blocked from attention, the decoders run all N
+    slots and the heads write every masked non-padding cell."""
+    visible = ~mask & ~batch.pad
+    x = T.masked_fill(batch.tokens, ~visible[:, :, None], 0.0)
+    encoded = nn.encode(params, model.config, x, visible)
+    mask_content = T.add(batch.context, params["dec/mask_token"])
+    if model.variant == "self_attention":
+        x = T.add(T.mul(encoded, visible[:, :, None].astype(np.float64)),
+                  T.mul(mask_content, mask[:, :, None].astype(np.float64)))
+        key_mask, memory = visible | mask, None
+    else:
+        x, key_mask, memory = mask_content, visible, encoded
+    for i in range(model.config.decoder_blocks):
+        x = nn._transformer_block(params, f"dec{i}", model.config, x, key_mask, memory=memory)
+    decoded = nn._affine_ln(x, params, "dec_out/ln")
+    recon = np.zeros(batch.targets.shape)
+    for gi, g in enumerate(model.spec.groups):
+        rows = batch.group_index == gi
+        head = T.matmul(decoded, params[f"recon/{g.name}/w"]).values + params[f"recon/{g.name}/b"].values
+        recon[:, rows, : g.channels] = head[:, rows]
+    return np.where((mask & ~batch.pad)[:, :, None], recon, 0.0)
+
+
+def _loc_batch(variant, seed, masked=True):
+    model = _tiny_model(variant, spec=SPEC_LOC)
+    samples = _mixed_batch(np.random.default_rng(seed))
+    params = model.init_params(rng_from(seed, 1))
+    batch = encode_token_batch(samples, SPEC_LOC, model.regime, params)
+    masks = ssl._batch_masks(base_plan("random"), SPEC_LOC, samples, rng_from(seed, 2))
+    masks[batch.pad.sum(axis=1).argmax()] = False  # the shortest row has no masked cell
+    if not masked:
+        masks[:] = False
+    return model, params, samples, batch, masks
+
+
+def test_selection_gathers_and_scatters_exactly():
+    members = np.array([[True, False, True, True], [False, True, False, False], [False] * 4])
+    select, live = ssl.selection(members)
+    assert select.shape == (3, 3, 4)
+    np.testing.assert_array_equal(live, [[True] * 3, [True, False, False], [False] * 3])
+    x = np.random.default_rng(0).normal(size=(3, 4, 2))
+    gathered = T.matmul(select, x).values
+    np.testing.assert_array_equal(gathered[0], x[0, [0, 2, 3]])
+    np.testing.assert_array_equal(gathered[1, 0], x[1, 1])
+    assert not gathered[~live].any()
+    back = T.matmul(select, gathered, transpose_a=True).values
+    np.testing.assert_array_equal(back, np.where(members[:, :, None], x, 0.0))
+    assert ssl.selection(np.zeros((2, 5), dtype=bool))[0].shape == (2, 1, 5)
+
+
+@pytest.mark.parametrize("masked", [True, False])
+@pytest.mark.parametrize("variant", ["self_attention", "cross_attention"])
+def test_compact_reconstruct_matches_uncompacted(variant, masked):
+    # padded rows, uneven visible counts, a static location group and a row
+    # (or the whole batch) without a masked cell
+    model, params, _, batch, masks = _loc_batch(variant, 31, masked)
+    assert batch.pad.any() and len(set((~masks & ~batch.pad).sum(axis=1))) > 1
+    recon = model.reconstruct(params, batch, masks).values
+    reference = _uncompacted_reconstruct(model, params, batch, masks)
+    support = masks & ~batch.pad
+    assert support.any() == masked
+    np.testing.assert_allclose(recon[support], reference[support], rtol=0, atol=1e-12)
+    assert not recon[~support].any()
+
+
+@pytest.mark.parametrize("variant", ["self_attention", "cross_attention"])
+def test_encoder_and_decoder_run_on_compact_token_sets(variant, monkeypatch):
+    model, params, _, batch, masks = _loc_batch(variant, 32)
+    seen = []
+    block = nn._transformer_block
+
+    def spy(params, prefix, config, x, key_mask, memory=None):
+        seen.append((prefix, x.shape, None if memory is None else memory.shape))
+        return block(params, prefix, config, x, key_mask, memory)
+
+    monkeypatch.setattr(nn, "_transformer_block", spy)
+    model.reconstruct(params, batch, masks)
+    b, n = masks.shape
+    v = int((~masks & ~batch.pad).sum(axis=1).max())
+    m = int((masks & ~batch.pad).sum(axis=1).max())
+    assert v < n and m < n
+    decoder = ((b, n, 16), None) if variant == "self_attention" else ((b, m, 16), (b, v, 16))
+    assert seen == [("enc0", (b, v, 16), None), ("dec0", *decoder)]
+
+
+@pytest.mark.parametrize("variant", ["self_attention", "cross_attention"])
+def test_mae_loss_gradient_matches_finite_differences(variant):
+    model, params, samples, _, masks = _loc_batch(variant, 33)
+    names = ["proj/location/w", "proj/s1/w", "proj/s2/b", "ctx/location", "ctx/s2", "dec/mask_token"]
+
+    def loss_from(_):
+        batch = encode_token_batch(samples, SPEC_LOC, model.regime, params)
+        return reconstruction_loss(model.reconstruct(params, batch, masks), batch, masks).item()
+
+    with Tape():
+        batch = encode_token_batch(samples, SPEC_LOC, model.regime, params)
+        loss = reconstruction_loss(model.reconstruct(params, batch, masks), batch, masks)
+        grads = grad(loss, [params[k] for k in names])
+    numeric = finite_diff(loss_from, [params[k].values for k in names])
+    for name, analytic, fd in zip(names, grads, numeric):
+        assert np.abs(analytic.values).max() > 0, name
+        assert_grads_close(analytic.values, fd, 1e-6)
+
+
+@pytest.mark.parametrize("variant", ["self_attention", "cross_attention"])
+def test_mae_step_without_masked_cells_reaches_every_parameter(variant):
+    model = _tiny_model(variant)
+    samples = _samples(3, np.random.default_rng(34))
+    params = model.init_params(rng_from(34, 1))
+    plan = MaskPlan("contiguous_timesteps", 0.05, strict=True)  # floor(0.05 * 9) = 0 cells
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        loss, grads = mae_step(params, model, samples, plan, rng_from(34, 2))
+    messages = [str(w.message) for w in caught]
+    assert loss == 0.0 and set(grads) == set(params)
+    assert any("degenerate" in text for text in messages)
+    assert not any("unreached" in text for text in messages), messages
+
+
+def test_evaluate_mae_loss_without_samples_is_a_contract_error():
+    model = _tiny_model()
+    params = model.init_params(rng_from(35, 1))
+    with pytest.raises(ContractError, match="evaluate_mae_loss: no samples"):
+        ssl.evaluate_mae_loss(params, model, [], xts_plan(), 0)
 
 
 def test_parcel_alone_matches_mixed_batch():
