@@ -44,6 +44,8 @@ S2_PRETRAINED_TOKEN_CHANNELS = 10
 PRETRAIN_SPLIT_FRACTIONS = {"train": 0.8, "validation": 0.2}
 FINETUNE_SPLIT_FRACTIONS = {"train": 0.6, "validation": 0.2, "test": 0.2}
 FIXED_VALIDATION_POINTS = 1000
+YEAR_DAYS = 366  # an observation's day of the year is 1..YEAR_DAYS
+MAX_SYNTH_CLASSES = 90  # synthetic leaf codes end in the two digits 10 + leaf
 
 
 @dataclass
@@ -239,8 +241,8 @@ def _validate_sample(record, line_no, manifest, breaches):
     days = record["days"]
     if not days:
         breaches.append(f"line {line_no}: empty days")
-    if any(not (1 <= d <= 366) for d in days):
-        breaches.append(f"line {line_no}: day out of range 1..366")
+    if any(not (1 <= d <= YEAR_DAYS) for d in days):
+        breaches.append(f"line {line_no}: day out of range 1..{YEAR_DAYS}")
     if any(b <= a for a, b in zip(days, days[1:])):
         breaches.append(f"line {line_no}: non-increasing days")
     if not (-math.pi <= record["lon"] <= math.pi):
@@ -391,6 +393,9 @@ class SynthConfig:
 
     def __post_init__(self):
         require_counts(4, n_classes=self.n_classes)
+        if self.n_classes > MAX_SYNTH_CLASSES:
+            raise ContractError(f"n_classes: must be <= {MAX_SYNTH_CLASSES} (leaf codes have "
+                                f"two digits), got {self.n_classes}")
         require_counts(k_max=self.k_max)
         for name in ("samples_per_class", "finetune_samples_per_class"):
             if getattr(self, name) < 2 * self.k_max:
@@ -400,6 +405,9 @@ class SynthConfig:
         low, high = self.obs_count
         if not 1 <= low <= high:
             raise ContractError(f"obs_count: must satisfy 1 <= low <= high, got {list(self.obs_count)}")
+        if high > YEAR_DAYS:
+            raise ContractError(f"obs_count: a parcel has at most one observation per day, so "
+                                f"high must be <= {YEAR_DAYS}, got {list(self.obs_count)}")
         if not self.regions or len(set(self.regions)) < len(self.regions):
             raise ContractError("regions: must be a non-empty list of distinct names")
         if self.finetune_region in self.regions:
@@ -502,7 +510,7 @@ def generate_synthetic(config, seed):
                 count = int(round(per_class * config.majority_boost))
             for _ in range(count):
                 n_obs = int(rng.integers(config.obs_count[0], config.obs_count[1] + 1))
-                days = np.sort(rng.choice(np.arange(1, 367), size=n_obs, replace=False))
+                days = np.sort(rng.choice(np.arange(1, YEAR_DAYS + 1), size=n_obs, replace=False))
                 values = _profile_values(
                     profiles[class_idx], days, region_phase[region], region_amp[region]
                 )

@@ -21,11 +21,15 @@ def backend():
     return "numpy"
 
 
-def gelu(x):
-    """Elementwise tanh-approximation GELU over an arbitrary-shape f64 array."""
+def gelu(x, tanh=None):
+    """Elementwise tanh-approximation GELU over an arbitrary-shape f64 array.
+
+    ``tanh``, when given (an array shaped like ``x``), receives
+    ``tanh(inner)``, from which the derivative follows.
+    """
     x = np.asarray(x, dtype=np.float64)
     inner = SQRT_2_OVER_PI * (x + GELU_CUBIC * x * x * x)
-    return 0.5 * x * (1.0 + np.tanh(inner))
+    return 0.5 * x * (1.0 + np.tanh(inner, out=tanh))
 
 
 def softmax_rows(x):
@@ -36,10 +40,15 @@ def softmax_rows(x):
     return (e / e.sum(axis=1, keepdims=True)).reshape(arr.shape)
 
 
-def layer_norm_rows(x, eps):
-    """Zero-mean unit-variance normalization over the last axis."""
+def layer_norm_rows(x, eps, var=None):
+    """Zero-mean unit-variance normalization over the last axis.
+
+    ``var``, when given (a contiguous array shaped ``x.shape[:-1] + (1,)``),
+    receives each row's variance ``mean(centered * centered)``.
+    """
     arr = np.ascontiguousarray(x, dtype=np.float64)
     rows = arr.reshape(-1, arr.shape[-1])
-    mu = rows.mean(axis=1, keepdims=True)
-    var = np.mean((rows - mu) ** 2, axis=1, keepdims=True)
-    return ((rows - mu) / np.sqrt(var + eps)).reshape(arr.shape)
+    centered = rows - rows.mean(axis=1, keepdims=True)
+    out = None if var is None else var.reshape(-1, 1)
+    row_var = np.mean(centered * centered, axis=1, keepdims=True, out=out)
+    return (centered / np.sqrt(row_var + eps)).reshape(arr.shape)

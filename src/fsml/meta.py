@@ -147,8 +147,8 @@ def film_params(rng, embed_dim, hidden=FILM_HIDDEN):
 
 def film_modulation(params, cartesian, embed_dim):
     """(gamma, delta) tensors of shape [..., B, embed_dim] from task info rows."""
-    h = T.gelu(T.add(T.matmul(cartesian, params["film/w1"]), params["film/b1"]))
-    out = T.add(T.matmul(h, params["film/w2"]), params["film/b2"])
+    h = T.gelu(T.linear(cartesian, params["film/w1"], params["film/b1"]))
+    out = T.linear(h, params["film/w2"], params["film/b2"])
     gamma = T.add(T.slice_axis(out, -1, 0, embed_dim), 1.0)
     delta = T.slice_axis(out, -1, embed_dim, 2 * embed_dim)
     return gamma, delta

@@ -151,12 +151,11 @@ def positional_table(max_len, dim):
 
 
 def _affine_ln(x, params, prefix):
-    normed = T.layer_norm(x)
-    return T.add(T.mul(normed, params[f"{prefix}/g"]), params[f"{prefix}/b"])
+    return T.layer_norm(x, gain=params[f"{prefix}/g"], bias=params[f"{prefix}/b"])
 
 
 def _linear(x, params, prefix):
-    return T.add(T.matmul(x, params[f"{prefix}/w"]), params[f"{prefix}/b"])
+    return T.linear(x, params[f"{prefix}/w"], params[f"{prefix}/b"])
 
 
 def attention(params, prefix, config, queries, keys_values, key_mask):
@@ -256,7 +255,7 @@ def classify(head, embedding):
         raise ContractError(
             f"classify: embedding dim {embedding.shape[-1]} != head input {head['w'].shape[-2]}"
         )
-    return T.add(T.matmul(embedding, head["w"]), head["b"])
+    return T.linear(embedding, head["w"], head["b"])
 
 
 def cross_entropy(logits, labels, live=None):
@@ -311,8 +310,7 @@ class RawSeriesModel:
 
     def embed(self, params, values, days):
         """Project [B, T, C] band values and add day-of-year positions."""
-        x = T.add(T.matmul(values, params["in/w"]), params["in/b"])
-        return T.add(x, self._positions(days))
+        return T.add(_linear(values, params, "in"), self._positions(days))
 
     def embeddings(self, params, batch, film=None):
         values, days, mask = batch

@@ -297,7 +297,7 @@ class MaskedAutoencoder:
             rows = batch.group_index == gi
             if not rows.any():
                 continue
-            head = T.add(T.matmul(decoded, params[f"recon/{g.name}/w"]), params[f"recon/{g.name}/b"])
+            head = T.linear(decoded, params[f"recon/{g.name}/w"], params[f"recon/{g.name}/b"])
             if g.channels < max_dc:
                 head = T.concat([head, Tensor(np.zeros((b, m, max_dc - g.channels)))], axis=2)
             in_group = queries @ rows.astype(np.float64)  # [B, M], 0 at dead slots

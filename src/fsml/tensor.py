@@ -29,20 +29,22 @@ soon as its node's rule has consumed it, unless a target asks for it.
 What a node keeps for its adjoint ops.  A node may also keep a statistic
 of its forward that its adjoint ops read instead of recomputing it, when it
 is computed with the same float ops as the recomputation, so that every
-result keeps its bits.  A ``layer_norm`` node computes each row's
-``1 / sqrt(var + eps)`` at its first replay and keeps it (one ``[..., 1]``
-array); its adjoint op and that op's own adjoint read it, and only a
-recording replay of the latter rebuilds it from primitives, as a function
-of the input.  A ``gelu`` node keeps the slope
-that a recording replay built, and later replays multiply by it; a slope
-built while paused is not kept, so a first-order tape holds no more than
-before.  The slope op keeps its forward's ``tanh``, which a paused replay
-of its adjoint reads.  An ``attention`` node keeps its softmax weights (one
+result keeps its bits.  A ``layer_norm`` node keeps each row's
+``1 / sqrt(var + eps)`` (one ``[..., 1]`` array), taken from the variance
+its forward computed; its adjoint op and that op's own adjoint read it, and
+only a recording replay of the latter rebuilds it from primitives, as a
+function of the input.  A ``gelu`` node keeps its forward's ``tanh`` (one
+array shaped like its input), which the slope op reads, and the slope that
+a recording replay built, which later replays multiply by; a slope built
+while paused is not kept, so a first-order tape holds no more than the
+``tanh``.  An ``attention`` node keeps its softmax weights (one
 ``[batch, heads, Tq, Tk]`` array) and its three inputs, as the matmuls of
 the chain it replaces did, but never the scores; a recording replay records
-the kept weights as one op of ``q`` and ``k`` instead of recomputing them.  A ``log_softmax_pick`` node
-keeps its shifted exps and their row sums, and a recording replay records
-the exps as one op.
+the kept weights as one op of ``q`` and ``k`` instead of recomputing them.
+Likewise a recording replay records a ``layer_norm`` node's normalized rows
+and the slope op's ``tanh`` as one op of the input each.  A
+``log_softmax_pick`` node keeps its shifted exps and their row sums, and a
+recording replay records the exps as one op.
 
 Fan-in.  Without ``create_graph``, ``grad`` sums the contributions to one
 adjoint in place, but only in an array it allocated itself for that sum:
@@ -50,25 +52,28 @@ adjoint in place, but only in an array it allocated itself for that sum:
 through, so an array a rule returned may be another node's adjoint or a
 gradient already handed back.
 
-The primitive set is fixed: add, sub, mul, div, matmul, transpose, reshape,
-concat, slice_axis, reduce_sum, reduce_mean, exp, log, sqrt, power, softmax,
-relu, gelu, layer_norm, embedding_lookup, masked_fill, attention,
+The primitive set is fixed: add, sub, mul, div, matmul, linear, transpose,
+reshape, concat, slice_axis, reduce_sum, reduce_mean, exp, log, sqrt, power,
+softmax, relu, gelu, layer_norm, embedding_lookup, masked_fill, attention,
 log_softmax_pick.  ``softmax`` runs over the last axis.  ``matmul`` takes a
 flag per operand that swaps its last two axes, so its adjoint records one
-matmul per operand and no transpose.  ``attention`` is the multi-head core
-between the projections (head split, scores, scale, key mask, softmax,
-context, head merge) and ``log_softmax_pick`` a cross-entropy's log-softmax
-at each row's label, each one node.  A paused replay of a fused op's
-adjoint runs the float ops of the primitive chain it replaces, so
-first-order gradients keep their bits.
+matmul per operand and no transpose.  ``linear`` is a linear layer's
+``x @ w + b`` and ``layer_norm`` takes an optional affine ``gain`` and
+``bias``, each one node.  ``attention`` is the multi-head core between the
+projections (head split, scores, scale, key mask, softmax, context, head
+merge) and ``log_softmax_pick`` a cross-entropy's log-softmax at each row's
+label, each one node.  A paused replay of a fused op's adjoint runs the
+float ops of the primitive chain it replaces, so first-order gradients keep
+their bits.
 
-Adjoint ops: _gelu_slope, _layer_norm_grad, _attention_weights,
-_shifted_exp.  An adjoint rule records each as one op of its own, whose
-adjoint is again built from primitives: gelu's records its slope,
-layer_norm's its whole input gradient, attention's its kept softmax weights
-as a function of ``q`` and ``k``, and log_softmax_pick's its kept exps.  A
-:class:`Tensor` has no arithmetic operators or methods: every computation
-calls these functions by name.
+Adjoint ops: _gelu_slope, _gelu_tanh, _layer_norm_grad, _normalized,
+_attention_weights, _shifted_exp.  An adjoint rule records each as one op
+of its own, whose adjoint is again built from primitives: gelu's records
+its slope and the slope's the kept ``tanh``, layer_norm's its kept
+normalized rows and their whole input gradient, attention's its kept
+softmax weights as a function of ``q`` and ``k``, and log_softmax_pick's
+its kept exps.  A :class:`Tensor` has no arithmetic operators or methods:
+every computation calls these functions by name.
 """
 
 from __future__ import annotations
@@ -325,25 +330,30 @@ def div(a, b):
     return _record(out, (a if da else None, b if db else None), vjp)
 
 
-def matmul(a, b, transpose_a=False, transpose_b=False):
-    """``a @ b`` over the last two axes; a flag swaps its operand's last two
-    axes first, so a product with a transposed operand records one node."""
-    a, b, da, db = _operands(a, b)
+def _product(name, a, b, transpose_a=False, transpose_b=False):
+    """The array ``a @ b`` of two tensors, each transposed first when flagged."""
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(
-            f"matmul: operands must have ndim >= 2, got shapes {a.shape} and {b.shape}"
+            f"{name}: operands must have ndim >= 2, got shapes {a.shape} and {b.shape}"
         )
     left = a.values.swapaxes(-1, -2) if transpose_a else a.values
     right = b.values.swapaxes(-1, -2) if transpose_b else b.values
     if left.shape[-1] != right.shape[-2]:
         raise ShapeError(
-            f"matmul: inner dimensions do not match for shapes {left.shape} and {right.shape}"
+            f"{name}: inner dimensions do not match for shapes {left.shape} and {right.shape}"
         )
     if a.ndim > 2 and b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(
-            f"matmul: batch dimensions differ for shapes {a.shape} and {b.shape}"
+            f"{name}: batch dimensions differ for shapes {a.shape} and {b.shape}"
         )
-    out = Tensor(left @ right)
+    return left @ right
+
+
+def matmul(a, b, transpose_a=False, transpose_b=False):
+    """``a @ b`` over the last two axes; a flag swaps its operand's last two
+    axes first, so a product with a transposed operand records one node."""
+    a, b, da, db = _operands(a, b)
+    out = Tensor(_product("matmul", a, b, transpose_a, transpose_b))
     if _recording is None:
         return out
     shape_a, shape_b = a.shape, b.shape
@@ -369,6 +379,38 @@ def matmul(a, b, transpose_a=False, transpose_b=False):
         return ga, gb
 
     return _record(out, (a if da else None, b if db else None), vjp)
+
+
+def linear(x, w, b):
+    """A linear layer ``x @ w + b`` over the last two axes, one node.
+
+    ``w`` is [in, out] or stacked [n, in, out], and ``b`` broadcasts against
+    the product ([out] or [n, 1, out]).  Its adjoint is matmul's and add's.
+    """
+    x, w, dx, dw = _operands(x, w)
+    b, db = _lift(b), isinstance(b, Tensor)
+    product = _product("linear", x, w)
+    try:
+        out = Tensor(product + b.values)
+    except ValueError:
+        raise ShapeError(
+            f"linear: bias {b.shape} does not broadcast to the product {product.shape}"
+        ) from None
+    if _recording is None:
+        return out
+    shape_x, shape_w, shape_b, shape_p = x.shape, w.shape, b.shape, product.shape
+    # each of x's and w's gradients reads the other one
+    for_x, for_w = (w if dx else None), (x if dw else None)
+
+    def vjp(g):
+        gp = _unbroadcast(g, shape_p)
+        return (
+            _unbroadcast(matmul(gp, for_x, transpose_b=True), shape_x) if dx else None,
+            _unbroadcast(matmul(for_w, gp, transpose_a=True), shape_w) if dw else None,
+            _unbroadcast(g, shape_b) if db else None,
+        )
+
+    return _record(out, (x if dx else None, w if dw else None, b if db else None), vjp)
 
 
 def transpose(a, axes=None):
@@ -616,24 +658,20 @@ def relu(a):
     return _record(out, (a,), vjp)
 
 
-def _tanh_expr(x):
-    # tanh(z) = 1 - 2 / (exp(2z) + 1), built from primitives only
-    return sub(1.0, div(2.0, add(exp(mul(x, 2.0)), 1.0)))
-
-
 def gelu(a):
     """GELU with the tanh approximation (recorded design decision)."""
     a = _lift(a)
-    out = Tensor(kernels.gelu(a.values))
     if _recording is None:
-        return out
+        return Tensor(kernels.gelu(a.values))
+    t = np.empty(a.shape)  # the forward's tanh(inner), which the slope reads
+    out = Tensor(kernels.gelu(a.values, t))
     slope = None  # the recorded slope, once a replay has built one
 
     def vjp(g):
         nonlocal slope
         if slope is not None:
             return (mul(g, slope),)
-        built = _gelu_slope(a)
+        built = _gelu_slope(a, t)
         # a slope built while paused is not kept: a later recording replay
         # must record one that carries its own derivative
         if _recording is not None:
@@ -643,29 +681,29 @@ def gelu(a):
     return _record(out, (a,), vjp)
 
 
-def _gelu_slope(a):
-    """d gelu / da, recorded as one op whose adjoint is built from primitives.
+def _gelu_inner_slope(a):
+    """d inner / da for gelu's ``inner = sqrt(2/pi) (a + c a^3)``, from primitives."""
+    return mul(add(mul(mul(a, a), 3.0 * GELU_CUBIC), 1.0), SQRT_2_OVER_PI)
+
+
+def _gelu_slope(a, t):
+    """d gelu / da from the forward's ``t = tanh(inner)``, recorded as one op
+    whose adjoint is built from primitives.
 
     A second-order tape thus holds one slope array per gelu instead of the
     dozen intermediates of a slope composed of primitives.
     """
     x = a.values
-    x2 = x * x
-    inner = (x + x2 * x * GELU_CUBIC) * SQRT_2_OVER_PI
-    t = 1.0 - 2.0 / (np.exp(inner * 2.0) + 1.0)  # tanh(inner)
-    dinner = (x2 * (3.0 * GELU_CUBIC) + 1.0) * SQRT_2_OVER_PI
+    dinner = (x * x * (3.0 * GELU_CUBIC) + 1.0) * SQRT_2_OVER_PI
     out = Tensor((t + 1.0) * 0.5 + x * 0.5 * (1.0 - t * t) * dinner)
     if _recording is None:
         return out
 
     def vjp(g):
-        # slope' = sech^2 * (u' + a/2 * (u'' - 2 tanh(u) u'^2)), u = inner
-        x2 = mul(a, a)
-        if _recording is None:
-            tanh = t  # the forward's tanh(inner): the chain below, same float ops
-        else:
-            tanh = _tanh_expr(mul(add(a, mul(mul(x2, a), GELU_CUBIC)), SQRT_2_OVER_PI))
-        du = mul(add(mul(x2, 3.0 * GELU_CUBIC), 1.0), SQRT_2_OVER_PI)
+        # slope' = sech^2 * (u' + a/2 * (u'' - 2 tanh(u) u'^2)), u = inner;
+        # both replays read the forward's tanh, a recording one through an op of a
+        tanh = t if _recording is None else _gelu_tanh(a, t)
+        du = _gelu_inner_slope(a)
         ddu = mul(a, 6.0 * GELU_CUBIC * SQRT_2_OVER_PI)
         bend = sub(ddu, mul(mul(tanh, 2.0), mul(du, du)))
         curvature = mul(sub(1.0, mul(tanh, tanh)), add(du, mul(mul(a, 0.5), bend)))
@@ -674,25 +712,68 @@ def _gelu_slope(a):
     return _record(out, (a,), vjp)
 
 
-def layer_norm(a, eps=1e-5):
-    """Normalize the last axis to zero mean / unit variance (no affine part)."""
+def _gelu_tanh(a, t):
+    """A gelu node's kept ``t = tanh(inner)`` as a function of ``a``, recorded
+    as one op (callers check that a tape records) whose adjoint is built
+    from primitives."""
+    out = Tensor(t)
+
+    def vjp(h):
+        return (mul(h, mul(sub(1.0, mul(out, out)), _gelu_inner_slope(a))),)
+
+    return _record(out, (a,), vjp)
+
+
+def layer_norm(a, eps=1e-5, gain=None, bias=None):
+    """Normalize the last axis to zero mean / unit variance, then apply the
+    affine part: times ``gain``, plus ``bias``, each when given.  One node."""
+    given = [isinstance(t, Tensor) for t in (a, gain, bias)]  # see _operands
     a = _lift(a)
     if a.ndim < 1 or a.shape[-1] < 1:
         raise ContractError(f"layer_norm: need a non-empty last axis, got {a.shape}")
-    out = Tensor(kernels.layer_norm_rows(a.values, eps))
+    var = None if _recording is None else np.empty(a.shape[:-1] + (1,))
+    normed = kernels.layer_norm_rows(a.values, eps, var)
+    gain = None if gain is None else _lift(gain)
+    bias = None if bias is None else _lift(bias)
+    try:
+        scaled = normed if gain is None else normed * gain.values
+        out = Tensor(scaled if bias is None else scaled + bias.values)
+    except ValueError:
+        raise ShapeError(
+            f"layer_norm: gain and bias do not broadcast to the rows {a.shape}"
+        ) from None
     if _recording is None:
         return out
-    inv = None  # 1 / sqrt(var + eps) per row, once a replay has computed it
+    # the forward's variance, so no replay recomputes it; the same bits as
+    # the primitive chain in _layer_norm_grad's adjoint
+    inv = (var + eps) ** -0.5
+    da, dgain, dbias = given
+    shape_a, shape_scaled = a.shape, scaled.shape
 
     def vjp(g):
-        nonlocal inv
-        if inv is None:
-            # the float ops of the primitive chain in _layer_norm_grad's
-            # adjoint, so either source gives the same bits
-            x = a.values
-            centered = x - x.mean(axis=-1, keepdims=True)
-            inv = (np.mean(centered * centered, axis=-1, keepdims=True) + eps) ** -0.5
-        return (_layer_norm_grad(g, a, out, eps, inv),)
+        # a recording replay reads the normalized rows through an op of a,
+        # so that the gain's gradient and _layer_norm_grad's inputs carry
+        # their derivatives in a
+        rows = Tensor(normed) if _recording is None else _normalized(a, normed, eps, inv)
+        g_scaled = _unbroadcast(g, shape_scaled)
+        g_rows = g_scaled if gain is None else _unbroadcast(mul(g_scaled, gain), shape_a)
+        return (
+            _layer_norm_grad(g_rows, a, rows, eps, inv) if da else None,
+            _unbroadcast(mul(g_scaled, rows), gain.shape) if dgain else None,
+            _unbroadcast(g, bias.shape) if dbias else None,
+        )
+
+    return _record(out, (a if da else None, gain if dgain else None, bias if dbias else None), vjp)
+
+
+def _normalized(a, y, eps, inv):
+    """A layer_norm node's normalized rows ``y`` as a function of ``a``,
+    recorded as one op (callers check that a tape records) whose adjoint is
+    :func:`_layer_norm_grad`."""
+    out = Tensor(y)
+
+    def vjp(h):
+        return (_layer_norm_grad(h, a, out, eps, inv),)
 
     return _record(out, (a,), vjp)
 

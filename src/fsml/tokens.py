@@ -203,8 +203,8 @@ def _pack_group(samples, g, steps, stats):
 
 
 def _project(params, g, values):
-    """One matmul over a packed group."""
-    return T.add(T.matmul(Tensor(values), params[f"proj/{g.name}/w"]), params[f"proj/{g.name}/b"])
+    """One linear layer over a packed group."""
+    return T.linear(values, params[f"proj/{g.name}/w"], params[f"proj/{g.name}/b"])
 
 
 def encode_tokens(samples, spec, regime, params, stats=None):

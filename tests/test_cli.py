@@ -281,6 +281,12 @@ def test_every_config_field_is_accepted_and_typos_are_rejected():
     ("synth-data", {"synth": {"groups": [{"name": "s2", "channels": 3},
                                          {"name": "s2", "channels": 2}]}},
      "synth.groups: names must be distinct, got ['s2', 's2']"),
+    # one observation per day at most, and two-digit leaf codes
+    ("synth-data", {"synth": {"obs_count": [300, 400]}},
+     "synth.obs_count: a parcel has at most one observation per day, so high must be <= 366, "
+     "got [300, 400]"),
+    ("synth-data", {"synth": {"n_classes": 91}},
+     "synth.n_classes: must be <= 90 (leaf codes have two digits), got 91"),
 ])
 def test_bad_config_shapes_exit_with_contract_error(tmp_path, capsys, monkeypatch, mode, blocks,
                                                     problem):
@@ -386,6 +392,17 @@ def test_synth_data_writes_a_dataset_in_a_missing_directory(tmp_path):
     assert load_corpus(dataset).manifest.groups
     assert sorted(p.name for p in dataset.parent.iterdir()) == ["corpus.jsonl",
                                                                 "corpus.manifest.json"]
+
+
+def test_synth_data_with_more_observations_than_days_exits_1_without_a_traceback(tmp_path, capsys):
+    # the generator draws each parcel's days without replacement from 366
+    dataset = tmp_path / "corpus.jsonl"
+    config = synth_config(dataset, tmp_path / "runs")
+    config["synth"] = {**SYNTH_BLOCK, "obs_count": [300, 400]}
+    assert _main_on(tmp_path, config) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [ContractError]: invalid config: synth.obs_count: a parcel has at most")
+    assert "Traceback" not in err and not dataset.exists()
 
 
 def test_shipped_configs_are_valid():

@@ -287,6 +287,18 @@ def test_hierarchy_reproduces_published_cardinalities():
     assert len(set(codes)) == 103
 
 
+def test_synth_n_classes_beyond_two_digit_leaf_codes_is_rejected():
+    # leaf codes end in the two digits 10 + leaf; from 91 classes on they
+    # would take 7 digits while the hierarchy declares 6-digit leaves, so two
+    # classes would share a leaf
+    with pytest.raises(ContractError, match=r"^n_classes: must be <= 90"):
+        small_config(n_classes=91)
+    config = small_config(n_classes=90)
+    codes, hierarchy = build_hierarchy_codes(config.n_level3, config.n_level4, config.n_classes)
+    assert {len(c) for c in codes} == {6}
+    assert len({hierarchy.parent_at(c, hierarchy.leaf_level) for c in codes}) == 90
+
+
 def test_splits_disjoint_and_exhaustive():
     corpus = generate_synthetic(small_config(), seed=13)
     for region_pool, fractions in (

@@ -388,11 +388,13 @@ def test_fomaml_meta_gradient_peak_memory():
 
 def test_stacked_maml_meta_gradient_tape_size(monkeypatch):
     # one node per layer-norm adjoint, no transposes in matmul adjoints and
-    # one scaling mul per inner step (1,011 nodes without these)
+    # one scaling mul per inner step (1,011 nodes without these); one node
+    # per linear layer and per affine norm (639 with matmul/add pairs and
+    # layer_norm/mul/add chains)
     learner, meta_params, tasks = _benchmark_batch("maml")
     closed = _closed_tapes(monkeypatch)
     learner.meta_gradient(meta_params, tasks, seed=1)
-    assert len(closed) == 1 and closed[0] <= 800, closed
+    assert closed == [586]
 
 
 def test_stacked_maml_meta_gradient_reuses_forward_statistics(monkeypatch):

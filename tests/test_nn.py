@@ -173,15 +173,15 @@ def test_attention_weights_sum_to_one_over_unmasked_keys(rng):
     np.testing.assert_allclose(out.values, expected, rtol=0, atol=1e-12)
 
 
-def test_attention_records_eight_nodes_and_cross_entropy_three(rng):
-    # the four projections take five matmul/add nodes and the out projection
-    # is a sixth and seventh; the core between them is one node
+def test_attention_records_five_nodes_and_cross_entropy_three(rng):
+    # the q, v and out projections are one linear node each, the bias-free
+    # k projection one matmul, and the core between them one node
     params = tiny_params(rng)
     x = Tensor(rng.standard_normal((2, 5, CFG.embed_dim)))
     mask = np.array([[True] * 5, [True, True, True, False, False]])
     with Tape() as tape:
         nn.attention(params, "enc0/attn", CFG, x, x, mask)
-        assert len(tape.nodes) == 8
+        assert len(tape.nodes) == 5
     logits = Tensor(rng.standard_normal((2, 3, 4)))
     labels = np.array([[0, 1, 2], [3, 0, 1]])
     for args in ((logits, labels, mask[:, :3]), (T.reshape(logits, (6, 4)), labels.reshape(-1))):

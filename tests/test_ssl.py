@@ -517,6 +517,32 @@ def _ssl_corpus(seed=0):
     return generate_synthetic(cfg, seed=seed)
 
 
+def test_mae_step_and_token_classifier_step_record_pinned_tape_sizes(monkeypatch):
+    # the ssl-finetune benchmark's model shapes: every linear layer and every
+    # affine norm is one node (85 and 47 nodes as matmul/add pairs and
+    # layer_norm/mul/add chains)
+    closed, exit_ = [], Tape.__exit__
+
+    def counting_exit(tape, *exc):
+        closed.append(len(tape.nodes))
+        return exit_(tape, *exc)
+
+    monkeypatch.setattr(Tape, "__exit__", counting_exit)
+    samples = _ssl_corpus().pretrain_pool()[:32]
+    regime = xts_regime(16, max_timesteps=16)
+    stats = normalization_stats(samples, SPEC_LOC)
+    model = MaskedAutoencoder(nn.TransformerConfig(16, 2, 32, 1, 1, 64), SPEC_LOC, regime,
+                              "cross_attention")
+    mae_step(model.init_params(rng_from(3, 2)), model, samples, xts_plan("mixed"),
+             rng_from(3, 3), stats)
+    clf = TokenClassifier(nn.TransformerConfig(16, 2, 32, 1, 0, 64), SPEC_LOC, regime, stats)
+    params = nn.init_params(clf, rng_from(3, 1), n_classes=4)
+    with Tape():
+        logits = clf.logits(*nn.split_params(params), samples[:16])
+        grad(nn.cross_entropy(logits, np.arange(16) % 4), list(params.values()))
+    assert closed == [57, 32]
+
+
 def test_pretrain_ssl_improves_and_is_deterministic():
     corpus = _ssl_corpus()
     model = MaskedAutoencoder(

@@ -457,6 +457,9 @@ def _one_of_each_primitive(x, y):
         T.reshape(x, (4, 3)), T.concat([x, y], axis=1), T.slice_axis(y, 1, 1, 3),
         T.reduce_sum(y, axis=0), T.reduce_mean(y), T.exp(y), T.log(x), T.sqrt(x),
         T.power(x, 1.5), T.softmax(y), T.relu(y), T.gelu(y), T.layer_norm(y),
+        T.layer_norm(y, 1e-3, T.slice_axis(x, 0, 0, 1), y.values[1]),
+        T.linear(x, T.transpose(y), y.values[:, 0]),
+        T.linear(x.values, T.transpose(y), T.slice_axis(x, 1, 0, 3)),
         T.embedding_lookup(y, [2, 0]), T.masked_fill(y, mask, 0.5),
         T.attention(T.reshape(x, (1, 3, 4)), T.reshape(y, (1, 3, 4)), T.reshape(x, (1, 3, 4)),
                     mask[:1, :3], 2, 0.5),
@@ -798,18 +801,21 @@ def test_cross_entropy_op_second_and_third_order_match_finite_differences(live):
 
 def test_paused_and_recording_replays_of_a_second_order_tape_give_equal_bits():
     # a paused replay runs the NumPy adjoint of each fused op (attention,
-    # log_softmax_pick) and adjoint op (attention's weights, layer_norm's
-    # gradient); a recording replay runs their primitive chains
-    inner, shapes = _attention_loss("stacked")
-    r = np.random.default_rng(55)
-    with Tape():
-        ts = [Tensor(r.standard_normal(s)) for s in shapes]
-        gs = grad(inner(ts), ts, create_graph=True)
-        g0 = T.layer_norm(gs[1])
-        total = T.reduce_sum(T.mul(g0, T.exp(gs[2])))
-        for g in [gs[0], *gs[3:]]:
-            total = T.add(total, T.reduce_sum(T.mul(g, g)))
-        assert _bits(grad(total, ts)) == _bits(grad(total, ts, create_graph=True))
+    # log_softmax_pick, linear, affine layer_norm) and adjoint op
+    # (attention's weights, layer_norm's gradient and normalized rows, the
+    # gelu slope and its kept tanh); a recording replay runs their
+    # primitive chains
+    for inner, shapes in (_attention_loss("stacked"), _linear_norm_loss("stacked"),
+                          _linear_norm_loss("rows", constants=("x", "gain"))):
+        r = np.random.default_rng(55)
+        with Tape():
+            ts = [Tensor(r.standard_normal(s)) for s in shapes]
+            gs = grad(inner(ts), ts, create_graph=True)
+            g0 = T.layer_norm(gs[1])
+            total = T.reduce_sum(T.mul(g0, T.exp(gs[2])))
+            for g in [gs[0], *gs[3:]]:
+                total = T.add(total, T.reduce_sum(T.mul(g, g)))
+            assert _bits(grad(total, ts)) == _bits(grad(total, ts, create_graph=True))
 
 
 def test_fused_ops_reject_shapes_that_do_not_fit():
@@ -820,6 +826,14 @@ def test_fused_ops_reject_shapes_that_do_not_fit():
         T.attention(q, q, q, np.ones((2, 4), bool), 2, 1.0)
     with pytest.raises(ShapeError, match="attention"):
         T.attention(q, q, q, np.ones((2, 3), bool), 3, 1.0)
+    with pytest.raises(ShapeError, match="linear: inner dimensions"):
+        T.linear(q, Tensor(np.zeros((3, 4))), np.zeros(4))
+    with pytest.raises(ShapeError, match="linear: bias"):
+        T.linear(q, Tensor(np.zeros((4, 5))), np.zeros(4))
+    with pytest.raises(ShapeError, match="layer_norm: gain and bias"):
+        T.layer_norm(q, gain=np.ones(3))
+    with pytest.raises(ShapeError, match="layer_norm: gain and bias"):
+        T.layer_norm(q, gain=np.ones(4), bias=np.zeros((2, 2, 4)))
     logits = Tensor(np.zeros((3, 4)))
     with pytest.raises(ShapeError, match="log_softmax_pick"):
         T.log_softmax_pick(logits, [0, 1])
@@ -827,6 +841,146 @@ def test_fused_ops_reject_shapes_that_do_not_fit():
         T.log_softmax_pick(logits, [0, 4, 1])
     with pytest.raises(ContractError, match="out of range"):
         T.log_softmax_pick(logits, [0, -1, 1])
+
+
+# --- the fused linear and affine layer_norm ops ------------------------------
+
+
+def _affine_norm_chain(a, gain, bias):
+    """The primitive chain that an affine ``T.layer_norm`` replaces (the reference)."""
+    return T.add(T.mul(T.layer_norm(a), gain), bias)
+
+
+def _fused_affine_norm(a, gain, bias):
+    return T.layer_norm(a, gain=gain, bias=bias)
+
+
+def _linear_chain(x, w, b):
+    """The primitive chain that ``T.linear`` replaces (the reference)."""
+    return T.add(T.matmul(x, w), b)
+
+
+# input shapes: rows against plain weights, and stacked tasks with task-axis
+# weights [n, in, out] and vectors [n, 1, d]
+_LINEAR_NORM_CASES = {
+    "rows": {"x": (2, 3, 4), "w1": (4, 5), "b1": (5,), "gain": (5,), "bias": (5,),
+             "w2": (5, 3), "b2": (3,)},
+    "stacked": {"x": (2, 6, 4), "w1": (2, 4, 5), "b1": (2, 1, 5), "gain": (2, 1, 5),
+                "bias": (2, 1, 5), "w2": (2, 5, 3), "b2": (2, 1, 3)},
+}
+
+
+def _linear_norm_loss(case, constants=(), linear=T.linear, affine_norm=_fused_affine_norm):
+    """A loss through linear, affine layer norm, gelu and linear of the
+    tensors named in the case, in order; the names in ``constants`` enter as
+    fixed arrays instead (no gradient).  Returns (loss, tensor shapes)."""
+    shapes = _LINEAR_NORM_CASES[case]
+    r = np.random.default_rng(sum(map(ord, case)))
+    # a constant gain is centred on 1, like the trained ones
+    fixed = {name: r.standard_normal(shapes[name]) + (name == "gain") for name in constants}
+    names = [name for name in shapes if name not in fixed]
+    target = r.standard_normal(shapes["x"][:-1] + shapes["w2"][-1:])
+
+    def loss(ts):
+        p = {**fixed, **dict(zip(names, ts))}
+        h = T.gelu(affine_norm(linear(p["x"], p["w1"], p["b1"]), p["gain"], p["bias"]))
+        diff = T.sub(linear(h, p["w2"], p["b2"]), target)
+        return T.reduce_mean(T.mul(diff, diff))
+
+    return loss, [shapes[name] for name in names]
+
+
+_LINEAR_NORM_VARIANTS = [("rows", ()), ("stacked", ()), ("rows", ("x", "gain")),
+                         ("stacked", ("x", "bias", "b2"))]
+
+
+@pytest.mark.parametrize("case, constants", _LINEAR_NORM_VARIANTS)
+@pytest.mark.parametrize("create_graph", [False, True])
+def test_fused_linear_and_affine_layer_norm_first_order_bits_equal_the_primitive_chain(
+        case, constants, create_graph):
+    fused, shapes = _linear_norm_loss(case, constants)
+    chain, _ = _linear_norm_loss(case, constants, _linear_chain, _affine_norm_chain)
+    r = np.random.default_rng(8)
+    arrays = [r.standard_normal(s) for s in shapes]
+    results, forward_nodes = [], []
+    for loss in (fused, chain):
+        with Tape() as tape:
+            ts = [Tensor(a) for a in arrays]
+            value = loss(ts)
+            forward_nodes.append(len(tape.nodes))
+            results.append(_bits([value] + grad(value, ts, create_graph=create_graph)))
+    assert results[0] == results[1]
+    # two linear nodes and one affine norm node replace two matmul/add pairs
+    # and a layer_norm/mul/add chain
+    assert forward_nodes[1] - forward_nodes[0] == 4
+
+
+@pytest.mark.parametrize("case, constants", _LINEAR_NORM_VARIANTS)
+def test_linear_and_affine_layer_norm_gradients_match_finite_differences(case, constants):
+    loss, shapes = _linear_norm_loss(case, constants)
+    r = np.random.default_rng(61)
+    _gradcheck(loss, [r.standard_normal(s) for s in shapes])
+
+
+@pytest.mark.parametrize("case, constants", _LINEAR_NORM_VARIANTS)
+def test_second_order_through_linear_and_affine_layer_norm_matches_finite_differences(
+        case, constants):
+    # the gain's gradient reads the normalized rows, which depend on the
+    # norm's input: a recording replay must read them through an op of it
+    loss, shapes = _linear_norm_loss(case, constants)
+    _check_hvp(loss, shapes, seed=62)
+
+
+@pytest.mark.parametrize("case", sorted(_LINEAR_NORM_CASES))
+def test_third_order_through_linear_and_affine_layer_norm_matches_finite_differences(case):
+    # the HVP of a squared gradient norm replays the recorded normalized-rows,
+    # layer_norm gradient, gelu slope and kept-tanh ops while recording
+    inner, shapes = _linear_norm_loss(case)
+
+    def loss(ts):
+        gs = grad(inner(ts), ts, create_graph=True)
+        total = T.reduce_sum(T.mul(gs[0], gs[0]))
+        for g in gs[1:]:
+            total = T.add(total, T.reduce_sum(T.mul(g, g)))
+        return total
+
+    _check_hvp(loss, shapes, seed=63)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (2, 5, 16), (2, 6, 32), (1, 7)])
+def test_layer_norm_keeps_the_inv_its_first_replay_used_to_recompute(shape, monkeypatch):
+    # the node takes 1 / sqrt(var + eps) from its forward's variance; it must
+    # have the bits that a replay recomputed from the input before
+    r = np.random.default_rng(sum(shape))
+    x = r.standard_normal(shape) * 3.0 + 1e3 * r.standard_normal(shape[-1:])
+    kept = []
+    adjoint = T._layer_norm_grad
+
+    def spy(g, a, out, eps, inv):
+        kept.append(inv)
+        return adjoint(g, a, out, eps, inv)
+
+    monkeypatch.setattr(T, "_layer_norm_grad", spy)
+    for eps in (1e-5, 1e-2):
+        with Tape():
+            a = Tensor(x)
+            grad(T.reduce_sum(T.layer_norm(a, eps, gain=np.full(shape[-1], 2.0))), a)
+        centered = x - x.mean(axis=-1, keepdims=True)
+        recomputed = (np.mean(centered * centered, axis=-1, keepdims=True) + eps) ** -0.5
+        assert kept.pop().tobytes() == recomputed.tobytes()
+
+
+def test_gelu_slope_reads_the_forward_tanh():
+    r = np.random.default_rng(64)
+    x = r.standard_normal((4, 6)) * 3.0
+    inner = T.SQRT_2_OVER_PI * (x + T.GELU_CUBIC * x * x * x)
+    with Tape():
+        a = Tensor(x)
+        g = grad(T.reduce_sum(T.gelu(a)), a)
+    t = np.tanh(inner)
+    dinner = (x * x * (3.0 * T.GELU_CUBIC) + 1.0) * T.SQRT_2_OVER_PI
+    expected = (t + 1.0) * 0.5 + x * 0.5 * (1.0 - t * t) * dinner
+    assert g.values.tobytes() == expected.tobytes()
 
 
 def _documented(label):
