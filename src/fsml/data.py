@@ -45,7 +45,6 @@ PRETRAIN_SPLIT_FRACTIONS = {"train": 0.8, "validation": 0.2}
 FINETUNE_SPLIT_FRACTIONS = {"train": 0.6, "validation": 0.2, "test": 0.2}
 FIXED_VALIDATION_POINTS = 1000
 YEAR_DAYS = 366  # an observation's day of the year is 1..YEAR_DAYS
-MAX_SYNTH_CLASSES = 90  # synthetic leaf codes end in the two digits 10 + leaf
 
 
 @dataclass
@@ -393,9 +392,6 @@ class SynthConfig:
 
     def __post_init__(self):
         require_counts(4, n_classes=self.n_classes)
-        if self.n_classes > MAX_SYNTH_CLASSES:
-            raise ContractError(f"n_classes: must be <= {MAX_SYNTH_CLASSES} (leaf codes have "
-                                f"two digits), got {self.n_classes}")
         require_counts(k_max=self.k_max)
         for name in ("samples_per_class", "finetune_samples_per_class"):
             if getattr(self, name) < 2 * self.k_max:
@@ -425,15 +421,18 @@ class SynthConfig:
 
 
 def build_hierarchy_codes(n_level3, n_level4, n_classes):
-    """Digit codes with levels {3: 2, 4: 4, 6: 6} digits, children distributed round-robin
-    so the level cardinalities (bounded by ``SynthConfig``) are met exactly."""
+    """Digit codes of levels 3, 4 and 6, children distributed round-robin so the
+    level cardinalities (bounded by ``SynthConfig``) are met exactly.  Each level
+    writes 10 + its index in the digits its count needs, two for up to 90 and
+    three from 91, so all codes of one call have the same length."""
+    w3, w4, w6 = (len(str(9 + n)) for n in (n_level3, n_level4, n_classes))
     level4_parent = [i % n_level3 for i in range(n_level4)]
     codes = []
     for leaf in range(n_classes):
         l4 = leaf % n_level4
         l3 = level4_parent[l4]
-        codes.append(f"{10 + l3:02d}{10 + l4:02d}{10 + leaf:02d}")
-    hierarchy = Hierarchy({3: 2, 4: 4, 6: 6})
+        codes.append(f"{10 + l3:0{w3}d}{10 + l4:0{w4}d}{10 + leaf:0{w6}d}")
+    hierarchy = Hierarchy({3: w3, 4: w3 + w4, 6: w3 + w4 + w6})
     return codes, hierarchy
 
 

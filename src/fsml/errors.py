@@ -17,6 +17,14 @@ def require_counts(minimum=1, **counts):
             raise ContractError(f"{name}: must be an integer >= {minimum}")
 
 
+def require_rates(**rates):
+    """Reject each rate not above 0, NaN included: a negative rate trains
+    uphill.  The message starts with the rate's name, as require_counts' does."""
+    for name, value in rates.items():
+        if not value > 0:
+            raise ContractError(f"{name}: must be a number > 0")
+
+
 class ShapeError(ContractError):
     """Operand shapes do not conform; message names both shapes."""
 

@@ -46,7 +46,7 @@ import numpy as np
 from . import nn
 from . import tensor as T
 from .episodes import EpisodeConfig, build_meta_validation, episode_pool, sample_episode
-from .errors import ContractError, DivergedError, require_counts
+from .errors import ContractError, DivergedError, require_counts, require_rates
 from .nn import RawSeriesModel, cross_entropy
 from .seeding import STREAM_HEAD_RESET, STREAM_INIT, rng_from
 from .tensor import Tape, Tensor, grad
@@ -89,6 +89,7 @@ class MetaConfig:
             validate_every=self.validate_every, validation_tasks=self.validation_tasks,
         )
         require_counts(0, total_tasks=self.total_tasks)  # 0 validates the initialization
+        require_rates(inner_lr=self.inner_lr, outer_lr=self.outer_lr, encoder_lr=self.encoder_lr)
         self.episode_config(0)  # checks n_way, k_support and k_query
 
     @property

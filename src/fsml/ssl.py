@@ -48,7 +48,7 @@ import numpy as np
 from . import nn
 from . import tensor as T
 from .data import PRETRAIN_POOL, require_splits
-from .errors import ContractError, DegenerateInputError, DivergedError, require_counts
+from .errors import ContractError, DegenerateInputError, DivergedError, require_counts, require_rates
 from .nn import TransformerConfig
 from .seeding import STREAM_BATCHING, STREAM_INIT, STREAM_MASKING, rng_from
 from .tensor import Tape, Tensor, grad
@@ -390,6 +390,8 @@ class SSLConfig:
     def __post_init__(self):
         require_counts(batch_size=self.batch_size, validate_every=self.validate_every,
                        patience=self.patience)
+        require_counts(0, max_batches=self.max_batches)
+        require_rates(learning_rate=self.learning_rate)
 
 
 def pretrain_ssl(corpus, model, config, seed):

@@ -53,9 +53,8 @@ through, so an array a rule returned may be another node's adjoint or a
 gradient already handed back.
 
 The primitive set is fixed: add, sub, mul, div, matmul, linear, transpose,
-reshape, concat, slice_axis, reduce_sum, reduce_mean, exp, log, sqrt, power,
-softmax, relu, gelu, layer_norm, embedding_lookup, masked_fill, attention,
-log_softmax_pick.  ``softmax`` runs over the last axis.  ``matmul`` takes a
+reshape, concat, slice_axis, reduce_sum, reduce_mean, power, gelu,
+layer_norm, embedding_lookup, attention, log_softmax_pick.  ``matmul`` takes a
 flag per operand that swaps its last two axes, so its adjoint records one
 matmul per operand and no transpose.  ``linear`` is a linear layer's
 ``x @ w + b`` and ``layer_norm`` takes an optional affine ``gain`` and
@@ -572,46 +571,6 @@ def reduce_mean(a, axis=None, keepdims=False):
     return _record(out, (a,), vjp)
 
 
-def exp(a):
-    a = _lift(a)
-    out = Tensor(np.exp(a.values))
-    if _recording is None:
-        return out
-
-    def vjp(g):
-        return (mul(g, out),)
-
-    return _record(out, (a,), vjp)
-
-
-def log(a):
-    a = _lift(a)
-    if np.any(a.values < 0):
-        raise DomainError("log of negative input")
-    out = Tensor(np.log(a.values))
-    if _recording is None:
-        return out
-
-    def vjp(g):
-        return (div(g, a),)
-
-    return _record(out, (a,), vjp)
-
-
-def sqrt(a):
-    a = _lift(a)
-    if np.any(a.values < 0):
-        raise DomainError("sqrt of negative input")
-    out = Tensor(np.sqrt(a.values))
-    if _recording is None:
-        return out
-
-    def vjp(g):
-        return (div(g, mul(out, 2.0)),)
-
-    return _record(out, (a,), vjp)
-
-
 def power(a, exponent):
     a = _lift(a)
     exponent = float(exponent)
@@ -625,35 +584,6 @@ def power(a, exponent):
         if exponent == 0.0:
             return (mul(g, 0.0),)
         return (mul(mul(g, exponent), power(a, exponent - 1.0)),)
-
-    return _record(out, (a,), vjp)
-
-
-def softmax(a):
-    """Softmax over the last axis, stabilized by (constant) max subtraction."""
-    a = _lift(a)
-    if a.ndim < 1 or a.shape[-1] < 1:
-        raise ContractError(f"softmax: need a non-empty last axis, got shape {a.shape}")
-    out = Tensor(kernels.softmax_rows(a.values))
-    if _recording is None:
-        return out
-
-    def vjp(g):
-        weighted = reduce_sum(mul(g, out), axis=-1, keepdims=True)
-        return (mul(out, sub(g, weighted)),)
-
-    return _record(out, (a,), vjp)
-
-
-def relu(a):
-    a = _lift(a)
-    out = Tensor(np.maximum(a.values, 0.0))
-    if _recording is None:
-        return out
-    gate = (a.values > 0).astype(np.float64)
-
-    def vjp(g):
-        return (mul(g, gate),)
 
     return _record(out, (a,), vjp)
 
@@ -840,28 +770,6 @@ def embedding_lookup(table, indices):
         return (matmul(onehot.T, g2),)
 
     return _record(out, (table,), vjp)
-
-
-def masked_fill(a, mask, value):
-    """Replace entries where ``mask`` is True by ``value`` (mask is constant)."""
-    a = _lift(a)
-    mask = np.asarray(mask, dtype=bool)
-    try:
-        np.broadcast_shapes(a.shape, mask.shape)
-    except ValueError:
-        raise ShapeError(
-            f"masked_fill: mask shape {mask.shape} does not broadcast to {a.shape}"
-        ) from None
-    out = Tensor(np.where(mask, float(value), a.values))
-    if _recording is None:
-        return out
-    keep = (~mask).astype(np.float64)
-    shape = a.shape
-
-    def vjp(g):
-        return (_unbroadcast(mul(g, keep), shape),)
-
-    return _record(out, (a,), vjp)
 
 
 def _heads(x, batch, num_heads):

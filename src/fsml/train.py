@@ -24,7 +24,7 @@ from .data import (
     require_splits,
     resample_majority,
 )
-from .errors import ContractError, DivergedError, require_counts
+from .errors import ContractError, DivergedError, require_counts, require_rates
 from .nn import copy_params, cross_entropy, join_params, split_params
 from .seeding import (
     STREAM_BATCHING,
@@ -134,6 +134,9 @@ class FineTuneRegime:
     def __post_init__(self):
         if self.mode not in FINETUNE_MODES:
             raise ContractError(f"unknown fine-tune mode {self.mode!r}")
+        require_rates(lr_head=self.lr_head)
+        if not self.lr_backbone >= 0:  # 0 freezes the backbone
+            raise ContractError("lr_backbone: must be a number >= 0")
         if self.mode == "head_only" and self.lr_backbone != 0.0:
             raise ContractError("head_only regime requires lr_backbone = 0")
         if self.mode == "same_lr" and self.lr_head != self.lr_backbone:
@@ -248,6 +251,8 @@ class TransferConfig:
     def __post_init__(self):
         require_counts(batch_size=self.batch_size, max_epochs=self.max_epochs,
                        patience=self.patience)
+        require_counts(0, cosine_cycles=self.cosine_cycles)
+        require_rates(learning_rate=self.learning_rate)
 
 
 def pretrain_transfer(corpus, model, config, seed):

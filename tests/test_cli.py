@@ -281,12 +281,26 @@ def test_every_config_field_is_accepted_and_typos_are_rejected():
     ("synth-data", {"synth": {"groups": [{"name": "s2", "channels": 3},
                                          {"name": "s2", "channels": 2}]}},
      "synth.groups: names must be distinct, got ['s2', 's2']"),
-    # one observation per day at most, and two-digit leaf codes
+    # one observation per day at most
     ("synth-data", {"synth": {"obs_count": [300, 400]}},
      "synth.obs_count: a parcel has at most one observation per day, so high must be <= 366, "
      "got [300, 400]"),
-    ("synth-data", {"synth": {"n_classes": 91}},
-     "synth.n_classes: must be <= 90 (leaf codes have two digits), got 91"),
+    # a negative rate trains uphill and still writes artifacts; only the
+    # backbone's rate may be 0 (a frozen backbone)
+    *[(mode, blocks, f"{path}: must be a number > 0") for mode, blocks, path in [
+        ("pretrain-transfer", {"transfer": {"learning_rate": -0.003}}, "transfer.learning_rate"),
+        ("pretrain-transfer", {"transfer": {"learning_rate": 0}}, "transfer.learning_rate"),
+        *[("pretrain-meta", {"meta": {"algorithm": "maml", key: -1}}, f"meta.{key}")
+          for key in ("inner_lr", "outer_lr", "encoder_lr")],
+        ("finetune", {"finetune": {"lr_head": -1}}, "finetune.lr_head"),
+        ("finetune", {"finetune": {"regime": "head_only", "lr_head": 0}}, "finetune.lr_head"),
+        ("pretrain-ssl", {"ssl": {"learning_rate": -1.0}}, "ssl.learning_rate"),
+    ]],
+    ("finetune", {"finetune": {"regime": "split_lr", "lr_backbone": -1}},
+     "finetune.lr_backbone: must be a number >= 0"),
+    ("pretrain-transfer", {"transfer": {"cosine_cycles": -2}},
+     "transfer.cosine_cycles: must be an integer >= 0"),
+    ("pretrain-ssl", {"ssl": {"max_batches": -5}}, "ssl.max_batches: must be an integer >= 0"),
 ])
 def test_bad_config_shapes_exit_with_contract_error(tmp_path, capsys, monkeypatch, mode, blocks,
                                                     problem):

@@ -285,18 +285,20 @@ def test_hierarchy_reproduces_published_cardinalities():
     assert len({hierarchy.parent_at(c, 3) for c in codes}) == 6
     assert len({hierarchy.parent_at(c, 4) for c in codes}) == 33
     assert len(set(codes)) == 103
+    assert {len(c) for c in codes} == {hierarchy.level_prefix_lengths[hierarchy.leaf_level]}
+    assert len({hierarchy.parent_at(c, hierarchy.leaf_level) for c in codes}) == 103
 
 
-def test_synth_n_classes_beyond_two_digit_leaf_codes_is_rejected():
-    # leaf codes end in the two digits 10 + leaf; from 91 classes on they
-    # would take 7 digits while the hierarchy declares 6-digit leaves, so two
-    # classes would share a leaf
-    with pytest.raises(ContractError, match=r"^n_classes: must be <= 90"):
-        small_config(n_classes=91)
-    config = small_config(n_classes=90)
-    codes, hierarchy = build_hierarchy_codes(config.n_level3, config.n_level4, config.n_classes)
-    assert {len(c) for c in codes} == {6}
-    assert len({hierarchy.parent_at(c, hierarchy.leaf_level) for c in codes}) == 90
+def test_synth_n_classes_beyond_90_widen_the_leaf_codes():
+    # leaf codes end in 10 + leaf; from 91 classes on that takes three digits,
+    # and the hierarchy's leaf prefix grows with it, so no two classes share
+    # a leaf.  Up to 90 classes the codes keep two digits per level.
+    for n_classes, length in ((90, 6), (91, 7)):
+        config = small_config(n_classes=n_classes)
+        codes, hierarchy = build_hierarchy_codes(config.n_level3, config.n_level4, config.n_classes)
+        assert {len(c) for c in codes} == {length}
+        assert hierarchy.level_prefix_lengths == {3: 2, 4: 4, 6: length}
+        assert len({hierarchy.parent_at(c, hierarchy.leaf_level) for c in codes}) == n_classes
 
 
 def test_splits_disjoint_and_exhaustive():

@@ -275,7 +275,7 @@ def _uncompacted_reconstruct(model, params, batch, mask):
     slots are zeroed and blocked from attention, the decoders run all N
     slots and the heads write every masked non-padding cell."""
     visible = ~mask & ~batch.pad
-    x = T.masked_fill(batch.tokens, ~visible[:, :, None], 0.0)
+    x = T.mul(batch.tokens, visible[:, :, None].astype(np.float64))
     encoded = nn.encode(params, model.config, x, visible)
     mask_content = T.add(batch.context, params["dec/mask_token"])
     if model.variant == "self_attention":
