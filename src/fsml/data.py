@@ -6,7 +6,11 @@ Dataset file format (external interface)
         {"id", "days": [int], "channels": {group: [[f64, ...], ...]},
          "lon", "lat", "region", "hcat", "split"}
     "channels" arrays are day-major.  The manifest is a single JSON object
-    stored next to the dataset as ``<dataset>.manifest.json``.  In memory a
+    stored next to the dataset as ``<dataset>.manifest.json``; it is written
+    after the dataset and records the SHA-256 of the dataset's bytes under
+    ``corpus_sha256``, so a dataset that is not the one its manifest was
+    written with (a crash between the two writes) is a ParseError on load.
+    A manifest without the key is read as before.  In memory a
     parcel is its record: ``ParcelSample.days`` is the [T] day array and
     ``ParcelSample.channels`` maps each group to its [T, C] float64 table.
 
@@ -18,6 +22,7 @@ function of (config, seed).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import warnings
@@ -186,14 +191,20 @@ def _sample_record(s):
             "lat": float(s.lat), "region": s.region, "hcat": s.label, "split": s.split}
 
 
+CORPUS_DIGEST = "corpus_sha256"  # the manifest key of the dataset's SHA-256
+
+
 def save_corpus(corpus, path):
     path = Path(path)
+    digest = hashlib.sha256()
     with writing(path) as fh:
         for sample in corpus.samples:
-            fh.write(json.dumps(_sample_record(sample), sort_keys=True))
-            fh.write("\n")
+            line = json.dumps(_sample_record(sample), sort_keys=True) + "\n"
+            digest.update(line.encode("ascii"))  # json.dumps escapes non-ASCII
+            fh.write(line)
     manifest = asdict(corpus.manifest)
     manifest["hierarchy_levels"] = {str(k): v for k, v in manifest["hierarchy_levels"].items()}
+    manifest[CORPUS_DIGEST] = digest.hexdigest()
     write_json(manifest_path(path), manifest)
     return path
 
@@ -204,12 +215,18 @@ _RECORD_TYPES = {"id": _STR, "days": {list}, "channels": {dict}, "lon": _NUMBER,
 
 
 def _load_manifest(mpath):
-    """The manifest beside a corpus, or the defaults.  ParseError (naming the file
-    and the key) if it does not read; ValidationError for bad split fractions."""
+    """The manifest beside a corpus, or the defaults, and the corpus digest it
+    records, or None.  ParseError (naming the file and the key) if it does
+    not read; ValidationError for bad split fractions."""
     if not mpath.exists():
-        return CorpusManifest()
+        return CorpusManifest(), None
     where = f"manifest {str(mpath)!r}"
     raw = decode(mpath.read_bytes(), where)
+    digest = None
+    if type(raw) is dict and CORPUS_DIGEST in raw:
+        digest = raw.pop(CORPUS_DIGEST)
+        if type(digest) is not str:
+            raise ParseError(f"{where}: {CORPUS_DIGEST}: must be a string")
     drop_categorical(raw.get("groups") if type(raw) is dict else None, where)
     manifest = parse(raw, CorpusManifest, where)
     breaches = [f"manifest: {stage} split fractions do not sum to 1"
@@ -217,7 +234,7 @@ def _load_manifest(mpath):
                 if abs(sum(fractions.values()) - 1.0) > 1e-9]
     if breaches:
         raise ValidationError(breaches)
-    return manifest
+    return manifest, digest
 
 
 def _type_errors(record):
@@ -281,16 +298,30 @@ def load_corpus(path):
     A line that is not a JSON object holding every key at its JSON type
     raises ParseError naming the line; the invariant breaches of all
     well-typed records are reported together in one ValidationError.  A
-    record's arrays are built only once it passes validation.
+    record's arrays are built only once it passes validation.  A corpus
+    whose bytes differ from the digest its manifest records raises
+    ParseError naming both files.
     """
     path = Path(path)
-    manifest = _load_manifest(manifest_path(path))
+    mpath = manifest_path(path)
+    manifest, digest = _load_manifest(mpath)
     samples, breaches = [], []
     try:
         fh = open(path, "rb")
     except OSError as err:
         raise ContractError(f"corpus: cannot open {str(path)!r}: {err.strerror}") from None
     with fh:
+        if digest is not None:
+            actual = hashlib.sha256()
+            for line in fh:  # line by line: no file-sized buffer
+                actual.update(line)
+            if actual.hexdigest() != digest:
+                raise ParseError(
+                    f"corpus {str(path)!r} is not the one its manifest {str(mpath)!r} was "
+                    f"written with ({CORPUS_DIGEST} differs): save the corpus again, or "
+                    f"delete that key to accept an edit"
+                )
+            fh.seek(0)
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

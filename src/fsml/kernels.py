@@ -28,16 +28,26 @@ def gelu(x, tanh=None):
     ``tanh(inner)``, from which the derivative follows.
     """
     x = np.asarray(x, dtype=np.float64)
-    inner = SQRT_2_OVER_PI * (x + GELU_CUBIC * x * x * x)
-    return 0.5 * x * (1.0 + np.tanh(inner, out=tanh))
+    # inner = sqrt(2/pi) * (x + ((c * x) * x) * x), then 1 + tanh(inner)
+    buf = np.multiply(x, GELU_CUBIC, out=np.empty_like(x))
+    buf *= x
+    buf *= x
+    buf += x
+    buf *= SQRT_2_OVER_PI
+    np.add(np.tanh(buf, out=buf if tanh is None else tanh), 1.0, out=buf)
+    out = np.multiply(x, 0.5, out=np.empty_like(x))
+    out *= buf
+    return out
 
 
 def softmax_rows(x):
     """Max-stabilized softmax over the last axis of an f64 array."""
     arr = np.ascontiguousarray(x, dtype=np.float64)
     rows = arr.reshape(-1, arr.shape[-1])
-    e = np.exp(rows - rows.max(axis=1, keepdims=True))
-    return (e / e.sum(axis=1, keepdims=True)).reshape(arr.shape)
+    e = rows - rows.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e.reshape(arr.shape)
 
 
 def layer_norm_rows(x, eps, var=None):
@@ -47,8 +57,11 @@ def layer_norm_rows(x, eps, var=None):
     receives each row's variance ``mean(centered * centered)``.
     """
     arr = np.ascontiguousarray(x, dtype=np.float64)
-    rows = arr.reshape(-1, arr.shape[-1])
-    centered = rows - rows.mean(axis=1, keepdims=True)
+    n = arr.shape[-1]
+    rows = arr.reshape(-1, n)
+    centered = rows - np.add.reduce(rows, axis=1, keepdims=True) / n
     out = None if var is None else var.reshape(-1, 1)
-    row_var = np.mean(centered * centered, axis=1, keepdims=True, out=out)
-    return (centered / np.sqrt(row_var + eps)).reshape(arr.shape)
+    row_var = np.add.reduce(centered * centered, axis=1, keepdims=True, out=out)
+    row_var /= n
+    centered /= np.sqrt(row_var + eps)
+    return centered.reshape(arr.shape)

@@ -50,7 +50,10 @@ Fan-in.  Without ``create_graph``, ``grad`` sums the contributions to one
 adjoint in place, but only in an array it allocated itself for that sum:
 ``add`` and ``reshape`` pass their ``g`` (or a view of it) straight
 through, so an array a rule returned may be another node's adjoint or a
-gradient already handed back.
+gradient already handed back.  Likewise a kernel, a primitive's forward or
+a paused adjoint writes only into arrays it allocated itself, never into an
+input, a kept array or a ``g`` it was handed, and it keeps the float ops of
+the plain expression in their order.
 
 The primitive set is fixed: add, sub, mul, div, matmul, linear, transpose,
 reshape, concat, slice_axis, reduce_sum, reduce_mean, power, gelu,
@@ -234,6 +237,20 @@ def _unbroadcast(g, shape):
     return g
 
 
+def _add_into(buf, b):
+    """``buf + b``, written into ``buf`` (an array the caller allocated and
+    nothing keeps) unless the broadcast grows it; ValueError if it fails."""
+    try:
+        return np.add(buf, b, out=buf)
+    except ValueError:
+        return buf + b
+
+
+def _mean_rows(x):
+    """``x.mean(axis=-1, keepdims=True)`` with the same float ops."""
+    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+
+
 # ---------------------------------------------------------------------------
 # primitives: each returns before building its adjoint when nothing records
 # ---------------------------------------------------------------------------
@@ -390,7 +407,7 @@ def linear(x, w, b):
     b, db = _lift(b), isinstance(b, Tensor)
     product = _product("linear", x, w)
     try:
-        out = Tensor(product + b.values)
+        out = Tensor(_add_into(product, b.values))
     except ValueError:
         raise ShapeError(
             f"linear: bias {b.shape} does not broadcast to the product {product.shape}"
@@ -623,9 +640,20 @@ def _gelu_slope(a, t):
     A second-order tape thus holds one slope array per gelu instead of the
     dozen intermediates of a slope composed of primitives.
     """
+    # (t + 1) * 0.5 + ((x * 0.5) * (1 - t * t)) * dinner, on two buffers
     x = a.values
-    dinner = (x * x * (3.0 * GELU_CUBIC) + 1.0) * SQRT_2_OVER_PI
-    out = Tensor((t + 1.0) * 0.5 + x * 0.5 * (1.0 - t * t) * dinner)
+    slope = np.multiply(x, 0.5, out=np.empty_like(x))
+    buf = np.multiply(t, t, out=np.empty_like(x))
+    slope *= np.subtract(1.0, buf, out=buf)
+    np.multiply(x, x, out=buf)
+    buf *= 3.0 * GELU_CUBIC
+    buf += 1.0
+    buf *= SQRT_2_OVER_PI  # dinner
+    slope *= buf
+    np.add(t, 1.0, out=buf)
+    buf *= 0.5
+    slope += buf
+    out = Tensor(slope)
     if _recording is None:
         return out
 
@@ -667,7 +695,10 @@ def layer_norm(a, eps=1e-5, gain=None, bias=None):
     bias = None if bias is None else _lift(bias)
     try:
         scaled = normed if gain is None else normed * gain.values
-        out = Tensor(scaled if bias is None else scaled + bias.values)
+        if bias is None:
+            out = Tensor(scaled)
+        else:  # never into the kept normed
+            out = Tensor(scaled + bias.values if gain is None else _add_into(scaled, bias.values))
     except ValueError:
         raise ShapeError(
             f"layer_norm: gain and bias do not broadcast to the rows {a.shape}"
@@ -717,8 +748,12 @@ def _layer_norm_grad(g, a, out, eps, inv):
     the adjoint is NumPy with the same float ops.
     """
     gv, y = g.values, out.values
-    gy_mean = (gv * y).mean(axis=-1, keepdims=True)
-    result = Tensor(inv * ((gv - gv.mean(axis=-1, keepdims=True)) - y * gy_mean))
+    buf = np.multiply(gv, y)
+    gy_mean = _mean_rows(buf)
+    value = gv - _mean_rows(gv)
+    value -= np.multiply(y, gy_mean, out=buf)
+    value *= inv
+    result = Tensor(value)
     if _recording is None:
         return result
 
@@ -730,9 +765,14 @@ def _layer_norm_grad(g, a, out, eps, inv):
         n = a.shape[-1]
         if _recording is None:  # the float ops of the primitive chain below
             hv = h.values
-            hy = (hv * y).mean(axis=-1, keepdims=True)
-            g_out = (inv * -1.0) * (hv * gy_mean + gv * hy)
-            g_a = (y * (inv / -n)) * (hv * result.values).sum(axis=-1, keepdims=True)
+            buf = np.multiply(hv, y)
+            hy = _mean_rows(buf)
+            g_out = np.multiply(hv, gy_mean)
+            g_out += np.multiply(gv, hy, out=buf)
+            g_out *= inv * -1.0
+            h_dx = np.add.reduce(np.multiply(hv, value, out=buf), axis=-1, keepdims=True)
+            g_a = np.multiply(y, inv / -n)
+            g_a *= h_dx
             return (_layer_norm_grad(h, a, out, eps, inv), Tensor(g_a), Tensor(g_out))
         mu = reduce_mean(a, axis=-1, keepdims=True)
         c = sub(a, mu)
@@ -812,8 +852,10 @@ def attention(q, k, v, key_mask, num_heads, scale):
             f"a key mask of {mask.shape} with {num_heads} heads"
         )
     qh, kh, vh = (_heads(t.values, batch, num_heads) for t in (q, k, v))
-    blocked = ~mask[:, None, None, :]
-    scores = np.where(blocked, -1e30, (qh @ kh.swapaxes(-1, -2)) * scale)
+    scores = qh @ kh.swapaxes(-1, -2)
+    scores *= scale
+    rows, keys = np.nonzero(~mask)  # each masked key's column, in every head and query
+    scores[rows, :, :, keys] = -1e30
     w = kernels.softmax_rows(scores)
     out = Tensor(_merge_heads(w @ vh, q.shape))
     if _recording is None:
@@ -841,7 +883,11 @@ def _scores_vjp(gw, weights, q, k, keep, scale, batch, num_heads):
     Built from primitives; when nothing records, NumPy with their float ops."""
     if _recording is None:
         w, gv = weights.values, gw.values
-        gs = w * (gv - (gv * w).sum(axis=-1, keepdims=True)) * keep * scale
+        gs = np.multiply(gv, w)
+        np.subtract(gv, np.add.reduce(gs, axis=-1, keepdims=True), out=gs)
+        gs *= w
+        gs *= keep
+        gs *= scale
         gq = gs @ _heads(k.values, batch, num_heads)
         gk = gs.swapaxes(-1, -2) @ _heads(q.values, batch, num_heads)
         return Tensor(_merge_heads(gq, q.shape)), Tensor(_merge_heads(gk, k.shape))
@@ -884,7 +930,9 @@ def log_softmax_pick(logits, labels, weights=None):
     z = x - x.max(axis=-1, keepdims=True)
     e = np.exp(z)
     sums = e.sum(axis=-1, keepdims=True)
-    picked = ((z - np.log(sums)) * onehot).sum(axis=-1)
+    z -= np.log(sums)
+    z *= onehot
+    picked = z.sum(axis=-1)
     out = Tensor(picked if weights is None else picked * weights)
     if _recording is None:
         return out

@@ -1,7 +1,10 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from fsml.data import ParcelSample
+from fsml.data import CORPUS_DIGEST, ParcelSample, manifest_path
 
 
 def parcel(days, channels, parcel_id="p0", lon=0.0, lat=0.0, region="R1", label="x",
@@ -14,6 +17,16 @@ def parcel(days, channels, parcel_id="p0", lon=0.0, lat=0.0, region="R1", label=
         {g: np.asarray(rows, dtype=np.float64) for g, rows in channels.items()},
         lon, lat, region, label, split,
     )
+
+
+def rewrite_corpus(path, text):
+    """Replace a saved corpus's records by ``text`` and record the new bytes'
+    digest in its manifest, as a hand edit that keeps the pair consistent."""
+    path.write_text(text)
+    mpath = manifest_path(path)
+    manifest = json.loads(mpath.read_text())
+    manifest[CORPUS_DIGEST] = hashlib.sha256(path.read_bytes()).hexdigest()
+    mpath.write_text(json.dumps(manifest))
 
 
 def rel_error(approx, exact):

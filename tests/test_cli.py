@@ -7,6 +7,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 import pytest
 
+from conftest import rewrite_corpus
 from fsml import cli as cli_mod
 from fsml.cli import _write_results_csv, config_hash, emit_plots, main, run, validate_config
 from fsml.data import SynthConfig, load_corpus
@@ -460,7 +461,7 @@ def test_corrupt_dataset_exits_with_typed_error(tmp_path, capsys, corrupt, error
         first, rest = dataset.read_text().split("\n", 1)
         record = json.loads(first)
         corrupt(record)
-        dataset.write_text(json.dumps(record) + "\n" + rest)
+        rewrite_corpus(dataset, json.dumps(record) + "\n" + rest)
     config = {"schema_version": 1, "mode": "pretrain-transfer", "dataset": str(dataset),
               "out": str(tmp_path / "runs"), "seeds": [0]}
     assert _main_on(tmp_path, config) == 1
@@ -494,7 +495,7 @@ def test_empty_split_is_a_degenerate_input_error_naming_pool_and_split(tmp_path,
     for record in records:
         if (record["region"] == "T1") == finetune and record["split"] == split:
             record["split"] = relabel if finetune else "test"
-    dataset.write_text("".join(json.dumps(record) + "\n" for record in records))
+    rewrite_corpus(dataset, "".join(json.dumps(record) + "\n" for record in records))
     block = {"pretrain-transfer": {"transfer": {"max_epochs": 1}},
              "pretrain-ssl": {"ssl": {"batch_size": 64, "max_batches": 1}},
              "finetune": {"finetune": {"kshots": [1], "max_epochs": 1}}}[mode]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import parcel
+from conftest import parcel, rewrite_corpus
 from fsml import data, nn
 from fsml.data import (
     Corpus,
@@ -339,6 +339,52 @@ def test_manifest_rejects_bad_split_fractions(tmp_path):
         load_corpus(path)
 
 
+def test_corpus_written_without_its_manifest_is_a_parse_error(tmp_path, monkeypatch):
+    # a crash between the corpus write and the manifest write leaves corpus B
+    # beside corpus A's manifest; loading the pair must not give B's samples
+    # A's regions and splits
+    path = tmp_path / "c.jsonl"
+    first = generate_synthetic(small_config(), seed=0)
+    save_corpus(first, path)
+    second = generate_synthetic(small_config(regions=["Q1", "Q2", "Q3"]), seed=1)
+
+    def crash(target, value):
+        raise OSError("crashed before the manifest write")
+
+    monkeypatch.setattr(data, "write_json", crash)
+    with pytest.raises(OSError):
+        save_corpus(second, path)
+    monkeypatch.undo()
+    with pytest.raises(ParseError, match=r"corpus .*c\.jsonl.*manifest .*c\.manifest\.json"):
+        load_corpus(path)
+    save_corpus(second, path)  # the completed write loads again
+    assert load_corpus(path).manifest == second.manifest
+
+
+def test_manifest_without_the_corpus_digest_still_loads(tmp_path):
+    path = tmp_path / "c.jsonl"
+    corpus = generate_synthetic(small_config(), seed=0)
+    save_corpus(corpus, path)
+    mpath = data.manifest_path(path)
+    raw = json.loads(mpath.read_text())
+    del raw[data.CORPUS_DIGEST]
+    mpath.write_text(json.dumps(raw))
+    loaded = load_corpus(path)
+    assert loaded.manifest == corpus.manifest and len(loaded) == len(corpus)
+
+
+@pytest.mark.parametrize("value", [5, None], ids=["number", "null"])
+def test_corpus_digest_that_is_not_a_string_is_a_parse_error(tmp_path, value):
+    path = tmp_path / "c.jsonl"
+    save_corpus(generate_synthetic(small_config(), seed=0), path)
+    mpath = data.manifest_path(path)
+    raw = json.loads(mpath.read_text())
+    raw[data.CORPUS_DIGEST] = value
+    mpath.write_text(json.dumps(raw))
+    with pytest.raises(ParseError, match="corpus_sha256: must be a string"):
+        load_corpus(path)
+
+
 def test_paper_shaped_band_constants():
     assert data.S2_TOTAL_BANDS == 13
     assert data.S2_SUPERVISED_CHANNELS == 12  # B10 removed
@@ -358,14 +404,20 @@ def test_raw_series_groups_leave_static_groups_out():
 def test_dataset_format_is_pinned(tmp_path):
     """Corpus and manifest bytes of a fixed synthetic corpus match digests
     recorded before parcels were held as arrays (the manifest's since groups
-    lost their ``categorical`` key); any format change shows."""
+    lost their ``categorical`` key, and the manifest's without the corpus
+    digest it now records); any format change shows."""
     path = tmp_path / "corpus.jsonl"
     save_corpus(generate_synthetic(small_config(), seed=0), path)
-    digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (path, data.manifest_path(path))]
-    assert digests == [
-        "165b4e1545433a871c1467fe2c03835c381c4c17e8cf1a84b3fa4f543fbe7816",
-        "75ba4cce706ca48d01870e09767d2bf609d5a403c2772f713c90b7e8cae1ddf9",
-    ]
+    body, manifest = path.read_bytes(), data.manifest_path(path).read_bytes()
+    assert hashlib.sha256(body).hexdigest() == (
+        "165b4e1545433a871c1467fe2c03835c381c4c17e8cf1a84b3fa4f543fbe7816")
+    assert hashlib.sha256(manifest).hexdigest() == (
+        "becf77f2e545397918a38e0694ddf151532bdebf04a0c569b5d40b84468b3621")
+    raw = json.loads(manifest)
+    assert raw.pop(data.CORPUS_DIGEST) == hashlib.sha256(body).hexdigest()
+    without_digest = (json.dumps(raw, sort_keys=True, indent=1) + "\n").encode()
+    assert hashlib.sha256(without_digest).hexdigest() == (
+        "75ba4cce706ca48d01870e09767d2bf609d5a403c2772f713c90b7e8cae1ddf9")
 
 
 def _record(**overrides):
@@ -378,7 +430,7 @@ def _record(**overrides):
 def _write_corpus(tmp_path, records, groups=(GroupSpec("s2", 1),)):
     path = tmp_path / "c.jsonl"
     save_corpus(Corpus([], CorpusManifest(groups=list(groups))), path)
-    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    rewrite_corpus(path, "".join(json.dumps(r) + "\n" for r in records))
     return path
 
 
@@ -416,7 +468,7 @@ def test_corrupt_manifest_raises_parse_error_naming_it(tmp_path, text):
 @pytest.mark.parametrize("value", ["1e999", "1" + "0" * 400], ids=["float", "int"])
 def test_channel_value_overflowing_float64_is_a_breach(tmp_path, value):
     path = _write_corpus(tmp_path, [_record()])
-    path.write_text(path.read_text().replace("0.2", value))
+    rewrite_corpus(path, path.read_text().replace("0.2", value))
     with pytest.raises(ValidationError, match="line 1: channel value outside the finite float64"):
         load_corpus(path)
 
@@ -450,13 +502,25 @@ def _small_corpus_bytes():
 
 
 def test_every_truncated_corpus_or_manifest_raises_parse_error(tmp_path):
+    _check_truncations(tmp_path, digest=True)
+
+
+def test_truncated_corpus_beside_a_manifest_without_digest_loads_up_to_whole_lines(tmp_path):
+    _check_truncations(tmp_path, digest=False)
+
+
+def _check_truncations(tmp_path, digest):
     body, manifest = _small_corpus_bytes()
+    if not digest:  # a manifest written before it recorded the corpus digest
+        raw = json.loads(manifest)
+        del raw[data.CORPUS_DIGEST]
+        manifest = json.dumps(raw).encode()
     cut = tmp_path / "cut.jsonl"
     data.manifest_path(cut).write_bytes(manifest)
     whole_lines = {0} | {i + d for i, b in enumerate(body) if b == ord("\n") for d in (0, 1)}
     for size in range(len(body)):
         cut.write_bytes(body[:size])
-        if size in whole_lines:  # a cut at a line end leaves a shorter corpus
+        if size in whole_lines and not digest:  # a shorter corpus, unless the digest shows
             assert len(load_corpus(cut)) == len(body[:size].splitlines())
         else:
             with pytest.raises(ParseError):

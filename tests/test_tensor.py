@@ -12,6 +12,7 @@ from conftest import finite_diff, rel_error
 from fsml import kernels, nn
 from fsml import tensor as T
 from fsml.errors import ContractError, DomainError, ShapeError
+from fsml.kernels import GELU_CUBIC, SQRT_2_OVER_PI
 from fsml.tensor import Tape, Tensor, grad
 
 
@@ -1035,3 +1036,156 @@ def test_every_documented_primitive_is_called_outside_its_own_definition():
                 called |= {c.func.id for c in ast.walk(node) if isinstance(c, ast.Call)
                            and isinstance(c.func, ast.Name) and c.func.id != node.name}
     assert sorted(_documented("The primitive set is fixed:") - called) == []
+
+
+# --- in-place NumPy: each rewrite keeps the float ops of the expression it ---
+# --- replaced, which the references below keep verbatim --------------------
+
+# a 1-wide row, the MAE and fine-tune activations, and a wide hidden layer
+_ROW_SHAPES = [(9, 1), (640, 16), (3750, 16), (2000, 32)]
+
+
+def _shape_id(shape):
+    return "x".join(map(str, shape))
+
+
+def _unchanged(arrays):
+    """Copies of ``arrays``, compared by ``_bits`` after a call: no rewrite may
+    write into an input, a kept array or a gradient it was handed."""
+    return [a.copy() for a in arrays]
+
+
+def _array_bits(arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+def _slope_reference(x, t):
+    dinner = (x * x * (3.0 * GELU_CUBIC) + 1.0) * SQRT_2_OVER_PI
+    return (t + 1.0) * 0.5 + x * 0.5 * (1.0 - t * t) * dinner
+
+
+def _layer_norm_grad_reference(gv, y, hv, inv, n):
+    """_layer_norm_grad's value and its paused adjoint's g_a and g_out."""
+    gy_mean = (gv * y).mean(axis=-1, keepdims=True)
+    result = inv * ((gv - gv.mean(axis=-1, keepdims=True)) - y * gy_mean)
+    hy = (hv * y).mean(axis=-1, keepdims=True)
+    g_out = (inv * -1.0) * (hv * gy_mean + gv * hy)
+    g_a = (y * (inv / -n)) * (hv * result).sum(axis=-1, keepdims=True)
+    return result, g_a, g_out
+
+
+@pytest.mark.parametrize("shape", _ROW_SHAPES, ids=_shape_id)
+def test_gelu_slope_bits_equal_the_expression_it_replaces(shape):
+    r = np.random.default_rng(71)
+    x = r.standard_normal(shape) * 3.0
+    t = np.empty(shape)
+    kernels.gelu(x, t)
+    kept = _unchanged([x, t])
+    assert T._gelu_slope(Tensor(x), t).values.tobytes() == _slope_reference(x, t).tobytes()
+    assert _array_bits([x, t]) == _array_bits(kept)
+
+
+@pytest.mark.parametrize("shape", _ROW_SHAPES + [(4, 3, 16)], ids=_shape_id)
+def test_layer_norm_grad_and_its_paused_adjoint_bits_equal_the_expressions_they_replace(shape):
+    r = np.random.default_rng(72)
+    x, gv, hv = (r.standard_normal(shape) * 2.0 for _ in range(3))
+    var = np.empty(shape[:-1] + (1,))
+    y = kernels.layer_norm_rows(x, 1e-5, var)
+    inv = (var + 1e-5) ** -0.5
+    kept = _unchanged([x, gv, hv, y, inv])
+    with Tape():
+        result = T._layer_norm_grad(Tensor(gv), Tensor(x), Tensor(y), 1e-5, inv)
+        with T.paused():
+            _, g_a, g_out = result.node.vjp(Tensor(hv))
+    expected = _layer_norm_grad_reference(gv, y, hv, inv, shape[-1])
+    assert _bits([result, g_a, g_out]) == _array_bits(expected)
+    assert _array_bits([x, gv, hv, y, inv]) == _array_bits(kept)
+
+
+@pytest.mark.parametrize("shape", _ROW_SHAPES, ids=_shape_id)
+def test_linear_and_affine_layer_norm_forward_bits_equal_the_expressions_they_replace(shape):
+    r = np.random.default_rng(73)
+    n = shape[-1]
+    x, w, b = r.standard_normal(shape), r.standard_normal((n, n)), r.standard_normal(n)
+    gain, bias = r.standard_normal(n) + 1.0, r.standard_normal(n)
+    kept = _unchanged([x, w, b, gain, bias])
+    assert T.linear(x, w, b).values.tobytes() == (x @ w + b).tobytes()
+    with Tape():
+        a, g = Tensor(x), Tensor(gain)
+        out = T.layer_norm(a, 1e-5, g, bias)
+        # the gain's gradient reads the kept normed rows, which the bias
+        # must not have been added into
+        d_gain = grad(T.reduce_sum(out), g)
+    normed = kernels.layer_norm_rows(x, 1e-5)
+    assert out.values.tobytes() == (normed * gain + bias).tobytes()
+    assert d_gain.values.tobytes() == normed.sum(axis=0).tobytes()
+    assert _array_bits([x, w, b, gain, bias]) == _array_bits(kept)
+
+
+def test_linear_keeps_a_bias_that_grows_the_product_out_of_place():
+    r = np.random.default_rng(74)
+    x, w, b = r.standard_normal((4, 8)), r.standard_normal((8, 3)), r.standard_normal((2, 1, 3))
+    with Tape():
+        tx, tb = Tensor(x), Tensor(b)
+        out = T.linear(tx, w, tb)
+        gx, gb = grad(T.reduce_sum(out), [tx, tb])
+    assert out.values.tobytes() == (x @ w + b).tobytes()
+    assert gx.shape == x.shape and gb.values.tobytes() == np.full(b.shape, 4.0).tobytes()
+
+
+def _attention_forward_and_paused_adjoint_reference(q, k, v, key_mask, num_heads, scale, g):
+    mask = key_mask.reshape(-1, key_mask.shape[-1])
+    batch = mask.shape[0]
+    qh, kh, vh = (_heads_np(t, batch, num_heads) for t in (q, k, v))
+    blocked = ~mask[:, None, None, :]
+    scores = np.where(blocked, -1e30, (qh @ kh.swapaxes(-1, -2)) * scale)
+    w = kernels.softmax_rows(scores)
+    out = _merge_heads_np(w @ vh, q.shape)
+    keep = mask[:, None, None, :].astype(np.float64)
+    gc = _heads_np(g, batch, num_heads)
+    gw = gc @ vh.swapaxes(-1, -2)
+    gv = _merge_heads_np(w.swapaxes(-1, -2) @ gc, v.shape)
+    gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * keep * scale
+    gq = _merge_heads_np(gs @ kh, q.shape)
+    gk = _merge_heads_np(gs.swapaxes(-1, -2) @ qh, k.shape)
+    return out, gq, gk, gv
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["rows", "stacked"])
+def test_attention_and_its_paused_adjoint_bits_equal_the_expressions_they_replace(stacked):
+    # [B, heads, Tq, Tk] = [6, 2, 9, 11] scores, about a third of the keys
+    # masked to -1e30; stacked rows are [n, B*T, E] with a [n, B, Tk] mask
+    r = np.random.default_rng(75)
+    live = r.random((6, 11)) < 0.7
+    live[:, 0] = True
+    q, g = r.standard_normal((6, 9, 16)), r.standard_normal((6, 9, 16))
+    k, v = r.standard_normal((6, 11, 16)), r.standard_normal((6, 11, 16))
+    if stacked:
+        q, g, k, v = (a.reshape(2, -1, 16) for a in (q, g, k, v))
+        live = live.reshape(2, 3, 11)
+    kept = _unchanged([q, k, v, g])
+    with Tape():
+        out = T.attention(Tensor(q), Tensor(k), Tensor(v), live, 2, 0.25)
+        with T.paused():
+            grads = out.node.vjp(Tensor(g))
+    expected = _attention_forward_and_paused_adjoint_reference(q, k, v, live, 2, 0.25, g)
+    assert _bits([out, *grads]) == _array_bits(expected)
+    assert _array_bits([q, k, v, g]) == _array_bits(kept)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("shape", [(640, 1), (640, 16), (3750, 16)], ids=_shape_id)
+def test_log_softmax_pick_bits_equal_the_expression_it_replaces(shape, weighted):
+    r = np.random.default_rng(76)
+    x = r.standard_normal(shape) * 4.0
+    labels = r.integers(0, shape[-1], size=shape[:-1])
+    weights = r.random(shape[:-1]) if weighted else None
+    onehot = np.eye(shape[-1])[labels]
+    z = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    sums = e.sum(axis=-1, keepdims=True)
+    picked = ((z - np.log(sums)) * onehot).sum(axis=-1)
+    expected = picked if weights is None else picked * weights
+    kept = _unchanged([x])
+    assert T.log_softmax_pick(x, labels, weights).values.tobytes() == expected.tobytes()
+    assert _array_bits([x]) == _array_bits(kept)

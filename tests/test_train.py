@@ -5,9 +5,14 @@ import pytest
 
 from fsml import nn, train
 from fsml.data import GroupSpec, SynthConfig, generate_synthetic, subset_by_split
+from fsml.episodes import episode_pool, sample_episode
 from fsml.errors import ContractError, DivergedError
+from fsml.meta import MetaConfig, MetaLearner
 from fsml.nn import RawSeriesModel
+from fsml.seeding import rng_from
+from fsml.ssl import MaskedAutoencoder, TokenClassifier, mae_step, normalization_stats, xts_plan
 from fsml.tensor import Tensor
+from fsml.tokens import group_spec, xts_regime
 from fsml.train import (
     Adam,
     FineTuneRegime,
@@ -443,3 +448,55 @@ def test_few_shot_grid_constant():
     assert train.PRETRAIN_BATCH_SIZE == 128
     assert train.FINETUNE_PATIENCE == 5
     assert train.PRETRAIN_PATIENCE == 15
+
+
+def _gradients_of_three_steps(read_only):
+    """The gradients of one MAE step, one token-classifier step and one
+    4-task maml meta-gradient, each built fresh; with ``read_only`` every
+    parameter and input array is made read-only first."""
+    corpus = generate_synthetic(
+        SynthConfig(
+            regions=["R1", "R2"], finetune_region="T1", n_classes=4, n_level4=4,
+            samples_per_class=30, finetune_samples_per_class=20,
+            groups=[GroupSpec("s1", 2, "dynamic"), GroupSpec("s2", 3, "dynamic")],
+            obs_count=(6, 10), noise_sigma=0.08, separability=1.0, k_max=5,
+        ),
+        seed=0,
+    )
+    samples = corpus.pretrain_pool()[:16]
+    spec = group_spec(("location", 3, "static"), ("s1", 2, "dynamic"), ("s2", 3, "dynamic"))
+    regime = xts_regime(16, max_timesteps=16)
+    stats = normalization_stats(samples, spec)
+    mae = MaskedAutoencoder(nn.TransformerConfig(16, 2, 32, 1, 1, 64), spec, regime,
+                            "cross_attention")
+    mae_params = mae.init_params(rng_from(3, 2))
+    clf = TokenClassifier(nn.TransformerConfig(16, 2, 32, 1, 0, 64), spec, regime, stats)
+    clf_params = nn.init_params(clf, rng_from(3, 1), n_classes=4)
+    labels = np.arange(len(samples)) % 4
+    config = MetaConfig(algorithm="maml", inner_lr=0.5, inner_steps=2, n_way=4, k_support=1,
+                        k_query=2, tasks_per_batch=4)
+    model = RawSeriesModel(nn.small_config(embed_dim=16, num_heads=2, hidden_dim=32),
+                           corpus.manifest.dynamic_channels())
+    learner = MetaLearner(config, model, corpus.manifest.group_order())
+    meta_params = learner.init_meta_params(rng_from(1, 1))
+    pool = episode_pool(corpus, "train")
+    tasks = [(i, sample_episode(pool, config.episode_config(1), i)) for i in range(4)]
+    if read_only:
+        arrays = [labels, *(a for pair in stats.values() for a in pair)]
+        arrays += [p.values for ps in (mae_params, clf_params, meta_params) for p in ps.values()]
+        for sample in corpus.samples:
+            arrays += [sample.days, *sample.channels.values()]
+        for array in arrays:
+            array.flags.writeable = False
+    _, mae_grads = mae_step(mae_params, mae, samples, xts_plan("mixed"), rng_from(3, 3), stats)
+    _, clf_grads = train._loss_and_grads(clf, clf_params, samples, labels)
+    meta_grads, _ = learner.meta_gradient(meta_params, tasks, seed=1)
+    return [{k: np.asarray(g).tobytes() for k, g in grads.items()}
+            for grads in (mae_grads, clf_grads, meta_grads)]
+
+
+def test_gradients_neither_write_into_nor_depend_on_writable_parameters_and_inputs():
+    # a kernel or paused adjoint writes only into arrays it allocated: with
+    # every parameter and input read-only, each step runs and gives the bits
+    # of a writable run
+    assert _gradients_of_three_steps(read_only=True) == _gradients_of_three_steps(read_only=False)
