@@ -41,10 +41,10 @@ from .data import (
     save_corpus,
 )
 from .errors import ContractError, FsmlError, ParseError, require_counts
-from .meta import MetaConfig, TaskAwareRawModel, meta_train
+from .meta import MetaConfig, meta_train
 from .metrics import seed_mean_std
 from .nn import RawSeriesModel, TransformerConfig, load_checkpoint, save_checkpoint
-from .schema import BAD, decode, fields_of, parse, read_object, write_json, writing
+from .schema import BAD, decode, fields_of, parse, read_file, read_object, write_json, writing
 from .seeding import STREAM_INIT, rng_from
 from .ssl import MaskedAutoencoder, SSLConfig, TokenClassifier, encoder_backbone, pretrain_ssl
 from .tokens import POSITION_SOURCES, REGIME_VARIANTS, ChannelGroupSpec, EncodingRegime
@@ -375,9 +375,8 @@ def _load_init(finetune_block, model_config, corpus, seed):
         meta[key] = parse(drop_categorical(decode(meta_info[key], where), where), cls, where, key)
     algorithm = meta_info.get("algorithm", "transfer")
     if kind == "raw":
-        model = RawSeriesModel(meta["model"], meta["in_channels"], groups)
-        if algorithm in ("timl_enc", "timl_noenc"):
-            model = TaskAwareRawModel(model, algorithm, groups)
+        task_information = algorithm if algorithm in nn.TASK_INFORMATION else None
+        model = RawSeriesModel(meta["model"], meta["in_channels"], groups, task_information)
     else:
         try:
             spec = ChannelGroupSpec(tuple(meta["spec"]))
@@ -469,7 +468,7 @@ class ReportRow:
 
 def _read_report(path):
     where = f"report {str(path)!r}"
-    payload = decode(path.read_bytes(), where)
+    payload = decode(read_file(path, "report"), where)
     if isinstance(payload, dict):  # only the keys evaluate merges
         payload = {key: value for key, value in payload.items() if key in fields_of(ReportRow)}
     return parse(payload, ReportRow, where)
@@ -578,12 +577,13 @@ def main(argv=None):
     except (OSError, ParseError) as err:
         print(f"error: cannot read config: {err}", file=sys.stderr)
         return 2
-    if args.mode:
-        config["mode"] = args.mode
-    if args.seed is not None:
-        config["seeds"] = [args.seed]
-    if args.out:
-        config["out"] = args.out
+    if isinstance(config, dict):  # any other value is run()'s "must be an object"
+        if args.mode:
+            config["mode"] = args.mode
+        if args.seed is not None:
+            config["seeds"] = [args.seed]
+        if args.out:
+            config["out"] = args.out
 
     try:
         artifacts = run(config)

@@ -33,8 +33,8 @@ from typing import Literal
 import numpy as np
 
 from .errors import ContractError, DegenerateInputError, ParseError, ValidationError, require_counts
-from .schema import decode, parse, write_json, writing
-from .seeding import rng_from
+from .schema import decode, parse, read_file, write_json, writing
+from .seeding import STREAM_VALIDATION_SUBSET, rng_from
 
 SPLITS = ("train", "validation", "test")
 
@@ -145,6 +145,24 @@ class Corpus:
         return [s for s in self.samples if s.region == self.manifest.finetune_region]
 
 
+def polar_to_cartesian(lon, lat):
+    """Map (longitude, latitude) in radians onto the unit sphere."""
+    if not (math.isfinite(lon) and math.isfinite(lat)):
+        raise ContractError("polar_to_cartesian: non-finite coordinates")
+    if not -math.pi <= lon <= math.pi:
+        raise ContractError(f"longitude {lon} outside [-pi, pi]")
+    if not -math.pi / 2 <= lat <= math.pi / 2:
+        raise ContractError(f"latitude {lat} outside [-pi/2, pi/2]")
+    return np.array(
+        [math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat)]
+    )
+
+
+def task_info(samples):
+    """[B, 3] unit-norm Cartesian coordinates of each sample's centroid."""
+    return np.stack([polar_to_cartesian(s.lon, s.lat) for s in samples])
+
+
 def subset_by_split(samples, split):
     if split not in SPLITS:
         raise ContractError(f"unknown split {split!r}")
@@ -167,11 +185,11 @@ def require_splits(samples, pool, *splits):
 
 def fixed_validation_subset(samples, limit=FIXED_VALIDATION_POINTS):
     """The fixed validation points: a corpus-stable draw, independent of the
-    run seed (constant selection stream over id-sorted samples)."""
+    run seed (its own stream at seed 0, over id-sorted samples)."""
     pool = sorted(subset_by_split(samples, "validation"), key=lambda s: s.parcel_id)
     if len(pool) <= limit:
         return pool
-    idx = rng_from(0, 6).choice(len(pool), size=limit, replace=False)
+    idx = rng_from(0, STREAM_VALIDATION_SUBSET).choice(len(pool), size=limit, replace=False)
     return [pool[i] for i in sorted(idx)]
 
 
@@ -221,7 +239,7 @@ def _load_manifest(mpath):
     if not mpath.exists():
         return CorpusManifest(), None
     where = f"manifest {str(mpath)!r}"
-    raw = decode(mpath.read_bytes(), where)
+    raw = decode(read_file(mpath, "manifest"), where)
     digest = None
     if type(raw) is dict and CORPUS_DIGEST in raw:
         digest = raw.pop(CORPUS_DIGEST)

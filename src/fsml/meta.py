@@ -10,11 +10,13 @@ meta-updates, and the four algorithm variants.
   the query gradient evaluated at the adapted parameters.
 * ``anil``: first-order with the inner loop restricted to the head;
   backbone tensors are bit-identical through adaptation.
-* ``timl_enc``: maml plus a per-sample 3-vector of Cartesian parcel
-  coordinates injected by a learned scale-and-shift encoder before the
+* ``timl_enc``: maml on ``nn.RawSeriesModel`` with that
+  ``task_information``: a per-sample 3-vector of Cartesian parcel
+  coordinates is injected by a learned scale-and-shift encoder before the
   backbone and before the head (encoder weights are meta-learned in the
   outer loop with their own rate).
-* ``timl_noenc``: maml with the 3-vector concatenated as extra input
+* ``timl_noenc``: maml on ``nn.RawSeriesModel`` with that
+  ``task_information``: the 3-vector is concatenated as extra input
   channels at every time step before projection.
 
 The classification head is reset at the start of every inner loop (fresh
@@ -37,9 +39,8 @@ nothing, so it opens no outer tape: only its first-order inner steps record.
 
 from __future__ import annotations
 
-import math
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,9 +48,9 @@ from . import nn
 from . import tensor as T
 from .episodes import EpisodeConfig, build_meta_validation, episode_pool, sample_episode
 from .errors import ContractError, DivergedError, require_counts, require_rates
-from .nn import RawSeriesModel, cross_entropy
+from .nn import RawSeriesModel, SampleSet, cross_entropy
 from .seeding import STREAM_HEAD_RESET, STREAM_INIT, rng_from
-from .tensor import Tape, Tensor, grad
+from .tensor import Tape, grad
 from .train import Adam, _fit
 
 ALGORITHMS = ("maml", "fomaml", "anil", "timl_enc", "timl_noenc")
@@ -61,7 +62,6 @@ INNER_LR_RANGE = (0.01, 10.0)
 OUTER_LR_RANGE = (0.0001, 0.1)
 ENCODER_LR_RANGE = (0.0001, 0.1)
 INNER_STEP_GRID = {4: (1, 4, 10), 10: (1,)}
-FILM_HIDDEN = 32
 
 _VALIDATION_ORDINAL_BASE = 2_000_000_000
 
@@ -102,59 +102,6 @@ class MetaConfig:
         )
 
 
-def polar_to_cartesian(lon, lat):
-    """Map (longitude, latitude) in radians onto the unit sphere."""
-    if not (math.isfinite(lon) and math.isfinite(lat)):
-        raise ContractError("polar_to_cartesian: non-finite coordinates")
-    if not -math.pi <= lon <= math.pi:
-        raise ContractError(f"longitude {lon} outside [-pi, pi]")
-    if not -math.pi / 2 <= lat <= math.pi / 2:
-        raise ContractError(f"latitude {lat} outside [-pi/2, pi/2]")
-    return np.array(
-        [math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat)]
-    )
-
-
-def task_info(samples):
-    """[B, 3] unit-norm Cartesian coordinates of each sample's centroid."""
-    return np.stack([polar_to_cartesian(s.lon, s.lat) for s in samples])
-
-
-def append_task_channels(values, cartesian):
-    """Concatenate the 3-vector to every time step of [B, T, C] band values."""
-    tiled = np.broadcast_to(cartesian[..., None, :], values.shape[:-1] + (3,))
-    return np.concatenate([values, tiled], axis=-1)
-
-
-# ---------------------------------------------------------------------------
-# task-information encoder (scale-and-shift modulation)
-# ---------------------------------------------------------------------------
-
-
-def film_params(rng, embed_dim, hidden=FILM_HIDDEN):
-    """Two-layer encoder mapping the 3-vector to per-feature (gamma, delta).
-
-    The output layer starts at zero, so the initial modulation is the
-    identity (gamma = 1, delta = 0) and the forward pass matches plain maml.
-    """
-    w1, b1 = nn.linear_params(rng, 3, hidden)
-    return {
-        "film/w1": w1,
-        "film/b1": b1,
-        "film/w2": Tensor(np.zeros((hidden, 2 * embed_dim))),
-        "film/b2": Tensor(np.zeros(2 * embed_dim)),
-    }
-
-
-def film_modulation(params, cartesian, embed_dim):
-    """(gamma, delta) tensors of shape [..., B, embed_dim] from task info rows."""
-    h = T.gelu(T.linear(cartesian, params["film/w1"], params["film/b1"]))
-    out = T.linear(h, params["film/w2"], params["film/b2"])
-    gamma = T.add(T.slice_axis(out, -1, 0, embed_dim), 1.0)
-    delta = T.slice_axis(out, -1, embed_dim, 2 * embed_dim)
-    return gamma, delta
-
-
 # ---------------------------------------------------------------------------
 # functional SGD adaptation
 # ---------------------------------------------------------------------------
@@ -193,56 +140,24 @@ def adapt_by_gradient_descent(loss_fn, params, lr, steps, second_order, subset=N
     return current
 
 
-@dataclass(frozen=True)
-class SampleSet:
-    """Packed model inputs of a sample set, with its labels.
+class MetaLearner:
+    """Binds a raw-series model, a corpus group order, and a MetaConfig."""
 
-    ``batch`` is ``nn.pack_batch``'s (values, days, mask) and ``cart`` the
-    task-information rows (``None`` when the algorithm uses none).  A
-    stacked set carries a leading task axis on every array, and ``live``
-    marks the rows that count in each task's mean loss; an unstacked set
-    has ``live=None`` and one mean over all its rows.
-    """
+    def __init__(self, config, model, groups):
+        self.config = config
+        task_information = config.algorithm if config.algorithm in nn.TASK_INFORMATION else None
+        self.model = replace(model, groups=tuple(groups), task_information=task_information)
 
-    batch: tuple
-    cart: object
-    labels: np.ndarray
-    live: object = None
+    # -- parameter construction ------------------------------------------
 
+    def init_meta_params(self, rng):
+        """Meta-learned tensors, flat-named under ``backbone/``."""
+        return nn.join_params(self.model.init_backbone(rng), {})
 
-@dataclass(frozen=True)
-class TaskAwareRawModel:
-    """Raw-series model plus the algorithm's task-information injection.
+    def fresh_head(self, rng):
+        return nn.join_params({}, nn.new_head(rng, self.model.config.embed_dim, self.config.n_way))
 
-    Its ``logits(backbone, head, samples)`` is the plain models' own, so
-    meta-trained backbones (including the task-information variants) can be
-    fine-tuned through the ordinary training loops.
-    """
-
-    base: RawSeriesModel
-    algorithm: str
-    groups: tuple
-
-    @property
-    def config(self):
-        return self.base.config
-
-    def init_backbone(self, rng):
-        """The raw-series backbone, plus the task encoder's for timl_enc."""
-        backbone = self.base.init_backbone(rng)
-        if self.algorithm == "timl_enc":
-            backbone.update(film_params(rng, self.base.config.embed_dim))
-        return backbone
-
-    def sample_set(self, samples, labels=None):
-        """One ``pack_batch`` call over ``samples``, plus their task information."""
-        cart = None
-        if self.algorithm in ("timl_enc", "timl_noenc"):
-            cart = task_info(samples)
-        values, days, mask = nn.pack_batch(samples, list(self.groups))
-        if self.algorithm == "timl_noenc":
-            values = append_task_channels(values, cart)
-        return SampleSet((values, days, mask), cart, labels)
+    # -- forward ----------------------------------------------------------
 
     def stack_tasks(self, tasks):
         """Support and query sets of ``tasks``, stacked on a leading task axis.
@@ -253,7 +168,8 @@ class TaskAwareRawModel:
         with copies of its first sample that are not live.
         """
         kinds = ([t.support_sets() for t in tasks], [t.query_sets() for t in tasks])
-        packed = self.sample_set([s for sets in kinds for samples, _ in sets for s in samples])
+        samples = [s for sets in kinds for set_samples, _ in sets for s in set_samples]
+        packed = self.model.sample_set(samples)
         stacked, offset = [], 0
         for sets in kinds:
             width = max(len(labels) for _, labels in sets)
@@ -271,41 +187,11 @@ class TaskAwareRawModel:
             stacked.append(SampleSet(tuple(a[index] for a in packed.batch), cart, labels, live))
         return stacked
 
-    def forward(self, backbone, head, inputs):
-        film = None
-        if self.algorithm == "timl_enc":
-            film = film_modulation(backbone, inputs.cart, self.base.config.embed_dim)
-        return nn.classify(head, self.base.embeddings(backbone, inputs.batch, film))
-
-    def logits(self, backbone, head, samples):
-        return self.forward(backbone, head, self.sample_set(samples))
-
-
-class MetaLearner:
-    """Binds a raw-series model, a corpus group order, and a MetaConfig."""
-
-    def __init__(self, config, model, groups):
-        self.config = config
-        self.model = model
-        self.groups = groups
-        self.task_model = TaskAwareRawModel(model, config.algorithm, tuple(groups))
-
-    # -- parameter construction ------------------------------------------
-
-    def init_meta_params(self, rng):
-        """Meta-learned tensors, flat-named under ``backbone/``."""
-        return nn.join_params(self.task_model.init_backbone(rng), {})
-
-    def fresh_head(self, rng):
-        return nn.join_params({}, nn.new_head(rng, self.model.config.embed_dim, self.config.n_way))
-
-    # -- forward ----------------------------------------------------------
-
     def logits(self, flat, samples):
         """Logits of a sample list, or of a (stacked) ``SampleSet``."""
         if not isinstance(samples, SampleSet):
-            samples = self.task_model.sample_set(samples)
-        return self.task_model.forward(*nn.split_params(flat), samples)
+            samples = self.model.sample_set(samples)
+        return self.model.forward(*nn.split_params(flat), samples)
 
     def _loss_fn(self, inputs):
         def loss_fn(flat):
@@ -330,7 +216,7 @@ class MetaLearner:
         descended, which takes each task's own steps.
         """
         if not isinstance(task, SampleSet):
-            task = self.task_model.sample_set(*task.support_sets())
+            task = self.model.sample_set(*task.support_sets())
         return adapt_by_gradient_descent(
             self._loss_fn(task),
             flat,
@@ -349,7 +235,7 @@ class MetaLearner:
         axis, so each task adapts its own copy.
         """
         n = len(tasks)
-        support, query = self.task_model.stack_tasks(tasks)
+        support, query = self.stack_tasks(tasks)
         heads = nn.stack_task_params([self.fresh_head(rng) for rng in head_rngs])
         # evaluation differentiates nothing, so only the inner steps record
         with Tape() if want_grads else nullcontext():

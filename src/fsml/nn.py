@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .data import task_info
 from .errors import (
     ContractError,
     DegenerateInputError,
@@ -35,7 +36,7 @@ from .errors import (
     ShapeError,
     require_counts,
 )
-from .schema import writing
+from .schema import read_file, writing
 from .tensor import Tensor
 
 @dataclass(frozen=True)
@@ -280,21 +281,81 @@ def accuracy(logits_values, labels):
 # raw day-series model (supervised / meta-learning input path)
 # ---------------------------------------------------------------------------
 
+FILM_HIDDEN = 32
+TASK_INFORMATION = ("timl_enc", "timl_noenc")  # the ways parcel coordinates enter
+
+
+def append_task_channels(values, cartesian):
+    """Concatenate the 3-vector to every time step of [B, T, C] band values."""
+    tiled = np.broadcast_to(cartesian[..., None, :], values.shape[:-1] + (3,))
+    return np.concatenate([values, tiled], axis=-1)
+
+
+def film_params(rng, embed_dim, hidden=FILM_HIDDEN):
+    """Two-layer encoder mapping the 3-vector to per-feature (gamma, delta).
+
+    The output layer starts at zero, so the initial modulation is the
+    identity (gamma = 1, delta = 0) and the forward pass matches plain maml.
+    """
+    w1, b1 = linear_params(rng, 3, hidden)
+    return {
+        "film/w1": w1,
+        "film/b1": b1,
+        "film/w2": Tensor(np.zeros((hidden, 2 * embed_dim))),
+        "film/b2": Tensor(np.zeros(2 * embed_dim)),
+    }
+
+
+def film_modulation(params, cartesian, embed_dim):
+    """(gamma, delta) tensors of shape [..., B, embed_dim] from task info rows."""
+    h = T.gelu(T.linear(cartesian, params["film/w1"], params["film/b1"]))
+    out = T.linear(h, params["film/w2"], params["film/b2"])
+    gamma = T.add(T.slice_axis(out, -1, 0, embed_dim), 1.0)
+    delta = T.slice_axis(out, -1, embed_dim, 2 * embed_dim)
+    return gamma, delta
+
+
+@dataclass(frozen=True)
+class SampleSet:
+    """Packed model inputs of a sample set, with its labels.
+
+    ``batch`` is ``pack_batch``'s (values, days, mask) and ``cart`` the
+    task-information rows (``None`` when the model uses none).  A stacked
+    set carries a leading task axis on every array, and ``live`` marks the
+    rows that count in each task's mean loss; an unstacked set has
+    ``live=None`` and one mean over all its rows.
+    """
+
+    batch: tuple
+    cart: object
+    labels: np.ndarray
+    live: object = None
+
 
 @dataclass(frozen=True)
 class RawSeriesModel:
-    """Day-stamped band values, linearly projected with day-of-year positions."""
+    """Day-stamped band values, linearly projected with day-of-year positions.
+
+    ``task_information`` adds each parcel's centroid as a 3-vector (TIML):
+    ``timl_enc`` scales and shifts the steps and the pooled embedding by a
+    learned encoder of it (drawn last in ``init_backbone``), ``timl_noenc``
+    appends it to every step's band values, which ``in_channels`` counts.
+    """
 
     config: TransformerConfig
     in_channels: int
-    groups: tuple = ()  # dynamic group order used by logits()
+    groups: tuple = ()  # dynamic group order used by sample_set()
+    task_information: str | None = None  # None or one of TASK_INFORMATION
 
     def init_backbone(self, rng):
         params = {}
         w, b = linear_params(rng, self.in_channels, self.config.embed_dim)
         params["in/w"] = w
         params["in/b"] = b
-        return encoder_params(rng, self.config, params)
+        encoder_params(rng, self.config, params)
+        if self.task_information == "timl_enc":
+            params.update(film_params(rng, self.config.embed_dim))
+        return params
 
     def _positions(self, days):
         table = positional_table(self.config.max_seq_len, self.config.embed_dim)
@@ -327,8 +388,23 @@ class RawSeriesModel:
             pooled = T.add(T.mul(pooled, gamma), delta)
         return pooled
 
+    def sample_set(self, samples, labels=None):
+        """One ``pack_batch`` call over ``samples``, plus their task information."""
+        cart = None if self.task_information is None else task_info(samples)
+        values, days, mask = pack_batch(samples, list(self.groups))
+        if self.task_information == "timl_noenc":
+            values = append_task_channels(values, cart)
+        return SampleSet((values, days, mask), cart, labels)
+
+    def forward(self, backbone, head, inputs):
+        """Logits of a (stacked) ``SampleSet``."""
+        film = None
+        if self.task_information == "timl_enc":
+            film = film_modulation(backbone, inputs.cart, self.config.embed_dim)
+        return classify(head, self.embeddings(backbone, inputs.batch, film))
+
     def logits(self, backbone, head, samples):
-        return classify(head, self.embeddings(backbone, pack_batch(samples, list(self.groups))))
+        return self.forward(backbone, head, self.sample_set(samples))
 
 
 def _expand_mid(x):
@@ -413,11 +489,7 @@ def load_checkpoint(path):
     A truncated or corrupt container raises ``ParseError``: nothing is
     returned unless every record decodes and the file ends after the last.
     """
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as err:
-        raise ContractError(f"checkpoint: cannot open {str(path)!r}: {err.strerror}") from None
+    blob = read_file(path, "checkpoint")
     where = f"checkpoint {str(path)!r}"
     offset = 0
 

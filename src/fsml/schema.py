@@ -1,5 +1,6 @@
 """The one JSON reader (config, corpus manifest, checkpoint metadata and
-fine-tune reports, read into typed objects) and ``writing``, the one writer.
+fine-tune reports, read into typed objects), ``read_file``, the guarded read
+of a file the lab wrote, and ``writing``, the one writer.
 
 A dataclass is read from a JSON object whose keys are its init fields: the
 annotation is the key's type, a field without a default is required.  Read
@@ -121,6 +122,15 @@ def parse(value, kind, where, path=""):
     if problems:
         raise ParseError(f"{where}: " + "; ".join(problems))
     return value
+
+
+def read_file(path, what):
+    """The bytes of ``path``; an OSError (a directory, no read permission) is
+    a ContractError naming ``what`` and the file."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as err:
+        raise ContractError(f"{what}: cannot read {str(path)!r}: {err.strerror or err}") from None
 
 
 def _reject_constant(name):

@@ -15,6 +15,7 @@ STREAM_MASKING = 4
 STREAM_BATCHING = 5
 STREAM_SUBSET = 6
 STREAM_SEARCH = 7
+STREAM_VALIDATION_SUBSET = 8  # data.fixed_validation_subset, always at seed 0
 
 
 def rng_from(seed, *path):

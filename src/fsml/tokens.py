@@ -26,9 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import GroupSpec
+from .data import GroupSpec, task_info
 from .errors import ContractError, SequenceLengthError
-from .meta import task_info
 from .nn import linear_params, positional_table, uniform_init
 from .tensor import Tensor
 

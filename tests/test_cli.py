@@ -468,6 +468,47 @@ def test_corrupt_dataset_exits_with_typed_error(tmp_path, capsys, corrupt, error
     assert f"error [{error}]" in capsys.readouterr().err
 
 
+def _directory_at(path):
+    """Replace the file at ``path`` by a directory, which no read can open."""
+    if path.exists():
+        path.unlink()
+    path.mkdir(parents=True)
+    return path
+
+
+def _unreadable_manifest(tmp_path):
+    dataset = tmp_path / "corpus.jsonl"
+    run(synth_config(dataset, tmp_path / "runs"))
+    bad = _directory_at(dataset.with_name("corpus.manifest.json"))
+    return bad, {"mode": "pretrain-transfer", "dataset": str(dataset)}
+
+
+def _unreadable_report(tmp_path):
+    bad = _directory_at(tmp_path / "runs" / "0" / "reports" / "scratch_k1.json")
+    return bad, {"mode": "evaluate", "evaluate": {"runs": [str(tmp_path / "runs")]}}
+
+
+def _unreadable_checkpoint(tmp_path):
+    dataset = tmp_path / "corpus.jsonl"
+    run(synth_config(dataset, tmp_path / "runs"))
+    bad = _directory_at(tmp_path / "bad.fsml")
+    return bad, {"mode": "finetune", "dataset": str(dataset),
+                 "finetune": {"source": "checkpoint", "checkpoint": str(bad)}}
+
+
+@pytest.mark.parametrize("what, unreadable", [
+    ("manifest", _unreadable_manifest),
+    ("report", _unreadable_report),
+    ("checkpoint", _unreadable_checkpoint),
+], ids=["manifest", "report", "checkpoint"])
+def test_unreadable_lab_file_is_a_contract_error_naming_it(tmp_path, capsys, what, unreadable):
+    bad, config = unreadable(tmp_path)
+    config = {"schema_version": 1, "out": str(tmp_path / "out"), "seeds": [0], **config}
+    assert _main_on(tmp_path, config) == 1
+    err = capsys.readouterr().err
+    assert f"error [ContractError]: {what}: cannot read {str(bad)!r}" in err
+
+
 def test_missing_checkpoint_exits_with_its_path(tmp_path, capsys):
     dataset = tmp_path / "corpus.jsonl"
     run(synth_config(dataset, tmp_path / "runs"))
@@ -679,6 +720,19 @@ def test_unknown_mode_exits_nonzero(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     assert main(["--config", str(path)]) != 0
+
+
+@pytest.mark.parametrize("flag", [["--mode", "finetune"], ["--seed", "3"], ["--out", "{out}"]],
+                         ids=["mode", "seed", "out"])
+@pytest.mark.parametrize("content", ["[1, 2]", '"finetune"'], ids=["list", "string"])
+def test_non_object_config_exits_1_with_or_without_a_flag(tmp_path, capsys, flag, content):
+    path = tmp_path / "config.json"
+    path.write_text(content)
+    flag = [arg.replace("{out}", str(tmp_path / "out")) for arg in flag]
+    for argv in ([], flag):
+        assert main(["--config", str(path), *argv]) == 1
+        assert "error [ContractError]: invalid config: must be an object" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_config_file_exits_nonzero(tmp_path):
@@ -985,7 +1039,8 @@ def test_pipeline_ssl_checkpoint_finetunes(tmp_path):
     assert "ssl" in results.read_text()
 
 
-def test_pipeline_timl_checkpoint_finetunes(tmp_path):
+@pytest.mark.parametrize("algorithm", ["timl_enc", "timl_noenc"])
+def test_pipeline_timl_checkpoint_finetunes(tmp_path, algorithm):
     dataset = tmp_path / "corpus.jsonl"
     out = tmp_path / "runs"
     run(synth_config(dataset, out))
@@ -996,7 +1051,7 @@ def test_pipeline_timl_checkpoint_finetunes(tmp_path):
         "out": str(out),
         "seeds": [0],
         "model": MODEL_BLOCK,
-        "meta": {"algorithm": "timl_noenc", "inner_lr": 0.5, "outer_lr": 0.01,
+        "meta": {"algorithm": algorithm, "inner_lr": 0.5, "outer_lr": 0.01,
                  "inner_steps": 1, "n_way": 2, "k_support": 1, "k_query": 1,
                  "tasks_per_batch": 2, "total_tasks": 4, "validate_every": 4,
                  "validation_tasks": 3},
@@ -1009,14 +1064,14 @@ def test_pipeline_timl_checkpoint_finetunes(tmp_path):
         "dataset": str(dataset),
         "out": str(out),
         "seeds": [0],
-        "label": "timl_noenc",
+        "label": algorithm,
         "model": MODEL_BLOCK,
         "finetune": {"source": "checkpoint", "checkpoint": ckpt,
                      "regime": "head_only", "lr_head": 1e-2, "lr_backbone": 0.0,
                      "kshots": [2], "max_epochs": 2},
     }
     results = Path(run(finetune_config)[0])
-    assert "timl_noenc" in results.read_text()
+    assert algorithm in results.read_text()
 
 
 def test_runner_never_mutates_dataset(tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import parcel, rewrite_corpus
-from fsml import data, nn
+from fsml import data, nn, seeding
 from fsml.data import (
     Corpus,
     CorpusManifest,
@@ -25,6 +25,7 @@ from fsml.data import (
     save_corpus,
 )
 from fsml.errors import ContractError, FsmlError, ParseError, ValidationError
+from fsml.seeding import rng_from
 
 
 def small_config(**overrides):
@@ -325,6 +326,16 @@ def test_fixed_validation_subset_limits_and_stability():
     validation = [s for s in pool if s.split == "validation"]
     big = fixed_validation_subset(pool, limit=10**6)
     assert len(big) == len(validation)
+
+
+def test_fixed_validation_subset_draws_from_a_stream_of_its_own():
+    tags = {name: tag for name, tag in vars(seeding).items() if name.startswith("STREAM_")}
+    assert len(set(tags.values())) == len(tags)  # so no run seed's stream aliases it
+    pool = generate_synthetic(small_config(finetune_samples_per_class=60), seed=1).finetune_pool()
+    validation = sorted((s for s in pool if s.split == "validation"), key=lambda s: s.parcel_id)
+    drawn = rng_from(0, seeding.STREAM_VALIDATION_SUBSET).choice(len(validation), 10, replace=False)
+    chosen = [s.parcel_id for s in fixed_validation_subset(pool, limit=10)]
+    assert chosen == [validation[i].parcel_id for i in sorted(drawn)]
 
 
 def test_manifest_rejects_bad_split_fractions(tmp_path):

@@ -15,19 +15,13 @@ from fsml.data import (
     SynthConfig,
     build_hierarchy_codes,
     generate_synthetic,
-)
-from fsml.episodes import EpisodeTask, episode_pool, sample_episode
-from fsml.errors import ContractError, DivergedError
-from fsml.meta import (
-    MetaConfig,
-    MetaLearner,
-    adapt_by_gradient_descent,
-    film_modulation,
-    meta_train,
     polar_to_cartesian,
     task_info,
 )
-from fsml.nn import RawSeriesModel
+from fsml.episodes import EpisodeTask, episode_pool, sample_episode
+from fsml.errors import ContractError, DivergedError
+from fsml.meta import MetaConfig, MetaLearner, adapt_by_gradient_descent, meta_train
+from fsml.nn import RawSeriesModel, film_modulation
 from fsml.seeding import STREAM_HEAD_RESET, rng_from
 from fsml.tensor import Tape, Tensor, grad
 
@@ -513,7 +507,7 @@ def test_timl_encoder_distinguishes_centroids():
     learner, config = _learner("timl_enc", corpus)
     meta_params = learner.init_meta_params(rng_from(7, 1))
     rng = np.random.default_rng(11)
-    meta_params["backbone/film/w2"] = Tensor(rng.standard_normal((meta.FILM_HIDDEN, 2 * TINY.embed_dim)) * 0.3)
+    meta_params["backbone/film/w2"] = Tensor(rng.standard_normal((nn.FILM_HIDDEN, 2 * TINY.embed_dim)) * 0.3)
     task = _one_task(corpus, config)
     samples, _ = task.support_sets()
     sample = samples[0]

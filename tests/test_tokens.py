@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fsml
 from conftest import parcel
 from fsml.errors import ContractError, SequenceLengthError
 from fsml.nn import sinusoidal_encoding
@@ -261,3 +267,13 @@ def test_unknown_static_group_rejected():
     sample = sample_with([15], spec.groups, np.random.default_rng(4))
     with pytest.raises(ContractError, match="no provider for static group 'elevation'"):
         encode_tokens([sample], spec, xts_regime(16), params)
+
+
+def test_token_encoding_does_not_load_meta_learning():
+    src = str(Path(fsml.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, fsml.ssl, fsml.tokens; print(sorted(sys.modules))"
+    loaded = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True, check=True).stdout
+    assert "'fsml.tokens'" in loaded
+    assert "'fsml.meta'" not in loaded and "'fsml.episodes'" not in loaded
