@@ -90,6 +90,8 @@ class ConfigRoot:
             raise ContractError(f"mode: expected one of {tuple(_MODE_KEYS)}, got {self.mode!r}")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ContractError("seeds: must be non-empty and distinct")
+        if min(self.seeds) < 0:  # a seed sequence takes no negative entropy
+            raise ContractError("seeds: must be a list of integers >= 0")
 
 
 @dataclass

@@ -13,11 +13,21 @@ Dataset file format (external interface)
     A manifest without the key is read as before.  In memory a
     parcel is its record: ``ParcelSample.days`` is the [T] day array and
     ``ParcelSample.channels`` maps each group to its [T, C] float64 table.
+    These are row-range views: a load holds one day array and one table per
+    group (and width) for the whole corpus, a generated corpus one of each
+    per region and class.
+
+Corpus files are read and written in whole-corpus passes.  The loader
+decodes and checks each line in turn (so a breach names its line) and adds
+its values to one float64 buffer per group, which is checked finite once
+every line is read; the writer shares one JSON encoder over all records.
 
 Synthetic parcels follow per-class double-logistic seasonal profiles (the
 standard phenology curve shape), phase- and amplitude-shifted per region,
 observed at irregular days with i.i.d. Gaussian noise.  Generation is a pure
-function of (config, seed).
+function of (config, seed): each parcel draws its observation count, days,
+noise and centroid in turn, and the profile values of a region's parcels of
+one class are computed in one NumPy pass over their days.
 """
 
 from __future__ import annotations
@@ -26,7 +36,10 @@ import hashlib
 import json
 import math
 import warnings
+from array import array
 from dataclasses import asdict, dataclass, field
+from itertools import chain
+from operator import ge, itemgetter
 from pathlib import Path
 from typing import Literal
 
@@ -210,15 +223,24 @@ def _sample_record(s):
 
 
 CORPUS_DIGEST = "corpus_sha256"  # the manifest key of the dataset's SHA-256
+# One encoder for every record (``json.dumps`` given a keyword builds one per
+# call).  NaN and Infinity are no JSON numbers, so it refuses them.
+_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
 
 
 def save_corpus(corpus, path):
+    """Write ``corpus`` and then its manifest.  A parcel holding a non-finite
+    value is a ContractError naming it; the old files stay as they were."""
     path = Path(path)
     digest = hashlib.sha256()
     with writing(path) as fh:
         for sample in corpus.samples:
-            line = json.dumps(_sample_record(sample), sort_keys=True) + "\n"
-            digest.update(line.encode("ascii"))  # json.dumps escapes non-ASCII
+            try:
+                line = _ENCODER.encode(_sample_record(sample)) + "\n"
+            except ValueError:
+                raise ContractError(f"corpus: parcel {sample.parcel_id!r} holds a non-finite "
+                                    f"value, which JSON cannot hold") from None
+            digest.update(line.encode("ascii"))  # the encoder escapes non-ASCII
             fh.write(line)
     manifest = asdict(corpus.manifest)
     manifest["hierarchy_levels"] = {str(k): v for k, v in manifest["hierarchy_levels"].items()}
@@ -227,8 +249,8 @@ def save_corpus(corpus, path):
     return path
 
 
-_STR, _NUMBER = {str}, {int, float}  # JSON types as Python types; bool is no number
-_RECORD_TYPES = {"id": _STR, "days": {list}, "channels": {dict}, "lon": _NUMBER,
+_STR, _NUMBER, _INT, _LIST = {str}, {int, float}, {int}, {list}  # bool is no number
+_RECORD_TYPES = {"id": _STR, "days": _LIST, "channels": {dict}, "lon": _NUMBER,
                  "lat": _NUMBER, "region": _STR, "hcat": _STR, "split": _STR}
 
 
@@ -260,54 +282,78 @@ def _type_errors(record):
     if type(record) is not dict:
         return ["the record itself"]
     wrong = [k for k, types in _RECORD_TYPES.items() if type(record.get(k)) not in types]
-    if "days" not in wrong and not {type(d) for d in record["days"]} <= {int}:
+    if "days" not in wrong and not set(map(type, record["days"])) <= _INT:
         wrong.append("days")
-    tables = record["channels"].values() if "channels" not in wrong else ()
-    if not (
-        all(type(rows) is list and {type(row) for row in rows} <= {list} for rows in tables)
-        and {type(v) for rows in tables for row in rows for v in row} <= _NUMBER
-    ):
-        wrong.append("channels")
+    if "channels" not in wrong:  # tables of rows of numbers, one level at a time
+        tables = record["channels"].values()
+        if not (set(map(type, tables)) <= _LIST
+                and set(map(type, chain.from_iterable(tables))) <= _LIST
+                and set(map(type, chain.from_iterable(chain.from_iterable(tables)))) <= _NUMBER):
+            wrong.append("channels")
     return wrong
 
 
-def _validate_sample(record, line_no, manifest, breaches):
-    days = record["days"]
+def _breaches(record, declared):
+    """The invariants a well-typed record breaks, in a fixed order;
+    ``declared`` maps each dynamic group of the manifest to its width."""
+    days, found = record["days"], []
     if not days:
-        breaches.append(f"line {line_no}: empty days")
-    if any(not (1 <= d <= YEAR_DAYS) for d in days):
-        breaches.append(f"line {line_no}: day out of range 1..{YEAR_DAYS}")
-    if any(b <= a for a, b in zip(days, days[1:])):
-        breaches.append(f"line {line_no}: non-increasing days")
+        found.append("empty days")
+    elif not (1 <= min(days) and max(days) <= YEAR_DAYS):
+        found.append(f"day out of range 1..{YEAR_DAYS}")
+    if any(map(ge, days, days[1:])):
+        found.append("non-increasing days")
     if not (-math.pi <= record["lon"] <= math.pi):
-        breaches.append(f"line {line_no}: longitude outside [-pi, pi]")
+        found.append("longitude outside [-pi, pi]")
     if not (-math.pi / 2 <= record["lat"] <= math.pi / 2):
-        breaches.append(f"line {line_no}: latitude outside [-pi/2, pi/2]")
+        found.append("latitude outside [-pi/2, pi/2]")
     if record["split"] not in SPLITS:
-        breaches.append(f"line {line_no}: unknown split {record['split']!r}")
-    declared = {g.name: g.channels for g in manifest.groups if g.kind == "dynamic"}
-    for group in sorted(declared.keys() - record["channels"].keys()):
-        breaches.append(f"line {line_no}: missing dynamic group {group}")
+        found.append(f"unknown split {record['split']!r}")
+    missing = sorted(declared.keys() - record["channels"].keys())
+    found += [f"missing dynamic group {group}" for group in missing]
     for group, series in record["channels"].items():
         if len(series) != len(days):
-            breaches.append(f"line {line_no}: group {group} is not day-major")
-        width = {len(row) for row in series}
+            found.append(f"group {group} is not day-major")
+        width = set(map(len, series))
         if len(width) > 1:
-            breaches.append(f"line {line_no}: ragged channel rows in group {group}")
-        elif declared.get(group) is not None and series and width != {declared[group]}:
-            breaches.append(
-                f"line {line_no}: group {group} has {width.pop()} channels, "
-                f"manifest declares {declared[group]}"
+            found.append(f"ragged channel rows in group {group}")
+        elif group in declared and series and width != {declared[group]}:
+            found.append(
+                f"group {group} has {width.pop()} channels, manifest declares {declared[group]}"
             )
+    return found
 
 
-def _channel_tables(record):
-    """Each group's [T, C] float64 table; None if a value is not a finite float64."""
-    try:
-        tables = {g: np.array(rows, dtype=np.float64) for g, rows in record["channels"].items()}
-    except OverflowError:
-        return None
-    return tables if all(np.isfinite(t).all() for t in tables.values()) else None
+_NOT_FINITE = "channel value outside the finite float64 range"
+
+
+def _parcels(kept, numbers, days, breaches):
+    """The samples of the records ``kept`` (line, day count, (group, width)
+    keys, then the scalar fields), whose float64 values ``numbers`` holds
+    row after row, one buffer per group and width, and whose ``days`` follow
+    each other in one list.  A parcel's days and tables are its row ranges
+    (views) of these corpus-wide arrays.  A record holding a value that is
+    not finite adds a (line, breach) pair instead of a sample."""
+    days = np.array(days, dtype=np.intp)
+    tables = {  # a width-0 table has no values: as many rows as the corpus has days
+        (group, width): np.frombuffer(values, np.float64).reshape(-1, width) if width
+        else np.empty((len(days), 0)) for (group, width), values in numbers.items()
+    }
+    check_each = not all(np.isfinite(table).all() for table in tables.values())
+    next_row, first, samples = dict.fromkeys(tables, 0), 0, []
+    for line_no, count, keys, parcel_id, lon, lat, region, label, split in kept:
+        channels = {}
+        for group, width in keys:
+            row = next_row[group, width]
+            channels[group] = tables[group, width][row : row + count]
+            next_row[group, width] = row + count
+        if check_each and not all(np.isfinite(t).all() for t in channels.values()):
+            breaches.append((line_no, _NOT_FINITE))
+        else:
+            samples.append(ParcelSample(parcel_id, days[first : first + count], channels,
+                                        float(lon), float(lat), region, label, split))
+        first += count
+    return samples
 
 
 def load_corpus(path):
@@ -315,15 +361,18 @@ def load_corpus(path):
 
     A line that is not a JSON object holding every key at its JSON type
     raises ParseError naming the line; the invariant breaches of all
-    well-typed records are reported together in one ValidationError.  A
-    record's arrays are built only once it passes validation.  A corpus
-    whose bytes differ from the digest its manifest records raises
-    ParseError naming both files.
+    well-typed records are reported together in one ValidationError, line by
+    line.  The values of a record that keeps the invariants join one float64
+    buffer per group; once every line is read, each parcel's arrays are views
+    of these.  A corpus whose bytes differ from the digest its manifest
+    records raises ParseError naming both files.
     """
     path = Path(path)
     mpath = manifest_path(path)
     manifest, digest = _load_manifest(mpath)
-    samples, breaches = [], []
+    declared = {g.name: g.channels for g in manifest.groups if g.kind == "dynamic"}
+    # A kept record holds no lists: its values and days join corpus-wide ones.
+    kept, numbers, days, breaches = [], {}, [], []
     try:
         fh = open(path, "rb")
     except OSError as err:
@@ -347,21 +396,26 @@ def load_corpus(path):
             wrong = _type_errors(record)
             if wrong:
                 raise ParseError(f"line {line_no}: missing or wrong JSON type: {wrong}")
-            before = len(breaches)
-            _validate_sample(record, line_no, manifest, breaches)
-            if len(breaches) > before:
+            found = _breaches(record, declared)
+            if found:
+                breaches += [(line_no, breach) for breach in found]
                 continue
-            tables = _channel_tables(record)
-            if tables is None:
-                breaches.append(f"line {line_no}: channel value outside the finite float64 range")
-            else:
-                samples.append(ParcelSample(
-                    record["id"], np.array(record["days"], dtype=np.intp), tables,
-                    float(record["lon"]), float(record["lat"]),
-                    record["region"], record["hcat"], record["split"],
-                ))
+            keys = [(group, len(rows[0])) for group, rows in record["channels"].items()]
+            try:  # each group's values as float64, before any joins the corpus's
+                values = [array("d", chain.from_iterable(rows))
+                          for rows in record["channels"].values()]
+            except OverflowError:  # an integer beyond the float64 range
+                breaches.append((line_no, _NOT_FINITE))
+                continue
+            for key, group_values in zip(keys, values):
+                numbers.setdefault(key, array("d")).extend(group_values)
+            days += record["days"]
+            kept.append((line_no, len(record["days"]), keys, record["id"], record["lon"],
+                         record["lat"], record["region"], record["hcat"], record["split"]))
+    samples = _parcels(kept, numbers, days, breaches)
     if breaches:
-        raise ValidationError(breaches)
+        breaches.sort(key=itemgetter(0))  # stable: a line's breaches keep their order
+        raise ValidationError([f"line {line_no}: {breach}" for line_no, breach in breaches])
     return Corpus(samples, manifest)
 
 
@@ -524,13 +578,18 @@ def _profile_values(profile, days, phase_shift, amp_scale):
 
 
 def generate_synthetic(config, seed):
-    """Deterministic synthetic corpus; pure function of (config, seed)."""
+    """Deterministic synthetic corpus; pure function of (config, seed).  Each
+    parcel draws its days, noise and centroid in turn; the values of a
+    region's parcels of one class are then computed at once, and the parcels
+    hold row ranges of those arrays."""
     rng = rng_from(seed, 0)
     codes, hierarchy = build_hierarchy_codes(
         config.n_level3, config.n_level4, config.n_classes
     )
     profiles = _class_profiles(rng, config)
     dynamic_groups = [g for g in config.groups if g.kind == "dynamic"]
+    n_channels = sum(g.channels for g in dynamic_groups)
+    low, high = config.obs_count
 
     all_regions = list(config.regions) + [config.finetune_region]
     region_phase = {
@@ -551,37 +610,50 @@ def generate_synthetic(config, seed):
             config.finetune_samples_per_class if is_finetune else config.samples_per_class
         )
         fractions = FINETUNE_SPLIT_FRACTIONS if is_finetune else PRETRAIN_SPLIT_FRACTIONS
+        lon0, lat0 = region_center[region]
         region_samples = []
         for class_idx, code in enumerate(codes):
             count = per_class
             if class_idx == 0:
                 count = int(round(per_class * config.majority_boost))
+            days, noise, centroids = [], [], []
             for _ in range(count):
-                n_obs = int(rng.integers(config.obs_count[0], config.obs_count[1] + 1))
-                days = np.sort(rng.choice(np.arange(1, YEAR_DAYS + 1), size=n_obs, replace=False))
-                values = _profile_values(
-                    profiles[class_idx], days, region_phase[region], region_amp[region]
-                )
+                n_obs = int(rng.integers(low, high + 1))
+                day_indices = rng.choice(YEAR_DAYS, size=n_obs, replace=False)
+                day_indices.sort()
+                days.append(day_indices)
                 if config.noise_sigma > 0:
-                    values = values + rng.normal(0.0, config.noise_sigma, size=values.shape)
-                channels, offset = {}, 0
-                for g in dynamic_groups:
-                    channels[g.name] = values[:, offset : offset + g.channels].copy()
-                    offset += g.channels
-                lon = region_center[region][0] + rng.uniform(-0.05, 0.05)
-                lat = region_center[region][1] + rng.uniform(-0.05, 0.05)
+                    noise.append(rng.normal(0.0, config.noise_sigma, size=(n_obs, n_channels)))
+                lon = lon0 + rng.uniform(-0.05, 0.05)
+                lat = lat0 + rng.uniform(-0.05, 0.05)
+                centroids.append((min(max(lon, -math.pi), math.pi),
+                                  min(max(lat, -math.pi / 2), math.pi / 2)))
+            lengths = [len(d) for d in days]
+            days = np.concatenate(days) + 1  # day indices 0..YEAR_DAYS - 1 as days of the year
+            values = _profile_values(
+                profiles[class_idx], days, region_phase[region], region_amp[region]
+            )
+            if config.noise_sigma > 0:
+                values += np.concatenate(noise)
+            tables, offset = {}, 0
+            for g in dynamic_groups:
+                tables[g.name] = np.ascontiguousarray(values[:, offset : offset + g.channels])
+                offset += g.channels
+            first = 0
+            for n_obs, (lon, lat) in zip(lengths, centroids):
+                rows = slice(first, first + n_obs)
                 region_samples.append(ParcelSample(
-                    f"p{counter:07d}", days, channels,
-                    float(np.clip(lon, -math.pi, math.pi)),
-                    float(np.clip(lat, -math.pi / 2, math.pi / 2)),
-                    region, code, "train",
+                    f"p{counter:07d}", days[rows], {g: t[rows] for g, t in tables.items()},
+                    lon, lat, region, code, "train",
                 ))
+                first += n_obs
                 counter += 1
         order = rng.permutation(len(region_samples))
         splits = list(fractions)  # each split ends at its cumulative fraction of the region
         ends = (np.cumsum(list(fractions.values()))[:-1] * len(region_samples)).astype(int)
-        for pos, idx in enumerate(order):
-            region_samples[idx].split = splits[np.searchsorted(ends, pos, side="right")]
+        split_index = np.searchsorted(ends, np.arange(len(order)), side="right")
+        for idx, split in zip(order.tolist(), split_index.tolist()):
+            region_samples[idx].split = splits[split]
         samples.extend(region_samples)
 
     region_counts, class_counts = {}, {}

@@ -137,12 +137,23 @@ def _reject_constant(name):
     raise ValueError(f"non-finite number {name}")
 
 
+# One decoder for every read: ``json.loads`` given a keyword builds a new one per call.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def decode(text, where):
     """The JSON value of ``text``, a string or the bytes of a file; a
     ParseError starting with ``where`` if it is not JSON.  NaN and Infinity
-    are not JSON: the lab writes finite numbers."""
+    are not JSON: the lab writes finite numbers.  Text is read as
+    ``json.loads`` reads it: bytes in the encoding their first bytes show,
+    a string without a byte-order mark."""
     try:
-        return json.loads(text, parse_constant=_reject_constant)
+        if isinstance(text, str):
+            if text.startswith("\ufeff"):
+                raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        else:
+            text = text.decode(json.detect_encoding(text), "surrogatepass")
+        return _DECODER.decode(text)
     except ValueError as err:  # not JSON, not UTF-8, or a non-finite constant
         raise ParseError(f"{where}: not valid JSON: {err}") from None
 

@@ -302,6 +302,10 @@ def test_every_config_field_is_accepted_and_typos_are_rejected():
     ("pretrain-transfer", {"transfer": {"cosine_cycles": -2}},
      "transfer.cosine_cycles: must be an integer >= 0"),
     ("pretrain-ssl", {"ssl": {"max_batches": -5}}, "ssl.max_batches: must be an integer >= 0"),
+    # a seed sequence takes no negative entropy
+    ("pretrain-meta", {"meta": {"algorithm": "maml"}, "seeds": [-2]},
+     "seeds: must be a list of integers >= 0"),
+    ("synth-data", {"synth": {}, "seeds": [3, -1]}, "seeds: must be a list of integers >= 0"),
 ])
 def test_bad_config_shapes_exit_with_contract_error(tmp_path, capsys, monkeypatch, mode, blocks,
                                                     problem):
@@ -312,6 +316,18 @@ def test_bad_config_shapes_exit_with_contract_error(tmp_path, capsys, monkeypatc
     assert _main_on(tmp_path, config) == 1
     err = capsys.readouterr().err
     assert "ContractError" in err and problem in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_negative_seed_flag_exits_with_contract_error(tmp_path, capsys, monkeypatch):
+    _forbid_corpus_work(monkeypatch)
+    config = {"schema_version": 1, "mode": "synth-data", "dataset": "x",
+              "out": str(tmp_path / "runs"), "synth": {}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["--config", str(path), "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "error [ContractError]" in err and "seeds: must be a list of integers >= 0" in err
     assert not (tmp_path / "runs").exists()
 
 

@@ -123,6 +123,31 @@ def test_roundtrip_is_byte_identical(tmp_path):
     assert data.manifest_path(first).read_bytes() == data.manifest_path(second).read_bytes()
 
 
+@pytest.mark.parametrize("spoil", ["nan", "inf", "lon"])
+def test_save_corpus_refuses_a_non_finite_value_and_keeps_the_old_files(tmp_path, spoil):
+    """A NaN or infinity is no JSON number: the parcel holding one is named,
+    the corpus and manifest already saved stay as they were, and a corpus
+    saved for the first time leaves no file."""
+    corpus = generate_synthetic(small_config(), seed=3)
+    sub = Corpus(corpus.samples[:20], corpus.manifest)
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(sub, path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    bad = sub.samples[7]
+    if spoil == "lon":
+        bad.lon = float("nan")
+    else:
+        bad.channels["s2"] = bad.channels["s2"].copy()
+        bad.channels["s2"][1, 2] = float(spoil)
+    message = f"corpus: parcel {bad.parcel_id!r} holds a non-finite value"
+    with pytest.raises(ContractError, match=message):
+        save_corpus(sub, path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    with pytest.raises(ContractError, match=message):
+        save_corpus(sub, tmp_path / "new" / "corpus.jsonl")
+    assert not list((tmp_path / "new").iterdir())
+
+
 def _counted_corpus(counts):
     samples = []
     i = 0
@@ -431,6 +456,30 @@ def test_dataset_format_is_pinned(tmp_path):
         "75ba4cce706ca48d01870e09767d2bf609d5a403c2772f713c90b7e8cae1ddf9")
 
 
+@pytest.mark.parametrize("overrides, body_sha256, manifest_sha256", [
+    ({"noise_sigma": 0.0},
+     "db323477ab7890aba34315380a09ad7aa3943704788e3b729df99780856a568b",
+     "91213d0aa1a84fb7a848227b02e4253565a96938f7910025979647eb1175a097"),
+    ({"groups": [GroupSpec("location", 3, "static"), GroupSpec("s2", 4), GroupSpec("s1", 2)]},
+     "04eecb3edc5c9c546f5b0ac2ef606208a262cc1f677dcddc1971b13877929f0e",
+     "a1137fd26074fff8b5a7a3853d45f6e32a40e2379c8bf38cf82ddb4400d2a01c"),
+    ({"majority_boost": 1.5},
+     "357faca08e2bcc4d61f7f5f6e5992b23b323671fbaaa9f3e520856ec485f9bca",
+     "1ea1e1c508838eec696cdc798f66bd33e278c48b9a19c95637220e4e2abcef8a"),
+    ({"obs_count": (1, 1)},
+     "4d8dfda1b800c755414db479a020595a5d9aaa2e2aeaddde1a1ff0a4b9e6cdc1",
+     "e9a49ba1ab722be6942d80cf90576442fade81490beeb31e874c8dd20e36f723"),
+], ids=["noiseless", "static-and-two-dynamic-groups", "majority-boost", "one-observation"])
+def test_generated_bytes_are_pinned_across_configs(tmp_path, overrides, body_sha256,
+                                                   manifest_sha256):
+    """Corpus and manifest bytes of the generator on configs that take its
+    other branches, recorded before it worked on a whole region at once."""
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(generate_synthetic(small_config(**overrides), seed=0), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == body_sha256
+    assert hashlib.sha256(data.manifest_path(path).read_bytes()).hexdigest() == manifest_sha256
+
+
 def _record(**overrides):
     record = {"id": "p1", "days": [5, 9], "channels": {"s2": [[0.1], [0.2]]}, "lon": 0.0,
               "lat": 0.0, "region": "R1", "hcat": "101010", "split": "train"}
@@ -499,6 +548,51 @@ def test_record_breaches_are_reported_together(tmp_path):
         "line 1: missing dynamic group s2",
         "line 2: empty days",
         "line 3: longitude outside [-pi, pi]",
+    ]
+
+
+def test_loader_breach_list_is_pinned(tmp_path):
+    """Each line breaches differently; the breaches, their wording and their
+    order were recorded before the loader checked a whole corpus at once.  A
+    line that breaches an invariant is not checked for finite values."""
+    records = [
+        _record(days=[5, 400, 9], channels={"s2": [[0.1], [0.2], [0.3]]}),
+        _record(channels={"s2": [[0.1]]}),
+        _record(channels={"s2": [[0.1], [0.2, 0.3]]}),
+        _record(channels={"s2": [[0.1, 0.2], [0.3, 0.4]]}),
+        _record(channels={"s2": [[0.1], ["FLOAT"]]}),
+        _record(channels={"s2": [[0.1], ["INT"]]}),
+        _record(channels={"s1": [[0.1], [0.2]]}),
+        _record(),
+        _record(days=[0, 0], lon=-4.0, lat=2.0, split="holdout",
+                channels={"s1": [[0.1, 0.2], [0.3]], "s2": [[0.1]], "b0": [["FLOAT"]]}),
+        _record(lon=4.0, channels={"s2": [[0.1], ["FLOAT"]]}),
+        _record(channels={"s2": [[0.1], [0.2]], "s1": [[1], ["INT"]]}),
+    ]
+    path = _write_corpus(tmp_path, records, groups=(GroupSpec("s2", 1), GroupSpec("b1", 2, "static")))
+    text = path.read_text().replace('"FLOAT"', "1e999").replace('"INT"', "1" + "0" * 400)
+    rewrite_corpus(path, text)
+    with pytest.raises(ValidationError) as info:
+        load_corpus(path)
+    assert info.value.breaches == [
+        "line 1: day out of range 1..366",
+        "line 1: non-increasing days",
+        "line 2: group s2 is not day-major",
+        "line 3: ragged channel rows in group s2",
+        "line 4: group s2 has 2 channels, manifest declares 1",
+        "line 5: channel value outside the finite float64 range",
+        "line 6: channel value outside the finite float64 range",
+        "line 7: missing dynamic group s2",
+        "line 9: day out of range 1..366",
+        "line 9: non-increasing days",
+        "line 9: longitude outside [-pi, pi]",
+        "line 9: latitude outside [-pi/2, pi/2]",
+        "line 9: unknown split 'holdout'",
+        "line 9: ragged channel rows in group s1",
+        "line 9: group s2 is not day-major",
+        "line 9: group b0 is not day-major",
+        "line 10: longitude outside [-pi, pi]",
+        "line 11: channel value outside the finite float64 range",
     ]
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from fsml import schema
 from fsml.data import GroupSpec, SynthConfig, generate_synthetic, load_corpus, save_corpus
-from fsml.errors import ContractError
+from fsml.errors import ContractError, ParseError
 from fsml.nn import TransformerConfig, save_checkpoint
 from fsml.tokens import EncodingRegime
 
@@ -74,3 +74,30 @@ def test_writing_is_the_only_writer():
              for no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
              if write.search(line)]
     assert len(found) == 1 and found[0].startswith("schema.py:"), found
+
+
+@pytest.mark.parametrize("text, value", [
+    (b'{"a": [1, 2.5]}', {"a": [1, 2.5]}),
+    (b'\xef\xbb\xbf{"a": 1}', {"a": 1}),
+    ('{"a": "é"}'.encode("utf-16"), {"a": "é"}),
+    ('{"a": "é"}'.encode("utf-16-le"), {"a": "é"}),
+    (b"[1e999, 1e-400]", [float("inf"), 0.0]),
+    ('{"b": null, "a": true}', {"b": None, "a": True}),
+], ids=["utf-8", "utf-8-bom", "utf-16-bom", "utf-16-le", "out-of-range-floats", "str"])
+def test_decode_reads_what_json_reads(text, value):
+    assert schema.decode(text, "where") == value
+
+
+@pytest.mark.parametrize("text, problem", [
+    ('\ufeff{"a": 1}', "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    ("NaN", "non-finite number NaN"),
+    (b"[Infinity]", "non-finite number Infinity"),
+    ('{"a": -Infinity}', "non-finite number -Infinity"),
+    (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ("", "Expecting value: line 1 column 1 (char 0)"),
+    ("[1,]", "Expecting value: line 1 column 4 (char 3)"),
+], ids=["str-bom", "nan", "infinity", "minus-infinity", "latin-1", "empty", "trailing-comma"])
+def test_decode_names_what_is_not_json(text, problem):
+    with pytest.raises(ParseError) as info:
+        schema.decode(text, "where")
+    assert str(info.value) == f"where: not valid JSON: {problem}"
