@@ -461,7 +461,7 @@ def _write_results_csv(path, rows, kshots, chash):
 
 @dataclass(frozen=True)
 class ReportRow:
-    """What evaluate reads of a fine-tune report; the rest varies with levels and subsets."""
+    """What evaluate reads of a fine-tune report; the rest varies with the hierarchy's levels."""
 
     label: str
     k: int

@@ -105,7 +105,6 @@ class MetricsReport:
     minority_accuracy: float | None
     kappa: float
     parent_accuracy: dict = field(default_factory=dict)  # level -> accuracy
-    subset_accuracy: dict = field(default_factory=dict)  # name -> accuracy
     confusion: ConfusionTable | None = None
 
     def metric_map(self):
@@ -114,8 +113,6 @@ class MetricsReport:
             flat["minority_accuracy"] = self.minority_accuracy
         for level, acc in sorted(self.parent_accuracy.items()):
             flat[f"parent_accuracy/{level}"] = acc
-        for name, acc in sorted(self.subset_accuracy.items()):
-            flat[f"subset_accuracy/{name}"] = acc
         return flat
 
     def to_json(self):
@@ -128,7 +125,7 @@ class MetricsReport:
         return payload
 
 
-def build_report(preds, labels, majority_class, hierarchy, subsets=None):
+def build_report(preds, labels, majority_class, hierarchy):
     """Assemble the full report for one evaluation run."""
     confusion = ConfusionTable.from_pairs(preds, labels)
     try:
@@ -139,17 +136,10 @@ def build_report(preds, labels, majority_class, hierarchy, subsets=None):
         level: parent_level_accuracy(preds, labels, level, hierarchy)
         for level in hierarchy.levels()
     }
-    subset_acc = {}
-    for name, subset in (subsets or {}).items():
-        try:
-            subset_acc[name] = subset_accuracy(preds, labels, subset)
-        except DegenerateInputError:
-            continue
     return MetricsReport(
         overall_accuracy=overall_accuracy(preds, labels),
         minority_accuracy=minority,
         kappa=cohens_kappa(confusion),
         parent_accuracy=parent,
-        subset_accuracy=subset_acc,
         confusion=confusion,
     )

@@ -436,20 +436,28 @@ def stack_task_params(maps):
     return {k: Tensor(v[:, None] if v.ndim == 2 else v) for k, v in stacked.items()}
 
 
-def pack_batch(samples, groups):
-    """Assemble (values [B,T,C], days [B,T], mask [B,T]) for the raw model.
+def pack_batch(samples, groups, stats=None):
+    """Assemble (values [B,T,C], days [B,T], mask [B,T]) for both model families.
 
     T is the longest observation count in the batch.  Dynamic group channels
-    are concatenated in the given group order; short sequences are
-    zero-padded with day 1 and a False mask.
+    are concatenated in the given group order, one group at a time over the
+    whole batch; a group with a ``stats`` entry ``(mean, std)`` has its
+    observed rows z-scored.  Short sequences are zero-padded with day 1 and
+    a False mask.
     """
     if not samples:
         raise ContractError("pack_batch: empty sample list")
     lengths = np.array([len(s.days) for s in samples])
     mask = np.arange(lengths.max()) < lengths[:, None]
-    rows = [np.concatenate([s.channels[g] for g in groups], axis=1) for s in samples]
-    values = np.zeros(mask.shape + (rows[0].shape[1],))
-    values[mask] = np.concatenate(rows)
+    blocks = []
+    for g in groups:
+        live = np.concatenate([s.channels[g] for s in samples])
+        if stats and g in stats:
+            mean, std = stats[g]
+            live = (live - mean) / std
+        blocks.append(live)
+    values = np.zeros(mask.shape + (sum(b.shape[1] for b in blocks),))
+    values[mask] = np.concatenate(blocks, axis=1)
     days = np.ones(mask.shape, dtype=np.intp)
     days[mask] = np.concatenate([s.days for s in samples])
     return values, days, mask

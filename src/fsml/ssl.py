@@ -4,8 +4,9 @@ Batches
     ``encode_token_batch`` encodes a whole batch with one call of
     ``tokens.encode_tokens`` and returns a ``TokenBatch``: [B, N, d_emb]
     tokens and contexts, the padding mask and the reconstruction targets,
-    laid out by ``tokens.token_layout``.  Masks for a batch come from one
-    strategy draw followed by one ``build_mask`` per sample, in order.
+    with the ``tokens.token_layout`` that call computed.  A batch's masks
+    are drawn after encoding and read that layout: one strategy draw
+    followed by one ``build_mask`` per sample, in order.
 
 Masking regimes
     base (non-strict): structured strategies select at most the target
@@ -195,8 +196,9 @@ def encode_token_batch(samples, spec, regime, params, stats=None):
     """Tokens, contexts, padding and reconstruction targets for a batch."""
     if not samples:
         raise ContractError("encode_token_batch: empty batch")
-    tokens, context, targets = encode_tokens(samples, spec, regime, params, stats)
-    _, group_index, time_index, pad = token_layout(spec, [len(s.days) for s in samples])
+    tokens, context, targets, (_, group_index, time_index, pad) = encode_tokens(
+        samples, spec, regime, params, stats
+    )
     widths = np.array([spec.groups[gi].channels for gi in group_index], dtype=np.intp)
     return TokenBatch(tokens, context, group_index, time_index, pad, targets, widths)
 
@@ -336,15 +338,15 @@ def reconstruction_loss(recon, batch, mask):
     return T.reduce_sum(T.mul(T.mul(diff, diff), Tensor(cell_weight)))
 
 
-def _batch_masks(plan, spec, samples, rng):
-    """Masks [B, N]: one strategy draw for the batch, then one mask per sample in order."""
+def _batch_masks(plan, spec, batch, rng):
+    """Masks [B, N] over a ``TokenBatch``'s layout: one strategy draw for the
+    batch, then one mask per sample in order."""
     strategy = resolve_strategy(plan, rng)
-    lengths = [len(s.days) for s in samples]
-    _, group_index, time_index, pad = token_layout(spec, lengths)
-    layout = _mask_layout(spec, group_index, time_index)
+    layout = _mask_layout(spec, batch.group_index, batch.time_index)
+    t_steps = int(batch.time_index.max(initial=-1)) + 1
     return np.stack([
-        build_mask(plan, spec, max(lengths), rng, padding=row, strategy=strategy, layout=layout)
-        for row in pad
+        build_mask(plan, spec, t_steps, rng, padding=row, strategy=strategy, layout=layout)
+        for row in batch.pad
     ])
 
 
@@ -352,9 +354,9 @@ def mae_step(params, model, samples, plan, rng, stats=None):
     """One training step: batched masking, forward, loss and gradients."""
     if not samples:
         raise ContractError("mae_step: empty batch")
-    masks = _batch_masks(plan, model.spec, samples, rng)
     with Tape():
         batch = encode_token_batch(samples, model.spec, model.regime, params, stats)
+        masks = _batch_masks(plan, model.spec, batch, rng)
         recon = model.reconstruct(params, batch, masks)
         loss = reconstruction_loss(recon, batch, masks)
         if not np.isfinite(loss.item()):
@@ -370,8 +372,8 @@ def evaluate_mae_loss(params, model, samples, plan, seed, stats=None, batch_size
     losses = []
     for start in range(0, len(samples), batch_size):
         chunk = samples[start : start + batch_size]
-        masks = _batch_masks(plan, model.spec, chunk, rng_from(seed, STREAM_MASKING, 900_000 + start))
         batch = encode_token_batch(chunk, model.spec, model.regime, params, stats)
+        masks = _batch_masks(plan, model.spec, batch, rng_from(seed, STREAM_MASKING, 900_000 + start))
         recon = model.reconstruct(params, batch, masks)
         losses.append(reconstruction_loss(recon, batch, masks).item() * len(chunk))
     return sum(losses) / len(samples)

@@ -57,14 +57,15 @@ the plain expression in their order.
 
 The primitive set is fixed: add, sub, mul, div, matmul, linear, transpose,
 reshape, concat, slice_axis, reduce_sum, reduce_mean, power, gelu,
-layer_norm, embedding_lookup, attention, log_softmax_pick.  ``matmul`` takes a
-flag per operand that swaps its last two axes, so its adjoint records one
-matmul per operand and no transpose.  ``linear`` is a linear layer's
-``x @ w + b`` and ``layer_norm`` takes an optional affine ``gain`` and
-``bias``, each one node.  ``attention`` is the multi-head core between the
-projections (head split, scores, scale, key mask, softmax, context, head
-merge) and ``log_softmax_pick`` a cross-entropy's log-softmax at each row's
-label, each one node.  A paused replay of a fused op's adjoint runs the
+layer_norm, attention, log_softmax_pick.  ``matmul`` takes a flag per
+operand that swaps its last two axes, so its adjoint records one matmul per
+operand and no transpose; ``transpose`` takes its permutation explicitly.
+A row gather from a table is a matmul with a constant one-hot operand.
+``linear`` is a linear layer's ``x @ w + b`` and ``layer_norm`` takes an
+optional affine ``gain`` and ``bias``, each one node.  ``attention`` is the
+multi-head core between the projections (head split, scores, scale, key
+mask, softmax, context, head merge) and ``log_softmax_pick`` a
+cross-entropy's log-softmax at each row's label, each one node.  A paused replay of a fused op's adjoint runs the
 float ops of the primitive chain it replaces, so first-order gradients keep
 their bits.
 
@@ -429,23 +430,22 @@ def linear(x, w, b):
     return _record(out, (x if dx else None, w if dw else None, b if db else None), vjp)
 
 
-def transpose(a, axes=None):
-    """Permute axes; by default swap the last two (its own inverse)."""
+def transpose(a, axes):
+    """Permute axes by ``axes``, a permutation of ``range(a.ndim)``."""
     a = _lift(a)
-    if axes is not None:
-        axes = tuple(int(ax) for ax in axes)
-        try:
-            permuted = np.transpose(a.values, axes)
-        except ValueError:
-            raise ShapeError(
-                f"transpose: {axes} is not a permutation for shape {a.shape}"
-            ) from None
+    axes = tuple(int(ax) for ax in axes)
+    try:
+        permuted = np.transpose(a.values, axes)
+    except ValueError:
+        raise ShapeError(
+            f"transpose: {axes} is not a permutation for shape {a.shape}"
+        ) from None
     if a.ndim < 2:
         return a  # every permutation of fewer than two axes is the identity
-    out = Tensor(a.values.swapaxes(-1, -2) if axes is None else permuted)
+    out = Tensor(permuted)
     if _recording is None:
         return out
-    inverse = None if axes is None else tuple(np.argsort([ax % a.ndim for ax in axes]))
+    inverse = tuple(np.argsort([ax % a.ndim for ax in axes]))
 
     def vjp(g):
         return (transpose(g, inverse),)
@@ -785,31 +785,6 @@ def _layer_norm_grad(g, a, out, eps, inv):
         return (_layer_norm_grad(h, a, out, eps, inv), g_a, g_out)
 
     return _record(result, (g, a, out), vjp)
-
-
-def embedding_lookup(table, indices):
-    """Row gather; equivalent to one-hot(indices) @ table and differentiated as such."""
-    table = _lift(table)
-    if table.ndim != 2:
-        raise ShapeError(f"embedding_lookup: table must be 2-D, got {table.shape}")
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-        raise ContractError(
-            f"embedding_lookup: index out of range for table with {table.shape[0]} rows"
-        )
-    out = Tensor(table.values[idx])
-    if _recording is None:
-        return out
-    rows, dim = table.shape
-
-    def vjp(g):
-        flat_idx = idx.reshape(-1)
-        onehot = np.zeros((flat_idx.size, rows))
-        onehot[np.arange(flat_idx.size), flat_idx] = 1.0
-        g2 = reshape(g, (flat_idx.size, dim))
-        return (matmul(onehot.T, g2),)
-
-    return _record(out, (table,), vjp)
 
 
 def _heads(x, batch, num_heads):

@@ -1,13 +1,15 @@
 """Unified token encoding for multi-source time series.
 
 ``encode_tokens`` turns a batch of parcels into [B, N, d_emb] tokens in one
-pass.  Each channel group (one data source) is packed into one array
-([B, 1, C] static, [B, T_max, C] dynamic), z-scored in place when
-statistics are given, and projected into the shared embedding width with
-one matmul.  Every token then gets additive contextual encodings laid out
-as ``[p_channel; p_sin; p_month]``:
+pass.  One ``nn.pack_batch`` call packs the dynamic groups (one data source
+each) into [B, T_max, C] blocks, z-scored when statistics are given, with
+its padding convention; the static ``location`` group is a [B, 1, 3]
+block.  Each block is projected into the shared embedding width with one
+matmul.  Every token then gets additive contextual encodings laid out as
+``[p_channel; p_sin; p_month]``:
 
-* ``p_channel``: a learned per-group embedding row;
+* ``p_channel``: a learned per-group embedding row, gathered by one matmul
+  with a constant one-hot matrix;
 * ``p_sin``: sinusoidal temporal position (observation ordinal or
   day-of-year, a regime field);
 * ``p_month``: sinusoidal calendar-month encoding, present only in the
@@ -17,6 +19,7 @@ Static groups receive zero temporal encodings.  ``token_layout`` alone
 defines token order: static groups in spec order, then dynamic groups
 group-major over time, each dynamic block as long as the batch's longest
 series.  Rows past a sample's own length are padding and are zero.
+``encode_tokens`` computes the layout once per batch and returns it.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 from . import tensor as T
 from .data import GroupSpec, task_info
 from .errors import ContractError, SequenceLengthError
-from .nn import linear_params, positional_table, uniform_init
+from .nn import linear_params, pack_batch, positional_table, uniform_init
 from .tensor import Tensor
 
 _DAYS_PER_YEAR = 366
@@ -174,31 +177,22 @@ def temporal_encoding(regime, days):
     return np.concatenate([sin_rows, positional_table(12, regime.d_month)[months]], axis=-1)
 
 
-def _pack_group(samples, g, steps, stats):
-    """One group's values: [B, 1, C] static, [B, T_max, C] dynamic.
+def _static_values(samples, g):
+    """[B, 1, C] values of a static group: the ``location`` group is each
+    parcel's Cartesian centroid."""
+    if g.name != "location":
+        raise ContractError(f"no provider for static group {g.name!r}")
+    return task_info(samples)[:, None, :]
 
-    Dynamic values fill the live ``steps`` [B, T_max], z-scored with
-    ``stats``, and stay zero elsewhere.  The static ``location`` group is
-    each parcel's Cartesian centroid.
-    """
-    if g.kind == "static":
-        if g.name != "location":
-            raise ContractError(f"no provider for static group {g.name!r}")
-        return task_info(samples)[:, None, :]
+
+def _check_dynamic(samples, g):
+    """Refuse a dynamic group that a parcel lacks or holds at another width than the spec's."""
     missing = [s.parcel_id for s in samples if g.name not in s.channels]
     if missing:
         raise ContractError(f"dynamic group {g.name} missing from parcels {missing}")
-    tables = [s.channels[g.name] for s in samples]
-    widths = {t.shape[-1] for t in tables} - {g.channels}
+    widths = {s.channels[g.name].shape[-1] for s in samples} - {g.channels}
     if widths:
         raise ContractError(f"group {g.name}: got {widths.pop()} channels, spec declares {g.channels}")
-    live = np.concatenate(tables)
-    if stats and g.name in stats:
-        mean, std = stats[g.name]
-        live = (live - mean) / std
-    values = np.zeros(steps.shape + (g.channels,))
-    values[steps] = live
-    return values
 
 
 def _project(params, g, values):
@@ -209,24 +203,35 @@ def _project(params, g, values):
 def encode_tokens(samples, spec, regime, params, stats=None):
     """Encode a batch of parcels into tokens in one pass.
 
-    Returns ``(tokens, context, cells)``: the [B, N, d_emb] tokens, their
-    contextual encodings alone, and each token's input values [B, N, C_max]
+    Returns ``(tokens, context, cells, layout)``: the [B, N, d_emb] tokens,
+    their contextual encodings alone, each token's input values [B, N, C_max]
     (z-scored with ``stats``; the masked autoencoder's reconstruction
-    targets).  Rows past a sample's length are zero in all three.
+    targets) and the batch's ``token_layout``.  Rows past a sample's length
+    are zero in the first three.  One ``nn.pack_batch`` call packs every
+    dynamic group.
     """
-    lengths = [len(s.days) for s in samples]
-    order, group_index, time_index, pad = token_layout(spec, lengths)
-    steps = np.arange(max(lengths)) < np.asarray(lengths)[:, None]
+    layout = token_layout(spec, [len(s.days) for s in samples])
+    order, group_index, time_index, pad = layout
+    blocks = {}
+    for gi in order:
+        g = spec.groups[gi]
+        if g.kind == "static":
+            blocks[g.name] = _static_values(samples, g)
+        else:
+            _check_dynamic(samples, g)
+    packed, days, _ = pack_batch(samples, [g.name for g in spec.dynamic_groups], stats)
+    start = 0
+    for g in spec.dynamic_groups:  # a contiguous copy keeps each projection on BLAS
+        blocks[g.name] = np.ascontiguousarray(packed[..., start : start + g.channels])
+        start += g.channels
     cells = np.zeros(pad.shape + (max(g.channels for g in spec.groups),))
     projected = []
     for gi in order:
         g = spec.groups[gi]
-        values = _pack_group(samples, g, steps, stats)
+        values = blocks[g.name]
         cells[:, group_index == gi, : values.shape[-1]] = values
         projected.append(_project(params, g, values))
 
-    days = np.ones(steps.shape, dtype=np.intp)
-    days[steps] = np.concatenate([s.days for s in samples])
     dynamic = time_index >= 0
     temporal = np.zeros(pad.shape + (regime.d_emb - regime.d_channel,))
     temporal[:, dynamic] = temporal_encoding(regime, days)[:, time_index[dynamic]]
@@ -236,7 +241,8 @@ def encode_tokens(samples, spec, regime, params, stats=None):
     channel_table = T.concat(
         [T.reshape(params[f"ctx/{g.name}"], (1, regime.d_channel)) for g in spec.groups], axis=0
     )
-    channel_rows = T.mul(T.embedding_lookup(channel_table, group_index), live_f)
+    onehot = np.eye(len(spec.groups))[group_index]  # [N, G]
+    channel_rows = T.mul(T.matmul(onehot, channel_table), live_f)
     context = T.concat([channel_rows, Tensor(temporal)], axis=2)
     tokens = T.add(T.mul(T.concat(projected, axis=1), live_f), context)
-    return tokens, context, cells
+    return tokens, context, cells, layout

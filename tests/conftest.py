@@ -29,6 +29,16 @@ def rewrite_corpus(path, text):
     mpath.write_text(json.dumps(manifest))
 
 
+def array_digest(*arrays):
+    """SHA-256 over each array's dtype, shape and bytes, in order."""
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
 def rel_error(approx, exact):
     """Norm-based relative error between two arrays."""
     approx = np.asarray(approx, dtype=np.float64)

@@ -4,8 +4,11 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as the
 criteria complete.  Tolerances and runtime budgets are asserted inline.
 """
 
+import shutil
 import time
 from contextlib import contextmanager
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
@@ -24,7 +27,7 @@ from fsml.data import (
     subset_by_split,
 )
 from fsml.episodes import EpisodeConfig, build_meta_validation, sample_region, sample_task
-from fsml.meta import MetaConfig, adapt_by_gradient_descent, meta_train
+from fsml.meta import ALGORITHMS, MetaConfig, adapt_by_gradient_descent, meta_train
 from fsml.metrics import (
     ConfusionTable,
     cohens_kappa,
@@ -47,8 +50,8 @@ from fsml.ssl import (
     xts_plan,
 )
 from fsml.tensor import Tape, Tensor, grad
-from fsml.tokens import group_spec, presto_regime, xts_regime
-from fsml.train import finetune, same_lr, split_lr
+from fsml.tokens import REGIME_VARIANTS, group_spec, presto_regime, xts_regime
+from fsml.train import FINETUNE_MODES, finetune, same_lr, split_lr
 
 import test_tensor
 
@@ -484,55 +487,100 @@ def test_criterion_08_end_to_end_synthetic_reproduction():
         assert elapsed < 1800, f"criterion 8 runtime {elapsed:.0f}s exceeds 30 minutes"
 
 
-def test_criterion_09_determinism(tmp_path):
-    with criterion(9, "byte-identical reruns"):
-        dataset = tmp_path / "corpus.jsonl"
-        out = tmp_path / "runs"
-        synth = {
-            "schema_version": 1, "mode": "synth-data", "dataset": str(dataset),
-            "out": str(out), "seeds": [0],
-            "synth": {
-                "regions": ["R1", "R2"], "finetune_region": "T1", "n_classes": 4,
-                "n_level4": 4, "samples_per_class": 24, "finetune_samples_per_class": 30,
-                "groups": [{"name": "s2", "channels": 3, "kind": "dynamic"}],
-                "obs_count": [6, 9], "noise_sigma": 0.06, "separability": 1.2, "k_max": 5,
-            },
-        }
-        cli.run(synth)
-        finetune_config = {
-            "schema_version": 1, "mode": "finetune", "dataset": str(dataset),
-            "out": str(out), "seeds": [0],
-            "model": {"embed_dim": 16, "num_heads": 2, "hidden_dim": 32},
-            "finetune": {"source": "scratch", "kshots": [2], "max_epochs": 2,
-                         "regime": "same_lr", "lr_head": 1e-3, "lr_backbone": 1e-3},
-        }
-        meta_config = {
-            "schema_version": 1, "mode": "pretrain-meta", "dataset": str(dataset),
-            "out": str(out), "seeds": [0],
-            "model": {"embed_dim": 16, "num_heads": 2, "hidden_dim": 32},
-            "meta": {"algorithm": "fomaml", "inner_lr": 0.5, "outer_lr": 0.01,
+PIPELINE_MODEL = {"embed_dim": 16, "num_heads": 2, "hidden_dim": 32}
+
+
+def _every_mode_pipeline(out):
+    """Every mode of the command line, with the corpus under ``out``.
+
+    synth-data with two dynamic groups; pretrain-transfer; pretrain-meta with
+    each algorithm; pretrain-ssl with each decoder in each regime; scratch
+    fine-tunes of two seeds in each fine-tune regime and one fine-tune from
+    each checkpoint; tune; and evaluate of every fine-tune, with plots.
+    """
+    dataset = out / "corpus.jsonl"
+    base = {"schema_version": 1, "dataset": str(dataset), "out": str(out), "seeds": [0]}
+    cli.run({
+        **base, "mode": "synth-data",
+        "synth": {
+            "regions": ["R1", "R2"], "finetune_region": "T1", "n_classes": 4,
+            "n_level4": 4, "samples_per_class": 16, "finetune_samples_per_class": 20,
+            "groups": [{"name": "s1", "channels": 2, "kind": "dynamic"},
+                       {"name": "s2", "channels": 3, "kind": "dynamic"}],
+            "obs_count": [5, 9], "noise_sigma": 0.06, "separability": 1.2, "k_max": 4,
+        },
+    })
+    base["model"] = PIPELINE_MODEL
+
+    def checkpoint(config):
+        return next(path for path in cli.run({**base, **config}) if path.endswith(".fsml"))
+
+    checkpoints = {"transfer": checkpoint({
+        "mode": "pretrain-transfer", "transfer": {"batch_size": 32, "max_epochs": 2},
+    })}
+    for algorithm in ALGORITHMS:
+        checkpoints[algorithm] = checkpoint({
+            "mode": "pretrain-meta",
+            "meta": {"algorithm": algorithm, "inner_lr": 0.5, "outer_lr": 0.01,
                      "inner_steps": 1, "n_way": 2, "k_support": 1, "k_query": 1,
-                     "tasks_per_batch": 4, "total_tasks": 8, "validate_every": 8,
-                     "validation_tasks": 5},
-        }
+                     "tasks_per_batch": 4, "total_tasks": 8, "validate_every": 4,
+                     "validation_tasks": 3},
+        })
+    for regime in REGIME_VARIANTS:
+        for decoder in ssl_mod.DECODERS:
+            checkpoints[f"ssl_{regime}_{decoder}"] = checkpoint({
+                "mode": "pretrain-ssl", "model": {**PIPELINE_MODEL, "decoder_blocks": 1},
+                "ssl": {"regime": regime, "decoder": decoder, "max_timesteps": 16,
+                        "position_source": "ordinal" if regime == "presto" else "day_of_year",
+                        "batch_size": 16, "validate_every": 2, "max_batches": 4},
+            })
+    runs = []
+
+    def finetune(label, seeds, **block):
+        results = cli.run({**base, "mode": "finetune", "seeds": seeds, "label": label,
+                           "finetune": {"kshots": [1, 2], "max_epochs": 3, **block}})
+        runs.append(str(Path(results[0]).parent))
+
+    for regime in FINETUNE_MODES:
+        finetune(f"scratch_{regime}", [0, 1], regime=regime)
+    for name, path in checkpoints.items():
+        finetune(name, [0], source="checkpoint", checkpoint=path, regime="split_lr",
+                 lr_backbone=1e-4)
+    cli.run({**base, "mode": "tune",
+             "tune": {"space": {"lr_head": [1e-4, 1e-1]}, "trials": 2, "k": 2,
+                      "regime": "head_only", "max_epochs": 2}})
+    cli.run({"schema_version": 1, "mode": "evaluate", "out": str(out),
+             "evaluate": {"runs": runs, "out_csv": str(out / "results.csv"),
+                          "plots": str(out / "plots")}})
+
+
+def test_criterion_09_determinism(tmp_path, monkeypatch):
+    with criterion(9, "byte-identical reruns of every mode"):
+        out = tmp_path / "runs"
 
         def snapshot():
-            cli.run(finetune_config)
-            cli.run(meta_config)
+            shutil.rmtree(out, ignore_errors=True)
+            _every_mode_pipeline(out)
             return {
                 str(p.relative_to(out)): p.read_bytes()
                 for p in sorted(out.rglob("*"))
                 if p.is_file()
             }
 
+        monkeypatch.setenv("FSML_THREADS", "1")
         first = snapshot()
         second = snapshot()
-        assert first.keys() == second.keys()
-        for name, blob in first.items():
-            assert second[name] == blob, f"artifact {name} differs across reruns"
-        assert any(name.endswith("results.csv") for name in first)
+        monkeypatch.setenv("FSML_THREADS", "2")
+        parallel = snapshot()
+        for rerun in (second, parallel):
+            assert first.keys() == rerun.keys()
+            for name, blob in first.items():
+                assert rerun[name] == blob, f"artifact {name} differs across reruns"
+        assert "corpus.jsonl" in first and "results.csv" in first
         assert any(name.endswith(".fsml") for name in first)
         assert any(name.endswith(".csv") and "traces" in name for name in first)
+        assert any(name.endswith("tuning_log.csv") for name in first)
+        assert sum(name.startswith("plots/") for name in first) == 3 + len(ALGORITHMS) + 5
 
 
 def test_criterion_10_format_roundtrips(tmp_path):

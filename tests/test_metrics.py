@@ -192,12 +192,8 @@ def test_build_report_end_to_end():
     rng = np.random.default_rng(2)
     labels = [codes[i] for i in rng.integers(0, 8, size=100)]
     preds = [codes[i] for i in rng.integers(0, 8, size=100)]
-    report = build_report(
-        preds, labels, majority_class=codes[0], hierarchy=hierarchy,
-        subsets={"overlap": set(codes[:4])},
-    )
+    report = build_report(preds, labels, majority_class=codes[0], hierarchy=hierarchy)
     assert 0.0 <= report.overall_accuracy <= 1.0
     assert -1.0 <= report.kappa <= 1.0
     assert set(report.parent_accuracy) == {3, 4, 6}
     assert report.confusion.total == 100
-    assert "overlap" in report.subset_accuracy

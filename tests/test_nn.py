@@ -3,7 +3,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_grads_close, finite_diff, pad_batch, parcel
+from conftest import array_digest, assert_grads_close, finite_diff, pad_batch, parcel
 from fsml import kernels, nn
 from fsml import tensor as T
 from fsml.errors import ContractError, DegenerateInputError, FsmlError, ParseError, SequenceLengthError
@@ -422,3 +422,16 @@ def test_pack_batch_shapes():
     assert days.tolist() == [[3, 9], [5, 1]]
     assert mask.tolist() == [[True, True], [True, False]]
     assert np.all(values[1, 1] == 0.0)
+
+
+def test_pack_batch_bytes_are_pinned():
+    """Values, days and mask of a ragged two-group batch, packed in an order
+    other than the parcels' own, recorded before ``pack_batch`` packed one
+    group at a time."""
+    rng = np.random.default_rng(41)
+    samples = [
+        parcel(np.sort(rng.choice(np.arange(1, 367), n, replace=False)),
+               {"s1": rng.normal(size=(n, 2)), "s2": rng.normal(size=(n, 3))}, f"p{i}")
+        for i, n in enumerate([4, 1, 7, 3])
+    ]
+    assert array_digest(*nn.pack_batch(samples, ["s2", "s1"])) == "1d23271b2bf63b7834dd011c1f22ea04f69fe08b5a701c0430dab4ded6df30c1"

@@ -3,8 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import assert_grads_close, finite_diff, parcel
-from fsml import nn, ssl
+from conftest import array_digest, assert_grads_close, finite_diff, parcel
+from fsml import nn, ssl, tokens
 from fsml import tensor as T
 from fsml.data import (
     GroupSpec,
@@ -114,15 +114,17 @@ def test_batch_masks_equal_per_sample_masks(strategy):
     samples = _samples(6, np.random.default_rng(12), spec=spec, t=(3, 11))
     lengths = [len(s.days) for s in samples]
     assert len(set(lengths)) > 1
+    model = _tiny_model(spec=spec)
+    batch = encode_token_batch(samples, spec, model.regime, model.init_params(rng_from(13, 0)))
     pad = token_layout(spec, lengths)[3]
     for plan in (base_plan(strategy), xts_plan(strategy)):
         for trial in range(5):
-            batch = ssl._batch_masks(plan, spec, samples, rng_from(13, trial))
+            masks = ssl._batch_masks(plan, spec, batch, rng_from(13, trial))
             rng = rng_from(13, trial)
             drawn = ssl.resolve_strategy(plan, rng)
             alone = [build_mask(plan, spec, max(lengths), rng, padding=row, strategy=drawn)
                      for row in pad]
-            np.testing.assert_array_equal(batch, np.stack(alone))
+            np.testing.assert_array_equal(masks, np.stack(alone))
 
 
 def _tiny_model(variant="self_attention", spec=SPEC1, regime=None):
@@ -300,7 +302,7 @@ def _loc_batch(variant, seed, masked=True):
     samples = _mixed_batch(np.random.default_rng(seed))
     params = model.init_params(rng_from(seed, 1))
     batch = encode_token_batch(samples, SPEC_LOC, model.regime, params)
-    masks = ssl._batch_masks(base_plan("random"), SPEC_LOC, samples, rng_from(seed, 2))
+    masks = ssl._batch_masks(base_plan("random"), SPEC_LOC, batch, rng_from(seed, 2))
     masks[batch.pad.sum(axis=1).argmax()] = False  # the shortest row has no masked cell
     if not masked:
         masks[:] = False
@@ -541,6 +543,43 @@ def test_mae_step_and_token_classifier_step_record_pinned_tape_sizes(monkeypatch
         logits = clf.logits(*nn.split_params(params), samples[:16])
         grad(nn.cross_entropy(logits, np.arange(16) % 4), list(params.values()))
     assert closed == [57, 32]
+
+
+@pytest.mark.parametrize("variant, plan, digest", [
+    ("self_attention", base_plan("mixed"), "36bad79a62c06224226378e82909fd3f386f9724f7250ef610a925e178fff296"),
+    ("cross_attention", xts_plan("mixed"), "072940c1d93833b24437d0fec6984394c56b52e77996abb3cfa050efa6272c33"),
+], ids=["self_attention", "cross_attention"])
+def test_mae_step_gradients_are_pinned(variant, plan, digest):
+    """The loss and every parameter gradient of one step on a ragged batch
+    with a location token, recorded before the encoder packed through
+    ``nn.pack_batch`` and its channel rows became a one-hot matmul.  The
+    bits depend on the NumPy and BLAS build; re-record them on another."""
+    samples = _ssl_corpus().pretrain_pool()[:12]
+    stats = normalization_stats(samples, SPEC_LOC)
+    model = MaskedAutoencoder(nn.TransformerConfig(16, 2, 32, 1, 1, 64), SPEC_LOC,
+                              xts_regime(16, max_timesteps=16), variant)
+    params = model.init_params(rng_from(4, 1))
+    loss, grads = mae_step(params, model, samples, plan, rng_from(4, 2), stats)
+    names = sorted(params)
+    assert sorted(grads) == names and {"ctx/location", "ctx/s1", "ctx/s2"} <= set(names)
+    assert array_digest(np.float64(loss), *[grads[k] for k in names]) == digest
+
+
+def test_mae_step_lays_out_its_batch_once(monkeypatch):
+    calls = []
+    real = tokens.token_layout
+
+    def counting(spec, lengths):
+        calls.append(len(lengths))
+        return real(spec, lengths)
+
+    for module in (tokens, ssl):
+        monkeypatch.setattr(module, "token_layout", counting)
+    samples = _mixed_batch(np.random.default_rng(6))
+    model = _tiny_model("cross_attention", spec=SPEC_LOC)
+    mae_step(model.init_params(rng_from(6, 1)), model, samples, base_plan("mixed"),
+             rng_from(6, 2))
+    assert calls == [len(samples)]
 
 
 def test_pretrain_ssl_improves_and_is_deterministic():

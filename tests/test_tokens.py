@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import fsml
-from conftest import parcel
+from conftest import array_digest, parcel
 from fsml.errors import ContractError, SequenceLengthError
 from fsml.nn import sinusoidal_encoding
 from fsml.seeding import rng_from
@@ -85,7 +85,7 @@ def test_token_count_random_specs():
             np.sort(rng.choice(np.arange(1, 367), size=t, replace=False)),
             spec.groups, np.random.default_rng(3),
         )
-        tokens, context, cells = encode_tokens([sample], spec, regime, params)
+        tokens, context, cells, _ = encode_tokens([sample], spec, regime, params)
         assert tokens.shape == context.shape == (1, n_static + n_dynamic * t, 16)
         assert cells.shape == (1, spec.token_count(t), max(g.channels for g in spec.groups))
 
@@ -112,8 +112,10 @@ def test_batched_tokens_equal_row_formula():
     samples = [sample_with(days, spec.groups, rng) for days in ([5, 40], [3, 90, 200, 300], [17])]
     for s in samples:
         s.lon = s.lat = 0.0  # the centroid's Cartesian vector is [1, 0, 0]
-    tokens, context, cells = encode_tokens(samples, spec, regime, params)
-    _, group_index, time_index, pad = token_layout(spec, [2, 4, 1])
+    tokens, context, cells, layout = encode_tokens(samples, spec, regime, params)
+    _, group_index, time_index, pad = layout
+    for got, expected in zip(layout, token_layout(spec, [2, 4, 1])):
+        np.testing.assert_array_equal(got, expected)
     for b, sample in enumerate(samples):
         temporal = temporal_encoding(regime, sample.days)
         for n, (gi, t) in enumerate(zip(group_index, time_index)):
@@ -131,6 +133,33 @@ def test_batched_tokens_equal_row_formula():
             np.testing.assert_array_equal(cells[b, n, : g.channels], raw)
 
 
+@pytest.mark.parametrize("regime, with_stats, digest", [
+    (presto_regime(16), False, "61a56ec024ba4d04cfcfb0f8f2e3e4a8d73d5bc1879384ea3395e504ae8c5a20"),
+    (presto_regime(16), True, "971a9a1f220ad9d013534e73a38e96ed4dae14d168251e42877026f45aac8175"),
+    (xts_regime(16), False, "06fc702a6dcd5d076f2bbe28ca878ae7bd539d2992c635039339ccaa402861ad"),
+    (xts_regime(16), True, "609585a1c15dec13b6d96f2f613fa0923ed18b4f0ef5ca2f4a50bddf7c27cc53"),
+], ids=["presto", "presto-stats", "xts", "xts-stats"])
+def test_encoded_tokens_are_pinned(regime, with_stats, digest):
+    """Tokens, contexts and cells of a ragged batch with a location token,
+    recorded before the encoder packed through ``nn.pack_batch``.  The bits
+    depend on the NumPy and BLAS build; re-record them on another."""
+    spec = group_spec(("location", 3, "static"), ("s1", 2, "dynamic"), ("s2", 3, "dynamic"))
+    params = token_params(rng_from(5, 0), spec, regime)
+    rng = np.random.default_rng(17)
+    samples = []
+    for n in (3, 9, 1, 6):
+        sample = sample_with(np.sort(rng.choice(np.arange(1, 367), n, replace=False)),
+                             spec.groups, rng)
+        sample.lon, sample.lat = rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi / 2, np.pi / 2)
+        samples.append(sample)
+    stats = None
+    if with_stats:
+        stats = {g.name: (rng.normal(size=g.channels), rng.uniform(0.5, 2.0, g.channels))
+                 for g in spec.dynamic_groups}
+    tokens, context, cells, _ = encode_tokens(samples, spec, regime, params, stats)
+    assert array_digest(tokens.values, context.values, cells) == digest
+
+
 def test_zero_projection_token_equals_context():
     spec = group_spec(("s2", 3, "dynamic"))
     regime = presto_regime(16)
@@ -138,7 +167,7 @@ def test_zero_projection_token_equals_context():
     params = token_params(rng, spec, regime)
     params["proj/s2/w"].values[:] = 0.0  # bias already zero
     sample = sample_with([40, 70], spec.groups, np.random.default_rng(1))
-    tokens, context, _ = encode_tokens([sample], spec, regime, params)
+    tokens, context, _, _ = encode_tokens([sample], spec, regime, params)
     temporal = temporal_encoding(regime, [40, 70])
     expected = np.concatenate(
         [np.tile(params["ctx/s2"].values, (2, 1)), temporal], axis=1
@@ -155,7 +184,7 @@ def test_identical_values_differ_only_in_sin_slice():
     fixed = rng.random(3)
     # two days in the same calendar month: identical p_month rows
     sample = parcel([92, 105], {"s2": [fixed, fixed]})
-    tokens, _, _ = encode_tokens([sample], spec, regime, params)
+    tokens, _, _, _ = encode_tokens([sample], spec, regime, params)
     delta = tokens.values[0, 0] - tokens.values[0, 1]
     ch, sin, month = regime.slices()
     assert np.any(delta[sin] != 0.0)
@@ -246,8 +275,7 @@ def test_static_group_has_zero_temporal_encoding():
     params = token_params(rng_from(0, 6), spec, regime)
     sample = sample_with([15, 75], spec.groups, np.random.default_rng(4))
     sample.lon = sample.lat = 0.0  # the centroid's Cartesian vector is [1, 0, 0]
-    tokens, _, cells = encode_tokens([sample], spec, regime, params)
-    _, _, time_index, _ = token_layout(spec, [2])
+    tokens, _, cells, (_, _, time_index, _) = encode_tokens([sample], spec, regime, params)
     assert time_index[0] == -1
     static_token = tokens.values[0, 0]
     raw = np.array([1.0, 0.0, 0.0])
