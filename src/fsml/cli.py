@@ -101,13 +101,10 @@ class SourceBlock:
 
     source: Literal["scratch", "checkpoint"] = "scratch"
     checkpoint: str | None = None  # "{seed}" is replaced by the run seed
-    validation_limit: int | None = None
 
     def __post_init__(self):
         if self.source == "checkpoint" and self.checkpoint is None:
             raise ContractError('checkpoint: required when source is "checkpoint"')
-        if self.validation_limit is not None:
-            require_counts(validation_limit=self.validation_limit)
 
 
 @dataclass
@@ -392,8 +389,13 @@ def _load_init(finetune_block, model_config, corpus, seed):
     backbone = {k: nn.Tensor(v) for k, v in nn.split_params(arrays)[0].items()
                 if not k.endswith("/attn/k/b")}
     # Each array of the model's own initial backbone must be there at its
-    # shape; a fresh generator draws that backbone, so no run's stream moves.
-    for key, init in model.init_backbone(rng_from(0, STREAM_INIT)).items():
+    # shape, and no other; a fresh generator draws that backbone, so no run's
+    # stream moves.
+    needed = model.init_backbone(rng_from(0, STREAM_INIT))
+    extra = sorted(backbone.keys() - needed.keys())
+    if extra:
+        raise ParseError(f"checkpoint {path!r}: backbone/{extra[0]}: the model has no such parameter")
+    for key, init in needed.items():
         if key not in backbone:
             raise ParseError(f"checkpoint {path!r}: backbone/{key}: missing")
         if backbone[key].shape != init.shape:
@@ -411,7 +413,6 @@ def _finetune_one_seed(seed, block, model_config, label, chash, out, corpus):
         params, report, info = finetune(
             corpus, model, backbone, block.fine_tune, k, seed,
             max_epochs=block.max_epochs, batch_size=block.batch_size,
-            validation_limit=block.validation_limit,
         )
         write_json(root / "reports" / f"{label}_k{k}.json",
                    {"config_hash": chash, "seed": seed, "label": label, "k": k, **report.to_json()})
@@ -509,10 +510,8 @@ def _mode_tune(config, blocks, chash):
 
     def objective(trial_config):  # the regime's rates, as TuneBlock checked
         regime = _finetune_regime(block.regime, **trial_config)
-        _, _, info = finetune(
-            corpus, model, backbone, regime, block.k, seed,
-            max_epochs=block.max_epochs, validation_limit=block.finetune.validation_limit,
-        )
+        _, _, info = finetune(corpus, model, backbone, regime, block.k, seed,
+                              max_epochs=block.max_epochs)
         return max(row["val_accuracy"] for row in info["trace"])
 
     best, score, log = train_mod.random_search(block.space, block.trials, seed, objective)

@@ -33,10 +33,6 @@ class SequenceLengthError(ContractError):
     """A token/observation sequence exceeds the configured maximum length."""
 
 
-class DomainError(FsmlError):
-    """Numeric input outside the mathematical domain of an operation."""
-
-
 class DegenerateInputError(FsmlError):
     """Input is structurally valid but degenerate (e.g. empty after filtering)."""
 

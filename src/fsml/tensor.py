@@ -5,8 +5,11 @@ enter/exit scoping).  :func:`grad` replays the recorded adjoint rules in
 reverse.  Every adjoint rule is itself composed of the same primitives, so
 gradients computed with ``create_graph=True`` are tape-recorded and can be
 differentiated again, which is what makes full second-order meta-gradients
-possible.  The record ends with the scope: on exit the tape releases its
-nodes, and gradients of the tensors it recorded can no longer be taken.
+possible.  Second order is the ceiling: differentiating such a gradient
+once more through ``gelu`` or ``layer_norm`` raises ContractError (see the
+adjoint ops below).  The record ends with the scope: on exit the tape
+releases its nodes, and gradients of the tensors it recorded can no longer
+be taken.
 
 Recording state is per process: ``Tape`` scopes and :func:`paused` keep one
 module-level "recording tape or ``None``" up to date, so a primitive asks one
@@ -31,20 +34,18 @@ of its forward that its adjoint ops read instead of recomputing it, when it
 is computed with the same float ops as the recomputation, so that every
 result keeps its bits.  A ``layer_norm`` node keeps each row's
 ``1 / sqrt(var + eps)`` (one ``[..., 1]`` array), taken from the variance
-its forward computed; its adjoint op and that op's own adjoint read it, and
-only a recording replay of the latter rebuilds it from primitives, as a
-function of the input.  A ``gelu`` node keeps its forward's ``tanh`` (one
-array shaped like its input), which the slope op reads, and the slope that
-a recording replay built, which later replays multiply by; a slope built
+its forward computed; its adjoint op and that op's own adjoint read it.  A
+``gelu`` node keeps its forward's ``tanh`` (one array shaped like its
+input), which the slope op and its adjoint read, and the slope that a
+recording replay built, which later replays multiply by; a slope built
 while paused is not kept, so a first-order tape holds no more than the
 ``tanh``.  An ``attention`` node keeps its softmax weights (one
 ``[batch, heads, Tq, Tk]`` array) and its three inputs, as the matmuls of
 the chain it replaces did, but never the scores; a recording replay records
 the kept weights as one op of ``q`` and ``k`` instead of recomputing them.
 Likewise a recording replay records a ``layer_norm`` node's normalized rows
-and the slope op's ``tanh`` as one op of the input each.  A
-``log_softmax_pick`` node keeps its shifted exps and their row sums, and a
-recording replay records the exps as one op.
+as one op of the input.  A ``log_softmax_pick`` node keeps its shifted exps
+and their row sums, and a recording replay records the exps as one op.
 
 Fan-in.  Without ``create_graph``, ``grad`` sums the contributions to one
 adjoint in place, but only in an array it allocated itself for that sum:
@@ -56,10 +57,10 @@ input, a kept array or a ``g`` it was handed, and it keeps the float ops of
 the plain expression in their order.
 
 The primitive set is fixed: add, sub, mul, div, matmul, linear, transpose,
-reshape, concat, slice_axis, reduce_sum, reduce_mean, power, gelu,
-layer_norm, attention, log_softmax_pick.  ``matmul`` takes a flag per
-operand that swaps its last two axes, so its adjoint records one matmul per
-operand and no transpose; ``transpose`` takes its permutation explicitly.
+reshape, concat, slice_axis, reduce_sum, reduce_mean, gelu, layer_norm,
+attention, log_softmax_pick.  ``matmul`` takes a flag per operand that swaps
+its last two axes, so its adjoint records one matmul per operand and no
+transpose; ``transpose`` takes its permutation explicitly.
 A row gather from a table is a matmul with a constant one-hot operand.
 ``linear`` is a linear layer's ``x @ w + b`` and ``layer_norm`` takes an
 optional affine ``gain`` and ``bias``, each one node.  ``attention`` is the
@@ -69,14 +70,17 @@ cross-entropy's log-softmax at each row's label, each one node.  A paused replay
 float ops of the primitive chain it replaces, so first-order gradients keep
 their bits.
 
-Adjoint ops: _gelu_slope, _gelu_tanh, _layer_norm_grad, _normalized,
-_attention_weights, _shifted_exp.  An adjoint rule records each as one op
-of its own, whose adjoint is again built from primitives: gelu's records
-its slope and the slope's the kept ``tanh``, layer_norm's its kept
-normalized rows and their whole input gradient, attention's its kept
-softmax weights as a function of ``q`` and ``k``, and log_softmax_pick's
-its kept exps.  A :class:`Tensor` has no arithmetic operators or methods:
-every computation calls these functions by name.
+Adjoint ops: _gelu_slope, _layer_norm_grad, _normalized, _attention_weights,
+_shifted_exp.  An adjoint rule records each as one op of its own: gelu's
+records its slope, layer_norm's its kept normalized rows and their whole
+input gradient, attention's its kept softmax weights as a function of ``q``
+and ``k``, and log_softmax_pick's its kept exps.  The adjoints of the rows,
+the weights and the exps record in turn, like any rule.  The adjoints of the
+slope and of the layer_norm gradient read the kept ``tanh`` and ``inv`` as
+constants, so they run paused only: a recording replay of either, which a
+third derivative through gelu or layer_norm needs, raises ContractError.
+A :class:`Tensor` has no arithmetic operators or methods: every computation
+calls these functions by name.
 """
 
 from __future__ import annotations
@@ -88,7 +92,7 @@ import numpy as np
 
 from . import kernels
 from .kernels import GELU_CUBIC, SQRT_2_OVER_PI
-from .errors import ContractError, DomainError, ShapeError
+from .errors import ContractError, ShapeError
 
 _tapes = []  # open Tape scopes, innermost last
 _pause_depth = 0
@@ -588,23 +592,6 @@ def reduce_mean(a, axis=None, keepdims=False):
     return _record(out, (a,), vjp)
 
 
-def power(a, exponent):
-    a = _lift(a)
-    exponent = float(exponent)
-    if np.any(a.values < 0) and exponent != int(exponent):
-        raise DomainError(f"power: negative base with fractional exponent {exponent}")
-    out = Tensor(a.values**exponent)
-    if _recording is None:
-        return out
-
-    def vjp(g):
-        if exponent == 0.0:
-            return (mul(g, 0.0),)
-        return (mul(mul(g, exponent), power(a, exponent - 1.0)),)
-
-    return _record(out, (a,), vjp)
-
-
 def gelu(a):
     """GELU with the tanh approximation (recorded design decision)."""
     a = _lift(a)
@@ -628,14 +615,9 @@ def gelu(a):
     return _record(out, (a,), vjp)
 
 
-def _gelu_inner_slope(a):
-    """d inner / da for gelu's ``inner = sqrt(2/pi) (a + c a^3)``, from primitives."""
-    return mul(add(mul(mul(a, a), 3.0 * GELU_CUBIC), 1.0), SQRT_2_OVER_PI)
-
-
 def _gelu_slope(a, t):
     """d gelu / da from the forward's ``t = tanh(inner)``, recorded as one op
-    whose adjoint is built from primitives.
+    whose adjoint, built from primitives, runs paused only.
 
     A second-order tape thus holds one slope array per gelu instead of the
     dozen intermediates of a slope composed of primitives.
@@ -658,26 +640,15 @@ def _gelu_slope(a, t):
         return out
 
     def vjp(g):
-        # slope' = sech^2 * (u' + a/2 * (u'' - 2 tanh(u) u'^2)), u = inner;
-        # both replays read the forward's tanh, a recording one through an op of a
-        tanh = t if _recording is None else _gelu_tanh(a, t)
-        du = _gelu_inner_slope(a)
+        # slope' = sech^2 * (u' + a/2 * (u'' - 2 tanh(u) u'^2)), u = inner,
+        # with the forward's tanh as a constant
+        if _recording is not None:
+            raise ContractError("grad: a third derivative through gelu is not supported")
+        du = mul(add(mul(mul(a, a), 3.0 * GELU_CUBIC), 1.0), SQRT_2_OVER_PI)
         ddu = mul(a, 6.0 * GELU_CUBIC * SQRT_2_OVER_PI)
-        bend = sub(ddu, mul(mul(tanh, 2.0), mul(du, du)))
-        curvature = mul(sub(1.0, mul(tanh, tanh)), add(du, mul(mul(a, 0.5), bend)))
+        bend = sub(ddu, mul(mul(t, 2.0), mul(du, du)))
+        curvature = mul(sub(1.0, mul(t, t)), add(du, mul(mul(a, 0.5), bend)))
         return (mul(g, curvature),)
-
-    return _record(out, (a,), vjp)
-
-
-def _gelu_tanh(a, t):
-    """A gelu node's kept ``t = tanh(inner)`` as a function of ``a``, recorded
-    as one op (callers check that a tape records) whose adjoint is built
-    from primitives."""
-    out = Tensor(t)
-
-    def vjp(h):
-        return (mul(h, mul(sub(1.0, mul(out, out)), _gelu_inner_slope(a))),)
 
     return _record(out, (a,), vjp)
 
@@ -706,7 +677,7 @@ def layer_norm(a, eps=1e-5, gain=None, bias=None):
     if _recording is None:
         return out
     # the forward's variance, so no replay recomputes it; the same bits as
-    # the primitive chain in _layer_norm_grad's adjoint
+    # (mean((a - mean(a))^2) + eps) ** -0.5 recomputed from the input
     inv = (var + eps) ** -0.5
     da, dgain, dbias = given
     shape_a, shape_scaled = a.shape, scaled.shape
@@ -715,11 +686,11 @@ def layer_norm(a, eps=1e-5, gain=None, bias=None):
         # a recording replay reads the normalized rows through an op of a,
         # so that the gain's gradient and _layer_norm_grad's inputs carry
         # their derivatives in a
-        rows = Tensor(normed) if _recording is None else _normalized(a, normed, eps, inv)
+        rows = Tensor(normed) if _recording is None else _normalized(a, normed, inv)
         g_scaled = _unbroadcast(g, shape_scaled)
         g_rows = g_scaled if gain is None else _unbroadcast(mul(g_scaled, gain), shape_a)
         return (
-            _layer_norm_grad(g_rows, a, rows, eps, inv) if da else None,
+            _layer_norm_grad(g_rows, a, rows, inv) if da else None,
             _unbroadcast(mul(g_scaled, rows), gain.shape) if dgain else None,
             _unbroadcast(g, bias.shape) if dbias else None,
         )
@@ -727,25 +698,24 @@ def layer_norm(a, eps=1e-5, gain=None, bias=None):
     return _record(out, (a if da else None, gain if dgain else None, bias if dbias else None), vjp)
 
 
-def _normalized(a, y, eps, inv):
+def _normalized(a, y, inv):
     """A layer_norm node's normalized rows ``y`` as a function of ``a``,
     recorded as one op (callers check that a tape records) whose adjoint is
     :func:`_layer_norm_grad`."""
     out = Tensor(y)
 
     def vjp(h):
-        return (_layer_norm_grad(h, a, out, eps, inv),)
+        return (_layer_norm_grad(h, a, out, inv),)
 
     return _record(out, (a,), vjp)
 
 
-def _layer_norm_grad(g, a, out, eps, inv):
+def _layer_norm_grad(g, a, out, inv):
     """d layer_norm(a) / da applied to ``g``: inv * (g - mean(g) - out * mean(g * out)).
 
     ``inv`` is the layer_norm node's 1 / sqrt(var + eps) per row.  Recorded
-    as one op whose adjoint is built from primitives, so a second-order tape
-    holds one node per layer norm instead of a dozen; when nothing records,
-    the adjoint is NumPy with the same float ops.
+    as one op, so a second-order tape holds one node per layer norm instead
+    of a dozen; its adjoint, which runs paused only, is NumPy.
     """
     gv, y = g.values, out.values
     buf = np.multiply(gv, y)
@@ -760,29 +730,20 @@ def _layer_norm_grad(g, a, out, eps, inv):
     def vjp(h):
         # The Jacobian in g is a symmetric projection, so g takes the same op
         # of h.  out enters bilinearly with g; a enters only through inv,
-        # whose derivative is -inv^2 * out / n.  Only a recording replay
-        # needs inv as a function of a.
+        # whose derivative is -inv^2 * out / n.
+        if _recording is not None:
+            raise ContractError("grad: a third derivative through layer_norm is not supported")
         n = a.shape[-1]
-        if _recording is None:  # the float ops of the primitive chain below
-            hv = h.values
-            buf = np.multiply(hv, y)
-            hy = _mean_rows(buf)
-            g_out = np.multiply(hv, gy_mean)
-            g_out += np.multiply(gv, hy, out=buf)
-            g_out *= inv * -1.0
-            h_dx = np.add.reduce(np.multiply(hv, value, out=buf), axis=-1, keepdims=True)
-            g_a = np.multiply(y, inv / -n)
-            g_a *= h_dx
-            return (_layer_norm_grad(h, a, out, eps, inv), Tensor(g_a), Tensor(g_out))
-        mu = reduce_mean(a, axis=-1, keepdims=True)
-        c = sub(a, mu)
-        inv_t = power(add(reduce_mean(mul(c, c), axis=-1, keepdims=True), eps), -0.5)
-        gy = reduce_mean(mul(g, out), axis=-1, keepdims=True)
-        hy = reduce_mean(mul(h, out), axis=-1, keepdims=True)
-        g_out = mul(mul(inv_t, -1.0), add(mul(h, gy), mul(g, hy)))
-        h_dx = reduce_sum(mul(h, result), axis=-1, keepdims=True)
-        g_a = mul(mul(out, div(inv_t, -n)), h_dx)
-        return (_layer_norm_grad(h, a, out, eps, inv), g_a, g_out)
+        hv = h.values
+        buf = np.multiply(hv, y)
+        hy = _mean_rows(buf)
+        g_out = np.multiply(hv, gy_mean)
+        g_out += np.multiply(gv, hy, out=buf)
+        g_out *= inv * -1.0
+        h_dx = np.add.reduce(np.multiply(hv, value, out=buf), axis=-1, keepdims=True)
+        g_a = np.multiply(y, inv / -n)
+        g_a *= h_dx
+        return (_layer_norm_grad(h, a, out, inv), Tensor(g_a), Tensor(g_out))
 
     return _record(result, (g, a, out), vjp)
 

@@ -58,6 +58,9 @@ class ChannelGroupSpec:
         names = [g.name for g in self.groups]
         if len(set(names)) != len(names):
             raise ContractError(f"duplicate group names in {names}")
+        for g in self.static_groups:  # the location token is a 3-channel centroid
+            if g.name == "location" and g.channels != 3:
+                raise ContractError(f"static group location: declares {g.channels} channels, needs 3")
 
     @property
     def static_groups(self):

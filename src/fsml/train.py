@@ -18,7 +18,6 @@ from . import metrics as metrics_mod
 from . import nn
 from .data import (
     FINETUNE_POOL,
-    FIXED_VALIDATION_POINTS,
     PRETRAIN_POOL,
     fixed_validation_subset,
     require_splits,
@@ -313,23 +312,20 @@ def kshot_subset(train_samples, k, seed):
 
 
 def finetune(corpus, model, init_backbone, regime, k, seed,
-             max_epochs=FINETUNE_MAX_EPOCHS, batch_size=FINETUNE_BATCH_SIZE,
-             validation_limit=None):
+             max_epochs=FINETUNE_MAX_EPOCHS, batch_size=FINETUNE_BATCH_SIZE):
     """Fine-tune a backbone on the k-shot subset of the fine-tuning split.
 
     Early stopping watches validation loss on the fixed validation points;
     the retained checkpoint is the best validation accuracy.  Evaluation runs
     on the full test split and returns a MetricsReport.
     """
-    if validation_limit is None:
-        validation_limit = FIXED_VALIDATION_POINTS
-    require_counts(max_epochs=max_epochs, batch_size=batch_size, validation_limit=validation_limit)
+    require_counts(max_epochs=max_epochs, batch_size=batch_size)
     pool = corpus.finetune_pool()
     class_order = sorted({s.label for s in pool})
     index = {c: i for i, c in enumerate(class_order)}
     train, validation, test = require_splits(pool, FINETUNE_POOL, "train", "validation", "test")
     train = kshot_subset(train, k, seed)
-    validation = fixed_validation_subset(validation, limit=validation_limit)
+    validation = fixed_validation_subset(validation)
 
     head = nn.new_head(rng_from(seed, STREAM_HEAD_RESET), model.config.embed_dim, len(class_order))
     params = copy_params(join_params(init_backbone, head))

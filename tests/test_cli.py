@@ -150,8 +150,10 @@ def test_every_config_field_is_accepted_and_typos_are_rejected():
     *[("tune", {"tune": {"space": {}, "finetune": {key: value}}}, f"tune.finetune.{key}: unknown key")
       for key, value in [("regime", "same_lr"), ("lr_head", 0.1), ("lr_backbone", 0.1),
                          ("kshots", [1]), ("max_epochs", 2), ("batch_size", 8)]],
-    ("tune", {"tune": {"space": {}, "finetune": {"validation_limit": "3"}}},
-     "tune.finetune.validation_limit: must be an integer"),
+    # fine-tuning always validates on the fixed validation points
+    ("finetune", {"finetune": {"validation_limit": 3}}, "finetune.validation_limit: unknown key"),
+    ("tune", {"tune": {"space": {}, "finetune": {"validation_limit": 3}}},
+     "tune.finetune.validation_limit: unknown key"),
     ("tune", {"tune": {"space": {}, "trials": 2.5}}, "tune.trials: must be an integer"),
     ("tune", {"tune": {"space": [], "k": 2}}, "tune.space: must be an object"),
     ("tune", {"tune": {"space": {}, "finetune": 3}}, "tune.finetune: must be an object"),
@@ -206,12 +208,9 @@ def test_every_config_field_is_accepted_and_typos_are_rejected():
     ("pretrain-transfer", {"dataset": 5}, "dataset: must be a string"),
     ("synth-data", {"synth": {}, "out": 5}, "out: must be a string"),
     ("pretrain-meta", {"meta": {"algorithm": "maml"}, "label": 5}, "label: must be a string"),
-    # 0 is no default for the validation limit, and patience counts validations
+    # patience counts validations
     *[(mode, blocks, f"{path}: must be an integer >= 1") for value in (0, -1)
       for mode, blocks, path in [
-          ("finetune", {"finetune": {"validation_limit": value}}, "finetune.validation_limit"),
-          ("tune", {"tune": {"space": {}, "finetune": {"validation_limit": value}}},
-           "tune.finetune.validation_limit"),
           ("pretrain-transfer", {"transfer": {"patience": value}}, "transfer.patience"),
           ("pretrain-ssl", {"ssl": {"patience": value}}, "ssl.patience"),
       ]],
@@ -436,6 +435,23 @@ def test_synth_data_with_more_observations_than_days_exits_1_without_a_traceback
     assert "Traceback" not in err and not dataset.exists()
 
 
+@pytest.mark.parametrize("s2_channels", [2, 3])
+def test_location_group_of_another_width_exits_1_without_a_traceback(tmp_path, capsys, s2_channels):
+    # the location token is each parcel's 3-channel Cartesian centroid
+    dataset, out = tmp_path / "corpus.jsonl", tmp_path / "runs"
+    config = synth_config(dataset, out)
+    config["synth"] = {**SYNTH_BLOCK, "groups": [
+        {"name": "location", "channels": 2, "kind": "static"},
+        {"name": "s2", "channels": s2_channels, "kind": "dynamic"}]}
+    assert _main_on(tmp_path, config) == 0
+    capsys.readouterr()
+    ssl = {"schema_version": 1, "mode": "pretrain-ssl", "dataset": str(dataset), "out": str(out),
+           "seeds": [0], "model": MODEL_BLOCK, "ssl": {"max_batches": 1}}
+    assert _main_on(tmp_path, ssl) == 1
+    err = capsys.readouterr().err
+    assert err == "error [ContractError]: static group location: declares 2 channels, needs 3\n"
+
+
 def test_shipped_configs_are_valid():
     paths = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
     assert paths
@@ -607,8 +623,11 @@ S2 = {"name": "s2", "channels": 3, "kind": "dynamic"}
      "bad 'spec' metadata: spec: duplicate group names in ['s2', 's2']"),
     ({**_model_metadata(), **_token_metadata([{**S2, "kind": "static"}])},
      "bad 'spec' metadata: spec: need at least one dynamic channel group"),
+    ({**_model_metadata(), **_token_metadata([{"name": "location", "channels": 2, "kind": "static"},
+                                              S2])},
+     "bad 'spec' metadata: spec: static group location: declares 2 channels, needs 3"),
 ], ids=["model-not-json", "model-unknown-key", "in-channels-not-integer", "spec-repeated-group",
-        "spec-no-dynamic-group"])
+        "spec-no-dynamic-group", "spec-narrow-location"])
 def test_bad_checkpoint_metadata_is_a_parse_error_naming_it(tmp_path, capsys, meta, problem):
     dataset, out = tmp_path / "corpus.jsonl", tmp_path / "runs"
     run(synth_config(dataset, out))
@@ -652,13 +671,15 @@ def test_bad_report_is_a_parse_error_naming_it(tmp_path, capsys, content, proble
      "backbone/enc0/attn/k/w: missing"),
     ("checkpoint", lambda _, arrays: arrays.update({"backbone/in/w": np.zeros((4, 16))}),
      "backbone/in/w: has shape (4, 16), the model needs (3, 16)"),
+    ("checkpoint", lambda _, arrays: arrays.update({"backbone/extra/w": np.zeros((2, 2))}),
+     "backbone/extra/w: the model has no such parameter"),
     ("manifest", lambda manifest: manifest["split_fractions"].update(pretrain=[0.8, 0.2]),
      "split_fractions.pretrain: must be an object"),
     ("manifest", lambda manifest: manifest["split_fractions"]["finetune"].update(train="0.6"),
      "split_fractions.finetune.train: must be a number"),
     ("manifest", lambda manifest: manifest.update(bogus=1), "bogus: unknown key"),
 ], ids=["model-float-dim", "model-zero-dim", "spec-not-list", "spec-string-channels",
-        "backbone-missing", "backbone-misshaped", "fractions-list", "fraction-string",
+        "backbone-missing", "backbone-misshaped", "backbone-extra", "fractions-list", "fraction-string",
         "manifest-unknown-key"])
 def test_mistyped_lab_file_is_a_parse_error_naming_it_and_the_key(tmp_path, capsys, target,
                                                                    corrupt, problem):

@@ -634,7 +634,7 @@ def test_meta_train_smoke_every_algorithm(algorithm):
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_diverged_inner_loop_carries_step_index():
     def explode(p):
-        return T.mul(T.power(p["w"], 300.0), 1e300)
+        return T.mul(T.mul(p["w"], 1e300), 1e300)
 
     with Tape():
         with pytest.raises(DivergedError, match="step"):

@@ -11,7 +11,7 @@ import pytest
 from conftest import finite_diff, rel_error
 from fsml import kernels, nn
 from fsml import tensor as T
-from fsml.errors import ContractError, DomainError, ShapeError
+from fsml.errors import ContractError, ShapeError
 from fsml.kernels import GELU_CUBIC, SQRT_2_OVER_PI
 from fsml.tensor import Tape, Tensor, grad
 
@@ -95,7 +95,6 @@ _case("concat", lambda r: (lambda w: (lambda ts: _weighted(w)(T.concat([ts[0], t
 _case("slice", lambda r: (lambda w: (lambda ts: _weighted(w)(T.slice_axis(ts[0], 1, 1, 3))))(r.standard_normal((3, 2))))
 _case("sum", lambda r: (lambda w: (lambda ts: _weighted(w)(T.reduce_sum(ts[0], axis=1))))(r.standard_normal((3,))))
 _case("mean", lambda r: (lambda w: (lambda ts: _weighted(w)(T.reduce_mean(ts[0], axis=0, keepdims=True))))(r.standard_normal((1, 4))))
-_case("power", lambda r: (lambda w: (lambda ts: _weighted(w)(T.power(ts[0], 2.5))))(r.standard_normal((3, 4))))
 _case("gelu", lambda r: (lambda w: (lambda ts: _weighted(w)(T.gelu(ts[0]))))(r.standard_normal((3, 4))))
 _case("layer_norm", lambda r: (lambda w: (lambda ts: _weighted(w)(T.layer_norm(ts[0]))))(r.standard_normal((3, 4))))
 
@@ -135,15 +134,11 @@ def _inputs_for(case_id, r):
         return [r.standard_normal((3, 3)), r.standard_normal((3, 4))]
     if case_id == "slice":
         return [r.standard_normal((3, 5))]
-    if case_id == "power":
-        return [r.random((3, 4)) + 0.5]
     if case_id == "div":
         return [r.standard_normal((3, 4)), r.random((3, 4)) + 0.5]
     if case_id == "sum":
         return [r.standard_normal((3, 4))]
     if case_id == "mean":
-        return [r.standard_normal((5, 4))]
-    if case_id == "embedding":
         return [r.standard_normal((5, 4))]
     if case_id in ("add", "sub", "mul"):
         return [r.standard_normal((3, 4)), r.standard_normal((3, 4))]
@@ -305,7 +300,8 @@ def test_gradient_linearity():
         return T.reduce_sum(T.mul(T.gelu(t), t))
 
     def g(t):
-        return T.reduce_mean(T.power(T.mul(t, 0.3), 3.0))
+        u = T.mul(t, 0.3)
+        return T.reduce_mean(T.mul(T.mul(u, u), u))
 
     with Tape():
         t = Tensor(x0)
@@ -366,13 +362,6 @@ def test_shape_mismatch_names_both_shapes():
             message = str(err.value)
             assert op.__name__ in message
             assert "(2, 3)" in message and "(4,)" in message
-
-
-def test_domain_errors():
-    with pytest.raises(DomainError, match="negative base"):
-        T.power(Tensor([4.0, -1.0]), 0.5)
-    with pytest.raises(DomainError, match="negative base"):
-        T.power(Tensor([-0.5]), -1.5)
 
 
 def test_grad_requires_scalar_output():
@@ -446,7 +435,7 @@ def _one_of_each_primitive(x, y):
         T.matmul(x, T.transpose(y, (1, 0))), T.matmul(x, y, transpose_a=True),
         T.matmul(y, x, transpose_b=True), T.transpose(x, (1, 0)),
         T.reshape(x, (4, 3)), T.concat([x, y], axis=1), T.slice_axis(y, 1, 1, 3),
-        T.reduce_sum(y, axis=0), T.reduce_mean(y), T.power(x, 1.5), T.gelu(y), T.layer_norm(y),
+        T.reduce_sum(y, axis=0), T.reduce_mean(y), T.gelu(y), T.layer_norm(y),
         T.layer_norm(y, 1e-3, T.slice_axis(x, 0, 0, 1), y.values[1]),
         T.linear(x, T.transpose(y, (1, 0)), y.values[:, 0]),
         T.linear(x.values, T.transpose(y, (1, 0)), T.slice_axis(x, 1, 0, 3)),
@@ -632,18 +621,19 @@ def test_paused_grad_then_second_order_grad_equals_a_fresh_tape():
     assert results[0] == results[1]
 
 
-def test_third_order_through_gelu_and_layer_norm_matches_finite_differences():
-    # the HVP of a squared gradient norm replays the recorded gelu slope and
-    # layer_norm adjoint ops while recording, so they rebuild from primitives
-    # what they read of their input
-    loss_of = _gelu_layer_norm_loss(np.random.default_rng(36))
-
-    def loss(ts):
-        (w,) = ts
-        g = grad(loss_of(w), w, create_graph=True)
-        return T.reduce_sum(T.mul(g, g))
-
-    _check_hvp(loss, [(4, 3)], seed=37)
+@pytest.mark.parametrize("name", ["gelu", "layer_norm"])
+def test_a_third_derivative_through_gelu_or_layer_norm_is_a_contract_error(name):
+    # a second-order gradient replays the recorded slope or layer_norm
+    # gradient paused; differentiating it once more would replay them recording
+    r = np.random.default_rng(36)
+    x, c = Tensor(r.standard_normal((5, 4))), Tensor(r.standard_normal((5, 3)))
+    with Tape():
+        w = Tensor(r.standard_normal((4, 3)))
+        g = grad(T.reduce_mean(T.mul(getattr(T, name)(T.matmul(x, w)), c)), w, create_graph=True)
+        norm = T.reduce_sum(T.mul(g, g))
+        assert np.all(np.isfinite(grad(norm, w).values))
+        with pytest.raises(ContractError, match=f"third derivative through {name}"):
+            grad(norm, w, create_graph=True)
 
 
 def test_fan_in_sums_equal_full_prefix_scan_and_spare_returned_adjoints():
@@ -715,10 +705,11 @@ _ATTENTION_CASES = {
 }
 
 
-def _attention_loss(case):
-    """A loss through layer norm, projections, attention, pooling and
+def _attention_loss(case, plain=False):
+    """A loss through layer norm, projections, attention, pooling, gelu and
     cross-entropy of tensors [x, wq, wk, wv, wc], then the keys' rows when
-    they are not the normed x."""
+    they are not the normed x.  ``plain`` leaves out the layer norm and the
+    gelu, whose adjoint ops take no third derivative."""
     q_shape, k_shape, mask = _ATTENTION_CASES[case]
     shapes = [q_shape, (4, 4), (4, 4), (4, 4), (4, 3)] + ([k_shape] if case == "cross" else [])
     r = np.random.default_rng(sum(map(ord, case)))
@@ -728,12 +719,13 @@ def _attention_loss(case):
 
     def loss(ts):
         x, wq, wk, wv, wc = ts[:5]
-        h = T.layer_norm(x)
+        h = x if plain else T.layer_norm(x)
         kv = ts[5] if case == "cross" else h
         out = T.attention(T.matmul(h, wq), T.matmul(kv, wk), T.matmul(kv, wv), mask, 2, 0.7)
         if stacked:
             out = T.reshape(out, mask.shape + (4,))
-        logits = T.matmul(T.gelu(T.reduce_mean(out, axis=-2)), wc)
+        pooled = T.reduce_mean(out, axis=-2)
+        logits = T.matmul(pooled if plain else T.gelu(pooled), wc)
         losses = nn.cross_entropy(logits, labels, live)
         return losses if live is None else T.reduce_sum(losses)
 
@@ -779,7 +771,7 @@ def test_second_order_through_fused_attention_and_cross_entropy_matches_finite_d
 def test_third_order_through_fused_attention_and_cross_entropy_matches_finite_differences(case):
     # the HVP of a squared gradient norm replays the recorded weights and
     # shifted-exp ops while recording
-    inner, shapes = _attention_loss(case)
+    inner, shapes = _attention_loss(case, plain=True)
 
     def loss(ts):
         gs = grad(inner(ts), ts, create_graph=True)
@@ -807,14 +799,20 @@ def test_cross_entropy_op_second_and_third_order_match_finite_differences(live):
     _check_hvp(third, [(2, 3, 5), (5, 4)], seed=54)
 
 
+def _linear_cube_loss(ts):
+    h = T.linear(*ts)
+    return T.reduce_mean(T.mul(T.mul(h, h), h))
+
+
 def test_paused_and_recording_replays_of_a_second_order_tape_give_equal_bits():
     # a paused replay runs the NumPy adjoint of each fused op (attention,
-    # log_softmax_pick, linear, affine layer_norm) and adjoint op
-    # (attention's weights, layer_norm's gradient and normalized rows, the
-    # gelu slope and its kept tanh); a recording replay runs their
-    # primitive chains
-    for inner, shapes in (_attention_loss("stacked"), _linear_norm_loss("stacked"),
-                          _linear_norm_loss("rows", constants=("x", "gain"))):
+    # log_softmax_pick, linear, and the outer gelu and layer_norm)
+    # and adjoint op (attention's weights, the shifted exps); a recording
+    # replay runs their primitive chains.  The inner losses leave out gelu
+    # and layer_norm, whose adjoint ops replay paused only.
+    stacked = _LINEAR_NORM_CASES["stacked"]
+    for inner, shapes in (_attention_loss("stacked", plain=True),
+                          (_linear_cube_loss, [stacked[name] for name in ("x", "w1", "b1")])):
         r = np.random.default_rng(55)
         with Tape():
             ts = [Tensor(r.standard_normal(s)) for s in shapes]
@@ -939,12 +937,7 @@ def test_second_order_through_linear_and_affine_layer_norm_matches_finite_differ
     _check_hvp(loss, shapes, seed=62)
 
 
-@pytest.mark.parametrize("case", sorted(_LINEAR_NORM_CASES))
-def test_third_order_through_linear_and_affine_layer_norm_matches_finite_differences(case):
-    # the HVP of a squared gradient norm replays the recorded normalized-rows,
-    # layer_norm gradient, gelu slope and kept-tanh ops while recording
-    inner, shapes = _linear_norm_loss(case)
-
+def _squared_gradient_norm(inner):
     def loss(ts):
         gs = grad(inner(ts), ts, create_graph=True)
         total = T.reduce_sum(T.mul(gs[0], gs[0]))
@@ -952,7 +945,29 @@ def test_third_order_through_linear_and_affine_layer_norm_matches_finite_differe
             total = T.add(total, T.reduce_sum(T.mul(g, g)))
         return total
 
-    _check_hvp(loss, shapes, seed=63)
+    return loss
+
+
+@pytest.mark.parametrize("case", sorted(_LINEAR_NORM_CASES))
+def test_third_order_through_linear_matches_finite_differences(case):
+    # the HVP of a squared gradient norm replays the recorded linear adjoint
+    # while recording
+    shapes = [_LINEAR_NORM_CASES[case][name] for name in ("x", "w1", "b1")]
+    _check_hvp(_squared_gradient_norm(_linear_cube_loss), shapes, seed=63)
+
+
+@pytest.mark.parametrize("case", sorted(_LINEAR_NORM_CASES))
+def test_a_third_derivative_through_linear_and_affine_layer_norm_is_a_contract_error(case):
+    # the affine norm's gradient replays _normalized and _layer_norm_grad,
+    # whose adjoints run paused only
+    inner, shapes = _linear_norm_loss(case)
+    r = np.random.default_rng(63)
+    with Tape():
+        ts = [Tensor(r.standard_normal(s)) for s in shapes]
+        norm = _squared_gradient_norm(inner)(ts)
+        assert all(np.all(np.isfinite(g.values)) for g in grad(norm, ts))
+        with pytest.raises(ContractError, match="third derivative through (gelu|layer_norm)"):
+            grad(norm, ts, create_graph=True)
 
 
 @pytest.mark.parametrize("shape", [(3, 4), (2, 5, 16), (2, 6, 32), (1, 7)])
@@ -964,9 +979,9 @@ def test_layer_norm_keeps_the_inv_its_first_replay_used_to_recompute(shape, monk
     kept = []
     adjoint = T._layer_norm_grad
 
-    def spy(g, a, out, eps, inv):
+    def spy(g, a, out, inv):
         kept.append(inv)
-        return adjoint(g, a, out, eps, inv)
+        return adjoint(g, a, out, inv)
 
     monkeypatch.setattr(T, "_layer_norm_grad", spy)
     for eps in (1e-5, 1e-2):
@@ -1089,7 +1104,7 @@ def test_layer_norm_grad_and_its_paused_adjoint_bits_equal_the_expressions_they_
     inv = (var + 1e-5) ** -0.5
     kept = _unchanged([x, gv, hv, y, inv])
     with Tape():
-        result = T._layer_norm_grad(Tensor(gv), Tensor(x), Tensor(y), 1e-5, inv)
+        result = T._layer_norm_grad(Tensor(gv), Tensor(x), Tensor(y), inv)
         with T.paused():
             _, g_a, g_out = result.node.vjp(Tensor(hv))
     expected = _layer_norm_grad_reference(gv, y, hv, inv, shape[-1])

@@ -289,6 +289,13 @@ def test_static_group_has_zero_temporal_encoding():
     np.testing.assert_allclose(static_token[month], projected[month])
 
 
+@pytest.mark.parametrize("channels", [1, 2, 4])
+def test_location_group_of_another_width_rejected(channels):
+    with pytest.raises(ContractError, match=f"static group location: declares {channels} channels, needs 3"):
+        group_spec(("location", channels, "static"), ("s2", 2, "dynamic"))
+    group_spec(("location", channels, "dynamic"))  # a dynamic group of that name is a data source
+
+
 def test_unknown_static_group_rejected():
     spec = group_spec(("elevation", 1, "static"), ("s2", 2, "dynamic"))
     params = token_params(rng_from(0, 6), spec, xts_regime(16))

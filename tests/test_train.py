@@ -354,15 +354,6 @@ def test_zero_epoch_or_batch_budget_is_a_contract_error(name):
         TransferConfig(**{name: 0})
 
 
-@pytest.mark.parametrize("limit", [0, -1])
-def test_validation_limit_below_one_is_a_contract_error(limit):
-    corpus = _corpus()
-    model = _model(corpus)
-    with pytest.raises(ContractError, match="validation_limit: must be an integer >= 1"):
-        finetune(corpus, model, model.init_backbone(np.random.default_rng(7)), same_lr(1e-3),
-                 k=3, seed=0, validation_limit=limit)
-
-
 def test_random_search_single_trial_and_determinism():
     space = {"lr": (1e-5, 1e-1)}
     best, score, log = random_search(space, trials=1, seed=0, objective=lambda c: -c["lr"])
