@@ -521,6 +521,10 @@ class SynthConfig:
         names = [g.name for g in self.groups]
         if len(set(names)) < len(names):
             raise ContractError(f"groups: names must be distinct, got {names}")
+        for g in self.groups:  # the synthetic corpus draws values for dynamic groups only
+            if g.kind == "static" and (g.name, g.channels) != ("location", 3):
+                raise ContractError(f"groups: static group {g.name} at {g.channels} channels; "
+                                    f"the only static group is location, at 3 channels")
 
 
 def build_hierarchy_codes(n_level3, n_level4, n_classes):

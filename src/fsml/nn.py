@@ -388,13 +388,19 @@ class RawSeriesModel:
             pooled = T.add(T.mul(pooled, gamma), delta)
         return pooled
 
-    def sample_set(self, samples, labels=None):
-        """One ``pack_batch`` call over ``samples``, plus their task information."""
+    def pack(self, samples):
+        """One ``pack_batch`` call over ``samples``, plus their task
+        information, as a ``SeriesPack`` that batches are taken from."""
         cart = None if self.task_information is None else task_info(samples)
         values, days, mask = pack_batch(samples, list(self.groups))
         if self.task_information == "timl_noenc":
             values = append_task_channels(values, cart)
-        return SampleSet((values, days, mask), cart, labels)
+        return SeriesPack((values, days, mask), cart, mask.sum(axis=1))
+
+    def sample_set(self, samples, labels=None):
+        """``samples`` packed and taken whole, with their labels."""
+        taken = self.pack(samples).take()
+        return SampleSet(taken.batch, taken.cart, labels)
 
     def forward(self, backbone, head, inputs):
         """Logits of a (stacked) ``SampleSet``."""
@@ -404,7 +410,28 @@ class RawSeriesModel:
         return classify(head, self.embeddings(backbone, inputs.batch, film))
 
     def logits(self, backbone, head, samples):
-        return self.forward(backbone, head, self.sample_set(samples))
+        return self.forward(backbone, head, self.pack(samples).take())
+
+
+@dataclass(frozen=True)
+class SeriesPack:
+    """A sample list packed once: ``pack_batch``'s (values, days, mask) at
+    the list's longest series, the task-information rows (or ``None``) and
+    each sample's step count."""
+
+    batch: tuple
+    cart: object
+    lengths: np.ndarray
+
+    def take(self, idx=None):
+        """The ``SampleSet`` of the samples at ``idx``, each array's rows
+        trimmed to their own longest series: what packing those samples
+        alone gives.  By default every sample, as packed."""
+        if idx is None:
+            return SampleSet(self.batch, self.cart, None)
+        steps = self.lengths[idx].max()
+        cart = None if self.cart is None else self.cart[idx]
+        return SampleSet(tuple(a[idx, :steps] for a in self.batch), cart, None)
 
 
 def _expand_mid(x):

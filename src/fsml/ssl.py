@@ -53,7 +53,15 @@ from .errors import ContractError, DegenerateInputError, DivergedError, require_
 from .nn import TransformerConfig
 from .seeding import STREAM_BATCHING, STREAM_INIT, STREAM_MASKING, rng_from
 from .tensor import Tape, Tensor, grad
-from .tokens import ChannelGroupSpec, EncodingRegime, encode_tokens, token_layout, token_params
+from .tokens import (
+    ChannelGroupSpec,
+    EncodingRegime,
+    embed_tokens,
+    encode_tokens,
+    pack_tokens,
+    token_layout,
+    token_params,
+)
 from .train import Adam, _fit
 
 STRATEGIES = ("random", "channel_groups", "contiguous_timesteps", "random_timesteps")
@@ -448,12 +456,20 @@ class TokenClassifier:
         params = token_params(rng, self.spec, self.regime)
         return nn.encoder_params(rng, self.config, params)
 
-    def logits(self, backbone, head, samples):
-        batch = encode_token_batch(samples, self.spec, self.regime, backbone, self.stats)
-        visible = ~batch.pad
+    def pack(self, samples):
+        """A ``tokens.TokenPack`` of ``samples``, z-scored with the checkpoint's statistics."""
+        return pack_tokens(samples, self.spec, self.regime, self.stats)
+
+    def forward(self, backbone, head, inputs):
+        """Logits of a batch's ``tokens.TokenInputs``."""
+        tokens, _ = embed_tokens(inputs, self.spec, self.regime, backbone)
+        visible = ~inputs.layout[3]
         encoded = nn.encode(
-            backbone, self.config, batch.tokens, visible,
+            backbone, self.config, tokens, visible,
             length_cap=self.spec.token_count(self.regime.max_timesteps),
         )
         pooled = nn.pool_sequence(encoded, visible)
         return nn.classify(head, pooled)
+
+    def logits(self, backbone, head, samples):
+        return self.forward(backbone, head, self.pack(samples).take())

@@ -19,7 +19,11 @@ never threads, so tapes must not be entered from more than one thread.
 Every primitive computes its values first.  When nothing records (no open
 tape, or inside :func:`paused`, as in the replay of
 ``grad(create_graph=False)``), it returns them at once, before it builds its
-adjoint closure; each adjoint rule is written once, after that check.
+adjoint closure; each adjoint rule is written once, after that check.  The
+shape glue of the adjoint rules (``_unbroadcast``'s sums back to an
+operand's shape, a reduction's spread back to its input's) runs on the
+arrays when nothing records: its rule, written once, makes the NumPy calls
+the primitives would make, in the same order, and wraps the result once.
 
 Memory.  A tape keeps only what some adjoint rule reads.  A node names its
 inputs by their nodes, never holds its own output, and shape-only rules
@@ -225,20 +229,30 @@ def _check_axis(name, axis, shape):
 
 
 def _unbroadcast(g, shape):
-    """Reduce a broadcast gradient back to the operand's shape (via primitives)."""
+    """Reduce a broadcast gradient back to the operand's shape: through
+    primitives while a tape records, else by the same NumPy calls on the
+    array, wrapped once."""
     shape = tuple(shape)
     if g.shape == shape:
         return g
+    if _recording is None:
+        return Tensor(_sum_to(g.values, shape, np.ndarray.sum, np.ndarray.reshape))
+    return _sum_to(g, shape, reduce_sum, reshape)
+
+
+def _sum_to(g, shape, sum_, reshape_):
+    """``_unbroadcast``'s rule, written once for a Tensor and its primitives
+    or an array and the NumPy calls those primitives make."""
     extra = g.ndim - len(shape)
     if extra > 0:
-        g = reduce_sum(g, axis=tuple(range(extra)))
+        g = sum_(g, axis=tuple(range(extra)))
     axes = tuple(
         i for i, (gd, td) in enumerate(zip(g.shape, shape)) if td == 1 and gd != 1
     )
     if axes:
-        g = reduce_sum(g, axis=axes, keepdims=True)
+        g = sum_(g, axis=axes, keepdims=True)
     if g.shape != shape:
-        g = reshape(g, shape)
+        g = reshape_(g, shape)
     return g
 
 
@@ -549,15 +563,25 @@ def _normalize_axis(name, axis, shape):
 
 def _spread_reduced(g, original, axes, keepdims, scale):
     """A reduction's input gradient: ``g`` with each reduced axis kept at size
-    1, broadcast back to the input's shape ``original`` and times ``scale``."""
+    1, broadcast back to the input's shape ``original`` and times ``scale``;
+    through primitives while a tape records, else by the same NumPy calls on
+    the array, wrapped once."""
+    if _recording is None:
+        spread = _spread(g.values, original, axes, keepdims, scale, np.ndarray.reshape, np.multiply)
+        return Tensor(spread)
+    return _spread(g, original, axes, keepdims, scale, reshape, mul)
+
+
+def _spread(g, original, axes, keepdims, scale, reshape_, mul_):
+    """``_spread_reduced``'s rule, written once like ``_sum_to``."""
     if axes is None:
-        g = reshape(g, (1,) * len(original)) if original else g
+        g = reshape_(g, (1,) * len(original)) if original else g
     elif not keepdims:
         kept = list(original)
         for ax in axes:
             kept[ax] = 1
-        g = reshape(g, kept)
-    return mul(g, np.broadcast_to(scale, original))
+        g = reshape_(g, kept)
+    return mul_(g, np.broadcast_to(scale, original))
 
 
 def reduce_sum(a, axis=None, keepdims=False):

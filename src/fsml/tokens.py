@@ -1,12 +1,15 @@
 """Unified token encoding for multi-source time series.
 
-``encode_tokens`` turns a batch of parcels into [B, N, d_emb] tokens in one
-pass.  One ``nn.pack_batch`` call packs the dynamic groups (one data source
-each) into [B, T_max, C] blocks, z-scored when statistics are given, with
-its padding convention; the static ``location`` group is a [B, 1, 3]
-block.  Each block is projected into the shared embedding width with one
-matmul.  Every token then gets additive contextual encodings laid out as
-``[p_channel; p_sin; p_month]``:
+``encode_tokens`` turns a batch of parcels into [B, N, d_emb] tokens in two
+halves.  ``pack_tokens`` holds everything that reads no parameter: one
+``nn.pack_batch`` call packs the dynamic groups (one data source each) into
+[S, T_max, C] blocks, z-scored when statistics are given, with its padding
+convention; the static ``location`` group is an [S, 1, 3] block; and the
+temporal rows are computed once.  Its ``take`` gathers a batch of rows,
+trimmed to the batch's own longest series, so a split packed once serves
+every batch drawn from it.  ``embed_tokens`` then projects each block into
+the shared embedding width with one matmul, and every token gets additive
+contextual encodings laid out as ``[p_channel; p_sin; p_month]``:
 
 * ``p_channel``: a learned per-group embedding row, gathered by one matmul
   with a constant one-hot matrix;
@@ -19,7 +22,7 @@ Static groups receive zero temporal encodings.  ``token_layout`` alone
 defines token order: static groups in spec order, then dynamic groups
 group-major over time, each dynamic block as long as the batch's longest
 series.  Rows past a sample's own length are padding and are zero.
-``encode_tokens`` computes the layout once per batch and returns it.
+``take`` computes the layout once per batch, and ``encode_tokens`` returns it.
 """
 
 from __future__ import annotations
@@ -198,54 +201,110 @@ def _check_dynamic(samples, g):
         raise ContractError(f"group {g.name}: got {widths.pop()} channels, spec declares {g.channels}")
 
 
+@dataclass(frozen=True)
+class TokenInputs:
+    """The parameter-free inputs of one batch: each group's values in
+    layout order ([B, T, C] dynamic, [B, 1, 3] ``location``), each token's
+    input values [B, N, C_max] (the masked autoencoder's reconstruction
+    targets), each token's temporal rows [B, N, d_sin + d_month] and the
+    batch's ``token_layout``.  Rows past a sample's length are zero."""
+
+    values: tuple
+    cells: np.ndarray
+    temporal: np.ndarray
+    layout: tuple
+
+
+@dataclass(frozen=True)
+class TokenPack:
+    """A sample list packed once by ``pack_tokens``.
+
+    ``blocks`` maps each group to its values at the list's longest series T:
+    [S, T, C] for a dynamic group (z-scored with the pack's statistics),
+    [S, 1, 3] for ``location``.  ``temporal`` holds each step's
+    [S, T, d_sin + d_month] temporal rows and ``lengths`` each sample's
+    step count; values and temporal rows past a sample's length are zero.
+    """
+
+    spec: ChannelGroupSpec
+    blocks: dict
+    temporal: np.ndarray
+    lengths: np.ndarray
+
+    def take(self, idx=None):
+        """``TokenInputs`` of the samples at ``idx`` (all, in order, by
+        default): their rows, trimmed to their own longest series and laid
+        out by ``token_layout`` of their own lengths, so they equal the
+        inputs of a pack of those samples alone."""
+        rows = slice(None) if idx is None else idx
+        lengths = self.lengths[rows]
+        layout = token_layout(self.spec, lengths)
+        order, group_index, time_index, pad = layout
+        steps = slice(lengths.max())  # a static block's one row is kept whole
+        values = []
+        cells = np.zeros(pad.shape + (max(g.channels for g in self.spec.groups),))
+        for gi in order:
+            g = self.spec.groups[gi]
+            # a contiguous copy keeps each projection on BLAS
+            block = np.ascontiguousarray(self.blocks[g.name][rows, steps])
+            cells[:, group_index == gi, : g.channels] = block
+            values.append(block)
+        dynamic = time_index >= 0
+        temporal = np.zeros(pad.shape + (self.temporal.shape[-1],))
+        temporal[:, dynamic] = self.temporal[rows][:, time_index[dynamic]]
+        return TokenInputs(tuple(values), cells, temporal, layout)
+
+
+def pack_tokens(samples, spec, regime, stats=None):
+    """Pack ``samples`` once into a ``TokenPack``: one ``nn.pack_batch``
+    call over every dynamic group (z-scored with ``stats``), the
+    ``location`` rows and the temporal rows, none of which reads a
+    parameter."""
+    for g in spec.dynamic_groups:
+        _check_dynamic(samples, g)
+    packed, days, mask = pack_batch(samples, [g.name for g in spec.dynamic_groups], stats)
+    blocks = {g.name: _static_values(samples, g) for g in spec.static_groups}
+    start = 0
+    for g in spec.dynamic_groups:
+        blocks[g.name] = np.ascontiguousarray(packed[..., start : start + g.channels])
+        start += g.channels
+    temporal = np.where(mask[..., None], temporal_encoding(regime, days), 0.0)
+    return TokenPack(spec, blocks, temporal, mask.sum(axis=1))
+
+
 def _project(params, g, values):
     """One linear layer over a packed group."""
     return T.linear(values, params[f"proj/{g.name}/w"], params[f"proj/{g.name}/b"])
 
 
-def encode_tokens(samples, spec, regime, params, stats=None):
-    """Encode a batch of parcels into tokens in one pass.
-
-    Returns ``(tokens, context, cells, layout)``: the [B, N, d_emb] tokens,
-    their contextual encodings alone, each token's input values [B, N, C_max]
-    (z-scored with ``stats``; the masked autoencoder's reconstruction
-    targets) and the batch's ``token_layout``.  Rows past a sample's length
-    are zero in the first three.  One ``nn.pack_batch`` call packs every
-    dynamic group.
-    """
-    layout = token_layout(spec, [len(s.days) for s in samples])
-    order, group_index, time_index, pad = layout
-    blocks = {}
-    for gi in order:
-        g = spec.groups[gi]
-        if g.kind == "static":
-            blocks[g.name] = _static_values(samples, g)
-        else:
-            _check_dynamic(samples, g)
-    packed, days, _ = pack_batch(samples, [g.name for g in spec.dynamic_groups], stats)
-    start = 0
-    for g in spec.dynamic_groups:  # a contiguous copy keeps each projection on BLAS
-        blocks[g.name] = np.ascontiguousarray(packed[..., start : start + g.channels])
-        start += g.channels
-    cells = np.zeros(pad.shape + (max(g.channels for g in spec.groups),))
-    projected = []
-    for gi in order:
-        g = spec.groups[gi]
-        values = blocks[g.name]
-        cells[:, group_index == gi, : values.shape[-1]] = values
-        projected.append(_project(params, g, values))
-
-    dynamic = time_index >= 0
-    temporal = np.zeros(pad.shape + (regime.d_emb - regime.d_channel,))
-    temporal[:, dynamic] = temporal_encoding(regime, days)[:, time_index[dynamic]]
-    temporal[pad] = 0.0
-
+def embed_tokens(inputs, spec, regime, params):
+    """The parameter half of the encoding: each group's projection, plus the
+    contextual encodings (the channel-table rows and the temporal rows),
+    with padding tokens zeroed.  Returns the [B, N, d_emb] tokens and their
+    contextual encodings alone."""
+    order, group_index, _, pad = inputs.layout
+    projected = [_project(params, spec.groups[gi], values) for gi, values in zip(order, inputs.values)]
     live_f = Tensor((~pad)[:, :, None].astype(np.float64))
     channel_table = T.concat(
         [T.reshape(params[f"ctx/{g.name}"], (1, regime.d_channel)) for g in spec.groups], axis=0
     )
     onehot = np.eye(len(spec.groups))[group_index]  # [N, G]
     channel_rows = T.mul(T.matmul(onehot, channel_table), live_f)
-    context = T.concat([channel_rows, Tensor(temporal)], axis=2)
+    context = T.concat([channel_rows, Tensor(inputs.temporal)], axis=2)
     tokens = T.add(T.mul(T.concat(projected, axis=1), live_f), context)
-    return tokens, context, cells, layout
+    return tokens, context
+
+
+def encode_tokens(samples, spec, regime, params, stats=None):
+    """Encode a batch of parcels into tokens in one pass: ``pack_tokens``
+    of the batch, taken whole, then ``embed_tokens``.
+
+    Returns ``(tokens, context, cells, layout)``: the [B, N, d_emb] tokens,
+    their contextual encodings alone, each token's input values [B, N, C_max]
+    (z-scored with ``stats``; the masked autoencoder's reconstruction
+    targets) and the batch's ``token_layout``.  Rows past a sample's length
+    are zero in the first three.
+    """
+    inputs = pack_tokens(samples, spec, regime, stats).take()
+    tokens, context = embed_tokens(inputs, spec, regime, params)
+    return tokens, context, inputs.cells, inputs.layout

@@ -191,11 +191,27 @@ def _batch_indices(n, batch_size, rng):
     return [order[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
-def _loss_and_grads(model, params, samples, labels, prefix=""):
-    """The batch loss and the gradients of the parameters whose names start
-    with ``prefix`` (a string, or a tuple of them for any of several)."""
+def _chunks(model, samples, batch_size=256):
+    """``samples`` packed once, then taken in consecutive chunks of
+    ``batch_size``: each chunk's indices and its batch."""
+    pack = model.pack(samples)
+    for start in range(0, len(samples), batch_size):
+        idx = np.arange(start, min(start + batch_size, len(samples)))
+        yield idx, pack.take(idx)
+
+
+def _labels(samples, class_order):
+    """Each sample's class index in ``class_order``."""
+    index = {c: i for i, c in enumerate(class_order)}
+    return np.array([index[s.label] for s in samples])
+
+
+def _loss_and_grads(model, params, batch, labels, prefix=""):
+    """The loss of a batch taken from the model's pack and the gradients of
+    the parameters whose names start with ``prefix`` (a string, or a tuple
+    of them for any of several)."""
     with Tape():
-        logits = model.logits(*split_params(params), samples)
+        logits = model.forward(*split_params(params), batch)
         loss = cross_entropy(logits, labels)
         if not np.isfinite(loss.item()):
             raise DivergedError("non-finite training loss")
@@ -204,32 +220,36 @@ def _loss_and_grads(model, params, samples, labels, prefix=""):
     return loss.item(), {k: g.values for k, g in zip(names, gs)}
 
 
-def evaluate_loss_accuracy(model, params, samples, class_order, batch_size=256):
+def evaluate_loss_accuracy(model, params, chunks):
+    """Mean loss and accuracy over (batch, labels) pairs, as ``_validation`` takes them."""
     losses, hits, total = [], 0, 0
-    index = {c: i for i, c in enumerate(class_order)}
     backbone, head = split_params(params)
-    for start in range(0, len(samples), batch_size):
-        chunk = samples[start : start + batch_size]
-        labels = np.array([index[s.label] for s in chunk])
-        logits = model.logits(backbone, head, chunk)
-        losses.append(cross_entropy(logits, labels).item() * len(chunk))
+    for batch, labels in chunks:
+        logits = model.forward(backbone, head, batch)
+        losses.append(cross_entropy(logits, labels).item() * len(labels))
         hits += int((logits.values.argmax(axis=1) == labels).sum())
-        total += len(chunk)
+        total += len(labels)
     return sum(losses) / total, hits / total
 
 
-def _validate_classifier(model, params, samples, class_order):
+def _validate_classifier(model, params, chunks):
     """Validation for ``_fit``: scored by accuracy, watching the loss."""
-    loss, accuracy = evaluate_loss_accuracy(model, params, samples, class_order)
+    loss, accuracy = evaluate_loss_accuracy(model, params, chunks)
     return accuracy, loss, {"val_loss": loss, "val_accuracy": accuracy}
+
+
+def _validation(model, samples, class_order):
+    """The (batch, labels) chunks of a fixed validation set, packed and
+    taken once for every validation pass."""
+    labels = _labels(samples, class_order)
+    return [(batch, labels[idx]) for idx, batch in _chunks(model, samples)]
 
 
 def predictions(model, params, samples, class_order, batch_size=256):
     out = []
     backbone, head = split_params(params)
-    for start in range(0, len(samples), batch_size):
-        chunk = samples[start : start + batch_size]
-        logits = model.logits(backbone, head, chunk)
+    for _, batch in _chunks(model, samples, batch_size):
+        logits = model.forward(backbone, head, batch)
         out.extend(class_order[i] for i in logits.values.argmax(axis=1))
     return out
 
@@ -262,7 +282,8 @@ def pretrain_transfer(corpus, model, config, seed):
     )
     train, validation = require_splits(pool, PRETRAIN_POOL, "train", "validation")
     class_order = sorted({s.label for s in pool})
-    index = {c: i for i, c in enumerate(class_order)}
+    train_pack, train_labels = model.pack(train), _labels(train, class_order)
+    validation = _validation(model, validation, class_order)
 
     params = nn.init_params(model, rng_from(seed, STREAM_INIT), len(class_order))
     optimizer = Adam(config.learning_rate)
@@ -274,17 +295,14 @@ def pretrain_transfer(corpus, model, config, seed):
         rng = rng_from(seed, STREAM_BATCHING, epoch)
         epoch_loss = 0.0
         for idx in _batch_indices(len(train), config.batch_size, rng):
-            chunk = [train[i] for i in idx]
-            labels = np.array([index[s.label] for s in chunk])
-            loss, grads = _loss_and_grads(model, params, chunk, labels)
+            loss, grads = _loss_and_grads(model, params, train_pack.take(idx), train_labels[idx])
             optimizer.step(params, grads)
-            epoch_loss += loss * len(chunk)
+            epoch_loss += loss * len(idx)
         return {"epoch": epoch, "train_loss": epoch_loss / len(train)}
 
     best_params, best_epoch, trace = _fit(
         range(config.max_epochs), 1, step,
-        partial(_validate_classifier, model, params, validation, class_order),
-        params, config.patience,
+        partial(_validate_classifier, model, params, validation), params, config.patience,
     )
     return best_params, {"trace": trace, "best_epoch": best_epoch, "classes": class_order}
 
@@ -322,10 +340,10 @@ def finetune(corpus, model, init_backbone, regime, k, seed,
     require_counts(max_epochs=max_epochs, batch_size=batch_size)
     pool = corpus.finetune_pool()
     class_order = sorted({s.label for s in pool})
-    index = {c: i for i, c in enumerate(class_order)}
     train, validation, test = require_splits(pool, FINETUNE_POOL, "train", "validation", "test")
     train = kshot_subset(train, k, seed)
-    validation = fixed_validation_subset(validation)
+    train_pack, train_labels = model.pack(train), _labels(train, class_order)
+    validation = _validation(model, fixed_validation_subset(validation), class_order)
 
     head = nn.new_head(rng_from(seed, STREAM_HEAD_RESET), model.config.embed_dim, len(class_order))
     params = copy_params(join_params(init_backbone, head))
@@ -338,17 +356,15 @@ def finetune(corpus, model, init_backbone, regime, k, seed,
     def step(epoch):
         rng = rng_from(seed, STREAM_BATCHING, 7_000_000 + epoch)
         for idx in _batch_indices(len(train), batch_size, rng):
-            chunk = [train[i] for i in idx]
-            labels = np.array([index[s.label] for s in chunk])
-            _, grads = _loss_and_grads(model, params, chunk, labels, trainable)
+            batch = train_pack.take(idx)
+            _, grads = _loss_and_grads(model, params, batch, train_labels[idx], trainable)
             for optimizer, prefix in optimizers:
                 optimizer.step(params, {k: g for k, g in grads.items() if k.startswith(prefix)})
         return {"epoch": epoch}
 
     best_params, best_epoch, trace = _fit(
         range(max_epochs), 1, step,
-        partial(_validate_classifier, model, params, validation, class_order),
-        params, FINETUNE_PATIENCE,
+        partial(_validate_classifier, model, params, validation), params, FINETUNE_PATIENCE,
     )
 
     preds = predictions(model, best_params, test, class_order)

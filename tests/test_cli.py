@@ -437,19 +437,30 @@ def test_synth_data_with_more_observations_than_days_exits_1_without_a_traceback
 
 @pytest.mark.parametrize("s2_channels", [2, 3])
 def test_location_group_of_another_width_exits_1_without_a_traceback(tmp_path, capsys, s2_channels):
-    # the location token is each parcel's 3-channel Cartesian centroid
+    # the location token is each parcel's 3-channel Cartesian centroid, so
+    # synth-data refuses another width before it writes a corpus
     dataset, out = tmp_path / "corpus.jsonl", tmp_path / "runs"
     config = synth_config(dataset, out)
     config["synth"] = {**SYNTH_BLOCK, "groups": [
         {"name": "location", "channels": 2, "kind": "static"},
         {"name": "s2", "channels": s2_channels, "kind": "dynamic"}]}
-    assert _main_on(tmp_path, config) == 0
-    capsys.readouterr()
-    ssl = {"schema_version": 1, "mode": "pretrain-ssl", "dataset": str(dataset), "out": str(out),
-           "seeds": [0], "model": MODEL_BLOCK, "ssl": {"max_batches": 1}}
-    assert _main_on(tmp_path, ssl) == 1
+    assert _main_on(tmp_path, config) == 1
     err = capsys.readouterr().err
-    assert err == "error [ContractError]: static group location: declares 2 channels, needs 3\n"
+    assert err == ("error [ContractError]: invalid config: synth.groups: static group location at 2 "
+                   "channels; the only static group is location, at 3 channels\n")
+    assert not dataset.exists()
+
+
+def test_static_group_without_a_provider_exits_1_before_a_corpus_is_written(tmp_path, capsys):
+    dataset, out = tmp_path / "corpus.jsonl", tmp_path / "runs"
+    config = synth_config(dataset, out)
+    config["synth"] = {**SYNTH_BLOCK, "groups": [
+        {"name": "elevation", "channels": 1, "kind": "static"},
+        {"name": "s2", "channels": 2, "kind": "dynamic"}]}
+    assert _main_on(tmp_path, config) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [ContractError]: invalid config: synth.groups: static group elevation")
+    assert "Traceback" not in err and not dataset.exists()
 
 
 def test_shipped_configs_are_valid():

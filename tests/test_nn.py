@@ -363,6 +363,34 @@ def test_raw_model_logits_pack_their_own_samples(rng):
     np.testing.assert_array_equal(model.logits(*nn.split_params(params), samples).values, packed)
 
 
+@pytest.mark.parametrize("task_information", [None, "timl_enc", "timl_noenc"])
+def test_a_batch_taken_from_a_series_pack_equals_its_sample_set(task_information):
+    """A split packed once, then taken in ragged batches, gives each batch's
+    ``sample_set`` bit for bit: values, days, mask and task-information rows,
+    also for a batch whose longest series is shorter than the split's and a
+    one-parcel batch."""
+    rng = np.random.default_rng(29)
+    split = [
+        parcel(np.sort(rng.choice(np.arange(1, 17), n, replace=False)),
+               {"s1": rng.normal(size=(n, 1)), "s2": rng.normal(size=(n, 2))}, f"p{i}",
+               lon=rng.uniform(-np.pi, np.pi), lat=rng.uniform(-np.pi / 2, np.pi / 2))
+        for i, n in enumerate([4, 11, 1, 7, 11, 3, 9, 2])
+    ]
+    channels = 6 if task_information == "timl_noenc" else 3
+    model = RawSeriesModel(CFG, channels, ("s2", "s1"), task_information)
+    pack = model.pack(split)
+    batches = [rng.permutation(len(split))[: int(rng.integers(2, len(split)))] for _ in range(6)]
+    batches += [np.array([3, 0, 5]), np.array([2])]
+    assert max(len(split[i].days) for i in batches[-2]) < 11  # shorter than the split's longest
+    for idx in batches:
+        taken, alone = pack.take(idx), model.sample_set([split[i] for i in idx])
+        assert array_digest(*taken.batch) == array_digest(*alone.batch)
+        if task_information is None:
+            assert taken.cart is None and alone.cart is None
+        else:
+            assert array_digest(taken.cart) == array_digest(alone.cart)
+
+
 def test_checkpoint_roundtrip_byte_identical(tmp_path, rng):
     arrays = {
         "backbone/in/w": rng.standard_normal((3, 4)),

@@ -1199,3 +1199,64 @@ def test_log_softmax_pick_bits_equal_the_expression_it_replaces(shape, weighted)
     kept = _unchanged([x])
     assert T.log_softmax_pick(x, labels, weights).values.tobytes() == expected.tobytes()
     assert _array_bits([x]) == _array_bits(kept)
+
+
+# --- shape glue: a paused replay runs it on arrays, a recording one -------
+# --- through primitives, with the same NumPy calls in the same order ------
+
+
+def _glue_both_ways(monkeypatch, glue):
+    """``glue()`` recording on a tape, then paused with the primitives it
+    would call replaced by ones that fail: the two results' shapes and bits."""
+    with Tape() as tape:
+        recorded = glue()
+        assert tape.nodes and recorded.node is not None
+        with T.paused(), monkeypatch.context() as patch:
+            for name in ("reduce_sum", "reshape", "mul"):
+                patch.setattr(T, name, lambda *args, **kwargs: pytest.fail("a primitive ran"))
+            quiet = glue()
+        assert quiet.node is None
+    return (recorded.shape, recorded.values.tobytes()), (quiet.shape, quiet.values.tobytes())
+
+
+@pytest.mark.parametrize("g_shape, shape", [
+    ((2, 3, 4, 5), (4, 5)),  # leading extra axes
+    ((2, 3, 4, 5), (1, 5)),  # extra axes, then a size-1 axis
+    ((3, 4, 5), (3, 1, 5)),  # size-1 axes only
+    ((3, 1, 5), (1, 1, 5)),
+    ((4, 6), ()),
+], ids=lambda v: "x".join(map(str, v)) or "scalar")
+def test_paused_unbroadcast_equals_the_primitive_chain_bits(monkeypatch, g_shape, shape):
+    g = Tensor(np.random.default_rng(3).standard_normal(g_shape))
+    recorded, quiet = _glue_both_ways(monkeypatch, lambda: T._unbroadcast(g, shape))
+    assert recorded == quiet and quiet[0] == shape
+
+
+@pytest.mark.parametrize("original, axes, keepdims, scale", [
+    ((3, 4), None, False, 1.0),
+    ((3, 4), None, True, 1.0),
+    ((2, 3, 4), (1,), False, 1.0),
+    ((2, 3, 4), (0, 2), True, 1.0),
+    ((2, 3, 4), (0, 2), False, 1.0 / 8),  # reduce_mean's scale
+    ((5, 1, 3), (1,), False, 1.0),  # a size-1 axis
+], ids=["none", "none-keepdims", "middle", "keepdims", "mean", "size-1"])
+def test_paused_spread_reduced_equals_the_primitive_chain_bits(monkeypatch, original, axes, keepdims, scale):
+    reduced = np.zeros(original).sum(axis=axes, keepdims=keepdims).shape
+    g = Tensor(np.random.default_rng(4).standard_normal(reduced))
+    recorded, quiet = _glue_both_ways(
+        monkeypatch, lambda: T._spread_reduced(g, original, axes, keepdims, scale))
+    assert recorded == quiet and quiet[0] == original
+
+
+@pytest.mark.parametrize("reduce", [T.reduce_sum, T.reduce_mean], ids=["sum", "mean"])
+def test_paused_and_recording_replays_of_broadcasts_and_reductions_give_equal_bits(reduce):
+    r = np.random.default_rng(6)
+    x, w, b = (Tensor(r.standard_normal(s)) for s in ((2, 3, 4), (3, 1), (4,)))
+
+    def gradients(create_graph):
+        with Tape():
+            y = T.mul(T.add(x, b), w)  # both broadcast into [2, 3, 4]
+            loss = T.reduce_sum(T.mul(reduce(y, axis=(0, 2)), reduce(y, axis=None)))
+            return [g.values.tobytes() for g in grad(loss, [x, w, b], create_graph=create_graph)]
+
+    assert gradients(False) == gradients(True)

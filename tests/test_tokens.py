@@ -12,9 +12,11 @@ from fsml.errors import ContractError, SequenceLengthError
 from fsml.nn import sinusoidal_encoding
 from fsml.seeding import rng_from
 from fsml.tokens import (
+    embed_tokens,
     encode_tokens,
     group_spec,
     month_of,
+    pack_tokens,
     presto_regime,
     temporal_encoding,
     token_layout,
@@ -158,6 +160,43 @@ def test_encoded_tokens_are_pinned(regime, with_stats, digest):
                  for g in spec.dynamic_groups}
     tokens, context, cells, _ = encode_tokens(samples, spec, regime, params, stats)
     assert array_digest(tokens.values, context.values, cells) == digest
+
+
+def _ragged_split(spec, rng, lengths):
+    samples = []
+    for n in lengths:
+        sample = sample_with(np.sort(rng.choice(np.arange(1, 367), n, replace=False)), spec.groups, rng)
+        sample.lon, sample.lat = rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi / 2, np.pi / 2)
+        samples.append(sample)
+    return samples
+
+
+@pytest.mark.parametrize("regime", [presto_regime(16), xts_regime(16)], ids=["presto", "xts"])
+@pytest.mark.parametrize("with_stats", [False, True], ids=["raw", "stats"])
+def test_a_batch_taken_from_a_pack_equals_encoding_it_alone(regime, with_stats):
+    """A split packed once, then taken in ragged batches, gives the tokens,
+    contexts, cells and layout of ``encode_tokens`` on each batch's own
+    sample list, bit for bit; so do a batch whose longest series is shorter
+    than the split's, a one-parcel batch and the whole split in order."""
+    spec = group_spec(("location", 3, "static"), ("s1", 2, "dynamic"), ("s2", 3, "dynamic"))
+    params = token_params(rng_from(5, 1), spec, regime)
+    rng = np.random.default_rng(23)
+    split = _ragged_split(spec, rng, [5, 12, 1, 7, 12, 3, 9, 2, 6, 4])
+    stats = None
+    if with_stats:
+        stats = {g.name: (rng.normal(size=g.channels), rng.uniform(0.5, 2.0, g.channels))
+                 for g in spec.dynamic_groups}
+    pack = pack_tokens(split, spec, regime, stats)
+    batches = [rng.permutation(len(split))[: int(rng.integers(2, len(split)))] for _ in range(6)]
+    batches += [np.array([3, 0, 7]), np.array([2]), np.arange(len(split))]
+    assert max(len(split[i].days) for i in batches[-3]) < 12  # shorter than the split's longest
+    for idx in batches:
+        inputs = pack.take(idx)
+        tokens, context = embed_tokens(inputs, spec, regime, params)
+        alone = encode_tokens([split[i] for i in idx], spec, regime, params, stats)
+        assert array_digest(tokens.values, context.values, inputs.cells, *inputs.layout[1:]) == \
+            array_digest(alone[0].values, alone[1].values, alone[2], *alone[3][1:])
+        assert inputs.layout[0] == alone[3][0]
 
 
 def test_zero_projection_token_equals_context():

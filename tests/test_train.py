@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fsml import nn, train
+from fsml import nn, tokens, train
 from fsml.data import GroupSpec, SynthConfig, generate_synthetic, subset_by_split
 from fsml.episodes import episode_pool, sample_episode
 from fsml.errors import ContractError, DivergedError
@@ -343,6 +343,34 @@ def test_finetune_is_reproducible():
         np.testing.assert_array_equal(v.values, b[0][k].values)
 
 
+@pytest.mark.parametrize("family", ["raw", "tokens"])
+def test_each_split_is_packed_once(monkeypatch, family):
+    # every training batch and every validation pass is taken from its
+    # split's pack: finetune packs train, validation and test, transfer
+    # pre-training train and validation
+    corpus = _corpus()
+    model = _model(corpus)
+    if family == "tokens":
+        spec = group_spec(("location", 3, "static"), ("s2", 3, "dynamic"))
+        model = TokenClassifier(nn.TransformerConfig(16, 2, 32, 1, 0, 64), spec, xts_regime(16, 16))
+    packed, original = [], nn.pack_batch
+
+    def counting(samples, *args):
+        packed.append(len(samples))
+        return original(samples, *args)
+
+    monkeypatch.setattr(nn, "pack_batch", counting)
+    monkeypatch.setattr(tokens, "pack_batch", counting)
+    init = model.init_backbone(np.random.default_rng(7))
+    _, _, info = finetune(corpus, model, init, same_lr(1e-3), k=3, seed=5, max_epochs=3,
+                          batch_size=4)
+    assert len(info["trace"]) == 3 and len(packed) == 3
+    assert packed[0] == 12 and packed[2] == len(subset_by_split(corpus.finetune_pool(), "test"))
+    packed.clear()
+    _, info = pretrain_transfer(corpus, model, TransferConfig(batch_size=16, max_epochs=2), seed=0)
+    assert len(info["trace"]) == 2 and len(packed) == 2
+
+
 @pytest.mark.parametrize("name", ["max_epochs", "batch_size"])
 def test_zero_epoch_or_batch_budget_is_a_contract_error(name):
     corpus = _corpus()
@@ -480,7 +508,7 @@ def _gradients_of_three_steps(read_only):
         for array in arrays:
             array.flags.writeable = False
     _, mae_grads = mae_step(mae_params, mae, samples, xts_plan("mixed"), rng_from(3, 3), stats)
-    _, clf_grads = train._loss_and_grads(clf, clf_params, samples, labels)
+    _, clf_grads = train._loss_and_grads(clf, clf_params, clf.pack(samples).take(), labels)
     meta_grads, _ = learner.meta_gradient(meta_params, tasks, seed=1)
     return [{k: np.asarray(g).tobytes() for k, g in grads.items()}
             for grads in (mae_grads, clf_grads, meta_grads)]
