@@ -288,8 +288,7 @@ def _mode_synth_data(config, blocks, chash):
 def _mode_pretrain_transfer(config, blocks, chash):
     corpus = load_corpus(config.dataset)
     model_config = blocks["model"]
-    groups = tuple(corpus.manifest.group_order())
-    model = RawSeriesModel(model_config, corpus.manifest.dynamic_channels(), groups)
+    model = RawSeriesModel.of_corpus(model_config, corpus.manifest)
     artifacts = []
     for seed in config.seeds:
         params, info = pretrain_transfer(corpus, model, blocks["transfer"], seed)
@@ -313,7 +312,7 @@ def _mode_pretrain_meta(config, blocks, chash):
             nn.params_to_arrays(nn.join_params(backbone, {})), info["trace"],
             ["tasks_seen", "mean_query_accuracy", "mean_query_loss"], chash, seed,
             kind="raw", algorithm=m_config.algorithm, model=json.dumps(asdict(model_config)),
-            in_channels=info["learner"].model.in_channels,
+            in_channels=info["model"].in_channels,
         )
     return artifacts
 
@@ -352,10 +351,10 @@ _INIT_METADATA = {"raw": {"in_channels": int},
 
 
 def _load_init(finetune_block, model_config, corpus, seed):
-    """Resolve the fine-tuning model and initial backbone for one seed."""
-    groups = tuple(corpus.manifest.group_order())
+    """Resolve the fine-tuning model and initial backbone for one seed.  A
+    checkpoint whose inputs do not fit the corpus is a ParseError naming it."""
     if finetune_block.source == "scratch":
-        model = RawSeriesModel(model_config, corpus.manifest.dynamic_channels(), groups)
+        model = RawSeriesModel.of_corpus(model_config, corpus.manifest)
         backbone = model.init_backbone(rng_from(seed, STREAM_INIT))
         return model, backbone, "no_pretraining"
     path = finetune_block.checkpoint.replace("{seed}", str(seed))
@@ -374,13 +373,21 @@ def _load_init(finetune_block, model_config, corpus, seed):
         meta[key] = parse(drop_categorical(decode(meta_info[key], where), where), cls, where, key)
     algorithm = meta_info.get("algorithm", "transfer")
     if kind == "raw":
-        task_information = algorithm if algorithm in nn.TASK_INFORMATION else None
-        model = RawSeriesModel(meta["model"], meta["in_channels"], groups, task_information)
+        model = RawSeriesModel.of_corpus(meta["model"], corpus.manifest, algorithm)
+        if meta["in_channels"] != model.in_channels:
+            raise ParseError(f"checkpoint {path!r}: in_channels {meta['in_channels']} does not fit "
+                             f"the corpus, whose raw-series model takes {model.in_channels}")
     else:
         try:
             spec = ChannelGroupSpec(tuple(meta["spec"]))
         except ContractError as err:
             raise ParseError(f"checkpoint {path!r}: bad 'spec' metadata: spec: {err}") from None
+        declared = {g.name: g.channels for g in corpus.manifest.groups if g.kind == "dynamic"}
+        for g in spec.dynamic_groups:
+            if declared.get(g.name) != g.channels:
+                raise ParseError(f"checkpoint {path!r}: spec group {g.name} at {g.channels} "
+                                 f"channels does not fit the corpus, whose manifest declares "
+                                 f"the dynamic groups {declared}")
         stats = {g.name: (arrays[f"norm/{g.name}/mean"], arrays[f"norm/{g.name}/std"])
                  for g in spec.dynamic_groups if f"norm/{g.name}/mean" in arrays}
         model = TokenClassifier(meta["model"], spec, meta["regime"], stats)

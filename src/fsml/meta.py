@@ -145,8 +145,8 @@ class MetaLearner:
 
     def __init__(self, config, model, groups):
         self.config = config
-        task_information = config.algorithm if config.algorithm in nn.TASK_INFORMATION else None
-        self.model = replace(model, groups=tuple(groups), task_information=task_information)
+        self.model = replace(model, groups=tuple(groups),
+                             task_information=nn.task_information_of(config.algorithm))
 
     # -- parameter construction ------------------------------------------
 
@@ -169,7 +169,7 @@ class MetaLearner:
         """
         kinds = ([t.support_sets() for t in tasks], [t.query_sets() for t in tasks])
         samples = [s for sets in kinds for set_samples, _ in sets for s in set_samples]
-        packed = self.model.sample_set(samples)
+        packed = self.model.pack(samples)
         stacked, offset = [], 0
         for sets in kinds:
             width = max(len(labels) for _, labels in sets)
@@ -190,7 +190,7 @@ class MetaLearner:
     def logits(self, flat, samples):
         """Logits of a sample list, or of a (stacked) ``SampleSet``."""
         if not isinstance(samples, SampleSet):
-            samples = self.model.sample_set(samples)
+            samples = self.model.pack(samples).take()
         return self.model.forward(*nn.split_params(flat), samples)
 
     def _loss_fn(self, inputs):
@@ -216,7 +216,8 @@ class MetaLearner:
         descended, which takes each task's own steps.
         """
         if not isinstance(task, SampleSet):
-            task = self.model.sample_set(*task.support_sets())
+            samples, labels = task.support_sets()
+            task = replace(self.model.pack(samples).take(), labels=labels)
         return adapt_by_gradient_descent(
             self._loss_fn(task),
             flat,
@@ -297,15 +298,12 @@ def meta_train(corpus, config, seed, model_config=None):
     Adam at the outer rate updates the backbone (the task encoder gets its
     own Adam at the encoder rate); after each multiple of ``validate_every``
     tasks and after the last batch the mean query accuracy over the fixed
-    meta-validation tasks joins the trace.  Returns (best backbone params, info).
+    meta-validation tasks joins the trace.  Returns (best backbone params, info);
+    ``info["model"]`` is the corpus's ``RawSeriesModel.of_corpus``.
     """
-    groups = corpus.manifest.group_order()
-    model_config = model_config or nn.small_config()
-    in_channels = corpus.manifest.dynamic_channels()
-    if config.algorithm == "timl_noenc":
-        in_channels += 3
-    model = RawSeriesModel(model_config, in_channels)
-    learner = MetaLearner(config, model, groups)
+    model = RawSeriesModel.of_corpus(model_config or nn.small_config(), corpus.manifest,
+                                     config.algorithm)
+    learner = MetaLearner(config, model, model.groups)
     meta_params = learner.init_meta_params(rng_from(seed, STREAM_INIT))
 
     pool = episode_pool(corpus, "train")
@@ -335,4 +333,5 @@ def meta_train(corpus, config, seed, model_config=None):
 
     batch_ends = [min(t + size, config.total_tasks) for t in range(0, config.total_tasks, size)]
     best, best_at, trace = _fit(batch_ends, config.validate_every, step, validate, meta_params)
-    return nn.split_params(best)[0], {"trace": trace, "best_at": best_at, "learner": learner}
+    info = {"trace": trace, "best_at": best_at, "learner": learner, "model": model}
+    return nn.split_params(best)[0], info

@@ -55,6 +55,8 @@ class TransformerConfig:
         require_counts(embed_dim=self.embed_dim, num_heads=self.num_heads,
                        hidden_dim=self.hidden_dim, encoder_blocks=self.encoder_blocks)
         require_counts(0, decoder_blocks=self.decoder_blocks)
+        if self.embed_dim % 2 != 0:  # the positions are sinusoidal (sine, cosine) pairs
+            raise ContractError(f"embed_dim: {self.embed_dim} must be even")
         if self.embed_dim % self.num_heads != 0:
             raise ContractError(
                 f"embed_dim: {self.embed_dim} is not divisible by num_heads {self.num_heads}"
@@ -285,6 +287,11 @@ FILM_HIDDEN = 32
 TASK_INFORMATION = ("timl_enc", "timl_noenc")  # the ways parcel coordinates enter
 
 
+def task_information_of(algorithm):
+    """A model's ``task_information`` under a pre-training ``algorithm``."""
+    return algorithm if algorithm in TASK_INFORMATION else None
+
+
 def append_task_channels(values, cartesian):
     """Concatenate the 3-vector to every time step of [B, T, C] band values."""
     tiled = np.broadcast_to(cartesian[..., None, :], values.shape[:-1] + (3,))
@@ -344,8 +351,19 @@ class RawSeriesModel:
 
     config: TransformerConfig
     in_channels: int
-    groups: tuple = ()  # dynamic group order used by sample_set()
+    groups: tuple = ()  # dynamic group order used by pack()
     task_information: str | None = None  # None or one of TASK_INFORMATION
+
+    @classmethod
+    def of_corpus(cls, config, manifest, algorithm=None):
+        """The model of a corpus: its dynamic groups in manifest order, their
+        width (+3 for ``timl_noenc``) and ``algorithm``'s task information."""
+        groups = tuple(manifest.group_order())
+        if not groups:
+            raise ContractError("the corpus manifest declares no dynamic channel group")
+        info = task_information_of(algorithm)
+        width = manifest.dynamic_channels() + (3 if info == "timl_noenc" else 0)
+        return cls(config, width, groups, info)
 
     def init_backbone(self, rng):
         params = {}
@@ -396,11 +414,6 @@ class RawSeriesModel:
         if self.task_information == "timl_noenc":
             values = append_task_channels(values, cart)
         return SeriesPack((values, days, mask), cart, mask.sum(axis=1))
-
-    def sample_set(self, samples, labels=None):
-        """``samples`` packed and taken whole, with their labels."""
-        taken = self.pack(samples).take()
-        return SampleSet(taken.batch, taken.cart, labels)
 
     def forward(self, backbone, head, inputs):
         """Logits of a (stacked) ``SampleSet``."""

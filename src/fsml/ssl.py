@@ -1,12 +1,12 @@
 """Masked-autoencoder pre-training over token sequences.
 
 Batches
-    ``encode_token_batch`` encodes a whole batch with one call of
-    ``tokens.encode_tokens`` and returns a ``TokenBatch``: [B, N, d_emb]
-    tokens and contexts, the padding mask and the reconstruction targets,
-    with the ``tokens.token_layout`` that call computed.  A batch's masks
-    are drawn after encoding and read that layout: one strategy draw
-    followed by one ``build_mask`` per sample, in order.
+    ``encode_token_batch`` packs a sample list (``tokens.pack_tokens``),
+    takes it whole and embeds it (``tokens.embed_tokens``) into a
+    ``TokenBatch``: [B, N, d_emb] tokens and contexts, the padding mask and
+    the reconstruction targets, with the take's ``tokens.token_layout``.  A
+    batch's masks are drawn after encoding and read that layout: one
+    strategy draw followed by one ``build_mask`` per sample, in order.
 
 Masking regimes
     base (non-strict): structured strategies select at most the target
@@ -57,7 +57,6 @@ from .tokens import (
     ChannelGroupSpec,
     EncodingRegime,
     embed_tokens,
-    encode_tokens,
     pack_tokens,
     token_layout,
     token_params,
@@ -204,11 +203,11 @@ def encode_token_batch(samples, spec, regime, params, stats=None):
     """Tokens, contexts, padding and reconstruction targets for a batch."""
     if not samples:
         raise ContractError("encode_token_batch: empty batch")
-    tokens, context, targets, (_, group_index, time_index, pad) = encode_tokens(
-        samples, spec, regime, params, stats
-    )
+    inputs = pack_tokens(samples, spec, regime, stats).take()
+    tokens, context = embed_tokens(inputs, spec, regime, params)
+    _, group_index, time_index, pad = inputs.layout
     widths = np.array([spec.groups[gi].channels for gi in group_index], dtype=np.intp)
-    return TokenBatch(tokens, context, group_index, time_index, pad, targets, widths)
+    return TokenBatch(tokens, context, group_index, time_index, pad, inputs.cells, widths)
 
 
 # ---------------------------------------------------------------------------

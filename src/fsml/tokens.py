@@ -1,7 +1,7 @@
 """Unified token encoding for multi-source time series.
 
-``encode_tokens`` turns a batch of parcels into [B, N, d_emb] tokens in two
-halves.  ``pack_tokens`` holds everything that reads no parameter: one
+A batch of parcels becomes [B, N, d_emb] tokens in two halves.
+``pack_tokens`` holds everything that reads no parameter: one
 ``nn.pack_batch`` call packs the dynamic groups (one data source each) into
 [S, T_max, C] blocks, z-scored when statistics are given, with its padding
 convention; the static ``location`` group is an [S, 1, 3] block; and the
@@ -22,7 +22,7 @@ Static groups receive zero temporal encodings.  ``token_layout`` alone
 defines token order: static groups in spec order, then dynamic groups
 group-major over time, each dynamic block as long as the batch's longest
 series.  Rows past a sample's own length are padding and are zero.
-``take`` computes the layout once per batch, and ``encode_tokens`` returns it.
+``take`` computes the layout once per batch and returns it with the inputs.
 """
 
 from __future__ import annotations
@@ -89,6 +89,8 @@ class EncodingRegime:
 
     base variant: d_sin = d_emb/2, d_month = d_emb/4, d_channel = d_emb/4.
     xts variant:  d_month = 0, d_sin = 3*d_emb/4, d_channel = d_emb/4.
+    The sinusoidal parts (d_sin, d_month) need even widths, so d_emb is a
+    multiple of 8.
     """
 
     variant: str  # one of REGIME_VARIANTS
@@ -101,8 +103,9 @@ class EncodingRegime:
             raise ContractError(f"unknown regime variant {self.variant!r}")
         if self.position_source not in POSITION_SOURCES:
             raise ContractError(f"unknown position source {self.position_source!r}")
-        if self.d_emb % 4 != 0:
-            raise ContractError(f"d_emb {self.d_emb} must be divisible by 4")
+        if self.d_emb % 8 != 0:
+            raise ContractError(f"d_emb {self.d_emb} must be divisible by 8, "
+                                "so that the sinusoidal encodings have even widths")
 
     @property
     def d_channel(self):
@@ -294,17 +297,3 @@ def embed_tokens(inputs, spec, regime, params):
     tokens = T.add(T.mul(T.concat(projected, axis=1), live_f), context)
     return tokens, context
 
-
-def encode_tokens(samples, spec, regime, params, stats=None):
-    """Encode a batch of parcels into tokens in one pass: ``pack_tokens``
-    of the batch, taken whole, then ``embed_tokens``.
-
-    Returns ``(tokens, context, cells, layout)``: the [B, N, d_emb] tokens,
-    their contextual encodings alone, each token's input values [B, N, C_max]
-    (z-scored with ``stats``; the masked autoencoder's reconstruction
-    targets) and the batch's ``token_layout``.  Rows past a sample's length
-    are zero in the first three.
-    """
-    inputs = pack_tokens(samples, spec, regime, stats).take()
-    tokens, context = embed_tokens(inputs, spec, regime, params)
-    return tokens, context, inputs.cells, inputs.layout

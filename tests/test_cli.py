@@ -14,8 +14,8 @@ from fsml.data import SynthConfig, load_corpus
 from fsml.errors import ContractError
 from fsml.meta import MetaConfig
 from fsml.nn import RawSeriesModel, TransformerConfig, load_checkpoint, save_checkpoint
-from fsml.ssl import SSLConfig
-from fsml.tokens import EncodingRegime
+from fsml.ssl import SSLConfig, TokenClassifier
+from fsml.tokens import EncodingRegime, group_spec
 from fsml.train import TransferConfig
 
 
@@ -77,10 +77,11 @@ SSL_CLI_KEYS = {
 
 def _block_of(cls, names):
     """A value of each field's type (1 for numbers, a list of ones for a tuple),
-    a valid meta algorithm and way count, synth sizes that meet its bounds, and
-    a valid value of each CLI-only key."""
+    a valid meta algorithm and way count, an even embedding width, synth sizes
+    that meet its bounds, and a valid value of each CLI-only key."""
     hints = get_type_hints(cls)
-    valid = {**SSL_CLI_KEYS, "algorithm": "maml", "n_way": 2, "regions": ["R1"], "n_classes": 4,
+    valid = {**SSL_CLI_KEYS, "algorithm": "maml", "n_way": 2, "embed_dim": 2,
+             "regions": ["R1"], "n_classes": 4,
              "samples_per_class": 2, "finetune_samples_per_class": 2,
              "groups": [{"name": "s2", "channels": 1}]}
     return {
@@ -136,6 +137,9 @@ def test_every_config_field_is_accepted_and_typos_are_rejected():
      "meta.inner_steps: must be an integer"),
     ("pretrain-meta", {"meta": {"algorithm": "maml"}, "model": {"embed_dim": 16.0}},
      "model.embed_dim: must be an integer"),
+    # the raw model's day positions are sinusoidal (sine, cosine) pairs
+    ("pretrain-transfer", {"model": {"embed_dim": 15, "num_heads": 3}},
+     "model.embed_dim: 15 must be even"),
     ("pretrain-transfer", {"transfer": {"learning_rate": True}},
      "transfer.learning_rate: must be a number"),
     ("finetune", {"finetune": {"source": "checkpoint"}},
@@ -361,12 +365,16 @@ def _report_run(tmp_path):
 # or artifact is written.
 @pytest.mark.parametrize("mode, blocks, problem", [
     ("pretrain-ssl", {"ssl": {}, "model": {"embed_dim": 18, "num_heads": 2}},
-     "model.embed_dim: d_emb 18 must be divisible by 4"),
+     "model.embed_dim: d_emb 18 must be divisible by 8"),
+    *[("pretrain-ssl", {"ssl": {"regime": regime}, "model": {"embed_dim": width, "num_heads": 2}},
+       f"model.embed_dim: d_emb {width} must be divisible by 8")
+      for regime in ("xts", "presto") for width in (12, 20)],
     ("evaluate", {"evaluate": {"runs": ["{tmp}/runs/mistyped"]}},
      "evaluate.runs[0]: no */reports/*.json under '{tmp}/runs/mistyped'"),
     ("evaluate", {"evaluate": {"runs": ["{good}", "{tmp}/empty"], "out_csv": "{tmp}/r.csv"}},
      "evaluate.runs[1]: no */reports/*.json under '{tmp}/empty'"),
-], ids=["ssl-width", "evaluate-missing-run", "evaluate-run-without-reports"])
+], ids=["ssl-width", "ssl-width-xts-12", "ssl-width-xts-20", "ssl-width-presto-12",
+        "ssl-width-presto-20", "evaluate-missing-run", "evaluate-run-without-reports"])
 def test_checks_across_blocks_run_before_any_work(tmp_path, capsys, monkeypatch, mode, blocks,
                                                   problem):
     good = _report_run(tmp_path)
@@ -714,6 +722,64 @@ def test_mistyped_lab_file_is_a_parse_error_naming_it_and_the_key(tmp_path, caps
     assert _main_on(tmp_path, config) == 1
     err = capsys.readouterr().err
     assert "error [ParseError]" in err and str(bad) in err and problem in err
+
+
+@pytest.mark.parametrize("mode, manifest", [
+    ("pretrain-transfer", "no-groups"),
+    ("pretrain-meta", "no-groups"),
+    ("finetune", "no-groups"),
+    ("pretrain-meta", "missing"),
+    ("finetune", "missing"),
+])
+def test_corpus_without_a_dynamic_group_exits_1_without_a_traceback(tmp_path, capsys, mode,
+                                                                    manifest):
+    """A raw-series model needs a dynamic group; a manifest that declares none,
+    or no manifest, is a ContractError in every mode that builds one."""
+    dataset, out = tmp_path / "corpus.jsonl", tmp_path / "runs"
+    run(synth_config(dataset, out))
+    mpath = dataset.with_name("corpus.manifest.json")
+    if manifest == "missing":
+        mpath.unlink()
+    else:
+        mpath.write_text(json.dumps({**json.loads(mpath.read_text()), "groups": []}))
+    config = {"schema_version": 1, "mode": mode, "dataset": str(dataset), "out": str(out),
+              "seeds": [0], "model": MODEL_BLOCK}
+    if mode == "pretrain-meta":
+        config["meta"] = {"algorithm": "maml", "n_way": 2, "total_tasks": 2, "tasks_per_batch": 2}
+    elif mode == "finetune":
+        config = _finetune_config(dataset, out)
+    assert _main_on(tmp_path, config) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [ContractError]: ") and "no dynamic channel group" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind, problem", [
+    ("raw", "in_channels 4 does not fit the corpus, whose raw-series model takes 3"),
+    ("tokens", "spec group s1 at 2 channels does not fit the corpus, whose manifest declares "
+               "the dynamic groups {'s2': 3}"),
+], ids=["raw-width", "tokens-group"])
+def test_checkpoint_that_does_not_fit_the_corpus_is_a_parse_error_naming_it(tmp_path, capsys,
+                                                                            kind, problem):
+    """A raw checkpoint of a 4-channel corpus, or a token checkpoint whose spec
+    holds a group the corpus lacks, is refused before any sample is packed."""
+    dataset, out = tmp_path / "corpus.jsonl", tmp_path / "runs"
+    run(synth_config(dataset, out))
+    model_config = TransformerConfig(**MODEL_BLOCK)
+    if kind == "raw":
+        model = RawSeriesModel(model_config, 4, ("s2",))
+        meta = {"kind": "raw", **_model_metadata(), "in_channels": "4"}
+    else:
+        regime = EncodingRegime("xts", MODEL_BLOCK["embed_dim"], "day_of_year", 366)
+        model = TokenClassifier(model_config, group_spec(("s1", 2), ("s2", 3)), regime)
+        meta = {**_model_metadata(), **_token_metadata([{**S2, "name": "s1", "channels": 2}, S2])}
+    backbone = model.init_backbone(np.random.default_rng(0))
+    checkpoint = tmp_path / "other.fsml"
+    save_checkpoint(checkpoint, {f"backbone/{k}": v.values for k, v in backbone.items()}, meta)
+    config = _finetune_config(dataset, out, source="checkpoint", checkpoint=str(checkpoint))
+    assert _main_on(tmp_path, config) == 1
+    err = capsys.readouterr().err
+    assert err == f"error [ParseError]: checkpoint {str(checkpoint)!r}: {problem}\n"
 
 
 def test_checkpoint_with_attention_key_bias_finetunes_the_same(tmp_path):

@@ -364,9 +364,9 @@ def test_raw_model_logits_pack_their_own_samples(rng):
 
 
 @pytest.mark.parametrize("task_information", [None, "timl_enc", "timl_noenc"])
-def test_a_batch_taken_from_a_series_pack_equals_its_sample_set(task_information):
-    """A split packed once, then taken in ragged batches, gives each batch's
-    ``sample_set`` bit for bit: values, days, mask and task-information rows,
+def test_a_batch_taken_from_a_series_pack_equals_packing_it_alone(task_information):
+    """A split packed once, then taken in ragged batches, gives what packing
+    each batch alone gives, bit for bit: values, days, mask and task-information rows,
     also for a batch whose longest series is shorter than the split's and a
     one-parcel batch."""
     rng = np.random.default_rng(29)
@@ -383,7 +383,7 @@ def test_a_batch_taken_from_a_series_pack_equals_its_sample_set(task_information
     batches += [np.array([3, 0, 5]), np.array([2])]
     assert max(len(split[i].days) for i in batches[-2]) < 11  # shorter than the split's longest
     for idx in batches:
-        taken, alone = pack.take(idx), model.sample_set([split[i] for i in idx])
+        taken, alone = pack.take(idx), model.pack([split[i] for i in idx]).take()
         assert array_digest(*taken.batch) == array_digest(*alone.batch)
         if task_information is None:
             assert taken.cart is None and alone.cart is None

@@ -11,9 +11,9 @@ from conftest import array_digest, parcel
 from fsml.errors import ContractError, SequenceLengthError
 from fsml.nn import sinusoidal_encoding
 from fsml.seeding import rng_from
+from fsml.ssl import encode_token_batch
 from fsml.tokens import (
     embed_tokens,
-    encode_tokens,
     group_spec,
     month_of,
     pack_tokens,
@@ -87,9 +87,9 @@ def test_token_count_random_specs():
             np.sort(rng.choice(np.arange(1, 367), size=t, replace=False)),
             spec.groups, np.random.default_rng(3),
         )
-        tokens, context, cells, _ = encode_tokens([sample], spec, regime, params)
-        assert tokens.shape == context.shape == (1, n_static + n_dynamic * t, 16)
-        assert cells.shape == (1, spec.token_count(t), max(g.channels for g in spec.groups))
+        batch = encode_token_batch([sample], spec, regime, params)
+        assert batch.tokens.shape == batch.context.shape == (1, n_static + n_dynamic * t, 16)
+        assert batch.targets.shape == (1, spec.token_count(t), max(g.channels for g in spec.groups))
 
 
 def test_token_layout_order_and_padding():
@@ -114,9 +114,10 @@ def test_batched_tokens_equal_row_formula():
     samples = [sample_with(days, spec.groups, rng) for days in ([5, 40], [3, 90, 200, 300], [17])]
     for s in samples:
         s.lon = s.lat = 0.0  # the centroid's Cartesian vector is [1, 0, 0]
-    tokens, context, cells, layout = encode_tokens(samples, spec, regime, params)
-    _, group_index, time_index, pad = layout
-    for got, expected in zip(layout, token_layout(spec, [2, 4, 1])):
+    batch = encode_token_batch(samples, spec, regime, params)
+    tokens, context, cells = batch.tokens, batch.context, batch.targets
+    group_index, time_index, pad = batch.group_index, batch.time_index, batch.pad
+    for got, expected in zip((group_index, time_index, pad), token_layout(spec, [2, 4, 1])[1:]):
         np.testing.assert_array_equal(got, expected)
     for b, sample in enumerate(samples):
         temporal = temporal_encoding(regime, sample.days)
@@ -158,8 +159,8 @@ def test_encoded_tokens_are_pinned(regime, with_stats, digest):
     if with_stats:
         stats = {g.name: (rng.normal(size=g.channels), rng.uniform(0.5, 2.0, g.channels))
                  for g in spec.dynamic_groups}
-    tokens, context, cells, _ = encode_tokens(samples, spec, regime, params, stats)
-    assert array_digest(tokens.values, context.values, cells) == digest
+    batch = encode_token_batch(samples, spec, regime, params, stats)
+    assert array_digest(batch.tokens.values, batch.context.values, batch.targets) == digest
 
 
 def _ragged_split(spec, rng, lengths):
@@ -175,7 +176,7 @@ def _ragged_split(spec, rng, lengths):
 @pytest.mark.parametrize("with_stats", [False, True], ids=["raw", "stats"])
 def test_a_batch_taken_from_a_pack_equals_encoding_it_alone(regime, with_stats):
     """A split packed once, then taken in ragged batches, gives the tokens,
-    contexts, cells and layout of ``encode_tokens`` on each batch's own
+    contexts, cells and layout of ``encode_token_batch`` on each batch's own
     sample list, bit for bit; so do a batch whose longest series is shorter
     than the split's, a one-parcel batch and the whole split in order."""
     spec = group_spec(("location", 3, "static"), ("s1", 2, "dynamic"), ("s2", 3, "dynamic"))
@@ -193,10 +194,11 @@ def test_a_batch_taken_from_a_pack_equals_encoding_it_alone(regime, with_stats):
     for idx in batches:
         inputs = pack.take(idx)
         tokens, context = embed_tokens(inputs, spec, regime, params)
-        alone = encode_tokens([split[i] for i in idx], spec, regime, params, stats)
+        alone = encode_token_batch([split[i] for i in idx], spec, regime, params, stats)
         assert array_digest(tokens.values, context.values, inputs.cells, *inputs.layout[1:]) == \
-            array_digest(alone[0].values, alone[1].values, alone[2], *alone[3][1:])
-        assert inputs.layout[0] == alone[3][0]
+            array_digest(alone.tokens.values, alone.context.values, alone.targets,
+                         alone.group_index, alone.time_index, alone.pad)
+        assert inputs.layout[0] == token_layout(spec, [len(split[i].days) for i in idx])[0]
 
 
 def test_zero_projection_token_equals_context():
@@ -206,7 +208,8 @@ def test_zero_projection_token_equals_context():
     params = token_params(rng, spec, regime)
     params["proj/s2/w"].values[:] = 0.0  # bias already zero
     sample = sample_with([40, 70], spec.groups, np.random.default_rng(1))
-    tokens, context, _, _ = encode_tokens([sample], spec, regime, params)
+    batch = encode_token_batch([sample], spec, regime, params)
+    tokens, context = batch.tokens, batch.context
     temporal = temporal_encoding(regime, [40, 70])
     expected = np.concatenate(
         [np.tile(params["ctx/s2"].values, (2, 1)), temporal], axis=1
@@ -223,7 +226,7 @@ def test_identical_values_differ_only_in_sin_slice():
     fixed = rng.random(3)
     # two days in the same calendar month: identical p_month rows
     sample = parcel([92, 105], {"s2": [fixed, fixed]})
-    tokens, _, _, _ = encode_tokens([sample], spec, regime, params)
+    tokens = encode_token_batch([sample], spec, regime, params).tokens
     delta = tokens.values[0, 0] - tokens.values[0, 1]
     ch, sin, month = regime.slices()
     assert np.any(delta[sin] != 0.0)
@@ -239,8 +242,8 @@ def test_group_permutation_equivariance():
     params = token_params(rng_from(7, 0), spec, regime)
     rng = np.random.default_rng(2)
     samples = [sample_with([10, 20, 30], spec.groups, rng), sample_with([5, 50], spec.groups, rng)]
-    tokens = encode_tokens(samples, spec, regime, params)[0].values
-    tokens_perm = encode_tokens(samples, spec_perm, regime, params)[0].values
+    tokens = encode_token_batch(samples, spec, regime, params).tokens.values
+    tokens_perm = encode_token_batch(samples, spec_perm, regime, params).tokens.values
     t = 3
     blocks = {name: tokens[:, i * t : (i + 1) * t] for i, name in enumerate("abc")}
     blocks_perm = {name: tokens_perm[:, i * t : (i + 1) * t] for i, name in enumerate("cab")}
@@ -287,7 +290,7 @@ def test_channel_count_mismatch_rejected():
     good = sample_with([10], spec.groups, np.random.default_rng(0))
     bad = parcel([10], {"s2": np.zeros((1, 3))})
     with pytest.raises(ContractError, match="channels"):
-        encode_tokens([good, bad], spec, regime, params)
+        encode_token_batch([good, bad], spec, regime, params)
 
 
 def test_missing_dynamic_group_rejected():
@@ -295,7 +298,7 @@ def test_missing_dynamic_group_rejected():
     params = token_params(rng_from(0, 3), spec, xts_regime(16))
     bad = parcel([10], {"s1": np.zeros((1, 2))})
     with pytest.raises(ContractError, match="s2 missing"):
-        encode_tokens([bad], spec, xts_regime(16), params)
+        encode_token_batch([bad], spec, xts_regime(16), params)
 
 
 def test_timestep_overflow_rejected():
@@ -305,7 +308,7 @@ def test_timestep_overflow_rejected():
     rng = np.random.default_rng(0)
     samples = [sample_with([1, 2], spec.groups, rng), sample_with([1, 2, 3, 4, 5], spec.groups, rng)]
     with pytest.raises(SequenceLengthError):
-        encode_tokens(samples, spec, regime, params)
+        encode_token_batch(samples, spec, regime, params)
 
 
 def test_static_group_has_zero_temporal_encoding():
@@ -314,9 +317,10 @@ def test_static_group_has_zero_temporal_encoding():
     params = token_params(rng_from(0, 6), spec, regime)
     sample = sample_with([15, 75], spec.groups, np.random.default_rng(4))
     sample.lon = sample.lat = 0.0  # the centroid's Cartesian vector is [1, 0, 0]
-    tokens, _, cells, (_, _, time_index, _) = encode_tokens([sample], spec, regime, params)
-    assert time_index[0] == -1
-    static_token = tokens.values[0, 0]
+    batch = encode_token_batch([sample], spec, regime, params)
+    cells = batch.targets
+    assert batch.time_index[0] == -1
+    static_token = batch.tokens.values[0, 0]
     raw = np.array([1.0, 0.0, 0.0])
     np.testing.assert_array_equal(cells[0, 0], raw)
     projected = raw @ params["proj/location/w"].values + params["proj/location/b"].values
@@ -340,7 +344,7 @@ def test_unknown_static_group_rejected():
     params = token_params(rng_from(0, 6), spec, xts_regime(16))
     sample = sample_with([15], spec.groups, np.random.default_rng(4))
     with pytest.raises(ContractError, match="no provider for static group 'elevation'"):
-        encode_tokens([sample], spec, xts_regime(16), params)
+        encode_token_batch([sample], spec, xts_regime(16), params)
 
 
 def test_token_encoding_does_not_load_meta_learning():
