@@ -44,9 +44,9 @@ def softmax_rows(x):
     """Max-stabilized softmax over the last axis of an f64 array."""
     arr = np.ascontiguousarray(x, dtype=np.float64)
     rows = arr.reshape(-1, arr.shape[-1])
-    e = rows - rows.max(axis=1, keepdims=True)
+    e = rows - np.maximum.reduce(rows, axis=1, keepdims=True)
     np.exp(e, out=e)
-    e /= e.sum(axis=1, keepdims=True)
+    e /= np.add.reduce(e, axis=1, keepdims=True)
     return e.reshape(arr.shape)
 
 

@@ -17,13 +17,16 @@ global whether to record.  fsml runs parallel seeds in worker processes,
 never threads, so tapes must not be entered from more than one thread.
 
 Every primitive computes its values first.  When nothing records (no open
-tape, or inside :func:`paused`, as in the replay of
-``grad(create_graph=False)``), it returns them at once, before it builds its
-adjoint closure; each adjoint rule is written once, after that check.  The
-shape glue of the adjoint rules (``_unbroadcast``'s sums back to an
-operand's shape, a reduction's spread back to its input's) runs on the
-arrays when nothing records: its rule, written once, makes the NumPy calls
-the primitives would make, in the same order, and wraps the result once.
+tape, or inside :func:`paused`), it returns them at once, before it builds
+its adjoint closure.  Each adjoint rule is written once and picks its ops
+from the kind of its adjoint (:func:`_ops`).  A Tensor adjoint gets the
+primitives, read as module attributes at each call, so a recording replay
+(``grad(create_graph=True)``) records them.  A paused replay
+(``grad(create_graph=False)``) carries plain arrays: an array adjoint gets
+:class:`_ArrayOps`, the NumPy calls those primitives make, in the same
+order and without their shape checks, so every rule hands back arrays with
+the bits a primitive replay gives, and only the gradients ``grad`` returns
+are wrapped in a Tensor.
 
 Memory.  A tape keeps only what some adjoint rule reads.  A node names its
 inputs by their nodes, never holds its own output, and shape-only rules
@@ -48,17 +51,19 @@ while paused is not kept, so a first-order tape holds no more than the
 the chain it replaces did, but never the scores; a recording replay records
 the kept weights as one op of ``q`` and ``k`` instead of recomputing them.
 Likewise a recording replay records a ``layer_norm`` node's normalized rows
-as one op of the input.  A ``log_softmax_pick`` node keeps its shifted exps
-and their row sums, and a recording replay records the exps as one op.
+as one op of the input.  A ``log_softmax_pick`` node keeps its shifted
+exps, and a recording replay records them as one op.
 
-Fan-in.  Without ``create_graph``, ``grad`` sums the contributions to one
-adjoint in place, but only in an array it allocated itself for that sum:
-``add`` and ``reshape`` pass their ``g`` (or a view of it) straight
-through, so an array a rule returned may be another node's adjoint or a
-gradient already handed back.  Likewise a kernel, a primitive's forward or
-a paused adjoint writes only into arrays it allocated itself, never into an
-input, a kept array or a ``g`` it was handed, and it keeps the float ops of
-the plain expression in their order.
+Fan-in.  Without ``create_graph``, ``grad`` seeds an array and sums the
+array contributions to one adjoint in place, but only in an array it
+allocated itself for that sum: ``add`` and ``reshape`` pass their ``g`` (or
+a view of it) straight through, so an array a rule returned may be another
+node's adjoint or a gradient already handed back.  Likewise a kernel, a
+primitive's forward or a paused adjoint writes only into arrays it
+allocated itself, never into an input, a kept array or a ``g`` it was
+handed, and it keeps the float ops of the plain expression in their order.
+NumPy returns a product of 0-d arrays as a scalar; the array ops and the
+fan-in sum ask for a 0-d array instead (``out=...``).
 
 The primitive set is fixed: add, sub, mul, div, matmul, linear, transpose,
 reshape, concat, slice_axis, reduce_sum, reduce_mean, gelu, layer_norm,
@@ -70,9 +75,9 @@ A row gather from a table is a matmul with a constant one-hot operand.
 optional affine ``gain`` and ``bias``, each one node.  ``attention`` is the
 multi-head core between the projections (head split, scores, scale, key
 mask, softmax, context, head merge) and ``log_softmax_pick`` a
-cross-entropy's log-softmax at each row's label, each one node.  A paused replay of a fused op's adjoint runs the
-float ops of the primitive chain it replaces, so first-order gradients keep
-their bits.
+cross-entropy's log-softmax at each row's label, each one node.  A paused
+replay of a fused op's adjoint runs the float ops of the primitive chain it
+replaces, so first-order gradients keep their bits.
 
 Adjoint ops: _gelu_slope, _layer_norm_grad, _normalized, _attention_weights,
 _shifted_exp.  An adjoint rule records each as one op of its own: gelu's
@@ -83,12 +88,18 @@ the weights and the exps record in turn, like any rule.  The adjoints of the
 slope and of the layer_norm gradient read the kept ``tanh`` and ``inv`` as
 constants, so they run paused only: a recording replay of either, which a
 third derivative through gelu or layer_norm needs, raises ContractError.
+Each adjoint op takes the kind of its first argument: for arrays it records
+nothing and is its kept array (the rows, the weights, the exps) or, for the
+slope and the layer_norm gradient, the array it computes.
 A :class:`Tensor` has no arithmetic operators or methods: every computation
 calls these functions by name.
 """
 
 from __future__ import annotations
 
+import math
+import operator
+import sys
 import warnings
 from contextlib import contextmanager, nullcontext
 
@@ -229,30 +240,22 @@ def _check_axis(name, axis, shape):
 
 
 def _unbroadcast(g, shape):
-    """Reduce a broadcast gradient back to the operand's shape: through
-    primitives while a tape records, else by the same NumPy calls on the
-    array, wrapped once."""
+    """Reduce a broadcast gradient back to the operand's shape, with the ops
+    of ``g``'s kind (see :func:`_ops`)."""
     shape = tuple(shape)
     if g.shape == shape:
         return g
-    if _recording is None:
-        return Tensor(_sum_to(g.values, shape, np.ndarray.sum, np.ndarray.reshape))
-    return _sum_to(g, shape, reduce_sum, reshape)
-
-
-def _sum_to(g, shape, sum_, reshape_):
-    """``_unbroadcast``'s rule, written once for a Tensor and its primitives
-    or an array and the NumPy calls those primitives make."""
+    ops = _ops(g)
     extra = g.ndim - len(shape)
     if extra > 0:
-        g = sum_(g, axis=tuple(range(extra)))
+        g = ops.reduce_sum(g, axis=tuple(range(extra)))
     axes = tuple(
         i for i, (gd, td) in enumerate(zip(g.shape, shape)) if td == 1 and gd != 1
     )
     if axes:
-        g = sum_(g, axis=axes, keepdims=True)
+        g = ops.reduce_sum(g, axis=axes, keepdims=True)
     if g.shape != shape:
-        g = reshape_(g, shape)
+        g = ops.reshape(g, shape)
     return g
 
 
@@ -317,7 +320,7 @@ def sub(a, b):
     def vjp(g):
         return (
             _unbroadcast(g, shape_a) if da else None,
-            _unbroadcast(mul(g, -1.0), shape_b) if db else None,
+            _unbroadcast(_ops(g).mul(g, -1.0), shape_b) if db else None,
         )
 
     return _record(out, (a if da else None, b if db else None), vjp)
@@ -336,9 +339,10 @@ def mul(a, b):
     for_a, for_b = (b if da else None), (a if db else None)
 
     def vjp(g):
+        ops = _ops(g)
         return (
-            _unbroadcast(mul(g, for_a), shape_a) if da else None,
-            _unbroadcast(mul(g, for_b), shape_b) if db else None,
+            _unbroadcast(ops.mul(g, ops._arg(for_a)), shape_a) if da else None,
+            _unbroadcast(ops.mul(g, ops._arg(for_b)), shape_b) if db else None,
         )
 
     return _record(out, (a if da else None, b if db else None), vjp)
@@ -356,10 +360,13 @@ def div(a, b):
     num = a if db else None  # only b's gradient reads a
 
     def vjp(g):
-        ga = _unbroadcast(div(g, b), shape_a) if da else None
+        ops = _ops(g)
+        den = ops._arg(b)
+        ga = _unbroadcast(ops.div(g, den), shape_a) if da else None
         gb = None
         if db:
-            gb = _unbroadcast(mul(div(mul(g, num), mul(b, b)), -1.0), shape_b)
+            gb = ops.mul(ops.div(ops.mul(g, ops._arg(num)), ops.mul(den, den)), -1.0)
+            gb = _unbroadcast(gb, shape_b)
         return ga, gb
 
     return _record(out, (a if da else None, b if db else None), vjp)
@@ -398,18 +405,21 @@ def matmul(a, b, transpose_a=False, transpose_b=False):
     def vjp(g):
         # d(left) = g @ right^T and d(right) = left^T @ g, each transposed
         # back when its operand entered transposed
+        ops = _ops(g)
         ga = gb = None
         if da:
+            other = ops._arg(for_a)
             if transpose_a:
-                ga = matmul(for_a, g, transpose_a=transpose_b, transpose_b=True)
+                ga = ops.matmul(other, g, transpose_a=transpose_b, transpose_b=True)
             else:
-                ga = matmul(g, for_a, transpose_b=not transpose_b)
+                ga = ops.matmul(g, other, transpose_b=not transpose_b)
             ga = _unbroadcast(ga, shape_a)
         if db:
+            other = ops._arg(for_b)
             if transpose_b:
-                gb = matmul(g, for_b, transpose_a=True, transpose_b=transpose_a)
+                gb = ops.matmul(g, other, transpose_a=True, transpose_b=transpose_a)
             else:
-                gb = matmul(for_b, g, transpose_a=not transpose_a)
+                gb = ops.matmul(other, g, transpose_a=not transpose_a)
             gb = _unbroadcast(gb, shape_b)
         return ga, gb
 
@@ -438,12 +448,14 @@ def linear(x, w, b):
     for_x, for_w = (w if dx else None), (x if dw else None)
 
     def vjp(g):
+        ops = _ops(g)
         gp = _unbroadcast(g, shape_p)
-        return (
-            _unbroadcast(matmul(gp, for_x, transpose_b=True), shape_x) if dx else None,
-            _unbroadcast(matmul(for_w, gp, transpose_a=True), shape_w) if dw else None,
-            _unbroadcast(g, shape_b) if db else None,
-        )
+        gx = gw = None
+        if dx:
+            gx = _unbroadcast(ops.matmul(gp, ops._arg(for_x), transpose_b=True), shape_x)
+        if dw:
+            gw = _unbroadcast(ops.matmul(ops._arg(for_w), gp, transpose_a=True), shape_w)
+        return gx, gw, (_unbroadcast(g, shape_b) if db else None)
 
     return _record(out, (x if dx else None, w if dw else None, b if db else None), vjp)
 
@@ -463,10 +475,10 @@ def transpose(a, axes):
     out = Tensor(permuted)
     if _recording is None:
         return out
-    inverse = tuple(np.argsort([ax % a.ndim for ax in axes]))
+    inverse = tuple(int(ax) for ax in np.argsort([ax % a.ndim for ax in axes]))
 
     def vjp(g):
-        return (transpose(g, inverse),)
+        return (_ops(g).transpose(g, inverse),)
 
     return _record(out, (a,), vjp)
 
@@ -484,7 +496,7 @@ def reshape(a, shape):
     original = a.shape
 
     def vjp(g):
-        return (reshape(g, original),)
+        return (_ops(g).reshape(g, original),)
 
     return _record(out, (a,), vjp)
 
@@ -509,9 +521,10 @@ def concat(tensors, axis=0):
     sizes = [t.shape[axis] for t in tensors]
 
     def vjp(g):
+        ops = _ops(g)
         grads, offset = [], 0
         for size, differentiable in zip(sizes, given):
-            grads.append(slice_axis(g, axis, offset, offset + size) if differentiable else None)
+            grads.append(ops.slice_axis(g, axis, offset, offset + size) if differentiable else None)
             offset += size
         return tuple(grads)
 
@@ -545,7 +558,7 @@ def slice_axis(a, axis, start, stop):
             after = list(shape)
             after[axis] = dim - stop
             parts.append(np.zeros(after))
-        return (concat(parts, axis) if len(parts) > 1 else g,)
+        return (_ops(g).concat(parts, axis) if len(parts) > 1 else g,)
 
     return _record(out, (a,), vjp)
 
@@ -563,31 +576,28 @@ def _normalize_axis(name, axis, shape):
 
 def _spread_reduced(g, original, axes, keepdims, scale):
     """A reduction's input gradient: ``g`` with each reduced axis kept at size
-    1, broadcast back to the input's shape ``original`` and times ``scale``;
-    through primitives while a tape records, else by the same NumPy calls on
-    the array, wrapped once."""
-    if _recording is None:
-        spread = _spread(g.values, original, axes, keepdims, scale, np.ndarray.reshape, np.multiply)
-        return Tensor(spread)
-    return _spread(g, original, axes, keepdims, scale, reshape, mul)
-
-
-def _spread(g, original, axes, keepdims, scale, reshape_, mul_):
-    """``_spread_reduced``'s rule, written once like ``_sum_to``."""
+    1, broadcast back to the input's shape ``original`` and times ``scale``,
+    with the ops of ``g``'s kind."""
+    ops = _ops(g)
     if axes is None:
-        g = reshape_(g, (1,) * len(original)) if original else g
+        g = ops.reshape(g, (1,) * len(original)) if original else g
     elif not keepdims:
         kept = list(original)
         for ax in axes:
             kept[ax] = 1
-        g = reshape_(g, kept)
-    return mul_(g, np.broadcast_to(scale, original))
+        g = ops.reshape(g, kept)
+    return ops._scaled_to(g, original, scale)
+
+
+def _scaled_to(g, original, scale):
+    """``g`` times ``scale``, broadcast to the shape ``original``."""
+    return mul(g, np.broadcast_to(scale, original))
 
 
 def reduce_sum(a, axis=None, keepdims=False):
     a = _lift(a)
     axes = _normalize_axis("reduce_sum", axis, a.shape)
-    out = Tensor(a.values.sum(axis=axes, keepdims=keepdims))
+    out = Tensor(np.add.reduce(a.values, axis=axes, keepdims=keepdims))
     if _recording is None:
         return out
     original = a.shape
@@ -601,14 +611,12 @@ def reduce_sum(a, axis=None, keepdims=False):
 def reduce_mean(a, axis=None, keepdims=False):
     a = _lift(a)
     axes = _normalize_axis("reduce_mean", axis, a.shape)
-    out = Tensor(a.values.mean(axis=axes, keepdims=keepdims))
+    original = a.shape
+    count = a.size if axes is None else math.prod(original[ax] for ax in axes)
+    # the float ops of ndarray.mean: a sum, then one true divide by the count
+    out = Tensor(np.add.reduce(a.values, axis=axes, keepdims=keepdims) / count)
     if _recording is None:
         return out
-    original = a.shape
-    if axes is None:
-        count = a.size
-    else:
-        count = int(np.prod([original[ax] for ax in axes]))
 
     def vjp(g):
         return (_spread_reduced(g, original, axes, keepdims, 1.0 / count),)
@@ -627,27 +635,30 @@ def gelu(a):
 
     def vjp(g):
         nonlocal slope
+        ops = _ops(g)
         if slope is not None:
-            return (mul(g, slope),)
-        built = _gelu_slope(a, t)
+            return (ops.mul(g, ops._arg(slope)),)
+        built = _gelu_slope(ops._arg(a), t)
         # a slope built while paused is not kept: a later recording replay
         # must record one that carries its own derivative
         if _recording is not None:
             slope = built
-        return (mul(g, built),)
+        return (ops.mul(g, built),)
 
     return _record(out, (a,), vjp)
 
 
 def _gelu_slope(a, t):
-    """d gelu / da from the forward's ``t = tanh(inner)``, recorded as one op
-    whose adjoint, built from primitives, runs paused only.
+    """d gelu / da from the forward's ``t = tanh(inner)``, an array for an
+    array ``a``; for a Tensor, recorded as one op whose adjoint, NumPy with
+    the float ops of the primitive chain it replaces, runs paused only.
 
     A second-order tape thus holds one slope array per gelu instead of the
     dozen intermediates of a slope composed of primitives.
     """
+    tensor = isinstance(a, Tensor)
+    x = a.values if tensor else a
     # (t + 1) * 0.5 + ((x * 0.5) * (1 - t * t)) * dinner, on two buffers
-    x = a.values
     slope = np.multiply(x, 0.5, out=np.empty_like(x))
     buf = np.multiply(t, t, out=np.empty_like(x))
     slope *= np.subtract(1.0, buf, out=buf)
@@ -659,6 +670,8 @@ def _gelu_slope(a, t):
     np.add(t, 1.0, out=buf)
     buf *= 0.5
     slope += buf
+    if not tensor:
+        return slope
     out = Tensor(slope)
     if _recording is None:
         return out
@@ -668,11 +681,10 @@ def _gelu_slope(a, t):
         # with the forward's tanh as a constant
         if _recording is not None:
             raise ContractError("grad: a third derivative through gelu is not supported")
-        du = mul(add(mul(mul(a, a), 3.0 * GELU_CUBIC), 1.0), SQRT_2_OVER_PI)
-        ddu = mul(a, 6.0 * GELU_CUBIC * SQRT_2_OVER_PI)
-        bend = sub(ddu, mul(mul(t, 2.0), mul(du, du)))
-        curvature = mul(sub(1.0, mul(t, t)), add(du, mul(mul(a, 0.5), bend)))
-        return (mul(g, curvature),)
+        du = (x * x * (3.0 * GELU_CUBIC) + 1.0) * SQRT_2_OVER_PI
+        bend = x * (6.0 * GELU_CUBIC * SQRT_2_OVER_PI) - t * 2.0 * (du * du)
+        curvature = (1.0 - t * t) * (du + x * 0.5 * bend)
+        return (_ops(g).mul(g, curvature),)
 
     return _record(out, (a,), vjp)
 
@@ -710,12 +722,15 @@ def layer_norm(a, eps=1e-5, gain=None, bias=None):
         # a recording replay reads the normalized rows through an op of a,
         # so that the gain's gradient and _layer_norm_grad's inputs carry
         # their derivatives in a
-        rows = Tensor(normed) if _recording is None else _normalized(a, normed, inv)
+        ops = _ops(g)
+        rows = _normalized(ops._arg(a), normed, inv)
         g_scaled = _unbroadcast(g, shape_scaled)
-        g_rows = g_scaled if gain is None else _unbroadcast(mul(g_scaled, gain), shape_a)
+        g_rows = g_scaled
+        if gain is not None:
+            g_rows = _unbroadcast(ops.mul(g_scaled, ops._arg(gain)), shape_a)
         return (
             _layer_norm_grad(g_rows, a, rows, inv) if da else None,
-            _unbroadcast(mul(g_scaled, rows), gain.shape) if dgain else None,
+            _unbroadcast(ops.mul(g_scaled, rows), gain.shape) if dgain else None,
             _unbroadcast(g, bias.shape) if dbias else None,
         )
 
@@ -723,13 +738,17 @@ def layer_norm(a, eps=1e-5, gain=None, bias=None):
 
 
 def _normalized(a, y, inv):
-    """A layer_norm node's normalized rows ``y`` as a function of ``a``,
-    recorded as one op (callers check that a tape records) whose adjoint is
-    :func:`_layer_norm_grad`."""
+    """A layer_norm node's normalized rows ``y`` as a function of ``a``:
+    ``y`` itself for an array ``a``; for a Tensor, recorded as one op whose
+    adjoint is :func:`_layer_norm_grad`."""
+    if not isinstance(a, Tensor):
+        return y
     out = Tensor(y)
+    if _recording is None:
+        return out
 
     def vjp(h):
-        return (_layer_norm_grad(h, a, out, inv),)
+        return (_layer_norm_grad(h, a, _ops(h)._arg(out), inv),)
 
     return _record(out, (a,), vjp)
 
@@ -737,16 +756,21 @@ def _normalized(a, y, inv):
 def _layer_norm_grad(g, a, out, inv):
     """d layer_norm(a) / da applied to ``g``: inv * (g - mean(g) - out * mean(g * out)).
 
-    ``inv`` is the layer_norm node's 1 / sqrt(var + eps) per row.  Recorded
-    as one op, so a second-order tape holds one node per layer norm instead
-    of a dozen; its adjoint, which runs paused only, is NumPy.
+    ``out`` is the normalized rows, a Tensor or an array like ``g``, and
+    ``inv`` the layer_norm node's 1 / sqrt(var + eps) per row.  NumPy on
+    either kind; for a Tensor ``g`` it is recorded as one op, so a
+    second-order tape holds one node per layer norm instead of a dozen.  Its
+    adjoint, which runs paused only, is NumPy too.
     """
-    gv, y = g.values, out.values
+    tensor = isinstance(g, Tensor)
+    gv, y = (g.values, out.values) if tensor else (g, out)
     buf = np.multiply(gv, y)
     gy_mean = _mean_rows(buf)
     value = gv - _mean_rows(gv)
     value -= np.multiply(y, gy_mean, out=buf)
     value *= inv
+    if not tensor:
+        return value
     result = Tensor(value)
     if _recording is None:
         return result
@@ -758,7 +782,8 @@ def _layer_norm_grad(g, a, out, inv):
         if _recording is not None:
             raise ContractError("grad: a third derivative through layer_norm is not supported")
         n = a.shape[-1]
-        hv = h.values
+        h_tensor = isinstance(h, Tensor)
+        hv = h.values if h_tensor else h
         buf = np.multiply(hv, y)
         hy = _mean_rows(buf)
         g_out = np.multiply(hv, gy_mean)
@@ -767,7 +792,8 @@ def _layer_norm_grad(g, a, out, inv):
         h_dx = np.add.reduce(np.multiply(hv, value, out=buf), axis=-1, keepdims=True)
         g_a = np.multiply(y, inv / -n)
         g_a *= h_dx
-        return (_layer_norm_grad(h, a, out, inv), Tensor(g_a), Tensor(g_out))
+        g_h = _layer_norm_grad(h, a, out if h_tensor else y, inv)
+        return (g_h, Tensor(g_a), Tensor(g_out)) if h_tensor else (g_h, g_a, g_out)
 
     return _record(result, (g, a, out), vjp)
 
@@ -823,15 +849,11 @@ def attention(q, k, v, key_mask, num_heads, scale):
     keep = mask[:, None, None, :].astype(np.float64)
 
     def vjp(g):
-        if _recording is None:  # the float ops of the primitive chain below
-            gc = _heads(g.values, batch, num_heads)
-            weights, gw = Tensor(w), Tensor(gc @ vh.swapaxes(-1, -2))
-            gv = Tensor(_merge_heads(w.swapaxes(-1, -2) @ gc, v.shape))
-        else:
-            weights = _attention_weights(q, k, w, keep, scale, batch, num_heads)
-            gc = _heads_of(g, batch, num_heads)
-            gw = matmul(gc, _heads_of(v, batch, num_heads), transpose_b=True)
-            gv = _merge_heads_of(matmul(weights, gc, transpose_a=True), v.shape)
+        ops = _ops(g)
+        weights = _attention_weights(ops._arg(q), ops._arg(k), w, keep, scale, batch, num_heads)
+        gc = ops._heads_of(g, batch, num_heads)
+        gw = ops.matmul(gc, ops._heads_of(ops._arg(v), batch, num_heads), transpose_b=True)
+        gv = ops._merge_heads_of(ops.matmul(weights, gc, transpose_a=True), v.shape)
         return (*_scores_vjp(gw, weights, q, k, keep, scale, batch, num_heads), gv)
 
     return _record(out, (q, k, v), vjp)
@@ -839,33 +861,28 @@ def attention(q, k, v, key_mask, num_heads, scale):
 
 def _scores_vjp(gw, weights, q, k, keep, scale, batch, num_heads):
     """The gradients of ``q`` and ``k`` from the gradient ``gw`` of the
-    softmax ``weights``, through the softmax, key mask, scale and ``q k^T``.
-    Built from primitives; when nothing records, NumPy with their float ops."""
-    if _recording is None:
-        w, gv = weights.values, gw.values
-        gs = np.multiply(gv, w)
-        np.subtract(gv, np.add.reduce(gs, axis=-1, keepdims=True), out=gs)
-        gs *= w
-        gs *= keep
-        gs *= scale
-        gq = gs @ _heads(k.values, batch, num_heads)
-        gk = gs.swapaxes(-1, -2) @ _heads(q.values, batch, num_heads)
-        return Tensor(_merge_heads(gq, q.shape)), Tensor(_merge_heads(gk, k.shape))
-    weighted = reduce_sum(mul(gw, weights), axis=-1, keepdims=True)
-    gs = mul(mul(mul(weights, sub(gw, weighted)), keep), scale)
-    gq = matmul(gs, _heads_of(k, batch, num_heads))
-    gk = matmul(gs, _heads_of(q, batch, num_heads), transpose_a=True)
-    return _merge_heads_of(gq, q.shape), _merge_heads_of(gk, k.shape)
+    softmax ``weights`` (of ``gw``'s kind), through the softmax, key mask,
+    scale and ``q k^T``, with the ops of ``gw``'s kind."""
+    ops = _ops(gw)
+    weighted = ops.reduce_sum(ops.mul(gw, weights), axis=-1, keepdims=True)
+    gs = ops.mul(ops.mul(ops.mul(weights, ops.sub(gw, weighted)), keep), scale)
+    gq = ops.matmul(gs, ops._heads_of(ops._arg(k), batch, num_heads))
+    gk = ops.matmul(gs, ops._heads_of(ops._arg(q), batch, num_heads), transpose_a=True)
+    return ops._merge_heads_of(gq, q.shape), ops._merge_heads_of(gk, k.shape)
 
 
 def _attention_weights(q, k, w, keep, scale, batch, num_heads):
     """An attention node's kept softmax weights ``w`` as a function of ``q``
-    and ``k``, recorded as one op (callers check that a tape records)
-    whose adjoint is :func:`_scores_vjp`."""
+    and ``k``: ``w`` itself for arrays; for tensors, recorded as one op whose
+    adjoint is :func:`_scores_vjp`."""
+    if not isinstance(q, Tensor):
+        return w
     out = Tensor(w)
+    if _recording is None:
+        return out
 
     def vjp(h):
-        return _scores_vjp(h, out, q, k, keep, scale, batch, num_heads)
+        return _scores_vjp(h, _ops(h)._arg(out), q, k, keep, scale, batch, num_heads)
 
     return _record(out, (q, k), vjp)
 
@@ -875,8 +892,7 @@ def log_softmax_pick(logits, labels, weights=None):
 
     ``logits`` is [..., classes]; ``labels`` (integer) and the constant
     ``weights`` are shaped like its rows.  The softmax is stabilized by a
-    constant shift (the row max).  One node, which keeps the shifted exps
-    and their row sums.
+    constant shift (the row max).  One node, which keeps the shifted exps.
     """
     logits = _lift(logits)
     labels = np.asarray(labels, dtype=np.intp)
@@ -887,12 +903,11 @@ def log_softmax_pick(logits, labels, weights=None):
     if labels.size and (labels.min() < 0 or labels.max() >= classes):
         raise ContractError(f"log_softmax_pick: a label is out of range for {classes} classes")
     onehot = np.eye(classes)[labels]
-    z = x - x.max(axis=-1, keepdims=True)
+    z = x - np.maximum.reduce(x, axis=-1, keepdims=True)
     e = np.exp(z)
-    sums = e.sum(axis=-1, keepdims=True)
-    z -= np.log(sums)
+    z -= np.log(np.add.reduce(e, axis=-1, keepdims=True))
     z *= onehot
-    picked = z.sum(axis=-1)
+    picked = np.add.reduce(z, axis=-1)
     out = Tensor(picked if weights is None else picked * weights)
     if _recording is None:
         return out
@@ -900,29 +915,103 @@ def log_softmax_pick(logits, labels, weights=None):
     def vjp(g):
         # d/dz of (z - log sum exp z) . onehot: the log-probs' gradient, and
         # minus its row sum spread by exp(z) / sum; the shift is constant
-        if _recording is None:
-            gv = g.values if weights is None else g.values * weights
-            g_lp = gv[..., None] * onehot
-            g_norm = (g_lp * -1.0).sum(axis=-1, keepdims=True)
-            return (Tensor(g_lp + g_norm / sums * e),)
-        gp = g if weights is None else mul(g, weights)
-        g_lp = mul(reshape(gp, gp.shape + (1,)), onehot)
-        g_norm = reduce_sum(mul(g_lp, -1.0), axis=-1, keepdims=True)
-        exps = _shifted_exp(logits, e)
-        return (add(g_lp, mul(div(g_norm, reduce_sum(exps, axis=-1, keepdims=True)), exps)),)
+        ops = _ops(g)
+        gp = g if weights is None else ops.mul(g, weights)
+        g_lp = ops.mul(ops.reshape(gp, gp.shape + (1,)), onehot)
+        g_norm = ops.reduce_sum(ops.mul(g_lp, -1.0), axis=-1, keepdims=True)
+        exps = _shifted_exp(ops._arg(logits), e)
+        sums = ops.reduce_sum(exps, axis=-1, keepdims=True)
+        return (ops.add(g_lp, ops.mul(ops.div(g_norm, sums), exps)),)
 
     return _record(out, (logits,), vjp)
 
 
 def _shifted_exp(a, e):
-    """``exp(a - shift)`` with its constant shift, recorded as one op whose
-    values ``e`` its caller kept (callers check that a tape records)."""
+    """``exp(a - shift)`` with its constant shift, whose values ``e`` its
+    caller kept: ``e`` itself for an array ``a``; for a Tensor, recorded as
+    one op."""
+    if not isinstance(a, Tensor):
+        return e
     out = Tensor(e)
+    if _recording is None:
+        return out
 
     def vjp(g):
-        return (mul(g, out),)
+        ops = _ops(g)
+        return (ops.mul(g, ops._arg(out)),)
 
     return _record(out, (a,), vjp)
+
+
+# ---------------------------------------------------------------------------
+# the ops of an adjoint rule, by the kind of its adjoint
+# ---------------------------------------------------------------------------
+
+# A Tensor adjoint's rule calls the primitives as attributes of this module,
+# read at each call, so that a rebinding of their names (a profiler's, a
+# test's spy) applies to it as to any other caller.
+_PRIMITIVES = sys.modules[__name__]
+
+
+def _arg(t):
+    """A tensor a rule kept, as the primitives take it: the tensor itself."""
+    return t
+
+
+class _ArrayOps:
+    """The ops of a rule replayed on an array adjoint, under the names of
+    the module-level ops they stand for: the NumPy calls those make, in the
+    same order, without their shape checks and with no tape.  A rule reads a
+    kept tensor by its array (``_arg``).  Arithmetic passes ``out=...``, so
+    a result of 0-d operands is a 0-d array, not a NumPy scalar."""
+
+    _arg = staticmethod(operator.attrgetter("values"))
+
+    @staticmethod
+    def add(a, b):
+        return np.add(a, b, out=...)
+
+    @staticmethod
+    def sub(a, b):
+        return np.subtract(a, b, out=...)
+
+    @staticmethod
+    def mul(a, b):
+        return np.multiply(a, b, out=...)
+
+    @staticmethod
+    def div(a, b):
+        return np.true_divide(a, b, out=...)
+
+    @staticmethod
+    def reduce_sum(a, axis, keepdims=False):
+        return np.add.reduce(a, axis=axis, keepdims=keepdims, out=...)
+
+    reshape = np.ndarray.reshape
+    transpose = np.ndarray.transpose
+    concat = np.concatenate
+
+    @staticmethod
+    def slice_axis(a, axis, start, stop):
+        return a[(slice(None),) * axis + (slice(start, stop),)]
+
+    @staticmethod
+    def matmul(a, b, transpose_a=False, transpose_b=False):
+        left = a.swapaxes(-1, -2) if transpose_a else a
+        return left @ (b.swapaxes(-1, -2) if transpose_b else b)
+
+    @staticmethod
+    def _scaled_to(g, original, scale):
+        return np.multiply(g, scale, out=np.empty(original))
+
+    _heads_of = staticmethod(_heads)
+    _merge_heads_of = staticmethod(_merge_heads)
+
+
+def _ops(g):
+    """The ops a rule applies to the adjoint ``g``: the primitives for a
+    Tensor, :class:`_ArrayOps` for an array (a paused replay's)."""
+    return _PRIMITIVES if isinstance(g, Tensor) else _ArrayOps
 
 
 # ---------------------------------------------------------------------------
@@ -971,10 +1060,12 @@ def grad(output, wrt, create_graph=False):
                     break
         # Nodes are topological, so once a node's VJP has read its adjoint no
         # later step adds to it: drop it then, unless a target asks for it.
+        # A paused replay carries arrays: each rule runs on NumPy calls.
         scope = nullcontext() if create_graph else paused()
         owned = set()  # inputs whose adjoint array grad allocated for a fan-in sum
         with scope:
-            adjoints[node] = Tensor(np.ones(output.shape))
+            seed = np.ones(output.shape)
+            adjoints[node] = Tensor(seed) if create_graph else seed
             for n in reversed(needed):
                 g_out = adjoints.get(n) if n in wanted else adjoints.pop(n, None)
                 if g_out is None:
@@ -989,11 +1080,11 @@ def grad(output, wrt, create_graph=False):
                     elif create_graph:
                         adjoints[inp] = add(held, contrib)
                     elif inp in owned:
-                        np.add(held.values, contrib.values, out=held.values)
+                        np.add(held, contrib, out=held)
                     else:
                         # a VJP may return its own g or a view of it (add,
                         # reshape), so sum into an array allocated here
-                        adjoints[inp] = Tensor(held.values + contrib.values)
+                        adjoints[inp] = np.add(held, contrib, out=...)
                         owned.add(inp)
 
     results = []
@@ -1007,6 +1098,6 @@ def grad(output, wrt, create_graph=False):
                 f"grad: unreached leaf of shape {t.shape}; returning zero gradient",
                 stacklevel=2,
             )
-            g = Tensor(np.zeros(t.shape))
-        results.append(g)
+            g = np.zeros(t.shape)
+        results.append(g if isinstance(g, Tensor) else Tensor(g))
     return results[0] if single else results

@@ -391,6 +391,35 @@ def test_stacked_maml_meta_gradient_tape_size(monkeypatch):
     assert closed == [586]
 
 
+def test_paused_outer_grad_builds_one_tensor_per_returned_gradient(monkeypatch):
+    # the outer grad replays the second-order tape on arrays: only the
+    # gradients it hands back are wrapped; the inner steps still record
+    learner, meta_params, tasks = _benchmark_batch("maml")
+    closed = _closed_tapes(monkeypatch)
+    built, outer, init = [], [], Tensor.__init__
+
+    def counting_init(self, values):
+        built.append(1)
+        init(self, values)
+
+    def counted_grad(output, wrt, create_graph=False):
+        if create_graph:
+            return grad(output, wrt, create_graph=True)
+        before = len(built)
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        try:
+            result = grad(output, wrt)
+        finally:
+            monkeypatch.setattr(Tensor, "__init__", init)
+        outer.append((len(built) - before, len(result)))
+        return result
+
+    monkeypatch.setattr(meta, "grad", counted_grad)
+    learner.meta_gradient(meta_params, tasks, seed=1)
+    assert outer == [(len(meta_params), len(meta_params))]
+    assert closed == [586]
+
+
 def test_stacked_maml_meta_gradient_reuses_forward_statistics(monkeypatch):
     # each gelu node builds its slope once (the inner step's recorded one is
     # replayed by the outer pass), and the outer pass sums fan-ins in place

@@ -1032,19 +1032,25 @@ def test_every_recording_function_is_named_in_the_module_docstring():
 
 def test_every_documented_primitive_is_called_outside_its_own_definition():
     # a primitive that no pipeline module calls as T.<name> and no other
-    # function of fsml.tensor calls is dead code that its tests keep alive
+    # function of fsml.tensor calls (by name, or as ops.<name> in an adjoint
+    # rule) is dead code that its tests keep alive
+    def attribute_calls(tree, owner):
+        return {c.func.attr for c in ast.walk(tree) if isinstance(c, ast.Call)
+                and isinstance(c.func, ast.Attribute)
+                and isinstance(c.func.value, ast.Name) and c.func.value.id == owner}
+
     called = set()
     for path in Path(T.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text())
         if path.name != "tensor.py":
-            called |= {c.func.attr for c in ast.walk(tree) if isinstance(c, ast.Call)
-                       and isinstance(c.func, ast.Attribute)
-                       and isinstance(c.func.value, ast.Name) and c.func.value.id == "T"}
+            called |= attribute_calls(tree, "T")
             continue
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
-                called |= {c.func.id for c in ast.walk(node) if isinstance(c, ast.Call)
-                           and isinstance(c.func, ast.Name) and c.func.id != node.name}
+                names = attribute_calls(node, "ops") | {
+                    c.func.id for c in ast.walk(node)
+                    if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)}
+                called |= names - {node.name}
     assert sorted(_documented("The primitive set is fixed:") - called) == []
 
 
@@ -1205,18 +1211,19 @@ def test_log_softmax_pick_bits_equal_the_expression_it_replaces(shape, weighted)
 # --- through primitives, with the same NumPy calls in the same order ------
 
 
-def _glue_both_ways(monkeypatch, glue):
-    """``glue()`` recording on a tape, then paused with the primitives it
-    would call replaced by ones that fail: the two results' shapes and bits."""
+def _glue_both_ways(monkeypatch, glue, g):
+    """``glue(g)`` recording on a tape, then ``glue`` of g's array paused,
+    with the primitives it would call replaced by ones that fail: the two
+    results' shapes and bits."""
     with Tape() as tape:
-        recorded = glue()
+        recorded = glue(g)
         assert tape.nodes and recorded.node is not None
         with T.paused(), monkeypatch.context() as patch:
             for name in ("reduce_sum", "reshape", "mul"):
                 patch.setattr(T, name, lambda *args, **kwargs: pytest.fail("a primitive ran"))
-            quiet = glue()
-        assert quiet.node is None
-    return (recorded.shape, recorded.values.tobytes()), (quiet.shape, quiet.values.tobytes())
+            quiet = glue(g.values)
+        assert type(quiet) is np.ndarray
+    return (recorded.shape, recorded.values.tobytes()), (quiet.shape, quiet.tobytes())
 
 
 @pytest.mark.parametrize("g_shape, shape", [
@@ -1228,7 +1235,7 @@ def _glue_both_ways(monkeypatch, glue):
 ], ids=lambda v: "x".join(map(str, v)) or "scalar")
 def test_paused_unbroadcast_equals_the_primitive_chain_bits(monkeypatch, g_shape, shape):
     g = Tensor(np.random.default_rng(3).standard_normal(g_shape))
-    recorded, quiet = _glue_both_ways(monkeypatch, lambda: T._unbroadcast(g, shape))
+    recorded, quiet = _glue_both_ways(monkeypatch, lambda g: T._unbroadcast(g, shape), g)
     assert recorded == quiet and quiet[0] == shape
 
 
@@ -1244,7 +1251,7 @@ def test_paused_spread_reduced_equals_the_primitive_chain_bits(monkeypatch, orig
     reduced = np.zeros(original).sum(axis=axes, keepdims=keepdims).shape
     g = Tensor(np.random.default_rng(4).standard_normal(reduced))
     recorded, quiet = _glue_both_ways(
-        monkeypatch, lambda: T._spread_reduced(g, original, axes, keepdims, scale))
+        monkeypatch, lambda g: T._spread_reduced(g, original, axes, keepdims, scale), g)
     assert recorded == quiet and quiet[0] == original
 
 
@@ -1260,3 +1267,105 @@ def test_paused_and_recording_replays_of_broadcasts_and_reductions_give_equal_bi
             return [g.values.tobytes() for g in grad(loss, [x, w, b], create_graph=create_graph)]
 
     assert gradients(False) == gradients(True)
+
+
+# --- one way to reduce: np.add.reduce in place of the ndarray methods, ----
+# --- with the same bits (kernels.softmax_rows: tests/test_kernels.py) -------
+
+
+@pytest.mark.parametrize("axis", [None, 0, -1, (0, 2), (-1, 0), (1, -1), ()],
+                         ids=["none", "0", "-1", "0,2", "-1,0", "1,-1", "empty"])
+@pytest.mark.parametrize("keepdims", [False, True])
+def test_reductions_bits_equal_the_ndarray_methods_they_replace(axis, keepdims):
+    x = np.random.default_rng(77).standard_normal((3, 40, 17)) * 1e3
+    total = T.reduce_sum(x, axis, keepdims)
+    mean = T.reduce_mean(x, axis, keepdims)
+    expected_total = np.asarray(x.sum(axis=axis, keepdims=keepdims))
+    expected_mean = np.asarray(x.mean(axis=axis, keepdims=keepdims))
+    assert total.shape == expected_total.shape and mean.shape == expected_mean.shape
+    assert total.values.tobytes() == expected_total.tobytes()
+    assert mean.values.tobytes() == expected_mean.tobytes()
+
+
+# --- a paused replay carries arrays: every rule gives the bits of its ------
+# --- primitive replay, and hands back arrays --------------------------------
+
+
+def _every_op_loss(r):
+    """Tensors and a scalar loss through every primitive: 0-d operands,
+    broadcasts, and stacked [n, B, T, C] rows with task-axis weights."""
+    leaves = {
+        "s": np.array(0.7), "t": np.array(1.3), "v": r.standard_normal(5),
+        "x": r.standard_normal((2, 3, 4, 8)), "w": r.standard_normal((2, 8, 8)),
+        "b": r.standard_normal((2, 1, 8)), "gain": r.standard_normal((2, 1, 1, 8)) + 1.0,
+        "row": r.standard_normal(8), "col": r.standard_normal((1, 3, 1, 1)),
+        "m": r.standard_normal((8, 8)),
+    }
+    ts = {name: Tensor(a) for name, a in leaves.items()}
+    s, t, v, x = ts["s"], ts["t"], ts["v"], ts["x"]
+    mask = np.ones((2, 3, 4), bool)
+    mask[0, 1, 3] = mask[1, 2, 0] = False
+    labels = r.integers(0, 8, size=(2, 3))
+
+    zero_d = T.add(T.sub(T.mul(s, t), T.div(s, t)), T.gelu(T.mul(s, s)))
+    spread = T.add(s, v)  # a 0-d operand broadcast into a vector
+    normed = T.layer_norm(T.add(x, ts["row"]), 1e-5, ts["gain"], ts["row"])
+    flat = T.reshape(T.mul(normed, ts["col"]), (2, 12, 8))
+    h = T.gelu(T.linear(flat, ts["w"], ts["b"]))
+    att = T.attention(h, flat, h, mask, 2, 0.5)
+    stacked = T.reshape(att, (2, 3, 4, 8))
+    swapped = T.transpose(stacked, (0, 2, 1, 3))
+    product = T.matmul(swapped, swapped, transpose_a=True)
+    product = T.matmul(T.matmul(product, ts["m"]), T.layer_norm(swapped), transpose_b=True)
+    product = T.matmul(ts["m"], product, transpose_a=True)
+    joined = T.concat([T.slice_axis(stacked, -1, 2, 6), x, T.layer_norm(stacked)], axis=-1)
+    pooled = T.reduce_mean(joined, axis=(2, -1), keepdims=True)
+    logits = T.reduce_sum(T.mul(T.slice_axis(joined, -1, 0, 8), stacked), axis=2)
+    picked = T.log_softmax_pick(logits, labels, np.full((2, 3), 0.5))
+    terms = [zero_d, T.reduce_sum(spread), T.reduce_sum(product), T.reduce_sum(pooled),
+             T.reduce_mean(picked), T.reduce_mean(T.mul(T.log_softmax_pick(h, np.zeros((2, 12), int)), 2.0))]
+    loss = terms[0]
+    for term in terms[1:]:
+        loss = T.add(loss, term)
+    return ts, loss
+
+
+def _replays_agree(outs, r):
+    """Each recorded node's vjp, paused, of a Tensor and of its array: the
+    array replay hands back arrays with the Tensor replay's shapes and bits,
+    and neither writes into the adjoint it was handed."""
+    with T.paused():
+        for out, node in outs:
+            g = np.array(r.standard_normal(out.shape))
+            kept = g.copy()
+            from_tensor, from_array = node.vjp(Tensor(g)), node.vjp(g)
+            assert g.tobytes() == kept.tobytes()
+            assert len(from_tensor) == len(from_array)
+            for a, b in zip(from_tensor, from_array):
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert isinstance(a, Tensor) and type(b) is np.ndarray
+                    assert a.shape == b.shape and a.values.tobytes() == b.tobytes()
+
+
+def test_array_and_tensor_replays_of_every_op_give_equal_bits(monkeypatch):
+    outs, record = [], T._record
+
+    def spy(out, inputs, vjp):
+        recorded = record(out, inputs, vjp)
+        outs.append((recorded, recorded.node))
+        return recorded
+
+    monkeypatch.setattr(T, "_record", spy)
+    r = np.random.default_rng(79)
+    with Tape():
+        ts, loss = _every_op_loss(r)
+        # no gelu node has kept a slope before a recording replay
+        _replays_agree(outs, r)
+        forward = len(outs)
+        # the recording replay adds every adjoint op and a kept gelu slope
+        grad(loss, list(ts.values()), create_graph=True)
+        names = {node.vjp.__qualname__.split(".")[0] for _, node in outs[forward:]}
+        assert {"_gelu_slope", "_layer_norm_grad", "_normalized", "_attention_weights",
+                "_shifted_exp"} <= names
+        _replays_agree(outs, r)
