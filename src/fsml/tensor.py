@@ -16,17 +16,18 @@ module-level "recording tape or ``None``" up to date, so a primitive asks one
 global whether to record.  fsml runs parallel seeds in worker processes,
 never threads, so tapes must not be entered from more than one thread.
 
-Every primitive computes its values first.  When nothing records (no open
+Every primitive computes its values first, with its NumPy call in
+:class:`_ArrayOps` once its checks pass.  When nothing records (no open
 tape, or inside :func:`paused`), it returns them at once, before it builds
 its adjoint closure.  Each adjoint rule is written once and picks its ops
 from the kind of its adjoint (:func:`_ops`).  A Tensor adjoint gets the
 primitives, read as module attributes at each call, so a recording replay
 (``grad(create_graph=True)``) records them.  A paused replay
 (``grad(create_graph=False)``) carries plain arrays: an array adjoint gets
-:class:`_ArrayOps`, the NumPy calls those primitives make, in the same
-order and without their shape checks, so every rule hands back arrays with
-the bits a primitive replay gives, and only the gradients ``grad`` returns
-are wrapped in a Tensor.
+:class:`_ArrayOps` itself, the same NumPy calls in the same order without
+the primitives' checks, so every rule hands back arrays with the bits a
+primitive replay gives, and only the gradients ``grad`` returns are
+wrapped in a Tensor.
 
 Memory.  A tape keeps only what some adjoint rule reads.  A node names its
 inputs by their nodes, never holds its own output, and shape-only rules
@@ -63,7 +64,7 @@ primitive's forward or a paused adjoint writes only into arrays it
 allocated itself, never into an input, a kept array or a ``g`` it was
 handed, and it keeps the float ops of the plain expression in their order.
 NumPy returns a product of 0-d arrays as a scalar; the array ops and the
-fan-in sum ask for a 0-d array instead (``out=...``).
+fan-in sum ask for a 0-d array instead (``out=...``, new in NumPy 2.3).
 
 The primitive set is fixed: add, sub, mul, div, matmul, linear, transpose,
 reshape, concat, slice_axis, reduce_sum, reduce_mean, gelu, layer_norm,
@@ -274,6 +275,89 @@ def _mean_rows(x):
 
 
 # ---------------------------------------------------------------------------
+# the NumPy calls of the primitives, and the ops of an adjoint rule by the
+# kind of its adjoint
+# ---------------------------------------------------------------------------
+
+# A Tensor adjoint's rule calls the primitives as attributes of this module,
+# read at each call, so that a rebinding of their names (a profiler's, a
+# test's spy) applies to it as to any other caller.
+_PRIMITIVES = sys.modules[__name__]
+
+
+def _arg(t):
+    """A tensor a rule kept, as the primitives take it: the tensor itself."""
+    return t
+
+
+def _heads(x, batch, num_heads):
+    """Rows of ``batch`` sequences as a [batch, heads, T, dim / heads] view."""
+    return x.reshape(batch, -1, num_heads, x.shape[-1] // num_heads).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(x, shape):
+    return x.transpose(0, 2, 1, 3).reshape(shape)
+
+
+class _ArrayOps:
+    """The NumPy call of each module-level op, under its name.  A primitive
+    computes its values with it once its checks pass, and a rule replayed on
+    an array adjoint calls it directly, without the checks and with no tape,
+    so both replays make the same calls in the same order.  A rule reads a
+    kept tensor by its array (``_arg``).  Arithmetic and sums pass
+    ``out=...`` (NumPy 2.3 or later), so a result of 0-d operands is a 0-d
+    array, not a NumPy scalar."""
+
+    _arg = staticmethod(operator.attrgetter("values"))
+
+    @staticmethod
+    def add(a, b):
+        return np.add(a, b, out=...)
+
+    @staticmethod
+    def sub(a, b):
+        return np.subtract(a, b, out=...)
+
+    @staticmethod
+    def mul(a, b):
+        return np.multiply(a, b, out=...)
+
+    @staticmethod
+    def div(a, b):
+        return np.true_divide(a, b, out=...)
+
+    @staticmethod
+    def reduce_sum(a, axis, keepdims=False):
+        return np.add.reduce(a, axis=axis, keepdims=keepdims, out=...)
+
+    reshape = np.ndarray.reshape
+    transpose = np.ndarray.transpose
+    concat = np.concatenate
+
+    @staticmethod
+    def slice_axis(a, axis, start, stop):
+        return a[(slice(None),) * axis + (slice(start, stop),)]
+
+    @staticmethod
+    def matmul(a, b, transpose_a=False, transpose_b=False):
+        left = a.swapaxes(-1, -2) if transpose_a else a
+        return left @ (b.swapaxes(-1, -2) if transpose_b else b)
+
+    @staticmethod
+    def _scaled_to(g, original, scale):
+        return np.multiply(g, scale, out=np.empty(original))
+
+    _heads_of = staticmethod(_heads)
+    _merge_heads_of = staticmethod(_merge_heads)
+
+
+def _ops(g):
+    """The ops a rule applies to the adjoint ``g``: the primitives for a
+    Tensor, :class:`_ArrayOps` for an array (a paused replay's)."""
+    return _PRIMITIVES if isinstance(g, Tensor) else _ArrayOps
+
+
+# ---------------------------------------------------------------------------
 # primitives: each returns before building its adjoint when nothing records
 # ---------------------------------------------------------------------------
 
@@ -291,7 +375,7 @@ def _operands(a, b):
 def add(a, b):
     a, b, da, db = _operands(a, b)
     try:
-        out = Tensor(a.values + b.values)
+        out = Tensor(_ArrayOps.add(a.values, b.values))
     except ValueError:
         raise _broadcast_error("add", a, b) from None
     if _recording is None:
@@ -310,7 +394,7 @@ def add(a, b):
 def sub(a, b):
     a, b, da, db = _operands(a, b)
     try:
-        out = Tensor(a.values - b.values)
+        out = Tensor(_ArrayOps.sub(a.values, b.values))
     except ValueError:
         raise _broadcast_error("sub", a, b) from None
     if _recording is None:
@@ -329,7 +413,7 @@ def sub(a, b):
 def mul(a, b):
     a, b, da, db = _operands(a, b)
     try:
-        out = Tensor(a.values * b.values)
+        out = Tensor(_ArrayOps.mul(a.values, b.values))
     except ValueError:
         raise _broadcast_error("mul", a, b) from None
     if _recording is None:
@@ -351,7 +435,7 @@ def mul(a, b):
 def div(a, b):
     a, b, da, db = _operands(a, b)
     try:
-        out = Tensor(a.values / b.values)
+        out = Tensor(_ArrayOps.div(a.values, b.values))
     except ValueError:
         raise _broadcast_error("div", a, b) from None
     if _recording is None:
@@ -378,17 +462,20 @@ def _product(name, a, b, transpose_a=False, transpose_b=False):
         raise ShapeError(
             f"{name}: operands must have ndim >= 2, got shapes {a.shape} and {b.shape}"
         )
-    left = a.values.swapaxes(-1, -2) if transpose_a else a.values
-    right = b.values.swapaxes(-1, -2) if transpose_b else b.values
-    if left.shape[-1] != right.shape[-2]:
+    left, right = a.shape, b.shape
+    if transpose_a:
+        left = left[:-2] + (left[-1], left[-2])
+    if transpose_b:
+        right = right[:-2] + (right[-1], right[-2])
+    if left[-1] != right[-2]:
         raise ShapeError(
-            f"{name}: inner dimensions do not match for shapes {left.shape} and {right.shape}"
+            f"{name}: inner dimensions do not match for shapes {left} and {right}"
         )
     if a.ndim > 2 and b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(
             f"{name}: batch dimensions differ for shapes {a.shape} and {b.shape}"
         )
-    return left @ right
+    return _ArrayOps.matmul(a.values, b.values, transpose_a, transpose_b)
 
 
 def matmul(a, b, transpose_a=False, transpose_b=False):
@@ -465,7 +552,7 @@ def transpose(a, axes):
     a = _lift(a)
     axes = tuple(int(ax) for ax in axes)
     try:
-        permuted = np.transpose(a.values, axes)
+        permuted = _ArrayOps.transpose(a.values, axes)
     except ValueError:
         raise ShapeError(
             f"transpose: {axes} is not a permutation for shape {a.shape}"
@@ -487,7 +574,7 @@ def reshape(a, shape):
     a = _lift(a)
     shape = tuple(int(s) for s in shape)
     try:
-        out_vals = a.values.reshape(shape)
+        out_vals = _ArrayOps.reshape(a.values, shape)
     except ValueError:
         raise ShapeError(f"reshape: cannot view shape {a.shape} as {shape}") from None
     out = Tensor(out_vals)
@@ -515,7 +602,7 @@ def concat(tensors, axis=0):
             raise ShapeError(
                 f"concat: shapes {tensors[0].shape} and {t.shape} do not align off axis {axis}"
             )
-    out = Tensor(np.concatenate([t.values for t in tensors], axis=axis))
+    out = Tensor(_ArrayOps.concat([t.values for t in tensors], axis))
     if _recording is None:
         return out
     sizes = [t.shape[axis] for t in tensors]
@@ -539,10 +626,7 @@ def slice_axis(a, axis, start, stop):
         raise ContractError(
             f"slice_axis: [{start}:{stop}] out of range for axis {axis} of shape {a.shape}"
         )
-    index = tuple(
-        slice(start, stop) if i == axis else slice(None) for i in range(a.ndim)
-    )
-    out = Tensor(a.values[index])
+    out = Tensor(_ArrayOps.slice_axis(a.values, axis, start, stop))
     if _recording is None:
         return out
     shape = a.shape
@@ -597,7 +681,7 @@ def _scaled_to(g, original, scale):
 def reduce_sum(a, axis=None, keepdims=False):
     a = _lift(a)
     axes = _normalize_axis("reduce_sum", axis, a.shape)
-    out = Tensor(np.add.reduce(a.values, axis=axes, keepdims=keepdims))
+    out = Tensor(_ArrayOps.reduce_sum(a.values, axes, keepdims))
     if _recording is None:
         return out
     original = a.shape
@@ -614,7 +698,7 @@ def reduce_mean(a, axis=None, keepdims=False):
     original = a.shape
     count = a.size if axes is None else math.prod(original[ax] for ax in axes)
     # the float ops of ndarray.mean: a sum, then one true divide by the count
-    out = Tensor(np.add.reduce(a.values, axis=axes, keepdims=keepdims) / count)
+    out = Tensor(_ArrayOps.div(_ArrayOps.reduce_sum(a.values, axes, keepdims), count))
     if _recording is None:
         return out
 
@@ -798,15 +882,6 @@ def _layer_norm_grad(g, a, out, inv):
     return _record(result, (g, a, out), vjp)
 
 
-def _heads(x, batch, num_heads):
-    """Rows of ``batch`` sequences as a [batch, heads, T, dim / heads] view."""
-    return x.reshape(batch, -1, num_heads, x.shape[-1] // num_heads).transpose(0, 2, 1, 3)
-
-
-def _merge_heads(x, shape):
-    return x.transpose(0, 2, 1, 3).reshape(shape)
-
-
 def _heads_of(x, batch, num_heads):
     """:func:`_heads` of a tensor, recorded."""
     return transpose(reshape(x, (batch, -1, num_heads, x.shape[-1] // num_heads)), (0, 2, 1, 3))
@@ -838,12 +913,12 @@ def attention(q, k, v, key_mask, num_heads, scale):
             f"a key mask of {mask.shape} with {num_heads} heads"
         )
     qh, kh, vh = (_heads(t.values, batch, num_heads) for t in (q, k, v))
-    scores = qh @ kh.swapaxes(-1, -2)
+    scores = _ArrayOps.matmul(qh, kh, transpose_b=True)
     scores *= scale
     rows, keys = np.nonzero(~mask)  # each masked key's column, in every head and query
     scores[rows, :, :, keys] = -1e30
     w = kernels.softmax_rows(scores)
-    out = Tensor(_merge_heads(w @ vh, q.shape))
+    out = Tensor(_merge_heads(_ArrayOps.matmul(w, vh), q.shape))
     if _recording is None:
         return out
     keep = mask[:, None, None, :].astype(np.float64)
@@ -941,77 +1016,6 @@ def _shifted_exp(a, e):
         return (ops.mul(g, ops._arg(out)),)
 
     return _record(out, (a,), vjp)
-
-
-# ---------------------------------------------------------------------------
-# the ops of an adjoint rule, by the kind of its adjoint
-# ---------------------------------------------------------------------------
-
-# A Tensor adjoint's rule calls the primitives as attributes of this module,
-# read at each call, so that a rebinding of their names (a profiler's, a
-# test's spy) applies to it as to any other caller.
-_PRIMITIVES = sys.modules[__name__]
-
-
-def _arg(t):
-    """A tensor a rule kept, as the primitives take it: the tensor itself."""
-    return t
-
-
-class _ArrayOps:
-    """The ops of a rule replayed on an array adjoint, under the names of
-    the module-level ops they stand for: the NumPy calls those make, in the
-    same order, without their shape checks and with no tape.  A rule reads a
-    kept tensor by its array (``_arg``).  Arithmetic passes ``out=...``, so
-    a result of 0-d operands is a 0-d array, not a NumPy scalar."""
-
-    _arg = staticmethod(operator.attrgetter("values"))
-
-    @staticmethod
-    def add(a, b):
-        return np.add(a, b, out=...)
-
-    @staticmethod
-    def sub(a, b):
-        return np.subtract(a, b, out=...)
-
-    @staticmethod
-    def mul(a, b):
-        return np.multiply(a, b, out=...)
-
-    @staticmethod
-    def div(a, b):
-        return np.true_divide(a, b, out=...)
-
-    @staticmethod
-    def reduce_sum(a, axis, keepdims=False):
-        return np.add.reduce(a, axis=axis, keepdims=keepdims, out=...)
-
-    reshape = np.ndarray.reshape
-    transpose = np.ndarray.transpose
-    concat = np.concatenate
-
-    @staticmethod
-    def slice_axis(a, axis, start, stop):
-        return a[(slice(None),) * axis + (slice(start, stop),)]
-
-    @staticmethod
-    def matmul(a, b, transpose_a=False, transpose_b=False):
-        left = a.swapaxes(-1, -2) if transpose_a else a
-        return left @ (b.swapaxes(-1, -2) if transpose_b else b)
-
-    @staticmethod
-    def _scaled_to(g, original, scale):
-        return np.multiply(g, scale, out=np.empty(original))
-
-    _heads_of = staticmethod(_heads)
-    _merge_heads_of = staticmethod(_merge_heads)
-
-
-def _ops(g):
-    """The ops a rule applies to the adjoint ``g``: the primitives for a
-    Tensor, :class:`_ArrayOps` for an array (a paused replay's)."""
-    return _PRIMITIVES if isinstance(g, Tensor) else _ArrayOps
 
 
 # ---------------------------------------------------------------------------
