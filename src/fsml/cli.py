@@ -122,6 +122,8 @@ class FinetuneBlock(SourceBlock):
         require_counts(max_epochs=self.max_epochs, batch_size=self.batch_size)
         if not (self.kshots and all(type(k) is int and k > 0 for k in self.kshots)):
             raise ContractError("kshots: must be a non-empty list of positive integers")
+        if len(set(self.kshots)) != len(self.kshots):
+            raise ContractError("kshots: must be distinct")
         self.fine_tune = _finetune_regime(self.regime, self.lr_head, self.lr_backbone)
 
 
@@ -359,7 +361,10 @@ def _load_init(finetune_block, model_config, corpus, seed):
         return model, backbone, "no_pretraining"
     path = finetune_block.checkpoint.replace("{seed}", str(seed))
     arrays, meta_info = load_checkpoint(path)
-    kind = "raw" if meta_info.get("kind") == "raw" else "tokens"
+    kind = meta_info.get("kind", "tokens")  # a missing kind is listed as missing below
+    if kind not in _INIT_METADATA:
+        raise ParseError(f"checkpoint {path!r}: bad 'kind' metadata {kind!r}: "
+                         f"expected one of {sorted(_INIT_METADATA)}")
     missing = [k for k in ("model", "kind", *_INIT_METADATA[kind]) if k not in meta_info]
     if missing:
         raise ContractError(
@@ -473,6 +478,7 @@ class ReportRow:
 
     label: str
     k: int
+    seed: int
     overall_accuracy: float
 
 
@@ -487,13 +493,19 @@ def _read_report(path):
 def _mode_evaluate(config, blocks, chash):
     """Merge per-seed report JSONs from prior runs into one results table."""
     block = blocks["evaluate"]
-    collected = {}
+    collected, found = {}, {}  # found: the report of each (label, k, seed)
     for i, run_dir in enumerate(block.runs):
         reports = sorted(Path(run_dir).glob("*/reports/*.json"))
         if not reports:  # such as a mistyped config hash
             raise ContractError(f"evaluate.runs[{i}]: no */reports/*.json under {run_dir!r}")
         for report_file in reports:
             row = _read_report(report_file)
+            key = (row.label, row.k, row.seed)
+            if key in found:  # a run listed twice, or two runs of one label
+                raise ContractError(f"evaluate.runs: seed {row.seed} of {row.label!r} at k={row.k} is "
+                                    f"reported twice, by {str(found[key])!r} "
+                                    f"and {str(report_file)!r}")
+            found[key] = report_file
             collected.setdefault(row.label, {}).setdefault(row.k, []).append(row.overall_accuracy)
     kshots = sorted({k for per_k in collected.values() for k in per_k})
     rows = [

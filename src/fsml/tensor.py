@@ -89,9 +89,9 @@ the weights and the exps record in turn, like any rule.  The adjoints of the
 slope and of the layer_norm gradient read the kept ``tanh`` and ``inv`` as
 constants, so they run paused only: a recording replay of either, which a
 third derivative through gelu or layer_norm needs, raises ContractError.
-Each adjoint op takes the kind of its first argument: for arrays it records
-nothing and is its kept array (the rows, the weights, the exps) or, for the
-slope and the layer_norm gradient, the array it computes.
+Each adjoint op hands its value (a kept array, or the array it computes) and
+its rule to :func:`_adjoint_op`, the one place that picks the kind: for an
+array first input it records nothing and returns the value itself.
 A :class:`Tensor` has no arithmetic operators or methods: every computation
 calls these functions by name.
 """
@@ -226,6 +226,24 @@ def _record(out, inputs, vjp):
     return out
 
 
+def _adjoint_op(value, inputs, rule):
+    """An adjoint op's result in the kind of its first input: ``value``
+    itself for an array; for a Tensor, ``Tensor(value)``, recorded as one op
+    of ``inputs`` whose adjoint is ``rule(h, v)``, with ``v`` the op's value
+    in ``h``'s kind (see :func:`_ops`)."""
+    if not isinstance(inputs[0], Tensor):
+        return value
+    out = Tensor(value)
+    if _recording is None:
+        return out
+
+    def vjp(h):
+        return rule(h, _ops(h)._arg(out))
+
+    vjp.__qualname__ = rule.__qualname__  # the node names its op
+    return _record(out, inputs, vjp)
+
+
 def _broadcast_error(name, a, b):
     return ShapeError(
         f"{name}: shapes {a.shape} and {b.shape} are not broadcast-compatible"
@@ -290,15 +308,6 @@ def _arg(t):
     return t
 
 
-def _heads(x, batch, num_heads):
-    """Rows of ``batch`` sequences as a [batch, heads, T, dim / heads] view."""
-    return x.reshape(batch, -1, num_heads, x.shape[-1] // num_heads).transpose(0, 2, 1, 3)
-
-
-def _merge_heads(x, shape):
-    return x.transpose(0, 2, 1, 3).reshape(shape)
-
-
 class _ArrayOps:
     """The NumPy call of each module-level op, under its name.  A primitive
     computes its values with it once its checks pass, and a rule replayed on
@@ -347,14 +356,24 @@ class _ArrayOps:
     def _scaled_to(g, original, scale):
         return np.multiply(g, scale, out=np.empty(original))
 
-    _heads_of = staticmethod(_heads)
-    _merge_heads_of = staticmethod(_merge_heads)
-
 
 def _ops(g):
     """The ops a rule applies to the adjoint ``g``: the primitives for a
     Tensor, :class:`_ArrayOps` for an array (a paused replay's)."""
     return _PRIMITIVES if isinstance(g, Tensor) else _ArrayOps
+
+
+def _heads(x, batch, num_heads):
+    """Rows of ``batch`` sequences as [batch, heads, T, dim / heads], with
+    the ops of ``x``'s kind: a view of an array, recorded for a Tensor."""
+    ops = _ops(x)
+    return ops.transpose(ops.reshape(x, (batch, -1, num_heads, x.shape[-1] // num_heads)),
+                         (0, 2, 1, 3))
+
+
+def _merge_heads(x, shape):
+    ops = _ops(x)
+    return ops.reshape(ops.transpose(x, (0, 2, 1, 3)), shape)
 
 
 # ---------------------------------------------------------------------------
@@ -733,15 +752,14 @@ def gelu(a):
 
 
 def _gelu_slope(a, t):
-    """d gelu / da from the forward's ``t = tanh(inner)``, an array for an
-    array ``a``; for a Tensor, recorded as one op whose adjoint, NumPy with
-    the float ops of the primitive chain it replaces, runs paused only.
+    """d gelu / da from the forward's ``t = tanh(inner)``, an adjoint op of
+    ``a`` whose adjoint, NumPy with the float ops of the primitive chain it
+    replaces, runs paused only.
 
     A second-order tape thus holds one slope array per gelu instead of the
     dozen intermediates of a slope composed of primitives.
     """
-    tensor = isinstance(a, Tensor)
-    x = a.values if tensor else a
+    x = a.values if isinstance(a, Tensor) else a
     # (t + 1) * 0.5 + ((x * 0.5) * (1 - t * t)) * dinner, on two buffers
     slope = np.multiply(x, 0.5, out=np.empty_like(x))
     buf = np.multiply(t, t, out=np.empty_like(x))
@@ -754,13 +772,8 @@ def _gelu_slope(a, t):
     np.add(t, 1.0, out=buf)
     buf *= 0.5
     slope += buf
-    if not tensor:
-        return slope
-    out = Tensor(slope)
-    if _recording is None:
-        return out
 
-    def vjp(g):
+    def vjp(g, _):
         # slope' = sech^2 * (u' + a/2 * (u'' - 2 tanh(u) u'^2)), u = inner,
         # with the forward's tanh as a constant
         if _recording is not None:
@@ -770,7 +783,7 @@ def _gelu_slope(a, t):
         curvature = (1.0 - t * t) * (du + x * 0.5 * bend)
         return (_ops(g).mul(g, curvature),)
 
-    return _record(out, (a,), vjp)
+    return _adjoint_op(slope, (a,), vjp)
 
 
 def layer_norm(a, eps=1e-5, gain=None, bias=None):
@@ -822,19 +835,9 @@ def layer_norm(a, eps=1e-5, gain=None, bias=None):
 
 
 def _normalized(a, y, inv):
-    """A layer_norm node's normalized rows ``y`` as a function of ``a``:
-    ``y`` itself for an array ``a``; for a Tensor, recorded as one op whose
-    adjoint is :func:`_layer_norm_grad`."""
-    if not isinstance(a, Tensor):
-        return y
-    out = Tensor(y)
-    if _recording is None:
-        return out
-
-    def vjp(h):
-        return (_layer_norm_grad(h, a, _ops(h)._arg(out), inv),)
-
-    return _record(out, (a,), vjp)
+    """A layer_norm node's normalized rows ``y`` as an adjoint op of ``a``
+    whose adjoint is :func:`_layer_norm_grad`."""
+    return _adjoint_op(y, (a,), lambda h, rows: (_layer_norm_grad(h, a, rows, inv),))
 
 
 def _layer_norm_grad(g, a, out, inv):
@@ -842,24 +845,18 @@ def _layer_norm_grad(g, a, out, inv):
 
     ``out`` is the normalized rows, a Tensor or an array like ``g``, and
     ``inv`` the layer_norm node's 1 / sqrt(var + eps) per row.  NumPy on
-    either kind; for a Tensor ``g`` it is recorded as one op, so a
+    either kind, and an adjoint op of ``g``, ``a`` and ``out``, so a
     second-order tape holds one node per layer norm instead of a dozen.  Its
     adjoint, which runs paused only, is NumPy too.
     """
-    tensor = isinstance(g, Tensor)
-    gv, y = (g.values, out.values) if tensor else (g, out)
+    gv, y = (g.values, out.values) if isinstance(g, Tensor) else (g, out)
     buf = np.multiply(gv, y)
     gy_mean = _mean_rows(buf)
     value = gv - _mean_rows(gv)
     value -= np.multiply(y, gy_mean, out=buf)
     value *= inv
-    if not tensor:
-        return value
-    result = Tensor(value)
-    if _recording is None:
-        return result
 
-    def vjp(h):
+    def vjp(h, _):
         # The Jacobian in g is a symmetric projection, so g takes the same op
         # of h.  out enters bilinearly with g; a enters only through inv,
         # whose derivative is -inv^2 * out / n.
@@ -879,16 +876,7 @@ def _layer_norm_grad(g, a, out, inv):
         g_h = _layer_norm_grad(h, a, out if h_tensor else y, inv)
         return (g_h, Tensor(g_a), Tensor(g_out)) if h_tensor else (g_h, g_a, g_out)
 
-    return _record(result, (g, a, out), vjp)
-
-
-def _heads_of(x, batch, num_heads):
-    """:func:`_heads` of a tensor, recorded."""
-    return transpose(reshape(x, (batch, -1, num_heads, x.shape[-1] // num_heads)), (0, 2, 1, 3))
-
-
-def _merge_heads_of(x, shape):
-    return reshape(transpose(x, (0, 2, 1, 3)), shape)
+    return _adjoint_op(value, (g, a, out), vjp)
 
 
 def attention(q, k, v, key_mask, num_heads, scale):
@@ -926,9 +914,9 @@ def attention(q, k, v, key_mask, num_heads, scale):
     def vjp(g):
         ops = _ops(g)
         weights = _attention_weights(ops._arg(q), ops._arg(k), w, keep, scale, batch, num_heads)
-        gc = ops._heads_of(g, batch, num_heads)
-        gw = ops.matmul(gc, ops._heads_of(ops._arg(v), batch, num_heads), transpose_b=True)
-        gv = ops._merge_heads_of(ops.matmul(weights, gc, transpose_a=True), v.shape)
+        gc = _heads(g, batch, num_heads)
+        gw = ops.matmul(gc, _heads(ops._arg(v), batch, num_heads), transpose_b=True)
+        gv = _merge_heads(ops.matmul(weights, gc, transpose_a=True), v.shape)
         return (*_scores_vjp(gw, weights, q, k, keep, scale, batch, num_heads), gv)
 
     return _record(out, (q, k, v), vjp)
@@ -941,25 +929,16 @@ def _scores_vjp(gw, weights, q, k, keep, scale, batch, num_heads):
     ops = _ops(gw)
     weighted = ops.reduce_sum(ops.mul(gw, weights), axis=-1, keepdims=True)
     gs = ops.mul(ops.mul(ops.mul(weights, ops.sub(gw, weighted)), keep), scale)
-    gq = ops.matmul(gs, ops._heads_of(ops._arg(k), batch, num_heads))
-    gk = ops.matmul(gs, ops._heads_of(ops._arg(q), batch, num_heads), transpose_a=True)
-    return ops._merge_heads_of(gq, q.shape), ops._merge_heads_of(gk, k.shape)
+    gq = ops.matmul(gs, _heads(ops._arg(k), batch, num_heads))
+    gk = ops.matmul(gs, _heads(ops._arg(q), batch, num_heads), transpose_a=True)
+    return _merge_heads(gq, q.shape), _merge_heads(gk, k.shape)
 
 
 def _attention_weights(q, k, w, keep, scale, batch, num_heads):
-    """An attention node's kept softmax weights ``w`` as a function of ``q``
-    and ``k``: ``w`` itself for arrays; for tensors, recorded as one op whose
-    adjoint is :func:`_scores_vjp`."""
-    if not isinstance(q, Tensor):
-        return w
-    out = Tensor(w)
-    if _recording is None:
-        return out
-
-    def vjp(h):
-        return _scores_vjp(h, _ops(h)._arg(out), q, k, keep, scale, batch, num_heads)
-
-    return _record(out, (q, k), vjp)
+    """An attention node's kept softmax weights ``w`` as an adjoint op of
+    ``q`` and ``k`` whose adjoint is :func:`_scores_vjp`."""
+    return _adjoint_op(w, (q, k), lambda h, weights: _scores_vjp(
+        h, weights, q, k, keep, scale, batch, num_heads))
 
 
 def log_softmax_pick(logits, labels, weights=None):
@@ -1003,19 +982,8 @@ def log_softmax_pick(logits, labels, weights=None):
 
 def _shifted_exp(a, e):
     """``exp(a - shift)`` with its constant shift, whose values ``e`` its
-    caller kept: ``e`` itself for an array ``a``; for a Tensor, recorded as
-    one op."""
-    if not isinstance(a, Tensor):
-        return e
-    out = Tensor(e)
-    if _recording is None:
-        return out
-
-    def vjp(g):
-        ops = _ops(g)
-        return (ops.mul(g, ops._arg(out)),)
-
-    return _record(out, (a,), vjp)
+    caller kept, as an adjoint op of ``a``."""
+    return _adjoint_op(e, (a,), lambda g, exps: (_ops(g).mul(g, exps),))
 
 
 # ---------------------------------------------------------------------------

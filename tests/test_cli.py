@@ -168,6 +168,7 @@ def test_every_config_field_is_accepted_and_typos_are_rejected():
      "finetune.kshots: must be a non-empty list of positive integers"),
     ("finetune", {"finetune": {"kshots": [0, 2]}},
      "finetune.kshots: must be a non-empty list of positive integers"),
+    ("finetune", {"finetune": {"kshots": [1, 5, 1]}}, "finetune.kshots: must be distinct"),
     ("finetune", {"finetune": {"max_epochs": "2"}}, "finetune.max_epochs: must be an integer"),
     ("finetune", {"finetune": {"lr_head": "0.1"}}, "finetune.lr_head: must be a number"),
     ("finetune", {"finetune": {"source": "checkpoint", "checkpoint": 3}},
@@ -357,7 +358,7 @@ def _report_run(tmp_path):
     """A run directory holding one fine-tune report."""
     report = tmp_path / "good" / "0" / "reports" / "scratch_k1.json"
     report.parent.mkdir(parents=True)
-    report.write_text(json.dumps({"label": "scratch", "k": 1, "overall_accuracy": 0.5}))
+    report.write_text(json.dumps({"label": "scratch", "k": 1, "seed": 0, "overall_accuracy": 0.5}))
     return str(tmp_path / "good")
 
 
@@ -410,7 +411,7 @@ def test_artifact_path_that_cannot_be_written_is_a_contract_error(tmp_path, caps
     """``out_csv`` under a regular file, or ``plots`` naming one, exits 1 naming the path."""
     report = tmp_path / "runs" / "0" / "reports" / "scratch_k1.json"
     report.parent.mkdir(parents=True)
-    report.write_text(json.dumps({"label": "scratch", "k": 1, "overall_accuracy": 0.5}))
+    report.write_text(json.dumps({"label": "scratch", "k": 1, "seed": 0, "overall_accuracy": 0.5}))
     blocker = tmp_path / "taken"
     blocker.write_text("")
     block = {"runs": [str(tmp_path / "runs")], "out_csv": str(tmp_path / "eval" / "results.csv"),
@@ -660,10 +661,11 @@ def test_bad_checkpoint_metadata_is_a_parse_error_naming_it(tmp_path, capsys, me
 
 @pytest.mark.parametrize("content, problem", [
     ('{"label": "scratch", "k": 1, "overall_acc', "not valid JSON"),
-    (json.dumps({"k": 1, "overall_accuracy": 0.5}), "label: required"),
-    (json.dumps({"label": "scratch", "overall_accuracy": 0.5}), "k: required"),
-    (json.dumps({"label": "scratch", "k": 1}), "overall_accuracy: required"),
-], ids=["truncated", "no-label", "no-k", "no-overall-accuracy"])
+    (json.dumps({"k": 1, "seed": 0, "overall_accuracy": 0.5}), "label: required"),
+    (json.dumps({"label": "scratch", "seed": 0, "overall_accuracy": 0.5}), "k: required"),
+    (json.dumps({"label": "scratch", "k": 1, "overall_accuracy": 0.5}), "seed: required"),
+    (json.dumps({"label": "scratch", "k": 1, "seed": 0}), "overall_accuracy: required"),
+], ids=["truncated", "no-label", "no-k", "no-seed", "no-overall-accuracy"])
 def test_bad_report_is_a_parse_error_naming_it(tmp_path, capsys, content, problem):
     report = tmp_path / "runs" / "0" / "reports" / "scratch_k1.json"
     report.parent.mkdir(parents=True)
@@ -673,6 +675,44 @@ def test_bad_report_is_a_parse_error_naming_it(tmp_path, capsys, content, proble
     assert _main_on(tmp_path, config) == 1
     err = capsys.readouterr().err
     assert "error [ParseError]" in err and str(report) in err and problem in err
+
+
+@pytest.mark.parametrize("twice", ["run-listed-twice", "runs-of-one-label"])
+def test_evaluate_refuses_a_seed_reported_twice_naming_both_reports(tmp_path, capsys, twice):
+    """A seed counted twice would shrink the spread results.csv prints."""
+    first = _report_run(tmp_path)
+    second = first if twice == "run-listed-twice" else _report_run(tmp_path / "other")
+    out = tmp_path / "runs"
+    config = {"schema_version": 1, "mode": "evaluate", "out": str(out),
+              "evaluate": {"runs": [first, second]}}
+    assert _main_on(tmp_path, config) == 1
+    report = str(Path("0", "reports", "scratch_k1.json"))
+    assert capsys.readouterr().err == (
+        "error [ContractError]: evaluate.runs: seed 0 of 'scratch' at k=1 is reported twice, "
+        f"by {str(Path(first, report))!r} and {str(Path(second, report))!r}\n")
+    assert not [p for p in out.rglob("*") if p.is_file()]
+
+
+@pytest.mark.parametrize("kind", ["tokens", "tokenz"])
+def test_checkpoint_of_an_unknown_kind_is_a_parse_error_naming_it(tmp_path, capsys, kind):
+    """A token checkpoint fine-tunes; the same one with any other kind names no model."""
+    dataset, out = tmp_path / "corpus.jsonl", tmp_path / "runs"
+    run(synth_config(dataset, out))
+    regime = EncodingRegime("xts", MODEL_BLOCK["embed_dim"], "day_of_year", 366)
+    model = TokenClassifier(TransformerConfig(**MODEL_BLOCK), group_spec(("s2", 3)), regime)
+    backbone = model.init_backbone(np.random.default_rng(0))
+    checkpoint = tmp_path / "ssl.fsml"
+    save_checkpoint(checkpoint, {f"backbone/{k}": v.values for k, v in backbone.items()},
+                    {**_model_metadata(), **_token_metadata([S2]), "kind": kind})
+    config = _finetune_config(dataset, out, source="checkpoint", checkpoint=str(checkpoint))
+    if kind == "tokens":
+        assert _main_on(tmp_path, config) == 0
+        return
+    assert _main_on(tmp_path, config) == 1
+    assert capsys.readouterr().err == (
+        f"error [ParseError]: checkpoint {str(checkpoint)!r}: bad 'kind' metadata 'tokenz': "
+        "expected one of ['raw', 'tokens']\n")
+    assert not (out / config_hash(config)).exists()
 
 
 # Each probe corrupts the metadata and arrays of a valid raw checkpoint, or the

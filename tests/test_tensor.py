@@ -1015,13 +1015,14 @@ def _documented(label):
 
 def test_every_recording_function_is_named_in_the_module_docstring():
     # a fused op or adjoint op left out of the docstring's lists is one that
-    # tools counting the documented set (perfbench's tracer) cannot see
+    # tools counting the documented set (perfbench's tracer) cannot see; an
+    # adjoint op records through _adjoint_op
     recorders = set()
     for node in ast.parse(inspect.getsource(T)).body:
-        if isinstance(node, ast.FunctionDef) and node.name != "_record":
+        if isinstance(node, ast.FunctionDef) and node.name not in {"_record", "_adjoint_op"}:
             calls = {c.func.id for c in ast.walk(node)
                      if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)}
-            if "_record" in calls:
+            if calls & {"_record", "_adjoint_op"}:
                 recorders.add(node.name)
     primitives = _documented("The primitive set is fixed:")
     adjoint_ops = _documented("Adjoint ops:")
