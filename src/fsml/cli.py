@@ -92,6 +92,9 @@ class ConfigRoot:
             raise ContractError("seeds: must be non-empty and distinct")
         if min(self.seeds) < 0:  # a seed sequence takes no negative entropy
             raise ContractError("seeds: must be a list of integers >= 0")
+        if self.label is not None and (not self.label or "/" in self.label or "\\" in self.label):
+            # a label names files under reports/
+            raise ContractError("label: must be a non-empty name without '/' or '\\'")
 
 
 @dataclass
@@ -270,7 +273,8 @@ def _write_trace_csv(path, rows, fieldnames, chash, seed):
 
 
 def _token_spec(manifest, include_location):
-    groups = list(manifest.groups)
+    """The manifest's groups in its order, a static group only with the location token."""
+    groups = [g for g in manifest.groups if include_location or g.kind != "static"]
     if include_location and not any(g.kind == "static" for g in groups):
         groups.insert(0, GroupSpec("location", 3, "static"))
     return ChannelGroupSpec(tuple(groups))

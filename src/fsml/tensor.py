@@ -11,23 +11,23 @@ adjoint ops below).  The record ends with the scope: on exit the tape
 releases its nodes, and gradients of the tensors it recorded can no longer
 be taken.
 
-Recording state is per process: ``Tape`` scopes and :func:`paused` keep one
-module-level "recording tape or ``None``" up to date, so a primitive asks one
-global whether to record.  fsml runs parallel seeds in worker processes,
+Recording state is per process: ``Tape`` scopes keep one module-level
+"innermost open tape or ``None``" up to date, so a primitive asks one global
+whether to record.  fsml runs parallel seeds in worker processes,
 never threads, so tapes must not be entered from more than one thread.
 
 Every primitive computes its values first, with its NumPy call in
-:class:`_ArrayOps` once its checks pass.  When nothing records (no open
-tape, or inside :func:`paused`), it returns them at once, before it builds
-its adjoint closure.  Each adjoint rule is written once and picks its ops
-from the kind of its adjoint (:func:`_ops`).  A Tensor adjoint gets the
-primitives, read as module attributes at each call, so a recording replay
-(``grad(create_graph=True)``) records them.  A paused replay
-(``grad(create_graph=False)``) carries plain arrays: an array adjoint gets
-:class:`_ArrayOps` itself, the same NumPy calls in the same order without
-the primitives' checks, so every rule hands back arrays with the bits a
-primitive replay gives, and only the gradients ``grad`` returns are
-wrapped in a Tensor.
+:class:`_ArrayOps` once its checks pass.  When no tape is open, it returns
+them at once, before it builds its adjoint closure.  Each adjoint rule is
+written once and picks its ops from the kind of its adjoint (:func:`_ops`).
+A Tensor adjoint gets the primitives, read as module attributes at each
+call, so a recording replay (``grad(create_graph=True)``) records them.  An
+array replay (``grad(create_graph=False)``) carries plain arrays: an array
+adjoint gets :class:`_ArrayOps` itself, the same NumPy calls in the same
+order without the primitives' checks, so every rule hands back arrays with
+the bits a primitive replay gives, and only the gradients ``grad`` returns
+are wrapped in a Tensor.  Nothing else marks an array replay: no primitive
+sees a Tensor in it, so it records nothing on a tape that is still open.
 
 Memory.  A tape keeps only what some adjoint rule reads.  A node names its
 inputs by their nodes, never holds its own output, and shape-only rules
@@ -45,8 +45,8 @@ result keeps its bits.  A ``layer_norm`` node keeps each row's
 its forward computed; its adjoint op and that op's own adjoint read it.  A
 ``gelu`` node keeps its forward's ``tanh`` (one array shaped like its
 input), which the slope op and its adjoint read, and the slope that a
-recording replay built, which later replays multiply by; a slope built
-while paused is not kept, so a first-order tape holds no more than the
+recording replay built, which later replays multiply by; a slope built by
+an array replay is not kept, so a first-order tape holds no more than the
 ``tanh``.  An ``attention`` node keeps its softmax weights (one
 ``[batch, heads, Tq, Tk]`` array) and its three inputs, as the matmuls of
 the chain it replaces did, but never the scores; a recording replay records
@@ -60,7 +60,7 @@ array contributions to one adjoint in place, but only in an array it
 allocated itself for that sum: ``add`` and ``reshape`` pass their ``g`` (or
 a view of it) straight through, so an array a rule returned may be another
 node's adjoint or a gradient already handed back.  Likewise a kernel, a
-primitive's forward or a paused adjoint writes only into arrays it
+primitive's forward or an array replay's rule writes only into arrays it
 allocated itself, never into an input, a kept array or a ``g`` it was
 handed, and it keeps the float ops of the plain expression in their order.
 NumPy returns a product of 0-d arrays as a scalar; the array ops and the
@@ -76,7 +76,7 @@ A row gather from a table is a matmul with a constant one-hot operand.
 optional affine ``gain`` and ``bias``, each one node.  ``attention`` is the
 multi-head core between the projections (head split, scores, scale, key
 mask, softmax, context, head merge) and ``log_softmax_pick`` a
-cross-entropy's log-softmax at each row's label, each one node.  A paused
+cross-entropy's log-softmax at each row's label, each one node.  An array
 replay of a fused op's adjoint runs the float ops of the primitive chain it
 replaces, so first-order gradients keep their bits.
 
@@ -87,7 +87,7 @@ input gradient, attention's its kept softmax weights as a function of ``q``
 and ``k``, and log_softmax_pick's its kept exps.  The adjoints of the rows,
 the weights and the exps record in turn, like any rule.  The adjoints of the
 slope and of the layer_norm gradient read the kept ``tanh`` and ``inv`` as
-constants, so they run paused only: a recording replay of either, which a
+constants, so they take an array adjoint only: a Tensor adjoint, which a
 third derivative through gelu or layer_norm needs, raises ContractError.
 Each adjoint op hands its value (a kept array, or the array it computes) and
 its rule to :func:`_adjoint_op`, the one place that picks the kind: for an
@@ -102,7 +102,6 @@ import math
 import operator
 import sys
 import warnings
-from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
@@ -111,26 +110,12 @@ from .kernels import GELU_CUBIC, SQRT_2_OVER_PI
 from .errors import ContractError, ShapeError
 
 _tapes = []  # open Tape scopes, innermost last
-_pause_depth = 0
 _recording = None  # the tape primitives record on, or None
 
 
 def _sync_recording():
     global _recording
-    _recording = _tapes[-1] if _tapes and not _pause_depth else None
-
-
-@contextmanager
-def paused():
-    """Suspend tape recording for the duration of the block."""
-    global _pause_depth
-    _pause_depth += 1
-    _sync_recording()
-    try:
-        yield
-    finally:
-        _pause_depth -= 1
-        _sync_recording()
+    _recording = _tapes[-1] if _tapes else None
 
 
 class Tape:
@@ -359,7 +344,7 @@ class _ArrayOps:
 
 def _ops(g):
     """The ops a rule applies to the adjoint ``g``: the primitives for a
-    Tensor, :class:`_ArrayOps` for an array (a paused replay's)."""
+    Tensor, :class:`_ArrayOps` for an array (an array replay's)."""
     return _PRIMITIVES if isinstance(g, Tensor) else _ArrayOps
 
 
@@ -742,9 +727,9 @@ def gelu(a):
         if slope is not None:
             return (ops.mul(g, ops._arg(slope)),)
         built = _gelu_slope(ops._arg(a), t)
-        # a slope built while paused is not kept: a later recording replay
+        # an array replay's slope is not kept: a later recording replay
         # must record one that carries its own derivative
-        if _recording is not None:
+        if isinstance(g, Tensor):
             slope = built
         return (ops.mul(g, built),)
 
@@ -754,7 +739,7 @@ def gelu(a):
 def _gelu_slope(a, t):
     """d gelu / da from the forward's ``t = tanh(inner)``, an adjoint op of
     ``a`` whose adjoint, NumPy with the float ops of the primitive chain it
-    replaces, runs paused only.
+    replaces, takes an array adjoint only: it runs in array replays.
 
     A second-order tape thus holds one slope array per gelu instead of the
     dozen intermediates of a slope composed of primitives.
@@ -776,12 +761,12 @@ def _gelu_slope(a, t):
     def vjp(g, _):
         # slope' = sech^2 * (u' + a/2 * (u'' - 2 tanh(u) u'^2)), u = inner,
         # with the forward's tanh as a constant
-        if _recording is not None:
+        if isinstance(g, Tensor):
             raise ContractError("grad: a third derivative through gelu is not supported")
         du = (x * x * (3.0 * GELU_CUBIC) + 1.0) * SQRT_2_OVER_PI
         bend = x * (6.0 * GELU_CUBIC * SQRT_2_OVER_PI) - t * 2.0 * (du * du)
         curvature = (1.0 - t * t) * (du + x * 0.5 * bend)
-        return (_ops(g).mul(g, curvature),)
+        return (_ArrayOps.mul(g, curvature),)
 
     return _adjoint_op(slope, (a,), vjp)
 
@@ -847,7 +832,8 @@ def _layer_norm_grad(g, a, out, inv):
     ``inv`` the layer_norm node's 1 / sqrt(var + eps) per row.  NumPy on
     either kind, and an adjoint op of ``g``, ``a`` and ``out``, so a
     second-order tape holds one node per layer norm instead of a dozen.  Its
-    adjoint, which runs paused only, is NumPy too.
+    adjoint is NumPy too and takes an array adjoint only: it runs in array
+    replays.
     """
     gv, y = (g.values, out.values) if isinstance(g, Tensor) else (g, out)
     buf = np.multiply(gv, y)
@@ -860,21 +846,18 @@ def _layer_norm_grad(g, a, out, inv):
         # The Jacobian in g is a symmetric projection, so g takes the same op
         # of h.  out enters bilinearly with g; a enters only through inv,
         # whose derivative is -inv^2 * out / n.
-        if _recording is not None:
+        if isinstance(h, Tensor):
             raise ContractError("grad: a third derivative through layer_norm is not supported")
         n = a.shape[-1]
-        h_tensor = isinstance(h, Tensor)
-        hv = h.values if h_tensor else h
-        buf = np.multiply(hv, y)
+        buf = np.multiply(h, y)
         hy = _mean_rows(buf)
-        g_out = np.multiply(hv, gy_mean)
+        g_out = np.multiply(h, gy_mean)
         g_out += np.multiply(gv, hy, out=buf)
         g_out *= inv * -1.0
-        h_dx = np.add.reduce(np.multiply(hv, value, out=buf), axis=-1, keepdims=True)
+        h_dx = np.add.reduce(np.multiply(h, value, out=buf), axis=-1, keepdims=True)
         g_a = np.multiply(y, inv / -n)
         g_a *= h_dx
-        g_h = _layer_norm_grad(h, a, out if h_tensor else y, inv)
-        return (g_h, Tensor(g_a), Tensor(g_out)) if h_tensor else (g_h, g_a, g_out)
+        return _layer_norm_grad(h, a, y, inv), g_a, g_out
 
     return _adjoint_op(value, (g, a, out), vjp)
 
@@ -1032,32 +1015,31 @@ def grad(output, wrt, create_graph=False):
                     break
         # Nodes are topological, so once a node's VJP has read its adjoint no
         # later step adds to it: drop it then, unless a target asks for it.
-        # A paused replay carries arrays: each rule runs on NumPy calls.
-        scope = nullcontext() if create_graph else paused()
+        # Without create_graph the seed is an array, so each rule runs on
+        # NumPy calls and records nothing.
         owned = set()  # inputs whose adjoint array grad allocated for a fan-in sum
-        with scope:
-            seed = np.ones(output.shape)
-            adjoints[node] = Tensor(seed) if create_graph else seed
-            for n in reversed(needed):
-                g_out = adjoints.get(n) if n in wanted else adjoints.pop(n, None)
-                if g_out is None:
+        seed = np.ones(output.shape)
+        adjoints[node] = Tensor(seed) if create_graph else seed
+        for n in reversed(needed):
+            g_out = adjoints.get(n) if n in wanted else adjoints.pop(n, None)
+            if g_out is None:
+                continue
+            contributions = n.vjp(g_out)
+            for inp, contrib in zip(n.inputs, contributions):
+                if contrib is None or inp not in reachable:
                     continue
-                contributions = n.vjp(g_out)
-                for inp, contrib in zip(n.inputs, contributions):
-                    if contrib is None or inp not in reachable:
-                        continue
-                    held = adjoints.get(inp)
-                    if held is None:
-                        adjoints[inp] = contrib
-                    elif create_graph:
-                        adjoints[inp] = add(held, contrib)
-                    elif inp in owned:
-                        np.add(held, contrib, out=held)
-                    else:
-                        # a VJP may return its own g or a view of it (add,
-                        # reshape), so sum into an array allocated here
-                        adjoints[inp] = np.add(held, contrib, out=...)
-                        owned.add(inp)
+                held = adjoints.get(inp)
+                if held is None:
+                    adjoints[inp] = contrib
+                elif create_graph:
+                    adjoints[inp] = add(held, contrib)
+                elif inp in owned:
+                    np.add(held, contrib, out=held)
+                else:
+                    # a VJP may return its own g or a view of it (add,
+                    # reshape), so sum into an array allocated here
+                    adjoints[inp] = np.add(held, contrib, out=...)
+                    owned.add(inp)
 
     results = []
     for t in targets:

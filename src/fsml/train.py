@@ -165,8 +165,9 @@ def _fit(units, every, step, validate, params, patience=math.inf):
     of ``every`` and after the last, ``validate()`` returns (score, watched loss,
     fields) for one trace row.  Keeps a copy of ``params`` at the first highest
     score (a NaN never replaces it); stops once the loss has not improved by more
-    than IMPROVEMENT_EPS for ``patience`` validations.  Returns (best copy, its
-    unit, trace); with no units, a copy of the untouched parameters at unit 0."""
+    than IMPROVEMENT_EPS for ``patience`` validations.  A non-finite watched loss
+    is a DivergedError at its unit.  Returns (best copy, its unit, trace); with
+    no units, a copy of the untouched parameters at unit 0."""
     trace, best, best_score, best_unit = [], None, None, 0
     best_loss, since_best = math.inf, 0
     for unit in units:
@@ -174,6 +175,8 @@ def _fit(units, every, step, validate, params, patience=math.inf):
         if unit % every and unit != units[-1]:
             continue
         score, loss, fields = validate()
+        if not math.isfinite(loss):
+            raise DivergedError("non-finite validation loss", unit)
         trace.append({**row, **fields})
         if best is None or score > best_score:
             best, best_score, best_unit = copy_params(params), score, unit

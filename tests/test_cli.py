@@ -310,6 +310,10 @@ def test_every_config_field_is_accepted_and_typos_are_rejected():
     ("pretrain-meta", {"meta": {"algorithm": "maml"}, "seeds": [-2]},
      "seeds: must be a list of integers >= 0"),
     ("synth-data", {"synth": {}, "seeds": [3, -1]}, "seeds: must be a list of integers >= 0"),
+    # a fine-tune's label names its report files under reports/
+    *[("finetune", {"finetune": {}, "label": label},
+       "label: must be a non-empty name without '/' or '\\'")
+      for label in ("meta/maml", "../up", "a\\b", "")],
 ])
 def test_bad_config_shapes_exit_with_contract_error(tmp_path, capsys, monkeypatch, mode, blocks,
                                                     problem):
@@ -605,6 +609,48 @@ def _finetune_config(dataset, out, **finetune):
     return {"schema_version": 1, "mode": "finetune", "dataset": str(dataset), "out": str(out),
             "seeds": [0], "model": MODEL_BLOCK,
             "finetune": {"kshots": [1], "max_epochs": 1, **finetune}}
+
+
+@pytest.mark.parametrize("mode", ["finetune", "tune"])
+def test_a_diverged_validation_loss_exits_1_and_writes_no_result(tmp_path, capsys, mode):
+    # the first step, at a huge rate, leaves the validation loss non-finite
+    # while the training loss it took was finite; a tune whose every trial
+    # diverges has no best rate
+    dataset, out = tmp_path / "corpus.jsonl", tmp_path / "runs"
+    run(synth_config(dataset, out))
+    if mode == "finetune":
+        config = _finetune_config(dataset, out, lr_head=1e300)
+        problem = "error [DivergedError]: non-finite validation loss (step 0)"
+    else:
+        config = {"schema_version": 1, "mode": "tune", "dataset": str(dataset), "out": str(out),
+                  "seeds": [0], "model": MODEL_BLOCK,
+                  "tune": {"space": {"lr_head": [1e299, 1e300], "lr_backbone": [1e299, 1e300]},
+                           "trials": 2, "k": 1, "max_epochs": 1}}
+        problem = ("error [DivergedError]: random_search: all 2 trials diverged, the last: "
+                   "non-finite validation loss (step 0)")
+    assert _main_on(tmp_path, config) == 1
+    assert problem in capsys.readouterr().err
+    assert not [p for p in out.rglob("*") if p.is_file()]
+
+
+def test_location_token_false_leaves_the_manifest_s_static_group_out(tmp_path):
+    dataset, out = tmp_path / "corpus.jsonl", tmp_path / "runs"
+    synth = synth_config(dataset, out)
+    synth["synth"] = {**SYNTH_BLOCK, "groups": [
+        {"name": "location", "channels": 3, "kind": "static"},
+        {"name": "s2", "channels": 3, "kind": "dynamic"}]}
+    run(synth)
+    specs = {}
+    for location_token in (False, True):
+        config = {"schema_version": 1, "mode": "pretrain-ssl", "dataset": str(dataset),
+                  "out": str(out), "seeds": [0], "model": MODEL_BLOCK,
+                  "ssl": {"max_timesteps": 16, "batch_size": 16, "max_batches": 1,
+                          "location_token": location_token}}
+        ckpt = next(a for a in run(config) if a.endswith(".fsml"))
+        specs[location_token] = [g["name"] for g in json.loads(load_checkpoint(ckpt)[1]["spec"])]
+        finetune = _finetune_config(dataset, out, source="checkpoint", checkpoint=ckpt)
+        assert Path(run(dict(finetune, label="ssl"))[0]).exists()
+    assert specs == {False: ["s2"], True: ["location", "s2"]}
 
 
 def test_checkpoint_without_pretraining_metadata_is_a_contract_error(tmp_path, capsys):

@@ -356,7 +356,7 @@ def test_shape_mismatch_names_both_shapes():
     assert "(2, 3)" in str(err.value) and "(4,)" in str(err.value)
     for op in (T.add, T.sub, T.mul, T.div):
         for recording in (False, True):
-            with Tape() if recording else T.paused():
+            with Tape() if recording else contextlib.nullcontext():
                 with pytest.raises(ShapeError) as err:
                     op(Tensor(np.ones((2, 3))), Tensor(np.ones((4,))))
             message = str(err.value)
@@ -452,9 +452,9 @@ def test_paused_primitives_record_nothing_and_return_equal_bits():
     with Tape() as tape:
         recorded = _one_of_each_primitive(x, y)
         count = len(tape.nodes)
-        with T.paused():
-            quiet = _one_of_each_primitive(x, y)
-        assert len(tape.nodes) == count
+    # the closed tape has released its nodes and gains none
+    quiet = _one_of_each_primitive(x, y)
+    assert count > 0 and len(tape.nodes) == 0
     assert all(t.node is not None for t in recorded)
     assert all(t.node is None for t in quiet)
     for a, b in zip(recorded, quiet):
@@ -464,27 +464,24 @@ def test_paused_primitives_record_nothing_and_return_equal_bits():
 def test_recording_resumes_after_nested_pause_and_after_an_exception():
     x = Tensor([1.0, 2.0])
     with Tape() as tape:
-        with T.paused():
-            with T.paused():
-                assert T.mul(x, x).node is None
-            assert T.mul(x, x).node is None
-        assert T.mul(x, x).node is not None
         with pytest.raises(ShapeError):
-            with T.paused():
-                T.add(x, Tensor([1.0, 2.0, 3.0]))
+            T.add(x, Tensor([1.0, 2.0, 3.0]))
+        assert T.mul(x, x).node.tape is tape
         with pytest.raises(RuntimeError):
-            with T.paused():
-                raise RuntimeError("inside a pause")
+            with Tape() as inner:
+                assert T.mul(x, x).node.tape is inner
+                raise RuntimeError("inside an inner tape")
         y = T.reduce_sum(T.mul(x, x))
         assert y.node is not None and y.node.tape is tape
         np.testing.assert_array_equal(grad(y, x).values, [2.0, 4.0])
-        assert T.mul(x, x).node is not None  # grad's own pause ended too
+        assert T.mul(x, x).node.tape is tape  # recording goes on around grad
     assert T.mul(x, x).node is None  # no tape is open
 
 
 def _full_prefix_grad(output, targets, create_graph=False):
     """grad's replay with the reachability scan started at node 0 and every
-    adjoint kept until the end (the reference)."""
+    adjoint kept until the end (the reference): a recording replay of a
+    Tensor seed, or an array replay whose results are wrapped at the end."""
     node = output.node
     reachable = {T._key(t) for t in targets}
     needed = []
@@ -492,18 +489,21 @@ def _full_prefix_grad(output, targets, create_graph=False):
         if any(inp in reachable for inp in n.inputs):
             reachable.add(n)
             needed.append(n)
-    adjoints = {node: Tensor(np.ones(output.shape))}
-    with contextlib.nullcontext() if create_graph else T.paused():
-        for n in reversed(needed):
-            g_out = adjoints.get(n)
-            if g_out is None:
+    seed = np.ones(output.shape)
+    adjoints = {node: Tensor(seed) if create_graph else seed}
+    for n in reversed(needed):
+        g_out = adjoints.get(n)
+        if g_out is None:
+            continue
+        for inp, contrib in zip(n.inputs, n.vjp(g_out)):
+            if contrib is None or inp not in reachable:
                 continue
-            for inp, contrib in zip(n.inputs, n.vjp(g_out)):
-                if contrib is None or inp not in reachable:
-                    continue
-                held = adjoints.get(inp)
-                adjoints[inp] = contrib if held is None else T.add(held, contrib)
-    return [adjoints[T._key(t)] for t in targets]
+            held = adjoints.get(inp)
+            if held is not None:
+                contrib = T.add(held, contrib) if create_graph else held + contrib
+            adjoints[inp] = contrib
+    grads = [adjoints[T._key(t)] for t in targets]
+    return grads if create_graph else [Tensor(g) for g in grads]
 
 
 def _small_net(r):
@@ -601,9 +601,9 @@ def _gelu_layer_norm_loss(r):
 
 
 def test_paused_grad_then_second_order_grad_equals_a_fresh_tape():
-    # a slope built by a paused replay is not kept: the create_graph grad
+    # a slope built by an array replay is not kept: the create_graph grad
     # that follows records its own, so the second derivative keeps gelu's
-    # curvature; a paused replay after it reuses the recorded slope
+    # curvature; an array replay after it reuses the recorded slope
     results = []
     for paused_first in (False, True):
         r = np.random.default_rng(35)
@@ -624,7 +624,7 @@ def test_paused_grad_then_second_order_grad_equals_a_fresh_tape():
 @pytest.mark.parametrize("name", ["gelu", "layer_norm"])
 def test_a_third_derivative_through_gelu_or_layer_norm_is_a_contract_error(name):
     # a second-order gradient replays the recorded slope or layer_norm
-    # gradient paused; differentiating it once more would replay them recording
+    # gradient on arrays; differentiating it once more would replay them recording
     r = np.random.default_rng(36)
     x, c = Tensor(r.standard_normal((5, 4))), Tensor(r.standard_normal((5, 3)))
     with Tape():
@@ -751,7 +751,7 @@ def _fused_op_case(case, r):
                                   "log_softmax_pick_weighted"])
 @pytest.mark.parametrize("create_graph", [False, True])
 def test_fused_attention_and_cross_entropy_gradients_equal_the_primitive_chain_bits(case, create_graph):
-    # both replays of each fused op: a paused one runs its NumPy adjoint, a
+    # both replays of each fused op: an array one runs its NumPy adjoint, a
     # recording one its primitives; each must keep the chain's float ops
     arrays, g, fused, expected = _fused_op_case(case, np.random.default_rng(7))
     with Tape():
@@ -805,11 +805,11 @@ def _linear_cube_loss(ts):
 
 
 def test_paused_and_recording_replays_of_a_second_order_tape_give_equal_bits():
-    # a paused replay runs the NumPy adjoint of each fused op (attention,
+    # an array replay runs the NumPy adjoint of each fused op (attention,
     # log_softmax_pick, linear, and the outer gelu and layer_norm)
     # and adjoint op (attention's weights, the shifted exps); a recording
     # replay runs their primitive chains.  The inner losses leave out gelu
-    # and layer_norm, whose adjoint ops replay paused only.
+    # and layer_norm, whose adjoint ops take array adjoints only.
     stacked = _LINEAR_NORM_CASES["stacked"]
     for inner, shapes in (_attention_loss("stacked", plain=True),
                           (_linear_cube_loss, [stacked[name] for name in ("x", "w1", "b1")])):
@@ -959,7 +959,7 @@ def test_third_order_through_linear_matches_finite_differences(case):
 @pytest.mark.parametrize("case", sorted(_LINEAR_NORM_CASES))
 def test_a_third_derivative_through_linear_and_affine_layer_norm_is_a_contract_error(case):
     # the affine norm's gradient replays _normalized and _layer_norm_grad,
-    # whose adjoints run paused only
+    # whose adjoints take array adjoints only
     inner, shapes = _linear_norm_loss(case)
     r = np.random.default_rng(63)
     with Tape():
@@ -1082,7 +1082,7 @@ def _slope_reference(x, t):
 
 
 def _layer_norm_grad_reference(gv, y, hv, inv, n):
-    """_layer_norm_grad's value and its paused adjoint's g_a and g_out."""
+    """_layer_norm_grad's value and its array adjoint's g_a and g_out."""
     gy_mean = (gv * y).mean(axis=-1, keepdims=True)
     result = inv * ((gv - gv.mean(axis=-1, keepdims=True)) - y * gy_mean)
     hy = (hv * y).mean(axis=-1, keepdims=True)
@@ -1112,10 +1112,9 @@ def test_layer_norm_grad_and_its_paused_adjoint_bits_equal_the_expressions_they_
     kept = _unchanged([x, gv, hv, y, inv])
     with Tape():
         result = T._layer_norm_grad(Tensor(gv), Tensor(x), Tensor(y), inv)
-        with T.paused():
-            _, g_a, g_out = result.node.vjp(Tensor(hv))
+        _, g_a, g_out = result.node.vjp(hv)
     expected = _layer_norm_grad_reference(gv, y, hv, inv, shape[-1])
-    assert _bits([result, g_a, g_out]) == _array_bits(expected)
+    assert _bits([result]) + _array_bits([g_a, g_out]) == _array_bits(expected)
     assert _array_bits([x, gv, hv, y, inv]) == _array_bits(kept)
 
 
@@ -1150,7 +1149,7 @@ def test_linear_keeps_a_bias_that_grows_the_product_out_of_place():
     assert gx.shape == x.shape and gb.values.tobytes() == np.full(b.shape, 4.0).tobytes()
 
 
-def _attention_forward_and_paused_adjoint_reference(q, k, v, key_mask, num_heads, scale, g):
+def _attention_forward_and_array_adjoint_reference(q, k, v, key_mask, num_heads, scale, g):
     mask = key_mask.reshape(-1, key_mask.shape[-1])
     batch = mask.shape[0]
     qh, kh, vh = (_heads_np(t, batch, num_heads) for t in (q, k, v))
@@ -1183,10 +1182,9 @@ def test_attention_and_its_paused_adjoint_bits_equal_the_expressions_they_replac
     kept = _unchanged([q, k, v, g])
     with Tape():
         out = T.attention(Tensor(q), Tensor(k), Tensor(v), live, 2, 0.25)
-        with T.paused():
-            grads = out.node.vjp(Tensor(g))
-    expected = _attention_forward_and_paused_adjoint_reference(q, k, v, live, 2, 0.25, g)
-    assert _bits([out, *grads]) == _array_bits(expected)
+        grads = out.node.vjp(g)
+    expected = _attention_forward_and_array_adjoint_reference(q, k, v, live, 2, 0.25, g)
+    assert _bits([out]) + _array_bits(grads) == _array_bits(expected)
     assert _array_bits([q, k, v, g]) == _array_bits(kept)
 
 
@@ -1208,18 +1206,18 @@ def test_log_softmax_pick_bits_equal_the_expression_it_replaces(shape, weighted)
     assert _array_bits([x]) == _array_bits(kept)
 
 
-# --- shape glue: a paused replay runs it on arrays, a recording one -------
+# --- shape glue: an array replay runs it on arrays, a recording one -------
 # --- through primitives, with the same NumPy calls in the same order ------
 
 
 def _glue_both_ways(monkeypatch, glue, g):
-    """``glue(g)`` recording on a tape, then ``glue`` of g's array paused,
-    with the primitives it would call replaced by ones that fail: the two
-    results' shapes and bits."""
+    """``glue(g)`` recording on a tape, then ``glue`` of g's array on the same
+    open tape, with the primitives it would call replaced by ones that fail:
+    the two results' shapes and bits."""
     with Tape() as tape:
         recorded = glue(g)
         assert tape.nodes and recorded.node is not None
-        with T.paused(), monkeypatch.context() as patch:
+        with monkeypatch.context() as patch:
             for name in ("reduce_sum", "reshape", "mul"):
                 patch.setattr(T, name, lambda *args, **kwargs: pytest.fail("a primitive ran"))
             quiet = glue(g.values)
@@ -1288,7 +1286,7 @@ def test_reductions_bits_equal_the_ndarray_methods_they_replace(axis, keepdims):
     assert mean.values.tobytes() == expected_mean.tobytes()
 
 
-# --- a paused replay carries arrays: every rule gives the bits of its ------
+# --- an array replay carries arrays: every rule gives the bits of its -----
 # --- primitive replay, and hands back arrays --------------------------------
 
 
@@ -1331,22 +1329,36 @@ def _every_op_loss(r):
     return ts, loss
 
 
+# the adjoint ops whose adjoints read kept constants: they take arrays only
+_ARRAY_ONLY = ("_gelu_slope", "_layer_norm_grad")
+
+
 def _replays_agree(outs, r):
-    """Each recorded node's vjp, paused, of a Tensor and of its array: the
-    array replay hands back arrays with the Tensor replay's shapes and bits,
-    and neither writes into the adjoint it was handed."""
-    with T.paused():
-        for out, node in outs:
+    """Each recorded node's vjp of its array, then of a Tensor, recording on a
+    throwaway tape: the array replay hands back arrays with the Tensor
+    replay's shapes and bits, and neither writes into the adjoint it was
+    handed.  An array-only adjoint op refuses the Tensor replay."""
+    recorded = len(outs)
+    with Tape():
+        for out, node in outs[:recorded]:
             g = np.array(r.standard_normal(out.shape))
             kept = g.copy()
-            from_tensor, from_array = node.vjp(Tensor(g)), node.vjp(g)
+            from_array = node.vjp(g)
+            assert all(b is None or type(b) is np.ndarray for b in from_array)
+            if node.vjp.__qualname__.split(".")[0] in _ARRAY_ONLY:
+                with pytest.raises(ContractError, match="third derivative"):
+                    node.vjp(Tensor(g))
+                assert g.tobytes() == kept.tobytes()
+                continue
+            from_tensor = node.vjp(Tensor(g))
             assert g.tobytes() == kept.tobytes()
             assert len(from_tensor) == len(from_array)
             for a, b in zip(from_tensor, from_array):
                 assert (a is None) == (b is None)
                 if a is not None:
-                    assert isinstance(a, Tensor) and type(b) is np.ndarray
+                    assert isinstance(a, Tensor)
                     assert a.shape == b.shape and a.values.tobytes() == b.tobytes()
+    del outs[recorded:]  # the throwaway tape's nodes
 
 
 def test_array_and_tensor_replays_of_every_op_give_equal_bits(monkeypatch):
@@ -1358,15 +1370,32 @@ def test_array_and_tensor_replays_of_every_op_give_equal_bits(monkeypatch):
         return recorded
 
     monkeypatch.setattr(T, "_record", spy)
+    # no gelu node has kept a slope before a recording replay; a Tensor
+    # replay keeps one, so this graph is not replayed again
+    r = np.random.default_rng(79)
+    with Tape():
+        _every_op_loss(r)
+        _replays_agree(outs, r)
+    outs.clear()
     r = np.random.default_rng(79)
     with Tape():
         ts, loss = _every_op_loss(r)
-        # no gelu node has kept a slope before a recording replay
-        _replays_agree(outs, r)
         forward = len(outs)
         # the recording replay adds every adjoint op and a kept gelu slope
         grad(loss, list(ts.values()), create_graph=True)
         names = {node.vjp.__qualname__.split(".")[0] for _, node in outs[forward:]}
-        assert {"_gelu_slope", "_layer_norm_grad", "_normalized", "_attention_weights",
-                "_shifted_exp"} <= names
+        assert {*_ARRAY_ONLY, "_normalized", "_attention_weights", "_shifted_exp"} <= names
         _replays_agree(outs, r)
+
+
+def test_an_array_replay_records_nothing_on_the_open_tape():
+    # the adjoint's kind is the only mark of a first-order replay: its rules
+    # take arrays and call no primitive, so the open tape gains no node
+    with Tape() as tape:
+        ts, loss = _every_op_loss(np.random.default_rng(79))
+        forward = len(tape.nodes)
+        grads = grad(loss, list(ts.values()))
+        first_order = len(tape.nodes)
+        grad(loss, list(ts.values()), create_graph=True)
+        assert (forward, first_order, len(tape.nodes)) == (41, 41, 168)
+    assert all(g.node is None for g in grads)

@@ -181,6 +181,12 @@ def test_fit_keeps_the_first_best_score_and_never_a_nan():
     assert _fit_on([1.0] * 3, scores=[0.5, nan, 0.4]) == ([0, 1, 2], 0)
 
 
+def test_fit_raises_at_a_non_finite_validation_loss():
+    for bad in (float("nan"), math.inf):
+        with pytest.raises(DivergedError, match=r"non-finite validation loss \(step 2\)"):
+            _fit_on([1.0, 0.9, bad, 0.8])
+
+
 def test_fit_validates_every_kth_unit_and_the_last():
     assert _fit_on([1.0] * 8, every=3)[0] == [0, 3, 6, 7]
     assert _fit_on([1.0] * 7, every=3)[0] == [0, 3, 6]
@@ -515,7 +521,7 @@ def _gradients_of_three_steps(read_only):
 
 
 def test_gradients_neither_write_into_nor_depend_on_writable_parameters_and_inputs():
-    # a kernel or paused adjoint writes only into arrays it allocated: with
+    # a kernel or an array replay's rule writes only into arrays it allocated: with
     # every parameter and input read-only, each step runs and gives the bits
     # of a writable run
     assert _gradients_of_three_steps(read_only=True) == _gradients_of_three_steps(read_only=False)
